@@ -42,12 +42,15 @@ def _workloads(seed):
     sq = _rand_mat(rng, 60, 60, p)
     rect = _rand_mat(rng, 80, 120, p)
     rhs = [rng.randrange(p) for _ in range(60)]
+    # the shape of the F_{2^16} conjugator kernel at N = 32
+    conj = _rand_mat(rng, 512, 512, 2)
     return [
         ("polymulmod deg24/F3", "polymulmod", (a, b, mod, p)),
         ("polypowmod ^3^12", "polypowmod", (a, 3**12, mod, p)),
         ("rref 60x60/F3", "rref_mod_p", ([r[:] for r in sq], p)),
         ("nullspace 80x120/F3", "nullspace_mod_p", ([r[:] for r in rect], 120, p)),
         ("solve 60x60/F3", "solve_mod_p", ([r[:] for r in sq], rhs[:], p)),
+        ("rref 512x512/F2", "rref_mod_p", (conj, 2)),
     ]
 
 

@@ -2,9 +2,13 @@
 
 Same contract as the compiled `_kernels` extension; selected by
 `taumod.kernels` when the extension is unavailable or TAUMOD_PURE=1.
-Matrix elimination leans on numpy (vectorized row updates mod p); the
-polynomial routines are plain loops since the small-field fast path in
-`basefield` handles the bulk of scalar multiplications via log tables.
+Matrix elimination leans on numpy: each pivot updates, mod p, only the
+rows that are nonzero in its column and only the columns from it on,
+which gives the same pivots and output as full-width Gauss-Jordan. The
+polynomial routines are plain loops. They serve the cold path (modulus
+search, generator search) and fields above `basefield.TABLE_LIMIT`:
+smaller fields multiply through log tables, which `basefield` fills by
+doubling with numpy matrix products, not one `polymulmod` per element.
 """
 
 import numpy as np
@@ -68,11 +72,13 @@ def rref_mod_p(mat, p):
         if i != r:
             A[[r, i]] = A[[i, r]]
         inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            A = (A - np.outer(col, A[r])) % p
+        A[r, c:] = (A[r, c:] * inv) % p
+        # the pivot row is zero left of column c, so elimination changes
+        # only the rows nonzero in column c, and only from column c on
+        hit = np.flatnonzero(A[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            A[hit, c:] = (A[hit, c:] - np.outer(A[hit, c], A[r, c:])) % p
         pivots.append(c)
         r += 1
     return A.tolist(), pivots

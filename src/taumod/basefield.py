@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 import random
 
+import numpy as np
+
 from taumod import kernels
 from taumod.errors import (
     CoercionError,
@@ -34,6 +36,8 @@ from taumod.errors import (
 )
 
 TABLE_LIMIT = 1 << 16
+# rows per int64 block when filling and converting a log table
+_TABLE_CHUNK = 1 << 12
 
 INF = math.inf
 
@@ -138,6 +142,29 @@ def _find_modulus(p, n):
     raise AssertionError("no irreducible found")
 
 
+def _power_table(M, order, p):
+    """Coordinates of g^0, ..., g^(order-1), one row each, for M the F_p
+    matrix of y -> g*y.
+
+    Filled by doubling: the rows [k, 2k) are the rows [0, k) times
+    (M^k)^T mod p, so the table costs O(log order) matrix products. It is
+    stored in the narrowest unsigned dtype that holds F_p; the products
+    run in int64 one block of rows at a time.
+    """
+    table = np.zeros((order, M.shape[0]), dtype=np.min_scalar_type(p - 1))
+    table[0, 0] = 1
+    step = M.T  # (M^k)^T
+    k = 1
+    while k < order:
+        m = min(k, order - k)
+        for lo in range(0, m, _TABLE_CHUNK):
+            hi = min(lo + _TABLE_CHUNK, m)
+            table[k + lo : k + hi] = table[lo:hi].astype(np.int64) @ step % p
+        step = step @ step % p
+        k += m
+    return table
+
+
 # ---------------------------------------------------------------------------
 # finite fields
 
@@ -149,6 +176,12 @@ class FF:
     residue of X). Fields with at most 2^16 elements carry discrete-log
     tables, making mul/inv/frobenius O(1); larger fields fall back to the
     kernel polynomial arithmetic.
+
+    The tables hang off the canonical generator `gen`, the encoding-least
+    element of order p^n - 1. The exp table is filled by doubling
+    (`_power_table`) from the F_p matrix of multiplication by `gen`, in
+    O(log p^n) numpy products, and converted to tuples block by block;
+    the log table is its inverse dict.
     """
 
     def __init__(self, p, n):
@@ -177,15 +210,15 @@ class FF:
             ):
                 gen = cand
                 break
-        exp = [None] * order
-        log = {}
-        cur = self.one.c
-        for k in range(order):
-            exp[k] = cur
-            log[cur] = k
-            cur = kernels.polymulmod(cur, gen, self.modulus, self.p)
+        # column j of the F_p matrix of y -> gen*y is gen * X^j
+        cols = [kernels.polymulmod(gen, self._dec(self.p**j), self.modulus, self.p)
+                for j in range(self.n)]
+        table = _power_table(np.array(cols, dtype=np.int64).T, order, self.p)
+        exp = []
+        for lo in range(0, order, _TABLE_CHUNK):
+            exp.extend(map(tuple, table[lo : lo + _TABLE_CHUNK].tolist()))
         self._exp = exp
-        self._log = log
+        self._log = dict(zip(exp, range(order)))
         self.gen = Felt(self, gen)
 
     def _dec(self, enc):
@@ -376,14 +409,6 @@ def _lift(coeffs, big):
     return [big.el(c) for c in coeffs]
 
 
-def _peval(fcoeffs, x):
-    """Evaluate a Felt-coefficient polynomial at Felt x (Horner)."""
-    acc = x.ff.zero
-    for c in reversed(fcoeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _bpmulmod(a, b, mod, big):
     """Product of Felt-coefficient polys modulo monic `mod` (Felt lists)."""
     if not a or not b:
@@ -506,29 +531,22 @@ def _embedding_powers(p, n_small, n_big):
     """Powers (r^0, ..., r^{n_small-1}) of the canonical image r in
     F_{p^n_big} of the residue generator of F_{p^n_small}.
 
-    r is the encoding-least root of the small canonical modulus; since
-    the roots form one p-Frobenius orbit, any single root determines all
-    of them, so the choice is independent of the search path.
+    r is the encoding-least root of the small canonical modulus. The
+    roots of an irreducible modulus form one p-Frobenius orbit, so one
+    Cantor-Zassenhaus root (seeded per field pair) determines them all,
+    and r is the encoding-least element of its orbit whatever root the
+    search happened to find. The same path serves every field size.
     """
     small = get_field(p, n_small)
     big = get_field(p, n_big)
-    f = list(small.modulus)
-    if big.size <= TABLE_LIMIT:
-        root = None
-        for enc in range(big.size):
-            cand = Felt(big, big._dec(enc))
-            if _peval(_lift(f, big), cand).is_zero():
-                root = cand
-                break
-    else:
-        rng = random.Random(f"embed:{p}:{n_small}:{n_big}")
-        r0 = _one_root(_lift(f, big), big, rng)
-        orbit = [r0]
-        cur = r0.frob()
-        while cur.c != r0.c:
-            orbit.append(cur)
-            cur = cur.frob()
-        root = min(orbit, key=lambda x: big.enc(x.c))
+    rng = random.Random(f"embed:{p}:{n_small}:{n_big}")
+    r0 = _one_root(_lift(small.modulus, big), big, rng)
+    orbit = [r0]
+    cur = r0.frob()
+    while cur.c != r0.c:
+        orbit.append(cur)
+        cur = cur.frob()
+    root = min(orbit, key=lambda x: big.enc(x.c))
     powers = [big.one]
     for _ in range(n_small - 1):
         powers.append(powers[-1] * root)

@@ -48,7 +48,7 @@ from taumod.isocrystal import (
 import numpy as np
 
 from taumod import kernels
-from taumod.semilinear import _series_frob, _vec_coords, solve_scalar
+from taumod.semilinear import _series_frob, _vec_coords, fq_generator, solve_scalar
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.tateweil import iota_conjugator, tate_slope0, weil_valuation
 from taumod.zseries import INF, ZSeries
@@ -478,7 +478,7 @@ def _replay_tate(M, tate_doc, checks):
     ff = L.ff
     p, nL = ff.p, ff.n
     aq = K.desc.a
-    gen = ff.gen() if aq > 1 else ff.el(1)
+    gen = fq_generator(L, aq)
     rows = []
     for vec in mb:
         scaled = vec

@@ -64,8 +64,11 @@ class Isocrystal:
         return zmatrix.tau_power_matrix(self.A, k)
 
 
-def unit(K):
-    return simple_pure(K, 0, 1)
+def unit(K, r=1):
+    """The rank-r identity twist: tau acts on K((z))^r as sigma."""
+    if r <= 0:
+        raise InputError("rank must be positive")
+    return Isocrystal(K, zmatrix.identity(K, r))
 
 
 def simple_pure(K, s, r):

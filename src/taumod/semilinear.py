@@ -563,32 +563,34 @@ def _fq_basis_from_fp_kernel(K, L, ker, r, N, nL):
     p = L.ff.p
     a = K.desc.a
     gq = _fq_generator_mat(L, a)
-    span = []
+    span = FpSpan(r * N * nL, p)
     basis = []
     for w in ker:
-        if _in_span(span, w, p):
+        if not span.add(w):
             continue
         basis.append(w)
-        vecs = [np.array(w, dtype=np.int64)]
+        v = np.array(w, dtype=np.int64)
         for _ in range(a - 1):
-            nxt = _apply_block(gq, vecs[-1], nL, p)
-            vecs.append(nxt)
-        for v in vecs:
-            if not _in_span(span, v.tolist(), p):
-                span.append(v.tolist())
+            v = _apply_block(gq, v, nL, p)
+            span.add(v)
     if len(basis) * a != len(ker):
         raise InvariantError("fixed space is not an F_q-vector space")
     return [_coords_vec(L, w, r, N, nL) for w in basis]
 
 
+def fq_generator(L, a):
+    """The canonical generator of F_q = F_{p^a} (the residue class of X
+    modulo its canonical modulus) as an element of L's field; 1 when
+    a = 1. Its powers 1, g, ..., g^(a-1) are an F_p-basis of F_q."""
+    if a == 1:
+        return L.ff.one
+    return coerce_into(get_field(L.ff.p, a).el([0, 1]), L.ff)
+
+
 def _fq_generator_mat(L, a):
     """Multiplication by the canonical F_{p^a}-generator, as an F_p
     matrix on L's coordinates."""
-    if a == 1:
-        return np.eye(L.ff.n, dtype=np.int64)
-    small = get_field(L.ff.p, a)
-    gL = coerce_into(small.el([0, 1]), L.ff)
-    return _mult_mat(L.ff, gL)
+    return _mult_mat(L.ff, fq_generator(L, a))
 
 
 def _apply_block(M, vec, nL, p):
@@ -598,16 +600,38 @@ def _apply_block(M, vec, nL, p):
     return out
 
 
-def _in_span(span, v, p):
-    if not span:
-        return all(x == 0 for x in v)
-    mat = [list(row) for row in span]
-    rows, pivots = kernels.rref_mod_p(mat, p)
-    red = np.array(v, dtype=np.int64) % p
-    for row, pc in zip(rows, pivots):
-        if red[pc]:
-            red = (red - red[pc] * np.array(row, dtype=np.int64)) % p
-    return not red.any()
+class FpSpan:
+    """F_p-span of the vectors added so far, kept as a reduced echelon
+    basis: every row is 1 at its pivot column and every other row is 0
+    there. Testing a vector is one product with the basis; adding one
+    also clears its pivot column from the older rows."""
+
+    def __init__(self, dim, p):
+        self.p = p
+        self.rows = np.zeros((0, dim), dtype=np.int64)
+        self.pivots = []
+
+    def reduce(self, v):
+        """v minus its projection on the span along the pivot columns;
+        zero exactly when v lies in the span."""
+        v = np.asarray(v, dtype=np.int64) % self.p
+        if self.pivots:
+            v = (v - v[self.pivots] @ self.rows) % self.p
+        return v
+
+    def add(self, v):
+        """Add v to the span; False (and no change) when it was in it."""
+        p = self.p
+        red = self.reduce(v)
+        nz = np.flatnonzero(red)
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        red = red * pow(int(red[c]), p - 2, p) % p
+        rows = (self.rows - np.outer(self.rows[:, c], red)) % p
+        self.rows = np.vstack([rows, red])
+        self.pivots.append(c)
+        return True
 
 
 def free_module_check(K, basis, r, N):
@@ -623,21 +647,19 @@ def free_module_check(K, basis, r, N):
     nL = L.ff.n
     p = L.ff.p
     gq = _fq_generator_mat(L, a)
-    span = []
+    span = FpSpan(len(basis[0]) * nL, p)
     module_basis = []
     for vec in basis:
         red = []
         for s in vec:
             red.extend(s.coeff(0).c)
-        if _in_span(span, red, p):
+        if not span.add(red):
             continue
         module_basis.append(vec)
-        vecs = [np.array(red, dtype=np.int64)]
+        v = np.array(red, dtype=np.int64)
         for _ in range(a - 1):
-            vecs.append(_apply_block(gq, vecs[-1], nL, p))
-        for v in vecs:
-            if not _in_span(span, v.tolist(), p):
-                span.append(v.tolist())
+            v = _apply_block(gq, v, nL, p)
+            span.add(v)
     if len(module_basis) != r:
         return False, None
     return True, module_basis

@@ -19,6 +19,7 @@ from taumod.basefield import (
     LocalElem,
     coerce_into,
     get_field,
+    _embedding_powers,
     _find_modulus,
 )
 from taumod.errors import CoercionError, NoRoot, NotInvertible, PrecisionLoss
@@ -107,6 +108,67 @@ class TestFieldLaws:
             via_table = ff.mul_raw(x, y)
             via_poly = kernels.polymulmod(x, y, ff.modulus, 3)
             assert via_table == via_poly
+
+
+class TestLogTables:
+    """The doubling-built tables against the plain construction: repeated
+    polymulmod by the canonical generator."""
+
+    @pytest.mark.parametrize(
+        "p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2), (65521, 1)]
+    )
+    def test_tables_match_repeated_mul(self, p, n):
+        ff = get_field(p, n)
+        order = ff.size - 1
+        gen = ff.gen.c
+        assert len(ff._exp) == order
+        cur = ff.one.c
+        for k in range(order):
+            assert ff._exp[k] == cur
+            cur = kernels.polymulmod(cur, gen, ff.modulus, p)
+        assert cur == ff.one.c
+        assert len(ff._log) == order
+        assert all(ff._log[x] == k for k, x in enumerate(ff._exp))
+        assert all(type(c) is int for c in ff._exp[-1])
+        # canonical: no smaller encoding is a generator (x = g^k generates
+        # exactly when gcd(k, order) = 1)
+        for enc in range(1, ff.enc(gen)):
+            assert math.gcd(ff._log[ff._dec(enc)], order) != 1
+
+
+def _brute_force_root(p, ns, nb):
+    """Encoding-least root in F_{p^nb} of the canonical modulus of
+    F_{p^ns}, by evaluating it at every element in encoding order."""
+    big = get_field(p, nb)
+    f = [big.el(c).c for c in _find_modulus(p, ns)]
+    for enc in range(big.size):
+        x = big._dec(enc)
+        acc = big.zero.c
+        for c in reversed(f):
+            acc = big.add_raw(big.mul_raw(acc, x), c)
+        if acc == big.zero.c:
+            return Felt(big, x)
+    raise AssertionError("canonical modulus has no root")
+
+
+EMBED_PAIRS = [
+    (p, ns, nb)
+    for p in (2, 3)
+    for nb in range(1, 13)
+    if p**nb <= 1 << 12
+    for ns in range(1, nb + 1)
+    if nb % ns == 0
+]
+
+
+class TestEmbeddingRoot:
+    @pytest.mark.parametrize("p,ns,nb", EMBED_PAIRS)
+    def test_root_is_encoding_least(self, p, ns, nb):
+        root = _brute_force_root(p, ns, nb)
+        powers = _embedding_powers.__wrapped__(p, ns, nb)
+        want = [root**k for k in range(ns)]
+        assert [x.c for x in powers] == [x.c for x in want]
+        assert [x.c for x in _embedding_powers(p, ns, nb)] == [x.c for x in want]
 
 
 class TestEmbeddings:

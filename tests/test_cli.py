@@ -337,3 +337,18 @@ class TestTate:
         assert doc["result"]["tate"]["kind"] == "tate_data"
         code, vr = run_json(["verify", "--input", out])
         assert code == 0 and vr["verdict"] == "ok"
+
+    @pytest.mark.parametrize("field", ["module_basis", "frobenius"])
+    def test_tampered_tate_report_fails(self, field):
+        # q = 9 is not prime, so the freeness replay scales by the
+        # canonical F_9 generator
+        M = unit(F9F.field(), 2)
+        _, out = run(["tate", "--input", jsonio.dump_canonical(M)])
+        doc = json.loads(out)
+        tate = doc["result"]["tate"]
+        if field == "module_basis":
+            tate["module_basis"][1] = tate["module_basis"][0]
+        else:
+            tate["frobenius"][0][0]["z_coeffs"][0][1] = [2, 0]
+        code, vr = run_json(["verify", "--input", json.dumps(doc)])
+        assert code == 4 and vr["verdict"] == "failed"

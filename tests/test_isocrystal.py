@@ -60,6 +60,14 @@ class TestConstructors:
         assert simple_pure(K, -1, 1).A[0][0] == ZSeries.z(K, -1)
         assert unit(K).A[0][0] == ZSeries.one(K)
 
+    def test_unit_of_rank_r(self):
+        K = K3()
+        assert zmatrix.agrees(unit(K, 3).A, zmatrix.identity(K, 3))
+        assert slopes_finiteK(unit(K, 2)) == [Fraction(0)] * 2
+        for r in (0, -1):
+            with pytest.raises(InputError):
+                unit(K, r)
+
     def test_lowest_terms_required(self):
         with pytest.raises(InputError):
             simple_pure(K3(), 2, 4)

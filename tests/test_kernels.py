@@ -96,6 +96,52 @@ class TestLinear:
                         assert sum(r * x for r, x in zip(row, sol)) % p == b % p
 
 
+def reference_rref(mat, p):
+    """Plain Gauss-Jordan over F_p that clears every other row in every
+    column: the full-width elimination the kernels must reproduce."""
+    A = [[x % p for x in row] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(len(A[0])):
+        i = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for j in range(len(A)):
+            if j != r and A[j][c]:
+                f = A[j][c]
+                A[j] = [(x - f * y) % p for x, y in zip(A[j], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return A, pivots
+
+
+@pytest.mark.parametrize("lane", LANES, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("shape", [(12, 40), (30, 200), (40, 12), (200, 30)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_rref_wide_and_tall(lane, shape):
+    rows, cols = shape
+    rng = random.Random(rows * 1000 + cols)
+    for p in (2, 3, 5, 7):
+        # low rank half the time, so zero rows and skipped columns occur
+        rank = rng.choice([min(rows, cols), max(1, min(rows, cols) // 3)])
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+        mat = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+               for row in left]
+        R, pivots = lane.rref_mod_p(mat, p)
+        assert ([list(map(int, r)) for r in R], list(pivots)) == reference_rref(mat, p)
+        basis = lane.nullspace_mod_p(mat, cols, p)
+        assert len(basis) == cols - len(pivots)
+        for v in basis:
+            for row in mat:
+                assert sum(r * x for r, x in zip(row, v)) % p == 0
+
+
 @pytest.mark.skipif(compiled is None, reason="compiled lane unavailable")
 class TestLaneParity:
     def test_bitwise_parity(self):

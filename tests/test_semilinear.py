@@ -5,11 +5,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taumod.basefield import FieldDescriptor
 from taumod.errors import InputError, NotStable, PrecisionLoss
+from taumod import kernels
 from taumod.semilinear import (
+    FpSpan,
+    fq_generator,
     free_module_check,
     frobenius_action,
     m_lambda_tau_dim,
@@ -300,6 +304,48 @@ class TestTauFixedSpace:
         A = [[ZSeries(K, {0: K.one()}, hi=1)]]
         with pytest.raises(PrecisionLoss):
             tau_fixed_space(A, N=2, e=1)
+
+
+def _rank(rows, p):
+    return len(kernels.rref_mod_p(rows, p)[1]) if rows else 0
+
+
+class TestFpSpan:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_membership_matches_rref_rank(self, p):
+        rng = random.Random(31 + p)
+        dim = 12
+        for _ in range(5):
+            span = FpSpan(dim, p)
+            added = []
+            for _ in range(40):
+                if added and rng.random() < 0.5:
+                    # a combination of added vectors: always a member
+                    v = [0] * dim
+                    for w in added:
+                        c = rng.randrange(p)
+                        v = [(x + c * y) % p for x, y in zip(v, w)]
+                else:
+                    v = [rng.randrange(p) if rng.random() < 0.3 else 0
+                         for _ in range(dim)]
+                member = _rank(added + [v], p) == _rank(added, p)
+                assert (not span.reduce(v).any()) == member
+                assert span.add(v) == (not member)
+                if not member:
+                    added.append(v)
+            assert len(span.pivots) == _rank(added, p)
+            # reduced echelon: the pivot columns of the rows are the identity
+            piv = span.rows[:, span.pivots]
+            assert (piv == np.eye(len(span.pivots), dtype=np.int64)).all()
+
+
+def test_fq_generator_generates_fq_inside_extension():
+    # q = 4 inside L = F_64: the generator lies in F_4 and not in F_2
+    L = FieldDescriptor(p=2, a=2, m=1, kind="finite").field().extend(3)
+    g = fq_generator(L, 2)
+    assert g.ff is L.ff
+    assert g.in_subfield(2) and not g.in_subfield(1)
+    assert fq_generator(L, 1) == L.ff.one
 
 
 class TestFrobeniusAction:
