@@ -1,9 +1,7 @@
-"""Time the compiled kernel lane against the pure-Python one.
+"""Time the F_p kernels of taumod.kernels on seeded workloads.
 
-Runs the same seeded workloads through taumod._kernels and
-taumod._kernels_py and prints a table of per-call times plus the
-speedup. Exits nonzero if the two lanes disagree on any output, so this
-doubles as a cross-lane consistency check.
+Prints the best per-call time of each workload over the trials,
+labelled with the kernel lane (`kernels.BACKEND`).
 
 Usage: python bench/bench_kernels.py [--trials N] [--seed S]
 """
@@ -13,12 +11,7 @@ import random
 import sys
 import time
 
-from taumod import _kernels_py as pure
-
-try:
-    from taumod import _kernels as fast
-except ImportError:
-    fast = None
+from taumod import kernels
 
 
 def _rand_poly(rng, n, p):
@@ -57,16 +50,15 @@ def _workloads(seed):
 def _time(fn, args, trials):
     # fresh copies per call: rref-style kernels may mutate row lists
     best = float("inf")
-    out = None
     for _ in range(trials):
         cargs = tuple(
             [r[:] for r in A] if isinstance(A, list) and A and isinstance(A[0], list) else A
             for A in args
         )
         t0 = time.perf_counter()
-        out = fn(*cargs)
+        fn(*cargs)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
 def main(argv=None):
@@ -75,43 +67,11 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    if fast is None:
-        print("compiled lane not built; nothing to compare (pure lane only)")
-
-    mismatches = 0
-    rows = []
+    print(f"{'workload':24} {kernels.BACKEND:>10}")
     for label, name, fargs in _workloads(args.seed):
-        tp, outp = _time(getattr(pure, name), fargs, args.trials)
-        if fast is None:
-            rows.append((label, tp, None, None))
-            continue
-        tf, outf = _time(getattr(fast, name), fargs, args.trials)
-        same = _normalize(outp) == _normalize(outf)
-        if not same:
-            mismatches += 1
-        rows.append((label, tp, tf, same))
-
-    print(f"{'workload':24} {'pure':>10} {'compiled':>10} {'speedup':>8}  agree")
-    for label, tp, tf, same in rows:
-        if tf is None:
-            print(f"{label:24} {tp * 1e6:9.1f}u {'-':>10} {'-':>8}")
-        else:
-            print(
-                f"{label:24} {tp * 1e6:9.1f}u {tf * 1e6:9.1f}u "
-                f"{tp / tf:7.1f}x  {'yes' if same else 'NO'}"
-            )
-    if mismatches:
-        print(f"{mismatches} workload(s) disagree between lanes", file=sys.stderr)
-        return 1
+        best = _time(getattr(kernels, name), fargs, args.trials)
+        print(f"{label:24} {best * 1e6:9.1f}u")
     return 0
-
-
-def _normalize(x):
-    if isinstance(x, tuple):
-        return tuple(_normalize(v) for v in x)
-    if isinstance(x, list):
-        return tuple(_normalize(v) for v in x)
-    return x
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ Two kinds of base field K appear throughout:
     with n = a*m and f the canonical irreducible of degree n (smallest
     integer encoding, see `_find_modulus`);
   * local:   K = F_{q^m}((zeta)), a Laurent-series field over the finite
-    case, not perfect (zeta has no q-th root), with per-element precision
-    windows that stay truthful under every operation.
+    case, not perfect (zeta has no q-th root). Its elements, `LocalElem`,
+    are the untwisted windowed series of `taumod.series` over the residue
+    field, so their precision windows stay truthful under every operation;
+    this module adds the zeta-Frobenius, q-th roots and the residue map.
 
 Extension sweeps replace F_{q^m} by F_{q^{m*e}}; all cross-field
 arithmetic coerces along the canonical embeddings, which are computed
@@ -34,12 +36,11 @@ from taumod.errors import (
     NotInvertible,
     PrecisionLoss,
 )
+from taumod.series import INF, Series
 
 TABLE_LIMIT = 1 << 16
 # rows per int64 block when filling and converting a log table
 _TABLE_CHUNK = 1 << 12
-
-INF = math.inf
 
 
 def _factor(n):
@@ -663,14 +664,16 @@ class FiniteK:
         x = self.coerce(x)
         return x.frob(-self.desc.a)
 
-    def is_zero(self, x):
+    def exact_zero_p(self, x):
+        if type(x) is Felt and x.ff is self.ff:
+            return x.c == self.ff.zero.c
         return self.coerce(x).is_zero()
+
+    # a finite-field element is zero or not; there is no precision
+    is_zero = exact_zero_p
 
     def known_nonzero(self, x):
-        return not self.coerce(x).is_zero()
-
-    def exact_zero_p(self, x):
-        return self.coerce(x).is_zero()
+        return not self.exact_zero_p(x)
 
     def random(self, rng):
         return self.ff.el([rng.randrange(self.desc.p) for _ in range(self.ff.n)])
@@ -691,6 +694,8 @@ class LocalK:
         self.ext = ext
         self.ram = ram
         self.cf = get_field(desc.p, desc.a * desc.m * ext)
+        # coefficient ring of the zeta-series
+        self.residue = get_finiteK(desc, ext)
         self.default_width = desc.window[1] - desc.window[0]
 
     def __repr__(self):
@@ -718,12 +723,7 @@ class LocalK:
         return LocalElem(self, {0: c} if not c.is_zero() else {}, INF)
 
     def from_pairs(self, pairs, hi=INF):
-        co = {}
-        for e, c in pairs:
-            c = self.cf.el(c)
-            if not c.is_zero():
-                co[int(e)] = co.get(int(e), self.cf.zero) + c
-        return LocalElem(self, co, hi)
+        return LocalElem.from_pairs(self, pairs, hi)
 
     def coerce(self, x):
         if isinstance(x, LocalElem):
@@ -750,7 +750,7 @@ class LocalK:
         return Fraction(v, self.ram)
 
     def residue_K(self):
-        return get_finiteK(self.desc, self.ext)
+        return self.residue
 
     def sigma(self, x, k=1):
         return self.coerce(x).sigma(k)
@@ -786,28 +786,22 @@ class LocalK:
         return LocalElem(self, co, INF)
 
 
-class LocalElem:
+class LocalElem(Series):
     """Element of F_{q^{m*ext}}((zeta)) with a truthful knowledge window.
 
-    co maps zeta-exponent -> nonzero Felt coefficient, all exponents
-    < hi; hi = inf marks an exact element. Empty co with finite hi is
-    zero-to-precision, with hi = inf the exact zero.
+    The untwisted windowed series of `taumod.series` over the residue
+    field: co maps zeta-exponent -> nonzero Felt coefficient, all
+    exponents < hi; hi = inf marks an exact element. Empty co with finite
+    hi is zero-to-precision, with hi = inf the exact zero. Ints and Felts
+    are promoted to constants in arithmetic and comparisons.
     """
 
-    __slots__ = ("K", "co", "hi")
+    __slots__ = ()
 
-    def __init__(self, K, co, hi):
-        if hi == INF:
-            hi = INF  # collapse arithmetic-produced inf floats to the singleton
-        else:
-            hi = int(hi)
-        clean = {}
-        for e, c in co.items():
-            if e < hi and not c.is_zero():
-                clean[e] = c
-        self.K = K
-        self.co = clean
-        self.hi = hi
+    _mono = staticmethod("zeta^{}".format)
+    _ZERO_ORDER = "valuation of a zero-to-precision element"
+    _INV_ZERO = "inverse of exact zero"
+    _INV_WINDOW = "inverse of zero-to-precision element"
 
     def __repr__(self):
         if not self.co:
@@ -819,167 +813,34 @@ class LocalElem:
         tail = "" if self.hi is INF else f" + O(zeta^{self.hi})"
         return f"<{body}{tail}>"
 
-    def is_exact(self):
-        return self.hi is INF
+    @staticmethod
+    def _ring(K):
+        return K.residue
 
-    def support(self):
-        return sorted(self.co)
-
-    def val_lower_bound(self):
-        if self.co:
-            return min(self.co)
-        return self.hi
-
-    def valuation(self):
-        """Exact zeta-valuation. PrecisionLoss for zero-to-precision,
-        INF for the exact zero."""
-        if self.co:
-            return min(self.co)
-        if self.hi is INF:
-            return INF
-        raise PrecisionLoss(
-            "valuation of a zero-to-precision element", window=self.hi
-        )
-
-    def coeff(self, e):
-        """Coefficient at exponent e; must lie inside the known window."""
-        if e >= self.hi:
-            raise PrecisionLoss(f"coefficient at zeta^{e} unknown", need=e, window=self.hi)
-        return self.co.get(e, self.K.cf.zero)
-
-    def _with(self, co, hi):
-        return LocalElem(self.K, co, hi)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.K.el(other)
-        if isinstance(other, Felt):
-            other = self.K.el(other)
-        if not isinstance(other, LocalElem):
-            return NotImplemented
-        a, b = _lpair(self, other)
-        return a.co == b.co and a.hi == b.hi
-
-    __hash__ = None
-
-    def agrees_with(self, other):
-        """Equality of the known parts on the common window."""
-        a, b = _lpair(self, self.K.coerce(other) if not isinstance(other, LocalElem) else other)
-        h = min(a.hi, b.hi)
-        ka = {e: c for e, c in a.co.items() if e < h}
-        kb = {e: c for e, c in b.co.items() if e < h}
-        return ka == kb
-
-    def __add__(self, other):
+    def _operand(self, other):
+        if isinstance(other, LocalElem):
+            return other
         if isinstance(other, (int, Felt)):
-            other = self.K.el(other)
-        if not isinstance(other, LocalElem):
-            return NotImplemented
-        a, b = _lpair(self, other)
-        hi = min(a.hi, b.hi)
-        co = dict(a.co)
-        for e, c in b.co.items():
-            s = co.get(e)
-            co[e] = c if s is None else s + c
-        return LocalElem(a.K, co, hi)
+            return self.K.el(other)
+        return None
 
-    __radd__ = __add__
+    def _check_embeds(self, K):
+        if K.desc != self.K.desc or K.ram != self.K.ram:
+            raise CoercionError("local elements over incompatible bases")
+        if K.ext % self.K.ext != 0:
+            raise CoercionError("no inclusion between coefficient extensions")
 
-    def __neg__(self):
-        return self._with({e: -c for e, c in self.co.items()}, self.hi)
+    def _default_inv_prec(self):
+        return self.K.default_width
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Felt)):
-            other = self.K.el(other)
-        if not isinstance(other, LocalElem):
-            return NotImplemented
-        return self + (-other)
+    __radd__ = Series.__add__
+    __rmul__ = Series.__mul__
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Felt)):
-            other = self.K.el(other)
-        if not isinstance(other, LocalElem):
-            return NotImplemented
-        a, b = _lpair(self, other)
-        va = min(a.co) if a.co else a.hi
-        vb = min(b.co) if b.co else b.hi
-        hi = min(a.hi + vb, b.hi + va)  # inf-safe: inf + x = inf
-        if (a.hi is INF and not a.co) or (b.hi is INF and not b.co):
-            return LocalElem(a.K, {}, INF)  # exact zero absorbs
-        co = {}
-        for e1, c1 in a.co.items():
-            for e2, c2 in b.co.items():
-                e = e1 + e2
-                if e < hi:
-                    s = co.get(e)
-                    pr = c1 * c2
-                    co[e] = pr if s is None else s + pr
-        return LocalElem(a.K, co, hi)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Felt)):
-            other = self.K.el(other)
-        if not isinstance(other, LocalElem):
-            return NotImplemented
-        return self * other.inv()
-
     def __rtruediv__(self, other):
         return self.K.el(other) / self
-
-    def inv(self, prec=None):
-        """Inverse. Exact for monomials; otherwise truncated to `prec`
-        known exponents past the valuation (default: the descriptor
-        window width), or to the input's own knowledge limit."""
-        if not self.co:
-            if self.hi is INF:
-                raise NotInvertible("inverse of exact zero")
-            raise PrecisionLoss("inverse of zero-to-precision element", window=self.hi)
-        v = min(self.co)
-        c = self.co[v]
-        if len(self.co) == 1 and self.hi is INF:
-            return self._with({-v: c.inv()}, INF)
-        width = prec if prec is not None else self.K.default_width
-        # x = c*zeta^v * (1 + w), v(w) >= 1
-        cinv = c.inv()
-        w_co = {}
-        for e, ce in self.co.items():
-            if e != v:
-                w_co[e - v] = ce * cinv
-        w = LocalElem(self.K, w_co, self.hi - v if self.hi is not INF else INF)
-        out_hi = -v + width
-        if self.hi is not INF:
-            out_hi = min(out_hi, self.hi - 2 * v)
-        # geometric series sum (-w)^k, truncated
-        acc = self.K.one()
-        term = self.K.one()
-        wv = w.val_lower_bound()
-        assert wv >= 1  # v was the minimal exponent
-        k = 1
-        while k * wv < out_hi + v:
-            term = term * (-w)
-            acc = acc + term
-            k += 1
-        if acc.hi is not INF:
-            out_hi = min(out_hi, acc.hi - v)
-        co = {e - v: cc * cinv for e, cc in acc.co.items() if e - v < out_hi}
-        return LocalElem(self.K, co, out_hi)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        acc = self.K.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     def sigma(self, k=1):
         """q^k-power Frobenius: coefficientwise frob, exponents * q^k."""
@@ -1008,9 +869,6 @@ class LocalElem:
         hi = self.hi if self.hi is INF else math.ceil(self.hi / q)
         return self._with(co, hi)
 
-    def truncate(self, new_hi):
-        return LocalElem(self.K, self.co, min(self.hi, new_hi))
-
     def residue(self):
         """Image in the residue field (valuation must be >= 0 certifiably)."""
         if any(e < 0 for e in self.co):
@@ -1019,36 +877,3 @@ class LocalElem:
             raise PrecisionLoss("residue needs the window to cover exponent 0", window=self.hi)
         c = self.co.get(0, self.K.cf.zero)
         return c
-
-
-def _lpair(a, b):
-    if a.K is b.K:
-        return a, b
-    if a.K.desc != b.K.desc or a.K.ram != b.K.ram:
-        raise CoercionError("local elements over incompatible bases")
-    if b.K.ext % a.K.ext == 0:
-        return b.K.coerce(a), b
-    if a.K.ext % b.K.ext == 0:
-        return a, a.K.coerce(b)
-    raise CoercionError("no inclusion between coefficient extensions")
-
-
-def descriptor_from_json(d):
-    try:
-        window = d.get("window")
-        return FieldDescriptor(
-            p=int(d["p"]),
-            a=int(d["a"]),
-            m=int(d["m"]),
-            kind=d["kind"],
-            window=tuple(window) if window else (-8, 8),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad field descriptor: {exc}") from exc
-
-
-def descriptor_to_json(desc):
-    out = {"p": desc.p, "a": desc.a, "m": desc.m, "kind": desc.kind}
-    if desc.kind == "local":
-        out["window"] = list(desc.window)
-    return out

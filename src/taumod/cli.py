@@ -31,13 +31,11 @@ from taumod.errors import (
     NotInvertible,
     PrecisionLoss,
     TaumodError,
-    UnsupportedCase,
 )
 from taumod.isocrystal import (
     Inconclusive,
     Lattice,
     NotPureAt,
-    PurityCertificate,
     dual,
     hnf_reduce,
     lattice_eq,
@@ -54,7 +52,7 @@ from taumod.tateweil import iota_conjugator, tate_slope0, weil_valuation
 from taumod.zseries import INF, ZSeries
 from taumod import zmatrix
 
-_SCHEMA_ERRORS = (InputError, CoercionError, UnsupportedCase, NotInvertible)
+_SCHEMA_ERRORS = (InputError, CoercionError, NotInvertible)
 _BUDGET_ERRORS = (PrecisionLoss, BudgetExceeded, NoRoot)
 
 
@@ -158,12 +156,10 @@ def cmd_analyze(args):
 # -- isocrystal -------------------------------------------------------------
 
 
-def _purity_verdict(cert):
-    if isinstance(cert, PurityCertificate):
-        return "pure"
-    if isinstance(cert, NotPureAt):
-        return "not_pure"
-    return "inconclusive"
+def _purity_verdict(cert_doc):
+    """Verdict of a rendered purity certificate."""
+    return {"purity_certificate": "pure",
+            "not_pure_at": "not_pure"}.get(cert_doc["kind"], "inconclusive")
 
 
 def cmd_isocrystal(args):
@@ -187,7 +183,7 @@ def cmd_isocrystal(args):
                             max_iters=policy.purity_max_iters,
                             prec=policy.z_prec)
         result = {"certificate": jsonio.render(cert)}
-        verdict = _purity_verdict(cert)
+        verdict = _purity_verdict(result["certificate"])
         code = 3 if verdict == "inconclusive" else 0
     elif args.op == "slopes":
         sl = slopes_finiteK(M)
@@ -292,7 +288,7 @@ def _corpus_item(name, payload, policy):
                                     max_iters=policy.purity_max_iters,
                                     prec=policy.z_prec)
                 result["certificate"] = jsonio.render(cert)
-                verdict = _purity_verdict(cert)
+                verdict = _purity_verdict(result["certificate"])
             else:
                 verdict = "ok"
             if M.K.kind == "finite":
@@ -544,6 +540,27 @@ def _replay_reduction(E, rep_doc, checks):
     _check(checks, "reduction: valuation table re-evaluates", same)
 
 
+def _expected_verdict(cmd, result):
+    """The top-level verdict that `result` implies, or None for commands
+    that have no replay."""
+    if cmd == "solve":
+        return result["verdict"]
+    if cmd == "isocrystal purity":
+        return _purity_verdict(result["certificate"])
+    if cmd == "weil":
+        if "weil" not in result:
+            return "budget_exhausted"
+        return "admissible" if result["weil"]["admissible"] else "not_admissible"
+    if cmd in ("tate", "isocrystal tate"):
+        if "tate" in result:
+            return "ok"
+        return "inconclusive" if "certificate" in result else "budget_exhausted"
+    if cmd == "analyze":
+        cert = result["infinity_purity"]
+        return "inconclusive" if cert["kind"] == "inconclusive" else "ok"
+    return None
+
+
 def verify_report(doc):
     cmd = doc.get("command", "")
     checks = []
@@ -579,6 +596,10 @@ def verify_report(doc):
         _replay_solve(inp, result, checks)
     else:
         _check(checks, f"no replay defined for {cmd!r}", False)
+    expected = _expected_verdict(cmd, result)
+    if expected is not None and doc.get("verdict") != expected:
+        _check(checks, "verdict: the report's verdict matches its result", False,
+               claimed=doc.get("verdict"), expected=expected)
     return checks
 
 

@@ -10,7 +10,6 @@ before they are emitted.
 """
 
 import random
-from fractions import Fraction
 
 from taumod import jsonio
 from taumod.basefield import FieldDescriptor
@@ -149,24 +148,6 @@ def weil_corpus():
             for r in (1, 2):
                 E = DrinfeldModule(K, [[0]] * r + [[1]])
                 out.append((f"dm-weil-q{q}-m{m}-r{r}", E))
-    return out
-
-
-def pure_pairs(seed=0, count=24):
-    """Random pairs of simple pure twists with distinct slopes."""
-    rng = random.Random(("pairs", seed).__repr__())
-    out = []
-    made = 0
-    while made < count:
-        p, a = rng.choice(QS)
-        K = finite_base(p, a, 1)
-        r1, r2 = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
-        s1, s2 = rng.randrange(-2, 3), rng.randrange(-2, 3)
-        if Fraction(s1, r1) == Fraction(s2, r2):
-            continue
-        q = p**a
-        out.append((f"pair-{made:02d}-q{q}", K, (s1, r1), (s2, r2)))
-        made += 1
     return out
 
 

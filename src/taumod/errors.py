@@ -58,9 +58,5 @@ class CoercionError(TaumodError):
     """Operands live in incompatible fields."""
 
 
-class UnsupportedCase(TaumodError):
-    """Outside the implemented scope (documented limitation, not a bug)."""
-
-
 class InvariantError(TaumodError):
     """An internal consistency check failed (CLI exit 4)."""

@@ -10,6 +10,7 @@ verification over the integral coefficient ring.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import zmatrix
 from .errors import InputError, InvariantError, PrecisionLoss
@@ -320,44 +321,17 @@ def purity_check(M, s, r, max_iters=32, prec=None):
 # ------------------------------------------------------- finite-base slopes
 
 def _char_poly(K, A):
-    """Coefficients [c_0..c_r] of det(X*I - A), division-free."""
+    """Coefficients [c_0..c_r] of det(X*I - A), division-free: c_{r-k} is
+    (-1)^k times the sum of the k x k principal minors."""
     r = len(A)
-    memo = {}
-
-    def minor(rows, colsel):
-        if not rows:
-            return ZSeries.one(K)
-        key = (rows, colsel)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        i0 = rows[0]
-        rest = rows[1:]
-        acc = ZSeries.zero(K)
-        for pos, j in enumerate(colsel):
-            a = A[i0][j]
-            if _exact_zero(a):
-                continue
-            sub = minor(rest, colsel[:pos] + colsel[pos + 1:])
-            term = a * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    elem = [ZSeries.one(K)]
-    from itertools import combinations
-
+    minor = zmatrix.laplace_minors(A, K)
+    coeffs = [ZSeries.zero(K)] * (r + 1)
+    coeffs[r] = ZSeries.one(K)
     for k in range(1, r + 1):
         tot = ZSeries.zero(K)
         for S in combinations(range(r), k):
             tot = tot + minor(S, S)
-        elem.append(tot)
-    coeffs = [ZSeries.zero(K)] * (r + 1)
-    for k in range(r + 1):
-        c = elem[k]
-        if k % 2 == 1:
-            c = -c
-        coeffs[r - k] = c
+        coeffs[r - k] = -tot if k % 2 == 1 else tot
     return coeffs
 
 

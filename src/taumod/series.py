@@ -1,0 +1,319 @@
+"""Windowed Laurent series in one variable: the arithmetic shared by
+`ZSeries` (K((z))), `LocalElem` (F_q((zeta))), `SkewPoly` (K{tau}) and
+`SkewLaurent` (K((tau^{-1}))).
+
+An element is a sparse map co: int exponent -> coefficient plus a
+knowledge window hi: every exponent below hi is known, and hi = inf marks
+an exact element. Exactly-zero coefficients are dropped on construction;
+exponents are taken as given (`from_pairs` and the JSON parsers convert
+them to int). The arithmetic depends on a subclass only through two
+parameters (the hooks below add its error messages, operand promotion
+and field-nesting rule):
+
+  * the coefficient ring `_ring(K)`: K itself, or for `LocalElem` the
+    residue field of the local K. It supplies zero/one, the exact-zero
+    test, coercion along field inclusions and sigma;
+  * the twist `_TWIST` of the product. With twist t,
+
+        (sum a_i x^i)(sum b_j x^j) = sum a_i sigma^{t*i}(b_j) x^{i+j},
+
+    t = 0 for the commutative series, 1 for x = tau (tau c = sigma(c) tau)
+    and -1 for x = tau^{-1}.
+
+Windows stay truthful: a sum is known below the smaller window; a product
+of a (order >= v_a) and b (order >= v_b) is known below
+min(a.hi + v_b, b.hi + v_a), so an exact zero (order inf) absorbs.
+"""
+
+import math
+
+from taumod.errors import CoercionError, InputError, NotInvertible, PrecisionLoss
+
+INF = math.inf
+
+
+class Series:
+    """Sparse Laurent series with a truthful knowledge window."""
+
+    __slots__ = ("K", "co", "hi")
+
+    # power of sigma applied per exponent of the left factor in a product
+    _TWIST = 0
+    # what `_lift` raises when one operand's field does not embed in the
+    # other's; `_pair` then lifts the other way round
+    _UNPAIRED = CoercionError
+    # error messages: monomial names, the order of a zero-to-window
+    # element, and the inverse of an exact / a zero-to-window element
+    _mono = staticmethod("x^{}".format)
+    _ZERO_ORDER = "order of a zero-to-window element"
+    _INV_ZERO = "inverse of the exact zero"
+    _INV_WINDOW = "inverse of a zero-to-window element"
+
+    def __init__(self, K, co, hi=INF):
+        hi = INF if hi == INF else int(hi)
+        zero_p = self._ring(K).exact_zero_p
+        clean = {}
+        for e, c in co.items():
+            if e < hi and not zero_p(c):
+                clean[e] = c
+        self.K = K
+        self.co = clean
+        self.hi = hi
+
+    # -- hooks ---------------------------------------------------------------
+
+    @staticmethod
+    def _ring(K):
+        """Coefficient ring of series over K."""
+        return K
+
+    def _carry(self, K, co, hi):
+        """Series of the same kind and annotations as self."""
+        return type(self)(K, co, hi)
+
+    def _with(self, co, hi):
+        return type(self)(self.K, co, hi)
+
+    def _operand(self, other):
+        """other as a series of this kind, or None."""
+        return other if isinstance(other, type(self)) else None
+
+    def _check_embeds(self, K):
+        """Raise `_UNPAIRED` unless self's field embeds in K. By default
+        the coefficient coercion decides alone."""
+
+    def _default_inv_prec(self):
+        """Terms `inv` keeps when no precision is asked for."""
+        raise NotImplementedError
+
+    def _lift(self, K):
+        """self over K, coefficients coerced along the field inclusion."""
+        self._check_embeds(K)
+        R = self._ring(K)
+        return self._carry(K, {e: R.coerce(c) for e, c in self.co.items()}, self.hi)
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def zero(cls, K):
+        return cls(K, {}, INF)
+
+    @classmethod
+    def one(cls, K):
+        return cls(K, {0: cls._ring(K).one()}, INF)
+
+    @classmethod
+    def from_pairs(cls, K, pairs, hi=INF):
+        """Series from (exponent, coefficient) pairs; repeats are summed."""
+        R = cls._ring(K)
+        co = {}
+        for e, c in pairs:
+            c = R.el(c)
+            e = int(e)
+            co[e] = co[e] + c if e in co else c
+        return cls(K, co, hi)
+
+    # -- structure -----------------------------------------------------------
+
+    def is_exact(self):
+        return self.hi is INF
+
+    def support(self):
+        return sorted(self.co)
+
+    def coeff(self, n):
+        """Coefficient at exponent n, which must lie inside the window."""
+        if n >= self.hi:
+            raise PrecisionLoss(
+                f"coefficient at {self._mono(n)} unknown", need=n, window=self.hi
+            )
+        return self.co.get(n, self._ring(self.K).zero())
+
+    def val_lower_bound(self):
+        """Largest w with: all coefficients below x^w are known zero."""
+        if self.co:
+            return min(self.co)
+        return self.hi
+
+    def valuation(self):
+        """Exact order. INF for the exact zero; PrecisionLoss when the
+        window, or a leading coefficient that is zero only to its own
+        precision, leaves it unsettled."""
+        if self.co:
+            e = min(self.co)
+            if self._ring(self.K).known_nonzero(self.co[e]):
+                return e
+            raise PrecisionLoss(
+                f"leading coefficient at {self._mono(e)} is zero only to zeta-precision",
+                need=e,
+                window=self.hi,
+            )
+        if self.hi is INF:
+            return INF
+        raise PrecisionLoss(self._ZERO_ORDER, window=self.hi)
+
+    def truncate(self, new_hi):
+        return self._carry(self.K, self.co, min(self.hi, new_hi))
+
+    def map_coeffs(self, f):
+        return self._with({e: f(c) for e, c in self.co.items()}, self.hi)
+
+    def agrees_with(self, other):
+        """Equality of the known parts on the common window (and, for local
+        coefficients, on their common windows)."""
+        b = self._operand(other)
+        if b is None:
+            name = type(self).__name__
+            raise InputError(f"{name} arithmetic needs {name} operands")
+        a, b = _pair(self, b)
+        h = min(a.hi, b.hi)
+        zero = a._ring(a.K).zero()
+        for e in set(a.co) | set(b.co):
+            if e >= h:
+                continue
+            ca = a.co.get(e, zero)
+            cb = b.co.get(e, zero)
+            if hasattr(ca, "agrees_with"):
+                if not ca.agrees_with(cb):
+                    return False
+            elif ca != cb:
+                return False
+        return True
+
+    def __eq__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        a, b = _pair(self, b)
+        return a.hi == b.hi and a.co == b.co
+
+    __hash__ = None
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        b = other if type(other) is type(self) else self._operand(other)
+        if b is None:
+            return NotImplemented
+        a = self
+        if a.K is not b.K:
+            a, b = _pair(a, b)
+        co = dict(a.co)
+        for e, c in b.co.items():
+            s = co.get(e)
+            co[e] = c if s is None else s + c
+        return type(a)(a.K, co, min(a.hi, b.hi))
+
+    def __neg__(self):
+        return self._carry(self.K, {e: -c for e, c in self.co.items()}, self.hi)
+
+    def __sub__(self, other):
+        b = other if type(other) is type(self) else self._operand(other)
+        if b is None:
+            return NotImplemented
+        return self + (-b)
+
+    def __mul__(self, other):
+        b = other if type(other) is type(self) else self._operand(other)
+        if b is None:
+            return NotImplemented
+        a = self
+        if a.K is not b.K:
+            a, b = _pair(a, b)
+        # an exact zero has order inf, so it absorbs: hi comes out inf
+        va = min(a.co) if a.co else a.hi
+        vb = min(b.co) if b.co else b.hi
+        hi = min(a.hi + vb, b.hi + va)
+        twist = a._TWIST
+        sigma = a._ring(a.K).sigma if twist else None
+        co = {}
+        for e1, c1 in a.co.items():
+            if twist:
+                k = twist * e1
+                row = [(e2, sigma(c2, k)) for e2, c2 in b.co.items() if e1 + e2 < hi]
+            else:
+                row = b.co.items()
+            for e2, c2 in row:
+                e = e1 + e2
+                if e < hi:
+                    pr = c1 * c2
+                    s = co.get(e)
+                    co[e] = pr if s is None else s + pr
+        return type(a)(a.K, co, hi)
+
+    def __truediv__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return self * b.inv()
+
+    def scale(self, c):
+        """Multiply every coefficient by the ring scalar c, on the left.
+        An exact-zero scalar gives the exact zero."""
+        R = self._ring(self.K)
+        c = R.el(c)
+        if R.exact_zero_p(c):
+            return self._with({}, INF)
+        return self._with({e: c * x for e, x in self.co.items()}, self.hi)
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inv() ** (-e)
+        acc = self.one(self.K)
+        base = self
+        while e > 0:
+            if e & 1:
+                acc = acc * base
+            base = base * base
+            e >>= 1
+        return acc
+
+    def inv(self, prec=None):
+        """Inverse of an untwisted series. Exact for monomials with an
+        invertible coefficient; otherwise the geometric series truncated
+        to `prec` exponents past -valuation (default per kind), and never
+        past what the input's own window supports."""
+        if not self.co:
+            if self.hi is INF:
+                raise NotInvertible(self._INV_ZERO)
+            raise PrecisionLoss(self._INV_WINDOW, window=self.hi)
+        v = self.valuation()
+        R = self._ring(self.K)
+        c = self.co[v]
+        cinv = c.inv() if hasattr(c, "inv") else R.el(c).inv()
+        if len(self.co) == 1 and self.hi is INF:
+            return self._with({-v: cinv}, INF)
+        width = prec if prec is not None else self._default_inv_prec()
+        # self = c x^v (1 + w) with v(w) >= 1
+        w_co = {e - v: ce * cinv for e, ce in self.co.items() if e != v}
+        w = self._with(w_co, self.hi - v if self.hi is not INF else INF)
+        out_hi = -v + width
+        if self.hi is not INF:
+            out_hi = min(out_hi, self.hi - 2 * v)
+        acc = self.one(self.K)
+        term = acc
+        wv = w.val_lower_bound()
+        if wv is INF:
+            # tail exactly zero: a monomial after all
+            return self._with({-v: cinv}, INF)
+        assert wv >= 1
+        k = 1
+        while k * wv < out_hi + v:
+            term = term * (-w)
+            acc = acc + term
+            k += 1
+        if acc.hi is not INF:
+            out_hi = min(out_hi, acc.hi - v)
+        co = {e - v: cc * cinv for e, cc in acc.co.items() if e - v < out_hi}
+        return self._with(co, out_hi)
+
+
+def _pair(a, b):
+    """(a, b) over one coefficient field: a lifted into b's field, or when
+    that raises `_UNPAIRED`, b lifted into a's."""
+    if a.K is b.K:
+        return a, b
+    try:
+        return a._lift(b.K), b
+    except a._UNPAIRED:
+        return a, b._lift(a.K)

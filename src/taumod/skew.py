@@ -5,44 +5,37 @@ written on the left twist as they move past powers of tau:
 
     (sum f_i tau^i)(sum g_j tau^j) = sum_i,j f_i sigma^i(g_j) tau^{i+j}.
 
-SkewPoly works over finite and local bases alike. SkewLaurent, the
-skew field of Laurent series in tau^{-1}, needs tau^{-1} * x =
-x^{1/q} * tau^{-1} and therefore a perfect base: construction over a
-local base is rejected. Laurent elements carry a knowledge window in
-tau^{-1}-exponents, truthful under products and inversion.
+Both are the windowed series of `taumod.series` over K with a twisted
+product: sigma^i for `SkewPoly` (exponent i of tau) and sigma^{-k} for
+`SkewLaurent` (exponent k of tau^{-1}). SkewPoly works over finite and
+local bases alike, and its constructors and arithmetic give exact
+elements. SkewLaurent, the skew field of Laurent series in tau^{-1},
+needs tau^{-1} * x = x^{1/q} * tau^{-1} and therefore a perfect base:
+construction over a local base is rejected. Laurent elements carry a
+knowledge window in tau^{-1}-exponents, truthful under products and
+inversion (`skew_inverse`).
 """
 
-import math
-
 from taumod.errors import InputError, NotInvertible, PrecisionLoss
-
-INF = math.inf
+from taumod.series import INF, Series
 
 DEFAULT_TAUINV_PREC = 16
 
 
-def _kjoin(Ka, Kb):
-    if Ka is Kb:
-        return Ka
-    if Kb.ext % Ka.ext == 0:
-        return Kb
-    if Ka.ext % Kb.ext == 0:
-        return Ka
-    raise InputError("no common extension between operand bases")
+def _check_extension(self, K):
+    if K.ext % self.K.ext != 0:
+        raise InputError("no common extension between operand bases")
 
 
-class SkewPoly:
+class SkewPoly(Series):
     """Finite twisted polynomial sum f_i tau^i, coefficients in K."""
 
-    __slots__ = ("K", "co")
+    __slots__ = ()
 
-    def __init__(self, K, co):
-        clean = {}
-        for d, c in co.items():
-            if not K.exact_zero_p(c):
-                clean[int(d)] = c
-        self.K = K
-        self.co = clean
+    _TWIST = 1
+    _UNPAIRED = InputError
+    _check_embeds = _check_extension
+    _mono = staticmethod("tau^{}".format)
 
     def __repr__(self):
         if not self.co:
@@ -51,28 +44,8 @@ class SkewPoly:
         return f"SP[{body}]"
 
     @staticmethod
-    def zero(K):
-        return SkewPoly(K, {})
-
-    @staticmethod
-    def one(K):
-        return SkewPoly(K, {0: K.one()})
-
-    @staticmethod
     def tau(K, d=1):
         return SkewPoly(K, {d: K.one()})
-
-    @staticmethod
-    def from_pairs(K, pairs):
-        co = {}
-        for d, c in pairs:
-            c = K.el(c)
-            d = int(d)
-            co[d] = co[d] + c if d in co else c
-        return SkewPoly(K, co)
-
-    def coeff(self, d):
-        return self.co.get(d, self.K.zero())
 
     def degree(self):
         """Max tau-degree; -inf for 0."""
@@ -85,69 +58,8 @@ class SkewPoly:
     def is_zero(self):
         return not self.co
 
-    def support(self):
-        return sorted(self.co)
-
-    def map_coeffs(self, f):
-        return SkewPoly(self.K, {d: f(c) for d, c in self.co.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        K = _kjoin(self.K, other.K)
-        a = {d: K.el(c) for d, c in self.co.items()}
-        b = {d: K.el(c) for d, c in other.co.items()}
-        return a == b
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        K = _kjoin(self.K, other.K)
-        co = {d: K.el(c) for d, c in self.co.items()}
-        for d, c in other.co.items():
-            c = K.el(c)
-            co[d] = co[d] + c if d in co else c
-        return SkewPoly(K, co)
-
-    def __neg__(self):
-        return SkewPoly(self.K, {d: -c for d, c in self.co.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        K = _kjoin(self.K, other.K)
-        co = {}
-        for i, fi in self.co.items():
-            fi = K.el(fi)
-            for j, gj in other.co.items():
-                d = i + j
-                term = fi * K.sigma(K.el(gj), i)
-                co[d] = co[d] + term if d in co else term
-        return SkewPoly(K, co)
-
-    def scale(self, c):
-        """Left-multiply every coefficient by the scalar c."""
-        c = self.K.el(c)
-        return SkewPoly(self.K, {d: c * x for d, x in self.co.items()})
-
-    def __pow__(self, e):
-        if e < 0:
-            raise InputError("negative powers need SkewLaurent")
-        acc = SkewPoly.one(self.K)
-        base = self
-        while e > 0:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+    def inv(self, prec=None):
+        raise InputError("negative powers need SkewLaurent")
 
     def evaluate(self, x, field=None):
         """Value of the additive polynomial sum f_i x^{q^i}.
@@ -167,28 +79,27 @@ class SkewPoly:
         return SkewLaurent(self.K, {-d: c for d, c in self.co.items()}, hi)
 
 
-class SkewLaurent:
+class SkewLaurent(Series):
     """Element sum_k c_k tau^{-k} of K((tau^{-1})), K finite.
 
     co maps tau^{-1}-exponent k -> coefficient; every exponent < hi is
     known. Positive powers of tau are negative exponents k.
     """
 
-    __slots__ = ("K", "co", "hi")
+    __slots__ = ()
+
+    _TWIST = -1
+    _UNPAIRED = InputError
+    _check_embeds = _check_extension
+    _mono = staticmethod(lambda k: f"tau^{-k}")
+    _ZERO_ORDER = "valuation of a zero-to-window element"
 
     def __init__(self, K, co, hi=INF):
         if K.kind != "finite":
             raise InputError(
                 "tau^{-1}-series need a perfect base; local bases are not"
             )
-        hi = INF if hi == INF else int(hi)
-        clean = {}
-        for k, c in co.items():
-            if k < hi and not K.exact_zero_p(c):
-                clean[int(k)] = c
-        self.K = K
-        self.co = clean
-        self.hi = hi
+        Series.__init__(self, K, co, hi)
 
     def __repr__(self):
         if not self.co:
@@ -201,131 +112,15 @@ class SkewLaurent:
         return f"SL[{body}{tail}]"
 
     @staticmethod
-    def zero(K):
-        return SkewLaurent(K, {}, INF)
-
-    @staticmethod
-    def one(K):
-        return SkewLaurent(K, {0: K.one()}, INF)
-
-    @staticmethod
     def tau_inv(K, k=1):
         return SkewLaurent(K, {k: K.one()}, INF)
 
-    @staticmethod
-    def from_pairs(K, pairs, hi=INF):
-        co = {}
-        for k, c in pairs:
-            c = K.el(c)
-            k = int(k)
-            co[k] = co[k] + c if k in co else c
-        return SkewLaurent(K, co, hi)
-
-    def _with(self, co, hi):
-        return SkewLaurent(self.K, co, hi)
-
-    def coeff(self, k):
-        if k >= self.hi:
-            raise PrecisionLoss(
-                f"coefficient at tau^{-k} unknown", need=k, window=self.hi
-            )
-        return self.co.get(k, self.K.zero())
-
-    def is_exact(self):
-        return self.hi is INF
-
-    def support(self):
-        return sorted(self.co)
-
-    def val_lower_bound(self):
-        return min(self.co) if self.co else self.hi
-
     def v_tau_inv(self):
         """Normalized tau^{-1}-adic valuation. INF for exact zero."""
-        if self.co:
-            return min(self.co)
-        if self.hi is INF:
-            return INF
-        raise PrecisionLoss("valuation of a zero-to-window element", window=self.hi)
+        return self.valuation()
 
-    def truncate(self, new_hi):
-        return SkewLaurent(self.K, self.co, min(self.hi, new_hi))
-
-    def agrees_with(self, other):
-        K = _kjoin(self.K, other.K)
-        h = min(self.hi, other.hi)
-        ka = {k: K.el(c) for k, c in self.co.items() if k < h}
-        kb = {k: K.el(c) for k, c in other.co.items() if k < h}
-        return ka == kb
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewLaurent):
-            return NotImplemented
-        K = _kjoin(self.K, other.K)
-        a = {k: K.el(c) for k, c in self.co.items()}
-        b = {k: K.el(c) for k, c in other.co.items()}
-        return a == b and self.hi == other.hi
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, SkewLaurent):
-            return NotImplemented
-        K = _kjoin(self.K, other.K)
-        hi = min(self.hi, other.hi)
-        co = {k: K.el(c) for k, c in self.co.items()}
-        for k, c in other.co.items():
-            c = K.el(c)
-            co[k] = co[k] + c if k in co else c
-        return SkewLaurent(K, co, hi)
-
-    def __neg__(self):
-        return self._with({k: -c for k, c in self.co.items()}, self.hi)
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, SkewLaurent):
-            return NotImplemented
-        K = _kjoin(self.K, other.K)
-        a = {k: K.el(c) for k, c in self.co.items()}
-        b = {k: K.el(c) for k, c in other.co.items()}
-        va = min(a) if a else self.hi
-        vb = min(b) if b else other.hi
-        if (self.hi is INF and not a) or (other.hi is INF and not b):
-            return SkewLaurent(K, {}, INF)
-        hi = min(self.hi + vb, other.hi + va)
-        co = {}
-        for k, fk in a.items():
-            for l, gl in b.items():
-                n = k + l
-                if n < hi:
-                    # tau^{-k} * c = sigma^{-k}(c) * tau^{-k}
-                    term = fk * K.sigma(gl, -k)
-                    co[n] = co[n] + term if n in co else term
-        return SkewLaurent(K, co, hi)
-
-    def scale(self, c):
-        c = self.K.el(c)
-        return self._with({k: c * x for k, x in self.co.items()}, self.hi)
-
-    def __pow__(self, e):
-        if e < 0:
-            return skew_inverse(self) ** (-e)
-        acc = SkewLaurent.one(self.K)
-        base = self
-        while e > 0:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def map_coeffs(self, f):
-        return self._with({k: f(c) for k, c in self.co.items()}, self.hi)
+    def inv(self, prec=DEFAULT_TAUINV_PREC):
+        return skew_inverse(self, prec)
 
 
 def skew_inverse(f, prec=DEFAULT_TAUINV_PREC):

@@ -89,29 +89,50 @@ def kron(A, B):
     return out
 
 
+def laplace_minors(A, K):
+    """Memoised Laplace expansion on the square matrix A.
+
+    Returns minor(rows, cols): the determinant of A on the row and column
+    index tuples (of one length), expanded along its first row. It is
+    division-free, so windows stay truthful. Exact-zero entries are
+    skipped, and a minor with no term left is the exact zero over K.
+    """
+    memo = {}
+
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return A[rows[0]][cols[0]]
+        key = (rows, cols)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        top, rest = A[rows[0]], rows[1:]
+        acc = None
+        for pos, j in enumerate(cols):
+            entry = top[j]
+            if not entry.co and entry.hi is INF:
+                continue
+            term = entry * minor(rest, cols[:pos] + cols[pos + 1:])
+            if pos % 2 == 1:
+                term = -term
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = ZSeries.zero(K)
+        memo[key] = acc
+        return acc
+
+    return minor
+
+
 def det(A):
-    """Laplace expansion; fine at the ranks used here (<= 9)."""
+    """Determinant: the full Laplace minor."""
     n, m = dims(A)
     if n != m:
         raise InputError("determinant of a non-square matrix")
     if n == 0:
         raise InputError("determinant of an empty matrix")
-    if n == 1:
-        return A[0][0]
-    acc = None
-    for j in range(n):
-        entry = A[0][j]
-        if not entry.co and entry.hi is INF:
-            continue  # exact zero column entry
-        minor = [row[:j] + row[j + 1 :] for row in A[1:]]
-        term = entry * det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        K = A[0][0].K
-        return ZSeries.zero(K)
-    return acc
+    full = tuple(range(n))
+    return laplace_minors(A, A[0][0].K)(full, full)
 
 
 def agrees(A, B):

@@ -1,9 +1,11 @@
 """Truncated Laurent series in z over a base field K.
 
 B_K = K((z)) with the coefficientwise q-power endomorphism sigma
-(z itself is fixed). Elements carry a truthful knowledge window: every
-z-exponent below `hi` is known, the principal part is finite by
-construction. For local K the ring tower
+(z itself is fixed). `ZSeries` is the untwisted windowed series of
+`taumod.series` with coefficients in K: every z-exponent below `hi` is
+known, the principal part is finite by construction. This module adds
+what is particular to K((z)): the shift by z^n, sigma, valuation
+profiles over a local K and the ring tower. For local K the ring tower
 
     A_K = K[[z]]  and  B_OK = R((z)) \\subset Bbar = K (x)_R R((z)) \\subset B_K
 
@@ -13,16 +15,13 @@ valuations unbounded below (produced by the semilinear solver), since a
 finite window cannot distinguish a plunge from a dip.
 """
 
-import math
-
-from taumod.errors import CoercionError, InputError, NotInvertible, PrecisionLoss
-
-INF = math.inf
+from taumod.errors import InputError, PrecisionLoss
+from taumod.series import INF, Series
 
 DEFAULT_Z_PREC = 8
 
 
-class ZSeries:
+class ZSeries(Series):
     """Laurent series sum c_n z^n over K (finite or local).
 
     co maps z-exponent -> coefficient in K; all exponents < hi are
@@ -30,21 +29,19 @@ class ZSeries:
     that are merely zero to their own zeta-precision are kept, since
     they still carry information. `growth` is an optional annotation
     (attached by solvers) proving how coefficient valuations behave
-    beyond any finite window.
+    beyond any finite window; negation, truncation and lifting to a
+    larger field keep it, other operations drop it.
     """
 
-    __slots__ = ("K", "co", "hi", "growth")
+    __slots__ = ("growth",)
+
+    _mono = staticmethod("z^{}".format)
+    _ZERO_ORDER = "z-order of a zero-to-window series"
+    _INV_ZERO = "inverse of the zero series"
+    _INV_WINDOW = _ZERO_ORDER
 
     def __init__(self, K, co, hi=INF, growth=None):
-        hi = INF if hi == INF else int(hi)
-        clean = {}
-        for e, c in co.items():
-            e = int(e)
-            if e < hi and not K.exact_zero_p(c):
-                clean[e] = c
-        self.K = K
-        self.co = clean
-        self.hi = hi
+        Series.__init__(self, K, co, hi)
         self.growth = growth
 
     def __repr__(self):
@@ -55,15 +52,13 @@ class ZSeries:
         tail = "" if self.hi is INF else f" + O(z^{self.hi})"
         return f"ZS[{body}{tail}]"
 
+    def _carry(self, K, co, hi):
+        return ZSeries(K, co, hi, self.growth)
+
+    def _default_inv_prec(self):
+        return DEFAULT_Z_PREC
+
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(K):
-        return ZSeries(K, {}, INF)
-
-    @staticmethod
-    def one(K):
-        return ZSeries(K, {0: K.one()}, INF)
 
     @staticmethod
     def z(K, n=1):
@@ -73,36 +68,10 @@ class ZSeries:
     def const(K, c):
         return ZSeries(K, {0: K.el(c)}, INF)
 
-    @staticmethod
-    def from_pairs(K, pairs, hi=INF):
-        co = {}
-        for e, c in pairs:
-            c = K.el(c)
-            e = int(e)
-            if e in co:
-                co[e] = co[e] + c
-            else:
-                co[e] = c
-        return ZSeries(K, co, hi)
-
-    def _with(self, co, hi, growth=None):
-        return ZSeries(self.K, co, hi, growth)
-
     def with_growth(self, annotation):
         return ZSeries(self.K, self.co, self.hi, annotation)
 
     # -- structure ---------------------------------------------------------
-
-    def is_exact(self):
-        return self.hi is INF
-
-    def support(self):
-        return sorted(self.co)
-
-    def coeff(self, n):
-        if n >= self.hi:
-            raise PrecisionLoss(f"coefficient at z^{n} unknown", need=n, window=self.hi)
-        return self.co.get(n, self.K.zero())
 
     def is_zero(self):
         """True iff exactly zero. PrecisionLoss when zero only to window."""
@@ -122,164 +91,13 @@ class ZSeries:
     def known_nonzero(self):
         return any(self.K.known_nonzero(c) for c in self.co.values())
 
-    def val_lower_bound(self):
-        """Largest w with: all coefficients below z^w are known zero."""
-        if self.co:
-            return min(self.co)
-        return self.hi
-
-    def valuation(self):
-        """Exact z-order. INF for the exact zero; PrecisionLoss when the
-        window (or a maybe-zero local coefficient) leaves it unsettled."""
-        for e in sorted(self.co):
-            if self.K.known_nonzero(self.co[e]):
-                return e
-            raise PrecisionLoss(
-                f"leading coefficient at z^{e} is zero only to zeta-precision",
-                need=e,
-                window=self.hi,
-            )
-        if self.hi is INF:
-            return INF
-        raise PrecisionLoss("z-order of a zero-to-window series", window=self.hi)
-
     def leading(self):
         return self.coeff(self.valuation())
-
-    def truncate(self, new_hi):
-        return ZSeries(self.K, self.co, min(self.hi, new_hi), self.growth)
-
-    def agrees_with(self, other):
-        """Equality of known parts on the common z-window (and, for local
-        coefficients, on common zeta-windows)."""
-        a, b = _zpair(self, other)
-        h = min(a.hi, b.hi)
-        for e in set(a.co) | set(b.co):
-            if e >= h:
-                continue
-            ca = a.co.get(e, a.K.zero())
-            cb = b.co.get(e, b.K.zero())
-            if hasattr(ca, "agrees_with"):
-                if not ca.agrees_with(cb):
-                    return False
-            elif ca != cb:
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        a, b = _zpair(self, other)
-        return a.hi == b.hi and a.co == b.co
-
-    __hash__ = None
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        a, b = _zpair(self, other)
-        hi = min(a.hi, b.hi)
-        co = dict(a.co)
-        for e, c in b.co.items():
-            s = co.get(e)
-            co[e] = c if s is None else s + c
-        return ZSeries(a.K, co, hi)
-
-    def __neg__(self):
-        return self._with({e: -c for e, c in self.co.items()}, self.hi, self.growth)
-
-    def __sub__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        a, b = _zpair(self, other)
-        va = a.val_lower_bound()
-        vb = b.val_lower_bound()
-        if (a.hi is INF and not a.co) or (b.hi is INF and not b.co):
-            return ZSeries(a.K, {}, INF)
-        hi = min(a.hi + vb, b.hi + va)
-        co = {}
-        for e1, c1 in a.co.items():
-            for e2, c2 in b.co.items():
-                e = e1 + e2
-                if e < hi:
-                    pr = c1 * c2
-                    s = co.get(e)
-                    co[e] = pr if s is None else s + pr
-        return ZSeries(a.K, co, hi)
-
-    def scale(self, c):
-        """Multiply by a K-scalar."""
-        c = self.K.el(c)
-        if self.K.exact_zero_p(c):
-            return ZSeries.zero(self.K)
-        return self._with({e: cc * c for e, cc in self.co.items()}, self.hi)
 
     def shift(self, n):
         """Multiply by z^n."""
         hi = self.hi if self.hi is INF else self.hi + n
         return self._with({e + n: c for e, c in self.co.items()}, hi)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        acc = ZSeries.one(self.K)
-        base = self
-        while e > 0:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inv(self, prec=None):
-        """Inverse in K((z)). Exact for monomials with invertible
-        coefficient; otherwise a geometric series truncated to `prec`
-        exponents past -valuation (default DEFAULT_Z_PREC), and never
-        past what the input's own window supports."""
-        v = self.valuation()
-        if v is INF:
-            raise NotInvertible("inverse of the zero series")
-        c = self.co[v]
-        cinv = _kinv(self.K, c)
-        if len(self.co) == 1 and self.hi is INF:
-            return ZSeries(self.K, {-v: cinv}, INF)
-        width = prec if prec is not None else DEFAULT_Z_PREC
-        w_co = {}
-        for e, ce in self.co.items():
-            if e != v:
-                w_co[e - v] = ce * cinv
-        w = ZSeries(self.K, w_co, self.hi - v if self.hi is not INF else INF)
-        out_hi = -v + width
-        if self.hi is not INF:
-            out_hi = min(out_hi, self.hi - 2 * v)
-        acc = ZSeries.one(self.K)
-        term = ZSeries.one(self.K)
-        wv = w.val_lower_bound()
-        if wv is INF:
-            # tail exactly zero: monomial after all (maybe-zero coeffs dropped)
-            return ZSeries(self.K, {-v: cinv}, INF)
-        assert wv >= 1
-        k = 1
-        while k * wv < out_hi + v:
-            term = term * (-w)
-            acc = acc + term
-            k += 1
-        if acc.hi is not INF:
-            out_hi = min(out_hi, acc.hi - v)
-        co = {e - v: cc * cinv for e, cc in acc.co.items() if e - v < out_hi}
-        return ZSeries(self.K, co, out_hi)
-
-    def __truediv__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self * other.inv()
 
     # -- Frobenius ---------------------------------------------------------
 
@@ -445,25 +263,6 @@ class ZSeries:
         return self._cert("Bbar", "yes", bound=bound, trend="decreasing" if decreasing else None)
 
 
-def _kinv(K, c):
-    if hasattr(c, "inv"):
-        return c.inv()
-    return K.el(c).inv()
-
-
 def _jv(v):
     return None if v is INF or v is -INF else v
 
-
-def _zpair(a, b):
-    if not isinstance(b, ZSeries):
-        raise InputError("ZSeries arithmetic needs ZSeries operands")
-    if a.K is b.K:
-        return a, b
-    # coerce along the coefficient-field inclusion; K objects are cached
-    try:
-        ba = ZSeries(b.K, {e: b.K.coerce(c) for e, c in a.co.items()}, a.hi, a.growth)
-        return ba, b
-    except CoercionError:
-        ab = ZSeries(a.K, {e: a.K.coerce(c) for e, c in b.co.items()}, b.hi, b.growth)
-        return a, ab

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report shapes, replayability, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,9 @@ from taumod.zseries import ZSeries
 
 INF = math.inf
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "v1"
+
+# sha256 of `taumod corpus --jobs 1` on the corpus of `corpus --generate --seed 0`
+SEED0_CORPUS_SHA256 = "9213789ffe1791f7da5c17d001a672f1032d59c708eab707b8424159f08ce9f7"
 
 F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
 F9F = FieldDescriptor(p=3, a=2, m=1, kind="finite")
@@ -242,6 +246,33 @@ class TestVerify:
         code, vr = run_json(["verify", "--input", json.dumps(doc)])
         assert code == 4 and vr["verdict"] == "failed"
 
+    def _assert_verdict_tamper_fails(self, out, honest, forged):
+        doc = json.loads(out)
+        assert doc["verdict"] == honest
+        code, vr = run_json(["verify", "--input", out])
+        assert code == 0 and vr["verdict"] == "ok"
+        assert not any(c["name"].startswith("verdict:") for c in vr["checks"])
+        doc["verdict"] = forged
+        code, vr = run_json(["verify", "--input", json.dumps(doc)])
+        assert code == 4 and vr["verdict"] == "failed"
+        failed = [c for c in vr["checks"] if not c["ok"]]
+        assert len(failed) == 1 and failed[0]["name"].startswith("verdict:")
+        assert failed[0]["claimed"] == forged and failed[0]["expected"] == honest
+
+    def test_tampered_solve_verdict_fails(self):
+        K = F3L.field()
+        a = ZSeries.z(K, -1)
+        b = ZSeries(K, {-1: -K.zeta(-1)})
+        _, out = run(["solve", "--ring", "Bbar", "--prec-z", "6",
+                      "--a", solve_side(K, a), "--b", solve_side(K, b)])
+        self._assert_verdict_tamper_fails(out, "no_solution", "solution")
+
+    def test_tampered_purity_verdict_fails(self):
+        M = simple_pure(F9F.field(), -1, 2)
+        _, out = run(["isocrystal", "purity", "--s", "-1", "--r", "2",
+                      "--input", jsonio.dump_canonical(M)])
+        self._assert_verdict_tamper_fails(out, "pure", "not_pure")
+
     def test_non_report_input_exits_2(self):
         code, _ = run_json(["verify", "--input",
                             jsonio.dump_canonical(finite_module())])
@@ -275,6 +306,14 @@ class TestCorpus:
         _, out1 = run(["corpus", "--dir", str(tmp_path), "--jobs", "1"])
         _, out2 = run(["corpus", "--dir", str(tmp_path), "--jobs", "3"])
         assert out1 == out2
+
+    def test_seed0_report_bytes_are_pinned(self, tmp_path):
+        # the byte-identity gate for refactors: the seed-0 corpus report
+        # must not change unless a change means to change an answer
+        run(["corpus", "--generate", "--seed", "0", "--dir", str(tmp_path)])
+        _, out = run(["corpus", "--dir", str(tmp_path), "--jobs", "1"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == SEED0_CORPUS_SHA256
 
     def test_empty_dir_ok(self, tmp_path):
         code, doc = run_json(["corpus", "--dir", str(tmp_path)])
