@@ -58,66 +58,31 @@ def _factor(n):
 
 
 # ---------------------------------------------------------------------------
-# F_p polynomial helpers (cold path: modulus search, embeddings)
-
-
-def _pnorm(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnorm(out)
-
-
-def _pmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = (c * inv) % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _pnorm(a[:db])
-
-
-def _pgcd(a, b, p):
-    a, b = _pnorm(a), _pnorm(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(x * inv) % p for x in a]
-    return a
+# canonical moduli (F_p polynomial arithmetic lives in `kernels`)
 
 
 def _is_irreducible(coeffs, p):
-    """coeffs: monic, low-to-high, degree n >= 1."""
+    """coeffs: monic, low-to-high, degree n >= 1.
+
+    f is irreducible iff X^(p^n) = X mod f (so f is squarefree with
+    every factor of degree dividing n) and, by Berlekamp's criterion,
+    the fixed space of y -> y^p on F_p[X]/(f) is F_p alone: the
+    nullspace of Q - I, with column j of Q the coordinates of X^(p*j),
+    has dimension 1 (its dimension counts the distinct factors).
+    """
     n = len(coeffs) - 1
     if n == 1:
         return True
     mod = tuple(coeffs)
     x = tuple([0, 1] + [0] * (n - 2))
-    xq = kernels.polypowmod(x, p**n, mod, p)
-    if _pnorm([(xq[i] - x[i]) % p for i in range(n)]):
+    if kernels.polypowmod(x, p**n, mod, p) != x:
         return False
-    for ell in _factor(n):
-        xe = kernels.polypowmod(x, p ** (n // ell), mod, p)
-        diff = _pnorm([(xe[i] - x[i]) % p for i in range(n)])
-        if len(_pgcd(diff, list(coeffs), p)) != 1:
-            return False
-    return True
+    xp = kernels.polypowmod(x, p, mod, p)
+    cols = [tuple([1] + [0] * (n - 1))]
+    for _ in range(n - 1):
+        cols.append(kernels.polymulmod(cols[-1], xp, mod, p))
+    q_minus_i = (np.array(cols, dtype=np.int64).T - np.eye(n, dtype=np.int64)) % p
+    return len(kernels.nullspace_mod_p(q_minus_i.tolist(), n, p)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -403,99 +368,34 @@ def _pair(a, b):
 
 
 # ---------------------------------------------------------------------------
-# embeddings
+# embeddings: the image of the small field's generator is a root of its
+# modulus in the big field, found by Cantor-Zassenhaus over polynomials
+# with Felt coefficients (lists, low-to-high, all in one field `big`)
 
 
-def _lift(coeffs, big):
-    return [big.el(c) for c in coeffs]
+def _ptrim(c):
+    """c without its trailing zero coefficients."""
+    c = list(c)
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
 
 
-def _bpmulmod(a, b, mod, big):
-    """Product of Felt-coefficient polys modulo monic `mod` (Felt lists)."""
-    if not a or not b:
-        return []
-    out = [big.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    d = len(mod) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
+def _pdivmod(a, b, big):
+    """Quotient and remainder of a by b (b nonzero, leading term nonzero)."""
+    r = list(a)
+    db = len(b) - 1
+    inv = b[-1].inv()
+    q = [big.zero] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
         if not c.is_zero():
-            out[i] = big.zero
-            for j in range(d):
-                out[i - d + j] = out[i - d + j] - c * mod[j]
-    out = out[:d]
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _bpgcd(a, b, big):
-    def norm(c):
-        c = list(c)
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
-
-    def pmod(x, y):
-        x = list(x)
-        dy = len(y) - 1
-        inv = y[-1].inv()
-        for i in range(len(x) - 1, dy - 1, -1):
-            c = x[i]
-            if not c.is_zero():
-                f = c * inv
-                for j in range(dy + 1):
-                    x[i - dy + j] = x[i - dy + j] - f * y[j]
-        return norm(x[:dy])
-
-    a, b = norm(a), norm(b)
-    while b:
-        a, b = b, pmod(a, b)
-    if a:
-        inv = a[-1].inv()
-        a = [x * inv for x in a]
-    return a
-
-
-def _bppowmod(x, e, mod, big):
-    result = [big.one]
-    base = list(x)
-    while e > 0:
-        if e & 1:
-            result = _bpmulmod(result, base, mod, big)
-        base = _bpmulmod(base, base, mod, big)
-        e >>= 1
-    return result
-
-
-def _one_root(fcoeffs, big, rng):
-    """One root in `big` of a squarefree Felt-poly that splits into
-    linears over big. Cantor-Zassenhaus with the rng's choices."""
-    f = list(fcoeffs)
-    while len(f) - 1 > 1:
-        if big.p == 2:
-            # char 2: additive trace splitting
-            shift = big.el([rng.randrange(big.p) for _ in range(big.n)])
-            t = [big.zero, shift]
-            acc = list(t)
-            tr = list(t)
-            for _ in range(big.n - 1):
-                acc = _bpmulmod(acc, acc, f, big)
-                tr = _padd(tr, acc, big)
-            g = _bpgcd(f, tr, big)
-        else:
-            shift = big.el([rng.randrange(big.p) for _ in range(big.n)])
-            base = [shift, big.one]
-            powed = _bppowmod(base, (big.size - 1) // 2, f, big)
-            powed = _padd(powed, [-big.one], big)
-            g = _bpgcd(f, powed, big)
-        if 0 < len(g) - 1 < len(f) - 1:
-            h = _bpdiv(f, g, big)
-            f = g if len(g) <= len(h) else h
-    return -f[0] / f[1]
+            f = c * inv
+            q[i - db] = f
+            # r[i] itself is cancelled and never read again
+            for j in range(db):
+                r[i - db + j] = r[i - db + j] - f * b[j]
+    return _ptrim(q), _ptrim(r[:db])
 
 
 def _padd(a, b, big):
@@ -504,27 +404,64 @@ def _padd(a, b, big):
         out[i] = out[i] + c
     for i, c in enumerate(b):
         out[i] = out[i] + c
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
+    return _ptrim(out)
 
 
-def _bpdiv(a, b, big):
-    """Exact quotient a/b of Felt-polys (b monic-izable, remainder 0)."""
-    a = list(a)
-    db = len(b) - 1
-    inv = b[-1].inv()
-    q = [big.zero] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if not c.is_zero():
-            f = c * inv
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] = a[i - db + j] - f * b[j]
-    while q and q[-1].is_zero():
-        q.pop()
-    return q
+def _pmulmod(a, b, mod, big):
+    """a*b modulo `mod`."""
+    if not a or not b:
+        return []
+    out = [big.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai.is_zero():
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+    return _pdivmod(out, mod, big)[1]
+
+
+def _ppowmod(x, e, mod, big):
+    result = [big.one]
+    base = list(x)
+    while e > 0:
+        if e & 1:
+            result = _pmulmod(result, base, mod, big)
+        base = _pmulmod(base, base, mod, big)
+        e >>= 1
+    return result
+
+
+def _pgcd(a, b, big):
+    """Monic gcd of a and b ([] when both are zero)."""
+    a, b = _ptrim(a), _ptrim(b)
+    while b:
+        a, b = b, _pdivmod(a, b, big)[1]
+    if a:
+        inv = a[-1].inv()
+        a = [x * inv for x in a]
+    return a
+
+
+def _one_root(fcoeffs, big, rng):
+    """One root in `big` of a monic squarefree Felt-poly that splits into
+    linears over big. Cantor-Zassenhaus with the rng's choices."""
+    f = list(fcoeffs)
+    while len(f) - 1 > 1:
+        shift = big.el([rng.randrange(big.p) for _ in range(big.n)])
+        if big.p == 2:
+            # char 2: additive trace splitting, Tr(shift*X) mod f
+            acc = tr = [big.zero, shift]
+            for _ in range(big.n - 1):
+                acc = _pmulmod(acc, acc, f, big)
+                tr = _padd(tr, acc, big)
+        else:
+            # (X + shift)^((size-1)/2) - 1 mod f
+            tr = _ppowmod([shift, big.one], (big.size - 1) // 2, f, big)
+            tr = _padd(tr, [-big.one], big)
+        g = _pgcd(f, tr, big)
+        if 0 < len(g) - 1 < len(f) - 1:
+            h = _pdivmod(f, g, big)[0]
+            f = g if len(g) <= len(h) else h
+    return -f[0] / f[1]
 
 
 @lru_cache(maxsize=None)
@@ -541,7 +478,7 @@ def _embedding_powers(p, n_small, n_big):
     small = get_field(p, n_small)
     big = get_field(p, n_big)
     rng = random.Random(f"embed:{p}:{n_small}:{n_big}")
-    r0 = _one_root(_lift(small.modulus, big), big, rng)
+    r0 = _one_root([big.el(c) for c in small.modulus], big, rng)
     orbit = [r0]
     cur = r0.frob()
     while cur.c != r0.c:
@@ -727,14 +664,7 @@ class LocalK:
 
     def coerce(self, x):
         if isinstance(x, LocalElem):
-            if x.K is self:
-                return x
-            if x.K.desc != self.desc or x.K.ram != self.ram:
-                raise CoercionError("local elements over different bases")
-            if self.ext % x.K.ext == 0:
-                co = {e: coerce_into(c, self.cf) for e, c in x.co.items()}
-                return LocalElem(self, co, x.hi)
-            raise CoercionError("no inclusion between coefficient fields")
+            return x if x.K is self else x._lift(self)
         return self.el(x)
 
     def extend(self, e):

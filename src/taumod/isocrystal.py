@@ -52,14 +52,7 @@ class Isocrystal:
         if e == 1:
             return self
         L = self.K.extend(e)
-        B = [
-            [
-                ZSeries(L, {n: L.coerce(c) for n, c in s.co.items()}, s.hi)
-                for s in row
-            ]
-            for row in self.A
-        ]
-        return Isocrystal(L, B)
+        return Isocrystal(L, zmatrix.lift(self.A, L))
 
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)

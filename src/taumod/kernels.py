@@ -5,11 +5,14 @@ This is the one kernel lane; `BACKEND` names it so the bench and the
 benchmark can label their output. Matrix elimination leans on numpy:
 each pivot updates, mod p, only the rows that are nonzero in its column
 and only the columns from it on, which gives the same pivots and output
-as full-width Gauss-Jordan. The polynomial routines are plain loops.
-They serve the cold path (modulus search, generator search) and fields
-above `basefield.TABLE_LIMIT`: smaller fields multiply through log
-tables, which `basefield` fills by doubling with numpy matrix products,
-not one `polymulmod` per element.
+as full-width Gauss-Jordan. The polynomial routines are plain loops
+and the package's only F_p polynomial arithmetic. They serve the cold
+path and fields above `basefield.TABLE_LIMIT`: the irreducibility test
+of the modulus search (X^(p^n) mod f, then the Berlekamp matrix of
+y -> y^p, whose nullspace it takes here), the generator search, and
+arithmetic in large fields. Smaller fields multiply through log tables,
+which `basefield` fills by doubling with numpy matrix products, not one
+`polymulmod` per element.
 """
 
 import numpy as np

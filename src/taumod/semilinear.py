@@ -21,7 +21,6 @@ candidate; the solvers never branch.
 
 import math
 from fractions import Fraction
-import random
 
 import numpy as np
 
@@ -247,7 +246,7 @@ def _solve_contraction_monomial(a, b, va, tag, N):
     K = a.K
     k = -va
     c = a.co[va]
-    cinv = _inv_el(K, c)
+    cinv = K.el(c).inv()
     try:
         if b.is_zero():
             return _finish(a, b, ZSeries.zero(K), tag, N, dim=0)
@@ -274,10 +273,6 @@ def _solve_contraction_monomial(a, b, va, tag, N):
 
 def _qpow(K, c):
     return K.sigma(c, 1)
-
-
-def _inv_el(K, c):
-    return c.inv() if hasattr(c, "inv") else K.el(c).inv()
 
 
 def _growth_certificate(K, x, b, k, c, n_hi):
@@ -720,16 +715,19 @@ def _series_frob(s, kpow):
 # invariant dimension of the slope twist
 
 
-def m_lambda_tau_dim(lam, desc, seed=0, window=24):
+def m_lambda_tau_dim(lam, desc):
     """dim of the tau-invariants of the rank-r slope-s/r twist over a
     discretely valued base: 1 for lambda = 0, else 0.
 
     The twist reduces to the single equation f = z^s sigma^r(f), whose
-    coefficient orbits obey alpha_n = alpha_{n-s}^{q^r}. The verdict is
-    decided by that recursion's structure; the certificate carries
-    finite witnesses (a backward q-divisibility breakpoint for each
-    sampled nonzero-valuation seed, the bi-infinite unit orbit for
-    valuation-0 seeds) plus a seeded falsification search.
+    coefficient orbits obey alpha_n = alpha_{n-s}^{q^r}. For s != 0 the
+    verdict is that recursion's closed form: a coefficient of valuation
+    v != 0 forces valuation v / q^{rk} k steps back, impossible in a
+    discrete valuation once q^{rk} does not divide v, and a unit orbit
+    is bi-infinite with all valuations 0, which violates coefficient
+    decay toward the boundary. The certificate carries the backward
+    breakpoint of each seed valuation +-1, +-2, +-3 and the unit-orbit
+    argument.
     """
     lam = Fraction(lam)
     if desc.kind != "local":
@@ -758,11 +756,7 @@ def m_lambda_tau_dim(lam, desc, seed=0, window=24):
         return 1, cert
     qr = q**r
     seeds = []
-    rng = random.Random(f"mlam:{seed}:{s}:{r}:{q}")
-    sample_vals = [-3, -2, -1, 1, 2, 3] + [rng.randrange(-40, 40) for _ in range(6)]
-    for v0 in sample_vals:
-        if v0 == 0:
-            continue
+    for v0 in (-3, -2, -1, 1, 2, 3):
         # backward orbit alpha_{n-ks} has valuation v0 / q^{rk}
         k, v = 0, abs(v0)
         while v % qr == 0:
@@ -776,25 +770,6 @@ def m_lambda_tau_dim(lam, desc, seed=0, window=24):
                 "reason": "not divisible by q^r, impossible in a discrete valuation",
             }
         )
-    # in-window falsification: any nonzero assignment on the orbit forces
-    # the geometric valuation law, so windows never exhibit a solution
-    forced = []
-    for trial in range(4):
-        n0 = rng.randrange(-window // 2, window // 2)
-        v0 = rng.choice([v for v in range(-4, 5) if v != 0])
-        chain = []
-        n, v = n0, v0
-        for _ in range(window):
-            chain.append((n, v))
-            n, v = n + s, v * qr
-            if abs(n) > 4 * window:
-                break
-        grows = abs(chain[-1][1]) > abs(chain[0][1])
-        if not grows:
-            raise InvariantError("forward orbit failed to grow")
-        forced.append(
-            {"start": [n0, v0], "end": list(chain[-1]), "length": len(chain)}
-        )
     cert["dim"] = 0
     cert["obstructions"] = {
         "nonzero_valuation_seeds": seeds,
@@ -802,6 +777,5 @@ def m_lambda_tau_dim(lam, desc, seed=0, window=24):
             "orbit": "bi-infinite in n with all valuations 0",
             "violates": "coefficient decay toward the boundary",
         },
-        "falsification_orbits": forced,
     }
     return 0, cert

@@ -69,6 +69,11 @@ def sigma(A, k=1):
     return [[a.sigma(k) for a in row] for row in A]
 
 
+def lift(A, L):
+    """A over L, entries lifted along the field inclusion K -> L."""
+    return [[s._lift(L) for s in row] for row in A]
+
+
 def transpose(A):
     return [list(row) for row in zip(*A)]
 

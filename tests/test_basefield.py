@@ -6,6 +6,7 @@ is cross-checked against the generic polynomial lane by forcing both
 paths on the same inputs.
 """
 
+import itertools
 import math
 import random
 
@@ -21,6 +22,9 @@ from taumod.basefield import (
     get_field,
     _embedding_powers,
     _find_modulus,
+    _is_irreducible,
+    _pdivmod,
+    _pgcd,
 )
 from taumod.errors import CoercionError, NoRoot, NotInvertible, PrecisionLoss
 from taumod import kernels
@@ -66,6 +70,82 @@ class TestModuli:
         assert _find_modulus(2, 1) == (0, 1)
         assert _find_modulus(2, 2) == (1, 1, 1)
         assert _find_modulus(3, 2) == (1, 0, 1)
+
+    @pytest.mark.parametrize("p,n_max", [(2, 6), (3, 4), (5, 3)])
+    def test_irreducibility_sympy_oracle(self, p, n_max):
+        # every monic polynomial, reducible-but-squarefree ones included
+        import sympy
+
+        X = sympy.symbols("x")
+        for n in range(1, n_max + 1):
+            for low in itertools.product(range(p), repeat=n):
+                coeffs = list(low) + [1]
+                poly = sum(c * X**i for i, c in enumerate(coeffs))
+                want = sympy.Poly(poly, X, modulus=p).is_irreducible
+                assert _is_irreducible(coeffs, p) == want, coeffs
+
+
+def _rand_poly(ff, rng, deg):
+    """Felt-poly of exact degree deg; its leading coefficient is
+    nonzero but not necessarily one."""
+    c = [ff.el([rng.randrange(ff.p) for _ in range(ff.n)]) for _ in range(deg)]
+    lead = ff.zero
+    while lead.is_zero():
+        lead = ff.el([rng.randrange(ff.p) for _ in range(ff.n)])
+    return c + [lead]
+
+
+def _ref_mul(a, b, ff):
+    out = [ff.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _ref_add(a, b, ff):
+    out = [ff.zero] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = out[i] + x
+    for i, y in enumerate(b):
+        out[i] = out[i] + y
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def _same(a, b):
+    return [x.c for x in a] == [y.c for y in b]
+
+
+class TestFeltPolynomials:
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+    def test_divmod_identity(self, p, n):
+        ff = get_field(p, n)
+        rng = random.Random(f"divmod:{p}:{n}")
+        for _ in range(150):
+            a = _rand_poly(ff, rng, rng.randrange(0, 9)) if rng.random() < 0.9 else []
+            b = _rand_poly(ff, rng, rng.randrange(0, 6))
+            q, r = _pdivmod(a, b, ff)
+            assert len(r) < len(b)
+            assert not r or not r[-1].is_zero()
+            assert not q or not q[-1].is_zero()
+            assert _same(_ref_add(_ref_mul(q, b, ff), r, ff), a)
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+    def test_gcd_monic_common_divisor(self, p, n):
+        ff = get_field(p, n)
+        rng = random.Random(f"gcd:{p}:{n}")
+        for _ in range(100):
+            c = _rand_poly(ff, rng, rng.randrange(0, 4))
+            a = _ref_mul(c, _rand_poly(ff, rng, rng.randrange(0, 5)), ff)
+            b = _ref_mul(c, _rand_poly(ff, rng, rng.randrange(0, 5)), ff)
+            g = _pgcd(a, b, ff)
+            assert g and g[-1] == ff.one
+            assert _pdivmod(a, g, ff)[1] == [] and _pdivmod(b, g, ff)[1] == []
+            # greatest: the planted common factor c divides g
+            assert _pdivmod(g, c, ff)[1] == []
+        assert _pgcd([], [], ff) == []
 
 
 class TestFieldLaws:

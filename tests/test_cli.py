@@ -237,6 +237,45 @@ class TestVerify:
         code, vr = run_json(["verify", "--input", json.dumps(doc)])
         assert code == 4 and vr["verdict"] == "failed"
 
+    def _unsolvable_report(self):
+        # x^3 - x = 1 has no root in F_9: x^3 - x has trace 0 over F_3
+        K = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
+        one = ZSeries.one(K)
+        code, out = run(["solve", "--ring", "BK",
+                         "--a", solve_side(K, one), "--b", solve_side(K, one)])
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "no_solution"
+        assert doc["result"]["reason"] == "CoefficientEquationUnsolvable"
+        code, vr = run_json(["verify", "--input", out])
+        assert code == 0 and vr["verdict"] == "ok"
+        x = K.el([0, 1])  # generates F_9 over F_3
+        return K, doc, x**3 - x
+
+    def test_tampered_unsolvable_rhs_fails(self):
+        # x^3 - x = -1 has no root either, but -1 is not b's coefficient
+        K, doc, _ = self._unsolvable_report()
+        doc["result"]["witness"]["rhs"] = jsonio.render(K.el(-1))
+        code, vr = run_json(["verify", "--input", json.dumps(doc)])
+        assert code == 4 and vr["verdict"] == "failed"
+
+    def test_tampered_unsolvable_a0_fails(self):
+        # x^3 - X*x = 1 has no root either, but X is not a's coefficient
+        K, doc, _ = self._unsolvable_report()
+        doc["result"]["witness"]["a0"] = jsonio.render(K.el([0, 1]))
+        code, vr = run_json(["verify", "--input", json.dumps(doc)])
+        assert code == 4 and vr["verdict"] == "failed"
+
+    def test_tampered_unsolvable_equation_fails(self):
+        # x^3 - x = X^3 - X has the root X in F_9 \ F_3, outside the
+        # prime field that an enumeration over int encodings reaches
+        K, doc, solvable = self._unsolvable_report()
+        doc["result"]["witness"]["rhs"] = jsonio.render(solvable)
+        doc["input"]["b"] = jsonio.render(ZSeries(K, {0: solvable}))
+        code, vr = run_json(["verify", "--input", json.dumps(doc)])
+        assert code == 4 and vr["verdict"] == "failed"
+        assert [c["name"] for c in vr["checks"]] == [
+            "solve: unsolvable coefficient equation"]
+
     def test_tampered_purity_lattice_fails(self):
         M = simple_pure(F9F.field(), -1, 2)
         _, out = run(["isocrystal", "purity", "--s", "-1", "--r", "2",

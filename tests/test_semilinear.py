@@ -432,6 +432,6 @@ class TestMLambda:
             m_lambda_tau_dim(Fraction(1, 2), F3)
 
     def test_deterministic(self):
-        d1, c1 = m_lambda_tau_dim(Fraction(1, 2), F3L, seed=5)
-        d2, c2 = m_lambda_tau_dim(Fraction(1, 2), F3L, seed=5)
+        d1, c1 = m_lambda_tau_dim(Fraction(1, 2), F3L)
+        d2, c2 = m_lambda_tau_dim(Fraction(1, 2), F3L)
         assert (d1, c1) == (d2, c2)
