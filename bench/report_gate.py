@@ -1,0 +1,100 @@
+"""Byte-identity gate: the sha256 of every report a refactor must keep.
+
+Runs in one process through `taumod.cli.main` and prints one
+`sha256  label` line per report, sorted by label:
+
+  * `corpus --generate --seed S` for S = 0..5 (the report and the files
+    it writes);
+  * `corpus --jobs 1` on each of those corpora;
+  * every compute report, and the `verify` report of every request the
+    plan verifies, of the `rank` and `tower` plans at seed 1 of
+    `perfbench/inputs.py`.
+
+Each label carries the exit code. Run it on two checkouts and diff:
+
+    PYTHONPATH=src python3 bench/report_gate.py > gate.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+from taumod.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SEEDS = range(6)
+PLANS = (("rank", 1), ("tower", 1))
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _tree_sha(path):
+    h = hashlib.sha256()
+    for f in sorted(path.rglob("*.json")):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+def _corpus_lines(work):
+    lines = []
+    for seed in SEEDS:
+        d = work / f"corpus{seed}"
+        code, out = _run(["corpus", "--generate", "--seed", str(seed),
+                          "--dir", str(d)])
+        lines.append((_sha(out.encode()), f"corpus-generate-{seed} [exit {code}]"))
+        lines.append((_tree_sha(d), f"corpus-generate-{seed}/files"))
+        code, out = _run(["corpus", "--dir", str(d), "--jobs", "1"])
+        lines.append((_sha(out.encode()), f"corpus-{seed} [exit {code}]"))
+    return lines
+
+
+def _plan_lines(work, workload, seed):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    d = work / f"{workload}{seed}"
+    inputs.write_plan(workload, seed, d)
+    lines = []
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        for req in json.loads((d / "plan.json").read_text()):
+            label = f"{workload}{seed}/{req['name']}"
+            code, out = _run(req["argv"])
+            lines.append((_sha(out.encode()), f"{label} [exit {code}]"))
+            if req["verify"]:
+                code, vout = _run(["verify", "--input", out])
+                lines.append((_sha(vout.encode()), f"{label}.verify [exit {code}]"))
+    finally:
+        os.chdir(cwd)
+    return lines
+
+
+def main_gate():
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        lines = _corpus_lines(work)
+        for workload, seed in PLANS:
+            lines += _plan_lines(work, workload, seed)
+    for digest, label in sorted(lines, key=lambda t: t[1]):
+        print(f"{digest}  {label}")
+
+
+if __name__ == "__main__":
+    main_gate()

@@ -3,10 +3,8 @@
 Every generator is a pure function of its seed: the same seed yields
 the same objects in the same order, so corpus files regenerate
 byte-identically.  Families are chosen to terminate inside the default
-budgets; in particular the twist-conjugation instances stay on modules
-whose coefficient towers close within a few extensions, and the
-slope-zero twists are filtered through the fixed-point certifier
-before they are emitted.
+budgets; in particular the slope-zero twists are filtered through the
+fixed-point certifier before they are emitted.
 """
 
 import random
@@ -130,24 +128,6 @@ def slope0_corpus(seed=0, prec=4, ext_max=8):
                     continue
                 q = p**a
                 out.append((f"iso-s0-q{q}-m{m}-{tag}", M))
-    return out
-
-
-def weil_corpus():
-    """Modules with an immediate twist conjugator: g_i = 0 below the top.
-
-    The leading equation then fixes a constant conjugator over the base
-    itself, so the Frobenius valuation check runs at extension one and
-    the degree of the base enters the answer exactly as -m/r.
-    """
-    out = []
-    for p, a in QS:
-        q = p**a
-        for m in (1, 2, 3):
-            K = finite_base(p, a, m)
-            for r in (1, 2):
-                E = DrinfeldModule(K, [[0]] * r + [[1]])
-                out.append((f"dm-weil-q{q}-m{m}-r{r}", E))
     return out
 
 

@@ -238,6 +238,26 @@ def _reramify(K2, x):
     return LocalElem(K2, co, hi)
 
 
+def base_change_agrees(E, gm):
+    """The good model's infinity isocrystal is E's after the diagonal
+    change of basis: A_model == diag(u^{q^i})^{-1} A diag(u^{q^{i+1}})."""
+    q = E.K.desc.q
+    r = E.rank
+    u = gm.u
+    A = m_infinity(E).A
+    upow = [_elt_pow(u, q**k) for k in range(r + 1)]
+    uinv = [_elt_pow(u, -(q**k)) for k in range(r + 1)]
+    conj = [[(A[i][j].scale(uinv[i])).scale(upow[j + 1]) for j in range(r)]
+            for i in range(r)]
+    return zmatrix.agrees(gm.A, conj)
+
+
+def ramified(E, e):
+    """E over the extension of its local base with ramification index e."""
+    K2 = E.K.ramify(e)
+    return DrinfeldModule(K2, [_reramify(K2, g) for g in E.coeffs])
+
+
 def crit_crosscheck(E, max_iters=32, prec=None):
     """Play the two sides of the reduction criterion against each other.
 
@@ -248,24 +268,11 @@ def crit_crosscheck(E, max_iters=32, prec=None):
     against hom-vanishing between distinct slopes.  PotentiallyGood:
     inconclusive over the base, rerun over the ramified extension.
     """
-    K = E.K
     rep = reduction_type(E)
     r = E.rank
-    q = K.desc.q
-    M = m_infinity(E)
     if rep.verdict == "Good":
         gm = good_model(E, rep)
-        u = gm.u
-        upow = [_elt_pow(u, q**k) for k in range(r + 1)]
-        uinv = [_elt_pow(u, -(q**k)) for k in range(r + 1)]
-        conj = [
-            [
-                (M.A[i][j].scale(uinv[i])).scale(upow[j + 1])
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        if not zmatrix.agrees(gm.A, conj):
+        if not base_change_agrees(E, gm):
             raise InvariantError("good model does not match the infinity "
                                  "isocrystal after base change")
         return {
@@ -276,7 +283,7 @@ def crit_crosscheck(E, max_iters=32, prec=None):
             "base_change": "A_model == diag(u^{q^i})^{-1} A diag(u^{q^{i+1}})",
         }
     if rep.verdict == "Stable":
-        cert = purity_check(M, -1, r, max_iters=max_iters, prec=prec)
+        cert = purity_check(m_infinity(E), -1, r, max_iters=max_iters, prec=prec)
         obstruction = {
             "kind": "stable_obstruction",
             "generic_purity_at": [-1, r],
@@ -302,8 +309,7 @@ def crit_crosscheck(E, max_iters=32, prec=None):
         }
     # PotentiallyGood: inconclusive over the base itself
     e = rep.ramification
-    K2 = K.ramify(e)
-    E2 = DrinfeldModule(K2, [_reramify(K2, g) for g in E.coeffs])
+    E2 = ramified(E, e)
     rep2 = reduction_type(E2)
     if rep2.verdict != "Good":
         raise InvariantError(

@@ -48,12 +48,6 @@ class Isocrystal:
             if not zmatrix.agrees(prod, zmatrix.identity(K, r)):
                 raise InvariantError("invertibility witness fails A*A_inv = I")
 
-    def extend(self, e):
-        if e == 1:
-            return self
-        L = self.K.extend(e)
-        return Isocrystal(L, zmatrix.lift(self.A, L))
-
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)
 

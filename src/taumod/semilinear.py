@@ -64,7 +64,7 @@ def solve_scalar(a, b, tag="BK", prec=None):
     if va is INF:
         return _solve_sigma_only(b, tag, N)
     if va > 0:
-        return _solve_root_regime(a, b, va, tag, N)
+        return _solve_root_regime(a, b, tag, N)
     if va < 0:
         return _solve_contraction(a, b, va, tag, N)
     return _solve_additive(a, b, tag, N)
@@ -105,19 +105,16 @@ def _no_solution(tag, N, reason, witness, x_bk=None):
     return out
 
 
-def _residual_ok(a, b, x, lo, hi):
+def _residual_ok(a, b, x, hi):
+    """sigma(x) - (a*x + b) is zero below z^hi, as far as it is known."""
     res = x.sigma() - (a * x + b)
-    for e, c in res.co.items():
-        if lo <= e < min(hi, res.hi) and res.K.known_nonzero(c):
-            return False
-    return True
+    return not any(e < min(hi, res.hi) and res.K.known_nonzero(c)
+                   for e, c in res.co.items())
 
 
 def _finish(a, b, x, tag, N, dim=None, extra_note=None):
     """Re-substitute, then certify tag membership of a computed x."""
-    lo = x.val_lower_bound()
-    hi = min(N, x.hi)
-    if not _residual_ok(a, b, x, lo, hi):
+    if not _residual_ok(a, b, x, min(N, x.hi)):
         raise InvariantError("solver output fails re-substitution")
     cert = x.membership(tag)
     out = {
@@ -173,44 +170,18 @@ def _profile_bound(s):
     return out
 
 
-def _solve_root_regime(a, b, va, tag, N):
+def _solve_root_regime(a, b, tag, N):
     K = a.K
     try:
         if b.is_zero():
             return _finish(a, b, ZSeries.zero(K), tag, N, dim=0)
     except PrecisionLoss:
         return _inconclusive(tag, N, "b is zero only to its window")
-    w = b.valuation()
-    n_hi = N
-    if b.hi is not INF:
-        n_hi = min(n_hi, b.hi)
-    if a.hi is not INF:
-        n_hi = min(n_hi, w + (a.hi - va))
-    if n_hi <= w:
+    co, n_hi, miss = force_roots(a, b, N)
+    if miss is not None:
+        return _no_solution(tag, N, "QthRootMissing", miss)
+    if n_hi <= b.valuation():
         return _inconclusive(tag, N, "windows end before the first forced coefficient")
-    co = {}
-    for n in range(w, n_hi):
-        rhs = b.coeff(n)
-        for k in a.support():
-            j = n - k
-            if j in co:
-                rhs = rhs + a.co[k] * co[j]
-        try:
-            xn = K.qth_root(rhs)
-        except NoRoot as exc:
-            return _no_solution(
-                tag,
-                N,
-                "QthRootMissing",
-                {
-                    "z_exponent": n,
-                    "equation": f"x_{n}^q = rhs",
-                    "rhs": rhs,
-                    **(exc.witness or {}),
-                },
-            )
-        if not K.exact_zero_p(xn):
-            co[n] = xn
     x = ZSeries(K, co, n_hi)
     # in this regime coefficient valuations stay >= min(0, profiles of a, b):
     # v(x_n) = v(rhs)/q and rhs only mixes b_n with a_k x_{n-k}
@@ -224,6 +195,39 @@ def _solve_root_regime(a, b, va, tag, N):
             }
         )
     return _finish(a, b, x, tag, N, dim=0)
+
+
+def force_roots(a, b, N):
+    """The root-regime recursion x_n^q = b_n + sum_k a_k x_{n-k}
+    (v_z(a) > 0, b != 0), forced from the bottom up for v_z(b) <= n < hi,
+    where hi is N or the first exponent the windows of a and b leave
+    undetermined.
+
+    Returns (coefficients, hi, None), or (coefficients below n, hi,
+    witness) at the first n whose right-hand side has no q-th root.
+    """
+    w = b.valuation()
+    hi = N
+    if b.hi is not INF:
+        hi = min(hi, b.hi)
+    if a.hi is not INF:
+        hi = min(hi, w + (a.hi - a.valuation()))
+    K = a.K
+    co = {}
+    for n in range(w, hi):
+        rhs = b.coeff(n)
+        for k in a.support():
+            j = n - k
+            if j in co:
+                rhs = rhs + a.co[k] * co[j]
+        try:
+            xn = K.qth_root(rhs)
+        except NoRoot as exc:
+            return co, hi, {"z_exponent": n, "equation": f"x_{n}^q = rhs",
+                            "rhs": rhs, **(exc.witness or {})}
+        if not K.exact_zero_p(xn):
+            co[n] = xn
+    return co, hi, None
 
 
 def _solve_contraction(a, b, va, tag, N):

@@ -51,10 +51,6 @@ class SkewPoly(Series):
         """Max tau-degree; -inf for 0."""
         return max(self.co) if self.co else -INF
 
-    def order(self):
-        """Min tau-degree (the height exponent); inf for 0."""
-        return min(self.co) if self.co else INF
-
     def is_zero(self):
         return not self.co
 

@@ -274,21 +274,22 @@ def iota_conjugator(E, N=DEFAULT_TAUINV_PREC, e_max=8):
             u = _vector_to_unit(L, w, N)
             if u is None:
                 continue
-            _verify_conjugator(u, [L.el(c) for c in E.coeffs], E.rank)
+            if not conjugator_resubstitutes(E, u):
+                raise InvariantError("conjugator re-substitution failed")
             return ConjugatorData(u=u, u0=u.co[0], extension=e, precision=N)
     raise ExtensionExhausted(
         f"no conjugator within extension degree {e_max} at precision {N}"
     )
 
 
-def _verify_conjugator(u, g, r):
-    """Re-substitute: u must satisfy u = tau^{-r} * u * phi_t on the
-    common window."""
+def conjugator_resubstitutes(E, u):
+    """u = tau^{-r} * u * phi_t on the common window, for u over an
+    extension of E's base."""
     L = u.K
+    g = [L.el(c) for c in E.coeffs]
     phi = SkewLaurent(L, {-i: c for i, c in enumerate(g) if not c.is_zero()}, INF)
-    rhs = (SkewLaurent.tau_inv(L, r) * u) * phi
-    if not rhs.agrees_with(u):
-        raise InvariantError("conjugator re-substitution failed")
+    rhs = (SkewLaurent.tau_inv(L, E.rank) * u) * phi
+    return rhs.agrees_with(u)
 
 
 # -------------------------------------------------------------- Weil action
@@ -310,23 +311,35 @@ class WeilData:
 
 
 def weil_valuation(E, N=DEFAULT_TAUINV_PREC, e_max=8, k_max=4):
+    """The Weil table of the conjugator that `iota_conjugator` finds."""
+    _check_k_max(k_max)
+    return weil_table(E, iota_conjugator(E, N=N, e_max=e_max).u, k_max)
+
+
+def _check_k_max(k_max):
+    if k_max < 1:
+        raise InputError(f"k_max must be at least 1, got {k_max}")
+
+
+def weil_table(E, u, k_max):
     """tau^{-1}-valuations of rho(gamma) = tau^{ord} * gamma(u) * u^{-1}.
 
-    gamma runs over powers of the geometric Frobenius of the base,
-    acting on coefficients by alpha -> alpha^{1/#K}, with ord equal to
-    the F_q-degree m of the base for the first power. Admissibility is
-    the exact identity v_D(rho(gamma)) = lam * ord(gamma), where
-    v_D = v_tauinv / r and lam = -1/r, checked for all k <= k_max
-    together with commutation with iota(z) = tau^{-r}.
+    u is a conjugator of E onto iota(z) = tau^{-r}, known to the
+    precision of its window. gamma runs over powers of the geometric
+    Frobenius of the base, acting on coefficients by alpha ->
+    alpha^{1/#K}, with ord equal to the F_q-degree m of the base for
+    the first power. Admissibility is the exact identity
+    v_D(rho(gamma)) = lam * ord(gamma), where v_D = v_tauinv / r and
+    lam = -1/r, checked for all k <= k_max together with commutation
+    with iota(z) = tau^{-r}.
     """
+    _check_k_max(k_max)
     K = E.K
     r = E.rank
-    conj = iota_conjugator(E, N=N, e_max=e_max)
-    u = conj.u
     L = u.K
     aa = K.desc.a
     m_tot = K.desc.m * K.ext
-    uinv = skew_inverse(u, prec=N)
+    uinv = skew_inverse(u, prec=u.hi)
     lam = Fraction(-1, r)
     iota_z = SkewLaurent.tau_inv(L, r)
     table = []
@@ -355,7 +368,7 @@ def weil_valuation(E, N=DEFAULT_TAUINV_PREC, e_max=8, k_max=4):
         frobenius_ord=m_tot,
         rho_valuation=rho1_val,
         admissible=admissible,
-        extension=conj.extension,
+        extension=L.ext // K.ext,
         precision=prec1,
         conjugator=u,
         table=table,

@@ -1,0 +1,305 @@
+"""Verdicts and certificate replays, one registry entry per report kind.
+
+`REGISTRY[command]` is the pair (verdict, replay). `verdict(result)` is
+the one-word outcome a result implies; the command that writes the
+report and `verify_report` both take it from here. `replay(input,
+result, checks)` re-derives the result's claims from the report's input
+without re-running the search that produced them, appending one
+{"name", "ok", ...} entry to `checks` per claim.
+"""
+
+from operator import itemgetter
+
+from taumod import jsonio, kernels, zmatrix
+from taumod.drinfeld import (
+    base_change_agrees,
+    good_model,
+    m_infinity,
+    ramified,
+    reduction_type,
+)
+from taumod.errors import NoRoot, PrecisionLoss
+from taumod.isocrystal import Lattice, hnf_reduce, lattice_eq
+from taumod.semilinear import (
+    _frob_mat,
+    _mult_mat,
+    _residual_ok,
+    _series_frob,
+    _vec_coords,
+    force_roots,
+    fq_generator,
+)
+from taumod.tateweil import conjugator_resubstitutes, weil_table
+from taumod.zseries import INF
+
+
+def _check(checks, name, ok, **detail):
+    entry = {"name": name, "ok": bool(ok)}
+    entry.update(detail)
+    checks.append(entry)
+
+
+# -- verdicts -----------------------------------------------------------------
+
+
+def _analyze_verdict(result):
+    cert = result["infinity_purity"]
+    return "inconclusive" if cert["kind"] == "inconclusive" else "ok"
+
+
+def _purity_verdict(result):
+    return {"purity_certificate": "pure",
+            "not_pure_at": "not_pure"}.get(result["certificate"]["kind"],
+                                           "inconclusive")
+
+
+def _tate_verdict(result):
+    if "tate" in result:
+        return "ok"
+    return "inconclusive" if "certificate" in result else "budget_exhausted"
+
+
+def _weil_verdict(result):
+    if "weil" not in result:
+        return "budget_exhausted"
+    return "admissible" if result["weil"]["admissible"] else "not_admissible"
+
+
+# -- replays ------------------------------------------------------------------
+
+
+def _parse_matrix(K, rows):
+    return [[jsonio.parse_zseries(K, cell) for cell in row] for row in rows]
+
+
+def _replay_purity(M, cert_doc, checks, label):
+    """Re-check stability of the certified lattice, not the search."""
+    s, r = int(cert_doc["s"]), int(cert_doc["r"])
+    lat = cert_doc["lattice"]
+    T = Lattice(M.K, _parse_matrix(M.K, lat["basis"]),
+                [int(e) for e in lat["pivots"]])
+    A_r = M.tau_power(r)
+    img = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
+    cols = [[img[i][j].shift(-s) for i in range(M.rank)]
+            for j in range(M.rank)]
+    T_img = hnf_reduce(M.K, cols, M.rank)
+    _check(checks, f"{label}: tau^r T == z^s T", lattice_eq(T, T_img),
+           s=s, r=r)
+
+
+def _crosscheck_ok(E, doc):
+    """The crosscheck verdict and its data follow from E's reduction
+    report. Good re-checks the base-change identity of the good model;
+    PotentiallyGood replays the extended block over the ramified base;
+    Stable re-runs no purity search."""
+    rep = reduction_type(E)
+    rd = jsonio.render(rep)
+    if doc["reduction"] != rd:
+        return False
+    if rep.verdict == "Good":
+        gm = good_model(E, rep)
+        return (doc["verdict"] == "agree"
+                and doc["model_verify"] == jsonio.render(gm.verify)
+                and base_change_agrees(E, gm))
+    if rep.verdict == "Stable":
+        ob = doc["obstruction"]
+        return (doc["verdict"] == "obstruction_recorded"
+                and ob["generic_purity_at"] == [-1, E.rank]
+                and ob["stable_rank"] == rep.stable_rank
+                and ob["residue_slope"] == [-1, rep.stable_rank]
+                and ob["scaled_valuations"]
+                == rd["certificates"]["scaled_valuations"])
+    e = rep.ramification
+    return (doc["verdict"] == "agree_after_extension"
+            and doc["extension"] == e
+            and _crosscheck_ok(ramified(E, e), doc["extended"]))
+
+
+def _replay_analyze(inp, result, checks):
+    E = jsonio.parse_drinfeld(inp)
+    cert = result.get("infinity_purity", {})
+    if cert.get("kind") == "purity_certificate":
+        _replay_purity(m_infinity(E), cert, checks, "infinity purity")
+    if "reduction" in result:
+        _check(checks, "reduction: valuation table re-evaluates",
+               jsonio.render(reduction_type(E)) == result["reduction"])
+        _check(checks, "crosscheck: verdict and data follow from the reduction",
+               _crosscheck_ok(E, result["crosscheck"]))
+
+
+def _replay_isocrystal_purity(inp, result, checks):
+    M = jsonio.parse_isocrystal(inp)
+    cert = result.get("certificate", {})
+    if cert.get("kind") == "purity_certificate":
+        _replay_purity(M, cert, checks, "purity")
+    else:
+        _check(checks, "purity: no lattice claimed", True)
+
+
+def _replay_solve(inp, outcome, checks):
+    K = jsonio.parse_field(inp["base"])
+    verdict = outcome["verdict"]
+    ring = outcome["ring"]
+    a = jsonio.parse_scalar(K, inp["a"])
+    b = jsonio.parse_scalar(K, inp["b"])
+    if verdict == "solution":
+        x = jsonio.parse_zseries(K, outcome["x"])
+        _check(checks, "solve: re-substitution", _residual_ok(a, b, x, x.hi))
+        cert = x.membership(ring)
+        _check(checks, "solve: membership re-check",
+               cert["verdict"] == "yes", ring=ring)
+    elif verdict == "no_solution":
+        reason = outcome["reason"]
+        wit = outcome.get("witness") or {}
+        if reason == "QthRootMissing":
+            va = a.valuation()
+            if va is INF:
+                try:
+                    b.sigma(-1)
+                    ok = False
+                except NoRoot:
+                    ok = True
+            else:
+                # the root regime: the solver's recursion, replayed, must
+                # stop at the witnessed exponent with the witnessed rhs
+                ok = va > 0 and b.known_nonzero()
+                if ok:
+                    miss = force_roots(a, b, int(outcome["requested_precision"]))[2]
+                    ok = miss is not None and jsonio.render(miss) == wit
+            _check(checks, "solve: missing q-th root re-check", ok)
+        elif reason in ("CoefficientNotIntegral", "PrincipalPartViolation",
+                        "UnboundedCoefficientValuations"):
+            x = jsonio.parse_zseries(K, outcome["x_bk"])
+            _check(checks, "solve: big-field solution re-substitutes",
+                   _residual_ok(a, b, x, x.hi))
+            cert = x.membership(ring)
+            _check(checks, f"solve: {reason} re-check",
+                   cert["verdict"] == "no", ring=ring)
+        elif reason == "CoefficientEquationUnsolvable":
+            a0 = jsonio.parse_elem(K, wit["a0"])
+            rhs = jsonio.parse_elem(K, wit["rhs"])
+            n = int(wit["z_exponent"])
+            # the solver meets this equation for an exact constant a = a0
+            # over finite bases only; x -> x^q - a0*x is F_p-linear
+            # there, so the equation has no root iff rhs lies outside
+            # its image
+            ok = (K.kind == "finite" and a.support() == [0] and a.is_exact()
+                  and a.coeff(0) == a0 and n < b.hi and b.coeff(n) == rhs)
+            if ok:
+                ff = K.ff
+                lin = (_frob_mat(ff, K.desc.a) - _mult_mat(ff, a0)) % ff.p
+                ok = kernels.solve_mod_p(lin.tolist(), list(rhs.c), ff.p) is None
+            _check(checks, "solve: unsolvable coefficient equation", ok)
+        else:
+            _check(checks, f"solve: unknown reason {reason}", False)
+    else:
+        _check(checks, "solve: inconclusive makes no claim", True)
+
+
+def _replay_tate(inp, result, checks):
+    if "tate" not in result:
+        _check(checks, "tate: no certificate claimed", True)
+        return
+    M = jsonio.parse_isocrystal(inp)
+    tate_doc = result["tate"]
+    N = int(tate_doc["z_precision"])
+    e = int(tate_doc["extension"])
+    r = M.rank
+    K = M.K
+    L = K.extend(e)
+    BL = zmatrix.lift(_parse_matrix(K, tate_doc["twist"]), L)
+    mb = _parse_matrix(L, tate_doc["module_basis"])
+
+    def agree(got, want):
+        return all(g.truncate(N).agrees_with(w.truncate(N))
+                   for g, w in zip(got, want))
+
+    _check(checks, "tate: module generators are fixed",
+           all(agree(zmatrix.matvec(BL, [s.sigma(1) for s in vec]), vec)
+               for vec in mb), extension=e)
+    # freeness: the p-span of z^n g^t mb_i must have full dimension r N a,
+    # where g generates the q-element coefficient field over the prime field
+    ff = L.ff
+    p, nL = ff.p, ff.n
+    aq = K.desc.a
+    gen = fq_generator(L, aq)
+    rows = []
+    for vec in mb:
+        scaled = vec
+        for _ in range(aq):
+            for n in range(N):
+                probe = [s.shift(n).truncate(N) for s in scaled]
+                rows.append(_vec_coords(probe, N, nL))
+            scaled = [s.scale(gen) for s in scaled]
+    full = len(kernels.rref_mod_p(rows, p)[1]) == r * N * aq
+    _check(checks, "tate: span has full free-module dimension", full,
+           dimension=r * N * aq)
+    F = _parse_matrix(K, tate_doc["frobenius"])
+    dv = zmatrix.det(F).valuation()
+    _check(checks, "tate: frobenius determinant is a unit", dv == 0)
+    # column j of the action: Frob(mb_j) == sum_i mb_i F[i][j]
+    act = zmatrix.mul(zmatrix.transpose(mb), zmatrix.lift(F, L))
+    kpow = aq * K.desc.m * K.ext
+    _check(checks, "tate: frobenius matrix reproduces the action",
+           all(agree([row[j] for row in act],
+                     [_series_frob(s, kpow) for s in mb[j]])
+               for j in range(r)))
+
+
+def _replay_weil(inp, result, checks):
+    """Re-substitute the conjugator u, then recompute the whole Weil block
+    from u and compare renderings."""
+    if "weil" not in result:
+        _check(checks, "weil: no certificate claimed", True)
+        return
+    E = jsonio.parse_drinfeld(inp)
+    claimed = dict(result["weil"])
+    L = E.K.extend(int(claimed["extension"]))
+    u = jsonio.parse_skewlaurent(L, claimed["conjugator"])
+    _check(checks, "weil: conjugator re-substitutes",
+           conjugator_resubstitutes(E, u))
+    k_max = len(claimed["table"])
+    # an empty table is no evidence, and recomputes to nothing
+    got = jsonio.render(weil_table(E, u, k_max)) if k_max else {}
+    commutes = got.pop("commutes_with_iota", None)
+    claimed_commutes = claimed.pop("commutes_with_iota")
+    _check(checks, "weil: table is linear and admissible", got == claimed)
+    _check(checks, "weil: commutes with the twist", commutes == claimed_commutes)
+
+
+REGISTRY = {
+    "analyze": (_analyze_verdict, _replay_analyze),
+    "isocrystal purity": (_purity_verdict, _replay_isocrystal_purity),
+    "tate": (_tate_verdict, _replay_tate),
+    "isocrystal tate": (_tate_verdict, _replay_tate),
+    "weil": (_weil_verdict, _replay_weil),
+    "solve": (itemgetter("verdict"), _replay_solve),
+}
+
+
+def verdict_of(command, result):
+    """The verdict `result` implies; "ok" for kinds without a replay."""
+    entry = REGISTRY.get(command)
+    return entry[0](result) if entry else "ok"
+
+
+def verify_report(doc):
+    """Replay every claim of a report; the list of checks."""
+    cmd = doc.get("command", "")
+    checks = []
+    entry = REGISTRY.get(cmd)
+    if entry is None:
+        _check(checks, f"no replay defined for {cmd!r}", False)
+        return checks
+    verdict, replay = entry
+    result = doc.get("result", {})
+    try:
+        replay(doc.get("input"), result, checks)
+    except PrecisionLoss as exc:
+        _check(checks, "replay: the report's windows cover its claims", False,
+               detail=str(exc))
+    expected = verdict(result)
+    if doc.get("verdict") != expected:
+        _check(checks, "verdict: the report's verdict matches its result", False,
+               claimed=doc.get("verdict"), expected=expected)
+    return checks

@@ -28,17 +28,6 @@ def dims(A):
     return len(A), len(A[0]) if A else 0
 
 
-def add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-def sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def neg(A):
-    return [[-a for a in row] for row in A]
-
-
 def mul(A, B):
     n, k = dims(A)
     k2, m = dims(B)
@@ -58,11 +47,6 @@ def mul(A, B):
 
 def matvec(A, v):
     return [col[0] for col in mul(A, [[x] for x in v])]
-
-
-def scale(A, s):
-    """Entrywise product with a ZSeries scalar."""
-    return [[s * a for a in row] for row in A]
 
 
 def sigma(A, k=1):
@@ -146,10 +130,6 @@ def agrees(A, B):
     if (n, m) != (n2, m2):
         return False
     return all(a.agrees_with(b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def truncate(A, hi):
-    return [[a.truncate(hi) for a in row] for row in A]
 
 
 def inv(A, prec=None):

@@ -91,9 +91,6 @@ class ZSeries(Series):
     def known_nonzero(self):
         return any(self.K.known_nonzero(c) for c in self.co.values())
 
-    def leading(self):
-        return self.coeff(self.valuation())
-
     def shift(self, n):
         """Multiply by z^n."""
         hi = self.hi if self.hi is INF else self.hi + n

@@ -430,6 +430,18 @@ class TestWeil:
         assert all(c["ok"] for c in weil_checks)
 
 
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_k_max_below_one_is_input_error(self, k_max):
+        # no row of the table would be computed, so there is no evidence
+        # for admissibility
+        F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
+        carlitz = DrinfeldModule(F3, [F3.one(), F3.one()])
+        code, doc = run_json(["weil", "--prec-tau", "8", "--ext-max", "9",
+                              "--k-max", k_max,
+                              "--input", jsonio.dump_canonical(carlitz)])
+        assert code == 2 and doc["error"] == "InputError"
+
+
 class TestTate:
     def test_unit_twist_report_and_replay(self):
         M = unit(F9F.field(), 2)

@@ -28,6 +28,7 @@ from taumod.tateweil import (
     iota_conjugator,
     isocrystal_of_formal,
     tate_slope0,
+    weil_table,
     weil_valuation,
 )
 from taumod.zseries import INF, ZSeries
@@ -284,6 +285,15 @@ class TestWeilValuation:
         assert w.rho_valuation == Fraction(-1)
         assert w.admissible
         assert w.extension == 8
+
+    def test_table_from_the_conjugator_alone(self):
+        E = DrinfeldModule(F9, [F9.el(0), F9.gen()])
+        w = weil_valuation(E, N=12, e_max=8, k_max=3)
+        assert weil_table(E, iota_conjugator(E, N=12).u, 3) == w
+        with pytest.raises(InputError):
+            weil_table(E, w.conjugator, 0)
+        with pytest.raises(InputError):
+            weil_valuation(E, N=12, e_max=8, k_max=-1)
 
     def test_isomorphism_invariance(self):
         # conjugating phi by a constant c scales g_i by c^{q^i - 1} and

@@ -1,0 +1,294 @@
+"""`taumod verify` refutes tampered certificates of every report kind.
+
+Every command in `verify.REGISTRY` has one cheap honest report below,
+and `CERTIFIED` lists the JSON paths of each report whose values the
+replay re-derives. Changing any leaf under a certified path, with its
+JSON shape kept, must be refused: exit 4, or exit 2 where the parser
+rejects the value.
+"""
+
+import contextlib
+import functools
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taumod import corpusgen, jsonio
+from taumod.basefield import FieldDescriptor
+from taumod.cli import main
+from taumod.drinfeld import DrinfeldModule
+from taumod.isocrystal import Isocrystal, simple_pure
+from taumod.verify import REGISTRY
+from taumod.zseries import INF, ZSeries
+
+F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
+F3F = FieldDescriptor(p=3, a=1, m=1, kind="finite")
+F4F = FieldDescriptor(p=2, a=2, m=1, kind="finite")
+F9F = FieldDescriptor(p=3, a=2, m=1, kind="finite")
+F9M2 = FieldDescriptor(p=3, a=1, m=2, kind="finite")
+
+
+def run_json(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+def verify(doc):
+    return run_json(["verify", "--input", json.dumps(doc)])
+
+
+def solve_side(K, x):
+    return json.dumps({"base": jsonio.render_field(K), "value": jsonio.render(x)})
+
+
+def local_module():
+    K = F3L.field()
+    return DrinfeldModule(K, [K.zeta(), K.el(1), K.el(1) + K.zeta(1)])
+
+
+def _honest_argv(command):
+    K3, K4, K9, K9m2 = F3L.field(), F4F.field(), F9F.field(), F9M2.field()
+    if command == "analyze":
+        return ["analyze", "--input", jsonio.dump_canonical(local_module())]
+    if command == "isocrystal purity":
+        return ["isocrystal", "purity", "--s", "-1", "--r", "2",
+                "--input", jsonio.dump_canonical(simple_pure(K9, -1, 2))]
+    if command == "tate":
+        K = F3F.field()
+        g = ZSeries(K, {0: K.gen()}, INF)
+        M = Isocrystal(K, [[ZSeries.zero(K), ZSeries.one(K)], [g, ZSeries.zero(K)]])
+        return ["tate", "--input", jsonio.dump_canonical(M)]
+    if command == "isocrystal tate":
+        M = Isocrystal(K4, [[ZSeries(K4, {0: K4.gen()}, INF)]])
+        return ["isocrystal", "tate", "--input", jsonio.dump_canonical(M)]
+    if command == "weil":
+        E = DrinfeldModule(K9m2, [K9m2.zero(), K9m2.gen()])
+        return ["weil", "--prec-tau", "12", "--input", jsonio.dump_canonical(E)]
+    if command == "solve":
+        a, b = ZSeries.z(K3, -1), ZSeries(K3, {-1: -K3.zeta(-1)})
+        return ["solve", "--ring", "BK", "--prec-z", "6",
+                "--a", solve_side(K3, a), "--b", solve_side(K3, b)]
+    raise KeyError(f"no honest report for {command!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def honest(command):
+    code, doc = run_json(_honest_argv(command))
+    assert code == 0
+    return json.dumps(doc)
+
+
+_PURITY = [("s",), ("r",), ("lattice", "basis"), ("lattice", "pivots")]
+_TATE = [("result", "tate", key) for key in ("twist", "module_basis", "frobenius")]
+
+# Paths whose every leaf the replay re-derives. Left out: descriptive
+# strings, search trivia (iteration counts, residue pivots), echoes of
+# the input, claims that only get weaker when changed (a smaller
+# precision, a larger extension), and what no replay re-derives yet
+# (the tate lattice, the membership and growth blocks of solve).
+CERTIFIED = {
+    "analyze": [("verdict",), ("result", "reduction"),
+                ("result", "crosscheck", "verdict"),
+                ("result", "crosscheck", "reduction"),
+                ("result", "crosscheck", "model_verify")]
+    + [("result", "infinity_purity") + p for p in _PURITY],
+    "isocrystal purity": [("verdict",)]
+    + [("result", "certificate") + p for p in _PURITY],
+    "tate": [("verdict",)] + _TATE,
+    "isocrystal tate": [("verdict",)] + _TATE,
+    "weil": [("verdict",), ("result", "weil")],
+    "solve": [("verdict",), ("result", "verdict"), ("result", "x", "z_coeffs")],
+}
+
+_WORDS = ["ok", "pure", "not_pure", "inconclusive", "budget_exhausted",
+          "admissible", "not_admissible", "solution", "no_solution", "agree",
+          "agree_after_extension", "obstruction_recorded", "Good", "Stable",
+          "PotentiallyGood", "AK", "BOK", "Bbar", "BK", "yes", "no"]
+
+
+def _leaves(node, path):
+    """(path, value) of every int, bool and str leaf under node, windows
+    left out: a window's lower end restates the lowest exponent, and a
+    replay reads each series only below the precision its certificate
+    names."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            if key != "window":
+                yield from _leaves(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _leaves(val, path + (i,))
+    elif node is not None:
+        yield path, node
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutations(value):
+    """Changes of a leaf that keep its JSON type; an integer moves by one,
+    which also changes it as a residue mod p."""
+    if isinstance(value, bool):
+        return st.just(not value)
+    if isinstance(value, int):
+        return st.sampled_from([value + 1, value - 1])
+    return st.sampled_from([w for w in _WORDS if w != value] + [value + "x"])
+
+
+def test_every_registry_command_has_certified_paths():
+    assert set(CERTIFIED) == set(REGISTRY)
+
+
+@pytest.mark.parametrize("command", sorted(REGISTRY))
+def test_honest_report_verifies(command):
+    code, vr = verify(json.loads(honest(command)))
+    assert code == 0 and vr["verdict"] == "ok"
+    assert all(c["ok"] for c in vr["checks"])
+
+
+@pytest.mark.parametrize("command", sorted(REGISTRY))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tampered_certified_leaf_is_refused(command, data):
+    doc = json.loads(honest(command))
+    leaves = [leaf for path in CERTIFIED[command]
+              for leaf in _leaves(_at(doc, path), path)]
+    path, value = data.draw(st.sampled_from(leaves))
+    forged = data.draw(_mutations(value))
+    _at(doc, path[:-1])[path[-1]] = forged
+    code, vr = verify(doc)
+    assert code in (2, 4), (path, value, forged, vr)
+
+
+# -- weil ---------------------------------------------------------------------
+
+
+def _weil_rank2():
+    # phi_t = tau^2 over F_3: the conjugator is 1, lam = -1/2
+    K = F3F.field()
+    E = DrinfeldModule(K, [K.zero(), K.zero(), K.one()])
+    code, doc = run_json(["weil", "--input", jsonio.dump_canonical(E)])
+    assert code == 0 and doc["result"]["weil"]["lam"] == [-1, 2]
+    return doc
+
+
+def test_weil_forged_not_admissible_is_refused():
+    doc = _weil_rank2()
+    doc["result"]["weil"]["admissible"] = False
+    doc["verdict"] = "not_admissible"
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "weil: table is linear and admissible"]
+
+
+def test_weil_forged_valuations_are_refused():
+    doc = _weil_rank2()
+    for row in doc["result"]["weil"]["table"]:
+        row["v_tauinv"] = -3 * row["k"]
+    code, _ = verify(doc)
+    assert code == 4
+
+
+def test_weil_forged_lambda_with_rescaled_valuations_is_refused():
+    doc = _weil_rank2()
+    wd = doc["result"]["weil"]
+    wd["lam"] = [-1, 1]
+    for row in wd["table"]:
+        row["v_D"] = [-row["ord"], 1]
+        row["v_tauinv"] = -2 * row["ord"]
+    wd["rho_valuation"] = wd["table"][0]["v_D"]
+    code, _ = verify(doc)
+    assert code == 4
+
+
+def test_weil_empty_table_is_refused():
+    doc = _weil_rank2()
+    doc["result"]["weil"]["table"] = []
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "weil: table is linear and admissible", "weil: commutes with the twist"]
+
+
+# -- analyze crosscheck ---------------------------------------------------------
+
+_VALUED = dict(corpusgen.valued_corpus(0))
+_CROSSCHECK = ["agree", "agree_after_extension", "obstruction_recorded"]
+
+
+def _analyze(E):
+    code, doc = run_json(["analyze", "--input", jsonio.dump_canonical(E)])
+    assert code == 0
+    return doc
+
+
+@pytest.mark.parametrize("name", ["local", "dm-val-good-06", "dm-val-stable-00",
+                                  "dm-val-potentiallygood-13"])
+def test_crosscheck_verdict_tamper_is_refused(name):
+    doc = _analyze(local_module() if name == "local" else _VALUED[name])
+    code, vr = verify(doc)
+    assert code == 0
+    assert "crosscheck: verdict and data follow from the reduction" in [
+        c["name"] for c in vr["checks"]]
+    honest_verdict = doc["result"]["crosscheck"]["verdict"]
+    for forged in _CROSSCHECK:
+        if forged != honest_verdict:
+            doc["result"]["crosscheck"]["verdict"] = forged
+            code, vr = verify(doc)
+            assert code == 4
+            assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+                "crosscheck: verdict and data follow from the reduction"]
+
+
+def test_reduction_verdict_tamper_is_refused():
+    doc = _analyze(local_module())
+    doc["result"]["reduction"]["verdict"] = "Stable"
+    code, vr = verify(doc)
+    assert code == 4
+    assert "reduction: valuation table re-evaluates" in [
+        c["name"] for c in vr["checks"] if not c["ok"]]
+
+
+# -- solve ----------------------------------------------------------------------
+
+
+def test_forged_qth_root_missing_is_refused():
+    # sigma(x) = z x + (zeta^3 - zeta z) has the exact solution x = zeta;
+    # zeta has no cube root, but it is not the rhs the recursion meets
+    K = F3L.field()
+    a = ZSeries.z(K)
+    b = ZSeries(K, {0: K.zeta(3), 1: -K.zeta()})
+    code, doc = run_json(["solve", "--ring", "BK", "--prec-z", "4",
+                          "--a", solve_side(K, a), "--b", solve_side(K, b)])
+    assert code == 0 and doc["verdict"] == "solution"
+    doc["verdict"] = "no_solution"
+    doc["result"] = {
+        "kind": "solve_outcome", "verdict": "no_solution", "ring": "BK",
+        "requested_precision": 4, "reason": "QthRootMissing",
+        "witness": {"z_exponent": 0, "rhs": jsonio.render(K.zeta())},
+    }
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"]] == ["solve: missing q-th root re-check"]
+
+
+def test_honest_qth_root_missing_replays():
+    name, payload = corpusgen.counterexample_problems()[3]
+    assert name == "solve-affine-bk"
+    _, doc = run_json([
+        "solve", "--ring", payload["ring"], "--prec-z", str(payload["prec"]),
+        "--a", json.dumps({"base": payload["base"], "value": payload["a"]}),
+        "--b", json.dumps({"base": payload["base"], "value": payload["b"]})])
+    assert doc["result"]["reason"] == "QthRootMissing"
+    assert verify(doc)[0] == 0
+    doc["result"]["witness"]["z_exponent"] += 1
+    assert verify(doc)[0] == 4
