@@ -8,7 +8,8 @@ Runs in one process through `taumod.cli.main` and prints one
   * `corpus --jobs 1` on each of those corpora;
   * every compute report, and the `verify` report of every request the
     plan verifies, of the `rank` and `tower` plans at seed 1 of
-    `perfbench/inputs.py`.
+    `perfbench/inputs.py`;
+  * the requests of `RERUNS` again with extra flags, and their `verify`.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -29,6 +30,10 @@ from taumod.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = range(6)
 PLANS = (("rank", 1), ("tower", 1))
+# request name -> extra flags. `weil-f9-g01` runs out of degrees at the
+# default `--ext-max 8`; at 9 it succeeds, the first success path whose
+# conjugator lives in a field above `basefield.TABLE_LIMIT`.
+RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
 
 
 def _sha(data):
@@ -74,11 +79,17 @@ def _plan_lines(work, workload, seed):
     cwd = os.getcwd()
     os.chdir(d)
     try:
+        runs = []
         for req in json.loads((d / "plan.json").read_text()):
             label = f"{workload}{seed}/{req['name']}"
-            code, out = _run(req["argv"])
+            runs.append((label, req["argv"], req["verify"]))
+            if req["name"] in RERUNS:
+                extra = RERUNS[req["name"]]
+                runs.append((f"{label} {' '.join(extra)}", req["argv"] + extra, True))
+        for label, argv, verify in runs:
+            code, out = _run(argv)
             lines.append((_sha(out.encode()), f"{label} [exit {code}]"))
-            if req["verify"]:
+            if verify:
                 code, vout = _run(["verify", "--input", out])
                 lines.append((_sha(vout.encode()), f"{label}.verify [exit {code}]"))
     finally:

@@ -14,7 +14,9 @@ Two kinds of base field K appear throughout:
 Extension sweeps replace F_{q^m} by F_{q^{m*e}}; all cross-field
 arithmetic coerces along the canonical embeddings, which are computed
 deterministically (canonical modulus, canonical root choice) so results
-never depend on iteration order or interpreter hash state.
+never depend on iteration order or interpreter hash state. A sweep
+decides a candidate degree on `FpExtension`, the F_p-linear data of the
+extension, before it builds the field itself.
 
 sigma always means the q-power Frobenius, acting coefficientwise on
 Laurent series and scaling zeta-exponents by q.
@@ -58,7 +60,8 @@ def _factor(n):
 
 
 # ---------------------------------------------------------------------------
-# canonical moduli (F_p polynomial arithmetic lives in `kernels`)
+# canonical moduli and F_p-linear maps (F_p polynomial arithmetic lives in
+# `kernels`)
 
 
 def _is_irreducible(coeffs, p):
@@ -68,21 +71,53 @@ def _is_irreducible(coeffs, p):
     every factor of degree dividing n) and, by Berlekamp's criterion,
     the fixed space of y -> y^p on F_p[X]/(f) is F_p alone: the
     nullspace of Q - I, with column j of Q the coordinates of X^(p*j),
-    has dimension 1 (its dimension counts the distinct factors).
+    has dimension 1 (its dimension counts the distinct factors). Both
+    tests run on Q: X^(p^n) is Q^n applied to X.
     """
     n = len(coeffs) - 1
     if n == 1:
         return True
-    mod = tuple(coeffs)
-    x = tuple([0, 1] + [0] * (n - 2))
-    if kernels.polypowmod(x, p**n, mod, p) != x:
+    Q = _frobenius_columns(tuple(coeffs), p)
+    v = x = np.eye(n, dtype=np.int64)[1]
+    for _ in range(n):
+        v = Q.dot(v) % p
+    if v.tolist() != x.tolist():
         return False
-    xp = kernels.polypowmod(x, p, mod, p)
-    cols = [tuple([1] + [0] * (n - 1))]
-    for _ in range(n - 1):
-        cols.append(kernels.polymulmod(cols[-1], xp, mod, p))
-    q_minus_i = (np.array(cols, dtype=np.int64).T - np.eye(n, dtype=np.int64)) % p
+    q_minus_i = (Q - np.eye(n, dtype=np.int64)) % p
     return len(kernels.nullspace_mod_p(q_minus_i.tolist(), n, p)) == 1
+
+
+def _companion(mod, p):
+    """F_p matrix of y -> X*y on F_p[X]/(mod), mod monic of degree n:
+    X^j -> X^(j+1), and X^(n-1) -> X^n = -(mod without its top term)."""
+    n = len(mod) - 1
+    C = np.zeros((n, n), dtype=np.int64)
+    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, -1] = [-c % p for c in mod[:n]]
+    return C
+
+
+def _orbit_columns(M, v, p):
+    """The matrix with columns v, M v, ..., M^(n-1) v mod p."""
+    cols = [np.asarray(v, dtype=np.int64)]
+    for _ in range(M.shape[0] - 1):
+        cols.append(M.dot(cols[-1]) % p)
+    return np.array(cols).T
+
+
+def _frobenius_columns(mod, p):
+    """F_p matrix of y -> y^p on F_p[X]/(mod): column j is X^(p*j), the
+    orbit of 1 under multiplication by X^p."""
+    n = len(mod) - 1
+    sq = _companion(mod, p)  # multiplication by X^(2^i)
+    xp = np.eye(n, dtype=np.int64)  # multiplication by X^p
+    e = p
+    while e:
+        if e & 1:
+            xp = xp.dot(sq) % p
+        sq = sq.dot(sq) % p
+        e >>= 1
+    return _orbit_columns(xp, np.eye(n, dtype=np.int64)[0], p)
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +141,38 @@ def _find_modulus(p, n):
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible found")
+
+
+def frobenius_power(p, n, k):
+    """Read-only F_p matrix of y -> y^(p^k) on F_{p^n} in the power basis
+    of the canonical modulus, for any integer k."""
+    return _frobenius_power(p, n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _frobenius_power(p, n, k):
+    """frobenius_power for 0 <= k < n, built from the matrix of y -> y^p."""
+    if k == 0:
+        out = np.eye(n, dtype=np.int64)
+    elif k == 1:
+        out = _frobenius_columns(_find_modulus(p, n), p)
+    else:
+        out = _frobenius_power(p, n, k - 1) @ _frobenius_power(p, n, 1) % p
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _canonical_companion(p, n):
+    out = _companion(_find_modulus(p, n), p)
+    out.flags.writeable = False
+    return out
+
+
+def mult_matrix(p, n, y):
+    """F_p matrix of multiplication by y (coefficient tuple) on F_{p^n} in
+    the power basis of the canonical modulus: column j is y * X^j."""
+    return _orbit_columns(_canonical_companion(p, n), y, p)
 
 
 def _power_table(M, order, p):
@@ -141,7 +208,8 @@ class FF:
     Elements are coefficient tuples of length n (low-to-high in the
     residue of X). Fields with at most 2^16 elements carry discrete-log
     tables, making mul/inv/frobenius O(1); larger fields fall back to the
-    kernel polynomial arithmetic.
+    kernel polynomial arithmetic, and apply Frobenius powers as the
+    cached F_p matrices of `frobenius_power`.
 
     The tables hang off the canonical generator `gen`, the encoding-least
     element of order p^n - 1. The exp table is filled by doubling
@@ -176,10 +244,7 @@ class FF:
             ):
                 gen = cand
                 break
-        # column j of the F_p matrix of y -> gen*y is gen * X^j
-        cols = [kernels.polymulmod(gen, self._dec(self.p**j), self.modulus, self.p)
-                for j in range(self.n)]
-        table = _power_table(np.array(cols, dtype=np.int64).T, order, self.p)
+        table = _power_table(mult_matrix(self.p, self.n, gen), order, self.p)
         exp = []
         for lo in range(0, order, _TABLE_CHUNK):
             exp.extend(map(tuple, table[lo : lo + _TABLE_CHUNK].tolist()))
@@ -256,11 +321,16 @@ class FF:
         return self._pow_raw(x, e)
 
     def frob_raw(self, x, k):
-        """x^(p^k), any integer k (k < 0 takes p-power roots)."""
+        """x^(p^k), any integer k (k < 0 takes p-power roots): through
+        the log table when there is one, else one product with the
+        cached F_p matrix of the map."""
         k %= self.n
         if k == 0:
             return x
-        return self.pow_raw(x, self.p**k)
+        if self._log is not None:
+            return self.pow_raw(x, self.p**k)
+        img = frobenius_power(self.p, self.n, k) @ np.array(x, dtype=np.int64)
+        return tuple((img % self.p).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -385,12 +455,13 @@ def _pdivmod(a, b, big):
     """Quotient and remainder of a by b (b nonzero, leading term nonzero)."""
     r = list(a)
     db = len(b) - 1
-    inv = b[-1].inv()
+    # a monic b (every Cantor-Zassenhaus modulus) needs no inverse
+    inv = None if b[-1].c == big.one.c else b[-1].inv()
     q = [big.zero] * max(len(r) - db, 0)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
         if not c.is_zero():
-            f = c * inv
+            f = c if inv is None else c * inv
             q[i - db] = f
             # r[i] itself is cancelled and never read again
             for j in range(db):
@@ -471,14 +542,16 @@ def _embedding_powers(p, n_small, n_big):
 
     r is the encoding-least root of the small canonical modulus. The
     roots of an irreducible modulus form one p-Frobenius orbit, so one
-    Cantor-Zassenhaus root (seeded per field pair) determines them all,
-    and r is the encoding-least element of its orbit whatever root the
-    search happened to find. The same path serves every field size.
+    root determines them all, and r is the encoding-least element of its
+    orbit whatever root was found first. That one is the image of X
+    under the embedding of `FpExtension`, which the extension sweeps
+    have usually built already. The same path serves every field size.
     """
     small = get_field(p, n_small)
     big = get_field(p, n_big)
-    rng = random.Random(f"embed:{p}:{n_small}:{n_big}")
-    r0 = _one_root([big.el(c) for c in small.modulus], big, rng)
+    if n_small == 1:
+        return (big.one,)
+    r0 = big.el(fp_extension(p, n_small, n_big).image(small.el([0, 1])).tolist())
     orbit = [r0]
     cur = r0.frob()
     while cur.c != r0.c:
@@ -489,6 +562,70 @@ def _embedding_powers(p, n_small, n_big):
     for _ in range(n_small - 1):
         powers.append(powers[-1] * root)
     return tuple(powers)
+
+
+class FpExtension:
+    """F_{p^n} over a built field `small` = F_{p^k} (k | n) as F_p-linear
+    data only, in the power basis of the canonical modulus: the matrices
+    of the Frobenius powers (`frobenius_power`) and of multiplication by
+    the image of an element of `small` under one embedding. It builds no
+    FF, no log table and no element of the big field.
+
+    The embedding is not the canonical one. A generator v of the subfield
+    ker(y^(p^k) - y) has a minimal polynomial mu of degree k over F_p, a
+    root rho of mu in `small` comes from Cantor-Zassenhaus there, and
+    h(rho) -> h(v) is the embedding. Any two embeddings differ by a
+    Frobenius power, which maps the solutions of a Frobenius-semilinear
+    system with coefficients from `small` onto those of the same system
+    under the other embedding; so the dimensions these matrices decide
+    are those of the canonical field.
+    """
+
+    def __init__(self, small, n):
+        p, k = small.p, small.n
+        self.p, self.n = p, n
+        sub = np.array(kernels.nullspace_mod_p(
+            ((frobenius_power(p, n, k) - np.eye(n, dtype=np.int64)) % p).tolist(),
+            n, p), dtype=np.int64)
+        rng = random.Random(f"fpext:{p}:{k}:{n}")
+        while True:
+            mv = mult_matrix(p, n, np.array([rng.randrange(p) for _ in sub]) @ sub % p)
+            pows = [np.eye(n, dtype=np.int64)[0]]
+            for _ in range(k):
+                pows.append(mv @ pows[-1] % p)
+            if len(kernels.rref_mod_p([w.tolist() for w in pows[:k]], p)[1]) == k:
+                break
+        V = np.array(pows[:k]).T
+        low = kernels.solve_mod_p(V.tolist(), pows[k].tolist(), p)
+        rho = _one_root([small.el(-c) for c in low] + [small.one], small, rng)
+        R = [small.one.c]
+        for _ in range(k - 1):
+            R.append(small.mul_raw(R[-1], rho.c))
+        R = np.array(R, dtype=np.int64).T.tolist()
+        # row t: the image of X^t, that is h_t(v) for the h_t with
+        # h_t(rho) = X^t
+        self._emb = np.array([kernels.solve_mod_p(R, [int(i == t) for i in range(k)], p)
+                              for t in range(k)], dtype=np.int64) @ V.T % p
+        self._base = np.array([mult_matrix(p, n, w) for w in self._emb])
+
+    def frob(self, k):
+        """Matrix of y -> y^(p^k)."""
+        return frobenius_power(self.p, self.n, k)
+
+    def image(self, x):
+        """Coordinates of the image of x, a Felt of `small`."""
+        return np.array(x.c, dtype=np.int64) @ self._emb % self.p
+
+    def base_mult(self, x):
+        """Matrix of multiplication by the image of x, a Felt of `small`:
+        the images of the powers of X, multiplied out once, combined."""
+        return np.tensordot(np.array(x.c, dtype=np.int64), self._base, 1) % self.p
+
+
+@lru_cache(maxsize=None)
+def fp_extension(p, k, n):
+    """The FpExtension F_{p^n} over F_{p^k}."""
+    return FpExtension(get_field(p, k), n)
 
 
 def coerce_into(x, big):

@@ -5,14 +5,19 @@ This is the one kernel lane; `BACKEND` names it so the bench and the
 benchmark can label their output. Matrix elimination leans on numpy:
 each pivot updates, mod p, only the rows that are nonzero in its column
 and only the columns from it on, which gives the same pivots and output
-as full-width Gauss-Jordan. The polynomial routines are plain loops
-and the package's only F_p polynomial arithmetic. They serve the cold
-path and fields above `basefield.TABLE_LIMIT`: the irreducibility test
-of the modulus search (X^(p^n) mod f, then the Berlekamp matrix of
-y -> y^p, whose nullspace it takes here), the generator search, and
-arithmetic in large fields. Smaller fields multiply through log tables,
-which `basefield` fills by doubling with numpy matrix products, not one
-`polymulmod` per element.
+as full-width Gauss-Jordan. `extend_kernel` solves a block
+lower-triangular system one level at a time, which is how the extension
+sweeps of `tateweil` decide a degree before building its field.
+
+The polynomial routines are plain loops and the package's only F_p
+polynomial arithmetic. They serve the generator search of the log
+tables and the multiplication, inversion and powers in fields above
+`basefield.TABLE_LIMIT`. Everything F_p-linear on a field goes through
+matrices instead: the modulus search tests irreducibility on the matrix
+of y -> y^p (its n-th power fixes X, and its Berlekamp nullspace is
+taken here), large fields apply Frobenius powers as cached matrices,
+and smaller fields multiply through log tables, which `basefield`
+fills by doubling with numpy matrix products.
 """
 
 import numpy as np
@@ -99,14 +104,12 @@ def nullspace_mod_p(mat, ncols, p):
     R, pivots = rref_mod_p(mat, p)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-R[r][f]) % p
-        basis.append(v)
-    return basis
+    # row i: 1 at free column free[i], minus that column of R at the pivots
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if pivots and free:
+        basis[:, pivots] = -np.array(R, dtype=np.int64)[: len(pivots)][:, free].T % p
+    return basis.tolist()
 
 
 def solve_mod_p(mat, rhs, p):
@@ -125,3 +128,20 @@ def solve_mod_p(mat, rhs, p):
     for r, c in enumerate(pivots):
         v[c] = R[r][ncols] % p
     return v
+
+
+def extend_kernel(rows, coupling, diag, p):
+    """One more level of a block lower-triangular homogeneous system.
+
+    rows: k x D array whose rows are a basis of the solutions s of the
+    levels so far. The new level's equations are coupling @ s + diag @ x
+    = 0 in s and the new unknowns x. Returns an array whose rows are a
+    basis of the solutions (s, x) of all levels; start from a 0 x 0
+    array, the basis of the one solution of no equations.
+    """
+    k = rows.shape[0]
+    d = diag.shape[1]
+    A = np.hstack([coupling @ rows.T % p, diag % p])
+    ker = np.array(nullspace_mod_p(A.tolist(), k + d, p),
+                   dtype=np.int64).reshape(-1, k + d)
+    return np.hstack([ker[:, :k] @ rows % p, ker[:, k:]])

@@ -25,7 +25,14 @@ from fractions import Fraction
 import numpy as np
 
 from taumod import kernels
-from taumod.basefield import Felt, coerce_into, get_field
+from taumod.basefield import (
+    Felt,
+    coerce_into,
+    fp_extension,
+    frobenius_power,
+    get_field,
+    mult_matrix,
+)
 from taumod.errors import (
     InputError,
     InvariantError,
@@ -355,7 +362,7 @@ def _solve_additive(a, b, tag, N):
     # constant a: equations decouple per z-exponent
     ff = K.ff
     p = ff.p
-    Q = _frob_mat(ff, K.desc.a)
+    Q = frobenius_power(p, ff.n, K.desc.a)
     M = _mult_mat(ff, a0)
     Lmat = (Q - M) % p
     ker = kernels.nullspace_mod_p(Lmat.tolist(), ff.n, p)
@@ -416,7 +423,7 @@ def _solve_additive_window(a, b, tag, N):
     idx = {n: i for i, n in enumerate(range(lo, n_hi))}
     nn = len(idx)
     nL = ff.n
-    Q = _frob_mat(ff, K.desc.a)
+    Q = frobenius_power(p, ff.n, K.desc.a)
     big = np.zeros((nn * nL, nn * nL), dtype=np.int64)
     rhs = np.zeros(nn * nL, dtype=np.int64)
     for n, i in idx.items():
@@ -453,24 +460,7 @@ def _solve_additive_window(a, b, tag, N):
 def _mult_mat(ff, alpha):
     """n x n matrix over F_p of y -> alpha*y on ff, columns = images of
     the power basis."""
-    n = ff.n
-    out = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        basis = tuple(1 if t == j else 0 for t in range(n))
-        img = ff.mul_raw(alpha.c if isinstance(alpha, Felt) else alpha, basis)
-        out[:, j] = img
-    return out
-
-
-def _frob_mat(ff, k):
-    """n x n matrix over F_p of y -> y^{p^k} on ff."""
-    n = ff.n
-    out = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        basis = tuple(1 if t == j else 0 for t in range(n))
-        img = ff.frob_raw(basis, k)
-        out[:, j] = img
-    return out
+    return mult_matrix(ff.p, ff.n, alpha.c if isinstance(alpha, Felt) else alpha)
 
 
 def _vec_coords(vec, N, nL):
@@ -510,6 +500,30 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
     defect map is F_q-linear (not L-linear); the returned basis is over
     F_q, found inside the exact F_p-kernel.
     """
+    K, r, terms = _fixed_space_terms(A, N, require_unit)
+    L = K.extend(e)
+    ff = L.ff
+    p, nL = ff.p, ff.n
+    Q = frobenius_power(p, nL, K.desc.a)
+    dim = r * N * nL
+    big = np.zeros((dim, dim), dtype=np.int64)
+    for i, j, k, c in terms:
+        T = (_mult_mat(ff, L.el(c)) @ Q) % p
+        for l in range(N - k):
+            n = l + k
+            rb = (i * N + n) * nL
+            cb = (j * N + l) * nL
+            big[rb : rb + nL, cb : cb + nL] += T
+    big -= np.eye(dim, dtype=np.int64)
+    big %= p
+    ker = kernels.nullspace_mod_p(big.tolist(), dim, p)
+    return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
+
+
+def _fixed_space_terms(A, N, require_unit=True):
+    """Check A for the fixed-point system at z-precision N; return
+    (K, r, terms) with one term (i, j, k, c) per coefficient c of z^k,
+    k < N, in A[i][j]."""
     K = A[0][0].K
     if K.kind != "finite":
         raise InputError("tau-fixed points are computed over finite bases")
@@ -518,12 +532,7 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
         raise InputError("square tau matrix required")
     if require_unit:
         _require_invertible_mod_z(A)
-    L = K.extend(e)
-    ff = L.ff
-    p, nL = ff.p, ff.n
-    Q = _frob_mat(ff, K.desc.a)
-    dim = r * N * nL
-    big = np.zeros((dim, dim), dtype=np.int64)
+    terms = []
     for i in range(r):
         for j in range(r):
             entry = A[i][j]
@@ -536,18 +545,43 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
             for k in entry.support():
                 if k < 0:
                     raise InputError("tau matrix must be over K[[z]] here")
-                if k >= N:
-                    continue
-                T = (_mult_mat(ff, L.el(entry.co[k])) @ Q) % p
-                for l in range(N - k):
-                    n = l + k
-                    rb = (i * N + n) * nL
-                    cb = (j * N + l) * nL
-                    big[rb : rb + nL, cb : cb + nL] += T
-    big -= np.eye(dim, dtype=np.int64)
-    big %= p
-    ker = kernels.nullspace_mod_p(big.tolist(), dim, p)
-    return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
+                if k < N:
+                    terms.append((i, j, k, entry.co[k]))
+    return K, r, terms
+
+
+def fixed_space_is_full(A, N, e):
+    """Whether tau_fixed_space(A, N, e) has F_q-dimension r*N, decided on
+    F_p-linear data alone (`basefield.FpExtension`), with no field built.
+
+    The system is block lower-triangular in the z-degree: level n reads
+    v_0 .. v_n. By Lang's theorem the fixed space at z-precision n has
+    F_q-dimension at most r*n, and r*N at precision N forces r*n at every
+    n <= N (the fixed points over the algebraic closure then are all
+    rational, and they surject onto each lower precision). So the levels
+    are solved one at a time, and the test stops at the first level that
+    falls short.
+    """
+    K, r, terms = _fixed_space_terms(A, N)
+    ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
+    p, w = ext.p, r * ext.n
+    Q = ext.frob(K.desc.a)
+    T = {}  # k -> matrix of the z^k terms of v -> A sigma(v) on one level
+    for i, j, k, c in terms:
+        blk = T.setdefault(k, np.zeros((w, w), dtype=np.int64))
+        blk[i * ext.n : (i + 1) * ext.n, j * ext.n : (j + 1) * ext.n] += (
+            ext.base_mult(c) @ Q)
+    diag = T.get(0, np.zeros((w, w), dtype=np.int64)) - np.eye(w, dtype=np.int64)
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for n in range(N):
+        coupling = np.zeros((w, n * w), dtype=np.int64)
+        for l in range(n):
+            if n - l in T:
+                coupling[:, l * w : (l + 1) * w] = T[n - l]
+        rows = kernels.extend_kernel(rows, coupling, diag, p)
+        if len(rows) < K.desc.a * r * (n + 1):
+            return False
+    return True
 
 
 def _require_invertible_mod_z(A):

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from taumod import kernels, zmatrix
+from taumod.basefield import fp_extension, frobenius_power
 from taumod.errors import ExtensionExhausted, InputError, InvariantError
 from taumod.isocrystal import (
     Inconclusive,
@@ -27,8 +28,8 @@ from taumod.isocrystal import (
     purity_check,
 )
 from taumod.semilinear import (
-    _frob_mat,
     _mult_mat,
+    fixed_space_is_full,
     frobenius_action,
     free_module_check,
     tau_fixed_space,
@@ -63,8 +64,14 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     sweeps coefficient extensions until the fixed points form a free
     F_q[[z]]/z^N-module of rank equal to the rank of M. The sweep is
     necessary: the integral form only trivializes after a finite
-    coefficient extension. Raises ExtensionExhausted when e_max does
-    not suffice; purity budget failures surface as Inconclusive.
+    coefficient extension. Each degree above 1 is first decided level by
+    level in z on F_p-linear data (`semilinear.fixed_space_is_full`: by
+    Lang's bound the fixed space must have F_q-dimension r*n at every
+    precision n), and only a degree that passes builds its field and
+    runs `tau_fixed_space` and `free_module_check` there; degree 1 is
+    the base field and runs them at once. Raises ExtensionExhausted when
+    e_max does not suffice; purity budget failures surface as
+    Inconclusive.
     """
     K = M.K
     if K.kind != "finite":
@@ -81,6 +88,9 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     B = conjugated_matrix(M, lat, prec=work)
     r = M.rank
     for e in range(1, e_max + 1):
+        # degree 1 is the base field itself: nothing to build
+        if e > 1 and not fixed_space_is_full(B, N, e):
+            continue
         basis = tau_fixed_space(B, N, e=e)
         if len(basis) != r * N:
             continue
@@ -221,7 +231,7 @@ def _conjugator_kernel(E, L, N):
     p, nL = ff.p, ff.n
     r = E.rank
     g = [L.el(c) for c in E.coeffs]
-    Q = _frob_mat(ff, L.desc.a * r)
+    Q = frobenius_power(p, nL, L.desc.a * r)
     dim = N * nL
     big = np.zeros((dim, dim), dtype=np.int64)
     for n in range(N):
@@ -250,25 +260,61 @@ def _vector_to_unit(L, w, N):
     return SkewLaurent(L, co, N)
 
 
+def _levels_admit_unit(E, e, N):
+    """Whether u = tau^{-r} u phi_t mod tau^{-N} has a solution with
+    u_0 != 0 over the degree-e extension of E's base, decided on F_p-linear
+    data alone (`basefield.FpExtension`), with no field built.
+
+    The rows of `_conjugator_kernel` are block lower-triangular: row n
+    reads u_0 .. u_n only. So the solutions of rows 0..n are extended one
+    level at a time, and once none of them has u_0 != 0, no solution of
+    the full system has either.
+    """
+    K = E.K
+    ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
+    p, nL = ext.p, ext.n
+    r = E.rank
+    g = [K.el(c) for c in E.coeffs]
+    Q = ext.frob(K.desc.a * r)
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for n in range(N):
+        coupling = np.zeros((nL, n * nL), dtype=np.int64)
+        for i in range(max(0, r - n), r):
+            jp = i + n - r
+            coupling[:, jp * nL : (jp + 1) * nL] = -ext.base_mult(K.sigma(g[i], -jp))
+        diag = Q - ext.base_mult(K.sigma(g[r], -n))
+        rows = kernels.extend_kernel(rows, coupling, diag, p)
+        if not rows[:, :nL].any():
+            return False
+    return True
+
+
 def iota_conjugator(E, N=DEFAULT_TAUINV_PREC, e_max=8):
     """A unit u with u * phi(z) * u^{-1} = tau^{-r}, to N terms.
 
     Equivalent to the polynomial relation u = tau^{-r} * u * phi_t,
     which is homogeneous F_p-linear in the coefficients u_0 .. u_{N-1}:
-    one nullspace computation per candidate coefficient field yields
-    every truncated conjugator at once, and any kernel vector with
-    u_0 != 0 is a unit. Coefficient extensions are swept up to degree
-    e_max; the tower of fields genuinely grows with N for most inputs
-    (the leading equation u_0^{q^r-1} = g_r and each later level add
-    algebraic conditions), so exhaustion is a real outcome, reported as
-    ExtensionExhausted. The returned unit is the first echelon kernel
-    vector with invertible leading coefficient; any other conjugator
-    differs from it by a left unit commuting with tau^{-r}.
+    one nullspace computation over a coefficient field yields every
+    truncated conjugator at once, and any kernel vector with u_0 != 0 is
+    a unit. Coefficient extensions are swept up to degree e_max; the
+    tower of fields genuinely grows with N for most inputs (the leading
+    equation u_0^{q^r-1} = g_r and each later level add algebraic
+    conditions), so exhaustion is a real outcome, reported as
+    ExtensionExhausted. Each degree above 1 is first decided level by
+    level on F_p-linear data (`_levels_admit_unit`), and only a degree
+    that passes builds its field and runs the nullspace there; degree 1
+    is the base field and runs the nullspace at once. The returned unit
+    is the first echelon kernel vector with invertible leading
+    coefficient; any other conjugator differs from it by a left unit
+    commuting with tau^{-r}.
     """
     K = E.K
     if K.kind != "finite":
         raise InputError("conjugation to the normal form needs a finite base")
     for e in range(1, e_max + 1):
+        # degree 1 is the base field itself: nothing to build
+        if e > 1 and not _levels_admit_unit(E, e, N):
+            continue
         L = K.extend(e)
         for w in _conjugator_kernel(E, L, N):
             u = _vector_to_unit(L, w, N)

@@ -11,6 +11,7 @@ without re-running the search that produced them, appending one
 from operator import itemgetter
 
 from taumod import jsonio, kernels, zmatrix
+from taumod.basefield import frobenius_power
 from taumod.drinfeld import (
     base_change_agrees,
     good_model,
@@ -19,9 +20,8 @@ from taumod.drinfeld import (
     reduction_type,
 )
 from taumod.errors import NoRoot, PrecisionLoss
-from taumod.isocrystal import Lattice, hnf_reduce, lattice_eq
+from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
 from taumod.semilinear import (
-    _frob_mat,
     _mult_mat,
     _residual_ok,
     _series_frob,
@@ -30,7 +30,7 @@ from taumod.semilinear import (
     fq_generator,
 )
 from taumod.tateweil import conjugator_resubstitutes, weil_table
-from taumod.zseries import INF
+from taumod.zseries import DEFAULT_Z_PREC, INF
 
 
 def _check(checks, name, ok, **detail):
@@ -187,7 +187,7 @@ def _replay_solve(inp, outcome, checks):
                   and a.coeff(0) == a0 and n < b.hi and b.coeff(n) == rhs)
             if ok:
                 ff = K.ff
-                lin = (_frob_mat(ff, K.desc.a) - _mult_mat(ff, a0)) % ff.p
+                lin = (frobenius_power(ff.p, ff.n, K.desc.a) - _mult_mat(ff, a0)) % ff.p
                 ok = kernels.solve_mod_p(lin.tolist(), list(rhs.c), ff.p) is None
             _check(checks, "solve: unsolvable coefficient equation", ok)
         else:
@@ -206,8 +206,24 @@ def _replay_tate(inp, result, checks):
     e = int(tate_doc["extension"])
     r = M.rank
     K = M.K
+    B = _parse_matrix(K, tate_doc["twist"])
+    lat = tate_doc["lattice"]
+    T = Lattice(K, _parse_matrix(K, lat["basis"]), [int(v) for v in lat["pivots"]])
+    # a canonical basis has monomial pivots z^e_i, so T is invertible
+    # over K((z)); the twist must be T^-1 A sigma(T), i.e. T B = A sigma(T),
+    # known on a common window that reaches the z-precision
+    lattice_ok = (lat["kind"] == "lattice" and lat["base"] == jsonio.render_field(K)
+                  and lat["rank"] == r == T.rank
+                  and lattice_eq(hnf_reduce(K, T.columns(), r), T))
+    _check(checks, "tate: lattice is a canonical full lattice", lattice_ok)
+    twist_ok = False
+    if lattice_ok:
+        got = conjugated_matrix(M, T, prec=max(N + 4, DEFAULT_Z_PREC))
+        twist_ok = all(b.agrees_with(c) and min(b.hi, c.hi) >= N
+                       for rb, rc in zip(B, got) for b, c in zip(rb, rc))
+    _check(checks, "tate: twist is the input in the lattice basis", twist_ok)
     L = K.extend(e)
-    BL = zmatrix.lift(_parse_matrix(K, tate_doc["twist"]), L)
+    BL = zmatrix.lift(B, L)
     mb = _parse_matrix(L, tate_doc["module_basis"])
 
     def agree(got, want):

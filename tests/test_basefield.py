@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,10 @@ from taumod.basefield import (
     INF,
     LocalElem,
     coerce_into,
+    fp_extension,
+    frobenius_power,
     get_field,
+    mult_matrix,
     _embedding_powers,
     _find_modulus,
     _is_irreducible,
@@ -188,6 +192,69 @@ class TestFieldLaws:
             via_table = ff.mul_raw(x, y)
             via_poly = kernels.polymulmod(x, y, ff.modulus, 3)
             assert via_table == via_poly
+
+
+class TestFrobeniusMatrix:
+    """Fields above TABLE_LIMIT apply y -> y^(p^k) as one product with a
+    cached F_p matrix; the oracle is the power by square-and-multiply."""
+
+    @pytest.mark.parametrize("p,n", [(3, 12), (2, 17)])
+    def test_frob_matches_polypowmod(self, p, n):
+        ff = get_field(p, n)
+        assert ff._log is None
+        rng = random.Random(f"frob:{p}:{n}")
+        for _ in range(6):
+            x = tuple(rng.randrange(p) for _ in range(n))
+            for k in (1, 2, n - 1, n + 3, -1, -n - 2):
+                want = kernels.polypowmod(x, p ** (k % n), ff.modulus, p)
+                assert ff.frob_raw(x, k) == want
+                assert all(type(c) is int for c in ff.frob_raw(x, k))
+
+
+class TestLinearMaps:
+    """The F_p matrices of multiplication and Frobenius against the field
+    arithmetic applied to each basis vector."""
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 3), (3, 12), (2, 17)])
+    def test_matrices_match_the_field(self, p, n):
+        ff = get_field(p, n)
+        rng = random.Random(f"maps:{p}:{n}")
+        basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        y = tuple(rng.randrange(p) for _ in range(n))
+        want = np.array([ff.mul_raw(y, b) for b in basis]).T
+        assert (mult_matrix(p, n, y) == want).all()
+        for k in (1, 2, -1):
+            want = np.array([kernels.polypowmod(b, p ** (k % n), ff.modulus, p)
+                             for b in basis]).T
+            assert (frobenius_power(p, n, k) == want).all()
+
+
+class TestFpExtension:
+    """The F_p-linear model of an extension: multiplication by the image
+    of the small field is a ring map that commutes with Frobenius."""
+
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 5), (2, 2, 8), (3, 2, 6),
+                                       (3, 2, 18), (2, 3, 12), (5, 2, 4)])
+    def test_base_mult_is_an_embedding(self, p, k, n):
+        ext = fp_extension(p, k, n)
+        small = get_field(p, k)
+        rng = random.Random(f"fpext:{p}:{k}:{n}")
+        F = ext.frob(1)
+        assert (ext.base_mult(small.one) == np.eye(n, dtype=np.int64)).all()
+        assert not ext.base_mult(small.zero).any()
+        for _ in range(5):
+            x, y = (small.el([rng.randrange(p) for _ in range(k)]) for _ in range(2))
+            assert (ext.base_mult(x) @ ext.base_mult(y) % p
+                    == ext.base_mult(x * y)).all()
+            assert ((ext.base_mult(x) + ext.base_mult(y)) % p
+                    == ext.base_mult(x + y)).all()
+            assert (F @ ext.base_mult(x) % p == ext.base_mult(x.frob(1)) @ F % p).all()
+
+    def test_builds_no_field(self):
+        get_field(3, 2)
+        before = get_field.cache_info().currsize
+        fp_extension(3, 2, 22)
+        assert get_field.cache_info().currsize == before
 
 
 class TestLogTables:

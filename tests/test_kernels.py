@@ -114,6 +114,19 @@ def reference_rref(mat, p):
     return A, pivots
 
 
+def reference_nullspace(R, pivots, ncols, p):
+    """One basis vector per free column f: 1 at f, minus column f of the
+    reduced rows at the pivot columns."""
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-R[r][f]) % p
+        basis.append(v)
+    return basis
+
+
 @pytest.mark.parametrize("lane", LANES, ids=lambda m: m.BACKEND)
 @pytest.mark.parametrize("shape", [(12, 40), (30, 200), (40, 12), (200, 30)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
@@ -130,7 +143,35 @@ def test_rref_wide_and_tall(lane, shape):
         R, pivots = lane.rref_mod_p(mat, p)
         assert ([list(map(int, r)) for r in R], list(pivots)) == reference_rref(mat, p)
         basis = lane.nullspace_mod_p(mat, cols, p)
-        assert len(basis) == cols - len(pivots)
+        assert basis == reference_nullspace(R, pivots, cols, p)
         for v in basis:
             for row in mat:
                 assert sum(r * x for r, x in zip(row, v)) % p == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extend_kernel_level_by_level(p):
+    # a block lower-triangular system solved one level at a time spans
+    # the nullspace of the whole system
+    import numpy as np
+
+    rng = random.Random(f"extend:{p}")
+    for _ in range(10):
+        widths = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
+        heights = [rng.randrange(1, 4) for _ in widths]
+        full = np.zeros((sum(heights), sum(widths)), dtype=np.int64)
+        rows = np.zeros((0, 0), dtype=np.int64)
+        top, left = 0, 0
+        for h, w in zip(heights, widths):
+            # sparse blocks, so that the kernel is often nonzero
+            level = np.array([[rng.randrange(p) if rng.random() < 0.4 else 0
+                               for _ in range(left + w)] for _ in range(h)])
+            full[top:top + h, :left + w] = level
+            rows = kernels.extend_kernel(rows, level[:, :left], level[:, left:], p)
+            top, left = top + h, left + w
+        want = kernels.nullspace_mod_p(full.tolist(), left, p)
+        assert rows.shape == (len(want), left)
+        assert not (full @ rows.T % p).any()
+        rank = len(kernels.rref_mod_p(rows.tolist(), p)[1]) if len(rows) else 0
+        assert rank == len(want)
+

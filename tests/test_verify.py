@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumod import corpusgen, jsonio
+from taumod import corpusgen, jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
-from taumod.isocrystal import Isocrystal, simple_pure
+from taumod.isocrystal import Isocrystal, simple_pure, unit
 from taumod.verify import REGISTRY
 from taumod.zseries import INF, ZSeries
 
@@ -84,13 +84,14 @@ def honest(command):
 
 
 _PURITY = [("s",), ("r",), ("lattice", "basis"), ("lattice", "pivots")]
-_TATE = [("result", "tate", key) for key in ("twist", "module_basis", "frobenius")]
+_TATE = [("result", "tate", key)
+         for key in ("lattice", "twist", "module_basis", "frobenius")]
 
 # Paths whose every leaf the replay re-derives. Left out: descriptive
 # strings, search trivia (iteration counts, residue pivots), echoes of
 # the input, claims that only get weaker when changed (a smaller
 # precision, a larger extension), and what no replay re-derives yet
-# (the tate lattice, the membership and growth blocks of solve).
+# (the membership and growth blocks of solve).
 CERTIFIED = {
     "analyze": [("verdict",), ("result", "reduction"),
                 ("result", "crosscheck", "verdict"),
@@ -292,3 +293,43 @@ def test_honest_qth_root_missing_replays():
     assert verify(doc)[0] == 0
     doc["result"]["witness"]["z_exponent"] += 1
     assert verify(doc)[0] == 4
+
+
+# -- tate ---------------------------------------------------------------------
+
+
+def test_tate_result_of_another_module_is_refused():
+    # the honest result for unit(F_3, 2), pasted into the honest report
+    # for the twist [[0, 1], [2, 0]]: its module is fixed by its own twist,
+    # but that twist is not the input's in the lattice basis
+    K = F3F.field()
+    M = Isocrystal(K, [[ZSeries.zero(K), ZSeries.one(K)],
+                       [ZSeries(K, {0: K.el(2)}, INF), ZSeries.zero(K)]])
+    code, doc = run_json(["tate", "--input", jsonio.dump_canonical(M)])
+    assert code == 0
+    code, other = run_json(["tate", "--input", jsonio.dump_canonical(unit(K, 2))])
+    assert code == 0
+    doc["result"] = other["result"]
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "tate: twist is the input in the lattice basis"]
+
+
+
+def test_tate_report_with_a_shifted_lattice_verifies():
+    # P [[0, 1], [2, 0]] sigma(P)^-1 with P = [[1, z^-2], [0, z]]: the
+    # invariant lattice has pivots z^-5 and 1 and finite windows, so
+    # T twist and A sigma(T) are known only below z^5 < z^8
+    K = F3F.field()
+
+    def mono(c, k=0):
+        return ZSeries(K, {k: K.el(c)}, INF)
+
+    P = [[mono(1), mono(1, -2)], [mono(0), mono(1, 1)]]
+    A = zmatrix.mul(zmatrix.mul(P, [[mono(0), mono(1)], [mono(2), mono(0)]]),
+                    zmatrix.sigma(zmatrix.inv(P), 1))
+    code, doc = run_json(["tate", "--input", jsonio.dump_canonical(Isocrystal(K, A))])
+    assert code == 0 and doc["result"]["tate"]["lattice"]["pivots"] == [-5, 0]
+    code, vr = verify(doc)
+    assert code == 0 and all(c["ok"] for c in vr["checks"])
