@@ -14,9 +14,10 @@ Two kinds of base field K appear throughout:
 Extension sweeps replace F_{q^m} by F_{q^{m*e}}; all cross-field
 arithmetic coerces along the canonical embeddings, which are computed
 deterministically (canonical modulus, canonical root choice) so results
-never depend on iteration order or interpreter hash state. A sweep
-decides a candidate degree on `FpExtension`, the F_p-linear data of the
-extension, before it builds the field itself.
+never depend on iteration order or interpreter hash state. `FpExtension`
+is the one construction of a canonical embedding: the F_p-linear data of
+an extension, which a sweep solves a candidate degree on before it
+builds the field itself, and whose rows `coerce_into` reads.
 
 sigma always means the q-power Frobenius, acting coefficientwise on
 Laurent series and scaling zeta-exponents by q.
@@ -439,8 +440,9 @@ def _pair(a, b):
 
 # ---------------------------------------------------------------------------
 # embeddings: the image of the small field's generator is a root of its
-# modulus in the big field, found by Cantor-Zassenhaus over polynomials
-# with Felt coefficients (lists, low-to-high, all in one field `big`)
+# modulus in the big field; Cantor-Zassenhaus over polynomials with Felt
+# coefficients (lists, low-to-high, all in one field `big`) finds the
+# root of a minimal polynomial that leads to it
 
 
 def _ptrim(c):
@@ -538,88 +540,70 @@ def _one_root(fcoeffs, big, rng):
 @lru_cache(maxsize=None)
 def _embedding_powers(p, n_small, n_big):
     """Powers (r^0, ..., r^{n_small-1}) of the canonical image r in
-    F_{p^n_big} of the residue generator of F_{p^n_small}.
-
-    r is the encoding-least root of the small canonical modulus. The
-    roots of an irreducible modulus form one p-Frobenius orbit, so one
-    root determines them all, and r is the encoding-least element of its
-    orbit whatever root was found first. That one is the image of X
-    under the embedding of `FpExtension`, which the extension sweeps
-    have usually built already. The same path serves every field size.
-    """
-    small = get_field(p, n_small)
+    F_{p^n_big} of the residue generator of F_{p^n_small}: the rows of
+    `FpExtension`, read as elements of the big field."""
     big = get_field(p, n_big)
-    if n_small == 1:
-        return (big.one,)
-    r0 = big.el(fp_extension(p, n_small, n_big).image(small.el([0, 1])).tolist())
-    orbit = [r0]
-    cur = r0.frob()
-    while cur.c != r0.c:
-        orbit.append(cur)
-        cur = cur.frob()
-    root = min(orbit, key=lambda x: big.enc(x.c))
-    powers = [big.one]
-    for _ in range(n_small - 1):
-        powers.append(powers[-1] * root)
-    return tuple(powers)
+    return tuple(big.el(row) for row in fp_extension(p, n_small, n_big).rows.tolist())
 
 
 class FpExtension:
     """F_{p^n} over a built field `small` = F_{p^k} (k | n) as F_p-linear
     data only, in the power basis of the canonical modulus: the matrices
     of the Frobenius powers (`frobenius_power`) and of multiplication by
-    the image of an element of `small` under one embedding. It builds no
-    FF, no log table and no element of the big field.
+    the image of an element of `small` under the canonical embedding. It
+    builds no FF, no log table and no element of the big field.
 
-    The embedding is not the canonical one. A generator v of the subfield
-    ker(y^(p^k) - y) has a minimal polynomial mu of degree k over F_p, a
-    root rho of mu in `small` comes from Cantor-Zassenhaus there, and
-    h(rho) -> h(v) is the embedding. Any two embeddings differ by a
-    Frobenius power, which maps the solutions of a Frobenius-semilinear
-    system with coefficients from `small` onto those of the same system
-    under the other embedding; so the dimensions these matrices decide
-    are those of the canonical field.
+    The canonical embedding sends X to r, the encoding-least root of the
+    small canonical modulus. One root is found first: a generator v of
+    the subfield ker(y^(p^k) - y) has a minimal polynomial mu of degree k
+    over F_p, a root rho of mu in `small` comes from Cantor-Zassenhaus
+    there, and h(v) is a root for the h with h(rho) = X. The roots of an
+    irreducible modulus form one Frobenius orbit, so r is the
+    encoding-least element of that root's orbit. `rows` holds r^0, ...,
+    r^(k-1), one row each.
     """
 
     def __init__(self, small, n):
         p, k = small.p, small.n
         self.p, self.n = p, n
-        sub = np.array(kernels.nullspace_mod_p(
-            ((frobenius_power(p, n, k) - np.eye(n, dtype=np.int64)) % p).tolist(),
-            n, p), dtype=np.int64)
-        rng = random.Random(f"fpext:{p}:{k}:{n}")
-        while True:
-            mv = mult_matrix(p, n, np.array([rng.randrange(p) for _ in sub]) @ sub % p)
-            pows = [np.eye(n, dtype=np.int64)[0]]
-            for _ in range(k):
-                pows.append(mv @ pows[-1] % p)
-            if len(kernels.rref_mod_p([w.tolist() for w in pows[:k]], p)[1]) == k:
-                break
-        V = np.array(pows[:k]).T
-        low = kernels.solve_mod_p(V.tolist(), pows[k].tolist(), p)
-        rho = _one_root([small.el(-c) for c in low] + [small.one], small, rng)
-        R = [small.one.c]
-        for _ in range(k - 1):
-            R.append(small.mul_raw(R[-1], rho.c))
-        R = np.array(R, dtype=np.int64).T.tolist()
-        # row t: the image of X^t, that is h_t(v) for the h_t with
-        # h_t(rho) = X^t
-        self._emb = np.array([kernels.solve_mod_p(R, [int(i == t) for i in range(k)], p)
-                              for t in range(k)], dtype=np.int64) @ V.T % p
-        self._base = np.array([mult_matrix(p, n, w) for w in self._emb])
+        one = np.eye(n, dtype=np.int64)[0]
+        root = _canonical_root(small, n) if k > 1 else one
+        self.rows = _orbit_columns(mult_matrix(p, n, root), one, p)[:, :k].T
+        self._base = np.array([mult_matrix(p, n, w) for w in self.rows])
 
     def frob(self, k):
         """Matrix of y -> y^(p^k)."""
         return frobenius_power(self.p, self.n, k)
 
-    def image(self, x):
-        """Coordinates of the image of x, a Felt of `small`."""
-        return np.array(x.c, dtype=np.int64) @ self._emb % self.p
-
     def base_mult(self, x):
         """Matrix of multiplication by the image of x, a Felt of `small`:
         the images of the powers of X, multiplied out once, combined."""
         return np.tensordot(np.array(x.c, dtype=np.int64), self._base, 1) % self.p
+
+
+def _canonical_root(small, n):
+    """Coordinates in F_{p^n} of the encoding-least root of the canonical
+    modulus of `small` = F_{p^k}, k > 1 (see `FpExtension`)."""
+    p, k = small.p, small.n
+    sub = np.array(kernels.nullspace_mod_p(
+        ((frobenius_power(p, n, k) - np.eye(n, dtype=np.int64)) % p).tolist(),
+        n, p), dtype=np.int64)
+    rng = random.Random(f"fpext:{p}:{k}:{n}")
+    while True:
+        mv = mult_matrix(p, n, np.array([rng.randrange(p) for _ in sub]) @ sub % p)
+        V = _orbit_columns(mv, np.eye(n, dtype=np.int64)[0], p)[:, :k]
+        if len(kernels.rref_mod_p(V.T.tolist(), p)[1]) == k:
+            break
+    low = kernels.solve_mod_p(V.tolist(), (mv @ V[:, -1] % p).tolist(), p)
+    rho = _one_root([small.el(-c) for c in low] + [small.one], small, rng)
+    # h(v) is a root for the h with h(rho) = X; the least of its orbit wins
+    h = kernels.solve_mod_p(np.array([(rho**t).c for t in range(k)]).T.tolist(),
+                            [int(t == 1) for t in range(k)], p)
+    root = x = V @ np.array(h, dtype=np.int64) % p
+    for _ in range(k - 1):
+        x = frobenius_power(p, n, 1) @ x % p
+        root = min(root, x, key=lambda v: v[::-1].tolist())
+    return root
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,10 @@ benchmark can label their output. Matrix elimination leans on numpy:
 each pivot updates, mod p, only the rows that are nonzero in its column
 and only the columns from it on, which gives the same pivots and output
 as full-width Gauss-Jordan. `extend_kernel` solves a block
-lower-triangular system one level at a time, which is how the extension
-sweeps of `tateweil` decide a degree before building its field.
+lower-triangular system one level at a time; it is the one solver of
+the conjugator and fixed-point systems of the extension sweeps, and
+`canonical_basis` turns its last level into the basis `nullspace_mod_p`
+gives for the whole system.
 
 The polynomial routines are plain loops and the package's only F_p
 polynomial arithmetic. They serve the generator search of the log
@@ -145,3 +147,18 @@ def extend_kernel(rows, coupling, diag, p):
     ker = np.array(nullspace_mod_p(A.tolist(), k + d, p),
                    dtype=np.int64).reshape(-1, k + d)
     return np.hstack([ker[:, :k] @ rows % p, ker[:, k:]])
+
+
+def canonical_basis(rows, p):
+    """The basis `nullspace_mod_p` returns for the space the rows span.
+
+    That basis is the reduced echelon form on reversed columns: each
+    vector ends in a 1 at a (free) column where every other vector is 0,
+    and the vectors are ordered by that column. It depends on the space
+    alone, so any spanning rows give it.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not rows.size:
+        return []
+    R, pivots = rref_mod_p(rows[:, ::-1].tolist(), p)
+    return [row[::-1] for row in reversed(R[: len(pivots)])]

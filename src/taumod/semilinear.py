@@ -9,7 +9,8 @@ Three solvers around the q-power twist:
     additive per-coefficient equations over finite bases.
   * tau_fixed_space / frobenius_action: Lang-style fixed points of
     v -> A*sigma(v) on (F_{q^{m e}}[[z]]/z^N)^r as exact F_p-linear
-    algebra, plus the coefficient-Galois action on the fixed space.
+    algebra solved one z-level at a time (`fixed_space_levels`), plus
+    the coefficient-Galois action on the fixed space.
   * m_lambda_tau_dim: invariant dimension of the slope-lambda twist
     over a discretely valued base, decided by the structure of the
     coefficient orbit recursion rather than open-ended search.
@@ -190,18 +191,29 @@ def _solve_root_regime(a, b, tag, N):
     if n_hi <= b.valuation():
         return _inconclusive(tag, N, "windows end before the first forced coefficient")
     x = ZSeries(K, co, n_hi)
-    # in this regime coefficient valuations stay >= min(0, profiles of a, b):
-    # v(x_n) = v(rhs)/q and rhs only mixes b_n with a_k x_{n-k}
-    ca, cb = _profile_bound(a), _profile_bound(b)
-    if ca is not None and cb is not None:
-        x = x.with_growth(
-            {
-                "kind": "root_regime_bound",
-                "conclusion": "bounded_below",
-                "bound": min(ca, cb),
-            }
-        )
-    return _finish(a, b, x, tag, N, dim=0)
+    return _finish(a, b, x.with_growth(growth_annotation(a, b, x)), tag, N, dim=0)
+
+
+def growth_annotation(a, b, x):
+    """The growth annotation of the solver's x for sigma(x) = a*x + b,
+    from a, b and x alone, so that `verify` re-derives it: the root
+    regime's bound for v_z(a) > 0, the valuation recursion of
+    `_growth_certificate` for an exact a = c*z^-k, None otherwise (and
+    for b = 0, solved by x = 0)."""
+    va = a.valuation()
+    if va is INF or b.is_zero():
+        return None
+    if va > 0:
+        # coefficient valuations stay >= min(0, profiles of a, b):
+        # v(x_n) = v(rhs)/q and rhs only mixes b_n with a_k x_{n-k}
+        ca, cb = _profile_bound(a), _profile_bound(b)
+        if ca is None or cb is None:
+            return None
+        return {"kind": "root_regime_bound", "conclusion": "bounded_below",
+                "bound": min(ca, cb)}
+    if va < 0 and len(a.co) == 1 and a.is_exact():
+        return _growth_certificate(x, b, -va, a.co[va])
+    return None
 
 
 def force_roots(a, b, N):
@@ -276,17 +288,14 @@ def _solve_contraction_monomial(a, b, va, tag, N):
         if not K.exact_zero_p(xn):
             co[n] = xn
     x = ZSeries(K, co, n_hi)
-    growth = _growth_certificate(K, x, b, k, c, n_hi)
-    if growth is not None:
-        x = x.with_growth(growth)
-    return _finish(a, b, x, tag, N, dim=0)
+    return _finish(a, b, x.with_growth(growth_annotation(a, b, x)), tag, N, dim=0)
 
 
 def _qpow(K, c):
     return K.sigma(c, 1)
 
 
-def _growth_certificate(K, x, b, k, c, n_hi):
+def _growth_certificate(x, b, k, c):
     """Valuation recursion v(x_{n+k}) = q v(x_n) - v(c) past b's support.
 
     With mu = v(c)/(q-1) the recursion's fixed point: a coefficient in
@@ -294,6 +303,7 @@ def _growth_certificate(K, x, b, k, c, n_hi):
     v >= mu for all seed residues means bounded below. Only emitted for
     exact local data, where the closed form is airtight.
     """
+    K = x.K
     if K.kind != "local" or not b.is_exact():
         return None
     if any(not cc.is_exact() for cc in b.co.values()) or not c.is_exact():
@@ -301,42 +311,18 @@ def _growth_certificate(K, x, b, k, c, n_hi):
     if not c.co:
         return None
     vc = min(c.co)
-    q = K.q
-    mu = Fraction(vc, q - 1)
+    mu = Fraction(vc, K.q - 1)
     pure_from = (max(b.support()) if b.co else 0) + k + 1
-    below = []
-    at_least = True
-    for n in x.support():
-        if n < pure_from or n >= n_hi:
-            continue
-        vn = x.co[n].valuation()
-        if Fraction(vn) < mu:
-            below.append((n, vn))
-            at_least = False
+    vals = {n: x.co[n].valuation() for n in x.support()}
+    below = [(n, v) for n, v in vals.items() if n >= pure_from and v < mu]
+    if not below and not vals:
+        return None
+    out = {"kind": "geometric_valuation_growth", "step": k, "q": K.q, "v_c": vc,
+           "mu": [mu.numerator, mu.denominator]}
     if below:
-        n0, v0 = below[0]
-        return {
-            "kind": "geometric_valuation_growth",
-            "conclusion": "unbounded_below",
-            "step": k,
-            "q": q,
-            "v_c": vc,
-            "mu": [mu.numerator, mu.denominator],
-            "witness_exponent": n0,
-            "witness_valuation": v0,
-        }
-    if at_least and x.co:
-        vals = [x.co[n].valuation() for n in x.support()]
-        return {
-            "kind": "geometric_valuation_growth",
-            "conclusion": "bounded_below",
-            "step": k,
-            "q": q,
-            "v_c": vc,
-            "mu": [mu.numerator, mu.denominator],
-            "bound": min(min(vals), 0),
-        }
-    return None
+        return dict(out, conclusion="unbounded_below", witness_exponent=below[0][0],
+                    witness_valuation=below[0][1])
+    return dict(out, conclusion="bounded_below", bound=min(min(vals.values()), 0))
 
 
 def _solve_additive(a, b, tag, N):
@@ -498,26 +484,13 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
     which makes the fixed points a module over F_q[[z]]/z^N; without it
     the kernel is still well defined (used for vanishing checks). The
     defect map is F_q-linear (not L-linear); the returned basis is over
-    F_q, found inside the exact F_p-kernel.
+    F_q, found inside the exact F_p-kernel that `fixed_space_levels`
+    reaches at its last level.
     """
-    K, r, terms = _fixed_space_terms(A, N, require_unit)
-    L = K.extend(e)
-    ff = L.ff
-    p, nL = ff.p, ff.n
-    Q = frobenius_power(p, nL, K.desc.a)
-    dim = r * N * nL
-    big = np.zeros((dim, dim), dtype=np.int64)
-    for i, j, k, c in terms:
-        T = (_mult_mat(ff, L.el(c)) @ Q) % p
-        for l in range(N - k):
-            n = l + k
-            rb = (i * N + n) * nL
-            cb = (j * N + l) * nL
-            big[rb : rb + nL, cb : cb + nL] += T
-    big -= np.eye(dim, dtype=np.int64)
-    big %= p
-    ker = kernels.nullspace_mod_p(big.tolist(), dim, p)
-    return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for rows in fixed_space_levels(A, N, e, require_unit):
+        pass
+    return fixed_space_basis(A, rows, N, e)
 
 
 def _fixed_space_terms(A, N, require_unit=True):
@@ -550,19 +523,17 @@ def _fixed_space_terms(A, N, require_unit=True):
     return K, r, terms
 
 
-def fixed_space_is_full(A, N, e):
-    """Whether tau_fixed_space(A, N, e) has F_q-dimension r*N, decided on
-    F_p-linear data alone (`basefield.FpExtension`), with no field built.
+def fixed_space_levels(A, N, e, require_unit=True):
+    """Solve v = A*sigma(v) over the degree-e extension one z-level at a
+    time, on F_p-linear data alone (`basefield.FpExtension`), with no
+    field built.
 
     The system is block lower-triangular in the z-degree: level n reads
-    v_0 .. v_n. By Lang's theorem the fixed space at z-precision n has
-    F_q-dimension at most r*n, and r*N at precision N forces r*n at every
-    n <= N (the fixed points over the algebraic closure then are all
-    rational, and they surject onto each lower precision). So the levels
-    are solved one at a time, and the test stops at the first level that
-    falls short.
+    v_0 .. v_n. After each level n < N this yields the rows of
+    `kernels.extend_kernel`, an F_p-basis of the fixed points mod
+    z^(n+1), with coordinates level-major: (z-degree, component, field).
     """
-    K, r, terms = _fixed_space_terms(A, N)
+    K, r, terms = _fixed_space_terms(A, N, require_unit)
     ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, w = ext.p, r * ext.n
     Q = ext.frob(K.desc.a)
@@ -579,9 +550,21 @@ def fixed_space_is_full(A, N, e):
             if n - l in T:
                 coupling[:, l * w : (l + 1) * w] = T[n - l]
         rows = kernels.extend_kernel(rows, coupling, diag, p)
-        if len(rows) < K.desc.a * r * (n + 1):
-            return False
-    return True
+        yield rows
+
+
+def fixed_space_basis(A, rows, N, e):
+    """The F_q-basis of `tau_fixed_space(A, N, e)` from the rows of the
+    last level of `fixed_space_levels`: the rows are permuted to the
+    coordinates (component, z-degree, field) and brought to the canonical
+    basis, the one a nullspace of the whole system gives."""
+    K, r = A[0][0].K, len(A)
+    L = K.extend(e)
+    nL = L.ff.n
+    k = len(rows)
+    rows = rows.reshape(k, N, r, nL).transpose(0, 2, 1, 3).reshape(k, r * N * nL)
+    ker = kernels.canonical_basis(rows, L.ff.p)
+    return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
 
 
 def _require_invertible_mod_z(A):
@@ -593,22 +576,27 @@ def _require_invertible_mod_z(A):
 
 def _fq_basis_from_fp_kernel(K, L, ker, r, N, nL):
     """Greedy F_q-basis of an F_q-space given by an F_p-kernel basis."""
-    p = L.ff.p
-    a = K.desc.a
-    gq = _fq_generator_mat(L, a)
-    span = FpSpan(r * N * nL, p)
-    basis = []
-    for w in ker:
-        if not span.add(w):
-            continue
-        basis.append(w)
-        v = np.array(w, dtype=np.int64)
-        for _ in range(a - 1):
-            v = _apply_block(gq, v, nL, p)
-            span.add(v)
-    if len(basis) * a != len(ker):
+    picked = _fq_greedy(L, K.desc.a, ker)
+    if len(picked) * K.desc.a != len(ker):
         raise InvariantError("fixed space is not an F_q-vector space")
-    return [_coords_vec(L, w, r, N, nL) for w in basis]
+    return [_coords_vec(L, ker[i], r, N, nL) for i in picked]
+
+
+def _fq_greedy(L, a, coords):
+    """Indices of the vectors that a greedy pass keeps as an F_q-basis,
+    F_q = F_{p^a} acting on each block of L-coordinates."""
+    p, nL = L.ff.p, L.ff.n
+    gq = _fq_generator_mat(L, a)
+    span = FpSpan(len(coords[0]) if coords else 0, p)
+    picked = []
+    for i, w in enumerate(coords):
+        if span.add(w):
+            picked.append(i)
+            v = np.asarray(w, dtype=np.int64)
+            for _ in range(a - 1):
+                v = (v.reshape(-1, nL) @ gq.T % p).reshape(-1)
+                span.add(v)
+    return picked
 
 
 def fq_generator(L, a):
@@ -624,13 +612,6 @@ def _fq_generator_mat(L, a):
     """Multiplication by the canonical F_{p^a}-generator, as an F_p
     matrix on L's coordinates."""
     return _mult_mat(L.ff, fq_generator(L, a))
-
-
-def _apply_block(M, vec, nL, p):
-    out = np.zeros_like(vec)
-    for b in range(0, len(vec), nL):
-        out[b : b + nL] = (M @ vec[b : b + nL]) % p
-    return out
 
 
 class FpSpan:
@@ -676,26 +657,11 @@ def free_module_check(K, basis, r, N):
         return False, None
     if not basis:
         return (r == 0), []
-    L = basis[0][0].K
-    nL = L.ff.n
-    p = L.ff.p
-    gq = _fq_generator_mat(L, a)
-    span = FpSpan(len(basis[0]) * nL, p)
-    module_basis = []
-    for vec in basis:
-        red = []
-        for s in vec:
-            red.extend(s.coeff(0).c)
-        if not span.add(red):
-            continue
-        module_basis.append(vec)
-        v = np.array(red, dtype=np.int64)
-        for _ in range(a - 1):
-            v = _apply_block(gq, v, nL, p)
-            span.add(v)
-    if len(module_basis) != r:
+    red = [[c for s in vec for c in s.coeff(0).c] for vec in basis]
+    picked = _fq_greedy(basis[0][0].K, a, red)
+    if len(picked) != r:
         return False, None
-    return True, module_basis
+    return True, [basis[i] for i in picked]
 
 
 def frobenius_action(K, module_basis, N):

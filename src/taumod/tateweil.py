@@ -9,6 +9,13 @@ Laurent field K((tau^{-1})) and reads a companion module back off the
 expansion. The Weil layer conjugates the expansion onto the normal
 form iota(z) = tau^{-r} and measures tau^{-1}-valuations of the
 resulting Frobenius cocycle.
+
+Both coefficient-extension sweeps solve their F_p-linear system once
+per degree, level by level on `basefield.FpExtension` data
+(`semilinear.fixed_space_levels` in z, `_conjugator_levels` in
+tau^{-1}): a degree is dropped at the first level that rules it out,
+and the degree that passes builds its field and reads its answer off
+the last level.
 """
 
 from dataclasses import dataclass
@@ -17,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from taumod import kernels, zmatrix
-from taumod.basefield import fp_extension, frobenius_power
+from taumod.basefield import fp_extension
 from taumod.errors import ExtensionExhausted, InputError, InvariantError
 from taumod.isocrystal import (
     Inconclusive,
@@ -28,11 +35,10 @@ from taumod.isocrystal import (
     purity_check,
 )
 from taumod.semilinear import (
-    _mult_mat,
-    fixed_space_is_full,
+    fixed_space_basis,
+    fixed_space_levels,
     frobenius_action,
     free_module_check,
-    tau_fixed_space,
 )
 from taumod.skew import DEFAULT_TAUINV_PREC, SkewLaurent, skew_inverse
 from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
@@ -64,14 +70,11 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     sweeps coefficient extensions until the fixed points form a free
     F_q[[z]]/z^N-module of rank equal to the rank of M. The sweep is
     necessary: the integral form only trivializes after a finite
-    coefficient extension. Each degree above 1 is first decided level by
-    level in z on F_p-linear data (`semilinear.fixed_space_is_full`: by
-    Lang's bound the fixed space must have F_q-dimension r*n at every
-    precision n), and only a degree that passes builds its field and
-    runs `tau_fixed_space` and `free_module_check` there; degree 1 is
-    the base field and runs them at once. Raises ExtensionExhausted when
-    e_max does not suffice; purity budget failures surface as
-    Inconclusive.
+    coefficient extension. Each degree is solved level by level in z on
+    F_p-linear data (`_fixed_rows`), and only a degree whose fixed space
+    is full builds its field, reads its F_q-basis off the last level and
+    runs `free_module_check` there. Raises ExtensionExhausted when e_max
+    does not suffice; purity budget failures surface as Inconclusive.
     """
     K = M.K
     if K.kind != "finite":
@@ -88,12 +91,10 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     B = conjugated_matrix(M, lat, prec=work)
     r = M.rank
     for e in range(1, e_max + 1):
-        # degree 1 is the base field itself: nothing to build
-        if e > 1 and not fixed_space_is_full(B, N, e):
+        rows = _fixed_rows(B, N, e)
+        if rows is None:
             continue
-        basis = tau_fixed_space(B, N, e=e)
-        if len(basis) != r * N:
-            continue
+        basis = fixed_space_basis(B, rows, N, e)
         ok, mb = free_module_check(K, basis, r, N)
         if not ok:
             continue
@@ -116,6 +117,24 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     raise ExtensionExhausted(
         f"fixed points not free of rank {r} within {e_max} coefficient extensions"
     )
+
+
+def _fixed_rows(B, N, e):
+    """The last level of `fixed_space_levels(B, N, e)`, or None at the
+    first level that rules the degree out.
+
+    By Lang's theorem the fixed space at z-precision n has F_q-dimension
+    at most r*n, and r*N at precision N forces r*n at every n <= N (the
+    fixed points over the algebraic closure then are all rational, and
+    they surject onto each lower precision). So the sweep stops at the
+    first level whose fixed space falls short.
+    """
+    need = B[0][0].K.desc.a * len(B)  # F_p-dimension of F_q^r
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for n, rows in enumerate(fixed_space_levels(B, N, e)):
+        if len(rows) < need * (n + 1):
+            return None
+    return rows
 
 
 # ------------------------------------------------------------- formal layer
@@ -217,32 +236,46 @@ class ConjugatorData:
     precision: int
 
 
-def _conjugator_kernel(E, L, N):
-    """Echelon basis of the solutions of u = tau^{-r} u phi_t mod
-    tau^{-N}, as F_p-coordinate vectors over L.
+def _conjugator_levels(E, e, N):
+    """Solve u = tau^{-r} u phi_t mod tau^{-N} over the degree-e extension
+    of E's base one tau^{-1}-level at a time, on F_p-linear data alone
+    (`basefield.FpExtension`), with no field built.
 
-    Row n states sigma^r(u_n) = sum_i sigma^{-jp}(g_i) u_jp with
-    jp = i + n - r; every admissible truncated conjugator, for every
-    choice of leading root and of the per-level additive freedom, is an
-    F_p-combination of these vectors, so solvability over L is decided
-    exactly.
+    Level n states sigma^r(u_n) = sum_i sigma^{-jp}(g_i) u_jp with
+    jp = i + n - r, so it reads u_0 .. u_n only. After each level n < N
+    this yields the rows of `kernels.extend_kernel`: an F_p-basis of the
+    solutions of levels 0..n, with the coordinates of u_0 .. u_n in turn.
+    Every admissible truncated conjugator, for every choice of leading
+    root and of the per-level additive freedom, is an F_p-combination of
+    the last level's rows, so solvability is decided exactly.
     """
-    ff = L.ff
-    p, nL = ff.p, ff.n
+    K = E.K
+    ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
+    p, nL = ext.p, ext.n
     r = E.rank
-    g = [L.el(c) for c in E.coeffs]
-    Q = frobenius_power(p, nL, L.desc.a * r)
-    dim = N * nL
-    big = np.zeros((dim, dim), dtype=np.int64)
+    g = [K.el(c) for c in E.coeffs]
+    Q = ext.frob(K.desc.a * r)
+    rows = np.zeros((0, 0), dtype=np.int64)
     for n in range(N):
-        rb = n * nL
-        big[rb : rb + nL, rb : rb + nL] += Q
-        for i in range(max(0, r - n), r + 1):
+        coupling = np.zeros((nL, n * nL), dtype=np.int64)
+        for i in range(max(0, r - n), r):
             jp = i + n - r
-            cb = jp * nL
-            big[rb : rb + nL, cb : cb + nL] -= _mult_mat(ff, L.sigma(g[i], -jp))
-    big %= p
-    return kernels.nullspace_mod_p(big.tolist(), dim, p)
+            coupling[:, jp * nL : (jp + 1) * nL] = -ext.base_mult(K.sigma(g[i], -jp))
+        diag = Q - ext.base_mult(K.sigma(g[r], -n))
+        rows = kernels.extend_kernel(rows, coupling, diag, p)
+        yield rows
+
+
+def _conjugator_rows(E, e, N):
+    """The last level of `_conjugator_levels(E, e, N)`, or None at the
+    first level where no solution has u_0 != 0: then no solution of the
+    full system has either."""
+    nL = E.K.ff.n * e
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for rows in _conjugator_levels(E, e, N):
+        if not rows[:, :nL].any():
+            return None
+    return rows
 
 
 def _vector_to_unit(L, w, N):
@@ -260,63 +293,33 @@ def _vector_to_unit(L, w, N):
     return SkewLaurent(L, co, N)
 
 
-def _levels_admit_unit(E, e, N):
-    """Whether u = tau^{-r} u phi_t mod tau^{-N} has a solution with
-    u_0 != 0 over the degree-e extension of E's base, decided on F_p-linear
-    data alone (`basefield.FpExtension`), with no field built.
-
-    The rows of `_conjugator_kernel` are block lower-triangular: row n
-    reads u_0 .. u_n only. So the solutions of rows 0..n are extended one
-    level at a time, and once none of them has u_0 != 0, no solution of
-    the full system has either.
-    """
-    K = E.K
-    ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
-    p, nL = ext.p, ext.n
-    r = E.rank
-    g = [K.el(c) for c in E.coeffs]
-    Q = ext.frob(K.desc.a * r)
-    rows = np.zeros((0, 0), dtype=np.int64)
-    for n in range(N):
-        coupling = np.zeros((nL, n * nL), dtype=np.int64)
-        for i in range(max(0, r - n), r):
-            jp = i + n - r
-            coupling[:, jp * nL : (jp + 1) * nL] = -ext.base_mult(K.sigma(g[i], -jp))
-        diag = Q - ext.base_mult(K.sigma(g[r], -n))
-        rows = kernels.extend_kernel(rows, coupling, diag, p)
-        if not rows[:, :nL].any():
-            return False
-    return True
-
-
 def iota_conjugator(E, N=DEFAULT_TAUINV_PREC, e_max=8):
     """A unit u with u * phi(z) * u^{-1} = tau^{-r}, to N terms.
 
     Equivalent to the polynomial relation u = tau^{-r} * u * phi_t,
-    which is homogeneous F_p-linear in the coefficients u_0 .. u_{N-1}:
-    one nullspace computation over a coefficient field yields every
-    truncated conjugator at once, and any kernel vector with u_0 != 0 is
-    a unit. Coefficient extensions are swept up to degree e_max; the
-    tower of fields genuinely grows with N for most inputs (the leading
-    equation u_0^{q^r-1} = g_r and each later level add algebraic
-    conditions), so exhaustion is a real outcome, reported as
-    ExtensionExhausted. Each degree above 1 is first decided level by
-    level on F_p-linear data (`_levels_admit_unit`), and only a degree
-    that passes builds its field and runs the nullspace there; degree 1
-    is the base field and runs the nullspace at once. The returned unit
-    is the first echelon kernel vector with invertible leading
-    coefficient; any other conjugator differs from it by a left unit
-    commuting with tau^{-r}.
+    which is homogeneous F_p-linear in the coefficients u_0 .. u_{N-1}
+    and block lower-triangular in them: solving it level by level
+    (`_conjugator_levels`) yields every truncated conjugator at once, and
+    any solution with u_0 != 0 is a unit. Coefficient extensions are
+    swept up to degree e_max; the tower of fields genuinely grows with N
+    for most inputs (the leading equation u_0^{q^r-1} = g_r and each
+    later level add algebraic conditions), so exhaustion is a real
+    outcome, reported as ExtensionExhausted. A degree is dropped at the
+    first level with no unit left, and only a degree that passes builds
+    its field. The returned unit is the first vector with invertible
+    leading coefficient of the canonical basis of the last level
+    (`kernels.canonical_basis`); any other conjugator differs from it by
+    a left unit commuting with tau^{-r}.
     """
     K = E.K
     if K.kind != "finite":
         raise InputError("conjugation to the normal form needs a finite base")
     for e in range(1, e_max + 1):
-        # degree 1 is the base field itself: nothing to build
-        if e > 1 and not _levels_admit_unit(E, e, N):
+        rows = _conjugator_rows(E, e, N)
+        if rows is None:
             continue
         L = K.extend(e)
-        for w in _conjugator_kernel(E, L, N):
+        for w in kernels.canonical_basis(rows, L.ff.p):
             u = _vector_to_unit(L, w, N)
             if u is None:
                 continue

@@ -28,6 +28,7 @@ from taumod.semilinear import (
     _vec_coords,
     force_roots,
     fq_generator,
+    growth_annotation,
 )
 from taumod.tateweil import conjugator_resubstitutes, weil_table
 from taumod.zseries import DEFAULT_Z_PREC, INF
@@ -136,6 +137,16 @@ def _replay_isocrystal_purity(inp, result, checks):
         _check(checks, "purity: no lattice claimed", True)
 
 
+def _regrown(a, b, x_doc, *claimed):
+    """The series x_doc with the growth annotation re-derived from a, b and
+    its coefficients, and whether x_doc and the `claimed` copies carry
+    exactly that annotation."""
+    x = jsonio.parse_zseries(a.K, x_doc)
+    growth = jsonio.render(growth_annotation(a, b, x))
+    return (x.with_growth(growth),
+            all(c == growth for c in (x_doc.get("growth"),) + claimed))
+
+
 def _replay_solve(inp, outcome, checks):
     K = jsonio.parse_field(inp["base"])
     verdict = outcome["verdict"]
@@ -143,11 +154,12 @@ def _replay_solve(inp, outcome, checks):
     a = jsonio.parse_scalar(K, inp["a"])
     b = jsonio.parse_scalar(K, inp["b"])
     if verdict == "solution":
-        x = jsonio.parse_zseries(K, outcome["x"])
+        x, growth_ok = _regrown(a, b, outcome["x"], outcome.get("growth"))
         _check(checks, "solve: re-substitution", _residual_ok(a, b, x, x.hi))
         cert = x.membership(ring)
         _check(checks, "solve: membership re-check",
-               cert["verdict"] == "yes", ring=ring)
+               growth_ok and cert["verdict"] == "yes"
+               and jsonio.render(cert) == outcome.get("membership"), ring=ring)
     elif verdict == "no_solution":
         reason = outcome["reason"]
         wit = outcome.get("witness") or {}
@@ -169,12 +181,14 @@ def _replay_solve(inp, outcome, checks):
             _check(checks, "solve: missing q-th root re-check", ok)
         elif reason in ("CoefficientNotIntegral", "PrincipalPartViolation",
                         "UnboundedCoefficientValuations"):
-            x = jsonio.parse_zseries(K, outcome["x_bk"])
+            x, growth_ok = _regrown(a, b, outcome["x_bk"])
             _check(checks, "solve: big-field solution re-substitutes",
                    _residual_ok(a, b, x, x.hi))
             cert = x.membership(ring)
             _check(checks, f"solve: {reason} re-check",
-                   cert["verdict"] == "no", ring=ring)
+                   growth_ok and cert["verdict"] == "no"
+                   and jsonio.render(cert.get("witness")) == outcome.get("witness"),
+                   ring=ring)
         elif reason == "CoefficientEquationUnsolvable":
             a0 = jsonio.parse_elem(K, wit["a0"])
             rhs = jsonio.parse_elem(K, wit["rhs"])

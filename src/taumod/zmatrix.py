@@ -7,7 +7,7 @@ is exact-arithmetic; windows propagate through the entry operations.
 
 import math
 
-from taumod.errors import InputError, NotInvertible
+from taumod.errors import InputError, NotInvertible, PrecisionLoss
 from taumod.zseries import ZSeries
 
 INF = math.inf
@@ -136,8 +136,9 @@ def inv(A, prec=None):
     """Inverse over K((z)) by Gauss-Jordan elimination.
 
     Pivots are chosen by least z-order among known-nonzero candidates,
-    which keeps windows as wide as the input allows. NotInvertible when
-    no usable pivot exists in some column.
+    which keeps windows as wide as the input allows. When a column has
+    none: NotInvertible if every candidate is an exact zero, else
+    PrecisionLoss with the narrowest window among them.
     """
     n, m = dims(A)
     if n != m:
@@ -153,6 +154,11 @@ def inv(A, prec=None):
                 if piv_val is None or v < piv_val:
                     piv, piv_val = r, v
         if piv is None:
+            windows = [work[r][col].hi for r in range(col, n)
+                       if work[r][col].co or work[r][col].hi is not INF]
+            if windows:
+                raise PrecisionLoss(f"pivot column {col} is zero only to its windows",
+                                    window=min(windows))
             raise NotInvertible(f"no usable pivot in column {col}")
         work[col], work[piv] = work[piv], work[col]
         out[col], out[piv] = out[piv], out[col]

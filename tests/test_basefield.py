@@ -250,6 +250,39 @@ class TestFpExtension:
                     == ext.base_mult(x + y)).all()
             assert (F @ ext.base_mult(x) % p == ext.base_mult(x.frob(1)) @ F % p).all()
 
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 5), (2, 2, 4), (2, 3, 6), (2, 4, 4),
+                                       (3, 2, 4), (3, 2, 6), (3, 3, 3), (5, 2, 2),
+                                       (5, 2, 4)])
+    def test_rows_are_the_canonical_embedding(self, p, k, n):
+        # rows r^0 .. r^(k-1) of the encoding-least root r, by exhaustive
+        # search, and the same rows that coerce_into reads
+        rows = fp_extension(p, k, n).rows.tolist()
+        if k > 1:
+            root = _brute_force_root(p, k, n)
+            assert rows == [list((root**t).c) for t in range(k)]
+        else:
+            assert rows == [[1] + [0] * (n - 1)]
+        assert rows == [list(x.c) for x in _embedding_powers(p, k, n)]
+
+    @pytest.mark.parametrize("p,k,n", [(3, 2, 18), (2, 3, 12), (2, 8, 16), (3, 5, 10)])
+    def test_root_is_least_in_its_orbit(self, p, k, n):
+        # fields too big to search: r is a root of the small canonical
+        # modulus, and no Frobenius conjugate has a smaller encoding
+        rows = fp_extension(p, k, n).rows
+        root = rows[1]
+        f = _find_modulus(p, k)
+        M = mult_matrix(p, n, root)
+        acc = np.zeros(n, dtype=np.int64)
+        for c in reversed(f):
+            acc = (M @ acc + c * np.eye(n, dtype=np.int64)[0]) % p
+        assert not acc.any()
+        F = frobenius_power(p, n, 1)
+        x = root
+        for _ in range(k - 1):
+            x = F @ x % p
+            assert x[::-1].tolist() > root[::-1].tolist()
+        assert (F @ x % p == root).all()
+
     def test_builds_no_field(self):
         get_field(3, 2)
         before = get_field.cache_info().currsize

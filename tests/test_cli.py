@@ -6,15 +6,17 @@ import io
 import json
 import math
 import pathlib
+import random
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from taumod import corpusgen, jsonio
+from taumod import corpusgen, jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
+from taumod.errors import NotInvertible, PrecisionLoss
 from taumod.isocrystal import simple_pure, unit
 from taumod.zseries import ZSeries
 
@@ -128,6 +130,37 @@ class TestErrors:
         M = simple_pure(F9F.field(), -1, 2)
         code, doc = run_json(["tate", "--input", jsonio.dump_canonical(M)])
         assert code == 2 and doc["kind"] == "error_report"
+
+
+    def test_pivot_zero_only_to_its_window_exits_3(self):
+        # P A sigma(P)^-1 over F_25 for a constant A in GL_3: at the default
+        # precision the candidates of its inverse's last pivot column are
+        # zero only to their windows, which is a precision loss
+        K = FieldDescriptor(p=5, a=1, m=2, kind="finite").field()
+        rng = random.Random("pivot-window")
+
+        def mono(c, k=0):
+            return ZSeries(K, {k: K.el(c)} if c else {}, INF)
+
+        P = [[mono(1), mono(1, -2), mono(1, -1)], [mono(0), mono(1, 1), mono(1, -1)],
+             [mono(0), mono(0), mono(1)]]
+        while True:
+            A = [[ZSeries(K, {0: K.random(rng)}, INF) for _ in range(3)]
+                 for _ in range(3)]
+            if zmatrix.det(A).valuation() == 0:
+                break
+        B = zmatrix.mul(zmatrix.mul(P, A), zmatrix.sigma(zmatrix.inv(P), 1))
+        inp = {"base": jsonio.render_field(K),
+               "tau_matrix": [[jsonio.render(x) for x in row] for row in B]}
+        code, doc = run_json(["isocrystal", "slopes", "--input", json.dumps(inp)])
+        assert code == 3 and doc["error"] == "PrecisionLoss"
+        with pytest.raises(PrecisionLoss):
+            zmatrix.inv(B)
+        assert zmatrix.agrees(zmatrix.mul(B, zmatrix.inv(B, prec=30)),
+                              zmatrix.identity(K, 3))
+        # a pivot column of exact zeros is singular
+        with pytest.raises(NotInvertible):
+            zmatrix.inv([[mono(1), mono(1, 1)], [mono(0), mono(0)]])
 
 
 class TestIsocrystal:

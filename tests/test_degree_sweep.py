@@ -1,11 +1,13 @@
 """The level-by-level degree search against the exhaustive sweep.
 
-`iota_conjugator` and `tate_slope0` decide each extension degree on
-F_p-linear data and build only the field of the degree that passes. The
-oracle here is the exhaustive sweep they replace: every degree builds
-its field and solves the whole system there. On seeded random inputs
-both must give the same extension and the same rendered conjugator or
-TateData, or the same ExtensionExhausted message.
+`iota_conjugator` and `tate_slope0` solve each extension degree level by
+level on F_p-linear data and build only the field of the degree that
+passes. The oracle here is the exhaustive dense sweep of `dense_oracle`:
+every degree builds its field and takes one nullspace of the whole
+system there. On seeded random inputs both must give the same extension
+and the same rendered conjugator or TateData, or the same
+ExtensionExhausted message, and the last level's canonical basis must be
+the dense nullspace basis at every degree.
 """
 
 import os
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from taumod import jsonio, zmatrix
+from taumod import jsonio, kernels, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import ExtensionExhausted
@@ -27,21 +29,19 @@ from taumod.isocrystal import (
     pure0_lattice,
     purity_check,
 )
-from taumod.semilinear import (
-    fixed_space_is_full,
-    free_module_check,
-    frobenius_action,
-    tau_fixed_space,
-)
+from taumod.semilinear import free_module_check, frobenius_action, tau_fixed_space
 from taumod.tateweil import (
     TateData,
-    _conjugator_kernel,
-    _levels_admit_unit,
+    _conjugator_levels,
+    _conjugator_rows,
+    _fixed_rows,
     _vector_to_unit,
     iota_conjugator,
     tate_slope0,
 )
 from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
+
+import dense_oracle as dense
 
 # (p, a): q = 2, 4, 3, 9, 5; each with m = 1 or 2
 QS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
@@ -71,7 +71,7 @@ def _unit(K, rng):
 def unit_at(E, N, e):
     """The first echelon conjugator over the degree-e extension, or None."""
     L = E.K.extend(e)
-    for w in _conjugator_kernel(E, L, N):
+    for w in dense.conjugator_kernel(E, L, N):
         u = _vector_to_unit(L, w, N)
         if u is not None:
             return u
@@ -104,7 +104,7 @@ def exhaustive_tate(M, N, e_max):
     K, r = M.K, M.rank
     lat, B = twist(M, N)
     for e in range(1, e_max + 1):
-        basis = tau_fixed_space(B, N, e=e)
+        basis = dense.tau_fixed_space(B, N, e=e)
         if len(basis) != r * N:
             continue
         ok, mb = free_module_check(K, basis, r, N)
@@ -128,15 +128,31 @@ def _outcome(fn):
 # -- the differential tests ----------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(80))
-def test_conjugator_matches_the_exhaustive_sweep(seed):
-    rng, K, N, e_max = _case(seed)
+def _module(rng, K):
     r = rng.randint(1, 3)
     # each lower coefficient is zero half the time: dense random modules
     # rarely find a conjugator within six degrees
     coeffs = [K.random(rng) if rng.random() < 0.5 else K.zero() for _ in range(r)]
-    E = DrinfeldModule(K, coeffs + [_unit(K, rng)])
-    assert ([_levels_admit_unit(E, e, N) for e in range(1, e_max + 1)]
+    return DrinfeldModule(K, coeffs + [_unit(K, rng)])
+
+
+def _slope0(rng, K):
+    r = rng.randint(1, 3)
+    # an A over K[z] that is invertible mod z is pure of slope zero (tau
+    # keeps the standard lattice); constant ones trivialize sooner
+    support = rng.choice([[0], [0, 1]])
+    while True:
+        A = [[ZSeries(K, {k: K.random(rng) for k in support}, INF)
+              for _ in range(r)] for _ in range(r)]
+        if zmatrix.det(A).valuation() == 0:
+            return Isocrystal(K, A)
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_conjugator_matches_the_exhaustive_sweep(seed):
+    rng, K, N, e_max = _case(seed)
+    E = _module(rng, K)
+    assert ([_conjugator_rows(E, e, N) is not None for e in range(1, e_max + 1)]
             == [unit_at(E, N, e) is not None for e in range(1, e_max + 1)])
 
     def fast():
@@ -149,22 +165,36 @@ def test_conjugator_matches_the_exhaustive_sweep(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_tate_matches_the_exhaustive_sweep(seed):
     rng, K, N, e_max = _case(seed)
-    r = rng.randint(1, 3)
-    # an A over K[z] that is invertible mod z is pure of slope zero (tau
-    # keeps the standard lattice); constant ones trivialize sooner
-    support = rng.choice([[0], [0, 1]])
-    while True:
-        A = [[ZSeries(K, {k: K.random(rng) for k in support}, INF)
-              for _ in range(r)] for _ in range(r)]
-        if zmatrix.det(A).valuation() == 0:
-            break
-    M = Isocrystal(K, A)
+    M = _slope0(rng, K)
+    r = M.rank
     _, B = twist(M, N)
-    assert ([fixed_space_is_full(B, N, e) for e in range(1, e_max + 1)]
-            == [len(tau_fixed_space(B, N, e=e)) == r * N
+    assert ([_fixed_rows(B, N, e) is not None for e in range(1, e_max + 1)]
+            == [len(dense.tau_fixed_space(B, N, e=e)) == r * N
                 for e in range(1, e_max + 1)])
     assert (_outcome(lambda: tate_slope0(M, N=N, e_max=e_max))
             == _outcome(lambda: exhaustive_tate(M, N, e_max)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_conjugator_levels_end_in_the_dense_basis(seed):
+    # at every degree, passing or not, the canonical basis of the last
+    # level is the dense nullspace basis over the built field
+    rng, K, N, e_max = _case(seed)
+    E = _module(rng, K)
+    for e in range(1, e_max + 1):
+        for rows in _conjugator_levels(E, e, N):
+            pass
+        assert (kernels.canonical_basis(rows, K.ff.p)
+                == dense.conjugator_kernel(E, K.extend(e), N))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fixed_space_levels_end_in_the_dense_basis(seed):
+    rng, K, N, e_max = _case(seed)
+    _, B = twist(_slope0(rng, K), N)
+    for e in range(1, e_max + 1):
+        assert (jsonio.render(tau_fixed_space(B, N, e=e))
+                == jsonio.render(dense.tau_fixed_space(B, N, e=e)))
 
 
 # -- no field for a rejected degree --------------------------------------------

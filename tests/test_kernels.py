@@ -175,3 +175,31 @@ def test_extend_kernel_level_by_level(p):
         rank = len(kernels.rref_mod_p(rows.tolist(), p)[1]) if len(rows) else 0
         assert rank == len(want)
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonical_basis_of_the_levels_is_the_nullspace_basis(p):
+    # the last level's rows of a block lower-triangular system, and any
+    # other spanning rows, give exactly the nullspace basis of the system
+    import numpy as np
+
+    rng = random.Random(f"canonical:{p}")
+    for _ in range(20):
+        widths = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 6))]
+        full = np.zeros((sum(widths), sum(widths)), dtype=np.int64)
+        rows = np.zeros((0, 0), dtype=np.int64)
+        left = 0
+        for w in widths:
+            level = np.array([[rng.randrange(p) if rng.random() < 0.4 else 0
+                               for _ in range(left + w)] for _ in range(w)])
+            full[left:left + w, :left + w] = level
+            rows = kernels.extend_kernel(rows, level[:, :left], level[:, left:], p)
+            left += w
+        want = kernels.nullspace_mod_p(full.tolist(), left, p)
+        assert kernels.canonical_basis(rows, p) == want
+        # redundant, reordered rows of the same space give the same basis
+        mix = np.array([[rng.randrange(p) for _ in rows] for _ in range(2)],
+                       dtype=np.int64).reshape(2, len(rows))
+        assert kernels.canonical_basis(
+            np.vstack([mix @ rows % p, rows[::-1]]), p) == want
+    assert kernels.canonical_basis(np.zeros((0, 7), dtype=np.int64), p) == []

@@ -1,6 +1,7 @@
 """Solver tests: the scalar equation regimes, fixed spaces, Galois
 action on them, and the slope-twist invariant dimension."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -240,6 +241,93 @@ class TestAdditiveRegime:
         b = ZSeries.from_pairs(K, [(0, K.zeta())])
         out = solve_scalar(a, b, "BK", prec=3)
         assert out["verdict"] == "inconclusive"
+
+
+F9M = FieldDescriptor(p=3, a=1, m=2, kind="finite")
+F4Q = FieldDescriptor(p=2, a=2, m=1, kind="finite")
+SMALL_BASES = [F4, F9M, F4Q, F9]
+
+
+def _elements(K):
+    ff = K.ff
+    return [ff.el(ff._dec(enc)) for enc in range(ff.size)]
+
+
+def _sigma_coeff(K, c):
+    return c ** K.q  # sigma by plain powering, not through Frobenius matrices
+
+
+def _equations_hold(K, a, b, x, lo, hi):
+    """sigma(x)_n == (a*x + b)_n for lo <= n < hi, coefficient by
+    coefficient; a, b, x are dicts exponent -> Felt."""
+    zero = K.zero()
+    for n in range(lo, hi):
+        rhs = b.get(n, zero)
+        for k, ak in a.items():
+            rhs = rhs + ak * x.get(n - k, zero)
+        if _sigma_coeff(K, x.get(n, zero)) != rhs:
+            return False
+    return True
+
+
+def _brute_solutions(K, a, b, lo, hi):
+    """Every x supported on [lo, hi) that meets the equations there."""
+    out = []
+    for vals in itertools.product(_elements(K), repeat=hi - lo):
+        x = {lo + i: v for i, v in enumerate(vals)}
+        if _equations_hold(K, a, b, x, lo, hi):
+            out.append(x)
+    return out
+
+
+class TestBruteForceOracle:
+    """The window solver (non-constant a of z-order 0) and the a = 0
+    solver over finite bases, against exhaustive search over the
+    coefficients of x."""
+
+    @pytest.mark.parametrize("D", SMALL_BASES, ids=str)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_additive_window_solver(self, D, seed):
+        K = D.field()
+        rng = random.Random(f"window:{D}:{seed}")
+        N = 4 if K.ff.size == 4 else 3
+
+        def unit():
+            return rng.choice(_elements(K)[1:])
+
+        # z-order 0, not constant; b nonzero and supported in [0, N)
+        a = {0: unit(), rng.randrange(1, N): unit()}
+        b = {rng.randrange(N): unit()}
+        out = solve_scalar(ZSeries(K, a, INF), ZSeries(K, b, INF), "BK", prec=N)
+        sols = _brute_solutions(K, a, b, 0, N)
+        if not sols:
+            assert out["verdict"] == "inconclusive"
+            assert "inconsistent" in out["note"]
+            return
+        assert out["verdict"] == "solution"
+        x = out["x"]
+        assert x.hi == N and all(0 <= e < N for e in x.co)
+        got = {e: x.coeff(e) for e in range(N)}
+        assert any(all(got[e] == s[e] for e in range(N)) for s in sols)
+
+    @pytest.mark.parametrize("D", SMALL_BASES, ids=str)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sigma_only_solver(self, D, seed):
+        K = D.field()
+        rng = random.Random(f"sigma-only:{D}:{seed}")
+        N = 4
+        b = {e: rng.choice(_elements(K)) for e in rng.sample(range(-2, N), 3)}
+        out = solve_scalar(ZSeries.zero(K), ZSeries(K, b, INF), "BK", prec=N)
+        assert out["verdict"] == "solution"
+        assert out["solution_space"] == {"per_coefficient_dim_fq": 0}
+        x = out["x"]
+        # the q-th root of each coefficient is unique: one solution per
+        # exponent, and nothing where b vanishes
+        for e in range(-2, N):
+            roots = [y for y in _elements(K)
+                     if _sigma_coeff(K, y) == b.get(e, K.zero())]
+            assert len(roots) == 1 and x.coeff(e) == roots[0]
+        assert all(-2 <= e < N for e in x.co)
 
 
 class TestTauFixedSpace:

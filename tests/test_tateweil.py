@@ -22,7 +22,6 @@ from taumod.tateweil import (
     ConjugatorData,
     TateData,
     WeilData,
-    _conjugator_kernel,
     _vector_to_unit,
     formal_motive,
     iota_conjugator,
@@ -32,6 +31,8 @@ from taumod.tateweil import (
     weil_valuation,
 )
 from taumod.zseries import INF, ZSeries
+
+from dense_oracle import conjugator_kernel
 
 D3 = FieldDescriptor(p=3, a=1, m=1, kind="finite")
 D4 = FieldDescriptor(p=2, a=2, m=1, kind="finite")
@@ -221,7 +222,7 @@ class TestIotaConjugator:
         E = carlitz()
         L = F3.extend(9)
         units = []
-        for w in _conjugator_kernel(E, L, 6):
+        for w in conjugator_kernel(E, L, 6):
             u = _vector_to_unit(L, w, 6)
             if u is not None:
                 units.append(u)

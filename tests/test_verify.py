@@ -89,9 +89,8 @@ _TATE = [("result", "tate", key)
 
 # Paths whose every leaf the replay re-derives. Left out: descriptive
 # strings, search trivia (iteration counts, residue pivots), echoes of
-# the input, claims that only get weaker when changed (a smaller
-# precision, a larger extension), and what no replay re-derives yet
-# (the membership and growth blocks of solve).
+# the input, and claims that only get weaker when changed (a smaller
+# precision, a larger extension).
 CERTIFIED = {
     "analyze": [("verdict",), ("result", "reduction"),
                 ("result", "crosscheck", "verdict"),
@@ -103,7 +102,9 @@ CERTIFIED = {
     "tate": [("verdict",)] + _TATE,
     "isocrystal tate": [("verdict",)] + _TATE,
     "weil": [("verdict",), ("result", "weil")],
-    "solve": [("verdict",), ("result", "verdict"), ("result", "x", "z_coeffs")],
+    "solve": [("verdict",), ("result", "verdict"), ("result", "x", "z_coeffs"),
+              ("result", "x", "growth"), ("result", "growth"),
+              ("result", "membership")],
 }
 
 _WORDS = ["ok", "pure", "not_pure", "inconclusive", "budget_exhausted",
@@ -280,6 +281,36 @@ def test_forged_qth_root_missing_is_refused():
     code, vr = verify(doc)
     assert code == 4
     assert [c["name"] for c in vr["checks"]] == ["solve: missing q-th root re-check"]
+
+
+def test_forged_growth_is_refused():
+    # the x_bk of an honest Bbar refusal (valuations unbounded below),
+    # relabelled bounded below and offered as the solution
+    K = F3L.field()
+    a, b = ZSeries.z(K, -1), ZSeries(K, {-1: -K.zeta(-1)})
+    code, doc = run_json(["solve", "--ring", "Bbar", "--prec-z", "6",
+                          "--a", solve_side(K, a), "--b", solve_side(K, b)])
+    assert code == 0 and doc["result"]["reason"] == "UnboundedCoefficientValuations"
+    assert verify(doc)[0] == 0
+    moved = json.loads(json.dumps(doc))
+    moved["result"]["witness"]["valuation"] -= 1
+    assert verify(moved)[0] == 4
+    x = doc["result"]["x_bk"]
+    x["growth"] = {"kind": "geometric_valuation_growth",
+                   "conclusion": "bounded_below", "bound": -3}
+    doc["verdict"] = "solution"
+    doc["result"] = {
+        "kind": "solve_outcome", "verdict": "solution", "ring": "Bbar",
+        "requested_precision": 6, "achieved_precision": 6, "x": x,
+        "growth": x["growth"],
+        "membership": {"kind": "membership", "ring": "Bbar", "verdict": "yes",
+                       "z_window_hi": 6, "bound": -3,
+                       "note": "growth annotation bounds valuations below"},
+    }
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "solve: membership re-check"]
 
 
 def test_honest_qth_root_missing_replays():
