@@ -199,21 +199,25 @@ def growth_annotation(a, b, x):
     from a, b and x alone, so that `verify` re-derives it: the root
     regime's bound for v_z(a) > 0, the valuation recursion of
     `_growth_certificate` for an exact a = c*z^-k, None otherwise (and
-    for b = 0, solved by x = 0)."""
+    for b = 0, solved by x = 0). b is tested only in those two regimes,
+    where the solver has settled b != 0; elsewhere b may be zero only to
+    its window."""
     va = a.valuation()
-    if va is INF or b.is_zero():
+    if va is INF or va == 0:
         return None
-    if va > 0:
-        # coefficient valuations stay >= min(0, profiles of a, b):
-        # v(x_n) = v(rhs)/q and rhs only mixes b_n with a_k x_{n-k}
-        ca, cb = _profile_bound(a), _profile_bound(b)
-        if ca is None or cb is None:
+    if va < 0:
+        if len(a.co) != 1 or not a.is_exact() or b.is_zero():
             return None
-        return {"kind": "root_regime_bound", "conclusion": "bounded_below",
-                "bound": min(ca, cb)}
-    if va < 0 and len(a.co) == 1 and a.is_exact():
         return _growth_certificate(x, b, -va, a.co[va])
-    return None
+    if b.is_zero():
+        return None
+    # coefficient valuations stay >= min(0, profiles of a, b):
+    # v(x_n) = v(rhs)/q and rhs only mixes b_n with a_k x_{n-k}
+    ca, cb = _profile_bound(a), _profile_bound(b)
+    if ca is None or cb is None:
+        return None
+    return {"kind": "root_regime_bound", "conclusion": "bounded_below",
+            "bound": min(ca, cb)}
 
 
 def force_roots(a, b, N):
@@ -476,7 +480,7 @@ def _coords_vec(K, coords, r, N, nL):
 # tau-fixed points
 
 
-def tau_fixed_space(A, N, e=1, require_unit=True):
+def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
     """F_q-basis of {v over F_{q^{m ext e}}[[z]]/z^N : A*sigma(v) = v}.
 
     A is an r x r matrix of ZSeries over a finite base with entries in
@@ -486,11 +490,29 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
     defect map is F_q-linear (not L-linear); the returned basis is over
     F_q, found inside the exact F_p-kernel that `fixed_space_levels`
     reaches at its last level.
+
+    With `full` (one degree of the tate sweep) the answer is None at the
+    first level n whose fixed space has F_q-dimension below r*(n+1), and
+    no field is built for such a degree. By Lang's theorem the fixed
+    space at z-precision n has F_q-dimension at most r*n, and r*N at
+    precision N forces r*n at every n <= N (the fixed points over the
+    algebraic closure then are all rational, and they surject onto each
+    lower precision), so a short level rules the degree out.
     """
+    K, r = A[0][0].K, len(A)
+    need = K.desc.a * r if full else 0  # F_p-dimension of F_q^r
     rows = np.zeros((0, 0), dtype=np.int64)
-    for rows in fixed_space_levels(A, N, e, require_unit):
-        pass
-    return fixed_space_basis(A, rows, N, e)
+    for n, rows in enumerate(fixed_space_levels(A, N, e, require_unit)):
+        if len(rows) < need * (n + 1):
+            return None
+    # the rows, permuted to the coordinates (component, z-degree, field),
+    # brought to the basis a nullspace of the whole system gives
+    L = K.extend(e)
+    nL = L.ff.n
+    k = len(rows)
+    rows = rows.reshape(k, N, r, nL).transpose(0, 2, 1, 3).reshape(k, r * N * nL)
+    ker = kernels.canonical_basis(rows, L.ff.p)
+    return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
 
 
 def _fixed_space_terms(A, N, require_unit=True):
@@ -551,20 +573,6 @@ def fixed_space_levels(A, N, e, require_unit=True):
                 coupling[:, l * w : (l + 1) * w] = T[n - l]
         rows = kernels.extend_kernel(rows, coupling, diag, p)
         yield rows
-
-
-def fixed_space_basis(A, rows, N, e):
-    """The F_q-basis of `tau_fixed_space(A, N, e)` from the rows of the
-    last level of `fixed_space_levels`: the rows are permuted to the
-    coordinates (component, z-degree, field) and brought to the canonical
-    basis, the one a nullspace of the whole system gives."""
-    K, r = A[0][0].K, len(A)
-    L = K.extend(e)
-    nL = L.ff.n
-    k = len(rows)
-    rows = rows.reshape(k, N, r, nL).transpose(0, 2, 1, 3).reshape(k, r * N * nL)
-    ker = kernels.canonical_basis(rows, L.ff.p)
-    return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
 
 
 def _require_invertible_mod_z(A):

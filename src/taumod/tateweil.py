@@ -12,7 +12,7 @@ resulting Frobenius cocycle.
 
 Both coefficient-extension sweeps solve their F_p-linear system once
 per degree, level by level on `basefield.FpExtension` data
-(`semilinear.fixed_space_levels` in z, `_conjugator_levels` in
+(`semilinear.tau_fixed_space` in z, `_conjugator_levels` in
 tau^{-1}): a degree is dropped at the first level that rules it out,
 and the degree that passes builds its field and reads its answer off
 the last level.
@@ -35,10 +35,9 @@ from taumod.isocrystal import (
     purity_check,
 )
 from taumod.semilinear import (
-    fixed_space_basis,
-    fixed_space_levels,
     frobenius_action,
     free_module_check,
+    tau_fixed_space,
 )
 from taumod.skew import DEFAULT_TAUINV_PREC, SkewLaurent, skew_inverse
 from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
@@ -70,10 +69,11 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     sweeps coefficient extensions until the fixed points form a free
     F_q[[z]]/z^N-module of rank equal to the rank of M. The sweep is
     necessary: the integral form only trivializes after a finite
-    coefficient extension. Each degree is solved level by level in z on
-    F_p-linear data (`_fixed_rows`), and only a degree whose fixed space
-    is full builds its field, reads its F_q-basis off the last level and
-    runs `free_module_check` there. Raises ExtensionExhausted when e_max
+    coefficient extension. Each degree is one call of
+    `tau_fixed_space(..., full=True)`, solved level by level in z on
+    F_p-linear data, and only a degree whose fixed space is full builds
+    its field, reads its F_q-basis off the last level and runs
+    `free_module_check` there. Raises ExtensionExhausted when e_max
     does not suffice; purity budget failures surface as Inconclusive.
     """
     K = M.K
@@ -91,10 +91,9 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     B = conjugated_matrix(M, lat, prec=work)
     r = M.rank
     for e in range(1, e_max + 1):
-        rows = _fixed_rows(B, N, e)
-        if rows is None:
+        basis = tau_fixed_space(B, N, e=e, full=True)
+        if basis is None:
             continue
-        basis = fixed_space_basis(B, rows, N, e)
         ok, mb = free_module_check(K, basis, r, N)
         if not ok:
             continue
@@ -117,24 +116,6 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     raise ExtensionExhausted(
         f"fixed points not free of rank {r} within {e_max} coefficient extensions"
     )
-
-
-def _fixed_rows(B, N, e):
-    """The last level of `fixed_space_levels(B, N, e)`, or None at the
-    first level that rules the degree out.
-
-    By Lang's theorem the fixed space at z-precision n has F_q-dimension
-    at most r*n, and r*N at precision N forces r*n at every n <= N (the
-    fixed points over the algebraic closure then are all rational, and
-    they surject onto each lower precision). So the sweep stops at the
-    first level whose fixed space falls short.
-    """
-    need = B[0][0].K.desc.a * len(B)  # F_p-dimension of F_q^r
-    rows = np.zeros((0, 0), dtype=np.int64)
-    for n, rows in enumerate(fixed_space_levels(B, N, e)):
-        if len(rows) < need * (n + 1):
-            return None
-    return rows
 
 
 # ------------------------------------------------------------- formal layer

@@ -313,6 +313,19 @@ def test_forged_growth_is_refused():
         "solve: membership re-check"]
 
 
+@pytest.mark.parametrize("a_co", [{0: 1}, {-1: 1, 0: 1}])
+def test_b_zero_to_its_window_replays(a_co):
+    # b = O(z^3): constant a, and a non-monomial a of z-order -1, both
+    # solved by x = 0 below the window; no growth annotation to re-derive
+    K = F9F.field()
+    a = ZSeries(K, {k: K.el(c) for k, c in a_co.items()})
+    code, doc = run_json(["solve", "--ring", "BK", "--prec-z", "6",
+                          "--a", solve_side(K, a), "--b", solve_side(K, ZSeries(K, {}, 3))])
+    assert code == 0 and doc["verdict"] == "solution"
+    code, vr = verify(doc)
+    assert code == 0 and vr["verdict"] == "ok"
+
+
 def test_honest_qth_root_missing_replays():
     name, payload = corpusgen.counterexample_problems()[3]
     assert name == "solve-affine-bk"
