@@ -1,4 +1,5 @@
-"""Time the F_p kernels of taumod.kernels on seeded workloads.
+"""Time the F_p kernels of taumod.kernels, and windowed series products
+over tabled fields, on seeded workloads.
 
 Prints the best per-call time of each workload over the trials,
 labelled with the kernel lane (`kernels.BACKEND`).
@@ -7,13 +8,18 @@ Usage: python bench/bench_kernels.py [--trials N] [--seed S]
 """
 
 import argparse
+import operator
 import random
 import sys
 import time
+from math import inf as INF
 
 import numpy as np
 
 from taumod import kernels
+from taumod.basefield import FieldDescriptor
+from taumod.skew import SkewPoly
+from taumod.zseries import ZSeries
 
 
 def _rand_poly(rng, n, p):
@@ -51,7 +57,30 @@ def _workloads(seed):
         ("nullspace 80x120/F3", kernels.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
         ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
+    ] + _series_workloads(rng)
+
+
+def _rand_series(cls, K, rng, exps, hi):
+    return cls(K, {e: K.random(rng) for e in exps}, hi)
+
+
+def _series_workloads(rng):
+    """Products through `Series.__mul__`: the windowed 12 x 13 term shape
+    of the `rank` workload's entries, a dense 40 x 40, a twisted product
+    over F_{4^8} = F_{2^16}, and the one-term products of small corpus
+    items."""
+    f9 = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
+    f4 = FieldDescriptor(p=2, a=2, m=1, kind="finite").field()
+    f48 = FieldDescriptor(p=2, a=2, m=8, kind="finite").field()
+    mul = operator.mul
+    pairs = [
+        ("series 12x13/F9", ZSeries, f9, (range(-2, 10), 10), (range(-1, 12), 11)),
+        ("series 40x40/F9", ZSeries, f9, (range(40), 40), (range(40), 40)),
+        ("skew 8x8/F_{4^8}", SkewPoly, f48, (range(8), INF), (range(8), INF)),
+        ("series 1x1/F4", ZSeries, f4, ((0,), 8), ((1,), 8)),
     ]
+    return [(label, mul, (_rand_series(cls, K, rng, *a), _rand_series(cls, K, rng, *b)))
+            for label, cls, K, a, b in pairs]
 
 
 def _level_solve(levels, p):

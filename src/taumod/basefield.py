@@ -208,7 +208,8 @@ class FF:
 
     Elements are coefficient tuples of length n (low-to-high in the
     residue of X). Fields with at most 2^16 elements carry discrete-log
-    tables, making mul/inv/frobenius O(1); larger fields fall back to the
+    tables, making mul/inv/frobenius O(1), and multiply whole series in
+    the log domain (`series_product`); larger fields fall back to the
     kernel polynomial arithmetic, and apply Frobenius powers as the
     cached F_p matrices of `frobenius_power`.
 
@@ -226,6 +227,8 @@ class FF:
         self.modulus = _find_modulus(p, n)
         self._exp = None
         self._log = None
+        # b -> the `_Slots` for slot values below 2^b, for `series_product`
+        self._slots = {}
         self.zero = Felt(self, (0,) * n)
         self.one = Felt(self, tuple([1] + [0] * (n - 1)))
         if self.size <= TABLE_LIMIT:
@@ -332,6 +335,133 @@ class FF:
             return self.pow_raw(x, self.p**k)
         img = frobenius_power(self.p, self.n, k) @ np.array(x, dtype=np.int64)
         return tuple((img % self.p).tolist())
+
+    def series_product(self, a_co, b_co, hi, k):
+        """The coefficients below exponent hi of
+
+            (sum a_i x^i)(sum b_j x^j) = sum a_i sigma^(k*i)(b_j) x^(i+j),
+
+        sigma the p-power Frobenius, for a_co and b_co maps exponent ->
+        Felt of this field; exactly-zero sums are left out. None when the
+        field has no log tables or a coefficient lies in another field.
+
+        The product runs on the logs: the logs of two coefficients add,
+        and sigma^m multiplies a log by p^m. When one factor has a single
+        term, every exponent gets one term, read off `_exp`. Otherwise the
+        terms of an exponent are summed as ints, each the F_p coordinates
+        of its element packed into slots (`_Slots`), and the sum is
+        reduced mod p once.
+        """
+        la = self._logs(a_co)
+        lb = self._logs(b_co)
+        if la is None or lb is None:
+            return None
+        if not la or not lb:
+            return {}
+        p, n, order = self.p, self.n, self.size - 1
+        twisted = {0: lb}
+        single = len(la) == 1 or len(lb) == 1
+        if single:
+            exp = self._exp
+            out = {}
+        else:
+            # a sum has at most min(len a, len b) terms, so its slots
+            # stay below 2^b
+            b = (min(len(la), len(lb)) * (p - 1)).bit_length()
+            slots = self._slots.get(b)
+            if slots is None:
+                slots = self._slots[b] = _Slots(self, b)
+            acc = {}
+        for e1, l1 in la:
+            row = lb
+            if k and n > 1:
+                s = k * e1 % n
+                row = twisted.get(s)
+                if row is None:
+                    f = p**s
+                    row = twisted[s] = [(e2, l2 * f % order) for e2, l2 in lb]
+            lim = hi - e1
+            if single:
+                for e2, l2 in row:
+                    if e2 < lim:
+                        out[e1 + e2] = Felt(self, exp[(l1 + l2) % order])
+            else:
+                for e2, l2 in row:
+                    if e2 < lim:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + slots[l1 + l2]
+        if single:
+            return out
+        out = {}
+        c, high, shift, felts = slots.c, slots.high, slots.shift, slots.felts
+        for e, s in acc.items():
+            # every slot at once: s - p * floor(s / p)
+            r = s - ((s * c & high) >> shift) * p
+            if r:
+                out[e] = felts.get(r) or slots.felt(r)
+        return out
+
+    def _logs(self, co):
+        """[(exponent, log)] of the nonzero coefficients of co; None when
+        the field has no log table or a coefficient is no Felt of it."""
+        log = self._log
+        if log is None:
+            return None
+        out = []
+        for e, c in co.items():
+            if type(c) is not Felt or c.ff is not self:
+                return None
+            lc = log.get(c.c)
+            if lc is not None:  # else c is zero
+                out.append((e, lc))
+        return out
+
+
+class _Slots(dict):
+    """The F_p coordinates of elements of a tabled field `ff` packed into
+    the slots of one int, coordinate i in bits [i*width, (i+1)*width),
+    for sums whose slots stay below 2^b. For n = 1 the int is the
+    coordinate itself.
+
+    As a dict, it maps a log l in [0, 2*(size - 1)) to the packed
+    coordinates of gen^l, so a sum of two logs needs no reduction.
+    Entries are computed the first time a product asks for them, and so
+    are those of `felts`, which maps packed coordinates below p to the
+    shared Felt.
+
+    Every slot of a sum s is reduced mod p at once, by Barrett's method:
+    with shift = bit length of 2^b * p and c = ceil(2^shift / p),
+    floor(x / p) = floor(x * c / 2^shift) for 0 <= x < 2^b. The slots
+    are shift + b bits wide, so each x * c stays in its own slot, and
+    (s * c & high) >> shift holds every floor(x / p) in place, `high`
+    masking the bits from shift up in each slot.
+    """
+
+    __slots__ = ("ff", "width", "c", "high", "shift", "felts")
+
+    def __init__(self, ff, b):
+        super().__init__()
+        self.ff = ff
+        self.shift = ((1 << b) * ff.p).bit_length()
+        self.width = self.shift + b
+        self.c = -(-(1 << self.shift) // ff.p)
+        top = (1 << self.width) - (1 << self.shift)
+        self.high = sum(top << (i * self.width) for i in range(ff.n))
+        self.felts = {}
+
+    def __missing__(self, l):
+        v = 0
+        for x in reversed(self.ff._exp[l % len(self.ff._exp)]):
+            v = (v << self.width) | x
+        self[l] = v
+        return v
+
+    def felt(self, r):
+        """The Felt with packed coordinates r, each below p."""
+        mask = (1 << self.width) - 1
+        c = tuple(r >> (i * self.width) & mask for i in range(self.ff.n))
+        f = self.felts[r] = Felt(self.ff, c)
+        return f
 
 
 @lru_cache(maxsize=None)

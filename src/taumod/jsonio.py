@@ -236,13 +236,15 @@ def parse_skewlaurent(K, d):
     return SkewLaurent(K, co, INF if hi is None else int(hi))
 
 
-def parse_isocrystal(d):
+def parse_isocrystal(d, prec=None):
+    """The isocrystal of d, its twist matrix inverted at z-precision prec
+    (default `zseries.DEFAULT_Z_PREC`)."""
     K = parse_field(_need(d, "base", "isocrystal"))
     rows = _need(d, "tau_matrix", "isocrystal")
     if not isinstance(rows, list) or not rows:
         raise InputError("tau_matrix must be a nonempty square array")
     A = [[parse_zseries(K, cell) for cell in row] for row in rows]
-    M = Isocrystal(K, A)
+    M = Isocrystal(K, A, prec)
     want = d.get("rank")
     if want is not None and int(want) != M.rank:
         raise InputError(f"declared rank {want} but tau_matrix is {M.rank} x {M.rank}")

@@ -23,6 +23,11 @@ and field-nesting rule):
 Windows stay truthful: a sum is known below the smaller window; a product
 of a (order >= v_a) and b (order >= v_b) is known below
 min(a.hi + v_b, b.hi + v_a), so an exact zero (order inf) absorbs.
+
+Products over a finite field with log tables run in the log domain, in
+`FF.series_product`; products over other rings, products with
+coefficients from another field, and products of two single terms
+multiply coefficient by coefficient.
 """
 
 import math
@@ -225,7 +230,14 @@ class Series:
         vb = min(b.co) if b.co else b.hi
         hi = min(a.hi + vb, b.hi + va)
         twist = a._TWIST
-        sigma = a._ring(a.K).sigma if twist else None
+        R = a._ring(a.K)
+        # a product of two single terms is one Felt product either way
+        if R.kind == "finite" and len(a.co) * len(b.co) > 1:
+            # sigma is the q-power Frobenius, q = p^a
+            co = R.ff.series_product(a.co, b.co, hi, twist * R.desc.a)
+            if co is not None:
+                return type(a)(a.K, co, hi)
+        sigma = R.sigma if twist else None
         co = {}
         for e1, c1 in a.co.items():
             if twist:

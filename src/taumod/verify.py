@@ -3,9 +3,10 @@
 `REGISTRY[command]` is the pair (verdict, replay). `verdict(result)` is
 the one-word outcome a result implies; the command that writes the
 report and `verify_report` both take it from here. `replay(input,
-result, checks)` re-derives the result's claims from the report's input
-without re-running the search that produced them, appending one
-{"name", "ok", ...} entry to `checks` per claim.
+result, checks, policy)` re-derives the result's claims from the
+report's input, read under the report's `policy`, without re-running
+the search that produced them, appending one {"name", "ok", ...} entry
+to `checks` per claim.
 """
 
 from operator import itemgetter
@@ -69,6 +70,11 @@ def _weil_verdict(result):
 # -- replays ------------------------------------------------------------------
 
 
+def _z_prec(policy):
+    """The z-precision the report's input was read at."""
+    return int(policy["z_prec"])
+
+
 def _parse_matrix(K, rows):
     return [[jsonio.parse_zseries(K, cell) for cell in row] for row in rows]
 
@@ -116,7 +122,7 @@ def _crosscheck_ok(E, doc):
             and _crosscheck_ok(ramified(E, e), doc["extended"]))
 
 
-def _replay_analyze(inp, result, checks):
+def _replay_analyze(inp, result, checks, policy):
     E = jsonio.parse_drinfeld(inp)
     cert = result.get("infinity_purity", {})
     if cert.get("kind") == "purity_certificate":
@@ -128,8 +134,8 @@ def _replay_analyze(inp, result, checks):
                _crosscheck_ok(E, result["crosscheck"]))
 
 
-def _replay_isocrystal_purity(inp, result, checks):
-    M = jsonio.parse_isocrystal(inp)
+def _replay_isocrystal_purity(inp, result, checks, policy):
+    M = jsonio.parse_isocrystal(inp, _z_prec(policy))
     cert = result.get("certificate", {})
     if cert.get("kind") == "purity_certificate":
         _replay_purity(M, cert, checks, "purity")
@@ -147,7 +153,7 @@ def _regrown(a, b, x_doc, *claimed):
             all(c == growth for c in (x_doc.get("growth"),) + claimed))
 
 
-def _replay_solve(inp, outcome, checks):
+def _replay_solve(inp, outcome, checks, policy):
     K = jsonio.parse_field(inp["base"])
     verdict = outcome["verdict"]
     ring = outcome["ring"]
@@ -210,11 +216,11 @@ def _replay_solve(inp, outcome, checks):
         _check(checks, "solve: inconclusive makes no claim", True)
 
 
-def _replay_tate(inp, result, checks):
+def _replay_tate(inp, result, checks, policy):
     if "tate" not in result:
         _check(checks, "tate: no certificate claimed", True)
         return
-    M = jsonio.parse_isocrystal(inp)
+    M = jsonio.parse_isocrystal(inp, _z_prec(policy))
     tate_doc = result["tate"]
     N = int(tate_doc["z_precision"])
     e = int(tate_doc["extension"])
@@ -276,7 +282,7 @@ def _replay_tate(inp, result, checks):
                for j in range(r)))
 
 
-def _replay_weil(inp, result, checks):
+def _replay_weil(inp, result, checks, policy):
     """Re-substitute the conjugator u, then recompute the whole Weil block
     from u and compare renderings."""
     if "weil" not in result:
@@ -324,7 +330,7 @@ def verify_report(doc):
     verdict, replay = entry
     result = doc.get("result", {})
     try:
-        replay(doc.get("input"), result, checks)
+        replay(doc.get("input"), result, checks, doc.get("policy", {}))
     except PrecisionLoss as exc:
         _check(checks, "replay: the report's windows cover its claims", False,
                detail=str(exc))

@@ -74,6 +74,30 @@ def monomial_module():
     return DrinfeldModule(K, [K.gen(), K.zero(), K.one()])
 
 
+def mono(K, c, k=0):
+    return ZSeries(K, {k: K.el(c)} if c else {}, INF)
+
+
+def pivot_window_twist():
+    """P A sigma(P)^-1 over F_25 for a constant A in GL_3: (K, the twist
+    matrix, the isocrystal input). Its inverse needs more than the
+    default z-precision to settle its last pivot column."""
+    K = FieldDescriptor(p=5, a=1, m=2, kind="finite").field()
+    rng = random.Random("pivot-window")
+    P = [[mono(K, 1), mono(K, 1, -2), mono(K, 1, -1)],
+         [mono(K, 0), mono(K, 1, 1), mono(K, 1, -1)],
+         [mono(K, 0), mono(K, 0), mono(K, 1)]]
+    while True:
+        A = [[ZSeries(K, {0: K.random(rng)}, INF) for _ in range(3)]
+             for _ in range(3)]
+        if zmatrix.det(A).valuation() == 0:
+            break
+    B = zmatrix.mul(zmatrix.mul(P, A), zmatrix.sigma(zmatrix.inv(P), 1))
+    inp = {"base": jsonio.render_field(K),
+           "tau_matrix": [[jsonio.render(x) for x in row] for row in B]}
+    return K, B, inp
+
+
 def solve_side(K, x):
     return json.dumps({
         "base": json.loads(jsonio.dump_canonical(K)),
@@ -131,27 +155,10 @@ class TestErrors:
         code, doc = run_json(["tate", "--input", jsonio.dump_canonical(M)])
         assert code == 2 and doc["kind"] == "error_report"
 
-
     def test_pivot_zero_only_to_its_window_exits_3(self):
-        # P A sigma(P)^-1 over F_25 for a constant A in GL_3: at the default
-        # precision the candidates of its inverse's last pivot column are
-        # zero only to their windows, which is a precision loss
-        K = FieldDescriptor(p=5, a=1, m=2, kind="finite").field()
-        rng = random.Random("pivot-window")
-
-        def mono(c, k=0):
-            return ZSeries(K, {k: K.el(c)} if c else {}, INF)
-
-        P = [[mono(1), mono(1, -2), mono(1, -1)], [mono(0), mono(1, 1), mono(1, -1)],
-             [mono(0), mono(0), mono(1)]]
-        while True:
-            A = [[ZSeries(K, {0: K.random(rng)}, INF) for _ in range(3)]
-                 for _ in range(3)]
-            if zmatrix.det(A).valuation() == 0:
-                break
-        B = zmatrix.mul(zmatrix.mul(P, A), zmatrix.sigma(zmatrix.inv(P), 1))
-        inp = {"base": jsonio.render_field(K),
-               "tau_matrix": [[jsonio.render(x) for x in row] for row in B]}
+        # at the default precision the candidates of the inverse's last
+        # pivot column are zero only to their windows: a precision loss
+        K, B, inp = pivot_window_twist()
         code, doc = run_json(["isocrystal", "slopes", "--input", json.dumps(inp)])
         assert code == 3 and doc["error"] == "PrecisionLoss"
         with pytest.raises(PrecisionLoss):
@@ -160,7 +167,20 @@ class TestErrors:
                               zmatrix.identity(K, 3))
         # a pivot column of exact zeros is singular
         with pytest.raises(NotInvertible):
-            zmatrix.inv([[mono(1), mono(1, 1)], [mono(0), mono(0)]])
+            zmatrix.inv([[mono(K, 1), mono(K, 1, 1)], [mono(K, 0), mono(K, 0)]])
+
+    def test_prec_z_widens_the_inverse_window(self):
+        # the same input read at --prec-z 30 inverts: slopes and purity
+        # answer, and the purity report replays at the precision it echoes
+        _, _, inp = pivot_window_twist()
+        code, doc = run_json(["isocrystal", "slopes", "--prec-z", "30",
+                              "--input", json.dumps(inp)])
+        assert code == 0 and doc["result"]["slopes"] == [[0, 1]] * 3
+        code, doc = run_json(["isocrystal", "purity", "--s", "0", "--r", "1",
+                              "--prec-z", "30", "--input", json.dumps(inp)])
+        assert code == 0 and doc["verdict"] == "pure"
+        code, ver = run_json(["verify", "--input", json.dumps(doc)])
+        assert code == 0 and ver["verdict"] == "ok"
 
 
 class TestIsocrystal:
@@ -378,6 +398,11 @@ class TestCorpus:
         _, out1 = run(["corpus", "--dir", str(tmp_path), "--jobs", "1"])
         _, out2 = run(["corpus", "--dir", str(tmp_path), "--jobs", "3"])
         assert out1 == out2
+
+    def test_jobs_below_one_rejected(self, tmp_path):
+        self._seed_dir(tmp_path, n=2)
+        code, doc = run_json(["corpus", "--dir", str(tmp_path), "--jobs", "0"])
+        assert code == 2 and doc["error"] == "InputError"
 
     def test_seed0_report_bytes_are_pinned(self, tmp_path):
         # the byte-identity gate for refactors: the seed-0 corpus report
