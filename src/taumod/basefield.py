@@ -227,8 +227,8 @@ class FF:
         self.modulus = _find_modulus(p, n)
         self._exp = None
         self._log = None
-        # b -> the `_Slots` for slot values below 2^b, for `series_product`
-        self._slots = {}
+        # the `_Slots` of `series_product`, widened as products need
+        self._slots = None
         self.zero = Felt(self, (0,) * n)
         self.one = Felt(self, tuple([1] + [0] * (n - 1)))
         if self.size <= TABLE_LIMIT:
@@ -346,11 +346,9 @@ class FF:
         field has no log tables or a coefficient lies in another field.
 
         The product runs on the logs: the logs of two coefficients add,
-        and sigma^m multiplies a log by p^m. When one factor has a single
-        term, every exponent gets one term, read off `_exp`. Otherwise the
-        terms of an exponent are summed as ints, each the F_p coordinates
-        of its element packed into slots (`_Slots`), and the sum is
-        reduced mod p once.
+        and sigma^m multiplies a log by p^m. The terms of an exponent are
+        summed as ints, each the F_p coordinates of its element packed
+        into slots (`_Slots`), and the sum is reduced mod p once.
         """
         la = self._logs(a_co)
         lb = self._logs(b_co)
@@ -359,19 +357,14 @@ class FF:
         if not la or not lb:
             return {}
         p, n, order = self.p, self.n, self.size - 1
+        # a sum has at most min(len a, len b) terms, so its slots stay
+        # below 2^b
+        b = (min(len(la), len(lb)) * (p - 1)).bit_length()
+        slots = self._slots
+        if slots is None or slots.b < b:
+            slots = self._slots = _Slots(self, b)
         twisted = {0: lb}
-        single = len(la) == 1 or len(lb) == 1
-        if single:
-            exp = self._exp
-            out = {}
-        else:
-            # a sum has at most min(len a, len b) terms, so its slots
-            # stay below 2^b
-            b = (min(len(la), len(lb)) * (p - 1)).bit_length()
-            slots = self._slots.get(b)
-            if slots is None:
-                slots = self._slots[b] = _Slots(self, b)
-            acc = {}
+        acc = {}
         for e1, l1 in la:
             row = lb
             if k and n > 1:
@@ -381,17 +374,10 @@ class FF:
                     f = p**s
                     row = twisted[s] = [(e2, l2 * f % order) for e2, l2 in lb]
             lim = hi - e1
-            if single:
-                for e2, l2 in row:
-                    if e2 < lim:
-                        out[e1 + e2] = Felt(self, exp[(l1 + l2) % order])
-            else:
-                for e2, l2 in row:
-                    if e2 < lim:
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + slots[l1 + l2]
-        if single:
-            return out
+            for e2, l2 in row:
+                if e2 < lim:
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + slots[(l1 + l2) % order]
         out = {}
         c, high, shift, felts = slots.c, slots.high, slots.shift, slots.felts
         for e, s in acc.items():
@@ -423,11 +409,12 @@ class _Slots(dict):
     for sums whose slots stay below 2^b. For n = 1 the int is the
     coordinate itself.
 
-    As a dict, it maps a log l in [0, 2*(size - 1)) to the packed
-    coordinates of gen^l, so a sum of two logs needs no reduction.
-    Entries are computed the first time a product asks for them, and so
-    are those of `felts`, which maps packed coordinates below p to the
-    shared Felt.
+    As a dict, it maps a log l in [0, size - 1) to the packed
+    coordinates of gen^l. Entries are computed the first time a product
+    asks for them, and so are those of `felts`, which maps packed
+    coordinates below p to the shared Felt. A field keeps one `_Slots`,
+    replaced by a wider one when a product needs a larger b, so it holds
+    at most size - 1 entries of each.
 
     Every slot of a sum s is reduced mod p at once, by Barrett's method:
     with shift = bit length of 2^b * p and c = ceil(2^shift / p),
@@ -437,11 +424,12 @@ class _Slots(dict):
     masking the bits from shift up in each slot.
     """
 
-    __slots__ = ("ff", "width", "c", "high", "shift", "felts")
+    __slots__ = ("ff", "b", "width", "c", "high", "shift", "felts")
 
     def __init__(self, ff, b):
         super().__init__()
         self.ff = ff
+        self.b = b
         self.shift = ((1 << b) * ff.p).bit_length()
         self.width = self.shift + b
         self.c = -(-(1 << self.shift) // ff.p)
@@ -451,7 +439,7 @@ class _Slots(dict):
 
     def __missing__(self, l):
         v = 0
-        for x in reversed(self.ff._exp[l % len(self.ff._exp)]):
+        for x in reversed(self.ff._exp[l]):
             v = (v << self.width) | x
         self[l] = v
         return v

@@ -317,9 +317,13 @@ def cmd_corpus(args):
         # 0.75 MB of memory
         import multiprocessing
 
+        # forked, so a worker starts with the package imported and the
+        # fields built; a fresh interpreter per worker costs more than
+        # a corpus of small items takes (numpy's OpenBLAS stops its
+        # threads around a fork, and the items use no BLAS call)
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn")) as ex:
+                mp_context=multiprocessing.get_context("fork")) as ex:
             items = list(ex.map(work, names, payloads))
     else:
         items = list(map(work, names, payloads))

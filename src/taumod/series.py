@@ -25,9 +25,8 @@ of a (order >= v_a) and b (order >= v_b) is known below
 min(a.hi + v_b, b.hi + v_a), so an exact zero (order inf) absorbs.
 
 Products over a finite field with log tables run in the log domain, in
-`FF.series_product`; products over other rings, products with
-coefficients from another field, and products of two single terms
-multiply coefficient by coefficient.
+`FF.series_product`; products over other rings and products with
+coefficients from another field multiply coefficient by coefficient.
 """
 
 import math
@@ -231,8 +230,7 @@ class Series:
         hi = min(a.hi + vb, b.hi + va)
         twist = a._TWIST
         R = a._ring(a.K)
-        # a product of two single terms is one Felt product either way
-        if R.kind == "finite" and len(a.co) * len(b.co) > 1:
+        if R.kind == "finite":
             # sigma is the q-power Frobenius, q = p^a
             co = R.ff.series_product(a.co, b.co, hi, twist * R.desc.a)
             if co is not None:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from taumod.basefield import TABLE_LIMIT, FieldDescriptor, LocalElem
+from taumod.basefield import FF, TABLE_LIMIT, Felt, FieldDescriptor, LocalElem
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
@@ -78,15 +78,46 @@ def test_random_products_match_felt_loop(label, cls, windowed):
     K = FIELDS[label].field()
     assert K.ff.size <= TABLE_LIMIT
     rng = random.Random(f"series-kernel:{label}:{cls.__name__}:{windowed}")
-    for _ in range(6):
-        a = random_series(cls, K, rng, rng.randrange(1, 14), windowed)
-        b = random_series(cls, K, rng, rng.randrange(1, 14), windowed)
+    # one-term factors too, where each exponent's sum has one term
+    terms = [(1, 1), (1, 13)] + [(rng.randrange(1, 14), rng.randrange(1, 14))
+                                 for _ in range(6)]
+    for ta, tb in terms:
+        a = random_series(cls, K, rng, ta, windowed)
+        b = random_series(cls, K, rng, tb, windowed)
         for x, y in ((a, b), (b, a)):
             want = felt_product(x, y)
             assert_same(x * y, want)
             # the kernel itself keeps only the exponents below the window
             assert K.ff.series_product(x.co, y.co, want.hi,
                                        cls._TWIST * K.desc.a) == want.co
+
+
+def test_one_slot_table_per_field_widened_on_demand():
+    # a field of its own, so its table starts empty
+    ff = FF(3, 2)
+    rng = random.Random("series-kernel-widen")
+
+    def rand(m):
+        return {e: Felt(ff, rng.choice(ff._exp)) for e in range(m)}
+
+    widths = []
+    for m in (2, 4, 13, 40, 3):
+        a, b = rand(m), rand(m)
+        want = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                want[e] = want[e] + c1 * c2 if e in want else c1 * c2
+        want = {e: c for e, c in want.items() if c != 0}
+        before = ff._slots
+        assert ff.series_product(a, b, INF, 0) == want
+        # a narrower product keeps the wider table it finds
+        assert (ff._slots is before) == (m == 3)
+        widths.append(ff._slots.b)
+        # one entry per element, keyed by its log
+        assert all(0 <= l < ff.size - 1 for l in ff._slots)
+    # b is the bit length of m (p - 1)
+    assert widths == [3, 4, 5, 7, 7]
 
 
 @pytest.mark.parametrize("label", ["F4", "F9", "F2^16"])
