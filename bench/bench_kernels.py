@@ -1,5 +1,6 @@
-"""Time the F_p kernels of taumod.kernels, and windowed series products
-over tabled fields, on seeded workloads.
+"""Time the F_p kernels of taumod.kernels, windowed series products over
+tabled fields, and the matrix product and determinant of `zmatrix`, on
+seeded workloads.
 
 Prints the best per-call time of each workload over the trials,
 labelled with the kernel lane (`kernels.BACKEND`).
@@ -16,7 +17,7 @@ from math import inf as INF
 
 import numpy as np
 
-from taumod import kernels
+from taumod import kernels, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.skew import SkewPoly
 from taumod.zseries import ZSeries
@@ -57,7 +58,7 @@ def _workloads(seed):
         ("nullspace 80x120/F3", kernels.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
         ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
-    ] + _series_workloads(rng)
+    ] + _series_workloads(rng) + _matrix_workloads(rng)
 
 
 def _rand_series(cls, K, rng, exps, hi):
@@ -81,6 +82,25 @@ def _series_workloads(rng):
     ]
     return [(label, mul, (_rand_series(cls, K, rng, *a), _rand_series(cls, K, rng, *b)))
             for label, cls, K, a, b in pairs]
+
+
+def _matrix_workloads(rng):
+    """`zmatrix.mul` and `zmatrix.det` (Laplace minors) on 7 x 7 matrices
+    over F_9 of dense windowed entries, 13 terms known below z^12, the
+    shape of the `rank` workload's rank-7 inverses. Each call gets fresh
+    entries, since a series keeps the logs a sum of products took of it."""
+    f9 = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
+
+    def rand_matrix():
+        return [[_rand_series(ZSeries, f9, rng, range(-1, 12), 12) for _ in range(7)]
+                for _ in range(7)]
+
+    def fresh(A):
+        return [[ZSeries(s.K, s.co, s.hi) for s in row] for row in A]
+
+    A, B = rand_matrix(), rand_matrix()
+    return [("matmul 7x7/F9", lambda A, B: zmatrix.mul(fresh(A), fresh(B)), (A, B)),
+            ("det 7x7/F9", lambda A: zmatrix.det(fresh(A)), (A,))]
 
 
 def _level_solve(levels, p):

@@ -9,7 +9,10 @@ Runs in one process through `taumod.cli.main` and prints one
   * every compute report, and the `verify` report of every request the
     plan verifies, of the `rank` and `tower` plans at seed 1 of
     `perfbench/inputs.py`;
-  * the requests of `RERUNS` again with extra flags, and their `verify`.
+  * the requests of `RERUNS` again with extra flags, and their `verify`;
+  * `isocrystal slopes` and `isocrystal purity` (and its `verify`) on one
+    dense rank-4 twist over q = 2, m = 2, built as the `rank` plan builds
+    its twists over F_9, so that the sign of a sum over p = 2 is covered.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -22,10 +25,14 @@ import io
 import json
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
+from taumod import jsonio, zmatrix
+from taumod.basefield import FieldDescriptor
 from taumod.cli import main
+from taumod.isocrystal import Isocrystal, simple_pure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = range(6)
@@ -67,12 +74,47 @@ def _corpus_lines(work):
     return lines
 
 
-def _plan_lines(work, workload, seed):
+def _inputs():
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import inputs
     finally:
         sys.path.pop(0)
+    return inputs
+
+
+def _lines(label, argv, verify):
+    """The line of one request, and of its `verify` if asked."""
+    code, out = _run(argv)
+    lines = [(_sha(out.encode()), f"{label} [exit {code}]")]
+    if verify:
+        code, vout = _run(["verify", "--input", out])
+        lines.append((_sha(vout.encode()), f"{label}.verify [exit {code}]"))
+    return lines
+
+
+def _f4_twist_lines(work, r=4):
+    """P A sigma(P)^-1 for the simple pure A of slope 1/r over F_4 (q = 2,
+    m = 2) and P = L U, the way `inputs.rank_requests` builds its twists."""
+    inputs = _inputs()
+    K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
+    rng = random.Random(f"report-gate:f4-twist:{r}")
+    L, U = inputs._unipotent(K, rng, r, True), inputs._unipotent(K, rng, r, False)
+    P = zmatrix.mul(L, U)
+    P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
+                        inputs._unipotent_inverse(L, True))
+    A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
+    path = work / f"f4-twist-r{r}.json"
+    path.write_text(json.dumps(jsonio.render(Isocrystal(K, A)), sort_keys=True))
+    label = f"f4-twist-r{r}"
+    return (_lines(f"{label}/slopes", ["isocrystal", "slopes", "--input", str(path)],
+                   False)
+            + _lines(f"{label}/purity", ["isocrystal", "purity", "--s", "1", "--r",
+                                         str(r), "--input", str(path)], True))
+
+
+def _plan_lines(work, workload, seed):
+    inputs = _inputs()
     d = work / f"{workload}{seed}"
     inputs.write_plan(workload, seed, d)
     lines = []
@@ -87,11 +129,7 @@ def _plan_lines(work, workload, seed):
                 extra = RERUNS[req["name"]]
                 runs.append((f"{label} {' '.join(extra)}", req["argv"] + extra, True))
         for label, argv, verify in runs:
-            code, out = _run(argv)
-            lines.append((_sha(out.encode()), f"{label} [exit {code}]"))
-            if verify:
-                code, vout = _run(["verify", "--input", out])
-                lines.append((_sha(vout.encode()), f"{label}.verify [exit {code}]"))
+            lines += _lines(label, argv, verify)
     finally:
         os.chdir(cwd)
     return lines
@@ -100,7 +138,7 @@ def _plan_lines(work, workload, seed):
 def main_gate():
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        lines = _corpus_lines(work)
+        lines = _corpus_lines(work) + _f4_twist_lines(work)
         for workload, seed in PLANS:
             lines += _plan_lines(work, workload, seed)
     for digest, label in sorted(lines, key=lambda t: t[1]):

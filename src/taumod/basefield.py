@@ -208,10 +208,10 @@ class FF:
 
     Elements are coefficient tuples of length n (low-to-high in the
     residue of X). Fields with at most 2^16 elements carry discrete-log
-    tables, making mul/inv/frobenius O(1), and multiply whole series in
-    the log domain (`series_product`); larger fields fall back to the
-    kernel polynomial arithmetic, and apply Frobenius powers as the
-    cached F_p matrices of `frobenius_power`.
+    tables, making mul/inv/frobenius O(1), and sum products of whole
+    series in the log domain (`sum_of_products`); larger fields fall
+    back to the kernel polynomial arithmetic, and apply Frobenius powers
+    as the cached F_p matrices of `frobenius_power`.
 
     The tables hang off the canonical generator `gen`, the encoding-least
     element of order p^n - 1. The exp table is filled by doubling
@@ -227,7 +227,7 @@ class FF:
         self.modulus = _find_modulus(p, n)
         self._exp = None
         self._log = None
-        # the `_Slots` of `series_product`, widened as products need
+        # the `_Slots` of `sum_of_products`, widened as sums need
         self._slots = None
         self.zero = Felt(self, (0,) * n)
         self.one = Felt(self, tuple([1] + [0] * (n - 1)))
@@ -337,47 +337,68 @@ class FF:
         return tuple((img % self.p).tolist())
 
     def series_product(self, a_co, b_co, hi, k):
-        """The coefficients below exponent hi of
+        """The coefficients below exponent hi of the product of a_co and
+        b_co, maps exponent -> Felt of this field: the one-pair case of
+        `sum_of_products`. None when the field has no log tables or a
+        coefficient lies in another field."""
+        la = self.logs(a_co)
+        lb = self.logs(b_co)
+        if la is None or lb is None:
+            return None
+        return self.sum_of_products(((la, lb, False),), hi, k)
+
+    def sum_of_products(self, terms, hi, k):
+        """The coefficients below exponent hi of the signed sum, over the
+        triples (la, lb, neg) of terms, of
 
             (sum a_i x^i)(sum b_j x^j) = sum a_i sigma^(k*i)(b_j) x^(i+j),
 
-        sigma the p-power Frobenius, for a_co and b_co maps exponent ->
-        Felt of this field; exactly-zero sums are left out. None when the
-        field has no log tables or a coefficient lies in another field.
+        negated where neg is true; sigma is the p-power Frobenius, la and
+        lb are the `logs` of a and b, and exactly-zero sums are left out.
 
-        The product runs on the logs: the logs of two coefficients add,
-        and sigma^m multiplies a log by p^m. The terms of an exponent are
-        summed as ints, each the F_p coordinates of its element packed
-        into slots (`_Slots`), and the sum is reduced mod p once.
+        The sum runs on the logs: the logs of two coefficients add,
+        sigma^m multiplies a log by p^m, and a sign adds log(-1), which
+        is (size - 1) / 2 for odd p and 0 for p = 2. The terms of an
+        exponent, from every product at once, are summed as ints, each
+        the F_p coordinates of its element packed into slots (`_Slots`),
+        and the sum is reduced mod p once.
         """
-        la = self._logs(a_co)
-        lb = self._logs(b_co)
-        if la is None or lb is None:
-            return None
-        if not la or not lb:
+        pairs = []
+        count = 0
+        for t in terms:
+            la, lb, _ = t
+            if la and lb:
+                pairs.append(t)
+                # a product adds at most min(len a, len b) terms to an
+                # exponent
+                count += min(len(la), len(lb))
+        if not pairs:
             return {}
         p, n, order = self.p, self.n, self.size - 1
-        # a sum has at most min(len a, len b) terms, so its slots stay
-        # below 2^b
-        b = (min(len(la), len(lb)) * (p - 1)).bit_length()
+        # so the slots of every sum stay below 2^b
+        b = (count * (p - 1)).bit_length()
         slots = self._slots
         if slots is None or slots.b < b:
             slots = self._slots = _Slots(self, b)
-        twisted = {0: lb}
+        log_neg = order // 2 if p != 2 else 0
         acc = {}
-        for e1, l1 in la:
-            row = lb
-            if k and n > 1:
-                s = k * e1 % n
-                row = twisted.get(s)
-                if row is None:
-                    f = p**s
-                    row = twisted[s] = [(e2, l2 * f % order) for e2, l2 in lb]
-            lim = hi - e1
-            for e2, l2 in row:
-                if e2 < lim:
-                    e = e1 + e2
-                    acc[e] = acc.get(e, 0) + slots[(l1 + l2) % order]
+        for la, lb, neg in pairs:
+            twisted = {0: lb}
+            for e1, l1 in la:
+                row = lb
+                if k and n > 1:
+                    s = k * e1 % n
+                    row = twisted.get(s)
+                    if row is None:
+                        f = p**s
+                        row = twisted[s] = [(e2, l2 * f % order) for e2, l2 in lb]
+                if neg:
+                    l1 += log_neg
+                lim = hi - e1
+                for e2, l2 in row:
+                    if e2 < lim:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + slots[(l1 + l2) % order]
         out = {}
         c, high, shift, felts = slots.c, slots.high, slots.shift, slots.felts
         for e, s in acc.items():
@@ -387,7 +408,7 @@ class FF:
                 out[e] = felts.get(r) or slots.felt(r)
         return out
 
-    def _logs(self, co):
+    def logs(self, co):
         """[(exponent, log)] of the nonzero coefficients of co; None when
         the field has no log table or a coefficient is no Felt of it."""
         log = self._log

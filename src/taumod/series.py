@@ -25,8 +25,13 @@ of a (order >= v_a) and b (order >= v_b) is known below
 min(a.hi + v_b, b.hi + v_a), so an exact zero (order inf) absorbs.
 
 Products over a finite field with log tables run in the log domain, in
-`FF.series_product`; products over other rings and products with
+`FF.sum_of_products`; products over other rings and products with
 coefficients from another field multiply coefficient by coefficient.
+`sum_of_products` below sums signed products a_l * b_l through that
+kernel in one accumulator, reduced once. Its window is the sum rule
+applied to the products' windows, min over l of min(a_l.hi + v(b_l),
+b_l.hi + v(a_l)), and a minus sign costs nothing: it adds log(-1) to
+each term's log.
 """
 
 import math
@@ -39,7 +44,8 @@ INF = math.inf
 class Series:
     """Sparse Laurent series with a truthful knowledge window."""
 
-    __slots__ = ("K", "co", "hi")
+    # _lg: the `FF.logs` of co, kept by `_logs_in` once asked for
+    __slots__ = ("K", "co", "hi", "_lg")
 
     # power of sigma applied per exponent of the left factor in a product
     _TWIST = 0
@@ -63,6 +69,7 @@ class Series:
         self.K = K
         self.co = clean
         self.hi = hi
+        self._lg = None
 
     # -- hooks ---------------------------------------------------------------
 
@@ -89,6 +96,13 @@ class Series:
     def _default_inv_prec(self):
         """Terms `inv` keeps when no precision is asked for."""
         raise NotImplementedError
+
+    def _logs_in(self, ff):
+        """`ff.logs(self.co)`, computed once: a series never changes."""
+        lg = self._lg
+        if lg is None:
+            lg = self._lg = ff.logs(self.co)
+        return lg
 
     def _lift(self, K):
         """self over K, coefficients coerced along the field inclusion."""
@@ -215,7 +229,14 @@ class Series:
         b = other if type(other) is type(self) else self._operand(other)
         if b is None:
             return NotImplemented
-        return self + (-b)
+        a = self
+        if a.K is not b.K:
+            a, b = _pair(a, b)
+        co = dict(a.co)
+        for e, c in b.co.items():
+            s = co.get(e)
+            co[e] = -c if s is None else s - c
+        return type(a)(a.K, co, min(a.hi, b.hi))
 
     def __mul__(self, other):
         b = other if type(other) is type(self) else self._operand(other)
@@ -316,6 +337,57 @@ class Series:
             out_hi = min(out_hi, acc.hi - v)
         co = {e - v: cc * cinv for e, cc in acc.co.items() if e - v < out_hi}
         return self._with(co, out_hi)
+
+
+def sum_of_products(terms):
+    """The sum over the triples (a, b, neg) of terms of the product a * b,
+    negated where neg is true; b None stands for the exact one, so the
+    term is a itself. terms is not empty.
+
+    When every operand is a series of one kind over one finite field with
+    log tables, the sum runs in one call of `FF.sum_of_products`.
+    Otherwise, or when a coefficient lies in another field, it is the
+    chain of products, negations and sums in the order of terms.
+    """
+    a0 = terms[0][0]
+    cls, K = type(a0), a0.K
+    R = cls._ring(K)
+    if R.kind == "finite":
+        ff = R.ff
+        args = []
+        hi = INF
+        for a, b, neg in terms:
+            if type(a) is not cls or a.K is not K:
+                break
+            la = a._logs_in(ff)
+            if la is None:
+                break
+            if b is None:
+                # the exact one: log 0 at exponent 0
+                args.append((la, [(0, 0)], neg))
+                hi = min(hi, a.hi)
+                continue
+            if type(b) is not cls or b.K is not K:
+                break
+            lb = b._logs_in(ff)
+            if lb is None:
+                break
+            # an exact zero has order inf, so it absorbs
+            va = min(a.co) if a.co else a.hi
+            vb = min(b.co) if b.co else b.hi
+            hi = min(hi, a.hi + vb, b.hi + va)
+            args.append((la, lb, neg))
+        else:
+            # no break: every term is in the log domain
+            return cls(K, ff.sum_of_products(args, hi, cls._TWIST * R.desc.a), hi)
+    acc = None
+    for a, b, neg in terms:
+        t = a if b is None else a * b
+        if acc is None:
+            acc = -t if neg else t
+        else:
+            acc = acc - t if neg else acc + t
+    return acc
 
 
 def _pair(a, b):

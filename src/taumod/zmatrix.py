@@ -3,11 +3,16 @@ isocrystals and the semilinear solvers.
 
 Matrices are lists of rows of ZSeries over a shared base K. Everything
 is exact-arithmetic; windows propagate through the entry operations.
+Three sums of products go through `series.sum_of_products`, one call
+per sum, so over a finite K with log tables each is one log-domain
+accumulation: each entry of `mul`, each minor of `laplace_minors` (odd
+positions negated) and each entry of the row updates x - f*y of `inv`.
 """
 
 import math
 
 from taumod.errors import InputError, NotInvertible, PrecisionLoss
+from taumod.series import sum_of_products
 from taumod.zseries import ZSeries
 
 INF = math.inf
@@ -33,16 +38,9 @@ def mul(A, B):
     k2, m = dims(B)
     if k != k2:
         raise InputError(f"matrix shapes {n}x{k} and {k2}x{m} do not compose")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for l in range(1, k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[sum_of_products([(x, y, False) for x, y in zip(row, col)])
+             for col in cols] for row in A]
 
 
 def matvec(A, v):
@@ -96,17 +94,14 @@ def laplace_minors(A, K):
         if got is not None:
             return got
         top, rest = A[rows[0]], rows[1:]
-        acc = None
+        terms = []
         for pos, j in enumerate(cols):
             entry = top[j]
             if not entry.co and entry.hi is INF:
                 continue
-            term = entry * minor(rest, cols[:pos] + cols[pos + 1:])
-            if pos % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = ZSeries.zero(K)
+            sub = minor(rest, cols[:pos] + cols[pos + 1:])
+            terms.append((entry, sub, pos % 2 == 1))
+        acc = sum_of_products(terms) if terms else ZSeries.zero(K)
         memo[key] = acc
         return acc
 
@@ -169,8 +164,11 @@ def inv(A, prec=None):
             if r != col:
                 f = work[r][col]
                 if f.known_nonzero() or f.co:
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                    out[r] = [x - f * y for x, y in zip(out[r], out[col])]
+                    # x - f*y, entry by entry
+                    work[r] = [sum_of_products([(x, None, False), (f, y, True)])
+                               for x, y in zip(work[r], work[col])]
+                    out[r] = [sum_of_products([(x, None, False), (f, y, True)])
+                              for x, y in zip(out[r], out[col])]
     return out
 
 

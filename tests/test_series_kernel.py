@@ -1,9 +1,13 @@
-"""The log-domain product kernel `FF.series_product` against the product
-computed coefficient by coefficient through Felt arithmetic.
+"""The log-domain kernel `FF.sum_of_products`, its one-pair case
+`FF.series_product` and the helper `series.sum_of_products`, against
+products and sums computed coefficient by coefficient through Felt
+arithmetic.
 
-`felt_product` below is the reference: the loop `Series.__mul__` runs
-for rings without log tables. Every product over a tabled field must give
-the same coefficients and the same window.
+`felt_product` below is the reference for one product: the loop
+`Series.__mul__` runs for rings without log tables; `felt_sum` is the
+reference for a signed sum of products, one Felt product and one Felt sum
+or difference at a time. Every product and every sum over a tabled field
+must give the same coefficients and the same window.
 """
 
 import math
@@ -12,6 +16,7 @@ import random
 import pytest
 
 from taumod.basefield import FF, TABLE_LIMIT, Felt, FieldDescriptor, LocalElem
+from taumod.series import sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
@@ -200,3 +205,194 @@ def test_coefficients_from_another_field_take_the_felt_loop():
     assert K.ff.series_product(a.co, b.co, INF, 0) is None
     prod = a * b
     assert_same(prod, felt_product(a._lift(K), b))
+
+
+# ---------------------------------------------------------------------------
+# signed sums of products
+
+
+def felt_sum(terms):
+    """The sum over (a, b, neg) of +-a*b (b None for the exact one), over
+    one field, summed one Felt product at a time into one map; the window
+    is the least of the products' windows."""
+    a0 = terms[0][0]
+    K = a0.K
+    R = a0._ring(K)
+    co = {}
+    hi = INF
+    for a, b, neg in terms:
+        if b is None:
+            b = type(a).one(K)
+        assert a.K is K and b.K is K
+        va = min(a.co) if a.co else a.hi
+        vb = min(b.co) if b.co else b.hi
+        h = min(a.hi + vb, b.hi + va)
+        hi = min(hi, h)
+        for e1, c1 in a.co.items():
+            for e2, c2 in b.co.items():
+                e = e1 + e2
+                if e < h:
+                    pr = c1 * (R.sigma(c2, a._TWIST * e1) if a._TWIST else c2)
+                    if neg:
+                        co[e] = co[e] - pr if e in co else -pr
+                    else:
+                        co[e] = co[e] + pr if e in co else pr
+    return type(a0)(K, co, hi)
+
+
+def kernel_sum(terms):
+    """The coefficients `FF.sum_of_products` gives for terms, called
+    directly on their logs, with the window of `felt_sum`."""
+    a0 = terms[0][0]
+    K = a0.K
+    ff = K.ff
+    one = type(a0).one(K)
+    hi = felt_sum(terms).hi
+    args = [(ff.logs(a.co), ff.logs((one if b is None else b).co), neg)
+            for a, b, neg in terms]
+    return ff.sum_of_products(args, hi, a0._TWIST * K.desc.a)
+
+
+def random_terms(cls, K, rng, count, windowed):
+    """count seeded (a, b, neg) terms of mixed signs and windows, with some
+    zero-to-window and exact-zero operands and some b None."""
+    terms = []
+    for _ in range(count):
+        a = random_series(cls, K, rng, rng.randrange(1, 14), windowed,
+                          lo=rng.randrange(-4, 3))
+        b = random_series(cls, K, rng, rng.randrange(1, 14), windowed,
+                          lo=rng.randrange(-4, 3))
+        roll = rng.random()
+        if roll < 0.1:
+            b = cls.zero(K)
+        elif roll < 0.2 and windowed:
+            b = cls(K, {}, rng.randrange(-3, 6))
+        elif roll < 0.3:
+            b = None
+        terms.append((a, b, rng.random() < 0.5))
+    return terms
+
+
+SUM_FIELDS = ["F4", "F2^16", "F9", "F65521"]
+
+
+@pytest.mark.parametrize("label", SUM_FIELDS)
+@pytest.mark.parametrize("cls, windowed", KINDS, ids=_ids(KINDS))
+def test_random_sums_match_felt_loop(label, cls, windowed):
+    K = FIELDS[label].field()
+    rng = random.Random(f"series-kernel-sum:{label}:{cls.__name__}:{windowed}")
+    for count in range(1, 8):
+        for _ in range(2):
+            terms = random_terms(cls, K, rng, count, windowed)
+            want = felt_sum(terms)
+            assert_same(sum_of_products(terms), want)
+            assert kernel_sum(terms) == want.co
+
+
+@pytest.mark.parametrize("label", SUM_FIELDS)
+def test_sign_is_a_log_offset(label):
+    # -1 = gen^((size - 1) / 2) for odd p, and -1 = 1 for p = 2
+    K = FIELDS[label].field()
+    ff = K.ff
+    rng = random.Random(f"series-kernel-sign:{label}")
+    a = random_series(ZSeries, K, rng, 9, True)
+    b = random_series(ZSeries, K, rng, 11, True)
+    plus = sum_of_products([(a, b, False)])
+    minus = sum_of_products([(a, b, True)])
+    assert_same(minus, -plus)
+    if ff.p == 2:
+        assert_same(minus, plus)
+    else:
+        assert ff._exp[(ff.size - 1) // 2] == (-ff.one).c
+    # a product minus itself is zero to its window
+    both = sum_of_products([(a, b, False), (a, b, True)])
+    assert both.co == {} and both.hi == plus.hi
+
+
+def test_exact_zero_terms_keep_the_other_windows():
+    K = FIELDS["F9"].field()
+    rng = random.Random("series-kernel-sum-zero")
+    a = random_series(ZSeries, K, rng, 6, True)
+    b = random_series(ZSeries, K, rng, 5, True)
+    zero = ZSeries.zero(K)
+    for terms in ([(zero, a, False), (a, b, True)],
+                  [(a, b, False), (a, zero, True), (zero, zero, False)],
+                  [(zero, zero, True)]):
+        assert_same(sum_of_products(terms), felt_sum(terms))
+    # only exact zeros: the exact zero
+    assert_same(sum_of_products([(zero, a, False), (b, zero, True)]), zero)
+
+
+@pytest.mark.parametrize("label", sorted(FIELDS))
+def test_sum_slots_up_to_the_bound(label):
+    # 7 products of 40 terms by 40 whose every term has every coordinate
+    # p - 1: at exponent 39 each slot sums to 7 * 40 * (p - 1), the bound
+    # the slot width is sized for. Half the products reach it through a
+    # minus sign on -top.
+    K = FIELDS[label].field()
+    ff = K.ff
+    top = K.el([ff.p - 1] * ff.n)
+    terms = []
+    for i in range(7):
+        neg = i % 2 == 1 and ff.p != 2
+        c = -top if neg else top
+        a = ZSeries(K, {e: c for e in range(40)})
+        b = ZSeries(K, {e: K.one() for e in range(40)})
+        terms.append((a, b, neg))
+    want = felt_sum(terms)
+    assert want.coeff(39) == K.el([7 * 40 * (ff.p - 1)] * ff.n)
+    assert_same(sum_of_products(terms), want)
+    assert kernel_sum(terms) == want.co
+    # the slots were sized for the sum, not for one product
+    assert ff._slots.b >= (7 * 40 * (ff.p - 1)).bit_length()
+
+
+def test_sum_slots_are_sized_by_every_product():
+    # a field of its own, so its table starts empty
+    ff = FF(3, 2)
+    rng = random.Random("series-kernel-sum-widen")
+
+    def rand(m):
+        return ff.logs({e: Felt(ff, rng.choice(ff._exp)) for e in range(m)})
+
+    # min(len a, len b) summed over the products: 2 + 3 + 1
+    ff.sum_of_products([(rand(2), rand(5), False), (rand(3), rand(3), True),
+                        (rand(4), rand(1), False)], INF, 0)
+    assert ff._slots.b == (6 * 2).bit_length()
+    # empty products count for nothing
+    assert ff.sum_of_products([([], rand(3), False)], INF, 0) == {}
+
+
+def test_sum_over_an_untabled_field_takes_the_chain():
+    K = UNTABLED.field()
+    rng = random.Random("series-kernel-sum-untabled")
+    for cls, windowed in KINDS:
+        terms = random_terms(cls, K, rng, 3, windowed)
+        assert_same(sum_of_products(terms), felt_sum(terms))
+
+
+def test_sum_of_local_elements_takes_the_chain():
+    # ZSeries over a local K: coefficients are LocalElem, summed as series
+    K = FieldDescriptor(p=3, a=1, m=2, kind="local").field()
+    rng = random.Random("series-kernel-sum-local")
+    for count in (1, 3, 5):
+        terms = random_terms(ZSeries, K, rng, count, True)
+        got = sum_of_products(terms)
+        want = felt_sum(terms)
+        assert got.hi == want.hi
+        assert got.co.keys() == want.co.keys()
+        for e, c in want.co.items():
+            assert got.co[e] == c
+
+
+def test_operand_from_a_subfield_sums_through_the_chain():
+    small = FIELDS["F4"].field()
+    big = small.extend(2)
+    rng = random.Random("series-kernel-sum-subfield")
+    for cls, windowed in KINDS:
+        terms = random_terms(cls, big, rng, 4, windowed)
+        a = random_series(cls, small, rng, 6, windowed)
+        b = random_series(cls, big, rng, 5, windowed)
+        mixed = terms[:2] + [(a, b, True)] + terms[2:]
+        lifted = terms[:2] + [(a._lift(big), b, True)] + terms[2:]
+        assert_same(sum_of_products(mixed), felt_sum(lifted))

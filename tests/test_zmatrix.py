@@ -1,0 +1,232 @@
+"""`zmatrix.mul`, `zmatrix.det` (through `laplace_minors`) and `zmatrix.inv`
+against copies of the product-by-product loops they replaced, which sum
+with `+`, negate with unary `-` and multiply with `*` one entry at a time.
+
+Each sum of products now goes through `series.sum_of_products`: in the
+log domain over F_9 and F_4, through the same chain over F_2((zeta)).
+Every rendered result must be equal, windows included, and so must the
+error a loop raises (its class, window and message).
+"""
+
+import math
+import random
+
+import pytest
+
+from taumod import jsonio, zmatrix
+from taumod.basefield import FieldDescriptor
+from taumod.errors import InputError, NotInvertible, PrecisionLoss
+from taumod.zseries import ZSeries
+
+INF = math.inf
+
+FIELDS = {
+    # q = 9, m = 1 as in the `rank` benchmark workload
+    "F9": FieldDescriptor(p=3, a=2, m=1, kind="finite"),
+    "F4": FieldDescriptor(p=2, a=1, m=2, kind="finite"),
+    "F2((zeta))": FieldDescriptor(p=2, a=1, m=1, kind="local"),
+}
+RANKS = range(1, 6)
+
+
+# -- the loops the fused sums replaced -------------------------------------
+
+def chain_mul(A, B):
+    n, k = zmatrix.dims(A)
+    _, m = zmatrix.dims(B)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = A[i][0] * B[0][j]
+            for l in range(1, k):
+                acc = acc + A[i][l] * B[l][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def chain_det(A):
+    K = A[0][0].K
+    memo = {}
+
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return A[rows[0]][cols[0]]
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
+        top, rest = A[rows[0]], rows[1:]
+        acc = None
+        for pos, j in enumerate(cols):
+            entry = top[j]
+            if not entry.co and entry.hi is INF:
+                continue
+            term = entry * minor(rest, cols[:pos] + cols[pos + 1:])
+            if pos % 2 == 1:
+                term = -term
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = ZSeries.zero(K)
+        memo[key] = acc
+        return acc
+
+    full = tuple(range(len(A)))
+    return minor(full, full)
+
+
+def chain_inv(A, prec=None):
+    n = len(A)
+    work = [list(row) for row in A]
+    out = zmatrix.identity(A[0][0].K, n)
+    for col in range(n):
+        piv, piv_val = None, None
+        for r in range(col, n):
+            entry = work[r][col]
+            if entry.known_nonzero():
+                v = entry.valuation()
+                if piv_val is None or v < piv_val:
+                    piv, piv_val = r, v
+        if piv is None:
+            windows = [work[r][col].hi for r in range(col, n)
+                       if work[r][col].co or work[r][col].hi is not INF]
+            if windows:
+                raise PrecisionLoss(f"pivot column {col} is zero only to its windows",
+                                    window=min(windows))
+            raise NotInvertible(f"no usable pivot in column {col}")
+        work[col], work[piv] = work[piv], work[col]
+        out[col], out[piv] = out[piv], out[col]
+        pinv = work[col][col].inv(prec)
+        work[col] = [x * pinv for x in work[col]]
+        out[col] = [x * pinv for x in out[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                if f.known_nonzero() or f.co:
+                    # x - f*y, written as the sum with the negated product
+                    work[r] = [x + -(f * y) for x, y in zip(work[r], work[col])]
+                    out[r] = [x + -(f * y) for x, y in zip(out[r], out[col])]
+    return out
+
+
+# -- seeded matrices ---------------------------------------------------------
+
+def _coeff(K, rng):
+    c = K.random(rng)
+    if K.kind == "local" and rng.random() < 0.3:
+        # a coefficient known only below zeta^h
+        c = c.truncate(rng.randrange(-1, 4))
+    return c
+
+
+def random_entry(K, rng, windowed=True):
+    roll = rng.random()
+    if roll < 0.08:
+        return ZSeries.zero(K)
+    if roll < 0.12 and windowed:
+        # zero to its window
+        return ZSeries(K, {}, rng.randrange(0, 5))
+    lo = rng.randrange(-1, 2)
+    terms = rng.randrange(1, 6 if K.kind == "local" else 9)
+    co = {e: _coeff(K, rng) for e in rng.sample(range(lo, lo + terms + 3), terms)}
+    hi = lo + terms + rng.randrange(1, 6) if windowed and rng.random() < 0.7 else INF
+    return ZSeries(K, co, hi)
+
+
+def random_matrix(K, rng, n, m=None, windowed=True):
+    return [[random_entry(K, rng, windowed) for _ in range(n if m is None else m)]
+            for _ in range(n)]
+
+
+def outcome(fn, *args):
+    """The rendered result, or the class, window and message of the error."""
+    try:
+        return "ok", jsonio.render(fn(*args))
+    except (PrecisionLoss, NotInvertible) as exc:
+        return type(exc).__name__, getattr(exc, "window", None), str(exc)
+
+
+def _cases(label, n, count):
+    K = FIELDS[label].field()
+    rng = random.Random(f"test-zmatrix:{label}:{n}")
+    return K, rng, range(count)
+
+
+# -- the tests ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", RANKS)
+@pytest.mark.parametrize("label", sorted(FIELDS))
+def test_mul_matches_the_chain(label, n):
+    K, rng, cases = _cases(label, n, 4)
+    for _ in cases:
+        m = rng.randrange(1, 6)
+        A = random_matrix(K, rng, n, m)
+        B = random_matrix(K, rng, m, rng.randrange(1, 6))
+        assert outcome(zmatrix.mul, A, B) == outcome(chain_mul, A, B)
+
+
+@pytest.mark.parametrize("n", RANKS)
+@pytest.mark.parametrize("label", sorted(FIELDS))
+def test_det_matches_the_chain(label, n):
+    K, rng, cases = _cases(label, n, 4 if n < 5 else 2)
+    for _ in cases:
+        A = random_matrix(K, rng, n)
+        assert outcome(zmatrix.det, A) == outcome(chain_det, A)
+    # the principal minors `_char_poly` sums
+    minor = zmatrix.laplace_minors(A, K)
+    rows = tuple(range(0, n, 2))
+    assert jsonio.render(minor(rows, rows)) == jsonio.render(
+        chain_det([[A[i][j] for j in rows] for i in rows]))
+
+
+@pytest.mark.parametrize("n", RANKS)
+@pytest.mark.parametrize("label", sorted(FIELDS))
+def test_inv_matches_the_chain(label, n):
+    K, rng, cases = _cases(label, n, 6)
+    seen = set()
+    for i in cases:
+        # exact matrices are invertible unless a pivot column dies; short
+        # windows run out
+        A = random_matrix(K, rng, n, windowed=i % 2 == 1)
+        prec = rng.choice((None, 4, 12))
+        got = outcome(zmatrix.inv, A, prec)
+        assert got == outcome(chain_inv, A, prec)
+        seen.add(got[0])
+    assert "ok" in seen
+
+
+@pytest.mark.parametrize("label", sorted(FIELDS))
+def test_inv_errors_match_the_chain(label):
+    K = FIELDS[label].field()
+    one, z = ZSeries.one(K), ZSeries.z(K)
+    zero = ZSeries.zero(K)
+    # column 1 exactly zero below the pivot after one elimination
+    singular = [[one, z], [z, z * z]]
+    # column 1 zero only to its window after one elimination
+    windowed = [[one, z], [z, (z * z).truncate(3)]]
+    # a column of exact zeros
+    empty = [[one, zero], [z, zero]]
+    for A, want in ((singular, "NotInvertible"), (windowed, "PrecisionLoss"),
+                    (empty, "NotInvertible")):
+        got = outcome(zmatrix.inv, A)
+        assert got[0] == want
+        assert got == outcome(chain_inv, A)
+
+
+def test_mul_of_shapes_that_do_not_compose():
+    K = FIELDS["F9"].field()
+    rng = random.Random("test-zmatrix-shapes")
+    with pytest.raises(InputError):
+        zmatrix.mul(random_matrix(K, rng, 2, 3), random_matrix(K, rng, 2, 3))
+
+
+def test_inverse_times_matrix_agrees_with_identity():
+    K = FIELDS["F9"].field()
+    rng = random.Random("test-zmatrix-roundtrip")
+    for n in RANKS:
+        A = random_matrix(K, rng, n, windowed=False)
+        try:
+            B = zmatrix.inv(A, prec=16)
+        except NotInvertible:
+            continue
+        assert zmatrix.agrees(zmatrix.mul(A, B), zmatrix.identity(K, n))
