@@ -1,6 +1,6 @@
-"""Time the F_p kernels of taumod.kernels, windowed series products over
-tabled fields, and the matrix product and determinant of `zmatrix`, on
-seeded workloads.
+"""Time the F_p kernels of taumod.kernels, windowed series products and
+sums of products over tabled fields, and the matrix product and
+determinant of `zmatrix`, on seeded workloads.
 
 Prints the best per-call time of each workload over the trials,
 labelled with the kernel lane (`kernels.BACKEND`).
@@ -19,6 +19,7 @@ import numpy as np
 
 from taumod import kernels, zmatrix
 from taumod.basefield import FieldDescriptor
+from taumod.series import sum_of_products
 from taumod.skew import SkewPoly
 from taumod.zseries import ZSeries
 
@@ -58,7 +59,7 @@ def _workloads(seed):
         ("nullspace 80x120/F3", kernels.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
         ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
-    ] + _series_workloads(rng) + _matrix_workloads(rng)
+    ] + _series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
 
 
 def _rand_series(cls, K, rng, exps, hi):
@@ -84,6 +85,30 @@ def _series_workloads(rng):
             for label, cls, K, a, b in pairs]
 
 
+def _fresh(s):
+    """s without the logs and packed ints a sum of products keeps on it."""
+    return type(s)(s.K, s.co, s.hi)
+
+
+def _sum_workloads(rng):
+    """`series.sum_of_products` of 7 signed products of dense windowed
+    series, t terms known below z^(t - 1), over F_9 (t = 13, 40, 90) and
+    on both sides of the packed path's degree crossover (t = 40). Each
+    call gets fresh operands."""
+    rows = [("sum 7x13/F9", (3, 1, 2), 13), ("sum 7x40/F9", (3, 1, 2), 40),
+            ("sum 7x90/F9", (3, 1, 2), 90), ("sum 7x40/F_{2^8}", (2, 1, 8), 40),
+            ("sum 7x40/F_{2^16}", (2, 1, 16), 40)]
+    out = []
+    for label, (p, a, m), t in rows:
+        K = FieldDescriptor(p=p, a=a, m=m, kind="finite").field()
+        ops = [(_rand_series(ZSeries, K, rng, range(-1, t - 1), t - 1),
+                _rand_series(ZSeries, K, rng, range(-1, t - 1), t - 1), i % 2 == 1)
+               for i in range(7)]
+        out.append((label, lambda ops: sum_of_products(
+            [(_fresh(x), _fresh(y), neg) for x, y, neg in ops]), (ops,)))
+    return out
+
+
 def _matrix_workloads(rng):
     """`zmatrix.mul` and `zmatrix.det` (Laplace minors) on 7 x 7 matrices
     over F_9 of dense windowed entries, 13 terms known below z^12, the
@@ -96,7 +121,7 @@ def _matrix_workloads(rng):
                 for _ in range(7)]
 
     def fresh(A):
-        return [[ZSeries(s.K, s.co, s.hi) for s in row] for row in A]
+        return [[_fresh(s) for s in row] for row in A]
 
     A, B = rand_matrix(), rand_matrix()
     return [("matmul 7x7/F9", lambda A, B: zmatrix.mul(fresh(A), fresh(B)), (A, B)),

@@ -10,9 +10,9 @@ Runs in one process through `taumod.cli.main` and prints one
     plan verifies, of the `rank` and `tower` plans at seed 1 of
     `perfbench/inputs.py`;
   * the requests of `RERUNS` again with extra flags, and their `verify`;
-  * `isocrystal slopes` and `isocrystal purity` (and its `verify`) on one
-    dense rank-4 twist over q = 2, m = 2, built as the `rank` plan builds
-    its twists over F_9, so that the sign of a sum over p = 2 is covered.
+  * `isocrystal slopes` and `isocrystal purity` (and its `verify`) on
+    the dense rank-4 twists of `TWISTS`, built as the `rank` plan builds
+    its twists over F_9.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -41,6 +41,12 @@ PLANS = (("rank", 1), ("tower", 1))
 # default `--ext-max 8`; at 9 it succeeds, the first success path whose
 # conjugator lives in a field above `basefield.TABLE_LIMIT`.
 RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
+# dense rank-4 twists: over F_4 (q = 2, m = 2), where sums of products take
+# the packed path of `series.sum_of_products` and the sign of a sum over
+# p = 2 is covered, and over F_32 (q = 2, m = 5), whose degree 5 is above
+# the packed path's crossover, so that sums there take the log loop
+TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite")),
+          ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite")))
 
 
 def _sha(data):
@@ -93,20 +99,20 @@ def _lines(label, argv, verify):
     return lines
 
 
-def _f4_twist_lines(work, r=4):
-    """P A sigma(P)^-1 for the simple pure A of slope 1/r over F_4 (q = 2,
-    m = 2) and P = L U, the way `inputs.rank_requests` builds its twists."""
+def _twist_lines(work, label, desc, r=4):
+    """P A sigma(P)^-1 for the simple pure A of slope 1/r over desc's field
+    and P = L U, the way `inputs.rank_requests` builds its twists."""
     inputs = _inputs()
-    K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
-    rng = random.Random(f"report-gate:f4-twist:{r}")
+    K = desc.field()
+    rng = random.Random(f"report-gate:{label}:{r}")
     L, U = inputs._unipotent(K, rng, r, True), inputs._unipotent(K, rng, r, False)
     P = zmatrix.mul(L, U)
     P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
                         inputs._unipotent_inverse(L, True))
     A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
-    path = work / f"f4-twist-r{r}.json"
+    path = work / f"{label}-r{r}.json"
     path.write_text(json.dumps(jsonio.render(Isocrystal(K, A)), sort_keys=True))
-    label = f"f4-twist-r{r}"
+    label = f"{label}-r{r}"
     return (_lines(f"{label}/slopes", ["isocrystal", "slopes", "--input", str(path)],
                    False)
             + _lines(f"{label}/purity", ["isocrystal", "purity", "--s", "1", "--r",
@@ -138,7 +144,9 @@ def _plan_lines(work, workload, seed):
 def main_gate():
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        lines = _corpus_lines(work) + _f4_twist_lines(work)
+        lines = _corpus_lines(work)
+        for label, desc in TWISTS:
+            lines += _twist_lines(work, label, desc)
         for workload, seed in PLANS:
             lines += _plan_lines(work, workload, seed)
     for digest, label in sorted(lines, key=lambda t: t[1]):

@@ -209,9 +209,10 @@ class FF:
     Elements are coefficient tuples of length n (low-to-high in the
     residue of X). Fields with at most 2^16 elements carry discrete-log
     tables, making mul/inv/frobenius O(1), and sum products of whole
-    series in the log domain (`sum_of_products`); larger fields fall
-    back to the kernel polynomial arithmetic, and apply Frobenius powers
-    as the cached F_p matrices of `frobenius_power`.
+    series either in the log domain (`sum_of_products`) or, packed into
+    one int per series, by Kronecker substitution (`packed_sum`); larger
+    fields fall back to the kernel polynomial arithmetic, and apply
+    Frobenius powers as the cached F_p matrices of `frobenius_power`.
 
     The tables hang off the canonical generator `gen`, the encoding-least
     element of order p^n - 1. The exp table is filled by doubling
@@ -227,8 +228,10 @@ class FF:
         self.modulus = _find_modulus(p, n)
         self._exp = None
         self._log = None
-        # the `_Slots` of `sum_of_products`, widened as sums need
+        # the `_Slots` of `sum_of_products` and the `_Packs` of
+        # `packed_sum`, each widened as sums need
         self._slots = None
+        self._packs = None
         self.zero = Felt(self, (0,) * n)
         self.one = Felt(self, tuple([1] + [0] * (n - 1)))
         if self.size <= TABLE_LIMIT:
@@ -408,6 +411,110 @@ class FF:
                 out[e] = felts.get(r) or slots.felt(r)
         return out
 
+    def packed_sum(self, terms, hi):
+        """The coefficients below exponent hi of the signed sum, over the
+        triples (a, b, neg) of terms, of the untwisted products a * b,
+        negated where neg is true: the same map as `sum_of_products` on
+        their logs, computed by Kronecker substitution. a and b are
+        series over this field whose coefficients are Felts of it; b None
+        stands for the exact one.
+
+        A series packs into one int (`_Packs.pack`, cached by
+        `Series._packed_in`): the y^i coordinate of its z^e coefficient,
+        v its least exponent, goes in slot (2n - 1)(e - v) + i, so
+        exponent e - v owns a group of 2n - 1 slots. The product of two
+        packed ints is then the packed product, its y^t coordinates for
+        t < 2n - 1 not yet reduced mod p nor through the modulus. The sum
+        runs in four steps:
+
+          1. one big-int product per term, its operands masked to the
+             groups that can land below hi, shifted by the term's
+             exponent offset, summed into a positive and a negative int;
+          2. the sign offset: a multiple of p in every slot, at least
+             every slot of the negative int, so that positive + offset -
+             negative has no slot below zero and no borrow;
+          3. the fold: slot t >= n of each group, times the coordinates of
+             y^t mod the modulus, is added to the group's slots below n;
+          4. every slot reduced mod p at once (Barrett, as in `_Slots`),
+             and each group's bytes mapped to its shared Felt.
+
+        A pair of coefficients adds at most n (p - 1)^2 to a slot, a
+        product at most min(len a, len b) pairs to an exponent, and the
+        fold multiplies a slot sum by at most 1 + (n - 1)(p - 1); the
+        slots are sized for that bound on the whole sum. Exactly-zero
+        sums are left out.
+        """
+        p, n = self.p, self.n
+        pos = neg = 0
+        for a, b, sign in terms:
+            # a product puts at most this many pairs of terms on one exponent
+            m = min(len(a.co), 1 if b is None else len(b.co))
+            if sign and p != 2:
+                neg += m
+            else:
+                pos += m
+        pair = n * (p - 1) ** 2
+        off = -(-neg * pair // p) * p
+        # so the slots stay below 2^bits through the fold
+        bits = ((pos * pair + off) * (1 + (n - 1) * (p - 1))).bit_length()
+        packs = self._packs
+        if packs is None or packs.b < bits:
+            packs = self._packs = _Packs(self, bits)
+        group = packs.group
+        packed = []
+        base = INF
+        top = -INF
+        for a, b, sign in terms:
+            if not a.co or (b is not None and not b.co):
+                continue
+            va, A = a._packed_in(self, packs)
+            vb, B = (0, packs[0]) if b is None else b._packed_in(self, packs)
+            packed.append((va + vb, A, B, sign and p != 2))
+            base = min(base, va + vb)
+            # the group of the product's greatest exponent
+            top = max(top, va + vb + (A.bit_length() - 1) // group
+                      + (B.bit_length() - 1) // group)
+        if not packed:
+            return {}
+        groups = min(top + 1, hi) - base
+        if groups <= 0:
+            return {}
+        P = N = 0
+        for v, A, B, sign in packed:
+            s = v - base
+            keep = groups - s
+            if keep <= 0:
+                continue
+            mask = (1 << group * keep) - 1
+            pr = ((A & mask) * (B & mask)) << group * s
+            if sign:
+                N += pr
+            else:
+                P += pr
+        mask = (1 << group * groups) - 1
+        ones, high, low, mids = packs.masks(groups)
+        t = P & mask
+        if N:
+            t += (ones & mask) * off - (N & mask)
+        if n > 1:
+            w = packs.width
+            t = (t & low) + sum(((t & mid) >> w * i) * red
+                                for i, (mid, red) in enumerate(mids, n))
+        r = t - ((t * packs.c & high) >> packs.shift) * p
+        gb, nb = group // 8, packs.nb
+        buf = r.to_bytes(groups * gb, "little")
+        felts, zero = packs.bfelts, bytes(nb)
+        out = {}
+        for g in range(groups):
+            key = buf[g * gb:g * gb + nb]
+            f = felts.get(key)
+            if f is None:
+                if key == zero:
+                    continue
+                f = packs.bfelt(key)
+            out[base + g] = f
+        return out
+
     def logs(self, co):
         """[(exponent, log)] of the nonzero coefficients of co; None when
         the field has no log table or a coefficient is no Felt of it."""
@@ -440,19 +547,21 @@ class _Slots(dict):
     Every slot of a sum s is reduced mod p at once, by Barrett's method:
     with shift = bit length of 2^b * p and c = ceil(2^shift / p),
     floor(x / p) = floor(x * c / 2^shift) for 0 <= x < 2^b. The slots
-    are shift + b bits wide, so each x * c stays in its own slot, and
-    (s * c & high) >> shift holds every floor(x / p) in place, `high`
-    masking the bits from shift up in each slot.
+    are shift + b bits wide, rounded up to a multiple of `_ALIGN`, so
+    each x * c stays in its own slot, and (s * c & high) >> shift holds
+    every floor(x / p) in place, `high` masking the bits from shift up
+    in each slot.
     """
 
     __slots__ = ("ff", "b", "width", "c", "high", "shift", "felts")
+    _ALIGN = 1
 
     def __init__(self, ff, b):
         super().__init__()
         self.ff = ff
         self.b = b
         self.shift = ((1 << b) * ff.p).bit_length()
-        self.width = self.shift + b
+        self.width = -(-(self.shift + b) // self._ALIGN) * self._ALIGN
         self.c = -(-(1 << self.shift) // ff.p)
         top = (1 << self.width) - (1 << self.shift)
         self.high = sum(top << (i * self.width) for i in range(ff.n))
@@ -471,6 +580,68 @@ class _Slots(dict):
         c = tuple(r >> (i * self.width) & mask for i in range(self.ff.n))
         f = self.felts[r] = Felt(self.ff, c)
         return f
+
+
+class _Packs(_Slots):
+    """The slots of `FF.packed_sum`: `_Slots` whose width is whole bytes,
+    grouped 2n - 1 to an exponent, `group` bits. A series packs into one
+    int (`pack`); the first n slots of a group of a reduced sum, `nb`
+    bytes, key `bfelts`, the Felts by bytes. Kept apart from the log
+    loop's `_Slots`, whose narrower slots keep its ints short."""
+
+    __slots__ = ("group", "nb", "bfelts", "_groups", "_masks")
+    _ALIGN = 8
+
+    def __init__(self, ff, b):
+        super().__init__(ff, b)
+        self.group = (2 * ff.n - 1) * self.width
+        self.nb = ff.n * self.width // 8
+        self.bfelts = {}
+        self._groups = 0
+        self._masks = None
+
+    def bfelt(self, key):
+        """The Felt whose coordinates, each below p, are the slots of the
+        bytes key."""
+        wb = self.width // 8
+        c = tuple(int.from_bytes(key[i:i + wb], "little")
+                  for i in range(0, self.nb, wb))
+        f = self.bfelts[key] = Felt(self.ff, c)
+        return f
+
+    def pack(self, lg):
+        """(v, s) for the series with logs lg, not empty: v its least
+        exponent and s the int whose group e - v holds the coordinates of
+        its z^e coefficient."""
+        v = min([e for e, _ in lg])
+        g = self.group
+        return v, sum([self[l] << g * (e - v) for e, l in lg])
+
+    def masks(self, groups):
+        """(ones, high, low, mids) over at least `groups` groups: 1 in
+        every slot, `high` in every slot, the first n slots of every
+        group, and for each t in [n, 2n - 1) the pair (slot t of every
+        group, the packed coordinates of y^t mod the modulus)."""
+        if self._groups < groups:
+            ff, w = self.ff, self.width
+            n, p, f = ff.n, ff.p, ff.modulus
+            g = self._groups = max(groups, 2 * self._groups)
+            unit = b"\x01" + bytes(w // 8 - 1)
+            ones = int.from_bytes(unit * ((2 * n - 1) * g), "little")
+            starts = int.from_bytes((unit + bytes(self.group // 8 - w // 8)) * g,
+                                    "little")
+            high = ones * ((1 << w) - (1 << self.shift))
+            low = starts * ((1 << n * w) - 1)
+            mids = []
+            y = [0] * (n - 1) + [1]  # y^(n-1)
+            for t in range(n, 2 * n - 1):
+                y = [0] + y
+                lead = y.pop()
+                y = [(x - lead * fx) % p for x, fx in zip(y, f)]
+                red = sum(x << i * w for i, x in enumerate(y))
+                mids.append((starts * ((1 << w) - 1) << t * w, red))
+            self._masks = ones, high, low, mids
+        return self._masks
 
 
 @lru_cache(maxsize=None)

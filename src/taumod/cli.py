@@ -16,7 +16,6 @@ an exhausted window or budget, 4 for a failed internal invariant;
 """
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -313,8 +312,9 @@ def cmd_corpus(args):
     # worker processes, since threads share one interpreter lock
     workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if workers > 1:
-        # imported here: it would cost every other request about 12 ms and
-        # 0.75 MB of memory
+        # imported here: `-X importtime` puts the two at about 10 ms,
+        # which every request that runs no pool would pay
+        import concurrent.futures
         import multiprocessing
 
         # forked, so a worker starts with the package imported and the

@@ -27,11 +27,27 @@ min(a.hi + v_b, b.hi + v_a), so an exact zero (order inf) absorbs.
 Products over a finite field with log tables run in the log domain, in
 `FF.sum_of_products`; products over other rings and products with
 coefficients from another field multiply coefficient by coefficient.
-`sum_of_products` below sums signed products a_l * b_l through that
-kernel in one accumulator, reduced once. Its window is the sum rule
+`sum_of_products` below sums signed products a_l * b_l over a tabled
+field in one call of one of two kernels. Its window is the sum rule
 applied to the products' windows, min over l of min(a_l.hi + v(b_l),
-b_l.hi + v(a_l)), and a minus sign costs nothing: it adds log(-1) to
-each term's log.
+b_l.hi + v(a_l)), and both kernels give the same coefficients:
+
+  * the log loop `FF.sum_of_products` adds the logs of each pair of
+    terms into one accumulator, reduced once; a minus sign adds log(-1);
+  * the packed path `FF.packed_sum` (Kronecker substitution) packs a
+    series over F_{p^n} into one int, cached on the series: the y^i
+    coordinate of its z^e coefficient in slot (2n - 1)(e - v) + i, v its
+    least exponent. One big-int product per term does the convolution;
+    the slots are sized for the sum's bound, a multiple of p in every
+    slot (the sign offset) absorbs the negated products, slots t >= n
+    are folded back through the modulus, and every slot is reduced mod
+    p at once.
+
+The packed path takes untwisted sums (or twists that sigma fixes) over
+fields of degree n <= PACK_DEGREE with at least PACK_PAIRS pairs of
+terms in all; the log loop takes the rest, where the per-term and
+per-slot costs of packing outweigh the pairs they save
+(bench/bench_kernels.py).
 """
 
 import math
@@ -39,13 +55,17 @@ import math
 from taumod.errors import CoercionError, InputError, NotInvertible, PrecisionLoss
 
 INF = math.inf
+# the crossovers of the packed path (see above)
+PACK_DEGREE = 4
+PACK_PAIRS = 64
 
 
 class Series:
     """Sparse Laurent series with a truthful knowledge window."""
 
-    # _lg: the `FF.logs` of co, kept by `_logs_in` once asked for
-    __slots__ = ("K", "co", "hi", "_lg")
+    # _lg: the `FF.logs` of co, kept by `_logs_in` once asked for; _pk:
+    # the packed co of `_packed_in`
+    __slots__ = ("K", "co", "hi", "_lg", "_pk")
 
     # power of sigma applied per exponent of the left factor in a product
     _TWIST = 0
@@ -70,6 +90,7 @@ class Series:
         self.co = clean
         self.hi = hi
         self._lg = None
+        self._pk = None
 
     # -- hooks ---------------------------------------------------------------
 
@@ -103,6 +124,14 @@ class Series:
         if lg is None:
             lg = self._lg = ff.logs(self.co)
         return lg
+
+    def _packed_in(self, ff, packs):
+        """`packs.pack` of the logs of co, (v, packed int), kept while the
+        packs of ff keep their width."""
+        pk = self._pk
+        if pk is None or pk[0] != packs.width:
+            pk = self._pk = (packs.width, packs.pack(self._logs_in(ff)))
+        return pk[1]
 
     def _lift(self, K):
         """self over K, coefficients coerced along the field inclusion."""
@@ -328,9 +357,10 @@ class Series:
             # tail exactly zero: a monomial after all
             return self._with({-v: cinv}, INF)
         assert wv >= 1
+        neg_w = -w
         k = 1
         while k * wv < out_hi + v:
-            term = term * (-w)
+            term = term * neg_w
             acc = acc + term
             k += 1
         if acc.hi is not INF:
@@ -345,9 +375,10 @@ def sum_of_products(terms):
     term is a itself. terms is not empty.
 
     When every operand is a series of one kind over one finite field with
-    log tables, the sum runs in one call of `FF.sum_of_products`.
-    Otherwise, or when a coefficient lies in another field, it is the
-    chain of products, negations and sums in the order of terms.
+    log tables, the sum runs in one call of `FF.packed_sum` or
+    `FF.sum_of_products`, chosen by the crossovers above. Otherwise, or
+    when a coefficient lies in another field, it is the chain of
+    products, negations and sums in the order of terms.
     """
     a0 = terms[0][0]
     cls, K = type(a0), a0.K
@@ -356,6 +387,7 @@ def sum_of_products(terms):
         ff = R.ff
         args = []
         hi = INF
+        pairs = 0
         for a, b, neg in terms:
             if type(a) is not cls or a.K is not K:
                 break
@@ -366,6 +398,7 @@ def sum_of_products(terms):
                 # the exact one: log 0 at exponent 0
                 args.append((la, [(0, 0)], neg))
                 hi = min(hi, a.hi)
+                pairs += len(la)
                 continue
             if type(b) is not cls or b.K is not K:
                 break
@@ -377,9 +410,14 @@ def sum_of_products(terms):
             vb = min(b.co) if b.co else b.hi
             hi = min(hi, a.hi + vb, b.hi + va)
             args.append((la, lb, neg))
+            pairs += len(la) * len(lb)
         else:
             # no break: every term is in the log domain
-            return cls(K, ff.sum_of_products(args, hi, cls._TWIST * R.desc.a), hi)
+            k = cls._TWIST * R.desc.a
+            # sigma^k is the identity when n divides k
+            if k % ff.n == 0 and ff.n <= PACK_DEGREE and pairs >= PACK_PAIRS:
+                return cls(K, ff.packed_sum(terms, hi), hi)
+            return cls(K, ff.sum_of_products(args, hi, k), hi)
     acc = None
     for a, b, neg in terms:
         t = a if b is None else a * b

@@ -4,9 +4,10 @@ isocrystals and the semilinear solvers.
 Matrices are lists of rows of ZSeries over a shared base K. Everything
 is exact-arithmetic; windows propagate through the entry operations.
 Three sums of products go through `series.sum_of_products`, one call
-per sum, so over a finite K with log tables each is one log-domain
-accumulation: each entry of `mul`, each minor of `laplace_minors` (odd
-positions negated) and each entry of the row updates x - f*y of `inv`.
+per sum, so over a finite K with log tables each is one call of its
+packed or log-domain kernel: each entry of `mul`, each minor of
+`laplace_minors` (odd positions negated) and each entry of the row
+updates x - f*y of `inv`.
 """
 
 import math
@@ -174,11 +175,21 @@ def inv(A, prec=None):
 
 def tau_power_matrix(A, k):
     """Matrix of tau^k when tau acts v -> A*sigma(v):
-    A_k = A * sigma(A) * ... * sigma^{k-1}(A)."""
+    A_k = A * sigma(A) * ... * sigma^{k-1}(A).
+
+    Over a finite K = F_{q^m}, sigma^m is the identity, so sigma^i(A) is
+    built once for each i below m and reused, with the logs and packed
+    ints its entries keep."""
     if k < 0:
         raise InputError("negative tau powers need the inverse matrix")
-    n, _ = dims(A)
-    acc = identity(A[0][0].K, n)
-    for i in range(k):
-        acc = mul(acc, sigma(A, i))
+    K = A[0][0].K
+    if k == 0:
+        return identity(K, len(A))
+    period = K.desc.m * K.ext if K.kind == "finite" else k
+    twists = [A]
+    acc = A
+    for i in range(1, k):
+        if i < period:
+            twists.append(sigma(A, i))
+        acc = mul(acc, twists[i % period])
     return acc

@@ -1,7 +1,7 @@
 """The log-domain kernel `FF.sum_of_products`, its one-pair case
-`FF.series_product` and the helper `series.sum_of_products`, against
-products and sums computed coefficient by coefficient through Felt
-arithmetic.
+`FF.series_product`, the packed kernel `FF.packed_sum` and the helper
+`series.sum_of_products`, against products and sums computed
+coefficient by coefficient through Felt arithmetic.
 
 `felt_product` below is the reference for one product: the loop
 `Series.__mul__` runs for rings without log tables; `felt_sum` is the
@@ -16,7 +16,7 @@ import random
 import pytest
 
 from taumod.basefield import FF, TABLE_LIMIT, Felt, FieldDescriptor, LocalElem
-from taumod.series import sum_of_products
+from taumod.series import PACK_DEGREE, PACK_PAIRS, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
@@ -396,3 +396,136 @@ def test_operand_from_a_subfield_sums_through_the_chain():
         mixed = terms[:2] + [(a, b, True)] + terms[2:]
         lifted = terms[:2] + [(a._lift(big), b, True)] + terms[2:]
         assert_same(sum_of_products(mixed), felt_sum(lifted))
+
+
+# ---------------------------------------------------------------------------
+# packed sums (Kronecker substitution)
+
+# prime and extension fields, one of them above the degree crossover, and
+# F_65521, whose pair products (p - 1)^2 come near 2^32
+PACKED_FIELDS = {
+    "F4": FIELDS["F4"],
+    "F9": FIELDS["F9"],
+    "F81": FieldDescriptor(p=3, a=1, m=4, kind="finite"),
+    "F2^8": FieldDescriptor(p=2, a=1, m=8, kind="finite"),
+    "F65521": FIELDS["F65521"],
+}
+
+
+def packed(terms):
+    """The coefficients `FF.packed_sum` gives for terms, with the window
+    of `felt_sum`."""
+    K = terms[0][0].K
+    return K.ff.packed_sum(terms, felt_sum(terms).hi)
+
+
+@pytest.mark.parametrize("label", sorted(PACKED_FIELDS))
+@pytest.mark.parametrize("windowed", [True, False], ids=["window", "exact"])
+def test_packed_sums_match_felt_loop(label, windowed):
+    # mixed signs, exponents from -4 up, windows that cut the operands,
+    # zero-to-window and exact-zero operands, b None
+    K = PACKED_FIELDS[label].field()
+    rng = random.Random(f"series-kernel-packed:{label}:{windowed}")
+    for count in range(1, 8):
+        for _ in range(3):
+            terms = random_terms(ZSeries, K, rng, count, windowed)
+            assert packed(terms) == felt_sum(terms).co
+
+
+@pytest.mark.parametrize("label", sorted(PACKED_FIELDS))
+def test_packed_sums_of_zeros(label):
+    K = PACKED_FIELDS[label].field()
+    rng = random.Random(f"series-kernel-packed-zero:{label}")
+    a = random_series(ZSeries, K, rng, 9, True)
+    b = random_series(ZSeries, K, rng, 7, True)
+    zero, window = ZSeries.zero(K), ZSeries(K, {}, 2)
+    for terms in ([(zero, a, False), (a, window, True)],
+                  [(a, b, False), (a, b, True)],
+                  [(a, b, False), (zero, b, True), (window, None, False)],
+                  # a window below every exponent of the products
+                  [(a.truncate(-8), b, True)]):
+        assert packed(terms) == felt_sum(terms).co
+
+
+@pytest.mark.parametrize("label, m", [(label, 90) for label in sorted(PACKED_FIELDS)]
+                         + [("F29", 94)])
+def test_packed_slots_up_to_the_bound(label, m):
+    # 7 products of m x m terms. On a prime field every slot of exponent
+    # m - 1 sums to exactly the bound the slots are sized for: four
+    # products of top * top, top the element with every coordinate p - 1,
+    # and three negated products whose coordinates are zero there. Over
+    # extension fields the y-coordinates of top * top reach n (p - 1)^2
+    # per pair in the middle slot, and the slots above it are folded back.
+    # Over F_29 at m = 94 the bound, 515,909, lies just below 2^19 and
+    # the sum is -1, where Barrett's quotient is the first to go wrong
+    # when the slots are a bit too narrow.
+    desc = PACKED_FIELDS.get(label) or FieldDescriptor(p=29, a=1, m=1, kind="finite")
+    K = desc.field()
+    ff = K.ff
+    top = K.el([ff.p - 1] * ff.n)
+    full = ZSeries(K, {e: top for e in range(m)})
+    # nonzero only from exponent m on
+    late = ZSeries(K, {e: top for e in range(m, 2 * m)})
+    terms = [(full, full, False)] * 4 + [(late, full, True)] * 3
+    want = felt_sum(terms)
+    if ff.n == 1:
+        assert want.coeff(m - 1) == K.el(4 * m * (ff.p - 1) ** 2)
+    assert packed(terms) == want.co
+    # and with the signs the other way round
+    terms = [(full, full, True)] * 4 + [(late, full, False)] * 3
+    assert packed(terms) == {e: -c for e, c in want.co.items()}
+
+
+def test_packed_path_runs_between_the_crossovers(monkeypatch):
+    calls = []
+    kernel = FF.packed_sum
+    monkeypatch.setattr(FF, "packed_sum",
+                        lambda ff, terms, hi: calls.append(ff.n) or kernel(ff, terms, hi))
+    rng = random.Random("series-kernel-crossover")
+    for desc in (PACKED_FIELDS["F81"], FieldDescriptor(p=3, a=1, m=5, kind="finite")):
+        K = desc.field()
+        n = K.ff.n
+
+        def exact(terms):
+            # nonzero coefficients at exponents -3, -1, 1, ...
+            return ZSeries(K, {2 * e - 3: K.ff.gen ** rng.randrange(K.ff.size - 1)
+                               for e in range(terms)})
+
+        for pairs in (PACK_PAIRS - 1, PACK_PAIRS):
+            # pairs - 1 pairs of terms in the product, one in b None
+            terms = [(exact(pairs - 1), exact(1), True), (exact(1), None, False)]
+            calls.clear()
+            assert_same(sum_of_products(terms), felt_sum(terms))
+            packs = n <= PACK_DEGREE and pairs >= PACK_PAIRS
+            assert calls == ([n] if packs else [])
+
+
+def test_twisted_sums_take_the_log_loop(monkeypatch):
+    monkeypatch.setattr(FF, "packed_sum", None)
+    K = PACKED_FIELDS["F9"].field()
+    rng = random.Random("series-kernel-packed-twist")
+    for cls in (SkewPoly, SkewLaurent):
+        terms = [(random_series(cls, K, rng, 20, False), random_series(cls, K, rng, 20, False),
+                  i % 2 == 1) for i in range(3)]
+        assert_same(sum_of_products(terms), felt_sum(terms))
+
+
+def test_large_sums_with_foreign_coefficients_take_the_chain():
+    # above the size crossover: an F_4 coefficient among F_16 ones, and
+    # LocalK series, whose coefficients have no logs
+    small = FIELDS["F4"].field()
+    K = small.extend(2)
+    rng = random.Random("series-kernel-packed-chain")
+    a = random_series(ZSeries, K, rng, 20, True)
+    b = random_series(ZSeries, K, rng, 20, True)
+    w = small.el([0, 1])
+    mixed = ZSeries(K, {**b.co, 3: w}, b.hi)
+    lifted = ZSeries(K, {**b.co, 3: K.coerce(w)}, b.hi)
+    terms = [(a, b, False), (a, mixed, True)]
+    assert_same(sum_of_products(terms), felt_sum([(a, b, False), (a, lifted, True)]))
+    L = FieldDescriptor(p=3, a=1, m=2, kind="local").field()
+    terms = [(random_series(ZSeries, L, rng, 12, True), random_series(ZSeries, L, rng, 12, True),
+              i % 2 == 0) for i in range(3)]
+    got, want = sum_of_products(terms), felt_sum(terms)
+    assert got.hi == want.hi and got.co.keys() == want.co.keys()
+    assert all(got.co[e] == c for e, c in want.co.items())
