@@ -1,6 +1,7 @@
 """Time the F_p kernels of taumod.kernels, windowed series products and
-sums of products over tabled fields, and the matrix product and
-determinant of `zmatrix`, on seeded workloads.
+sums of products over tabled fields, the matrix product and determinant
+of `zmatrix`, on seeded workloads, and the field construction of
+`basefield`: the modulus search and both fills of the log tables.
 
 Prints the best per-call time of each workload over the trials,
 labelled with the kernel lane (`kernels.BACKEND`).
@@ -17,7 +18,7 @@ from math import inf as INF
 
 import numpy as np
 
-from taumod import kernels, zmatrix
+from taumod import basefield, kernels, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.series import sum_of_products
 from taumod.skew import SkewPoly
@@ -59,7 +60,8 @@ def _workloads(seed):
         ("nullspace 80x120/F3", kernels.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
         ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
-    ] + _series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
+    ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
+         + _field_workloads())
 
 
 def _rand_series(cls, K, rng, exps, hi):
@@ -126,6 +128,21 @@ def _matrix_workloads(rng):
     A, B = rand_matrix(), rand_matrix()
     return [("matmul 7x7/F9", lambda A, B: zmatrix.mul(fresh(A), fresh(B)), (A, B)),
             ("det 7x7/F9", lambda A: zmatrix.det(fresh(A)), (A,))]
+
+
+def _field_workloads():
+    """The canonical modulus search, uncached, for F_{2^16}, F_{3^10} and
+    F_{3^18}; and the exp table of F_9, F_64, F_256, F_4096 and F_{2^16}
+    filled both ways, by repeated multiplication (`pure`) and by numpy
+    doubling, each from scratch (numpy is loaded by then)."""
+    out = [(f"modulus F_{{{p}^{n}}}", basefield._find_modulus.__wrapped__, (p, n))
+           for p, n in ((2, 16), (3, 10), (3, 18))]
+    for p, n in ((3, 2), (2, 6), (2, 8), (2, 12), (2, 16)):
+        ff = basefield.get_field(p, n)
+        args = (p, n, ff.gen.c, ff.size - 1)
+        out += [(f"fill F_{ff.size} pure", basefield._pure_power_table, args),
+                (f"fill F_{ff.size} doubling", basefield._power_table, args)]
+    return out
 
 
 def _level_solve(levels, p):

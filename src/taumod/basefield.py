@@ -29,8 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 import random
 
-import numpy as np
-
 from taumod import kernels
 from taumod.errors import (
     CoercionError,
@@ -42,6 +40,14 @@ from taumod.errors import (
 from taumod.series import INF, Series
 
 TABLE_LIMIT = 1 << 16
+# Fields of at most this many elements fill their exp table in pure
+# Python, larger ones by numpy doubling. In bench/bench_kernels.py, with
+# numpy loaded, pure vs doubling took 0.02/0.04 ms at 9 elements,
+# 0.26/0.10 ms at 64, 1.3/0.13 ms at 256, 26/3.4 ms at 4096 and 585/81 ms
+# at 2^16. At 4096 the pure fill still costs a fifth of importing numpy
+# (about 0.14 s), which a request over small fields then skips; at 2^14
+# it costs more than the import.
+PURE_FILL_LIMIT = 1 << 12
 # rows per int64 block when filling and converting a log table
 _TABLE_CHUNK = 1 << 12
 
@@ -62,35 +68,35 @@ def _factor(n):
 
 # ---------------------------------------------------------------------------
 # canonical moduli and F_p-linear maps (F_p polynomial arithmetic lives in
-# `kernels`)
+# `kernels`). The modulus search is pure Python; the maps are numpy
+# matrices, and numpy is imported where they are built, so that a request
+# over small fields alone never loads it
 
 
 def _is_irreducible(coeffs, p):
     """coeffs: monic, low-to-high, degree n >= 1.
 
-    f is irreducible iff X^(p^n) = X mod f (so f is squarefree with
-    every factor of degree dividing n) and, by Berlekamp's criterion,
-    the fixed space of y -> y^p on F_p[X]/(f) is F_p alone: the
-    nullspace of Q - I, with column j of Q the coordinates of X^(p*j),
-    has dimension 1 (its dimension counts the distinct factors). Both
-    tests run on Q: X^(p^n) is Q^n applied to X.
+    Ben-Or's test: f is irreducible iff gcd(X^(p^i) - X, f) = 1 for
+    every i <= n/2, since a reducible f has an irreducible factor of
+    some degree d <= n/2, and that factor divides X^(p^d) - X. Each
+    X^(p^i) mod f is the p-th power of the one before.
     """
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    Q = _frobenius_columns(tuple(coeffs), p)
-    v = x = np.eye(n, dtype=np.int64)[1]
-    for _ in range(n):
-        v = Q.dot(v) % p
-    if v.tolist() != x.tolist():
-        return False
-    q_minus_i = (Q - np.eye(n, dtype=np.int64)) % p
-    return len(kernels.nullspace_mod_p(q_minus_i.tolist(), n, p)) == 1
+    f = tuple(coeffs)
+    n = len(f) - 1
+    h = tuple(int(i == 1) for i in range(n))  # X
+    for _ in range(n // 2):
+        h = kernels.polypowmod(h, p, f, p)
+        d = list(h)
+        d[1] = (d[1] - 1) % p
+        if len(kernels.polygcd(d, f, p)) != 1:
+            return False
+    return True
 
 
 def _companion(mod, p):
     """F_p matrix of y -> X*y on F_p[X]/(mod), mod monic of degree n:
     X^j -> X^(j+1), and X^(n-1) -> X^n = -(mod without its top term)."""
+    import numpy as np
     n = len(mod) - 1
     C = np.zeros((n, n), dtype=np.int64)
     C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
@@ -100,6 +106,7 @@ def _companion(mod, p):
 
 def _orbit_columns(M, v, p):
     """The matrix with columns v, M v, ..., M^(n-1) v mod p."""
+    import numpy as np
     cols = [np.asarray(v, dtype=np.int64)]
     for _ in range(M.shape[0] - 1):
         cols.append(M.dot(cols[-1]) % p)
@@ -109,6 +116,7 @@ def _orbit_columns(M, v, p):
 def _frobenius_columns(mod, p):
     """F_p matrix of y -> y^p on F_p[X]/(mod): column j is X^(p*j), the
     orbit of 1 under multiplication by X^p."""
+    import numpy as np
     n = len(mod) - 1
     sq = _companion(mod, p)  # multiplication by X^(2^i)
     xp = np.eye(n, dtype=np.int64)  # multiplication by X^p
@@ -126,8 +134,9 @@ def _find_modulus(p, n):
     """Canonical monic irreducible of degree n over F_p.
 
     Candidates are enumerated by integer encoding c_0 + c_1 p + ... of
-    the non-leading coefficients; the first irreducible wins. Cached per
-    (p, n); deterministic across processes.
+    the non-leading coefficients; the first that passes Ben-Or's test
+    (`_is_irreducible`, pure Python) wins. Cached per (p, n);
+    deterministic across processes.
     """
     if n == 1:
         return (0, 1)
@@ -153,6 +162,7 @@ def frobenius_power(p, n, k):
 @lru_cache(maxsize=None)
 def _frobenius_power(p, n, k):
     """frobenius_power for 0 <= k < n, built from the matrix of y -> y^p."""
+    import numpy as np
     if k == 0:
         out = np.eye(n, dtype=np.int64)
     elif k == 1:
@@ -176,18 +186,28 @@ def mult_matrix(p, n, y):
     return _orbit_columns(_canonical_companion(p, n), y, p)
 
 
-def _power_table(M, order, p):
-    """Coordinates of g^0, ..., g^(order-1), one row each, for M the F_p
-    matrix of y -> g*y.
+def _pure_power_table(p, n, g, order):
+    """Coordinates of g^0, ..., g^(order-1) in F_{p^n}, as tuples, each
+    the one before times g (`kernels.polymulmod`)."""
+    mod = _find_modulus(p, n)
+    exp = [tuple(int(i == 0) for i in range(n))]
+    for _ in range(order - 1):
+        exp.append(kernels.polymulmod(exp[-1], g, mod, p))
+    return exp
 
-    Filled by doubling: the rows [k, 2k) are the rows [0, k) times
+
+def _power_table(p, n, g, order):
+    """`_pure_power_table`, filled by doubling with numpy: for M the F_p
+    matrix of y -> g*y, the rows [k, 2k) are the rows [0, k) times
     (M^k)^T mod p, so the table costs O(log order) matrix products. It is
-    stored in the narrowest unsigned dtype that holds F_p; the products
-    run in int64 one block of rows at a time.
+    held in the narrowest unsigned dtype that holds F_p; the products run
+    in int64, and the rows are converted to tuples, one block of rows at
+    a time.
     """
-    table = np.zeros((order, M.shape[0]), dtype=np.min_scalar_type(p - 1))
+    import numpy as np
+    table = np.zeros((order, n), dtype=np.min_scalar_type(p - 1))
     table[0, 0] = 1
-    step = M.T  # (M^k)^T
+    step = mult_matrix(p, n, g).T  # (M^k)^T
     k = 1
     while k < order:
         m = min(k, order - k)
@@ -196,7 +216,10 @@ def _power_table(M, order, p):
             table[k + lo : k + hi] = table[lo:hi].astype(np.int64) @ step % p
         step = step @ step % p
         k += m
-    return table
+    exp = []
+    for lo in range(0, order, _TABLE_CHUNK):
+        exp.extend(map(tuple, table[lo : lo + _TABLE_CHUNK].tolist()))
+    return exp
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +238,11 @@ class FF:
     Frobenius powers as the cached F_p matrices of `frobenius_power`.
 
     The tables hang off the canonical generator `gen`, the encoding-least
-    element of order p^n - 1. The exp table is filled by doubling
-    (`_power_table`) from the F_p matrix of multiplication by `gen`, in
-    O(log p^n) numpy products, and converted to tuples block by block;
-    the log table is its inverse dict.
+    element of order p^n - 1. The exp table lists its powers: fields of
+    at most `PURE_FILL_LIMIT` elements multiply by `gen` once per entry
+    in pure Python (`_pure_power_table`), so that building them never
+    loads numpy; larger ones fill it by doubling, in O(log p^n) numpy
+    products (`_power_table`). The log table is its inverse dict.
     """
 
     def __init__(self, p, n):
@@ -251,10 +275,8 @@ class FF:
             ):
                 gen = cand
                 break
-        table = _power_table(mult_matrix(self.p, self.n, gen), order, self.p)
-        exp = []
-        for lo in range(0, order, _TABLE_CHUNK):
-            exp.extend(map(tuple, table[lo : lo + _TABLE_CHUNK].tolist()))
+        fill = _pure_power_table if self.size <= PURE_FILL_LIMIT else _power_table
+        exp = fill(self.p, self.n, gen, order)
         self._exp = exp
         self._log = dict(zip(exp, range(order)))
         self.gen = Felt(self, gen)
@@ -336,8 +358,8 @@ class FF:
             return x
         if self._log is not None:
             return self.pow_raw(x, self.p**k)
-        img = frobenius_power(self.p, self.n, k) @ np.array(x, dtype=np.int64)
-        return tuple((img % self.p).tolist())
+        img = frobenius_power(self.p, self.n, k).dot(x) % self.p
+        return tuple(img.tolist())
 
     def series_product(self, a_co, b_co, hi, k):
         """The coefficients below exponent hi of the product of a_co and
@@ -416,8 +438,8 @@ class FF:
         triples (a, b, neg) of terms, of the untwisted products a * b,
         negated where neg is true: the same map as `sum_of_products` on
         their logs, computed by Kronecker substitution. a and b are
-        series over this field whose coefficients are Felts of it; b None
-        stands for the exact one.
+        series over this field; b None stands for the exact one. None
+        when a coefficient is no Felt of this field.
 
         A series packs into one int (`_Packs.pack`, cached by
         `Series._packed_in`): the y^i coordinate of its z^e coefficient,
@@ -467,8 +489,11 @@ class FF:
         for a, b, sign in terms:
             if not a.co or (b is not None and not b.co):
                 continue
-            va, A = a._packed_in(self, packs)
-            vb, B = (0, packs[0]) if b is None else b._packed_in(self, packs)
+            pa = a._packed_in(self, packs)
+            pb = (0, packs[self.one.c]) if b is None else b._packed_in(self, packs)
+            if pa is None or pb is None:
+                return None
+            (va, A), (vb, B) = pa, pb
             packed.append((va + vb, A, B, sign and p != 2))
             base = min(base, va + vb)
             # the group of the product's greatest exponent
@@ -568,10 +593,14 @@ class _Slots(dict):
         self.felts = {}
 
     def __missing__(self, l):
+        v = self[l] = self.packed_coords(self.ff._exp[l])
+        return v
+
+    def packed_coords(self, c):
+        """The int with the coordinates c in its slots."""
         v = 0
-        for x in reversed(self.ff._exp[l]):
+        for x in reversed(c):
             v = (v << self.width) | x
-        self[l] = v
         return v
 
     def felt(self, r):
@@ -584,7 +613,8 @@ class _Slots(dict):
 
 class _Packs(_Slots):
     """The slots of `FF.packed_sum`: `_Slots` whose width is whole bytes,
-    grouped 2n - 1 to an exponent, `group` bits. A series packs into one
+    grouped 2n - 1 to an exponent, `group` bits, and keyed by the
+    coordinates of an element instead of its log. A series packs into one
     int (`pack`); the first n slots of a group of a reduced sum, `nb`
     bytes, key `bfelts`, the Felts by bytes. Kept apart from the log
     loop's `_Slots`, whose narrower slots keep its ints short."""
@@ -609,13 +639,24 @@ class _Packs(_Slots):
         f = self.bfelts[key] = Felt(self.ff, c)
         return f
 
-    def pack(self, lg):
-        """(v, s) for the series with logs lg, not empty: v its least
-        exponent and s the int whose group e - v holds the coordinates of
-        its z^e coefficient."""
-        v = min([e for e, _ in lg])
+    def __missing__(self, c):
+        v = self[c] = self.packed_coords(c)
+        return v
+
+    def pack(self, co):
+        """(v, s) for the series with coefficients co, not empty: v its
+        least exponent and s the int whose group e - v holds the
+        coordinates of its z^e coefficient. None when a coefficient is no
+        Felt of `ff`, the test `FF.logs` makes."""
+        ff = self.ff
+        v = min(co)
         g = self.group
-        return v, sum([self[l] << g * (e - v) for e, l in lg])
+        s = 0
+        for e, c in co.items():
+            if type(c) is not Felt or c.ff is not ff:
+                return None
+            s += self[c.c] << g * (e - v)
+        return v, s
 
     def masks(self, groups):
         """(ones, high, low, mids) over at least `groups` groups: 1 in
@@ -874,6 +915,7 @@ class FpExtension:
     """
 
     def __init__(self, small, n):
+        import numpy as np
         p, k = small.p, small.n
         self.p, self.n = p, n
         one = np.eye(n, dtype=np.int64)[0]
@@ -888,12 +930,14 @@ class FpExtension:
     def base_mult(self, x):
         """Matrix of multiplication by the image of x, a Felt of `small`:
         the images of the powers of X, multiplied out once, combined."""
+        import numpy as np
         return np.tensordot(np.array(x.c, dtype=np.int64), self._base, 1) % self.p
 
 
 def _canonical_root(small, n):
     """Coordinates in F_{p^n} of the encoding-least root of the canonical
     modulus of `small` = F_{p^k}, k > 1 (see `FpExtension`)."""
+    import numpy as np
     p, k = small.p, small.n
     sub = np.array(kernels.nullspace_mod_p(
         ((frobenius_power(p, n, k) - np.eye(n, dtype=np.int64)) % p).tolist(),

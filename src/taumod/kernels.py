@@ -9,20 +9,20 @@ as full-width Gauss-Jordan. `extend_kernel` solves a block
 lower-triangular system one level at a time; it is the one solver of
 the conjugator and fixed-point systems of the extension sweeps, and
 `canonical_basis` turns its last level into the basis `nullspace_mod_p`
-gives for the whole system.
+gives for the whole system. numpy is imported where the elimination
+starts, not with this module, so that a request which solves no F_p
+system never loads it.
 
 The polynomial routines are plain loops and the package's only F_p
-polynomial arithmetic. They serve the generator search of the log
-tables and the multiplication, inversion and powers in fields above
-`basefield.TABLE_LIMIT`. Everything F_p-linear on a field goes through
-matrices instead: the modulus search tests irreducibility on the matrix
-of y -> y^p (its n-th power fixes X, and its Berlekamp nullspace is
-taken here), large fields apply Frobenius powers as cached matrices,
-and smaller fields multiply through log tables, which `basefield`
-fills by doubling with numpy matrix products.
+polynomial arithmetic. They serve the modulus search (Ben-Or's
+irreducibility test, on `polypowmod` and `polygcd`), the generator
+search and the fill of the log tables of small fields, and the
+multiplication, inversion and powers in fields above
+`basefield.TABLE_LIMIT`. Everything else F_p-linear on a field goes
+through numpy matrices: large fields apply Frobenius powers as cached
+matrices, and fields above `basefield.PURE_FILL_LIMIT` fill their log
+tables by doubling with matrix products.
 """
-
-import numpy as np
 
 BACKEND = "pure"
 
@@ -61,6 +61,33 @@ def polypowmod(a, e, mod, p):
     return result
 
 
+def polygcd(a, b, p):
+    """Monic gcd over F_p of a and b, coefficient sequences low-to-high,
+    as a tuple; () when both are zero."""
+    a, b = list(a), list(b)
+    for c in (a, b):
+        while c and not c[-1]:
+            c.pop()
+    while b:
+        # a mod b, then the next step of Euclid
+        inv = pow(b[-1], p - 2, p)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                base = i - db
+                for j in range(db):
+                    if b[j]:
+                        a[base + j] = (a[base + j] - c * b[j]) % p
+        a, b = b, a[:db]
+        while b and not b[-1]:
+            b.pop()
+    if not a:
+        return ()
+    inv = pow(a[-1], p - 2, p)
+    return tuple(x * inv % p for x in a)
+
+
 def rref_mod_p(mat, p):
     """Reduced row echelon form over F_p.
 
@@ -69,6 +96,7 @@ def rref_mod_p(mat, p):
     """
     if not mat:
         return [], []
+    import numpy as np
     A = np.array(mat, dtype=np.int64) % p
     rows, cols = A.shape
     pivots = []
@@ -103,6 +131,7 @@ def nullspace_mod_p(mat, ncols, p):
     """
     if not mat:
         return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    import numpy as np
     R, pivots = rref_mod_p(mat, p)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -141,6 +170,7 @@ def extend_kernel(rows, coupling, diag, p):
     basis of the solutions (s, x) of all levels; start from a 0 x 0
     array, the basis of the one solution of no equations.
     """
+    import numpy as np
     k = rows.shape[0]
     d = diag.shape[1]
     A = np.hstack([coupling @ rows.T % p, diag % p])
@@ -157,6 +187,7 @@ def canonical_basis(rows, p):
     and the vectors are ordered by that column. It depends on the space
     alone, so any spanning rows give it.
     """
+    import numpy as np
     rows = np.asarray(rows, dtype=np.int64)
     if not rows.size:
         return []

@@ -18,12 +18,13 @@ Three solvers around the q-power twist:
 No-backtracking note: x -> x^q is injective in characteristic p, so
 whenever the recursion forces a coefficient there is exactly one
 candidate; the solvers never branch.
+
+The F_p-linear solvers import numpy where they start, so that the
+requests that reach none of them never load it.
 """
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from taumod import kernels
 from taumod.basefield import (
@@ -397,6 +398,7 @@ def _solve_additive_window(a, b, tag, N):
     inconsistent one is only reported inconclusive, since homogeneous
     components below the floor could repair it.
     """
+    import numpy as np
     K = a.K
     ff = K.ff
     p = ff.p
@@ -499,6 +501,7 @@ def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
     algebraic closure then are all rational, and they surject onto each
     lower precision), so a short level rules the degree out.
     """
+    import numpy as np
     K, r = A[0][0].K, len(A)
     need = K.desc.a * r if full else 0  # F_p-dimension of F_q^r
     rows = np.zeros((0, 0), dtype=np.int64)
@@ -555,6 +558,7 @@ def fixed_space_levels(A, N, e, require_unit=True):
     `kernels.extend_kernel`, an F_p-basis of the fixed points mod
     z^(n+1), with coordinates level-major: (z-degree, component, field).
     """
+    import numpy as np
     K, r, terms = _fixed_space_terms(A, N, require_unit)
     ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, w = ext.p, r * ext.n
@@ -593,6 +597,7 @@ def _fq_basis_from_fp_kernel(K, L, ker, r, N, nL):
 def _fq_greedy(L, a, coords):
     """Indices of the vectors that a greedy pass keeps as an F_q-basis,
     F_q = F_{p^a} acting on each block of L-coordinates."""
+    import numpy as np
     p, nL = L.ff.p, L.ff.n
     gq = _fq_generator_mat(L, a)
     span = FpSpan(len(coords[0]) if coords else 0, p)
@@ -629,6 +634,7 @@ class FpSpan:
     also clears its pivot column from the older rows."""
 
     def __init__(self, dim, p):
+        import numpy as np
         self.p = p
         self.rows = np.zeros((0, dim), dtype=np.int64)
         self.pivots = []
@@ -636,6 +642,7 @@ class FpSpan:
     def reduce(self, v):
         """v minus its projection on the span along the pivot columns;
         zero exactly when v lies in the span."""
+        import numpy as np
         v = np.asarray(v, dtype=np.int64) % self.p
         if self.pivots:
             v = (v - v[self.pivots] @ self.rows) % self.p
@@ -643,6 +650,7 @@ class FpSpan:
 
     def add(self, v):
         """Add v to the span; False (and no change) when it was in it."""
+        import numpy as np
         p = self.p
         red = self.reduce(v)
         nz = np.flatnonzero(red)
@@ -678,6 +686,7 @@ def frobenius_action(K, module_basis, N):
 
     Raises NotStable when the Frobenius image leaves the span.
     """
+    import numpy as np
     if not module_basis:
         return []
     L = module_basis[0][0].K

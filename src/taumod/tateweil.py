@@ -15,13 +15,12 @@ per degree, level by level on `basefield.FpExtension` data
 (`semilinear.tau_fixed_space` in z, `_conjugator_levels` in
 tau^{-1}): a degree is dropped at the first level that rules it out,
 and the degree that passes builds its field and reads its answer off
-the last level.
+the last level. The level solvers import numpy where they start, not
+with this module, which every request imports.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from taumod import kernels, zmatrix
 from taumod.basefield import fp_extension
@@ -230,6 +229,7 @@ def _conjugator_levels(E, e, N):
     root and of the per-level additive freedom, is an F_p-combination of
     the last level's rows, so solvability is decided exactly.
     """
+    import numpy as np
     K = E.K
     ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, nL = ext.p, ext.n
@@ -251,6 +251,7 @@ def _conjugator_rows(E, e, N):
     """The last level of `_conjugator_levels(E, e, N)`, or None at the
     first level where no solution has u_0 != 0: then no solution of the
     full system has either."""
+    import numpy as np
     nL = E.K.ff.n * e
     rows = np.zeros((0, 0), dtype=np.int64)
     for rows in _conjugator_levels(E, e, N):

@@ -24,14 +24,19 @@ from taumod.basefield import (
     frobenius_power,
     get_field,
     mult_matrix,
+    PURE_FILL_LIMIT,
     _embedding_powers,
     _find_modulus,
     _is_irreducible,
     _pdivmod,
     _pgcd,
+    _power_table,
+    _pure_power_table,
 )
 from taumod.errors import CoercionError, NoRoot, NotInvertible, PrecisionLoss
 from taumod import kernels
+
+from dense_oracle import berlekamp_irreducible
 
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (2, 6)]
@@ -87,6 +92,51 @@ class TestModuli:
                 poly = sum(c * X**i for i, c in enumerate(coeffs))
                 want = sympy.Poly(poly, X, modulus=p).is_irreducible
                 assert _is_irreducible(coeffs, p) == want, coeffs
+
+
+# the canonical moduli as the Berlekamp search found them, low-to-high
+# without the leading 1, per p for n = 1, 2, ...
+FROZEN_MODULI = {
+    2: ["0", "11", "110", "1100", "10100", "110000", "1100000", "11011000",
+        "110000000", "1001000000", "10100000000", "100100000000",
+        "1101100000000", "10000100000000", "110000000000000",
+        "1101010000000000", "10010000000000000", "100100000000000000",
+        "1110010000000000000", "10010000000000000000"],
+    3: ["0", "10", "120", "2100", "12000", "210000", "2010000", "20100000",
+        "101200000", "1020000000", "20100000000", "201000000000",
+        "1200000000000", "21000000000000"],
+    5: ["0", "20", "110", "2000", "14000", "210000", "1100000", "20000000",
+        "321000000"],
+    7: ["0", "10", "200", "1100", "31000", "200000", "1600000"],
+}
+
+
+class TestBenOr:
+    """Ben-Or's test against the Berlekamp test of `dense_oracle`, and the
+    moduli and tables built on it."""
+
+    @pytest.mark.parametrize("p,n_max", [(2, 6), (3, 6), (5, 4), (7, 4)])
+    def test_matches_berlekamp_on_every_monic(self, p, n_max):
+        for n in range(1, n_max + 1):
+            for low in itertools.product(range(p), repeat=n):
+                coeffs = list(low) + [1]
+                assert _is_irreducible(coeffs, p) == berlekamp_irreducible(coeffs, p), coeffs
+
+    @pytest.mark.parametrize("p", sorted(FROZEN_MODULI))
+    def test_canonical_moduli_frozen(self, p):
+        for n, low in enumerate(FROZEN_MODULI[p], 1):
+            # uncached, so that the search itself runs
+            assert _find_modulus.__wrapped__(p, n) == tuple(map(int, low)) + (1,), n
+
+    @pytest.mark.parametrize("p,n", [(2, 12), (3, 8)])
+    def test_pure_fill_matches_doubling(self, p, n):
+        # F_4096, the largest field filled without numpy, and F_6561, the
+        # next field the tests build, filled by doubling
+        assert (p**n <= PURE_FILL_LIMIT) == (p == 2)
+        ff = get_field(p, n)
+        order = ff.size - 1
+        assert _pure_power_table(p, n, ff.gen.c, order) == ff._exp
+        assert _power_table(p, n, ff.gen.c, order) == ff._exp
 
 
 def _rand_poly(ff, rng, deg):
@@ -291,8 +341,9 @@ class TestFpExtension:
 
 
 class TestLogTables:
-    """The doubling-built tables against the plain construction: repeated
-    polymulmod by the canonical generator."""
+    """The tables against repeated polymulmod by the canonical generator,
+    which fills them up to `PURE_FILL_LIMIT` elements; the larger fields
+    here are filled by doubling."""
 
     @pytest.mark.parametrize(
         "p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2), (65521, 1)]

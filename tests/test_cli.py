@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -17,7 +20,7 @@ from taumod.basefield import FieldDescriptor
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import NotInvertible, PrecisionLoss
-from taumod.isocrystal import simple_pure, unit
+from taumod.isocrystal import Isocrystal, simple_pure, unit
 from taumod.zseries import ZSeries
 
 INF = math.inf
@@ -375,6 +378,90 @@ class TestVerify:
         del rep["result"]["infinity_purity"]["lattice"]
         code, _ = run_json(["verify", "--input", json.dumps(rep)])
         assert code == 2
+
+
+# runs the CLI on its arguments, then reports on stderr whether numpy was
+# loaded
+NUMPY_PROBE = """
+import sys
+from taumod.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("numpy loaded" if "numpy" in sys.modules else "numpy free")
+sys.exit(code)
+"""
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def probe_numpy(argv, cwd):
+    """(exit code, stdout, whether numpy was loaded) of one CLI request
+    in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv, cwd=cwd,
+                         env=env, capture_output=True, text=True, timeout=120)
+    loaded = out.stderr.endswith("numpy loaded")
+    assert loaded or out.stderr.endswith("numpy free"), out.stderr
+    return out.returncode, out.stdout, loaded
+
+
+class TestNumpyFree:
+    """Requests over small fields that solve no F_p system run without
+    numpy; the extension sweeps still load it."""
+
+    def test_slopes_purity_and_verify(self, tmp_path):
+        # a dense rank-4 twist P A sigma(P)^-1 over F_9 of the pure A of
+        # slope 1/4, P = I + N with N strictly lower triangular, so that
+        # P^-1 = I - N + N^2 - N^3
+        K = F9F.field()
+        r = 4
+        rng = random.Random("numpy-free-twist")
+        N = zmatrix.zeros(K, r, r)
+        for i in range(r):
+            for j in range(i):
+                N[i][j] = ZSeries(K, {0: K.el([rng.randrange(3), 1]),
+                                      1: K.el([1, rng.randrange(3)])}, INF)
+        P, P_inv, term = zmatrix.identity(K, r), zmatrix.identity(K, r), N
+        for k in range(1, r):
+            P_inv = [[x - y if k % 2 else x + y for x, y in zip(rx, ry)]
+                     for rx, ry in zip(P_inv, term)]
+            term = zmatrix.mul(term, N)
+        P = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(P, N)]
+        A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
+        (tmp_path / "twist.json").write_text(jsonio.dump_canonical(Isocrystal(K, A)))
+        code, out, loaded = probe_numpy(
+            ["isocrystal", "slopes", "--input", "twist.json"], tmp_path)
+        assert code == 0 and not loaded
+        assert json.loads(out)["result"]["slopes"] == [[1, 4]] * 4
+        code, out, loaded = probe_numpy(
+            ["isocrystal", "purity", "--s", "1", "--r", "4", "--input", "twist.json"],
+            tmp_path)
+        assert code == 0 and not loaded
+        assert json.loads(out)["verdict"] == "pure"
+        (tmp_path / "purity.json").write_text(out)
+        code, out, loaded = probe_numpy(["verify", "--input", "purity.json"], tmp_path)
+        assert code == 0 and not loaded
+        assert json.loads(out)["verdict"] == "ok"
+
+    def test_corpus(self, tmp_path):
+        # the first three items of each kind of the seed-0 corpus
+        kinds = {}
+        for name, payload in corpusgen.corpus_files(seed=0):
+            if len(kinds.setdefault(payload["kind"], [])) < 3:
+                kinds[payload["kind"]].append(name)
+                (tmp_path / name).write_text(jsonio.dump_canonical(payload))
+        assert sorted(kinds) == ["drinfeld", "isocrystal", "solve_problem"]
+        code, out, loaded = probe_numpy(["corpus", "--dir", ".", "--jobs", "1"],
+                                        tmp_path)
+        assert code == 0 and not loaded
+        assert len(json.loads(out)["result"]["items"]) == 9
+
+    def test_weil_over_a_tower_still_answers(self, tmp_path):
+        F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
+        carlitz = DrinfeldModule(F3, [F3.one(), F3.one()])
+        code, out, loaded = probe_numpy(
+            ["weil", "--prec-tau", "8", "--ext-max", "9",
+             "--input", jsonio.dump_canonical(carlitz)], tmp_path)
+        assert code == 0 and loaded
+        assert json.loads(out)["verdict"] == "admissible"
 
 
 class TestCorpus:
