@@ -45,12 +45,12 @@ RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
 # the packed path of `series.sum_of_products` and the sign of a sum over
 # p = 2 is covered, over F_32 (q = 2, m = 5), whose degree 5 is above
 # the packed path's crossover, so that sums there take the log loop, and
-# over F_{9^4} (q = 9, m = 4), 6561 elements, above
+# over F_81 (q = 9, m = 2), the least field of characteristic 3 above
 # `basefield.PURE_FILL_LIMIT`, so that its log tables are filled by
 # doubling while every other twist's are filled without numpy
 TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite")),
           ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite")),
-          ("f6561-twist", FieldDescriptor(p=3, a=2, m=4, kind="finite")))
+          ("f81-twist", FieldDescriptor(p=3, a=2, m=2, kind="finite")))
 
 
 def _sha(data):

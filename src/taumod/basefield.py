@@ -41,13 +41,15 @@ from taumod.series import INF, Series
 
 TABLE_LIMIT = 1 << 16
 # Fields of at most this many elements fill their exp table in pure
-# Python, larger ones by numpy doubling. In bench/bench_kernels.py, with
-# numpy loaded, pure vs doubling took 0.02/0.04 ms at 9 elements,
-# 0.26/0.10 ms at 64, 1.3/0.13 ms at 256, 26/3.4 ms at 4096 and 585/81 ms
-# at 2^16. At 4096 the pure fill still costs a fifth of importing numpy
-# (about 0.14 s), which a request over small fields then skips; at 2^14
-# it costs more than the import.
-PURE_FILL_LIMIT = 1 << 12
+# Python, larger ones by numpy doubling. The isocrystal and corpus
+# requests of perfbench, which solve no F_p system and so run without
+# numpy, build fields of at most 64 elements; the requests that build
+# larger ones run extension sweeps, which load numpy anyway. In
+# bench/bench_kernels.py, with numpy loaded, pure vs doubling took
+# 0.02/0.04 ms at 9 elements, 0.26/0.10 ms at 64, 1.3/0.13 ms at 256,
+# 26/3.4 ms at 4096 and 585/81 ms at 2^16: above 64 elements the
+# doubling is the faster fill.
+PURE_FILL_LIMIT = 64
 # rows per int64 block when filling and converting a log table
 _TABLE_CHUNK = 1 << 12
 
@@ -438,8 +440,8 @@ class FF:
         triples (a, b, neg) of terms, of the untwisted products a * b,
         negated where neg is true: the same map as `sum_of_products` on
         their logs, computed by Kronecker substitution. a and b are
-        series over this field; b None stands for the exact one. None
-        when a coefficient is no Felt of this field.
+        series over this field whose coefficients are Felts of it; b None
+        stands for the exact one.
 
         A series packs into one int (`_Packs.pack`, cached by
         `Series._packed_in`): the y^i coordinate of its z^e coefficient,
@@ -489,11 +491,8 @@ class FF:
         for a, b, sign in terms:
             if not a.co or (b is not None and not b.co):
                 continue
-            pa = a._packed_in(self, packs)
-            pb = (0, packs[self.one.c]) if b is None else b._packed_in(self, packs)
-            if pa is None or pb is None:
-                return None
-            (va, A), (vb, B) = pa, pb
+            va, A = a._packed_in(self, packs)
+            vb, B = (0, packs[0]) if b is None else b._packed_in(self, packs)
             packed.append((va + vb, A, B, sign and p != 2))
             base = min(base, va + vb)
             # the group of the product's greatest exponent
@@ -593,14 +592,10 @@ class _Slots(dict):
         self.felts = {}
 
     def __missing__(self, l):
-        v = self[l] = self.packed_coords(self.ff._exp[l])
-        return v
-
-    def packed_coords(self, c):
-        """The int with the coordinates c in its slots."""
         v = 0
-        for x in reversed(c):
+        for x in reversed(self.ff._exp[l]):
             v = (v << self.width) | x
+        self[l] = v
         return v
 
     def felt(self, r):
@@ -613,8 +608,7 @@ class _Slots(dict):
 
 class _Packs(_Slots):
     """The slots of `FF.packed_sum`: `_Slots` whose width is whole bytes,
-    grouped 2n - 1 to an exponent, `group` bits, and keyed by the
-    coordinates of an element instead of its log. A series packs into one
+    grouped 2n - 1 to an exponent, `group` bits. A series packs into one
     int (`pack`); the first n slots of a group of a reduced sum, `nb`
     bytes, key `bfelts`, the Felts by bytes. Kept apart from the log
     loop's `_Slots`, whose narrower slots keep its ints short."""
@@ -639,24 +633,13 @@ class _Packs(_Slots):
         f = self.bfelts[key] = Felt(self.ff, c)
         return f
 
-    def __missing__(self, c):
-        v = self[c] = self.packed_coords(c)
-        return v
-
-    def pack(self, co):
-        """(v, s) for the series with coefficients co, not empty: v its
-        least exponent and s the int whose group e - v holds the
-        coordinates of its z^e coefficient. None when a coefficient is no
-        Felt of `ff`, the test `FF.logs` makes."""
-        ff = self.ff
-        v = min(co)
+    def pack(self, lg):
+        """(v, s) for the series with logs lg, not empty: v its least
+        exponent and s the int whose group e - v holds the coordinates of
+        its z^e coefficient."""
+        v = min([e for e, _ in lg])
         g = self.group
-        s = 0
-        for e, c in co.items():
-            if type(c) is not Felt or c.ff is not ff:
-                return None
-            s += self[c.c] << g * (e - v)
-        return v, s
+        return v, sum([self[l] << g * (e - v) for e, l in lg])
 
     def masks(self, groups):
         """(ones, high, low, mids) over at least `groups` groups: 1 in

@@ -126,14 +126,11 @@ class Series:
         return lg
 
     def _packed_in(self, ff, packs):
-        """`packs.pack` of co, (v, packed int), kept while the packs of ff
-        keep their width; None when a coefficient is no Felt of ff."""
+        """`packs.pack` of the logs of co, (v, packed int), kept while the
+        packs of ff keep their width."""
         pk = self._pk
         if pk is None or pk[0] != packs.width:
-            packed = packs.pack(self.co)
-            if packed is None:
-                return None
-            pk = self._pk = (packs.width, packed)
+            pk = self._pk = (packs.width, packs.pack(self._logs_in(ff)))
         return pk[1]
 
     def _lift(self, K):
@@ -379,43 +376,48 @@ def sum_of_products(terms):
 
     When every operand is a series of one kind over one finite field with
     log tables, the sum runs in one call of `FF.packed_sum` or
-    `FF.sum_of_products`, chosen by the crossovers above before any
-    coefficient is read: the packed path packs the coordinates of the
-    coefficients, the log loop takes their logs. Otherwise, or when a
-    coefficient lies in another field, it is the chain of products,
-    negations and sums in the order of terms.
+    `FF.sum_of_products`, chosen by the crossovers above. Otherwise, or
+    when a coefficient lies in another field, it is the chain of
+    products, negations and sums in the order of terms.
     """
     a0 = terms[0][0]
     cls, K = type(a0), a0.K
     R = cls._ring(K)
-    if R.kind == "finite" and R.ff._log is not None:
+    if R.kind == "finite":
         ff = R.ff
+        args = []
         hi = INF
         pairs = 0
         for a, b, neg in terms:
             if type(a) is not cls or a.K is not K:
                 break
+            la = a._logs_in(ff)
+            if la is None:
+                break
             if b is None:
+                # the exact one: log 0 at exponent 0
+                args.append((la, [(0, 0)], neg))
                 hi = min(hi, a.hi)
-                pairs += len(a.co)
+                pairs += len(la)
                 continue
             if type(b) is not cls or b.K is not K:
+                break
+            lb = b._logs_in(ff)
+            if lb is None:
                 break
             # an exact zero has order inf, so it absorbs
             va = min(a.co) if a.co else a.hi
             vb = min(b.co) if b.co else b.hi
             hi = min(hi, a.hi + vb, b.hi + va)
-            pairs += len(a.co) * len(b.co)
+            args.append((la, lb, neg))
+            pairs += len(la) * len(lb)
         else:
-            # no break: every term is a series of this kind over ff
+            # no break: every term is in the log domain
             k = cls._TWIST * R.desc.a
             # sigma^k is the identity when n divides k
             if k % ff.n == 0 and ff.n <= PACK_DEGREE and pairs >= PACK_PAIRS:
-                co = ff.packed_sum(terms, hi)
-            else:
-                co = _log_sum(ff, terms, hi, k)
-            if co is not None:
-                return cls(K, co, hi)
+                return cls(K, ff.packed_sum(terms, hi), hi)
+            return cls(K, ff.sum_of_products(args, hi, k), hi)
     acc = None
     for a, b, neg in terms:
         t = a if b is None else a * b
@@ -424,20 +426,6 @@ def sum_of_products(terms):
         else:
             acc = acc - t if neg else acc + t
     return acc
-
-
-def _log_sum(ff, terms, hi, k):
-    """`ff.sum_of_products` on the logs of terms; None when a coefficient
-    is no Felt of ff."""
-    args = []
-    for a, b, neg in terms:
-        la = a._logs_in(ff)
-        # the exact one: log 0 at exponent 0
-        lb = [(0, 0)] if b is None else b._logs_in(ff)
-        if la is None or lb is None:
-            return None
-        args.append((la, lb, neg))
-    return ff.sum_of_products(args, hi, k)
 
 
 def _pair(a, b):

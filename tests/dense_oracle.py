@@ -1,19 +1,15 @@
-"""Dense references: the conjugator and fixed-point systems, and the
-irreducibility test of the modulus search.
+"""Dense reference solvers for the conjugator and fixed-point systems.
 
 `taumod` solves both systems level by level on F_p-linear data. These
 solvers build the whole N*[L:F_p]-column matrix over a built field L,
 with its coefficients coerced along the canonical embedding, and take
 one nullspace of it. Tests compare the level solver against them.
-
-`taumod` tests irreducibility by Ben-Or's gcds on polynomials;
-`berlekamp_irreducible` decides it on the matrix of y -> y^p instead.
 """
 
 import numpy as np
 
 from taumod import kernels
-from taumod.basefield import _frobenius_columns, frobenius_power
+from taumod.basefield import frobenius_power
 from taumod.semilinear import (
     _fixed_space_terms,
     _fq_basis_from_fp_kernel,
@@ -73,26 +69,3 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
     r = len(A)
     ker = fixed_space_kernel(A, N, e, require_unit)
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, L.ff.n)
-
-
-def berlekamp_irreducible(coeffs, p):
-    """coeffs: monic, low-to-high, degree n >= 1.
-
-    f is irreducible iff X^(p^n) = X mod f (so f is squarefree with
-    every factor of degree dividing n) and, by Berlekamp's criterion,
-    the fixed space of y -> y^p on F_p[X]/(f) is F_p alone: the
-    nullspace of Q - I, with column j of Q the coordinates of X^(p*j),
-    has dimension 1 (its dimension counts the distinct factors). Both
-    tests run on Q: X^(p^n) is Q^n applied to X.
-    """
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    Q = _frobenius_columns(tuple(coeffs), p)
-    v = x = np.eye(n, dtype=np.int64)[1]
-    for _ in range(n):
-        v = Q.dot(v) % p
-    if v.tolist() != x.tolist():
-        return False
-    q_minus_i = (Q - np.eye(n, dtype=np.int64)) % p
-    return len(kernels.nullspace_mod_p(q_minus_i.tolist(), n, p)) == 1

@@ -36,8 +36,6 @@ from taumod.basefield import (
 from taumod.errors import CoercionError, NoRoot, NotInvertible, PrecisionLoss
 from taumod import kernels
 
-from dense_oracle import berlekamp_irreducible
-
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (2, 6)]
 
@@ -80,7 +78,9 @@ class TestModuli:
         assert _find_modulus(2, 2) == (1, 1, 1)
         assert _find_modulus(3, 2) == (1, 0, 1)
 
-    @pytest.mark.parametrize("p,n_max", [(2, 6), (3, 4), (5, 3)])
+    @pytest.mark.parametrize(
+        "p,n_max", [(2, 6), (3, 4), (5, 3), (3, 6), (5, 4), (7, 4)]
+    )
     def test_irreducibility_sympy_oracle(self, p, n_max):
         # every monic polynomial, reducible-but-squarefree ones included
         import sympy
@@ -112,15 +112,7 @@ FROZEN_MODULI = {
 
 
 class TestBenOr:
-    """Ben-Or's test against the Berlekamp test of `dense_oracle`, and the
-    moduli and tables built on it."""
-
-    @pytest.mark.parametrize("p,n_max", [(2, 6), (3, 6), (5, 4), (7, 4)])
-    def test_matches_berlekamp_on_every_monic(self, p, n_max):
-        for n in range(1, n_max + 1):
-            for low in itertools.product(range(p), repeat=n):
-                coeffs = list(low) + [1]
-                assert _is_irreducible(coeffs, p) == berlekamp_irreducible(coeffs, p), coeffs
+    """The moduli and tables built on Ben-Or's test."""
 
     @pytest.mark.parametrize("p", sorted(FROZEN_MODULI))
     def test_canonical_moduli_frozen(self, p):
@@ -128,12 +120,12 @@ class TestBenOr:
             # uncached, so that the search itself runs
             assert _find_modulus.__wrapped__(p, n) == tuple(map(int, low)) + (1,), n
 
-    @pytest.mark.parametrize("p,n", [(2, 12), (3, 8)])
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
     def test_pure_fill_matches_doubling(self, p, n):
-        # F_4096, the largest field filled without numpy, and F_6561, the
-        # next field the tests build, filled by doubling
-        assert (p**n <= PURE_FILL_LIMIT) == (p == 2)
+        # F_64, the largest field filled without numpy, and F_81, the
+        # next, filled by doubling
         ff = get_field(p, n)
+        assert (ff.size <= PURE_FILL_LIMIT) == (ff.size == 64)
         order = ff.size - 1
         assert _pure_power_table(p, n, ff.gen.c, order) == ff._exp
         assert _power_table(p, n, ff.gen.c, order) == ff._exp
@@ -342,8 +334,8 @@ class TestFpExtension:
 
 class TestLogTables:
     """The tables against repeated polymulmod by the canonical generator,
-    which fills them up to `PURE_FILL_LIMIT` elements; the larger fields
-    here are filled by doubling."""
+    which fills them up to `PURE_FILL_LIMIT` elements, and against the
+    numpy doubling, which fills the larger ones."""
 
     @pytest.mark.parametrize(
         "p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2), (65521, 1)]
@@ -358,6 +350,7 @@ class TestLogTables:
             assert ff._exp[k] == cur
             cur = kernels.polymulmod(cur, gen, ff.modulus, p)
         assert cur == ff.one.c
+        assert _power_table(p, n, gen, order) == ff._exp
         assert len(ff._log) == order
         assert all(ff._log[x] == k for k, x in enumerate(ff._exp))
         assert all(type(c) is int for c in ff._exp[-1])

@@ -405,7 +405,7 @@ def probe_numpy(argv, cwd):
 
 class TestNumpyFree:
     """Requests over small fields that solve no F_p system run without
-    numpy; the extension sweeps still load it."""
+    numpy; the extension sweeps still answer."""
 
     def test_slopes_purity_and_verify(self, tmp_path):
         # a dense rank-4 twist P A sigma(P)^-1 over F_9 of the pure A of
@@ -457,10 +457,10 @@ class TestNumpyFree:
     def test_weil_over_a_tower_still_answers(self, tmp_path):
         F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
         carlitz = DrinfeldModule(F3, [F3.one(), F3.one()])
-        code, out, loaded = probe_numpy(
+        code, out, _ = probe_numpy(
             ["weil", "--prec-tau", "8", "--ext-max", "9",
              "--input", jsonio.dump_canonical(carlitz)], tmp_path)
-        assert code == 0 and loaded
+        assert code == 0
         assert json.loads(out)["verdict"] == "admissible"
 
 
