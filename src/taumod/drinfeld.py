@@ -14,7 +14,6 @@ from .isocrystal import (
     Isocrystal,
     PurityCertificate,
     model_verify,
-    purity_check,
 )
 from .skew import SkewPoly
 from .zseries import ZSeries
@@ -65,6 +64,11 @@ class MotiveData:
     coker: dict
 
 
+# what the two checks of `motive` establish about every motive it returns
+MOTIVE_COKER = {"dimension": 1, "t_acts_by": "g0", "support": "t - g0",
+                "checks": ["det(A)*g_r ~ t - g0", "row 0 vanishes at t = g0"]}
+
+
 def _eval_at(K, s, c):
     acc = K.el(0)
     for n, coeff in s.co.items():
@@ -79,7 +83,8 @@ def motive(E):
     multiplication.  Column r-1 rewrites tau^r through phi_t.  The
     construction is validated by two executable checks: det(A)*g_r is a
     unit multiple of (t - g_0), and the top row vanishes at t = g_0, so
-    the cokernel of the linearized action is K[t]/(t - g_0).
+    the cokernel of the linearized action is K[t]/(t - g_0)
+    (`MOTIVE_COKER`), and A is invertible over K((t)).
     """
     K = E.K
     r = E.rank
@@ -108,19 +113,12 @@ def motive(E):
     edge = _eval_at(K, A[0][r - 1], g[0])
     if K.known_nonzero(edge):
         raise InvariantError("motive top row does not vanish at t = g0")
-    return MotiveData(
-        A,
-        {
-            "dimension": 1,
-            "t_acts_by": "g0",
-            "support": "t - g0",
-            "checks": ["det(A)*g_r ~ t - g0", "row 0 vanishes at t = g0"],
-        },
-    )
+    return MotiveData(A, MOTIVE_COKER)
 
 
 def m_infinity(E):
-    """The isocrystal at the place t = infinity, via t = 1/z."""
+    """The isocrystal at the place t = infinity, via t = 1/z, with both
+    checks of `motive` run on its matrix."""
     mot = motive(E)
     K = E.K
     Az = [
@@ -238,13 +236,13 @@ def _reramify(K2, x):
     return LocalElem(K2, co, hi)
 
 
-def base_change_agrees(E, gm):
-    """The good model's infinity isocrystal is E's after the diagonal
-    change of basis: A_model == diag(u^{q^i})^{-1} A diag(u^{q^{i+1}})."""
+def base_change_agrees(E, M, gm):
+    """The good model's infinity isocrystal is M = m_infinity(E) after the
+    change of basis A_model == diag(u^{q^i})^{-1} A diag(u^{q^{i+1}})."""
     q = E.K.desc.q
     r = E.rank
     u = gm.u
-    A = m_infinity(E).A
+    A = M.A
     upow = [_elt_pow(u, q**k) for k in range(r + 1)]
     uinv = [_elt_pow(u, -(q**k)) for k in range(r + 1)]
     conj = [[(A[i][j].scale(uinv[i])).scale(upow[j + 1]) for j in range(r)]
@@ -258,21 +256,22 @@ def ramified(E, e):
     return DrinfeldModule(K2, [_reramify(K2, g) for g in E.coeffs])
 
 
-def crit_crosscheck(E, max_iters=32, prec=None):
+def crit_crosscheck(E, M, purity):
     """Play the two sides of the reduction criterion against each other.
 
-    Good: the scaled model must equal the infinity isocrystal after the
-    diagonal change of basis diag(u^{q^i}).  Stable: record the
-    obstruction pair (purity of the generic fiber at -1/r, the smaller
-    residue rank), which any integral model would have to reconcile
-    against hom-vanishing between distinct slopes.  PotentiallyGood:
-    inconclusive over the base, rerun over the ramified extension.
+    M = m_infinity(E) and purity = purity_check(M, -1, r) are the
+    caller's.  Good: the scaled model must equal M after the diagonal
+    change of basis diag(u^{q^i}).  Stable: record the obstruction pair
+    (purity, the smaller residue rank), which any integral model would
+    have to reconcile against hom-vanishing between distinct slopes.
+    PotentiallyGood: inconclusive over the base, rerun over the ramified
+    extension, where E is Good and needs no purity.
     """
     rep = reduction_type(E)
     r = E.rank
     if rep.verdict == "Good":
         gm = good_model(E, rep)
-        if not base_change_agrees(E, gm):
+        if not base_change_agrees(E, M, gm):
             raise InvariantError("good model does not match the infinity "
                                  "isocrystal after base change")
         return {
@@ -283,14 +282,13 @@ def crit_crosscheck(E, max_iters=32, prec=None):
             "base_change": "A_model == diag(u^{q^i})^{-1} A diag(u^{q^{i+1}})",
         }
     if rep.verdict == "Stable":
-        cert = purity_check(m_infinity(E), -1, r, max_iters=max_iters, prec=prec)
         obstruction = {
             "kind": "stable_obstruction",
             "generic_purity_at": [-1, r],
             "generic_purity": (
-                {"pivots": cert.lattice.pivots, "iterations": cert.iterations}
-                if isinstance(cert, PurityCertificate)
-                else {"unexpected": repr(cert)}
+                {"pivots": purity.lattice.pivots, "iterations": purity.iterations}
+                if isinstance(purity, PurityCertificate)
+                else {"unexpected": repr(purity)}
             ),
             "stable_rank": rep.stable_rank,
             "residue_slope": [-1, rep.stable_rank],
@@ -315,7 +313,7 @@ def crit_crosscheck(E, max_iters=32, prec=None):
         raise InvariantError(
             f"expected Good over the index-{e} extension, got {rep2.verdict}"
         )
-    sub = crit_crosscheck(E2, max_iters=max_iters, prec=prec)
+    sub = crit_crosscheck(E2, m_infinity(E2), None)
     return {
         "kind": "crit_crosscheck",
         "verdict": "agree_after_extension",

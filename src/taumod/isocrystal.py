@@ -29,12 +29,13 @@ class Isocrystal:
     """Free module over K((z)) with an invertible semilinear operator.
 
     The matrix A gives the action v -> A*sigma(v) on column vectors in
-    the standard basis; A_inv is kept as the invertibility witness.
+    the standard basis. A twist read from outside is inverted where it
+    is parsed (`twist_inverse`); the constructions below keep it so.
     """
 
-    __slots__ = ("K", "rank", "A", "A_inv")
+    __slots__ = ("K", "rank", "A")
 
-    def __init__(self, K, A, prec=None):
+    def __init__(self, K, A):
         r = len(A)
         for row in A:
             if len(row) != r:
@@ -42,14 +43,20 @@ class Isocrystal:
         self.K = K
         self.rank = r
         self.A = A
-        self.A_inv = zmatrix.inv(A, prec=prec) if r else []
-        if r:
-            prod = zmatrix.mul(A, self.A_inv)
-            if not zmatrix.agrees(prod, zmatrix.identity(K, r)):
-                raise InvariantError("invertibility witness fails A*A_inv = I")
 
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)
+
+
+def twist_inverse(M, prec=None):
+    """A^-1 at z-precision prec, checked by A*A^-1 = I: NotInvertible if
+    A is singular, PrecisionLoss if the windows settle no pivot."""
+    if not M.rank:
+        return []
+    A_inv = zmatrix.inv(M.A, prec=prec)
+    if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
+        raise InvariantError("invertibility witness fails A*A_inv = I")
+    return A_inv
 
 
 def unit(K, r=1):
@@ -78,9 +85,10 @@ def tensor(M, N):
     return Isocrystal(M.K, zmatrix.kron(M.A, N.A))
 
 
-def dual(M):
-    # with tau(v) = A*sigma(v), functionals transform by A^{-T}
-    return Isocrystal(M.K, zmatrix.transpose(M.A_inv))
+def dual(M, prec=None):
+    """The dual twist A^{-T}, A inverted at z-precision prec: with
+    tau(v) = A*sigma(v), functionals transform by A^{-T}."""
+    return Isocrystal(M.K, zmatrix.transpose(twist_inverse(M, prec)))
 
 
 def ihom(M, N):
@@ -380,6 +388,16 @@ def _containment_index(T_big, T_small, prec=None):
     return d.valuation()
 
 
+def _orbit_span(M, T, n, prec):
+    """The lattice spanned by tau^i T for 0 <= i < n."""
+    r = M.rank
+    cols = []
+    for i in range(n):
+        G = zmatrix.mul(M.tau_power(i), zmatrix.sigma(T.basis, i))
+        cols.extend([[G[t][j] for t in range(r)] for j in range(r)])
+    return hnf_reduce(M.K, cols, r, prec)
+
+
 def lattice_chain(M, cert, prec=None):
     """Chain T_0 ⊇ T_1 ⊇ ... with T_{n+1} = ⟨tau T_n⟩ and T_r = z T_0."""
     if not isinstance(cert, PurityCertificate):
@@ -387,15 +405,8 @@ def lattice_chain(M, cert, prec=None):
     if cert.s != 1 or cert.r != M.rank:
         raise InputError("chain construction needs slope 1/rank")
     r = M.rank
-    K = M.K
     # saturate under tau powers so the chain becomes nested
-    cols = []
-    for i in range(r):
-        A_i = M.tau_power(i)
-        G = zmatrix.mul(A_i, zmatrix.sigma(cert.lattice.basis, i))
-        cols.extend([[G[t][j] for t in range(r)] for j in range(r)])
-    T0 = hnf_reduce(K, cols, r, prec)
-    chain = [T0]
+    chain = [_orbit_span(M, cert.lattice, r, prec)]
     for _ in range(r):
         chain.append(_tau_image(M, 1, chain[-1], prec))
     steps = []
@@ -425,14 +436,7 @@ def pure0_lattice(M, cert, prec=None):
         raise InputError("a purity certificate at (0, r) is required")
     if cert.s != 0:
         raise InputError("slope must be 0")
-    r = M.rank
-    K = M.K
-    cols = []
-    for i in range(cert.r):
-        A_i = M.tau_power(i)
-        G = zmatrix.mul(A_i, zmatrix.sigma(cert.lattice.basis, i))
-        cols.extend([[G[t][j] for t in range(r)] for j in range(r)])
-    T = hnf_reduce(K, cols, r, prec)
+    T = _orbit_span(M, cert.lattice, cert.r, prec)
     img = _tau_image(M, 1, T, prec)
     if not lattice_eq(img, T):
         return Inconclusive("tau orbit span is not invariant to precision")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from taumod.basefield import Felt, FieldDescriptor, FiniteK, LocalElem, LocalK
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import InputError
-from taumod.isocrystal import Isocrystal, Lattice
+from taumod.isocrystal import Isocrystal, Lattice, twist_inverse
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import INF, ZSeries
 
@@ -237,14 +237,15 @@ def parse_skewlaurent(K, d):
 
 
 def parse_isocrystal(d, prec=None):
-    """The isocrystal of d, its twist matrix inverted at z-precision prec
-    (default `zseries.DEFAULT_Z_PREC`)."""
+    """The isocrystal of d, its twist matrix shown invertible by
+    `twist_inverse` at z-precision prec (default `DEFAULT_Z_PREC`)."""
     K = parse_field(_need(d, "base", "isocrystal"))
     rows = _need(d, "tau_matrix", "isocrystal")
     if not isinstance(rows, list) or not rows:
         raise InputError("tau_matrix must be a nonempty square array")
     A = [[parse_zseries(K, cell) for cell in row] for row in rows]
-    M = Isocrystal(K, A, prec)
+    M = Isocrystal(K, A)
+    twist_inverse(M, prec)
     want = d.get("rank")
     if want is not None and int(want) != M.rank:
         raise InputError(f"declared rank {want} but tau_matrix is {M.rank} x {M.rank}")

@@ -162,7 +162,7 @@ def formal_motive(E, N=DEFAULT_TAUINV_PREC):
     return FormalMotive(K=E.K, rank=E.rank, phi_t=phi_t, phi_z=phi_z, precision=N)
 
 
-def isocrystal_of_formal(V, prec=None):
+def isocrystal_of_formal(V):
     """Companion module of a formal expansion.
 
     K((tau^{-1})) is free over the z-line through phi_z with basis
@@ -172,7 +172,6 @@ def isocrystal_of_formal(V, prec=None):
     selects the unique basis monomial tau^{-j} phi_z^k carrying it.
     The result is pure of slope -1/r.
     """
-    del prec  # the window is dictated by the expansion itself
     K = V.K
     r = V.rank
     g = SkewLaurent(K, {-1: K.one()}, INF)

@@ -94,11 +94,11 @@ def _replay_purity(M, cert_doc, checks, label):
            s=s, r=r)
 
 
-def _crosscheck_ok(E, doc):
+def _crosscheck_ok(E, M, doc):
     """The crosscheck verdict and its data follow from E's reduction
-    report. Good re-checks the base-change identity of the good model;
-    PotentiallyGood replays the extended block over the ramified base;
-    Stable re-runs no purity search."""
+    report. Good re-checks the base-change identity of the good model
+    against M = m_infinity(E); PotentiallyGood replays the extended
+    block over the ramified base; Stable re-runs no purity search."""
     rep = reduction_type(E)
     rd = jsonio.render(rep)
     if doc["reduction"] != rd:
@@ -107,7 +107,7 @@ def _crosscheck_ok(E, doc):
         gm = good_model(E, rep)
         return (doc["verdict"] == "agree"
                 and doc["model_verify"] == jsonio.render(gm.verify)
-                and base_change_agrees(E, gm))
+                and base_change_agrees(E, M, gm))
     if rep.verdict == "Stable":
         ob = doc["obstruction"]
         return (doc["verdict"] == "obstruction_recorded"
@@ -117,21 +117,23 @@ def _crosscheck_ok(E, doc):
                 and ob["scaled_valuations"]
                 == rd["certificates"]["scaled_valuations"])
     e = rep.ramification
+    E2 = ramified(E, e)
     return (doc["verdict"] == "agree_after_extension"
             and doc["extension"] == e
-            and _crosscheck_ok(ramified(E, e), doc["extended"]))
+            and _crosscheck_ok(E2, m_infinity(E2), doc["extended"]))
 
 
 def _replay_analyze(inp, result, checks, policy):
     E = jsonio.parse_drinfeld(inp)
+    M = m_infinity(E)
     cert = result.get("infinity_purity", {})
     if cert.get("kind") == "purity_certificate":
-        _replay_purity(m_infinity(E), cert, checks, "infinity purity")
+        _replay_purity(M, cert, checks, "infinity purity")
     if "reduction" in result:
         _check(checks, "reduction: valuation table re-evaluates",
                jsonio.render(reduction_type(E)) == result["reduction"])
         _check(checks, "crosscheck: verdict and data follow from the reduction",
-               _crosscheck_ok(E, result["crosscheck"]))
+               _crosscheck_ok(E, M, result["crosscheck"]))
 
 
 def _replay_isocrystal_purity(inp, result, checks, policy):

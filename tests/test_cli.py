@@ -132,6 +132,36 @@ class TestAnalyze:
         _, out2 = run(["analyze", "--input", arg])
         assert out1 == out2
 
+    def test_stable_analyze_builds_each_object_once(self, monkeypatch):
+        # the Stable module of the crosscheck tests: one motive, one purity
+        # search, and the obstruction copies that search's outcome
+        import taumod.cli
+        import taumod.drinfeld
+
+        calls = {"motive": 0, "purity_check": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        motive = counted("motive", taumod.drinfeld.motive)
+        purity = counted("purity_check", taumod.cli.purity_check)
+        for mod in (taumod.cli, taumod.drinfeld):
+            monkeypatch.setattr(mod, "motive", motive, raising=False)
+            monkeypatch.setattr(mod, "purity_check", purity, raising=False)
+        K = F3L.field()
+        E = DrinfeldModule(K, [K.zeta(), K.zeta(-1), K.one()])
+        code, doc = run_json(["analyze", "--input", jsonio.dump_canonical(E)])
+        assert code == 0 and calls == {"motive": 1, "purity_check": 1}
+        res = doc["result"]
+        assert res["crosscheck"]["verdict"] == "obstruction_recorded"
+        cert = res["infinity_purity"]
+        assert res["crosscheck"]["obstruction"]["generic_purity"] == {
+            "pivots": cert["lattice"]["pivots"],
+            "iterations": cert["iterations"]}
+
     def test_policy_flags_echoed(self):
         code, doc = run_json(["analyze", "--prec-z", "6", "--seed", "5",
                               "--input", jsonio.dump_canonical(finite_module())])
@@ -184,6 +214,36 @@ class TestErrors:
         assert code == 0 and doc["verdict"] == "pure"
         code, ver = run_json(["verify", "--input", json.dumps(doc)])
         assert code == 0 and ver["verdict"] == "ok"
+
+    def test_prec_z_reaches_tensor_and_dual(self):
+        # the input is inverted once, at --prec-z, where it is read; the
+        # product is not inverted again, and the dual inverts at --prec-z
+        K, B, inp = pivot_window_twist()
+        code, doc = run_json(["isocrystal", "tensor", "--prec-z", "30",
+                              "--input", json.dumps(inp),
+                              "--other", jsonio.dump_canonical(unit(K, 1))])
+        assert code == 0 and doc["result"]["product"]["rank"] == 3
+        code, doc = run_json(["isocrystal", "dual", "--prec-z", "30",
+                              "--input", json.dumps(inp)])
+        assert code == 0 and doc["result"]["dual"]["rank"] == 3
+        D = jsonio.parse_isocrystal(doc["result"]["dual"], 30)
+        assert zmatrix.agrees(zmatrix.mul(zmatrix.transpose(D.A), B),
+                              zmatrix.identity(K, 3))
+
+    def test_singular_twist_exits_2(self):
+        # an exactly singular twist is not an isocrystal: bad input
+        K = F9F.field()
+        z = ZSeries.z(K)
+        inp = json.dumps({"base": jsonio.render_field(K),
+                          "tau_matrix": [[jsonio.render(x) for x in row]
+                                         for row in [[ZSeries.one(K), z],
+                                                     [z, z * z]]]})
+        for argv in (["isocrystal", "slopes"],
+                     ["isocrystal", "purity", "--s", "0", "--r", "1"],
+                     ["isocrystal", "dual"],
+                     ["tate"]):
+            code, doc = run_json(argv + ["--input", inp])
+            assert code == 2 and doc["error"] == "NotInvertible", argv
 
 
 class TestIsocrystal:

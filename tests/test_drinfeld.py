@@ -227,24 +227,31 @@ class TestGoodModel:
             assert W[i][i].coeff(0).valuation() == 0
 
 
+def crosscheck(E):
+    """crit_crosscheck on the M_infinity and purity outcome that
+    `analyze` hands it."""
+    M = m_infinity(E)
+    return crit_crosscheck(E, M, purity_check(M, -1, E.rank))
+
+
 class TestCrossCheck:
     def test_good_agrees(self):
         K = F3L.field()
         E = DrinfeldModule(K, [K.zeta(), K.one(), K.one()])
-        out = crit_crosscheck(E)
+        out = crosscheck(E)
         assert out["verdict"] == "agree"
         assert out["model_verify"]["verdict"] == "yes"
 
     def test_good_with_scaling_agrees(self):
         K = F3L.field()
         E = DrinfeldModule(K, [K.zeta(), K.zeta(-2), K.zeta(-8)])
-        out = crit_crosscheck(E)
+        out = crosscheck(E)
         assert out["verdict"] == "agree"
 
     def test_stable_obstruction(self):
         K = F3L.field()
         E = DrinfeldModule(K, [K.zeta(), K.zeta(-1), K.one()])
-        out = crit_crosscheck(E)
+        out = crosscheck(E)
         assert out["verdict"] == "obstruction_recorded"
         ob = out["obstruction"]
         assert ob["stable_rank"] == 1
@@ -254,7 +261,7 @@ class TestCrossCheck:
     def test_potentially_good_resolves(self):
         K = F3L.field()
         E = DrinfeldModule(K, [K.zeta(), K.one(), K.zeta(-1)])
-        out = crit_crosscheck(E)
+        out = crosscheck(E)
         assert out["verdict"] == "agree_after_extension"
         assert out["extension"] == 8
         assert isinstance(out["base_outcome"], Inconclusive)
@@ -263,6 +270,6 @@ class TestCrossCheck:
     def test_rank_one_extension(self):
         K = F3L.field()
         E = DrinfeldModule(K, [K.zeta(), K.zeta(-1)])
-        out = crit_crosscheck(E)
+        out = crosscheck(E)
         assert out["verdict"] == "agree_after_extension"
         assert out["extension"] == 2

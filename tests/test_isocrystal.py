@@ -79,6 +79,27 @@ class TestConstructors:
         assert D.A[1][0] == ZSeries.one(K)
         assert D.A[0][0].is_zero() and D.A[1][1].is_zero()
 
+    def test_constructions_do_not_invert(self, monkeypatch):
+        # only a twist read from outside, or a dual, is inverted; every
+        # construction of an invertible twist from invertible ones is not
+        from taumod.drinfeld import DrinfeldModule, m_infinity
+        from taumod.tateweil import formal_motive, isocrystal_of_formal
+
+        K = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
+        E = DrinfeldModule(K, [K.gen(), K.one(), K.one()])
+        V = formal_motive(E, N=12)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zmatrix.inv called")
+
+        monkeypatch.setattr(zmatrix, "inv", refuse)
+        M = simple_pure(K, 1, 2)
+        assert unit(K, 2).rank == 2
+        assert tensor(M, simple_pure(K, -1, 3)).rank == 6
+        assert direct_sum(M, unit(K)).rank == 3
+        assert m_infinity(E).rank == 2
+        assert isocrystal_of_formal(V).rank == 2
+
     def test_double_dual_identity(self):
         K = K3()
         rng = random.Random(7)
