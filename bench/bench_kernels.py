@@ -1,28 +1,51 @@
 """Time the F_p kernels of taumod.kernels, windowed series products and
 sums of products over tabled fields, the matrix product and determinant
 of `zmatrix`, on seeded workloads, and the field construction of
-`basefield`: the modulus search and both fills of the log tables.
+`basefield`: the modulus search and the fills of the log tables.
 
-Prints the best per-call time of each workload over the trials,
-labelled with the kernel lane (`kernels.BACKEND`).
+Rows with a numpy reference in tests/dense_oracle.py (elimination on
+shapes the `tower` requests of perfbench solve, a level of the
+fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
+the same input, as `old`.
 
-Usage: python bench/bench_kernels.py [--trials N] [--seed S]
+Each of `PROCESSES` fresh interpreters takes the best per-call time of
+every row over the trials; the table prints the median and the minimum
+of those bests over the processes, labelled with the kernel lane
+(`kernels.BACKEND`). One process can run a row about 20% slower than
+the next, for the same code, so the minimum is the steadier figure.
+
+Usage: PYTHONPATH=src python bench/bench_kernels.py [--trials N] [--seed S]
 """
 
 import argparse
+import contextlib
+import copy
+import io
+import json
+import multiprocessing
 import operator
+import pathlib
 import random
+import statistics
 import sys
 import time
 from math import inf as INF
 
 import numpy as np
 
-from taumod import basefield, kernels, zmatrix
+from taumod import basefield, jsonio, kernels, zmatrix
 from taumod.basefield import FieldDescriptor
+from taumod.cli import main as taumod_main
+from taumod.drinfeld import DrinfeldModule
+from taumod.isocrystal import Isocrystal
 from taumod.series import sum_of_products
 from taumod.skew import SkewPoly
 from taumod.zseries import ZSeries
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+import dense_oracle as dense  # noqa: E402
+
+PROCESSES = 5
 
 
 def _rand_poly(rng, n, p):
@@ -50,10 +73,10 @@ def _workloads(seed):
     # 16 columns, each level's diagonal block of nullity at least 2
     levels = []
     for n in range(32):
-        diag = np.array(_rand_mat(rng, 16, 16, 2))
-        diag[:2] = 0
-        levels.append((np.array(_rand_mat(rng, 16, 16 * n, 2)).reshape(16, 16 * n), diag))
-    return [
+        diag = _rand_mat(rng, 16, 16, 2)
+        diag[:2] = [[0] * 16, [0] * 16]
+        levels.append((_rand_mat(rng, 16, 16 * n, 2), diag))
+    rows = [
         ("polymulmod deg24/F3", kernels.polymulmod, (a, b, mod, p)),
         ("polypowmod ^3^12", kernels.polypowmod, (a, 3**12, mod, p)),
         ("rref 60x60/F3", kernels.rref_mod_p, ([r[:] for r in sq], p)),
@@ -62,6 +85,11 @@ def _workloads(seed):
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
          + _field_workloads())
+    olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
+            "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
+            "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
+    return ([row if len(row) == 5 else row + olds.get(row[0], (None, None))
+             for row in rows] + _tower_workloads())
 
 
 def _rand_series(cls, K, rng, exps, hi):
@@ -132,25 +160,91 @@ def _matrix_workloads(rng):
 
 def _field_workloads():
     """The canonical modulus search, uncached, for F_{2^16}, F_{3^10} and
-    F_{3^18}; and the exp table of F_9, F_64, F_256, F_4096 and F_{2^16}
-    filled both ways, by repeated multiplication (`pure`) and by numpy
-    doubling, each from scratch (numpy is loaded by then)."""
+    F_{3^18}; the exp table of F_4, F_9, F_32 and F_49 by repeated
+    multiplication (`mul-fill`), the fill of the fields of at most
+    `basefield.MUL_FILL_LIMIT` elements; and the exp table by the packed
+    walk (`fill`), the fill of the larger fields, against the numpy
+    doubling, from F_4 to F_{2^16} and F_{3^9}."""
     out = [(f"modulus F_{{{p}^{n}}}", basefield._find_modulus.__wrapped__, (p, n))
            for p, n in ((2, 16), (3, 10), (3, 18))]
-    for p, n in ((3, 2), (2, 6), (2, 8), (2, 12), (2, 16)):
+    for p, n in ((2, 2), (3, 2), (2, 5), (7, 2), (2, 6), (2, 8), (2, 12), (2, 16),
+                 (3, 9)):
         ff = basefield.get_field(p, n)
         args = (p, n, ff.gen.c, ff.size - 1)
-        out += [(f"fill F_{ff.size} pure", basefield._pure_power_table, args),
-                (f"fill F_{ff.size} doubling", basefield._power_table, args)]
+        if ff.size in (4, 9, 32, 49):
+            out.append((f"mul-fill F_{ff.size}", dense.repeated_mul_table, args))
+        out.append((f"fill F_{ff.size}", basefield._power_table, args,
+                    dense.doubling_table, args))
     return out
+
+
+def _captured(name, argv, want):
+    """A copy of the arguments of the first call of `kernels.<name>` for
+    which want(*args) holds, while taumod runs argv."""
+    real, got = getattr(kernels, name), []
+
+    def spy(*args):
+        if not got and want(*args):
+            got.append(copy.deepcopy(args))
+        return real(*args)
+
+    setattr(kernels, name, spy)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            taumod_main(argv)
+    finally:
+        setattr(kernels, name, real)
+    return got[0]
+
+
+def _tower_workloads():
+    """Elimination and a level step on inputs taken from the requests of
+    the perfbench `tower` plan: the 288 x 97 system over F_2 of the
+    Frobenius action of `tate-f64-cyc3` (`tate --prec-z 16` on cyc3 over
+    F_64), the first 16 x 16 system over F_3 of `weil-f9-g01` (F_9, phi_t
+    = g + tau^2), and the last of the 16 fixed-point levels of
+    `tate-f64-cyc3`."""
+    f64 = FieldDescriptor(p=2, a=2, m=3, kind="finite").field()
+    z, zinv, one, zero = (ZSeries.z(f64), ZSeries.z(f64, -1), ZSeries.one(f64),
+                          ZSeries.zero(f64))
+    cyc3 = jsonio.dump_canonical(Isocrystal(
+        f64, [[zero, zero, z], [one, zero, zero], [zero, zinv, zero]]))
+    tate = ["tate", "--prec-z", "16", "--input", cyc3]
+    f9 = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
+    weil = ["weil", "--input", jsonio.dump_canonical(
+        DrinfeldModule(f9, [f9.gen(), f9.zero(), f9.one()]))]
+    tall = _captured("rref_mod_p", tate, lambda m, p: (len(m), len(m[0])) == (288, 97))
+    square = _captured("rref_mod_p", weil,
+                       lambda m, p: p == 3 and (len(m), len(m[0])) == (16, 16))
+    level = _captured("extend_kernel", tate, lambda rows, c, d, p: len(c[0]) == 15 * 18)
+    rows, coupling, diag, p = level
+    [(coupling, diag)] = _arrays([(coupling, diag)])
+    old_level = (np.array(rows, dtype=np.int64).reshape(len(rows), -1), coupling, diag, p)
+    return [("rref 288x97/F2", kernels.rref_mod_p, tall, dense.rref_mod_p, tall),
+            ("rref 16x16/F3", kernels.rref_mod_p, square, dense.rref_mod_p, square),
+            ("level 16 of cyc3/F2", kernels.extend_kernel, level, dense.extend_kernel,
+             old_level)]
+
+
+def _arrays(levels):
+    return [(np.array(c, dtype=np.int64).reshape(len(c), -1), np.array(d, dtype=np.int64))
+            for c, d in levels]
 
 
 def _level_solve(levels, p):
     """extend_kernel over the levels, then the canonical basis."""
-    rows = np.zeros((0, 0), dtype=np.int64)
+    rows = []
     for coupling, diag in levels:
         rows = kernels.extend_kernel(rows, coupling, diag, p)
     return kernels.canonical_basis(rows, p)
+
+
+def _dense_level_solve(levels, p):
+    """`_level_solve` on the numpy references."""
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for coupling, diag in levels:
+        rows = dense.extend_kernel(rows, coupling, diag, p)
+    return dense.canonical_basis(rows, p)
 
 
 def _time(fn, args, trials):
@@ -167,16 +261,38 @@ def _time(fn, args, trials):
     return best
 
 
+def _one_process(seed, trials):
+    """{label: [best new, best old or None]} in this process."""
+    out = {}
+    for label, fn, args, old, old_args in _workloads(seed):
+        out[label] = [_time(fn, args, trials),
+                      None if old is None else _time(old, old_args, trials)]
+    return json.dumps(out)
+
+
+def _us(times):
+    if times[0] is None:
+        return f"{'-':>10} {'-':>10}"
+    return f"{statistics.median(times) * 1e6:9.1f}u {min(times) * 1e6:9.1f}u"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    print(f"{'workload':24} {kernels.BACKEND:>10}")
-    for label, fn, fargs in _workloads(args.seed):
-        best = _time(fn, fargs, args.trials)
-        print(f"{label:24} {best * 1e6:9.1f}u")
+    # one fresh interpreter at a time
+    runs = []
+    for _ in range(PROCESSES):
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            runs.append(json.loads(pool.apply(_one_process, (args.seed, args.trials))))
+    lane = kernels.BACKEND
+    print(f"{'workload':24} {lane + ' med':>10} {lane + ' min':>10} "
+          f"{'old med':>10} {'old min':>10}   ({PROCESSES} processes)")
+    for label in runs[0]:
+        new, old = zip(*(run[label] for run in runs))
+        print(f"{label:24} {_us(new)} {_us(old)}")
     return 0
 
 

@@ -47,8 +47,9 @@ RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
 # p = 2 is covered, over F_32 (q = 2, m = 5), whose degree 5 is above
 # the packed path's crossover, so that sums there take the log loop, and
 # over F_81 (q = 9, m = 2), the least field of characteristic 3 above
-# `basefield.PURE_FILL_LIMIT`, so that its log tables are filled by
-# doubling while every other twist's are filled without numpy
+# `basefield.MUL_FILL_LIMIT`, so that its log tables are filled by the
+# packed walk while the other twists' are filled by repeated
+# multiplication
 TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite")),
           ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite")),
           ("f81-twist", FieldDescriptor(p=3, a=2, m=2, kind="finite")))

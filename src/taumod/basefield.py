@@ -40,18 +40,12 @@ from taumod.errors import (
 from taumod.series import INF, Series
 
 TABLE_LIMIT = 1 << 16
-# Fields of at most this many elements fill their exp table in pure
-# Python, larger ones by numpy doubling. The isocrystal and corpus
-# requests of perfbench, which solve no F_p system and so run without
-# numpy, build fields of at most 64 elements; the requests that build
-# larger ones run extension sweeps, which load numpy anyway. In
-# bench/bench_kernels.py, with numpy loaded, pure vs doubling took
-# 0.02/0.04 ms at 9 elements, 0.26/0.10 ms at 64, 1.3/0.13 ms at 256,
-# 26/3.4 ms at 4096 and 585/81 ms at 2^16: above 64 elements the
-# doubling is the faster fill.
-PURE_FILL_LIMIT = 64
-# rows per int64 block when filling and converting a log table
-_TABLE_CHUNK = 1 << 12
+# Fields of at most this many elements fill their exp table by repeated
+# multiplication, larger ones by the packed walk of `_power_table`,
+# whose tables cost more than the walk saves below it: in
+# bench/bench_kernels.py (minimum over 5 processes) the two took 3/16 us
+# at 4 elements, 11/21 us at 9, 60/58 us at 32 and 72/42 us at 49.
+MUL_FILL_LIMIT = 32
 
 
 def _factor(n):
@@ -70,9 +64,7 @@ def _factor(n):
 
 # ---------------------------------------------------------------------------
 # canonical moduli and F_p-linear maps (F_p polynomial arithmetic lives in
-# `kernels`). The modulus search is pure Python; the maps are numpy
-# matrices, and numpy is imported where they are built, so that a request
-# over small fields alone never loads it
+# `kernels`). The maps are F_p matrices held as tuples of rows
 
 
 def _is_irreducible(coeffs, p):
@@ -95,40 +87,24 @@ def _is_irreducible(coeffs, p):
     return True
 
 
-def _companion(mod, p):
-    """F_p matrix of y -> X*y on F_p[X]/(mod), mod monic of degree n:
-    X^j -> X^(j+1), and X^(n-1) -> X^n = -(mod without its top term)."""
-    import numpy as np
-    n = len(mod) - 1
-    C = np.zeros((n, n), dtype=np.int64)
-    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
-    C[:, -1] = [-c % p for c in mod[:n]]
-    return C
+def _X(n):
+    """The residue of X in F_{p^n}."""
+    return tuple(int(i == 1) for i in range(n))
 
 
-def _orbit_columns(M, v, p):
-    """The matrix with columns v, M v, ..., M^(n-1) v mod p."""
-    import numpy as np
-    cols = [np.asarray(v, dtype=np.int64)]
-    for _ in range(M.shape[0] - 1):
-        cols.append(M.dot(cols[-1]) % p)
-    return np.array(cols).T
+def _powers(x, p, n, k, v=None):
+    """v, v*x, ..., v*x^(k-1) in F_{p^n}, in the power basis of the
+    canonical modulus, as tuples; v = 1 unless given."""
+    mod = _find_modulus(p, n)
+    out = [tuple(v) if v else tuple(int(i == 0) for i in range(n))]
+    for _ in range(k - 1):
+        out.append(kernels.polymulmod(out[-1], x, mod, p))
+    return out
 
 
-def _frobenius_columns(mod, p):
-    """F_p matrix of y -> y^p on F_p[X]/(mod): column j is X^(p*j), the
-    orbit of 1 under multiplication by X^p."""
-    import numpy as np
-    n = len(mod) - 1
-    sq = _companion(mod, p)  # multiplication by X^(2^i)
-    xp = np.eye(n, dtype=np.int64)  # multiplication by X^p
-    e = p
-    while e:
-        if e & 1:
-            xp = xp.dot(sq) % p
-        sq = sq.dot(sq) % p
-        e >>= 1
-    return _orbit_columns(xp, np.eye(n, dtype=np.int64)[0], p)
+def _columns(vecs):
+    """The matrix, as a tuple of rows, whose columns are the vectors."""
+    return tuple(zip(*vecs))
 
 
 @lru_cache(maxsize=None)
@@ -156,72 +132,79 @@ def _find_modulus(p, n):
 
 
 def frobenius_power(p, n, k):
-    """Read-only F_p matrix of y -> y^(p^k) on F_{p^n} in the power basis
-    of the canonical modulus, for any integer k."""
+    """F_p matrix, a tuple of rows, of y -> y^(p^k) on F_{p^n} in the
+    power basis of the canonical modulus, for any integer k."""
     return _frobenius_power(p, n, k % n)
 
 
 @lru_cache(maxsize=None)
 def _frobenius_power(p, n, k):
-    """frobenius_power for 0 <= k < n, built from the matrix of y -> y^p."""
-    import numpy as np
-    if k == 0:
-        out = np.eye(n, dtype=np.int64)
-    elif k == 1:
-        out = _frobenius_columns(_find_modulus(p, n), p)
-    else:
-        out = _frobenius_power(p, n, k - 1) @ _frobenius_power(p, n, 1) % p
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _canonical_companion(p, n):
-    out = _companion(_find_modulus(p, n), p)
-    out.flags.writeable = False
-    return out
+    """frobenius_power for 0 <= k < n: column j is X^(j*p^k), the orbit
+    of 1 under multiplication by X^(p^k)."""
+    x = kernels.polypowmod(_X(n), p**k, _find_modulus(p, n), p)
+    return _columns(_powers(x, p, n, n))
 
 
 def mult_matrix(p, n, y):
-    """F_p matrix of multiplication by y (coefficient tuple) on F_{p^n} in
-    the power basis of the canonical modulus: column j is y * X^j."""
-    return _orbit_columns(_canonical_companion(p, n), y, p)
-
-
-def _pure_power_table(p, n, g, order):
-    """Coordinates of g^0, ..., g^(order-1) in F_{p^n}, as tuples, each
-    the one before times g (`kernels.polymulmod`)."""
-    mod = _find_modulus(p, n)
-    exp = [tuple(int(i == 0) for i in range(n))]
-    for _ in range(order - 1):
-        exp.append(kernels.polymulmod(exp[-1], g, mod, p))
-    return exp
+    """F_p matrix, a tuple of rows, of multiplication by y (coefficient
+    tuple) on F_{p^n} in the power basis of the canonical modulus: column
+    j is y * X^j."""
+    return _columns(_powers(_X(n), p, n, n, y))
 
 
 def _power_table(p, n, g, order):
-    """`_pure_power_table`, filled by doubling with numpy: for M the F_p
-    matrix of y -> g*y, the rows [k, 2k) are the rows [0, k) times
-    (M^k)^T mod p, so the table costs O(log order) matrix products. It is
-    held in the narrowest unsigned dtype that holds F_p; the products run
-    in int64, and the rows are converted to tuples, one block of rows at
-    a time.
+    """Coordinates of g^0, ..., g^(order-1) in F_{p^n}, as tuples.
+
+    Each power is the one before times g. The walk holds an element as
+    one int, its coordinates in slots of b bits, and y -> g*y is linear:
+    it is the sum of one table entry for the low half of the slots and
+    one for the high half. Over F_2 the entries add by XOR and every
+    slot is a bit. Otherwise a sum of two entries leaves slots up to
+    2(p-1), not reduced mod p, so the tables are keyed by every such
+    half; the slots are reduced only when the powers become tuples,
+    again one table entry per half.
     """
-    import numpy as np
-    table = np.zeros((order, n), dtype=np.min_scalar_type(p - 1))
-    table[0, 0] = 1
-    step = mult_matrix(p, n, g).T  # (M^k)^T
-    k = 1
-    while k < order:
-        m = min(k, order - k)
-        for lo in range(0, m, _TABLE_CHUNK):
-            hi = min(lo + _TABLE_CHUNK, m)
-            table[k + lo : k + hi] = table[lo:hi].astype(np.int64) @ step % p
-        step = step @ step % p
-        k += m
-    exp = []
-    for lo in range(0, order, _TABLE_CHUNK):
-        exp.extend(map(tuple, table[lo : lo + _TABLE_CHUNK].tolist()))
-    return exp
+    if n == 1:  # one coordinate: its tables would outgrow the field
+        exp, y = [], 1
+        for _ in range(order):
+            exp.append((y,))
+            y = y * g[0] % p
+        return exp
+    top = 1 if p == 2 else 2 * (p - 1)  # the largest slot value
+    b = top.bit_length()
+    h = (n + 1) // 2
+    shift, mask = h * b, (1 << h * b) - 1
+    gx = _powers(_X(n), p, n, n, g)  # g * X^j
+
+    def half(lo, hi):
+        # ({slots: packed g * slots}, {slots: reduced slots as a tuple})
+        # over the slot values 0..top of the coordinates lo..hi-1, the
+        # images computed once per reduced value
+        img, red = {0: (0,) * n}, {0: (0, ())}
+        for j in range(lo, hi):
+            s = (j - lo) * b
+            img = {key | d << s: tuple((x + d * y) % p for x, y in zip(v, gx[j]))
+                   for key, v in img.items() for d in range(p)}
+            red = {key | d << s: (rkey | d % p << s, rt + (d % p,))
+                   for key, (rkey, rt) in red.items() for d in range(top + 1)}
+        img = {key: sum(x << i * b for i, x in enumerate(v)) for key, v in img.items()}
+        size = 1 << (hi - lo) * b
+        mul, coords = [0] * size, [()] * size
+        for key, (rkey, rt) in red.items():
+            mul[key], coords[key] = img[rkey], rt
+        return mul, coords
+
+    (mlo, clo), (mhi, chi) = half(0, h), half(h, n)
+    walk, y = [], 1
+    if p == 2:
+        for _ in range(order):
+            walk.append(y)
+            y = mlo[y & mask] ^ mhi[y >> shift]
+    else:
+        for _ in range(order):
+            walk.append(y)
+            y = mlo[y & mask] + mhi[y >> shift]
+    return [clo[y & mask] + chi[y >> shift] for y in walk]
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +224,9 @@ class FF:
 
     The tables hang off the canonical generator `gen`, the encoding-least
     element of order p^n - 1. The exp table lists its powers: fields of
-    at most `PURE_FILL_LIMIT` elements multiply by `gen` once per entry
-    in pure Python (`_pure_power_table`), so that building them never
-    loads numpy; larger ones fill it by doubling, in O(log p^n) numpy
-    products (`_power_table`). The log table is its inverse dict.
+    at most `MUL_FILL_LIMIT` elements multiply by `gen` once per entry
+    (`kernels.polymulmod`), larger ones walk them on packed ints
+    (`_power_table`). The log table is its inverse dict.
     """
 
     def __init__(self, p, n):
@@ -277,8 +259,12 @@ class FF:
             ):
                 gen = cand
                 break
-        fill = _pure_power_table if self.size <= PURE_FILL_LIMIT else _power_table
-        exp = fill(self.p, self.n, gen, order)
+        if self.size <= MUL_FILL_LIMIT:
+            exp = [self.one.c]
+            for _ in range(order - 1):
+                exp.append(kernels.polymulmod(exp[-1], gen, self.modulus, self.p))
+        else:
+            exp = _power_table(self.p, self.n, gen, order)
         self._exp = exp
         self._log = dict(zip(exp, range(order)))
         self.gen = Felt(self, gen)
@@ -360,8 +346,7 @@ class FF:
             return x
         if self._log is not None:
             return self.pow_raw(x, self.p**k)
-        img = frobenius_power(self.p, self.n, k).dot(x) % self.p
-        return tuple(img.tolist())
+        return tuple(kernels.matvec(frobenius_power(self.p, self.n, k), x, self.p))
 
     def series_product(self, a_co, b_co, hi, k):
         """The coefficients below exponent hi of the product of a_co and
@@ -877,7 +862,7 @@ def _embedding_powers(p, n_small, n_big):
     F_{p^n_big} of the residue generator of F_{p^n_small}: the rows of
     `FpExtension`, read as elements of the big field."""
     big = get_field(p, n_big)
-    return tuple(big.el(row) for row in fp_extension(p, n_small, n_big).rows.tolist())
+    return tuple(big.el(row) for row in fp_extension(p, n_small, n_big).rows)
 
 
 class FpExtension:
@@ -898,13 +883,11 @@ class FpExtension:
     """
 
     def __init__(self, small, n):
-        import numpy as np
         p, k = small.p, small.n
         self.p, self.n = p, n
-        one = np.eye(n, dtype=np.int64)[0]
-        root = _canonical_root(small, n) if k > 1 else one
-        self.rows = _orbit_columns(mult_matrix(p, n, root), one, p)[:, :k].T
-        self._base = np.array([mult_matrix(p, n, w) for w in self.rows])
+        root = _canonical_root(small, n) if k > 1 else None
+        self.rows = [list(r) for r in _powers(root, p, n, k)]
+        self._base = [mult_matrix(p, n, w) for w in self.rows]
 
     def frob(self, k):
         """Matrix of y -> y^(p^k)."""
@@ -913,33 +896,39 @@ class FpExtension:
     def base_mult(self, x):
         """Matrix of multiplication by the image of x, a Felt of `small`:
         the images of the powers of X, multiplied out once, combined."""
-        import numpy as np
-        return np.tensordot(np.array(x.c, dtype=np.int64), self._base, 1) % self.p
+        p = self.p
+        out = [[0] * self.n for _ in range(self.n)]
+        for c, M in zip(x.c, self._base):
+            if c:
+                out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, M)]
+        return [[a % p for a in row] for row in out]
 
 
 def _canonical_root(small, n):
     """Coordinates in F_{p^n} of the encoding-least root of the canonical
     modulus of `small` = F_{p^k}, k > 1 (see `FpExtension`)."""
-    import numpy as np
     p, k = small.p, small.n
-    sub = np.array(kernels.nullspace_mod_p(
-        ((frobenius_power(p, n, k) - np.eye(n, dtype=np.int64)) % p).tolist(),
-        n, p), dtype=np.int64)
+    mod = _find_modulus(p, n)
+    F = frobenius_power(p, n, k)
+    sub = kernels.nullspace_mod_p(
+        [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(F)],
+        n, p)
     rng = random.Random(f"fpext:{p}:{k}:{n}")
     while True:
-        mv = mult_matrix(p, n, np.array([rng.randrange(p) for _ in sub]) @ sub % p)
-        V = _orbit_columns(mv, np.eye(n, dtype=np.int64)[0], p)[:, :k]
-        if len(kernels.rref_mod_p(V.T.tolist(), p)[1]) == k:
+        v = kernels.matvec(_columns(sub), [rng.randrange(p) for _ in sub], p)
+        pw = _powers(v, p, n, k)  # v^0, ..., v^(k-1)
+        if len(kernels.rref_mod_p(pw, p)[1]) == k:
             break
-    low = kernels.solve_mod_p(V.tolist(), (mv @ V[:, -1] % p).tolist(), p)
+    V = _columns(pw)
+    low = kernels.solve_mod_p(V, kernels.polymulmod(pw[-1], v, mod, p), p)
     rho = _one_root([small.el(-c) for c in low] + [small.one], small, rng)
     # h(v) is a root for the h with h(rho) = X; the least of its orbit wins
-    h = kernels.solve_mod_p(np.array([(rho**t).c for t in range(k)]).T.tolist(),
+    h = kernels.solve_mod_p(_columns([(rho**t).c for t in range(k)]),
                             [int(t == 1) for t in range(k)], p)
-    root = x = V @ np.array(h, dtype=np.int64) % p
+    root = x = tuple(kernels.matvec(V, h, p))
     for _ in range(k - 1):
-        x = frobenius_power(p, n, 1) @ x % p
-        root = min(root, x, key=lambda v: v[::-1].tolist())
+        x = kernels.polypowmod(x, p, mod, p)
+        root = min(root, x, key=lambda v: v[::-1])
     return root
 
 

@@ -254,7 +254,7 @@ def _corpus_item(name, payload, policy):
             command, result = "analyze", run_analyze(E, policy)
             verdict = verdict_of(command, result)
         elif kind == "isocrystal":
-            M = jsonio.parse_isocrystal(payload)
+            M = jsonio.parse_isocrystal(payload, policy.z_prec)
             command, result, verdict = "isocrystal", {"rank": M.rank}, "ok"
             sr = payload.get("purity")
             if sr is not None:
@@ -315,8 +315,7 @@ def cmd_corpus(args):
 
         # forked, so a worker starts with the package imported and the
         # fields built; a fresh interpreter per worker costs more than
-        # a corpus of small items takes (numpy's OpenBLAS stops its
-        # threads around a fork, and the items use no BLAS call)
+        # a corpus of small items takes
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork")) as ex:

@@ -33,7 +33,7 @@ class Isocrystal:
     is parsed (`twist_inverse`); the constructions below keep it so.
     """
 
-    __slots__ = ("K", "rank", "A")
+    __slots__ = ("K", "rank", "A", "_inverse")
 
     def __init__(self, K, A):
         r = len(A)
@@ -43,6 +43,7 @@ class Isocrystal:
         self.K = K
         self.rank = r
         self.A = A
+        self._inverse = None  # (prec, A^-1) of the last `twist_inverse`
 
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)
@@ -50,13 +51,16 @@ class Isocrystal:
 
 def twist_inverse(M, prec=None):
     """A^-1 at z-precision prec, checked by A*A^-1 = I: NotInvertible if
-    A is singular, PrecisionLoss if the windows settle no pivot."""
+    A is singular, PrecisionLoss if the windows settle no pivot. Kept
+    on M, so that a second call at the same precision inverts nothing."""
     if not M.rank:
         return []
-    A_inv = zmatrix.inv(M.A, prec=prec)
-    if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
-        raise InvariantError("invertibility witness fails A*A_inv = I")
-    return A_inv
+    if M._inverse is None or M._inverse[0] != prec:
+        A_inv = zmatrix.inv(M.A, prec=prec)
+        if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
+            raise InvariantError("invertibility witness fails A*A_inv = I")
+        M._inverse = (prec, A_inv)
+    return M._inverse[1]
 
 
 def unit(K, r=1):

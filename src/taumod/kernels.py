@@ -1,27 +1,21 @@
 """F_p kernels: polynomial arithmetic mod a monic modulus and matrix
-elimination.
+elimination, on plain ints.
 
 This is the one kernel lane; `BACKEND` names it so the bench and the
-benchmark can label their output. Matrix elimination leans on numpy:
-each pivot updates, mod p, only the rows that are nonzero in its column
-and only the columns from it on, which gives the same pivots and output
-as full-width Gauss-Jordan. `extend_kernel` solves a block
-lower-triangular system one level at a time; it is the one solver of
-the conjugator and fixed-point systems of the extension sweeps, and
+benchmark can label their output. Matrices are lists of int rows. Each
+pivot of the elimination updates only the rows nonzero in its column,
+and only at the nonzero columns of the pivot row, which gives the same
+pivots and output as full-width Gauss-Jordan. `extend_kernel` solves a
+block lower-triangular system one level at a time; it is the one solver
+of the conjugator and fixed-point systems of the extension sweeps, and
 `canonical_basis` turns its last level into the basis `nullspace_mod_p`
-gives for the whole system. numpy is imported where the elimination
-starts, not with this module, so that a request which solves no F_p
-system never loads it.
+gives for the whole system.
 
-The polynomial routines are plain loops and the package's only F_p
-polynomial arithmetic. They serve the modulus search (Ben-Or's
-irreducibility test, on `polypowmod` and `polygcd`), the generator
-search and the fill of the log tables of small fields, and the
-multiplication, inversion and powers in fields above
-`basefield.TABLE_LIMIT`. Everything else F_p-linear on a field goes
-through numpy matrices: large fields apply Frobenius powers as cached
-matrices, and fields above `basefield.PURE_FILL_LIMIT` fill their log
-tables by doubling with matrix products.
+The polynomial routines are the package's only F_p polynomial
+arithmetic. They serve the modulus search (Ben-Or's irreducibility
+test, on `polypowmod` and `polygcd`), the generator search and the fill
+of the log tables of the smallest fields, and the multiplication,
+inversion and powers in fields above `basefield.TABLE_LIMIT`.
 """
 
 BACKEND = "pure"
@@ -94,33 +88,31 @@ def rref_mod_p(mat, p):
     mat: list of rows (lists of ints). Returns (rref rows as list of
     lists, pivot column list).
     """
-    if not mat:
-        return [], []
-    import numpy as np
-    A = np.array(mat, dtype=np.int64) % p
-    rows, cols = A.shape
+    A = [[x % p for x in row] for row in mat]
+    nrows = len(A)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+    for c in range(len(A[0]) if A else 0):
+        i = next((i for i in range(r, nrows) if A[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
+        A[r], A[i] = A[i], A[r]
+        row = A[r]
+        inv = pow(row[c], p - 2, p)
+        row[c:] = [x * inv % p for x in row[c:]]
         # the pivot row is zero left of column c, so elimination changes
-        # only the rows nonzero in column c, and only from column c on
-        hit = np.flatnonzero(A[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            A[hit, c:] = (A[hit, c:] - np.outer(A[hit, c], A[r, c:])) % p
+        # only the rows nonzero in column c, and only its nonzero columns
+        nz = [(j, x) for j, x in enumerate(row[c:], c) if x]
+        for other in A:
+            f = other[c]
+            if f and other is not row:
+                for j, x in nz:
+                    other[j] = (other[j] - f * x) % p
         pivots.append(c)
         r += 1
-    return A.tolist(), pivots
+        if r == nrows:
+            break
+    return A, pivots
 
 
 def nullspace_mod_p(mat, ncols, p):
@@ -129,18 +121,20 @@ def nullspace_mod_p(mat, ncols, p):
     Returns a list of length-ncols int lists (possibly empty). mat may
     have zero rows; then the identity basis is returned.
     """
-    if not mat:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    import numpy as np
     R, pivots = rref_mod_p(mat, p)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    # row i: 1 at free column free[i], minus that column of R at the pivots
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if pivots and free:
-        basis[:, pivots] = -np.array(R, dtype=np.int64)[: len(pivots)][:, free].T % p
-    return basis.tolist()
+    basis = []
+    # one vector per free column: 1 there, minus that column of R at
+    # the pivots
+    for f in range(ncols):
+        if f not in pivset:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(R, pivots):
+                if row[f]:
+                    v[c] = p - row[f]
+            basis.append(v)
+    return basis
 
 
 def solve_mod_p(mat, rhs, p):
@@ -164,19 +158,36 @@ def solve_mod_p(mat, rhs, p):
 def extend_kernel(rows, coupling, diag, p):
     """One more level of a block lower-triangular homogeneous system.
 
-    rows: k x D array whose rows are a basis of the solutions s of the
-    levels so far. The new level's equations are coupling @ s + diag @ x
-    = 0 in s and the new unknowns x. Returns an array whose rows are a
-    basis of the solutions (s, x) of all levels; start from a 0 x 0
-    array, the basis of the one solution of no equations.
+    rows: k lists that span the solutions s of the levels so far. The
+    new level's equations are coupling @ s + diag @ x = 0 in s and the
+    new unknowns x, one row of `coupling` (empty at the first level) per
+    row of `diag`, at least one. Returns the rows of a basis of the
+    solutions (s, x) of all levels; start from no rows, the basis of the
+    one solution of no equations.
     """
-    import numpy as np
-    k = rows.shape[0]
-    d = diag.shape[1]
-    A = np.hstack([coupling @ rows.T % p, diag % p])
-    ker = np.array(nullspace_mod_p(A.tolist(), k + d, p),
-                   dtype=np.int64).reshape(-1, k + d)
-    return np.hstack([ker[:, :k] @ rows % p, ker[:, k:]])
+    k = len(rows)
+    # the rows and the coupling are sparse in the sweeps: both products
+    # run over their nonzero entries
+    sparse = [[(j, x) for j, x in enumerate(s) if x] for s in rows]
+    cols = {}  # column of the coupling -> its nonzero (row, entry)
+    for t, crow in enumerate(coupling):
+        for j, c in enumerate(crow):
+            if c:
+                cols.setdefault(j, []).append((t, c))
+    A = [[0] * k + list(drow) for drow in diag]
+    for i, s in enumerate(sparse):
+        for j, x in s:
+            for t, c in cols.get(j, ()):
+                A[t][i] += c * x
+    out = []
+    for v in nullspace_mod_p(A, k + len(diag[0]), p):
+        acc = [0] * len(coupling[0])
+        for c, s in zip(v, sparse):
+            if c:
+                for j, x in s:
+                    acc[j] = (acc[j] + c * x) % p
+        out.append(acc + v[k:])
+    return out
 
 
 def canonical_basis(rows, p):
@@ -187,9 +198,23 @@ def canonical_basis(rows, p):
     and the vectors are ordered by that column. It depends on the space
     alone, so any spanning rows give it.
     """
-    import numpy as np
-    rows = np.asarray(rows, dtype=np.int64)
-    if not rows.size:
-        return []
-    R, pivots = rref_mod_p(rows[:, ::-1].tolist(), p)
+    R, pivots = rref_mod_p([row[::-1] for row in rows], p)
     return [row[::-1] for row in reversed(R[: len(pivots)])]
+
+
+def add_block(big, r0, c0, blk, sign=1):
+    """Add sign * blk into the rows of big from r0 on, from column c0 on."""
+    for t, row in enumerate(blk):
+        out = big[r0 + t]
+        out[c0 : c0 + len(row)] = [x + sign * y for x, y in zip(out[c0 : c0 + len(row)], row)]
+
+
+def matmul(A, B, p):
+    """A @ B mod p, for matrices as sequences of rows."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A]
+
+
+def matvec(A, v, p):
+    """A @ v mod p, for A a sequence of rows."""
+    return [sum(a * x for a, x in zip(row, v)) % p for row in A]

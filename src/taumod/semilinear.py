@@ -19,8 +19,7 @@ No-backtracking note: x -> x^q is injective in characteristic p, so
 whenever the recursion forces a coefficient there is exactly one
 candidate; the solvers never branch.
 
-The F_p-linear solvers import numpy where they start, so that the
-requests that reach none of them never load it.
+F_p matrices are lists of int rows, solved by `kernels`.
 """
 
 import math
@@ -353,10 +352,8 @@ def _solve_additive(a, b, tag, N):
     # constant a: equations decouple per z-exponent
     ff = K.ff
     p = ff.p
-    Q = frobenius_power(p, ff.n, K.desc.a)
-    M = _mult_mat(ff, a0)
-    Lmat = (Q - M) % p
-    ker = kernels.nullspace_mod_p(Lmat.tolist(), ff.n, p)
+    Lmat = _additive_map(K, a0)
+    ker = kernels.nullspace_mod_p(Lmat, ff.n, p)
     dim_fq = len(ker) // K.desc.a if ker else 0
     try:
         hom = b.is_zero()
@@ -371,7 +368,7 @@ def _solve_additive(a, b, tag, N):
         if n >= n_hi:
             continue
         rhs = list(b.co[n].c)
-        sol = kernels.solve_mod_p(Lmat.tolist(), rhs, p)
+        sol = kernels.solve_mod_p(Lmat, rhs, p)
         if sol is None:
             return _no_solution(
                 tag,
@@ -398,7 +395,6 @@ def _solve_additive_window(a, b, tag, N):
     inconsistent one is only reported inconclusive, since homogeneous
     components below the floor could repair it.
     """
-    import numpy as np
     K = a.K
     ff = K.ff
     p = ff.p
@@ -416,21 +412,17 @@ def _solve_additive_window(a, b, tag, N):
     nn = len(idx)
     nL = ff.n
     Q = frobenius_power(p, ff.n, K.desc.a)
-    big = np.zeros((nn * nL, nn * nL), dtype=np.int64)
-    rhs = np.zeros(nn * nL, dtype=np.int64)
+    big = [[0] * (nn * nL) for _ in range(nn * nL)]
+    rhs = [0] * (nn * nL)
     for n, i in idx.items():
-        big[i * nL : (i + 1) * nL, i * nL : (i + 1) * nL] += Q
+        kernels.add_block(big, i * nL, i * nL, Q)
         for k in a.support():
             j = idx.get(n - k)
             if j is not None:
-                big[i * nL : (i + 1) * nL, j * nL : (j + 1) * nL] -= _mult_mat(
-                    ff, a.co[k]
-                )
+                kernels.add_block(big, i * nL, j * nL, _mult_mat(ff, a.co[k]), -1)
         if n < b.hi:
-            rhs[i * nL : (i + 1) * nL] = np.array(b.coeff(n).c, dtype=np.int64)
-    big %= p
-    rhs %= p
-    sol = kernels.solve_mod_p(big.tolist(), rhs.tolist(), p)
+            rhs[i * nL : (i + 1) * nL] = b.coeff(n).c
+    sol = kernels.solve_mod_p(big, rhs, p)
     if sol is None:
         return _inconclusive(
             tag,
@@ -453,6 +445,13 @@ def _mult_mat(ff, alpha):
     """n x n matrix over F_p of y -> alpha*y on ff, columns = images of
     the power basis."""
     return mult_matrix(ff.p, ff.n, alpha.c if isinstance(alpha, Felt) else alpha)
+
+
+def _additive_map(K, a0):
+    """F_p matrix of x -> x^q - a0*x on the field of a finite base K."""
+    lin = [list(row) for row in frobenius_power(K.ff.p, K.ff.n, K.desc.a)]
+    kernels.add_block(lin, 0, 0, _mult_mat(K.ff, a0), -1)
+    return lin
 
 
 def _vec_coords(vec, N, nL):
@@ -501,10 +500,9 @@ def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
     algebraic closure then are all rational, and they surject onto each
     lower precision), so a short level rules the degree out.
     """
-    import numpy as np
     K, r = A[0][0].K, len(A)
     need = K.desc.a * r if full else 0  # F_p-dimension of F_q^r
-    rows = np.zeros((0, 0), dtype=np.int64)
+    rows = []
     for n, rows in enumerate(fixed_space_levels(A, N, e, require_unit)):
         if len(rows) < need * (n + 1):
             return None
@@ -512,9 +510,8 @@ def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
     # brought to the basis a nullspace of the whole system gives
     L = K.extend(e)
     nL = L.ff.n
-    k = len(rows)
-    rows = rows.reshape(k, N, r, nL).transpose(0, 2, 1, 3).reshape(k, r * N * nL)
-    ker = kernels.canonical_basis(rows, L.ff.p)
+    perm = [(n * r + i) * nL + t for i in range(r) for n in range(N) for t in range(nL)]
+    ker = kernels.canonical_basis([[row[j] for j in perm] for row in rows], L.ff.p)
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
 
 
@@ -558,23 +555,20 @@ def fixed_space_levels(A, N, e, require_unit=True):
     `kernels.extend_kernel`, an F_p-basis of the fixed points mod
     z^(n+1), with coordinates level-major: (z-degree, component, field).
     """
-    import numpy as np
     K, r, terms = _fixed_space_terms(A, N, require_unit)
     ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
-    p, w = ext.p, r * ext.n
+    p, nL, w = ext.p, ext.n, r * ext.n
     Q = ext.frob(K.desc.a)
     T = {}  # k -> matrix of the z^k terms of v -> A sigma(v) on one level
     for i, j, k, c in terms:
-        blk = T.setdefault(k, np.zeros((w, w), dtype=np.int64))
-        blk[i * ext.n : (i + 1) * ext.n, j * ext.n : (j + 1) * ext.n] += (
-            ext.base_mult(c) @ Q)
-    diag = T.get(0, np.zeros((w, w), dtype=np.int64)) - np.eye(w, dtype=np.int64)
-    rows = np.zeros((0, 0), dtype=np.int64)
+        blk = T.setdefault(k, [[0] * w for _ in range(w)])
+        kernels.add_block(blk, i * nL, j * nL, kernels.matmul(ext.base_mult(c), Q, p))
+    zero = [[0] * w for _ in range(w)]
+    diag = [[x - (t == u) for u, x in enumerate(row)] for t, row in enumerate(T.get(0, zero))]
+    rows = []
     for n in range(N):
-        coupling = np.zeros((w, n * w), dtype=np.int64)
-        for l in range(n):
-            if n - l in T:
-                coupling[:, l * w : (l + 1) * w] = T[n - l]
+        blocks = [T.get(n - l, zero) for l in range(n)]
+        coupling = [[x for blk in blocks for x in blk[t]] for t in range(w)]
         rows = kernels.extend_kernel(rows, coupling, diag, p)
         yield rows
 
@@ -597,17 +591,17 @@ def _fq_basis_from_fp_kernel(K, L, ker, r, N, nL):
 def _fq_greedy(L, a, coords):
     """Indices of the vectors that a greedy pass keeps as an F_q-basis,
     F_q = F_{p^a} acting on each block of L-coordinates."""
-    import numpy as np
     p, nL = L.ff.p, L.ff.n
-    gq = _fq_generator_mat(L, a)
-    span = FpSpan(len(coords[0]) if coords else 0, p)
+    gq = _mult_mat(L.ff, fq_generator(L, a))
+    span = FpSpan(p)
     picked = []
     for i, w in enumerate(coords):
         if span.add(w):
             picked.append(i)
-            v = np.asarray(w, dtype=np.int64)
+            v = w
             for _ in range(a - 1):
-                v = (v.reshape(-1, nL) @ gq.T % p).reshape(-1)
+                blocks = (v[t : t + nL] for t in range(0, len(v), nL))
+                v = [x for b in blocks for x in (kernels.matvec(gq, b, p) if any(b) else b)]
                 span.add(v)
     return picked
 
@@ -621,45 +615,38 @@ def fq_generator(L, a):
     return coerce_into(get_field(L.ff.p, a).el([0, 1]), L.ff)
 
 
-def _fq_generator_mat(L, a):
-    """Multiplication by the canonical F_{p^a}-generator, as an F_p
-    matrix on L's coordinates."""
-    return _mult_mat(L.ff, fq_generator(L, a))
-
-
 class FpSpan:
     """F_p-span of the vectors added so far, kept as a reduced echelon
     basis: every row is 1 at its pivot column and every other row is 0
     there. Testing a vector is one product with the basis; adding one
     also clears its pivot column from the older rows."""
 
-    def __init__(self, dim, p):
-        import numpy as np
+    def __init__(self, p):
         self.p = p
-        self.rows = np.zeros((0, dim), dtype=np.int64)
+        self.rows = []
         self.pivots = []
 
     def reduce(self, v):
         """v minus its projection on the span along the pivot columns;
         zero exactly when v lies in the span."""
-        import numpy as np
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if self.pivots:
-            v = (v - v[self.pivots] @ self.rows) % self.p
-        return v
+        acc = list(v)
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c] % self.p
+            if f:
+                acc = [x - f * y for x, y in zip(acc, row)]
+        return [x % self.p for x in acc]
 
     def add(self, v):
         """Add v to the span; False (and no change) when it was in it."""
-        import numpy as np
         p = self.p
         red = self.reduce(v)
-        nz = np.flatnonzero(red)
-        if nz.size == 0:
+        c = next((c for c, x in enumerate(red) if x), None)
+        if c is None:
             return False
-        c = int(nz[0])
-        red = red * pow(int(red[c]), p - 2, p) % p
-        rows = (self.rows - np.outer(self.rows[:, c], red)) % p
-        self.rows = np.vstack([rows, red])
+        inv = pow(red[c], p - 2, p)
+        red = [x * inv % p for x in red]
+        self.rows = [[(x - row[c] * y) % p for x, y in zip(row, red)] if row[c] else row
+                     for row in self.rows] + [red]
         self.pivots.append(c)
         return True
 
@@ -686,7 +673,6 @@ def frobenius_action(K, module_basis, N):
 
     Raises NotStable when the Frobenius image leaves the span.
     """
-    import numpy as np
     if not module_basis:
         return []
     L = module_basis[0][0].K
@@ -709,12 +695,11 @@ def frobenius_action(K, module_basis, N):
                 ]
                 cols.append(_vec_coords(probe, N, nL))
                 meta.append((i, n, t))
-    mat = np.array(cols, dtype=np.int64).T % p
+    mat = [list(row) for row in zip(*cols)]
     out_rows = []
     for j in range(r):
         img = [_series_frob(s, kpow) for s in module_basis[j]]
-        rhs = np.array(_vec_coords(img, N, nL), dtype=np.int64) % p
-        sol = kernels.solve_mod_p(mat.tolist(), rhs.tolist(), p)
+        sol = kernels.solve_mod_p(mat, _vec_coords(img, N, nL), p)
         if sol is None:
             raise NotStable(f"Frobenius image of basis vector {j} leaves the span")
         out_rows.append(sol)

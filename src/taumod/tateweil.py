@@ -15,8 +15,7 @@ per degree, level by level on `basefield.FpExtension` data
 (`semilinear.tau_fixed_space` in z, `_conjugator_levels` in
 tau^{-1}): a degree is dropped at the first level that rules it out,
 and the degree that passes builds its field and reads its answer off
-the last level. The level solvers import numpy where they start, not
-with this module, which every request imports.
+the last level.
 """
 
 from dataclasses import dataclass
@@ -228,20 +227,20 @@ def _conjugator_levels(E, e, N):
     root and of the per-level additive freedom, is an F_p-combination of
     the last level's rows, so solvability is decided exactly.
     """
-    import numpy as np
     K = E.K
     ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, nL = ext.p, ext.n
     r = E.rank
     g = [K.el(c) for c in E.coeffs]
     Q = ext.frob(K.desc.a * r)
-    rows = np.zeros((0, 0), dtype=np.int64)
+    rows = []
     for n in range(N):
-        coupling = np.zeros((nL, n * nL), dtype=np.int64)
+        coupling = [[0] * (n * nL) for _ in range(nL)]
         for i in range(max(0, r - n), r):
             jp = i + n - r
-            coupling[:, jp * nL : (jp + 1) * nL] = -ext.base_mult(K.sigma(g[i], -jp))
-        diag = Q - ext.base_mult(K.sigma(g[r], -n))
+            kernels.add_block(coupling, 0, jp * nL, ext.base_mult(K.sigma(g[i], -jp)), -1)
+        diag = [list(row) for row in Q]
+        kernels.add_block(diag, 0, 0, ext.base_mult(K.sigma(g[r], -n)), -1)
         rows = kernels.extend_kernel(rows, coupling, diag, p)
         yield rows
 
@@ -250,11 +249,10 @@ def _conjugator_rows(E, e, N):
     """The last level of `_conjugator_levels(E, e, N)`, or None at the
     first level where no solution has u_0 != 0: then no solution of the
     full system has either."""
-    import numpy as np
     nL = E.K.ff.n * e
-    rows = np.zeros((0, 0), dtype=np.int64)
+    rows = []
     for rows in _conjugator_levels(E, e, N):
-        if not rows[:, :nL].any():
+        if not any(any(row[:nL]) for row in rows):
             return None
     return rows
 

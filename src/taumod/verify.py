@@ -12,7 +12,6 @@ to `checks` per claim.
 from operator import itemgetter
 
 from taumod import jsonio, kernels, zmatrix
-from taumod.basefield import frobenius_power
 from taumod.drinfeld import (
     base_change_agrees,
     good_model,
@@ -23,7 +22,7 @@ from taumod.drinfeld import (
 from taumod.errors import NoRoot, PrecisionLoss
 from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
 from taumod.semilinear import (
-    _mult_mat,
+    _additive_map,
     _residual_ok,
     _series_frob,
     _vec_coords,
@@ -208,9 +207,8 @@ def _replay_solve(inp, outcome, checks, policy):
             ok = (K.kind == "finite" and a.support() == [0] and a.is_exact()
                   and a.coeff(0) == a0 and n < b.hi and b.coeff(n) == rhs)
             if ok:
-                ff = K.ff
-                lin = (frobenius_power(ff.p, ff.n, K.desc.a) - _mult_mat(ff, a0)) % ff.p
-                ok = kernels.solve_mod_p(lin.tolist(), list(rhs.c), ff.p) is None
+                ok = kernels.solve_mod_p(_additive_map(K, a0), list(rhs.c),
+                                         K.ff.p) is None
             _check(checks, "solve: unsolvable coefficient equation", ok)
         else:
             _check(checks, f"solve: unknown reason {reason}", False)

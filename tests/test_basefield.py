@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,17 +23,18 @@ from taumod.basefield import (
     frobenius_power,
     get_field,
     mult_matrix,
-    PURE_FILL_LIMIT,
+    MUL_FILL_LIMIT,
     _embedding_powers,
     _find_modulus,
     _is_irreducible,
     _pdivmod,
     _pgcd,
     _power_table,
-    _pure_power_table,
 )
 from taumod.errors import CoercionError, NoRoot, NotInvertible, PrecisionLoss
 from taumod import kernels
+
+import dense_oracle as dense
 
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (2, 6)]
@@ -122,13 +122,14 @@ class TestBenOr:
 
     @pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
     def test_pure_fill_matches_doubling(self, p, n):
-        # F_64, the largest field filled without numpy, and F_81, the
-        # next, filled by doubling
+        # F_64 and F_81, both above `MUL_FILL_LIMIT`: repeated
+        # multiplication, the packed walk and the numpy doubling agree
         ff = get_field(p, n)
-        assert (ff.size <= PURE_FILL_LIMIT) == (ff.size == 64)
+        assert ff.size > MUL_FILL_LIMIT
         order = ff.size - 1
-        assert _pure_power_table(p, n, ff.gen.c, order) == ff._exp
+        assert dense.repeated_mul_table(p, n, ff.gen.c, order) == ff._exp
         assert _power_table(p, n, ff.gen.c, order) == ff._exp
+        assert dense.doubling_table(p, n, ff.gen.c, order) == ff._exp
 
 
 def _rand_poly(ff, rng, deg):
@@ -263,12 +264,12 @@ class TestLinearMaps:
         rng = random.Random(f"maps:{p}:{n}")
         basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         y = tuple(rng.randrange(p) for _ in range(n))
-        want = np.array([ff.mul_raw(y, b) for b in basis]).T
-        assert (mult_matrix(p, n, y) == want).all()
+        want = tuple(zip(*[ff.mul_raw(y, b) for b in basis]))
+        assert mult_matrix(p, n, y) == want
         for k in (1, 2, -1):
-            want = np.array([kernels.polypowmod(b, p ** (k % n), ff.modulus, p)
-                             for b in basis]).T
-            assert (frobenius_power(p, n, k) == want).all()
+            want = tuple(zip(*[kernels.polypowmod(b, p ** (k % n), ff.modulus, p)
+                               for b in basis]))
+            assert frobenius_power(p, n, k) == want
 
 
 class TestFpExtension:
@@ -282,15 +283,17 @@ class TestFpExtension:
         small = get_field(p, k)
         rng = random.Random(f"fpext:{p}:{k}:{n}")
         F = ext.frob(1)
-        assert (ext.base_mult(small.one) == np.eye(n, dtype=np.int64)).all()
-        assert not ext.base_mult(small.zero).any()
+        mul = kernels.matmul
+        assert ext.base_mult(small.one) == [[int(i == j) for j in range(n)]
+                                            for i in range(n)]
+        assert not any(map(any, ext.base_mult(small.zero)))
         for _ in range(5):
             x, y = (small.el([rng.randrange(p) for _ in range(k)]) for _ in range(2))
-            assert (ext.base_mult(x) @ ext.base_mult(y) % p
-                    == ext.base_mult(x * y)).all()
-            assert ((ext.base_mult(x) + ext.base_mult(y)) % p
-                    == ext.base_mult(x + y)).all()
-            assert (F @ ext.base_mult(x) % p == ext.base_mult(x.frob(1)) @ F % p).all()
+            assert mul(ext.base_mult(x), ext.base_mult(y), p) == ext.base_mult(x * y)
+            assert ([[(a + b) % p for a, b in zip(ra, rb)]
+                     for ra, rb in zip(ext.base_mult(x), ext.base_mult(y))]
+                    == ext.base_mult(x + y))
+            assert mul(F, ext.base_mult(x), p) == mul(ext.base_mult(x.frob(1)), F, p)
 
     @pytest.mark.parametrize("p,k,n", [(2, 1, 5), (2, 2, 4), (2, 3, 6), (2, 4, 4),
                                        (3, 2, 4), (3, 2, 6), (3, 3, 3), (5, 2, 2),
@@ -298,7 +301,7 @@ class TestFpExtension:
     def test_rows_are_the_canonical_embedding(self, p, k, n):
         # rows r^0 .. r^(k-1) of the encoding-least root r, by exhaustive
         # search, and the same rows that coerce_into reads
-        rows = fp_extension(p, k, n).rows.tolist()
+        rows = fp_extension(p, k, n).rows
         if k > 1:
             root = _brute_force_root(p, k, n)
             assert rows == [list((root**t).c) for t in range(k)]
@@ -314,16 +317,17 @@ class TestFpExtension:
         root = rows[1]
         f = _find_modulus(p, k)
         M = mult_matrix(p, n, root)
-        acc = np.zeros(n, dtype=np.int64)
+        acc = [0] * n
         for c in reversed(f):
-            acc = (M @ acc + c * np.eye(n, dtype=np.int64)[0]) % p
-        assert not acc.any()
+            acc = kernels.matvec(M, acc, p)
+            acc[0] = (acc[0] + c) % p
+        assert not any(acc)
         F = frobenius_power(p, n, 1)
         x = root
         for _ in range(k - 1):
-            x = F @ x % p
-            assert x[::-1].tolist() > root[::-1].tolist()
-        assert (F @ x % p == root).all()
+            x = kernels.matvec(F, x, p)
+            assert x[::-1] > root[::-1]
+        assert kernels.matvec(F, x, p) == root
 
     def test_builds_no_field(self):
         get_field(3, 2)
@@ -334,8 +338,8 @@ class TestFpExtension:
 
 class TestLogTables:
     """The tables against repeated polymulmod by the canonical generator,
-    which fills them up to `PURE_FILL_LIMIT` elements, and against the
-    numpy doubling, which fills the larger ones."""
+    which fills them up to `MUL_FILL_LIMIT` elements, and against the
+    packed walk, which fills the larger ones."""
 
     @pytest.mark.parametrize(
         "p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2), (65521, 1)]
@@ -358,6 +362,13 @@ class TestLogTables:
         # exactly when gcd(k, order) = 1)
         for enc in range(1, ff.enc(gen)):
             assert math.gcd(ff._log[ff._dec(enc)], order) != 1
+
+    @pytest.mark.parametrize("p,n", [(2, 12), (2, 16), (3, 9), (3, 10), (5, 6),
+                                     (251, 2)])
+    def test_walk_matches_numpy_doubling(self, p, n):
+        ff = get_field(p, n)
+        assert _power_table(p, n, ff.gen.c, ff.size - 1) == dense.doubling_table(
+            p, n, ff.gen.c, ff.size - 1)
 
 
 def _brute_force_root(p, ns, nb):

@@ -230,6 +230,34 @@ class TestErrors:
         assert zmatrix.agrees(zmatrix.mul(zmatrix.transpose(D.A), B),
                               zmatrix.identity(K, 3))
 
+    def test_dual_inverts_once(self, monkeypatch):
+        # the inverse that checks the input where it is read is the one
+        # the dual transposes
+        _, _, inp = pivot_window_twist()
+        calls, inv = [], zmatrix.inv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inv(*args, **kwargs)
+
+        monkeypatch.setattr(zmatrix, "inv", counted)
+        code, doc = run_json(["isocrystal", "dual", "--prec-z", "30",
+                              "--input", json.dumps(inp)])
+        assert code == 0 and doc["result"]["dual"]["rank"] == 3
+        assert len(calls) == 1
+
+    def test_corpus_prec_z_reaches_the_parse(self, tmp_path):
+        # the corpus reads an isocrystal item at --prec-z, so the twist
+        # whose inverse needs it answers
+        _, _, inp = pivot_window_twist()
+        item = dict(inp, kind="isocrystal", purity=[0, 1])
+        (tmp_path / "pivot.json").write_text(json.dumps(item))
+        code, doc = run_json(["corpus", "--dir", str(tmp_path), "--jobs", "1",
+                              "--prec-z", "30"])
+        assert code == 0
+        [got] = doc["result"]["items"]
+        assert got["verdict"] == "pure"
+
     def test_singular_twist_exits_2(self):
         # an exactly singular twist is not an isocrystal: bad input
         K = F9F.field()
@@ -464,8 +492,54 @@ def probe_numpy(argv, cwd):
 
 
 class TestNumpyFree:
-    """Requests over small fields that solve no F_p system run without
-    numpy; the extension sweeps still answer."""
+    """No request loads numpy: not over small fields, and not the
+    extension sweeps, which solve F_p systems and build fields of up to
+    2^16 elements."""
+
+    @staticmethod
+    def _free_and_verified(argv, tmp_path):
+        """The report of a request, checked to run without numpy, as is
+        the `verify` of it."""
+        code, out, loaded = probe_numpy(argv, tmp_path)
+        assert code == 0 and not loaded
+        (tmp_path / "report.json").write_text(out)
+        code, ver, loaded = probe_numpy(["verify", "--input", "report.json"], tmp_path)
+        assert code == 0 and not loaded
+        assert json.loads(ver)["verdict"] == "ok"
+        return json.loads(out)
+
+    def test_weil_over_f_2_16(self, tmp_path):
+        # F_4 as q = 2, m = 2: the conjugator lives in F_{2^16}, the
+        # largest tabled field
+        K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
+        E = DrinfeldModule(K, [K.one(), K.zero(), K.one()])
+        doc = self._free_and_verified(
+            ["weil", "--input", jsonio.dump_canonical(E)], tmp_path)
+        assert doc["verdict"] == "admissible"
+        assert doc["result"]["weil"]["extension"] == 8
+
+    def test_tate_over_f64(self, tmp_path):
+        # cyc3: e0 -> e1 -> e2 -> z e0 up to z-shifts, over F_64 = F_{4^3}
+        K = FieldDescriptor(p=2, a=2, m=3, kind="finite").field()
+        z, zinv, one, zero = (ZSeries.z(K), ZSeries.z(K, -1), ZSeries.one(K),
+                              ZSeries.zero(K))
+        M = Isocrystal(K, [[zero, zero, z], [one, zero, zero], [zero, zinv, zero]])
+        doc = self._free_and_verified(
+            ["tate", "--prec-z", "16", "--input", jsonio.dump_canonical(M)], tmp_path)
+        assert doc["result"]["tate"]["rank"] == 3
+        assert doc["result"]["tate"]["fq_dimension"] == 48
+
+    def test_solve_and_analyze_over_a_local_base(self, tmp_path):
+        K = F3L.field()
+        a, b = ZSeries.z(K, -1), ZSeries(K, {-1: -K.zeta(-1)})
+        code, out, loaded = probe_numpy(
+            ["solve", "--ring", "BK", "--prec-z", "6",
+             "--a", solve_side(K, a), "--b", solve_side(K, b)], tmp_path)
+        assert code == 0 and not loaded
+        assert json.loads(out)["verdict"] == "solution"
+        code, out, loaded = probe_numpy(
+            ["analyze", "--input", jsonio.dump_canonical(local_module())], tmp_path)
+        assert code == 0 and not loaded
 
     def test_slopes_purity_and_verify(self, tmp_path):
         # a dense rank-4 twist P A sigma(P)^-1 over F_9 of the pure A of
@@ -515,13 +589,14 @@ class TestNumpyFree:
         assert len(json.loads(out)["result"]["items"]) == 9
 
     def test_weil_over_a_tower_still_answers(self, tmp_path):
+        # Carlitz over F_3 at --ext-max 9 builds F_{3^9}
         F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
         carlitz = DrinfeldModule(F3, [F3.one(), F3.one()])
-        code, out, _ = probe_numpy(
+        doc = self._free_and_verified(
             ["weil", "--prec-tau", "8", "--ext-max", "9",
              "--input", jsonio.dump_canonical(carlitz)], tmp_path)
-        assert code == 0
-        assert json.loads(out)["verdict"] == "admissible"
+        assert doc["verdict"] == "admissible"
+        assert doc["result"]["weil"]["extension"] == 9
 
 
 class TestCorpus:

@@ -6,9 +6,12 @@ Test ids carry the kernel lane name (`kernels.BACKEND`).
 
 import random
 
+import numpy as np
 import pytest
 
 from taumod import kernels
+
+import dense_oracle as dense
 
 LANES = [kernels]
 
@@ -149,57 +152,116 @@ def test_rref_wide_and_tall(lane, shape):
                 assert sum(r * x for r, x in zip(row, v)) % p == 0
 
 
+def _levels(rng, p, widths, heights):
+    """Sparse random levels of a block lower-triangular system, so that
+    the kernel is often nonzero: level i has heights[i] rows over the
+    unknowns of levels 0..i. Returns the levels and the whole system."""
+    levels, full, left = [], [], 0
+    for h, w in zip(heights, widths):
+        level = [[rng.randrange(p) if rng.random() < 0.4 else 0
+                  for _ in range(left + w)] for _ in range(h)]
+        levels.append(level)
+        left += w
+    full = [row + [0] * (left - len(row)) for level in levels for row in level]
+    return levels, full
+
+
+def _solve_levels(levels, p):
+    rows, left = [], 0
+    for level in levels:
+        rows = kernels.extend_kernel(rows, [row[:left] for row in level],
+                                     [row[left:] for row in level], p)
+        left = len(level[0])
+    return rows
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_extend_kernel_level_by_level(p):
     # a block lower-triangular system solved one level at a time spans
     # the nullspace of the whole system
-    import numpy as np
-
     rng = random.Random(f"extend:{p}")
     for _ in range(10):
         widths = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
         heights = [rng.randrange(1, 4) for _ in widths]
-        full = np.zeros((sum(heights), sum(widths)), dtype=np.int64)
-        rows = np.zeros((0, 0), dtype=np.int64)
-        top, left = 0, 0
-        for h, w in zip(heights, widths):
-            # sparse blocks, so that the kernel is often nonzero
-            level = np.array([[rng.randrange(p) if rng.random() < 0.4 else 0
-                               for _ in range(left + w)] for _ in range(h)])
-            full[top:top + h, :left + w] = level
-            rows = kernels.extend_kernel(rows, level[:, :left], level[:, left:], p)
-            top, left = top + h, left + w
-        want = kernels.nullspace_mod_p(full.tolist(), left, p)
-        assert rows.shape == (len(want), left)
-        assert not (full @ rows.T % p).any()
-        rank = len(kernels.rref_mod_p(rows.tolist(), p)[1]) if len(rows) else 0
+        levels, full = _levels(rng, p, widths, heights)
+        rows = _solve_levels(levels, p)
+        left = sum(widths)
+        want = kernels.nullspace_mod_p(full, left, p)
+        assert len(rows) == len(want)
+        assert all(len(row) == left for row in rows)
+        assert not any(any(kernels.matvec(full, row, p)) for row in rows)
+        rank = len(kernels.rref_mod_p(rows, p)[1]) if len(rows) else 0
         assert rank == len(want)
-
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_canonical_basis_of_the_levels_is_the_nullspace_basis(p):
     # the last level's rows of a block lower-triangular system, and any
     # other spanning rows, give exactly the nullspace basis of the system
-    import numpy as np
-
     rng = random.Random(f"canonical:{p}")
     for _ in range(20):
         widths = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 6))]
-        full = np.zeros((sum(widths), sum(widths)), dtype=np.int64)
-        rows = np.zeros((0, 0), dtype=np.int64)
-        left = 0
-        for w in widths:
-            level = np.array([[rng.randrange(p) if rng.random() < 0.4 else 0
-                               for _ in range(left + w)] for _ in range(w)])
-            full[left:left + w, :left + w] = level
-            rows = kernels.extend_kernel(rows, level[:, :left], level[:, left:], p)
-            left += w
-        want = kernels.nullspace_mod_p(full.tolist(), left, p)
+        levels, full = _levels(rng, p, widths, widths)
+        rows = _solve_levels(levels, p)
+        want = kernels.nullspace_mod_p(full, sum(widths), p)
         assert kernels.canonical_basis(rows, p) == want
         # redundant, reordered rows of the same space give the same basis
-        mix = np.array([[rng.randrange(p) for _ in rows] for _ in range(2)],
-                       dtype=np.int64).reshape(2, len(rows))
-        assert kernels.canonical_basis(
-            np.vstack([mix @ rows % p, rows[::-1]]), p) == want
-    assert kernels.canonical_basis(np.zeros((0, 7), dtype=np.int64), p) == []
+        mix = [[rng.randrange(p) for _ in rows] for _ in range(2)]
+        mixed = kernels.matmul(mix, rows, p) if rows else []
+        assert kernels.canonical_basis(mixed + rows[::-1], p) == want
+    assert kernels.canonical_basis([], p) == []
+
+
+class TestAgainstNumpy:
+    """The kernels against the numpy versions of `dense_oracle` on seeded
+    random inputs: same rows, same pivots, same bases."""
+
+    SHAPES = [(0, 0), (0, 5), (3, 0), (1, 1), (5, 5), (8, 8), (4, 9), (9, 4),
+              (16, 16), (30, 12)]
+
+    @staticmethod
+    def _mat(rng, p, rows, cols, kind):
+        if kind == "zero":
+            return [[0] * cols for _ in range(rows)]
+        if kind == "full" and rows and cols:
+            # full rank: a unit triangular factor times a random one
+            k = min(rows, cols)
+            lo = [[int(i == j) if j >= i else rng.randrange(p) for j in range(k)]
+                  for i in range(rows)]
+            up = [[rng.randrange(1, p) if i == j else rng.randrange(p) if j > i else 0
+                   for j in range(cols)] for i in range(k)]
+            return kernels.matmul(lo, up, p)
+        return [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("kind", ["random", "zero", "full"])
+    def test_elimination(self, p, kind):
+        rng = random.Random(f"numpy:{p}:{kind}")
+        for rows, cols in self.SHAPES:
+            for _ in range(3):
+                mat = self._mat(rng, p, rows, cols, kind)
+                R, pivots = kernels.rref_mod_p(mat, p)
+                assert (R, pivots) == dense.rref_mod_p(mat, p)
+                if kind == "full":
+                    assert len(pivots) == min(rows, cols)
+                assert (kernels.nullspace_mod_p(mat, cols, p)
+                        == dense.nullspace_mod_p(mat, cols, p))
+                assert kernels.canonical_basis(mat, p) == dense.canonical_basis(mat, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_levels(self, p):
+        rng = random.Random(f"numpy-levels:{p}")
+        for _ in range(10):
+            widths = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 6))]
+            heights = [rng.randrange(1, 5) for _ in widths]
+            levels, _ = _levels(rng, p, widths, heights)
+            rows, ref, left = [], np.zeros((0, 0), dtype=np.int64), 0
+            for level in levels:
+                split = ([row[:left] for row in level], [row[left:] for row in level])
+                rows = kernels.extend_kernel(rows, *split, p)
+                ref = dense.extend_kernel(ref, *(np.array(m, dtype=np.int64).reshape(
+                    len(level), -1) for m in split), p)
+                assert rows == ref.tolist()
+                left = len(level[0])
+            assert kernels.canonical_basis(rows, p) == dense.canonical_basis(ref, p)
