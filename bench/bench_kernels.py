@@ -160,19 +160,14 @@ def _matrix_workloads(rng):
 
 def _field_workloads():
     """The canonical modulus search, uncached, for F_{2^16}, F_{3^10} and
-    F_{3^18}; the exp table of F_4, F_9, F_32 and F_49 by repeated
-    multiplication (`mul-fill`), the fill of the fields of at most
-    `basefield.MUL_FILL_LIMIT` elements; and the exp table by the packed
-    walk (`fill`), the fill of the larger fields, against the numpy
-    doubling, from F_4 to F_{2^16} and F_{3^9}."""
+    F_{3^18}; and the exp table by the packed walk (`fill`) against the
+    numpy doubling, from F_4 to F_{2^16} and F_{3^9}."""
     out = [(f"modulus F_{{{p}^{n}}}", basefield._find_modulus.__wrapped__, (p, n))
            for p, n in ((2, 16), (3, 10), (3, 18))]
     for p, n in ((2, 2), (3, 2), (2, 5), (7, 2), (2, 6), (2, 8), (2, 12), (2, 16),
                  (3, 9)):
         ff = basefield.get_field(p, n)
         args = (p, n, ff.gen.c, ff.size - 1)
-        if ff.size in (4, 9, 32, 49):
-            out.append((f"mul-fill F_{ff.size}", dense.repeated_mul_table, args))
         out.append((f"fill F_{ff.size}", basefield._power_table, args,
                     dense.doubling_table, args))
     return out

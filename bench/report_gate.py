@@ -46,10 +46,9 @@ RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
 # the packed path of `series.sum_of_products` and the sign of a sum over
 # p = 2 is covered, over F_32 (q = 2, m = 5), whose degree 5 is above
 # the packed path's crossover, so that sums there take the log loop, and
-# over F_81 (q = 9, m = 2), the least field of characteristic 3 above
-# `basefield.MUL_FILL_LIMIT`, so that its log tables are filled by the
-# packed walk while the other twists' are filled by repeated
-# multiplication
+# over F_81 (q = 9, m = 2), so that one twist's log tables are filled
+# by the packed walk of characteristic 3, with unreduced slot sums, and
+# the others' by the XOR walk of characteristic 2
 TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite")),
           ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite")),
           ("f81-twist", FieldDescriptor(p=3, a=2, m=2, kind="finite")))

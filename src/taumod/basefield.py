@@ -40,12 +40,6 @@ from taumod.errors import (
 from taumod.series import INF, Series
 
 TABLE_LIMIT = 1 << 16
-# Fields of at most this many elements fill their exp table by repeated
-# multiplication, larger ones by the packed walk of `_power_table`,
-# whose tables cost more than the walk saves below it: in
-# bench/bench_kernels.py (minimum over 5 processes) the two took 3/16 us
-# at 4 elements, 11/21 us at 9, 60/58 us at 32 and 72/42 us at 49.
-MUL_FILL_LIMIT = 32
 
 
 def _factor(n):
@@ -223,10 +217,8 @@ class FF:
     Frobenius powers as the cached F_p matrices of `frobenius_power`.
 
     The tables hang off the canonical generator `gen`, the encoding-least
-    element of order p^n - 1. The exp table lists its powers: fields of
-    at most `MUL_FILL_LIMIT` elements multiply by `gen` once per entry
-    (`kernels.polymulmod`), larger ones walk them on packed ints
-    (`_power_table`). The log table is its inverse dict.
+    element of order p^n - 1. The exp table lists its powers, walked on
+    packed ints (`_power_table`); the log table is its inverse dict.
     """
 
     def __init__(self, p, n):
@@ -259,12 +251,7 @@ class FF:
             ):
                 gen = cand
                 break
-        if self.size <= MUL_FILL_LIMIT:
-            exp = [self.one.c]
-            for _ in range(order - 1):
-                exp.append(kernels.polymulmod(exp[-1], gen, self.modulus, self.p))
-        else:
-            exp = _power_table(self.p, self.n, gen, order)
+        exp = _power_table(self.p, self.n, gen, order)
         self._exp = exp
         self._log = dict(zip(exp, range(order)))
         self.gen = Felt(self, gen)

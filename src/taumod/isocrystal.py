@@ -33,7 +33,7 @@ class Isocrystal:
     is parsed (`twist_inverse`); the constructions below keep it so.
     """
 
-    __slots__ = ("K", "rank", "A", "_inverse")
+    __slots__ = ("K", "rank", "A")
 
     def __init__(self, K, A):
         r = len(A)
@@ -43,7 +43,6 @@ class Isocrystal:
         self.K = K
         self.rank = r
         self.A = A
-        self._inverse = None  # (prec, A^-1) of the last `twist_inverse`
 
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)
@@ -51,16 +50,13 @@ class Isocrystal:
 
 def twist_inverse(M, prec=None):
     """A^-1 at z-precision prec, checked by A*A^-1 = I: NotInvertible if
-    A is singular, PrecisionLoss if the windows settle no pivot. Kept
-    on M, so that a second call at the same precision inverts nothing."""
+    A is singular, PrecisionLoss if the windows settle no pivot."""
     if not M.rank:
         return []
-    if M._inverse is None or M._inverse[0] != prec:
-        A_inv = zmatrix.inv(M.A, prec=prec)
-        if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
-            raise InvariantError("invertibility witness fails A*A_inv = I")
-        M._inverse = (prec, A_inv)
-    return M._inverse[1]
+    A_inv = zmatrix.inv(M.A, prec=prec)
+    if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
+        raise InvariantError("invertibility witness fails A*A_inv = I")
+    return A_inv
 
 
 def unit(K, r=1):
@@ -89,10 +85,13 @@ def tensor(M, N):
     return Isocrystal(M.K, zmatrix.kron(M.A, N.A))
 
 
-def dual(M, prec=None):
-    """The dual twist A^{-T}, A inverted at z-precision prec: with
-    tau(v) = A*sigma(v), functionals transform by A^{-T}."""
-    return Isocrystal(M.K, zmatrix.transpose(twist_inverse(M, prec)))
+def dual(M, prec=None, A_inv=None):
+    """The dual twist A^{-T}: with tau(v) = A*sigma(v), functionals
+    transform by A^{-T}. A is inverted at z-precision prec unless its
+    checked inverse A_inv is given."""
+    if A_inv is None:
+        A_inv = twist_inverse(M, prec)
+    return Isocrystal(M.K, zmatrix.transpose(A_inv))
 
 
 def ihom(M, N):

@@ -236,20 +236,21 @@ def parse_skewlaurent(K, d):
     return SkewLaurent(K, co, INF if hi is None else int(hi))
 
 
-def parse_isocrystal(d, prec=None):
+def parse_isocrystal(d, prec=None, with_inverse=False):
     """The isocrystal of d, its twist matrix shown invertible by
-    `twist_inverse` at z-precision prec (default `DEFAULT_Z_PREC`)."""
+    `twist_inverse` at z-precision prec (default `DEFAULT_Z_PREC`); with
+    that inverse as a second value if with_inverse."""
     K = parse_field(_need(d, "base", "isocrystal"))
     rows = _need(d, "tau_matrix", "isocrystal")
     if not isinstance(rows, list) or not rows:
         raise InputError("tau_matrix must be a nonempty square array")
     A = [[parse_zseries(K, cell) for cell in row] for row in rows]
     M = Isocrystal(K, A)
-    twist_inverse(M, prec)
+    A_inv = twist_inverse(M, prec)
     want = d.get("rank")
     if want is not None and int(want) != M.rank:
         raise InputError(f"declared rank {want} but tau_matrix is {M.rank} x {M.rank}")
-    return M
+    return (M, A_inv) if with_inverse else M
 
 
 def parse_drinfeld(d):

@@ -2,21 +2,25 @@
 elimination, on plain ints.
 
 This is the one kernel lane; `BACKEND` names it so the bench and the
-benchmark can label their output. Matrices are lists of int rows. Each
-pivot of the elimination updates only the rows nonzero in its column,
-and only at the nonzero columns of the pivot row, which gives the same
-pivots and output as full-width Gauss-Jordan. `extend_kernel` solves a
-block lower-triangular system one level at a time; it is the one solver
-of the conjugator and fixed-point systems of the extension sweeps, and
-`canonical_basis` turns its last level into the basis `nullspace_mod_p`
-gives for the whole system.
+benchmark can label their output. Matrices are lists of int rows; the
+elimination builds the reduced echelon basis of their span (`FpSpan`)
+on rows packed into one int each (`Packing`), so that a row operation
+is a few big-int operations whatever the row's width. `extend_kernel`
+solves a block lower-triangular system one level at a time; it is the
+one solver of the conjugator and fixed-point systems of the extension
+sweeps, and `canonical_basis` turns its last level into the basis
+`nullspace_mod_p` gives for the whole system.
 
 The polynomial routines are the package's only F_p polynomial
 arithmetic. They serve the modulus search (Ben-Or's irreducibility
-test, on `polypowmod` and `polygcd`), the generator search and the fill
-of the log tables of the smallest fields, and the multiplication,
-inversion and powers in fields above `basefield.TABLE_LIMIT`.
+test, on `polypowmod` and `polygcd`), the generator search, the linear
+maps of `basefield`, and the multiplication, inversion and powers in
+fields above `basefield.TABLE_LIMIT`.
 """
+
+import operator
+from functools import reduce
+from itertools import compress, groupby
 
 BACKEND = "pure"
 
@@ -82,37 +86,139 @@ def polygcd(a, b, p):
     return tuple(x * inv % p for x in a)
 
 
+class Packing:
+    """Rows of n entries of F_p, each packed into one int.
+
+    Entry j is the j-th k-byte slot of the int, little-endian, k the
+    least with 2^(8k-1) >= p. So two rows of entries in 0..p-1 add slot
+    by slot without a carry, and `add` takes p off every slot at p or
+    above at once: adding 2^(8k-1) - p to a slot sets its top bit
+    exactly then. Over F_2 adding is XOR.
+    """
+
+    def __init__(self, p, n):
+        self.p, self.n = p, n
+        self.k = (p - 1).bit_length() // 8 + 1
+        self.w = 8 * self.k
+        self.slot = (1 << self.w) - 1
+        ones = int.from_bytes((b"\1" + bytes(self.k - 1)) * n, "little")
+        self.top, self.bias = ones << self.w - 1, ones * ((1 << self.w - 1) - p)
+        # one-byte slots are reduced through a table
+        self.mods = (bytes(range(p)) * (256 // p + 1))[:256] if self.k == 1 else None
+        if p == 2:
+            self.add = operator.xor
+
+    def entries(self, row):
+        """The ints row reduced mod p, as a sequence."""
+        if self.mods:
+            try:
+                return bytes(row).translate(self.mods)
+            except ValueError:  # an entry outside 0..255
+                pass
+        return [x % self.p for x in row]
+
+    def pack(self, row):
+        """The packed row of the ints row, reduced mod p."""
+        row, k = self.entries(row), self.k
+        return int.from_bytes(row if k == 1 else b"".join(x.to_bytes(k, "little") for x in row),
+                              "little")
+
+    def unpack(self, x):
+        b, k = x.to_bytes(self.n * self.k, "little"), self.k
+        return list(b) if k == 1 else [int.from_bytes(b[i : i + k], "little")
+                                       for i in range(0, len(b), k)]
+
+    def get(self, x, j):
+        return x >> j * self.w & self.slot
+
+    def add(self, x, y):
+        s = x + y
+        return s - ((s + self.bias & self.top) >> self.w - 1) * self.p
+
+    def mul(self, x, f):
+        """f * x for an int f >= 1, by doubling and adding."""
+        if f == 1:
+            return x
+        y = self.mul(self.add(x, x), f >> 1)
+        return self.add(x, y) if f & 1 else y
+
+    def combine(self, coeffs, rows):
+        """The sum of coeffs[j] * rows[j] over the j with coeffs[j] != 0
+        mod p, rows packed: they are summed per coefficient value first,
+        so that each value costs one `mul`."""
+        cs = self.entries(coeffs)
+        out = 0
+        for c, js in groupby(sorted(compress(range(len(cs)), cs), key=cs.__getitem__),
+                             cs.__getitem__):
+            out = self.add(out, self.mul(reduce(self.add, map(rows.__getitem__, js)), c))
+        return out
+
+
+class FpSpan:
+    """F_p-span of the rows added so far, kept as the reduced echelon
+    basis of packed rows (`Packing`, for the length of the first row):
+    each is 1 at its pivot column, 0 left of it and 0 at every other
+    pivot column. A row is reduced at its lowest nonzero slot by the
+    basis row of that column until that slot is no pivot column, or the
+    row is zero, so a sparse row meets few basis rows."""
+
+    def __init__(self, p):
+        self.p = p
+        self.packing = None
+        self.basis = {}  # pivot column -> its row
+
+    @property
+    def pivots(self):
+        return list(self.basis)
+
+    @property
+    def rows(self):
+        return [self.packing.unpack(x) for x in self.basis.values()]
+
+    def _reduce(self, v):
+        P = self.packing = self.packing or Packing(self.p, len(v))
+        x = P.pack(v)
+        while x:
+            c = ((x & -x).bit_length() - 1) // P.w
+            if c not in self.basis:
+                return x, c
+            x = P.add(x, P.mul(self.basis[c], self.p - P.get(x, c)))
+        return 0, None
+
+    def reduce(self, v):
+        """v reduced by the basis, zero exactly when v lies in the span."""
+        x = self._reduce(v)[0]  # makes the packing of the first row
+        return self.packing.unpack(x)
+
+    def add(self, v):
+        """Add v to the span; False (and no change) when it was in it."""
+        x, c = self._reduce(v)
+        if not x:
+            return False
+        P, p = self.packing, self.p
+        x = P.mul(x, pow(P.get(x, c), p - 2, p))
+        for d, row in self.basis.items():
+            if d > c and P.get(x, d):
+                x = P.add(x, P.mul(row, p - P.get(x, d)))
+        for d, row in self.basis.items():
+            if d < c and P.get(row, c):
+                self.basis[d] = P.add(row, P.mul(x, p - P.get(row, c)))
+        self.basis[c] = x
+        return True
+
+
 def rref_mod_p(mat, p):
     """Reduced row echelon form over F_p.
 
     mat: list of rows (lists of ints). Returns (rref rows as list of
-    lists, pivot column list).
+    lists, pivot column list): the basis of their `FpSpan`.
     """
-    A = [[x % p for x in row] for row in mat]
-    nrows = len(A)
-    pivots = []
-    r = 0
-    for c in range(len(A[0]) if A else 0):
-        i = next((i for i in range(r, nrows) if A[i][c]), None)
-        if i is None:
-            continue
-        A[r], A[i] = A[i], A[r]
-        row = A[r]
-        inv = pow(row[c], p - 2, p)
-        row[c:] = [x * inv % p for x in row[c:]]
-        # the pivot row is zero left of column c, so elimination changes
-        # only the rows nonzero in column c, and only its nonzero columns
-        nz = [(j, x) for j, x in enumerate(row[c:], c) if x]
-        for other in A:
-            f = other[c]
-            if f and other is not row:
-                for j, x in nz:
-                    other[j] = (other[j] - f * x) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return A, pivots
+    span = FpSpan(p)
+    for row in mat:
+        span.add(row)
+    pivots = sorted(span.basis)
+    R = [span.packing.unpack(span.basis[c]) for c in pivots]
+    return R + [[0] * len(mat[0]) for _ in range(len(mat) - len(R))], pivots
 
 
 def nullspace_mod_p(mat, ncols, p):
@@ -144,14 +250,13 @@ def solve_mod_p(mat, rhs, p):
     """
     if not mat:
         return None
-    ncols = len(mat[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    R, pivots = rref_mod_p(aug, p)
-    if ncols in pivots:
+    n = len(mat[0])
+    R, pivots = rref_mod_p([list(row) + [b] for row, b in zip(mat, rhs)], p)
+    if n in pivots:
         return None
-    v = [0] * ncols
-    for r, c in enumerate(pivots):
-        v[c] = R[r][ncols] % p
+    v = [0] * n
+    for row, c in zip(R, pivots):
+        v[c] = row[n]
     return v
 
 
@@ -165,29 +270,20 @@ def extend_kernel(rows, coupling, diag, p):
     solutions (s, x) of all levels; start from no rows, the basis of the
     one solution of no equations.
     """
-    k = len(rows)
-    # the rows and the coupling are sparse in the sweeps: both products
-    # run over their nonzero entries
-    sparse = [[(j, x) for j, x in enumerate(s) if x] for s in rows]
-    cols = {}  # column of the coupling -> its nonzero (row, entry)
-    for t, crow in enumerate(coupling):
-        for j, c in enumerate(crow):
-            if c:
-                cols.setdefault(j, []).append((t, c))
-    A = [[0] * k + list(drow) for drow in diag]
-    for i, s in enumerate(sparse):
-        for j, x in s:
-            for t, c in cols.get(j, ()):
-                A[t][i] += c * x
-    out = []
-    for v in nullspace_mod_p(A, k + len(diag[0]), p):
-        acc = [0] * len(coupling[0])
-        for c, s in zip(v, sparse):
-            if c:
-                for j, x in s:
-                    acc[j] = (acc[j] + c * x) % p
-        out.append(acc + v[k:])
-    return out
+    k, m = len(rows), len(diag[0])
+    # an equation's s-part sums the columns of the rows that its coupling
+    # row reaches, a solution's s-part the rows its coefficients reach;
+    # only those are packed
+    P = Packing(p, k)
+    cols = list(zip(*rows)) or [()] * len(coupling[0])
+    reached = {j for crow in coupling for j in compress(range(len(crow)), crow)}
+    cols = {j: P.pack(cols[j]) for j in reached}
+    A = [P.unpack(P.combine(crow, cols)) + list(drow) for crow, drow in zip(coupling, diag)]
+    basis = nullspace_mod_p(A, k + m, p)
+    S = Packing(p, len(coupling[0]))
+    reached = {i for v in basis for i in compress(range(k), v)}
+    packed = {i: S.pack(rows[i]) for i in reached}
+    return [S.unpack(S.combine(v[:k], packed)) + v[k:] for v in basis]
 
 
 def canonical_basis(rows, p):

@@ -593,7 +593,7 @@ def _fq_greedy(L, a, coords):
     F_q = F_{p^a} acting on each block of L-coordinates."""
     p, nL = L.ff.p, L.ff.n
     gq = _mult_mat(L.ff, fq_generator(L, a))
-    span = FpSpan(p)
+    span = kernels.FpSpan(p)
     picked = []
     for i, w in enumerate(coords):
         if span.add(w):
@@ -613,42 +613,6 @@ def fq_generator(L, a):
     if a == 1:
         return L.ff.one
     return coerce_into(get_field(L.ff.p, a).el([0, 1]), L.ff)
-
-
-class FpSpan:
-    """F_p-span of the vectors added so far, kept as a reduced echelon
-    basis: every row is 1 at its pivot column and every other row is 0
-    there. Testing a vector is one product with the basis; adding one
-    also clears its pivot column from the older rows."""
-
-    def __init__(self, p):
-        self.p = p
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, v):
-        """v minus its projection on the span along the pivot columns;
-        zero exactly when v lies in the span."""
-        acc = list(v)
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c] % self.p
-            if f:
-                acc = [x - f * y for x, y in zip(acc, row)]
-        return [x % self.p for x in acc]
-
-    def add(self, v):
-        """Add v to the span; False (and no change) when it was in it."""
-        p = self.p
-        red = self.reduce(v)
-        c = next((c for c, x in enumerate(red) if x), None)
-        if c is None:
-            return False
-        inv = pow(red[c], p - 2, p)
-        red = [x * inv % p for x in red]
-        self.rows = [[(x - row[c] * y) % p for x, y in zip(row, red)] if row[c] else row
-                     for row in self.rows] + [red]
-        self.pivots.append(c)
-        return True
 
 
 def free_module_check(K, basis, r, N):

@@ -23,7 +23,6 @@ from taumod.basefield import (
     frobenius_power,
     get_field,
     mult_matrix,
-    MUL_FILL_LIMIT,
     _embedding_powers,
     _find_modulus,
     _is_irreducible,
@@ -122,10 +121,9 @@ class TestBenOr:
 
     @pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
     def test_pure_fill_matches_doubling(self, p, n):
-        # F_64 and F_81, both above `MUL_FILL_LIMIT`: repeated
-        # multiplication, the packed walk and the numpy doubling agree
+        # F_64 and F_81: repeated multiplication, the packed walk and
+        # the numpy doubling agree
         ff = get_field(p, n)
-        assert ff.size > MUL_FILL_LIMIT
         order = ff.size - 1
         assert dense.repeated_mul_table(p, n, ff.gen.c, order) == ff._exp
         assert _power_table(p, n, ff.gen.c, order) == ff._exp
@@ -337,9 +335,8 @@ class TestFpExtension:
 
 
 class TestLogTables:
-    """The tables against repeated polymulmod by the canonical generator,
-    which fills them up to `MUL_FILL_LIMIT` elements, and against the
-    packed walk, which fills the larger ones."""
+    """The tables against repeated polymulmod by the canonical generator
+    and against the packed walk that fills them."""
 
     @pytest.mark.parametrize(
         "p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2), (65521, 1)]

@@ -212,6 +212,34 @@ def test_canonical_basis_of_the_levels_is_the_nullspace_basis(p):
     assert kernels.canonical_basis([], p) == []
 
 
+# primes on both sides of the one-byte slots of `kernels.Packing`
+PRIMES = [2, 3, 5, 7, 131, 251, 65521]
+
+
+class TestPacking:
+    """Packed rows against the same arithmetic on lists of ints."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_row_arithmetic(self, p):
+        rng = random.Random(f"packing:{p}")
+        for n in (0, 1, 7, 40):
+            P = kernels.Packing(p, n)
+            for _ in range(10):
+                # unreduced and negative entries are reduced when packed
+                a = [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
+                b = [rng.randrange(p) for _ in range(n)]
+                x, y = P.pack(a), P.pack(b)
+                assert P.unpack(x) == [v % p for v in a]
+                assert [P.get(x, j) for j in range(n)] == [v % p for v in a]
+                assert P.unpack(P.add(x, y)) == [(u + v) % p for u, v in zip(a, b)]
+                for f in {1, 2, p - 1, rng.randrange(1, p)} - {0}:
+                    assert P.unpack(P.mul(x, f)) == [f * v % p for v in a]
+                coeffs = [rng.randrange(-p, 2 * p) for _ in range(5)]
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in coeffs]
+                want = [sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n)]
+                assert P.unpack(P.combine(coeffs, [P.pack(r) for r in rows])) == want
+
+
 class TestAgainstNumpy:
     """The kernels against the numpy versions of `dense_oracle` on seeded
     random inputs: same rows, same pivots, same bases."""
@@ -231,11 +259,13 @@ class TestAgainstNumpy:
             up = [[rng.randrange(1, p) if i == j else rng.randrange(p) if j > i else 0
                    for j in range(cols)] for i in range(k)]
             return kernels.matmul(lo, up, p)
+        if kind == "unreduced":
+            return [[rng.randrange(-300, 300) for _ in range(cols)] for _ in range(rows)]
         return [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(cols)]
                 for _ in range(rows)]
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    @pytest.mark.parametrize("kind", ["random", "zero", "full"])
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("kind", ["random", "zero", "full", "unreduced"])
     def test_elimination(self, p, kind):
         rng = random.Random(f"numpy:{p}:{kind}")
         for rows, cols in self.SHAPES:
@@ -249,7 +279,7 @@ class TestAgainstNumpy:
                         == dense.nullspace_mod_p(mat, cols, p))
                 assert kernels.canonical_basis(mat, p) == dense.canonical_basis(mat, p)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", PRIMES)
     def test_levels(self, p):
         rng = random.Random(f"numpy-levels:{p}")
         for _ in range(10):
@@ -259,6 +289,11 @@ class TestAgainstNumpy:
             rows, ref, left = [], np.zeros((0, 0), dtype=np.int64), 0
             for level in levels:
                 split = ([row[:left] for row in level], [row[left:] for row in level])
+                # entries off by multiples of p, negative ones too, solve the same
+                shifted = [[[x + p * rng.randrange(-2, 3) for x in row] for row in m]
+                           for m in split]
+                assert (kernels.extend_kernel(rows, *shifted, p)
+                        == kernels.extend_kernel(rows, *split, p))
                 rows = kernels.extend_kernel(rows, *split, p)
                 ref = dense.extend_kernel(ref, *(np.array(m, dtype=np.int64).reshape(
                     len(level), -1) for m in split), p)

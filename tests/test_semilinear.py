@@ -11,8 +11,8 @@ import pytest
 from taumod.basefield import FieldDescriptor
 from taumod.errors import InputError, NotStable, PrecisionLoss
 from taumod import kernels
+from taumod.kernels import FpSpan
 from taumod.semilinear import (
-    FpSpan,
     fq_generator,
     free_module_check,
     frobenius_action,
@@ -398,7 +398,7 @@ def _rank(rows, p):
 
 
 class TestFpSpan:
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 251])
     def test_membership_matches_rref_rank(self, p):
         rng = random.Random(31 + p)
         dim = 12
