@@ -23,7 +23,6 @@ import copy
 import io
 import json
 import multiprocessing
-import operator
 import pathlib
 import random
 import statistics
@@ -98,20 +97,24 @@ def _rand_series(cls, K, rng, exps, hi):
 
 def _series_workloads(rng):
     """Products through `Series.__mul__`: the windowed 12 x 13 term shape
-    of the `rank` workload's entries, a dense 40 x 40, a twisted product
+    of the `rank` workload's entries, a dense 40 x 40 over F_9 and over
+    F_64 (degree 6, above the packed path's crossover), a twisted product
     over F_{4^8} = F_{2^16}, and the one-term products of small corpus
-    items."""
+    items. Each call gets fresh operands, since a product keeps the logs
+    and packed ints it took of them."""
     f9 = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
     f4 = FieldDescriptor(p=2, a=2, m=1, kind="finite").field()
+    f64 = FieldDescriptor(p=2, a=2, m=3, kind="finite").field()
     f48 = FieldDescriptor(p=2, a=2, m=8, kind="finite").field()
-    mul = operator.mul
     pairs = [
         ("series 12x13/F9", ZSeries, f9, (range(-2, 10), 10), (range(-1, 12), 11)),
         ("series 40x40/F9", ZSeries, f9, (range(40), 40), (range(40), 40)),
+        ("series 40x40/F64", ZSeries, f64, (range(40), 40), (range(40), 40)),
         ("skew 8x8/F_{4^8}", SkewPoly, f48, (range(8), INF), (range(8), INF)),
         ("series 1x1/F4", ZSeries, f4, ((0,), 8), ((1,), 8)),
     ]
-    return [(label, mul, (_rand_series(cls, K, rng, *a), _rand_series(cls, K, rng, *b)))
+    return [(label, lambda x, y: _fresh(x) * _fresh(y),
+             (_rand_series(cls, K, rng, *a), _rand_series(cls, K, rng, *b)))
             for label, cls, K, a, b in pairs]
 
 

@@ -12,8 +12,8 @@ Runs in one process through `taumod.cli.main` and prints one
   * the requests of `RERUNS` again with extra flags, and their `verify`;
   * `isocrystal slopes`, `isocrystal purity` (and its `verify`),
     `isocrystal dual` and `isocrystal tensor` with the simple pure twist
-    of slope 1/2 on the dense rank-4 twists of `TWISTS`, built as the
-    `rank` plan builds its twists over F_9.
+    of slope 1/2 on the dense twists of `TWISTS`, built as the `rank`
+    plan builds its twists over F_9.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -34,6 +34,7 @@ from taumod import jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main
 from taumod.isocrystal import Isocrystal, simple_pure
+from taumod.zseries import ZSeries
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = range(6)
@@ -48,10 +49,15 @@ RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
 # the packed path's crossover, so that sums there take the log loop, and
 # over F_81 (q = 9, m = 2), so that one twist's log tables are filled
 # by the packed walk of characteristic 3, with unreduced slot sums, and
-# the others' by the XOR walk of characteristic 2
-TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite")),
-          ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite")),
-          ("f81-twist", FieldDescriptor(p=3, a=2, m=2, kind="finite")))
+# the others' by the XOR walk of characteristic 2; and a rank-3 twist
+# over F_27 (q = 27) whose unipotent entries have degree 8, so that single
+# products (`Series.__mul__`) take the packed path in characteristic 3
+# with sigma the 27-power map. Each is (label, field, rank, degree of
+# the unipotent entries).
+TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite"), 4, 1),
+          ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite"), 4, 1),
+          ("f81-twist", FieldDescriptor(p=3, a=2, m=2, kind="finite"), 4, 1),
+          ("f27-dense", FieldDescriptor(p=3, a=3, m=1, kind="finite"), 3, 8))
 
 
 def _sha(data):
@@ -104,13 +110,25 @@ def _lines(label, argv, verify):
     return lines
 
 
-def _twist_lines(work, label, desc, r=4):
+def _unipotent(inputs, K, rng, r, lower, deg):
+    """`inputs._unipotent` with entries c_0 + ... + c_deg z^deg, c_i != 0;
+    the same matrix for deg = 1."""
+    P = zmatrix.identity(K, r)
+    for i in range(r):
+        for j in range(r):
+            if (i > j) if lower else (i < j):
+                P[i][j] = ZSeries(K, {e: inputs._unit(K, rng) for e in range(deg + 1)})
+    return P
+
+
+def _twist_lines(work, label, desc, r, deg):
     """P A sigma(P)^-1 for the simple pure A of slope 1/r over desc's field
     and P = L U, the way `inputs.rank_requests` builds its twists."""
     inputs = _inputs()
     K = desc.field()
     rng = random.Random(f"report-gate:{label}:{r}")
-    L, U = inputs._unipotent(K, rng, r, True), inputs._unipotent(K, rng, r, False)
+    L, U = (_unipotent(inputs, K, rng, r, True, deg),
+            _unipotent(inputs, K, rng, r, False, deg))
     P = zmatrix.mul(L, U)
     P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
                         inputs._unipotent_inverse(L, True))
@@ -156,8 +174,8 @@ def main_gate():
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
         lines = _corpus_lines(work)
-        for label, desc in TWISTS:
-            lines += _twist_lines(work, label, desc)
+        for label, desc, r, deg in TWISTS:
+            lines += _twist_lines(work, label, desc, r, deg)
         for workload, seed in PLANS:
             lines += _plan_lines(work, workload, seed)
     for digest, label in sorted(lines, key=lambda t: t[1]):

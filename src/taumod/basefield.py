@@ -210,9 +210,10 @@ class FF:
 
     Elements are coefficient tuples of length n (low-to-high in the
     residue of X). Fields with at most 2^16 elements carry discrete-log
-    tables, making mul/inv/frobenius O(1), and sum products of whole
-    series either in the log domain (`sum_of_products`) or, packed into
-    one int per series, by Kronecker substitution (`packed_sum`); larger
+    tables, making mul/inv/frobenius O(1), and hold the two kernels that
+    `series.sum_of_products`, the one product entry of windowed series,
+    picks between: the log-domain loop (`sum_of_products`) and Kronecker
+    substitution on one packed int per series (`packed_sum`). Larger
     fields fall back to the kernel polynomial arithmetic, and apply
     Frobenius powers as the cached F_p matrices of `frobenius_power`.
 
@@ -334,17 +335,6 @@ class FF:
         if self._log is not None:
             return self.pow_raw(x, self.p**k)
         return tuple(kernels.matvec(frobenius_power(self.p, self.n, k), x, self.p))
-
-    def series_product(self, a_co, b_co, hi, k):
-        """The coefficients below exponent hi of the product of a_co and
-        b_co, maps exponent -> Felt of this field: the one-pair case of
-        `sum_of_products`. None when the field has no log tables or a
-        coefficient lies in another field."""
-        la = self.logs(a_co)
-        lb = self.logs(b_co)
-        if la is None or lb is None:
-            return None
-        return self.sum_of_products(((la, lb, False),), hi, k)
 
     def sum_of_products(self, terms, hi, k):
         """The coefficients below exponent hi of the signed sum, over the

@@ -287,16 +287,12 @@ def _solve_contraction_monomial(a, b, va, tag, N):
         acc = -b.coeff(n - k)
         prev = co.get(n - k)
         if prev is not None:
-            acc = acc + _qpow(K, prev)
+            acc = acc + K.sigma(prev, 1)
         xn = cinv * acc
         if not K.exact_zero_p(xn):
             co[n] = xn
     x = ZSeries(K, co, n_hi)
     return _finish(a, b, x.with_growth(growth_annotation(a, b, x)), tag, N, dim=0)
-
-
-def _qpow(K, c):
-    return K.sigma(c, 1)
 
 
 def _growth_certificate(x, b, k, c):

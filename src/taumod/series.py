@@ -24,16 +24,11 @@ Windows stay truthful: a sum is known below the smaller window; a product
 of a (order >= v_a) and b (order >= v_b) is known below
 min(a.hi + v_b, b.hi + v_a), so an exact zero (order inf) absorbs.
 
-Products over a finite field with log tables run in the log domain, in
-`FF.sum_of_products`; products over other rings and products with
-coefficients from another field multiply coefficient by coefficient.
-`sum_of_products` below sums signed products a_l * b_l over a tabled
-field in one call of one of two kernels. Its window is the sum rule
-applied to the products' windows, min over l of min(a_l.hi + v(b_l),
-b_l.hi + v(a_l)), and both kernels give the same coefficients:
+Every product goes through one entry, `sum_of_products` below, which
+sums signed products a_l * b_l; `Series.__mul__` is its one-term case.
+Its window is the sum rule applied to the products' windows (`_window`),
+and it picks one of three loops, all giving the same coefficients:
 
-  * the log loop `FF.sum_of_products` adds the logs of each pair of
-    terms into one accumulator, reduced once; a minus sign adds log(-1);
   * the packed path `FF.packed_sum` (Kronecker substitution) packs a
     series over F_{p^n} into one int, cached on the series: the y^i
     coordinate of its z^e coefficient in slot (2n - 1)(e - v) + i, v its
@@ -41,12 +36,18 @@ b_l.hi + v(a_l)), and both kernels give the same coefficients:
     the slots are sized for the sum's bound, a multiple of p in every
     slot (the sign offset) absorbs the negated products, slots t >= n
     are folded back through the modulus, and every slot is reduced mod
-    p at once.
+    p at once;
+  * the log loop `FF.sum_of_products` adds the logs of each pair of
+    terms, cached on the series, into one accumulator, reduced once; a
+    minus sign adds log(-1);
+  * the Felt loop `_felt_sum` multiplies coefficient by coefficient, for
+    rings without log tables (`LocalK`, untabled fields) and for
+    coefficients from another field.
 
-The packed path takes untwisted sums (or twists that sigma fixes) over
-fields of degree n <= PACK_DEGREE with at least PACK_PAIRS pairs of
-terms in all; the log loop takes the rest, where the per-term and
-per-slot costs of packing outweigh the pairs they save
+Over a tabled field, the packed path takes untwisted sums (or twists
+that sigma fixes) over fields of degree n <= PACK_DEGREE with at least
+PACK_PAIRS pairs of terms in all; the log loop takes the rest, where the
+per-term and per-slot costs of packing outweigh the pairs they save
 (bench/bench_kernels.py).
 """
 
@@ -274,32 +275,7 @@ class Series:
         a = self
         if a.K is not b.K:
             a, b = _pair(a, b)
-        # an exact zero has order inf, so it absorbs: hi comes out inf
-        va = min(a.co) if a.co else a.hi
-        vb = min(b.co) if b.co else b.hi
-        hi = min(a.hi + vb, b.hi + va)
-        twist = a._TWIST
-        R = a._ring(a.K)
-        if R.kind == "finite":
-            # sigma is the q-power Frobenius, q = p^a
-            co = R.ff.series_product(a.co, b.co, hi, twist * R.desc.a)
-            if co is not None:
-                return type(a)(a.K, co, hi)
-        sigma = R.sigma if twist else None
-        co = {}
-        for e1, c1 in a.co.items():
-            if twist:
-                k = twist * e1
-                row = [(e2, sigma(c2, k)) for e2, c2 in b.co.items() if e1 + e2 < hi]
-            else:
-                row = b.co.items()
-            for e2, c2 in row:
-                e = e1 + e2
-                if e < hi:
-                    pr = c1 * c2
-                    s = co.get(e)
-                    co[e] = pr if s is None else s + pr
-        return type(a)(a.K, co, hi)
+        return sum_of_products(((a, b, False),))
 
     def __truediv__(self, other):
         b = self._operand(other)
@@ -375,57 +351,89 @@ def sum_of_products(terms):
     term is a itself. terms is not empty.
 
     When every operand is a series of one kind over one finite field with
-    log tables, the sum runs in one call of `FF.packed_sum` or
-    `FF.sum_of_products`, chosen by the crossovers above. Otherwise, or
-    when a coefficient lies in another field, it is the chain of
-    products, negations and sums in the order of terms.
+    log tables, the coefficients come from one call of `FF.packed_sum` or
+    `FF.sum_of_products`, chosen by the crossovers above; otherwise, or
+    when a coefficient lies in another field, from the Felt loop.
     """
     a0 = terms[0][0]
     cls, K = type(a0), a0.K
+    hi = _window(terms)
     R = cls._ring(K)
     if R.kind == "finite":
         ff = R.ff
         args = []
-        hi = INF
         pairs = 0
         for a, b, neg in terms:
             if type(a) is not cls or a.K is not K:
                 break
             la = a._logs_in(ff)
-            if la is None:
-                break
             if b is None:
                 # the exact one: log 0 at exponent 0
-                args.append((la, [(0, 0)], neg))
-                hi = min(hi, a.hi)
-                pairs += len(la)
-                continue
-            if type(b) is not cls or b.K is not K:
+                lb = [(0, 0)]
+            elif type(b) is not cls or b.K is not K:
                 break
-            lb = b._logs_in(ff)
-            if lb is None:
+            else:
+                lb = b._logs_in(ff)
+            if la is None or lb is None:
                 break
-            # an exact zero has order inf, so it absorbs
-            va = min(a.co) if a.co else a.hi
-            vb = min(b.co) if b.co else b.hi
-            hi = min(hi, a.hi + vb, b.hi + va)
             args.append((la, lb, neg))
             pairs += len(la) * len(lb)
         else:
             # no break: every term is in the log domain
             k = cls._TWIST * R.desc.a
             # sigma^k is the identity when n divides k
-            if k % ff.n == 0 and ff.n <= PACK_DEGREE and pairs >= PACK_PAIRS:
+            if pairs >= PACK_PAIRS and ff.n <= PACK_DEGREE and k % ff.n == 0:
                 return cls(K, ff.packed_sum(terms, hi), hi)
             return cls(K, ff.sum_of_products(args, hi, k), hi)
-    acc = None
-    for a, b, neg in terms:
-        t = a if b is None else a * b
-        if acc is None:
-            acc = -t if neg else t
+    return _felt_sum(terms, hi)
+
+
+def _window(terms):
+    """The window of `sum_of_products` of terms: the least over its
+    products of min(a.hi + v_b, b.hi + v_a) (see above), v the least
+    exponent of the support, or the window of a zero-to-window element."""
+    hi = INF
+    for a, b, _ in terms:
+        if b is None:
+            hi = min(hi, a.hi)
         else:
-            acc = acc - t if neg else acc + t
-    return acc
+            va = min(a.co) if a.co else a.hi
+            vb = min(b.co) if b.co else b.hi
+            hi = min(hi, a.hi + vb, b.hi + va)
+    return hi
+
+
+def _felt_sum(terms, hi):
+    """`sum_of_products` of terms with window hi, one coefficient product
+    at a time into one map. Operands over different fields are paired by
+    `_pair`: each product's, then the sum so far with the next product."""
+    cls, K = type(terms[0][0]), terms[0][0].K
+    twist = cls._TWIST
+    co = {}
+    for a, b, neg in terms:
+        if b is not None and a.K is not b.K:
+            a, b = _pair(a, b)
+        if a.K is not K:
+            acc, a = _pair(cls(K, co), a)
+            K, co = acc.K, acc.co
+            if b is not None and b.K is not K:
+                b = b._lift(K)
+        sigma = cls._ring(K).sigma
+        for e1, c1 in a.co.items():
+            if neg:
+                c1 = -c1
+            if b is None:
+                row = ((e1, c1),)
+            elif twist:
+                k = twist * e1
+                row = [(e1 + e2, c1 * sigma(c2, k)) for e2, c2 in b.co.items()
+                       if e1 + e2 < hi]
+            else:
+                row = [(e1 + e2, c1 * c2) for e2, c2 in b.co.items() if e1 + e2 < hi]
+            for e, pr in row:
+                s = co.get(e)
+                co[e] = pr if s is None else s + pr
+    return cls(K, co, hi)
 
 
 def _pair(a, b):

@@ -3,9 +3,8 @@ isocrystals and the semilinear solvers.
 
 Matrices are lists of rows of ZSeries over a shared base K. Everything
 is exact-arithmetic; windows propagate through the entry operations.
-Three sums of products go through `series.sum_of_products`, one call
-per sum, so over a finite K with log tables each is one call of its
-packed or log-domain kernel: each entry of `mul`, each minor of
+Entries multiply through `series.sum_of_products`, the one product entry
+of windowed series, one call per sum: each entry of `mul`, each minor of
 `laplace_minors` (odd positions negated) and each entry of the row
 updates x - f*y of `inv`.
 """

@@ -1,13 +1,14 @@
-"""The log-domain kernel `FF.sum_of_products`, its one-pair case
-`FF.series_product`, the packed kernel `FF.packed_sum` and the helper
-`series.sum_of_products`, against products and sums computed
+"""`series.sum_of_products`, the one product entry of windowed series
+(`Series.__mul__` is its one-term case), and the two kernels it picks
+between over a tabled field, the log-domain loop `FF.sum_of_products`
+and the packed `FF.packed_sum`, against products and sums computed
 coefficient by coefficient through Felt arithmetic.
 
-`felt_product` below is the reference for one product: the loop
-`Series.__mul__` runs for rings without log tables; `felt_sum` is the
-reference for a signed sum of products, one Felt product and one Felt sum
-or difference at a time. Every product and every sum over a tabled field
-must give the same coefficients and the same window.
+`felt_product` below is the reference for one product, the Felt loop
+that rings without log tables take; `felt_sum` is the reference for a
+signed sum of products, one Felt product and one Felt sum or difference
+at a time. Every product and every sum must give the same coefficients
+and the same window.
 """
 
 import math
@@ -93,8 +94,7 @@ def test_random_products_match_felt_loop(label, cls, windowed):
             want = felt_product(x, y)
             assert_same(x * y, want)
             # the kernel itself keeps only the exponents below the window
-            assert K.ff.series_product(x.co, y.co, want.hi,
-                                       cls._TWIST * K.desc.a) == want.co
+            assert log_loop([(x, y, False)]) == want.co
 
 
 def test_one_slot_table_per_field_widened_on_demand():
@@ -115,7 +115,7 @@ def test_one_slot_table_per_field_widened_on_demand():
                 want[e] = want[e] + c1 * c2 if e in want else c1 * c2
         want = {e: c for e, c in want.items() if c != 0}
         before = ff._slots
-        assert ff.series_product(a, b, INF, 0) == want
+        assert ff.sum_of_products([(ff.logs(a), ff.logs(b), False)], INF, 0) == want
         # a narrower product keeps the wider table it finds
         assert (ff._slots is before) == (m == 3)
         widths.append(ff._slots.b)
@@ -148,7 +148,8 @@ def test_slot_sums_up_to_the_bound(label):
         a = ZSeries(K, {e: top for e in range(m)})
         b = ZSeries(K, {e: K.one() for e in range(m)})
         want = felt_product(a, b)
-        assert K.ff.series_product(a.co, b.co, INF, 0) == want.co
+        assert log_loop([(a, b, False)]) == want.co
+        assert_same(a * b, want)
         assert want.coeff(m - 1) == K.el([m * (K.ff.p - 1)] * K.ff.n)
 
 
@@ -162,14 +163,21 @@ def test_zero_to_window_operands(cls, windowed):
         assert_same(z * a, felt_product(z, a))
 
 
-def test_untabled_field_takes_the_felt_loop():
+def no_kernels(monkeypatch):
+    """Make a call of either kernel of a tabled field fail."""
+    monkeypatch.setattr(FF, "sum_of_products", None)
+    monkeypatch.setattr(FF, "packed_sum", None)
+
+
+def test_untabled_field_takes_the_felt_loop(monkeypatch):
     K = UNTABLED.field()
     assert K.ff.size > TABLE_LIMIT
     rng = random.Random("series-kernel-untabled")
+    no_kernels(monkeypatch)
     for cls, windowed in KINDS:
         a = random_series(cls, K, rng, 5, windowed)
         b = random_series(cls, K, rng, 4, windowed)
-        assert K.ff.series_product(a.co, b.co, INF, 0) is None
+        assert K.ff.logs(a.co) is None
         assert_same(a * b, felt_product(a, b))
 
 
@@ -196,13 +204,14 @@ def test_operand_from_a_subfield_is_lifted_first():
         assert_same(b * a, felt_product(b, a._lift(big)))
 
 
-def test_coefficients_from_another_field_take_the_felt_loop():
+def test_coefficients_from_another_field_take_the_felt_loop(monkeypatch):
     # a series over F_16 holding an F_4 coefficient, as a caller may build
     small = FIELDS["F4"].field()
     K = small.extend(2)
     a = ZSeries(K, {0: small.el([0, 1]), 2: K.el([1, 0, 1, 1])}, 9)
     b = ZSeries(K, {1: K.el([0, 1, 1, 0]), 3: K.one()}, 7)
-    assert K.ff.series_product(a.co, b.co, INF, 0) is None
+    assert K.ff.logs(a.co) is None
+    no_kernels(monkeypatch)
     prod = a * b
     assert_same(prod, felt_product(a._lift(K), b))
 
@@ -240,7 +249,7 @@ def felt_sum(terms):
     return type(a0)(K, co, hi)
 
 
-def kernel_sum(terms):
+def log_loop(terms):
     """The coefficients `FF.sum_of_products` gives for terms, called
     directly on their logs, with the window of `felt_sum`."""
     a0 = terms[0][0]
@@ -286,7 +295,7 @@ def test_random_sums_match_felt_loop(label, cls, windowed):
             terms = random_terms(cls, K, rng, count, windowed)
             want = felt_sum(terms)
             assert_same(sum_of_products(terms), want)
-            assert kernel_sum(terms) == want.co
+            assert log_loop(terms) == want.co
 
 
 @pytest.mark.parametrize("label", SUM_FIELDS)
@@ -342,7 +351,7 @@ def test_sum_slots_up_to_the_bound(label):
     want = felt_sum(terms)
     assert want.coeff(39) == K.el([7 * 40 * (ff.p - 1)] * ff.n)
     assert_same(sum_of_products(terms), want)
-    assert kernel_sum(terms) == want.co
+    assert log_loop(terms) == want.co
     # the slots were sized for the sum, not for one product
     assert ff._slots.b >= (7 * 40 * (ff.p - 1)).bit_length()
 
@@ -396,6 +405,13 @@ def test_operand_from_a_subfield_sums_through_the_chain():
         mixed = terms[:2] + [(a, b, True)] + terms[2:]
         lifted = terms[:2] + [(a._lift(big), b, True)] + terms[2:]
         assert_same(sum_of_products(mixed), felt_sum(lifted))
+        # a term wholly over the subfield, first or among the others: the
+        # sum so far is lifted, or the term is
+        for at in (0, 2):
+            mixed = terms[:at] + [(a, None, True), (a, a, False)] + terms[at:]
+            small_terms = [(a._lift(big), None, True), (a._lift(big), a._lift(big), False)]
+            lifted = terms[:at] + small_terms + terms[at:]
+            assert_same(sum_of_products(mixed), felt_sum(lifted))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +514,24 @@ def test_packed_path_runs_between_the_crossovers(monkeypatch):
             assert_same(sum_of_products(terms), felt_sum(terms))
             packs = n <= PACK_DEGREE and pairs >= PACK_PAIRS
             assert calls == ([n] if packs else [])
+    # single products of 8 x 8 and 7 x 9 terms, on either side of
+    # PACK_PAIRS = 64: packed only untwisted, or twisted by a sigma that
+    # fixes the field (SkewPoly over F_4, q = 4), below the degree
+    # crossover; over F_9, q = 3, sigma is the 3-power map
+    for label, cls, packs in (("F4", ZSeries, True), ("F9", ZSeries, True),
+                              ("F4", SkewPoly, True), ("F9", SkewPoly, False),
+                              ("F9", SkewLaurent, False), ("F64", ZSeries, False)):
+        K = FIELDS[label].field()
+        ff = K.ff
+
+        def dense(terms):
+            return cls(K, {e: ff.gen ** rng.randrange(ff.size - 1) for e in range(terms)})
+
+        for ta, tb in ((8, 8), (7, 9)):
+            a, b = dense(ta), dense(tb)
+            calls.clear()
+            assert_same(a * b, felt_product(a, b))
+            assert calls == ([ff.n] if packs and ta * tb >= PACK_PAIRS else [])
 
 
 def test_twisted_sums_take_the_log_loop(monkeypatch):
