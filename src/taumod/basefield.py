@@ -24,7 +24,6 @@ Laurent series and scaling zeta-exponents by q.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import random
@@ -933,7 +932,6 @@ def coerce_into(x, big):
 # base-field descriptors and the two K kinds
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
     """Shape of a base field K.
 
@@ -941,21 +939,46 @@ class FieldDescriptor:
     kind: "finite" or "local"; window: default construction window
     [lo, hi) for zeta-exponents of parsed local elements (ignored for
     finite K).
+
+    Immutable and compared by value: `get_finiteK` and `get_localK`
+    cache one field per descriptor.
     """
 
-    p: int
-    a: int
-    m: int
-    kind: str
-    window: tuple = (-8, 8)
+    __slots__ = ("p", "a", "m", "kind", "window")
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "local"):
-            raise InputError(f"unknown base kind {self.kind!r}")
-        if self.p < 2 or self.a < 1 or self.m < 1:
+    def __init__(self, p, a, m, kind, window=(-8, 8)):
+        if kind not in ("finite", "local"):
+            raise InputError(f"unknown base kind {kind!r}")
+        if p < 2 or a < 1 or m < 1:
             raise InputError("need p >= 2, a >= 1, m >= 1")
-        if _factor(self.p) != {self.p}:
-            raise InputError(f"p = {self.p} is not prime")
+        if _factor(p) != {p}:
+            raise InputError(f"p = {p} is not prime")
+        for name, value in zip(self.__slots__, (p, a, m, kind, window)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.p, self.a, self.m, self.kind, self.window)
+
+    def __eq__(self, other):
+        if type(other) is not FieldDescriptor:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return FieldDescriptor, self._key()
+
+    def __repr__(self):
+        return ("FieldDescriptor(p={!r}, a={!r}, m={!r}, kind={!r}, window={!r})"
+                .format(*self._key()))
 
     @property
     def q(self):

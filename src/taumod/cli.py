@@ -21,10 +21,8 @@ import json
 import os
 import pathlib
 import sys
-from dataclasses import asdict, dataclass
 
-from taumod import __version__, corpusgen, jsonio
-from taumod.drinfeld import MOTIVE_COKER, crit_crosscheck, m_infinity, reduction_type
+from taumod import __version__, drinfeld, jsonio, semilinear, tateweil
 from taumod.errors import (
     BudgetExceeded,
     CoercionError,
@@ -43,8 +41,6 @@ from taumod.isocrystal import (
     slopes_finiteK,
     tensor,
 )
-from taumod.semilinear import solve_scalar
-from taumod.tateweil import tate_slope0, weil_valuation
 from taumod.verify import verdict_of, verify_report
 
 _SCHEMA_ERRORS = (InputError, CoercionError, NotInvertible)
@@ -60,7 +56,6 @@ def _error_class(exc):
     return "invariant_violation", 4
 
 
-@dataclass(frozen=True)
 class PrecisionPolicy:
     """Knobs echoed verbatim into every report.
 
@@ -69,15 +64,20 @@ class PrecisionPolicy:
     needs a larger degree ends budget_exhausted (exit 3).
     """
 
-    z_prec: int = 8
-    zeta_window: tuple = (-8, 8)
-    tauinv_prec: int = 16
-    ext_max: int = 8
-    purity_max_iters: int = 32
-    seed: int = None
+    __slots__ = ("z_prec", "zeta_window", "tauinv_prec", "ext_max",
+                 "purity_max_iters", "seed")
+
+    def __init__(self, z_prec=8, zeta_window=(-8, 8), tauinv_prec=16,
+                 ext_max=8, purity_max_iters=32, seed=None):
+        self.z_prec = z_prec
+        self.zeta_window = zeta_window
+        self.tauinv_prec = tauinv_prec
+        self.ext_max = ext_max
+        self.purity_max_iters = purity_max_iters
+        self.seed = seed
 
     def as_dict(self):
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in self.__slots__}
         d["zeta_window"] = list(self.zeta_window)
         return d
 
@@ -136,7 +136,7 @@ def _load_json_arg(val):
 def run_analyze(E, policy):
     """Rank, t-image, motive checks, infinity purity; reduction if valued."""
     r = E.rank
-    M = m_infinity(E)
+    M = drinfeld.m_infinity(E)
     cert = purity_check(M, -1, r, max_iters=policy.purity_max_iters,
                         prec=policy.z_prec)
     if isinstance(cert, NotPureAt):
@@ -147,15 +147,15 @@ def run_analyze(E, policy):
         "rank": r,
         "q": E.K.q,
         "iota": {"t_image": jsonio.render(E.coeffs[0])},
-        "motive_checks": jsonio.render(MOTIVE_COKER),  # run by m_infinity
+        "motive_checks": jsonio.render(drinfeld.MOTIVE_COKER),  # run by m_infinity
         "infinity_purity": jsonio.render(cert),
     }
     if E.K.kind == "finite":
         result["slopes"] = jsonio.render(slopes_finiteK(M))
     else:
-        rep = reduction_type(E)
+        rep = drinfeld.reduction_type(E)
         result["reduction"] = jsonio.render(rep)
-        result["crosscheck"] = jsonio.render(crit_crosscheck(E, M, cert))
+        result["crosscheck"] = jsonio.render(drinfeld.crit_crosscheck(E, M, cert))
     return result
 
 
@@ -195,7 +195,7 @@ def cmd_isocrystal(args):
 
 
 def _tate_doc(M, policy, command):
-    result = _budgeted("tate", lambda: tate_slope0(
+    result = _budgeted("tate", lambda: tateweil.tate_slope0(
         M, N=policy.z_prec, e_max=policy.ext_max, prec=policy.z_prec + 4))
     return _report(command, policy, jsonio.render(M), result)
 
@@ -222,7 +222,7 @@ def _parse_solve_sides(a_doc, b_doc):
 def cmd_solve(args):
     policy = _policy(args)
     K, a, b = _parse_solve_sides(_load_json_arg(args.a), _load_json_arg(args.b))
-    out = solve_scalar(a, b, args.ring, prec=policy.z_prec)
+    out = semilinear.solve_scalar(a, b, args.ring, prec=policy.z_prec)
     input_echo = {
         "base": jsonio.render_field(K),
         "a": jsonio.render(a),
@@ -238,7 +238,7 @@ def cmd_solve(args):
 def cmd_weil(args):
     policy = _policy(args)
     E = jsonio.parse_drinfeld(_load_json_arg(args.input))
-    result = _budgeted("weil", lambda: weil_valuation(
+    result = _budgeted("weil", lambda: tateweil.weil_valuation(
         E, N=policy.tauinv_prec, e_max=policy.ext_max, k_max=args.k_max))
     return _report("weil", policy, jsonio.render(E), result)
 
@@ -271,7 +271,7 @@ def _corpus_item(name, payload, policy):
             b = jsonio.parse_scalar(K, jsonio._need(payload, "b", name))
             ring = payload.get("ring", "BK")
             prec = int(payload.get("prec", policy.z_prec))
-            out = jsonio.render(solve_scalar(a, b, ring, prec=prec))
+            out = jsonio.render(semilinear.solve_scalar(a, b, ring, prec=prec))
             command, result = "solve", {"outcome": out}
             verdict = verdict_of(command, out)
         else:
@@ -289,6 +289,8 @@ def cmd_corpus(args):
     policy = _policy(args)
     root = pathlib.Path(args.dir)
     if args.generate:
+        from taumod import corpusgen
+
         root.mkdir(parents=True, exist_ok=True)
         files = corpusgen.corpus_files(policy.seed or 0)
         for fname, payload in files:
@@ -315,7 +317,10 @@ def cmd_corpus(args):
 
         # forked, so a worker starts with the package imported and the
         # fields built; a fresh interpreter per worker costs more than
-        # a corpus of small items takes
+        # a corpus of small items takes. The modules the items run load
+        # on first use (see taumod/__init__.py): run them once, here,
+        # rather than once in every worker.
+        _ = drinfeld.m_infinity, semilinear.solve_scalar
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork")) as ex:

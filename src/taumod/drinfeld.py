@@ -4,7 +4,6 @@ reduction analysis over a local base, good models, and the cross-check
 between the two sides of the reduction criterion."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import zmatrix
@@ -13,6 +12,7 @@ from .isocrystal import (
     Inconclusive,
     Isocrystal,
     PurityCertificate,
+    Record,
     model_verify,
 )
 from .skew import SkewPoly
@@ -58,10 +58,10 @@ class DrinfeldModule:
         return SkewPoly(self.K, co)
 
 
-@dataclass
-class MotiveData:
-    matrix: list  # r x r ZSeries matrix, exponent = t-power
-    coker: dict
+class MotiveData(Record):
+    """matrix: the r x r ZSeries matrix, exponent = t-power."""
+
+    __slots__ = _fields = ("matrix", "coker")
 
 
 # what the two checks of `motive` establish about every motive it returns
@@ -130,14 +130,13 @@ def m_infinity(E):
 
 # ------------------------------------------------------------- reduction
 
-@dataclass
-class ReductionReport:
-    verdict: str  # Good | Stable | PotentiallyGood | BadNotPotentiallyGood
-    m: Fraction  # scaling exponent in stored (ramified) valuation units
-    m_normalized: Fraction  # same, in unramified units
-    stable_rank: int
-    ramification: int
-    certificates: dict
+class ReductionReport(Record):
+    """verdict: Good | Stable | PotentiallyGood | BadNotPotentiallyGood;
+    m: the scaling exponent (a Fraction) in stored (ramified) valuation
+    units, m_normalized the same in unramified units."""
+
+    __slots__ = _fields = ("verdict", "m", "m_normalized", "stable_rank",
+                           "ramification", "certificates")
 
 
 def reduction_type(E):
@@ -192,14 +191,14 @@ def reduction_type(E):
     )
 
 
-@dataclass
-class GoodModel:
-    module: DrinfeldModule  # the scaled module with integral coefficients
-    m: int  # realized scaling exponent, stored units
-    u: object  # the scaling element, v(u) = -m
-    A: list  # its infinity-isocrystal matrix, entries integral
-    verify: dict  # model_verify output
-    residue: DrinfeldModule  # the mod-zeta reduction
+class GoodModel(Record):
+    """module: the scaled DrinfeldModule, with integral coefficients;
+    m: the realized scaling exponent, in stored units; u: the scaling
+    element, v(u) = -m; A: the module's infinity-isocrystal matrix,
+    entries integral; verify: the `model_verify` output; residue: the
+    mod-zeta reduction, a DrinfeldModule."""
+
+    __slots__ = _fields = ("module", "m", "u", "A", "verify", "residue")
 
 
 def good_model(E, report=None):

@@ -8,7 +8,6 @@ verification over the integral coefficient ring.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -232,25 +231,45 @@ def _tau_image(M, rd, T, prec, A_rd=None):
 
 # ---------------------------------------------------------- purity verdicts
 
-@dataclass
-class PurityCertificate:
-    s: int
-    r: int
-    lattice: Lattice
-    iterations: int
-    residue: dict
+class Record:
+    """A certificate or other result: the values of the fields that
+    `_fields` names, given by position or by keyword. `jsonio.render`
+    writes a record field by field in that order; records of one class
+    compare by value, and the repr is the one a dataclass would have."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args), **kwargs)
+        if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            setattr(self, name, given[name])
+
+    def _values(self):
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class NotPureAt:
-    s: int
-    r: int
-    witness: dict
+class PurityCertificate(Record):
+    __slots__ = _fields = ("s", "r", "lattice", "iterations", "residue")
 
 
-@dataclass
-class Inconclusive:
-    note: str
+class NotPureAt(Record):
+    __slots__ = _fields = ("s", "r", "witness")
+
+
+class Inconclusive(Record):
+    __slots__ = _fields = ("note",)
 
 
 def purity_check(M, s, r, max_iters=32, prec=None):
@@ -372,10 +391,8 @@ def slopes_finiteK(M):
 
 # ------------------------------------------------------------ lattice chains
 
-@dataclass
-class LatticeChain:
-    lattices: list
-    verification: dict
+class LatticeChain(Record):
+    __slots__ = _fields = ("lattices", "verification")
 
 
 def _containment_index(T_big, T_small, prec=None):

@@ -15,18 +15,16 @@ keyed by the tau^{-1}-exponent.
 """
 
 import json
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
+from taumod import drinfeld, skew
 from taumod.basefield import Felt, FieldDescriptor, FiniteK, LocalElem, LocalK
-from taumod.drinfeld import DrinfeldModule
 from taumod.errors import InputError
 from taumod.isocrystal import Isocrystal, Lattice, twist_inverse
-from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import INF, ZSeries
 
-# Dataclass reports keep their field names; the tag lets a reader
-# dispatch without knowing the Python class.
+# Records (`isocrystal.Record`) render their `_fields` under their own
+# names; the tag lets a reader dispatch without knowing the Python class.
 _KIND_TAGS = {
     "PurityCertificate": "purity_certificate",
     "NotPureAt": "not_pure_at",
@@ -82,13 +80,6 @@ def render(obj):
         if obj.growth is not None:
             out["growth"] = render(obj.growth)
         return out
-    if isinstance(obj, SkewPoly):
-        return {"tau_coeffs": [[d, render(c)] for d, c in sorted(obj.co.items())]}
-    if isinstance(obj, SkewLaurent):
-        return {
-            "tauinv_coeffs": [[k, render(c)] for k, c in sorted(obj.co.items())],
-            "window": _window(obj.co, obj.hi),
-        }
     if isinstance(obj, (FiniteK, LocalK)):
         return render_field(obj)
     if isinstance(obj, Isocrystal):
@@ -97,13 +88,6 @@ def render(obj):
             "rank": obj.rank,
             "base": render_field(obj.K),
             "tau_matrix": render(obj.A),
-        }
-    if isinstance(obj, DrinfeldModule):
-        return {
-            "kind": "drinfeld",
-            "q": obj.K.q,
-            "base": render_field(obj.K),
-            "coeffs": [render(c) for c in obj.coeffs],
         }
     if isinstance(obj, Lattice):
         return {
@@ -114,15 +98,31 @@ def render(obj):
             "basis": render(obj.basis),
         }
     name = type(obj).__name__
-    if is_dataclass(obj) and name in _KIND_TAGS:
+    if name in _KIND_TAGS:
         out = {"kind": _KIND_TAGS[name]}
-        for f in fields(obj):
-            out[f.name] = render(getattr(obj, f.name))
+        for f in obj._fields:
+            out[f] = render(getattr(obj, f))
         return out
     if isinstance(obj, dict):
         return {str(k): render(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [render(v) for v in obj]
+    # last, so that rendering an isocrystal or a certificate does not load
+    # the modules of these types (see taumod/__init__.py)
+    if isinstance(obj, skew.SkewPoly):
+        return {"tau_coeffs": [[d, render(c)] for d, c in sorted(obj.co.items())]}
+    if isinstance(obj, skew.SkewLaurent):
+        return {
+            "tauinv_coeffs": [[k, render(c)] for k, c in sorted(obj.co.items())],
+            "window": _window(obj.co, obj.hi),
+        }
+    if isinstance(obj, drinfeld.DrinfeldModule):
+        return {
+            "kind": "drinfeld",
+            "q": obj.K.q,
+            "base": render_field(obj.K),
+            "coeffs": [render(c) for c in obj.coeffs],
+        }
     raise TypeError(f"no JSON form for {name}")
 
 
@@ -222,7 +222,7 @@ def parse_skewpoly(K, d):
         co = {int(deg): parse_elem(K, c) for deg, c in pairs_raw}
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad twisted polynomial: {exc}") from None
-    return SkewPoly(K, co)
+    return skew.SkewPoly(K, co)
 
 
 def parse_skewlaurent(K, d):
@@ -233,7 +233,7 @@ def parse_skewlaurent(K, d):
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad inverse-twist expansion: {exc}") from None
     hi = window[1]
-    return SkewLaurent(K, co, INF if hi is None else int(hi))
+    return skew.SkewLaurent(K, co, INF if hi is None else int(hi))
 
 
 def parse_isocrystal(d, prec=None, with_inverse=False):
@@ -261,4 +261,4 @@ def parse_drinfeld(d):
     coeffs_raw = _need(d, "coeffs", "module input")
     if not isinstance(coeffs_raw, list):
         raise InputError("coeffs must be an array g_0..g_r")
-    return DrinfeldModule(K, [parse_elem(K, c) for c in coeffs_raw])
+    return drinfeld.DrinfeldModule(K, [parse_elem(K, c) for c in coeffs_raw])

@@ -18,7 +18,6 @@ and the degree that passes builds its field and reads its answer off
 the last level.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from taumod import kernels, zmatrix
@@ -28,6 +27,7 @@ from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
     PurityCertificate,
+    Record,
     conjugated_matrix,
     pure0_lattice,
     purity_check,
@@ -44,20 +44,13 @@ from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
 # ---------------------------------------------------------------- slope zero
 
 
-@dataclass
-class TateData:
+class TateData(Record):
     """Free-module description of the z-adic fixed points of a pure
     slope-zero twist, together with the coefficient Frobenius action
     written in the module basis."""
 
-    rank: int
-    z_precision: int
-    extension: int
-    lattice: object
-    twist: list
-    fq_dimension: int
-    module_basis: list
-    frobenius: list
+    __slots__ = _fields = ("rank", "z_precision", "extension", "lattice",
+                           "twist", "fq_dimension", "module_basis", "frobenius")
 
 
 def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
@@ -119,16 +112,11 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
 # ------------------------------------------------------------- formal layer
 
 
-@dataclass
-class FormalMotive:
+class FormalMotive(Record):
     """Expansion of the module structure at infinity: z = 1/t maps to
     the inverse of phi_t inside K((tau^{-1}))."""
 
-    K: object
-    rank: int
-    phi_t: object
-    phi_z: object
-    precision: int
+    __slots__ = _fields = ("K", "rank", "phi_t", "phi_z", "precision")
 
     def t_image(self, n):
         """Image of t^n, any integer n."""
@@ -204,14 +192,10 @@ def isocrystal_of_formal(V):
 # ---------------------------------------------------- normal-form conjugation
 
 
-@dataclass
-class ConjugatorData:
+class ConjugatorData(Record):
     """A unit conjugating the formal expansion onto tau^{-r}."""
 
-    u: object
-    u0: object
-    extension: int
-    precision: int
+    __slots__ = _fields = ("u", "u0", "extension", "precision")
 
 
 def _conjugator_levels(E, e, N):
@@ -323,19 +307,12 @@ def conjugator_resubstitutes(E, u):
 # -------------------------------------------------------------- Weil action
 
 
-@dataclass
-class WeilData:
+class WeilData(Record):
     """Valuations of the Frobenius cocycle on the normal-form line."""
 
-    lam: Fraction
-    frobenius_ord: int
-    rho_valuation: Fraction
-    admissible: bool
-    extension: int
-    precision: int
-    conjugator: object
-    table: list
-    commutes_with_iota: bool
+    __slots__ = _fields = ("lam", "frobenius_ord", "rho_valuation", "admissible",
+                           "extension", "precision", "conjugator", "table",
+                           "commutes_with_iota")
 
 
 def weil_valuation(E, N=DEFAULT_TAUINV_PREC, e_max=8, k_max=4):

@@ -11,26 +11,9 @@ to `checks` per claim.
 
 from operator import itemgetter
 
-from taumod import jsonio, kernels, zmatrix
-from taumod.drinfeld import (
-    base_change_agrees,
-    good_model,
-    m_infinity,
-    ramified,
-    reduction_type,
-)
+from taumod import drinfeld, jsonio, kernels, semilinear, tateweil, zmatrix
 from taumod.errors import NoRoot, PrecisionLoss
 from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
-from taumod.semilinear import (
-    _additive_map,
-    _residual_ok,
-    _series_frob,
-    _vec_coords,
-    force_roots,
-    fq_generator,
-    growth_annotation,
-)
-from taumod.tateweil import conjugator_resubstitutes, weil_table
 from taumod.zseries import DEFAULT_Z_PREC, INF
 
 
@@ -98,15 +81,15 @@ def _crosscheck_ok(E, M, doc):
     report. Good re-checks the base-change identity of the good model
     against M = m_infinity(E); PotentiallyGood replays the extended
     block over the ramified base; Stable re-runs no purity search."""
-    rep = reduction_type(E)
+    rep = drinfeld.reduction_type(E)
     rd = jsonio.render(rep)
     if doc["reduction"] != rd:
         return False
     if rep.verdict == "Good":
-        gm = good_model(E, rep)
+        gm = drinfeld.good_model(E, rep)
         return (doc["verdict"] == "agree"
                 and doc["model_verify"] == jsonio.render(gm.verify)
-                and base_change_agrees(E, M, gm))
+                and drinfeld.base_change_agrees(E, M, gm))
     if rep.verdict == "Stable":
         ob = doc["obstruction"]
         return (doc["verdict"] == "obstruction_recorded"
@@ -116,21 +99,21 @@ def _crosscheck_ok(E, M, doc):
                 and ob["scaled_valuations"]
                 == rd["certificates"]["scaled_valuations"])
     e = rep.ramification
-    E2 = ramified(E, e)
+    E2 = drinfeld.ramified(E, e)
     return (doc["verdict"] == "agree_after_extension"
             and doc["extension"] == e
-            and _crosscheck_ok(E2, m_infinity(E2), doc["extended"]))
+            and _crosscheck_ok(E2, drinfeld.m_infinity(E2), doc["extended"]))
 
 
 def _replay_analyze(inp, result, checks, policy):
     E = jsonio.parse_drinfeld(inp)
-    M = m_infinity(E)
+    M = drinfeld.m_infinity(E)
     cert = result.get("infinity_purity", {})
     if cert.get("kind") == "purity_certificate":
         _replay_purity(M, cert, checks, "infinity purity")
     if "reduction" in result:
         _check(checks, "reduction: valuation table re-evaluates",
-               jsonio.render(reduction_type(E)) == result["reduction"])
+               jsonio.render(drinfeld.reduction_type(E)) == result["reduction"])
         _check(checks, "crosscheck: verdict and data follow from the reduction",
                _crosscheck_ok(E, M, result["crosscheck"]))
 
@@ -149,7 +132,7 @@ def _regrown(a, b, x_doc, *claimed):
     its coefficients, and whether x_doc and the `claimed` copies carry
     exactly that annotation."""
     x = jsonio.parse_zseries(a.K, x_doc)
-    growth = jsonio.render(growth_annotation(a, b, x))
+    growth = jsonio.render(semilinear.growth_annotation(a, b, x))
     return (x.with_growth(growth),
             all(c == growth for c in (x_doc.get("growth"),) + claimed))
 
@@ -162,7 +145,8 @@ def _replay_solve(inp, outcome, checks, policy):
     b = jsonio.parse_scalar(K, inp["b"])
     if verdict == "solution":
         x, growth_ok = _regrown(a, b, outcome["x"], outcome.get("growth"))
-        _check(checks, "solve: re-substitution", _residual_ok(a, b, x, x.hi))
+        _check(checks, "solve: re-substitution",
+               semilinear._residual_ok(a, b, x, x.hi))
         cert = x.membership(ring)
         _check(checks, "solve: membership re-check",
                growth_ok and cert["verdict"] == "yes"
@@ -183,14 +167,15 @@ def _replay_solve(inp, outcome, checks, policy):
                 # stop at the witnessed exponent with the witnessed rhs
                 ok = va > 0 and b.known_nonzero()
                 if ok:
-                    miss = force_roots(a, b, int(outcome["requested_precision"]))[2]
+                    miss = semilinear.force_roots(
+                        a, b, int(outcome["requested_precision"]))[2]
                     ok = miss is not None and jsonio.render(miss) == wit
             _check(checks, "solve: missing q-th root re-check", ok)
         elif reason in ("CoefficientNotIntegral", "PrincipalPartViolation",
                         "UnboundedCoefficientValuations"):
             x, growth_ok = _regrown(a, b, outcome["x_bk"])
             _check(checks, "solve: big-field solution re-substitutes",
-                   _residual_ok(a, b, x, x.hi))
+                   semilinear._residual_ok(a, b, x, x.hi))
             cert = x.membership(ring)
             _check(checks, f"solve: {reason} re-check",
                    growth_ok and cert["verdict"] == "no"
@@ -207,8 +192,8 @@ def _replay_solve(inp, outcome, checks, policy):
             ok = (K.kind == "finite" and a.support() == [0] and a.is_exact()
                   and a.coeff(0) == a0 and n < b.hi and b.coeff(n) == rhs)
             if ok:
-                ok = kernels.solve_mod_p(_additive_map(K, a0), list(rhs.c),
-                                         K.ff.p) is None
+                ok = kernels.solve_mod_p(semilinear._additive_map(K, a0),
+                                         list(rhs.c), K.ff.p) is None
             _check(checks, "solve: unsolvable coefficient equation", ok)
         else:
             _check(checks, f"solve: unknown reason {reason}", False)
@@ -258,14 +243,14 @@ def _replay_tate(inp, result, checks, policy):
     ff = L.ff
     p, nL = ff.p, ff.n
     aq = K.desc.a
-    gen = fq_generator(L, aq)
+    gen = semilinear.fq_generator(L, aq)
     rows = []
     for vec in mb:
         scaled = vec
         for _ in range(aq):
             for n in range(N):
                 probe = [s.shift(n).truncate(N) for s in scaled]
-                rows.append(_vec_coords(probe, N, nL))
+                rows.append(semilinear._vec_coords(probe, N, nL))
             scaled = [s.scale(gen) for s in scaled]
     full = len(kernels.rref_mod_p(rows, p)[1]) == r * N * aq
     _check(checks, "tate: span has full free-module dimension", full,
@@ -278,7 +263,7 @@ def _replay_tate(inp, result, checks, policy):
     kpow = aq * K.desc.m * K.ext
     _check(checks, "tate: frobenius matrix reproduces the action",
            all(agree([row[j] for row in act],
-                     [_series_frob(s, kpow) for s in mb[j]])
+                     [semilinear._series_frob(s, kpow) for s in mb[j]])
                for j in range(r)))
 
 
@@ -293,10 +278,10 @@ def _replay_weil(inp, result, checks, policy):
     L = E.K.extend(int(claimed["extension"]))
     u = jsonio.parse_skewlaurent(L, claimed["conjugator"])
     _check(checks, "weil: conjugator re-substitutes",
-           conjugator_resubstitutes(E, u))
+           tateweil.conjugator_resubstitutes(E, u))
     k_max = len(claimed["table"])
     # an empty table is no evidence, and recomputes to nothing
-    got = jsonio.render(weil_table(E, u, k_max)) if k_max else {}
+    got = jsonio.render(tateweil.weil_table(E, u, k_max)) if k_max else {}
     commutes = got.pop("commutes_with_iota", None)
     claimed_commutes = claimed.pop("commutes_with_iota")
     _check(checks, "weil: table is linear and admissible", got == claimed)

@@ -6,8 +6,10 @@ is cross-checked against the generic polynomial lane by forcing both
 paths on the same inputs.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -30,7 +32,13 @@ from taumod.basefield import (
     _pgcd,
     _power_table,
 )
-from taumod.errors import CoercionError, NoRoot, NotInvertible, PrecisionLoss
+from taumod.errors import (
+    CoercionError,
+    InputError,
+    NoRoot,
+    NotInvertible,
+    PrecisionLoss,
+)
 from taumod import kernels
 
 import dense_oracle as dense
@@ -435,6 +443,42 @@ class TestEmbeddings:
         ia = coerce_into(a, big)
         assert a + ia == big.zero  # char 2: x + x = 0
         assert a * ia == ia * ia
+
+
+class TestFieldDescriptor:
+    """An immutable value: the key of the field caches."""
+
+    @pytest.mark.parametrize("kind", ["finite", "local"])
+    def test_equal_descriptors_share_one_field(self, kind):
+        a = FieldDescriptor(p=3, a=2, m=1, kind=kind)
+        b = FieldDescriptor(3, 2, 1, kind, (-8, 8))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a.field() is b.field()
+        assert a != FieldDescriptor(p=3, a=2, m=1, kind=kind, window=(-4, 8))
+        assert a.field() is not FieldDescriptor(p=3, a=1, m=2, kind=kind).field()
+
+    def test_fields_cannot_change(self):
+        d = FieldDescriptor(p=2, a=1, m=3, kind="finite")
+        with pytest.raises(AttributeError):
+            d.p = 3
+        with pytest.raises(AttributeError):
+            d.extra = 1
+        with pytest.raises(AttributeError):
+            del d.m
+        assert (d.p, d.a, d.m, d.kind, d.window) == (2, 1, 3, "finite", (-8, 8))
+
+    @pytest.mark.parametrize("args", [(3, 1, 1, "global"), (4, 1, 1, "finite"),
+                                      (1, 1, 1, "local"), (3, 0, 1, "finite")])
+    def test_bad_descriptor_is_input_error(self, args):
+        with pytest.raises(InputError):
+            FieldDescriptor(*args)
+
+    def test_copies_and_repr(self):
+        d = FieldDescriptor(p=5, a=1, m=2, kind="local", window=(-3, 9))
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert copy.copy(d) == d
+        assert repr(d) == ("FieldDescriptor(p=5, a=1, m=2, kind='local', "
+                           "window=(-3, 9))")
 
 
 class TestFiniteK:

@@ -17,7 +17,7 @@ from referencing import Registry, Resource
 
 from taumod import corpusgen, jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
-from taumod.cli import main
+from taumod.cli import PrecisionPolicy, main
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import NotInvertible, PrecisionLoss
 from taumod.isocrystal import Isocrystal, simple_pure, unit
@@ -99,6 +99,28 @@ def pivot_window_twist():
     inp = {"base": jsonio.render_field(K),
            "tau_matrix": [[jsonio.render(x) for x in row] for row in B]}
     return K, B, inp
+
+
+def dense_twist():
+    """A dense rank-4 twist P A sigma(P)^-1 over F_9 of the pure A of
+    slope 1/4, P = I + N with N strictly lower triangular, so that
+    P^-1 = I - N + N^2 - N^3."""
+    K = F9F.field()
+    r = 4
+    rng = random.Random("numpy-free-twist")
+    N = zmatrix.zeros(K, r, r)
+    for i in range(r):
+        for j in range(i):
+            N[i][j] = ZSeries(K, {0: K.el([rng.randrange(3), 1]),
+                                  1: K.el([1, rng.randrange(3)])}, INF)
+    P, P_inv, term = zmatrix.identity(K, r), zmatrix.identity(K, r), N
+    for k in range(1, r):
+        P_inv = [[x - y if k % 2 else x + y for x, y in zip(rx, ry)]
+                 for rx, ry in zip(P_inv, term)]
+        term = zmatrix.mul(term, N)
+    P = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(P, N)]
+    A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
+    return Isocrystal(K, A)
 
 
 def solve_side(K, x):
@@ -542,25 +564,7 @@ class TestNumpyFree:
         assert code == 0 and not loaded
 
     def test_slopes_purity_and_verify(self, tmp_path):
-        # a dense rank-4 twist P A sigma(P)^-1 over F_9 of the pure A of
-        # slope 1/4, P = I + N with N strictly lower triangular, so that
-        # P^-1 = I - N + N^2 - N^3
-        K = F9F.field()
-        r = 4
-        rng = random.Random("numpy-free-twist")
-        N = zmatrix.zeros(K, r, r)
-        for i in range(r):
-            for j in range(i):
-                N[i][j] = ZSeries(K, {0: K.el([rng.randrange(3), 1]),
-                                      1: K.el([1, rng.randrange(3)])}, INF)
-        P, P_inv, term = zmatrix.identity(K, r), zmatrix.identity(K, r), N
-        for k in range(1, r):
-            P_inv = [[x - y if k % 2 else x + y for x, y in zip(rx, ry)]
-                     for rx, ry in zip(P_inv, term)]
-            term = zmatrix.mul(term, N)
-        P = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(P, N)]
-        A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
-        (tmp_path / "twist.json").write_text(jsonio.dump_canonical(Isocrystal(K, A)))
+        (tmp_path / "twist.json").write_text(jsonio.dump_canonical(dense_twist()))
         code, out, loaded = probe_numpy(
             ["isocrystal", "slopes", "--input", "twist.json"], tmp_path)
         assert code == 0 and not loaded
@@ -597,6 +601,111 @@ class TestNumpyFree:
              "--input", jsonio.dump_canonical(carlitz)], tmp_path)
         assert doc["verdict"] == "admissible"
         assert doc["result"]["weil"]["extension"] == 9
+
+
+# runs the CLI on its arguments, then writes on stderr, as JSON, the
+# taumod modules whose bodies ran and whether dataclasses was loaded. A
+# module that loads on first use (taumod/__init__.py) sits in sys.modules
+# as a subclass of ModuleType until its body runs, and `-X importtime`
+# prints no line when it does run, so the probe reads the module's type.
+MODULE_PROBE = """
+import json, sys, types
+from taumod.cli import main
+code = main(sys.argv[1:])
+ran = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
+             if n.startswith("taumod.") and type(m) is types.ModuleType)
+sys.stderr.write(json.dumps({"ran": ran, "dataclasses": "dataclasses" in sys.modules}))
+sys.exit(code)
+"""
+# the modules that a request runs only if its command uses them
+ON_USE = {"drinfeld", "semilinear", "skew", "tateweil", "corpusgen"}
+
+
+def probe_modules(argv):
+    """(exit code, stdout, set of taumod modules run, whether dataclasses
+    was loaded) of one CLI request in a fresh interpreter, whose report
+    is checked to be the bytes of the same request run in-process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", MODULE_PROBE] + argv, env=env,
+                         capture_output=True, text=True, timeout=120)
+    seen = json.loads(out.stderr)
+    assert (out.returncode, out.stdout) == run(argv)
+    return out.returncode, out.stdout, set(seen["ran"]), seen["dataclasses"]
+
+
+class TestModulesRun:
+    """A request runs the bodies of only the modules its command uses."""
+
+    def test_slopes_purity_and_verify_run_no_lazy_module(self, tmp_path):
+        twist = tmp_path / "twist.json"
+        twist.write_text(jsonio.dump_canonical(dense_twist()))
+        report = tmp_path / "purity.json"
+        for argv in (["isocrystal", "slopes", "--input", str(twist)],
+                     ["isocrystal", "purity", "--s", "1", "--r", "4",
+                      "--input", str(twist)],
+                     ["verify", "--input", str(report)]):
+            code, out, ran, dataclasses = probe_modules(argv)
+            assert code == 0 and not ran & ON_USE and not dataclasses
+            if argv[1] == "purity":
+                assert json.loads(out)["verdict"] == "pure"
+                report.write_text(out)
+        assert json.loads(out)["verdict"] == "ok"
+
+    def test_tate_runs_no_drinfeld(self):
+        argv = ["tate", "--input", jsonio.dump_canonical(unit(F9F.field(), 2))]
+        code, out, ran, _ = probe_modules(argv)
+        assert code == 0 and json.loads(out)["verdict"] == "ok"
+        assert {"tateweil", "semilinear", "skew"} <= ran
+        assert not ran & {"drinfeld", "corpusgen"}
+
+    def test_corpus_runs_no_generator_and_no_tateweil(self, tmp_path):
+        # the first two items of each kind of the seed-0 corpus
+        kinds = {}
+        for name, payload in corpusgen.corpus_files(seed=0):
+            if len(kinds.setdefault(payload["kind"], [])) < 2:
+                kinds[payload["kind"]].append(name)
+                (tmp_path / name).write_text(jsonio.dump_canonical(payload))
+        code, out, ran, _ = probe_modules(["corpus", "--dir", str(tmp_path),
+                                           "--jobs", "1"])
+        assert code == 0 and len(json.loads(out)["result"]["items"]) == 6
+        assert {"drinfeld", "semilinear"} <= ran
+        assert not ran & {"corpusgen", "tateweil"}
+
+    def test_fresh_jobs_equal_bytes(self, tmp_path):
+        # in a fresh process the lazily loaded modules have not run yet:
+        # forked workers must give the bytes of one process, and the
+        # parent runs the modules the items use before it forks
+        for name, payload in corpusgen.corpus_files(seed=3)[:6]:
+            (tmp_path / name).write_text(jsonio.dump_canonical(payload))
+        _, one, _, _ = probe_modules(["corpus", "--dir", str(tmp_path), "--jobs", "1"])
+        _, three, ran, _ = probe_modules(["corpus", "--dir", str(tmp_path),
+                                          "--jobs", "3"])
+        assert three == one
+        if (os.cpu_count() or 1) > 1:
+            assert {"drinfeld", "semilinear"} <= ran
+
+
+# the modules that own a span of the benchmark's layer tracer (`SPANS` in
+# perfbench/layertrace.py), which looks each one up in sys.modules right
+# after `import taumod.cli`
+TRACED_MODULES = ("kernels", "basefield", "zseries", "skew", "zmatrix", "isocrystal",
+                  "semilinear", "tateweil", "drinfeld", "jsonio", "cli")
+
+
+def test_traced_modules_are_in_sys_modules_after_import():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, taumod.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(out.stdout.split())
+    assert {f"taumod.{m}" for m in TRACED_MODULES} <= loaded
+
+
+def test_policy_as_dict_keys():
+    assert list(PrecisionPolicy().as_dict().items()) == [
+        ("z_prec", 8), ("zeta_window", [-8, 8]), ("tauinv_prec", 16),
+        ("ext_max", 8), ("purity_max_iters", 32), ("seed", None)]
+    assert PrecisionPolicy(z_prec=12, seed=3).as_dict()["z_prec"] == 12
 
 
 class TestCorpus:

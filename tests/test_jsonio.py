@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from taumod import jsonio
+from taumod import drinfeld, isocrystal, jsonio, tateweil
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import InputError
@@ -188,6 +188,72 @@ class TestCanonicalBytes:
 
     def test_trailing_newline(self):
         assert jsonio.dump_canonical(0).endswith("\n")
+
+
+# the keys, in order, of each kind-tagged record's rendering: those of the
+# dataclasses that the records replaced
+RECORD_KEYS = {
+    "PurityCertificate": ("s", "r", "lattice", "iterations", "residue"),
+    "NotPureAt": ("s", "r", "witness"),
+    "Inconclusive": ("note",),
+    "ReductionReport": ("verdict", "m", "m_normalized", "stable_rank",
+                        "ramification", "certificates"),
+    "GoodModel": ("module", "m", "u", "A", "verify", "residue"),
+    "TateData": ("rank", "z_precision", "extension", "lattice", "twist",
+                 "fq_dimension", "module_basis", "frobenius"),
+    "WeilData": ("lam", "frobenius_ord", "rho_valuation", "admissible",
+                 "extension", "precision", "conjugator", "table",
+                 "commutes_with_iota"),
+    "ConjugatorData": ("u", "u0", "extension", "precision"),
+    "FormalMotive": ("K", "rank", "phi_t", "phi_z", "precision"),
+}
+
+
+def _record_class(name):
+    for mod in (isocrystal, drinfeld, tateweil):
+        if hasattr(mod, name):
+            return getattr(mod, name)
+    raise LookupError(name)
+
+
+class TestRecords:
+    def test_every_tag_renders_its_fields_in_order(self):
+        assert set(jsonio._KIND_TAGS) == set(RECORD_KEYS)
+        for name, keys in RECORD_KEYS.items():
+            rec = _record_class(name)(**{k: i for i, k in enumerate(keys)})
+            out = jsonio.render(rec)
+            assert list(out) == ["kind", *keys]
+            assert out["kind"] == jsonio._KIND_TAGS[name]
+            assert [out[k] for k in keys] == list(range(len(keys)))
+
+    def test_computed_certificate_renders_by_fields(self):
+        M = simple_pure(F9F.field(), 1, 2)
+        cert = isocrystal.purity_check(M, 1, 2)
+        assert isinstance(cert, isocrystal.PurityCertificate)
+        doc = reparse(cert)
+        assert doc["kind"] == "purity_certificate" and (doc["s"], doc["r"]) == (1, 2)
+        assert doc["lattice"] == reparse(cert.lattice)
+        not_pure = reparse(isocrystal.purity_check(M, 0, 1))
+        assert not_pure["kind"] == "not_pure_at"
+        assert set(not_pure) == {"kind", *RECORD_KEYS["NotPureAt"]}
+
+    def test_positional_keyword_equality_and_repr(self):
+        Inconclusive = isocrystal.Inconclusive
+        a = isocrystal.NotPureAt(1, 2, witness={"drift": [0]})
+        assert a == isocrystal.NotPureAt(s=1, r=2, witness={"drift": [0]})
+        assert a != isocrystal.NotPureAt(1, 3, {"drift": [0]})
+        assert Inconclusive("x") != a
+        # `crit_crosscheck` writes this repr into a report
+        assert repr(Inconclusive("no lattice")) == "Inconclusive(note='no lattice')"
+        assert repr(a) == "NotPureAt(s=1, r=2, witness={'drift': [0]})"
+        for bad in ((), ("x", "y"), ("x",)):
+            kwargs = {"note": "y"} if bad == ("x",) else {}
+            with pytest.raises(TypeError):
+                Inconclusive(*bad, **kwargs)
+        with pytest.raises(TypeError):
+            Inconclusive(text="x")
+        with pytest.raises(AttributeError):
+            Inconclusive("x").extra = 1
 
 
 class TestParseErrors:
