@@ -1,7 +1,9 @@
 """Time the F_p kernels of taumod.kernels, windowed series products and
 sums of products over tabled fields, the matrix product and determinant
 of `zmatrix`, on seeded workloads, and the field construction of
-`basefield`: the modulus search and the fills of the log tables.
+`basefield`: the modulus search, the fills of the log tables, and the
+`L1` rows, which weigh a whole fill against the operations a field
+runs without tables until its work pays for one (`FF._rent`).
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
@@ -83,7 +85,7 @@ def _workloads(seed):
         ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
-         + _field_workloads())
+         + _field_workloads() + _untabled_workloads(rng))
     olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
             "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
             "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
@@ -173,6 +175,29 @@ def _field_workloads():
         args = (p, n, ff.gen.c, ff.size - 1)
         out.append((f"fill F_{ff.size}", basefield._power_table, args,
                     dense.doubling_table, args))
+    return out
+
+
+def _untabled_workloads(rng):
+    """The `L1` rows, over F_{2^16} and F_{3^9}, the two fields that the
+    `weil` requests of the perfbench `tower` plan leave untabled: the
+    whole fill of the tables (`FF._build_tables` on a fresh field, the
+    generator search included), and one product, Frobenius map, power
+    (to an exponent of the field's bit length) and inverse without them,
+    each on a field kept untabled through every trial."""
+    out = []
+    for p, n in ((2, 16), (3, 9)):
+        name = f"F_{{{p}^{n}}}"
+        ff = basefield.FF(p, n)
+        ff._due = INF
+        x, y = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+        e = rng.randrange(ff.size // 2, ff.size - 1)
+        out += [(f"L1 fill {name}", lambda p, n: basefield.FF(p, n)._build_tables(),
+                 (p, n)),
+                (f"L1 mul {name}", ff.mul_raw, (x, y)),
+                (f"L1 frob {name}", ff.frob_raw, (x, 1)),
+                (f"L1 pow {name}", ff.pow_raw, (x, e)),
+                (f"L1 inv {name}", ff.inv_raw, (x,))]
     return out
 
 

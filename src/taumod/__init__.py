@@ -3,21 +3,21 @@
 Isocrystals over K((z)) with their slope theory, twisted polynomial and
 Laurent series rings, scalar semilinear solvers with replayable
 certificates, Drinfeld-module reduction criteria, slope-0 Tate functors,
-and Weil-action valuations. See README.md for the CLI.
+and Weil-action valuations. Run `python -m taumod --help` for the CLI.
 
 Every CLI request is a fresh process, so start-up is a large share of
-its cost. `drinfeld`, `semilinear`, `skew` and `tateweil` therefore load
-on first use: importing the package puts each of them into `sys.modules`
-and onto the package through `importlib.util.LazyLoader`, and a
-module's body runs on the first access to one of its attributes. An
-`isocrystal slopes` or `purity` request, and the `verify` of a purity
-report, never run them. They are registered rather than imported inside
-the functions that use them because tools that wrap the library, such
-as the layer tracer of the benchmark, find each module in `sys.modules`
+its cost. `drinfeld`, `semilinear`, `skew`, `tateweil` and `verify`
+therefore load on first use: importing the package puts each of them
+into `sys.modules` and onto the package through
+`importlib.util.LazyLoader`, and a module's body runs on the first
+access to one of its attributes. An `isocrystal slopes` or `purity`
+request runs none of them, and the `verify` of a purity report runs
+`verify` alone. They are registered rather than imported inside the
+functions that use them because tools that wrap the library, such as
+the layer tracer of the benchmark, find each module in `sys.modules`
 right after `import taumod.cli`. `cli`, `verify` and `jsonio` hold these
-four as modules (`drinfeld.m_infinity(...)`) rather than importing
-names from them, which would run them.
-"""
+modules as modules (`drinfeld.m_infinity(...)`) rather than importing
+names from them, which would run them."""
 
 import importlib.util
 import sys
@@ -41,6 +41,6 @@ def _register_lazy(*names):
         globals()[name] = module
 
 
-_register_lazy("drinfeld", "semilinear", "skew", "tateweil")
+_register_lazy("drinfeld", "semilinear", "skew", "tateweil", "verify")
 
 __all__ = ["FieldDescriptor", "__version__"]

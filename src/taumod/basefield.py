@@ -25,7 +25,7 @@ Laurent series and scaling zeta-exponents by q.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import random
 
 from taumod import kernels
@@ -38,6 +38,8 @@ from taumod.errors import (
 )
 from taumod.series import INF, Series
 
+# the most elements a field fills log tables for; smaller fields fill them
+# once their work without tables pays for the fill (`FF._rent`)
 TABLE_LIMIT = 1 << 16
 
 
@@ -208,13 +210,15 @@ class FF:
     """Arithmetic context for F_{p^n}. Obtain via `get_field`.
 
     Elements are coefficient tuples of length n (low-to-high in the
-    residue of X). Fields with at most 2^16 elements carry discrete-log
-    tables, making mul/inv/frobenius O(1), and hold the two kernels that
+    residue of X). A field starts without tables and multiplies, inverts
+    and raises to powers through the kernel polynomial arithmetic, and
+    applies Frobenius powers as the cached F_p matrices of
+    `frobenius_power`. Once that work pays for them (`_rent`), a field
+    with at most `TABLE_LIMIT` elements fills discrete-log tables, making
+    mul/inv/frobenius O(1), and from then on holds the two kernels that
     `series.sum_of_products`, the one product entry of windowed series,
     picks between: the log-domain loop (`sum_of_products`) and Kronecker
-    substitution on one packed int per series (`packed_sum`). Larger
-    fields fall back to the kernel polynomial arithmetic, and apply
-    Frobenius powers as the cached F_p matrices of `frobenius_power`.
+    substitution on one packed int per series (`packed_sum`).
 
     The tables hang off the canonical generator `gen`, the encoding-least
     element of order p^n - 1. The exp table lists its powers, walked on
@@ -228,33 +232,55 @@ class FF:
         self.modulus = _find_modulus(p, n)
         self._exp = None
         self._log = None
+        # the work done without tables, in table entries, and the work at
+        # which the tables fill (never above TABLE_LIMIT)
+        self._work = 0
+        self._due = self.size if self.size <= TABLE_LIMIT else math.inf
         # the `_Slots` of `sum_of_products` and the `_Packs` of
         # `packed_sum`, each widened as sums need
         self._slots = None
         self._packs = None
         self.zero = Felt(self, (0,) * n)
         self.one = Felt(self, tuple([1] + [0] * (n - 1)))
-        if self.size <= TABLE_LIMIT:
-            self._build_tables()
 
     def __repr__(self):
         return f"FF({self.p}^{self.n})"
 
-    def _build_tables(self):
+    @cached_property
+    def gen(self):
+        """The canonical generator: the encoding-least element of order
+        size - 1, found by the kernel powers."""
         order = self.size - 1
         primes = _factor(order) if order > 1 else set()
-        gen = None
         for enc in range(1, self.size):
             cand = self._dec(enc)
-            if all(
-                self._pow_raw(cand, order // ell) != self.one.c for ell in primes
-            ):
-                gen = cand
-                break
-        exp = _power_table(self.p, self.n, gen, order)
-        self._exp = exp
+            if all(self._pow_raw(cand, order // ell) != self.one.c for ell in primes):
+                return Felt(self, cand)
+
+    def _rent(self, cost):
+        """Count cost, in table entries, as work done without tables, and
+        fill the tables once that work reaches the field's size; whether
+        the field has tables now.
+
+        This is rent-or-buy: a fill costs about one unit per entry, so a
+        field pays at most about twice the cheaper of never filling and
+        filling at once. A table-less branch costs n units per F_p
+        polynomial product it runs, and a Frobenius map n: on a 2-vCPU
+        x86-64 VM, the `L1` rows of bench/bench_kernels.py put a product
+        at about 20 entries of a fill in F_{2^16} (n = 16) and 10 in
+        F_{3^9} (n = 9), a Frobenius map at about 25 and 11, and a power
+        or an inverse at its number of products times that.
+        """
+        self._work += cost
+        if self._work < self._due:
+            return False
+        self._build_tables()
+        return True
+
+    def _build_tables(self):
+        order = self.size - 1
+        exp = self._exp = _power_table(self.p, self.n, self.gen.c, order)
         self._log = dict(zip(exp, range(order)))
-        self.gen = Felt(self, gen)
 
     def _dec(self, enc):
         c, e = [], enc
@@ -297,19 +323,17 @@ class FF:
         return tuple((-a) % p for a in x)
 
     def mul_raw(self, x, y):
-        if self._log is not None:
-            try:
-                return self._exp[(self._log[x] + self._log[y]) % (self.size - 1)]
-            except KeyError:
-                return self.zero.c
-        return kernels.polymulmod(x, y, self.modulus, self.p)
+        if self._log is None and not self._rent(self.n):
+            return kernels.polymulmod(x, y, self.modulus, self.p)
+        try:
+            return self._exp[(self._log[x] + self._log[y]) % (self.size - 1)]
+        except KeyError:
+            return self.zero.c
 
     def inv_raw(self, x):
         if x == self.zero.c:
             raise NotInvertible("division by zero")
-        if self._log is not None:
-            return self._exp[(-self._log[x]) % (self.size - 1)]
-        return kernels.polypowmod(x, self.size - 2, self.modulus, self.p)
+        return self.pow_raw(x, -1)
 
     def _pow_raw(self, x, e):
         return kernels.polypowmod(x, e, self.modulus, self.p)
@@ -320,9 +344,11 @@ class FF:
                 raise NotInvertible("zero to a negative power")
             return self.one.c if e == 0 else self.zero.c
         e %= self.size - 1
-        if self._log is not None:
-            return self._exp[(self._log[x] * e) % (self.size - 1)]
-        return self._pow_raw(x, e)
+        # square-and-multiply takes one product per bit and per set bit
+        if (self._log is None
+                and not self._rent(self.n * (e.bit_length() + e.bit_count()))):
+            return self._pow_raw(x, e)
+        return self._exp[(self._log[x] * e) % (self.size - 1)]
 
     def frob_raw(self, x, k):
         """x^(p^k), any integer k (k < 0 takes p-power roots): through
@@ -331,9 +357,9 @@ class FF:
         k %= self.n
         if k == 0:
             return x
-        if self._log is not None:
-            return self.pow_raw(x, self.p**k)
-        return tuple(kernels.matvec(frobenius_power(self.p, self.n, k), x, self.p))
+        if self._log is None and not self._rent(self.n):
+            return tuple(kernels.matvec(frobenius_power(self.p, self.n, k), x, self.p))
+        return self.pow_raw(x, self.p**k)
 
     def sum_of_products(self, terms, hi, k):
         """The coefficients below exponent hi of the signed sum, over the
@@ -502,10 +528,12 @@ class FF:
 
     def logs(self, co):
         """[(exponent, log)] of the nonzero coefficients of co; None when
-        the field has no log table or a coefficient is no Felt of it."""
-        log = self._log
-        if log is None:
+        the field has no log table or a coefficient is no Felt of it. A
+        miss sends the caller to the Felt loop, whose cost beyond its
+        products is counted as one product per coefficient."""
+        if self._log is None and not self._rent(self.n * len(co)):
             return None
+        log = self._log
         out = []
         for e, c in co.items():
             if type(c) is not Felt or c.ff is not self:
@@ -1029,7 +1057,7 @@ class FiniteK:
         return self.ff.el(v)
 
     def gen(self):
-        """Canonical multiplicative generator (table fields only)."""
+        """Canonical multiplicative generator."""
         return self.ff.gen
 
     def coerce(self, x):

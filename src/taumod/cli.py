@@ -7,7 +7,7 @@ in a fixed order.  JSON is the source of truth; --format md renders
 the same tree for reading.
 
 Exit codes: a report's exit code is a function of its verdict, which
-the report kind's entry in `taumod.verify.REGISTRY` derives from the
+the report kind's entry in `taumod.verdicts.VERDICTS` derives from the
 result: 3 for inconclusive or budget_exhausted (the partial report is
 still written), else 0, definite negatives such as no_solution or
 not_pure included.  An error report exits 2 for malformed input, 3 for
@@ -22,7 +22,7 @@ import os
 import pathlib
 import sys
 
-from taumod import __version__, drinfeld, jsonio, semilinear, tateweil
+from taumod import __version__, drinfeld, jsonio, semilinear, tateweil, verify
 from taumod.errors import (
     BudgetExceeded,
     CoercionError,
@@ -41,7 +41,7 @@ from taumod.isocrystal import (
     slopes_finiteK,
     tensor,
 )
-from taumod.verify import verdict_of, verify_report
+from taumod.verdicts import verdict_of
 
 _SCHEMA_ERRORS = (InputError, CoercionError, NotInvertible)
 _BUDGET_ERRORS = (PrecisionLoss, BudgetExceeded, NoRoot)
@@ -342,7 +342,7 @@ def cmd_verify(args):
     if doc.get("kind") != "report":
         raise InputError("verify expects a report produced by this tool")
     try:
-        checks = verify_report(doc)
+        checks = verify.verify_report(doc)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(
             f"report is missing fields the replay needs: {exc!r}"

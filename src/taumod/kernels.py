@@ -15,7 +15,8 @@ The polynomial routines are the package's only F_p polynomial
 arithmetic. They serve the modulus search (Ben-Or's irreducibility
 test, on `polypowmod` and `polygcd`), the generator search, the linear
 maps of `basefield`, and the multiplication, inversion and powers in
-fields above `basefield.TABLE_LIMIT`.
+fields without log tables: those above `basefield.TABLE_LIMIT`, and the
+others until their work pays for a fill.
 """
 
 import operator

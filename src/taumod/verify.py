@@ -1,19 +1,18 @@
-"""Verdicts and certificate replays, one registry entry per report kind.
+"""Certificate replays, one registry entry per report kind.
 
-`REGISTRY[command]` is the pair (verdict, replay). `verdict(result)` is
-the one-word outcome a result implies; the command that writes the
-report and `verify_report` both take it from here. `replay(input,
+`REGISTRY[command]` is the replay of that kind of report: `replay(input,
 result, checks, policy)` re-derives the result's claims from the
 report's input, read under the report's `policy`, without re-running
 the search that produced them, appending one {"name", "ok", ...} entry
-to `checks` per claim.
+to `checks` per claim. The verdict a result implies comes from
+`taumod.verdicts`, which every command reads without running this
+module.
 """
-
-from operator import itemgetter
 
 from taumod import drinfeld, jsonio, kernels, semilinear, tateweil, zmatrix
 from taumod.errors import NoRoot, PrecisionLoss
 from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
+from taumod.verdicts import verdict_of
 from taumod.zseries import DEFAULT_Z_PREC, INF
 
 
@@ -21,35 +20,6 @@ def _check(checks, name, ok, **detail):
     entry = {"name": name, "ok": bool(ok)}
     entry.update(detail)
     checks.append(entry)
-
-
-# -- verdicts -----------------------------------------------------------------
-
-
-def _analyze_verdict(result):
-    cert = result["infinity_purity"]
-    return "inconclusive" if cert["kind"] == "inconclusive" else "ok"
-
-
-def _purity_verdict(result):
-    return {"purity_certificate": "pure",
-            "not_pure_at": "not_pure"}.get(result["certificate"]["kind"],
-                                           "inconclusive")
-
-
-def _tate_verdict(result):
-    if "tate" in result:
-        return "ok"
-    return "inconclusive" if "certificate" in result else "budget_exhausted"
-
-
-def _weil_verdict(result):
-    if "weil" not in result:
-        return "budget_exhausted"
-    return "admissible" if result["weil"]["admissible"] else "not_admissible"
-
-
-# -- replays ------------------------------------------------------------------
 
 
 def _z_prec(policy):
@@ -289,37 +259,30 @@ def _replay_weil(inp, result, checks, policy):
 
 
 REGISTRY = {
-    "analyze": (_analyze_verdict, _replay_analyze),
-    "isocrystal purity": (_purity_verdict, _replay_isocrystal_purity),
-    "tate": (_tate_verdict, _replay_tate),
-    "isocrystal tate": (_tate_verdict, _replay_tate),
-    "weil": (_weil_verdict, _replay_weil),
-    "solve": (itemgetter("verdict"), _replay_solve),
+    "analyze": _replay_analyze,
+    "isocrystal purity": _replay_isocrystal_purity,
+    "tate": _replay_tate,
+    "isocrystal tate": _replay_tate,
+    "weil": _replay_weil,
+    "solve": _replay_solve,
 }
-
-
-def verdict_of(command, result):
-    """The verdict `result` implies; "ok" for kinds without a replay."""
-    entry = REGISTRY.get(command)
-    return entry[0](result) if entry else "ok"
 
 
 def verify_report(doc):
     """Replay every claim of a report; the list of checks."""
     cmd = doc.get("command", "")
     checks = []
-    entry = REGISTRY.get(cmd)
-    if entry is None:
+    replay = REGISTRY.get(cmd)
+    if replay is None:
         _check(checks, f"no replay defined for {cmd!r}", False)
         return checks
-    verdict, replay = entry
     result = doc.get("result", {})
     try:
         replay(doc.get("input"), result, checks, doc.get("policy", {}))
     except PrecisionLoss as exc:
         _check(checks, "replay: the report's windows cover its claims", False,
                detail=str(exc))
-    expected = verdict(result)
+    expected = verdict_of(cmd, result)
     if doc.get("verdict") != expected:
         _check(checks, "verdict: the report's verdict matches its result", False,
                claimed=doc.get("verdict"), expected=expected)

@@ -7,7 +7,8 @@ on the same inputs, and dense solvers for the conjugator and
 fixed-point systems: these build the whole N*[L:F_p]-column matrix over
 a built field L, with its coefficients coerced along the canonical
 embedding, and take one nullspace of it. Tests compare the level solver
-against them.
+against them. `tabled` fills a field's log tables for the tests that
+read them or the products that run on them.
 """
 
 import numpy as np
@@ -19,6 +20,17 @@ from taumod.semilinear import (
     _fq_basis_from_fp_kernel,
     _mult_mat,
 )
+
+
+def tabled(field):
+    """field, an FF or a FiniteK, with the log tables of its FF filled. A
+    field fills them on its own only once its work without them pays for
+    the fill (`FF._rent`)."""
+    ff = getattr(field, "ff", field)
+    if ff._log is None:
+        ff._build_tables()
+    return field
+
 
 # rows per int64 block when filling and converting a log table
 _TABLE_CHUNK = 1 << 12

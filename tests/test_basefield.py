@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taumod.basefield import (
+    FF,
+    TABLE_LIMIT,
     FieldDescriptor,
     Felt,
     INF,
@@ -131,7 +133,7 @@ class TestBenOr:
     def test_pure_fill_matches_doubling(self, p, n):
         # F_64 and F_81: repeated multiplication, the packed walk and
         # the numpy doubling agree
-        ff = get_field(p, n)
+        ff = dense.tabled(get_field(p, n))
         order = ff.size - 1
         assert dense.repeated_mul_table(p, n, ff.gen.c, order) == ff._exp
         assert _power_table(p, n, ff.gen.c, order) == ff._exp
@@ -232,7 +234,7 @@ class TestFieldLaws:
 
     def test_table_vs_polynomial_lane(self):
         # same field size, table path vs raw kernel path
-        ff = get_field(3, 4)
+        ff = dense.tabled(get_field(3, 4))
         assert ff._log is not None
         rng = random.Random(7)
         for _ in range(200):
@@ -350,7 +352,7 @@ class TestLogTables:
         "p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2), (65521, 1)]
     )
     def test_tables_match_repeated_mul(self, p, n):
-        ff = get_field(p, n)
+        ff = dense.tabled(get_field(p, n))
         order = ff.size - 1
         gen = ff.gen.c
         assert len(ff._exp) == order
@@ -374,6 +376,109 @@ class TestLogTables:
         ff = get_field(p, n)
         assert _power_table(p, n, ff.gen.c, ff.size - 1) == dense.doubling_table(
             p, n, ff.gen.c, ff.size - 1)
+
+
+def _order_is_full(ff, x):
+    """Whether x has order size - 1, by the kernel powers and sympy's
+    factorisation of the order."""
+    import sympy
+
+    order = ff.size - 1
+    one = ff.one.c
+    return (kernels.polypowmod(x, order, ff.modulus, ff.p) == one
+            and all(kernels.polypowmod(x, order // ell, ff.modulus, ff.p) != one
+                    for ell in sympy.primefactors(order)))
+
+
+class TestTablesOnDemand:
+    """A field fills its log tables once its work without them reaches its
+    size (`FF._rent`), never above TABLE_LIMIT; every answer is the same
+    before, across and after the fill."""
+
+    def test_gen_above_the_table_limit(self):
+        ff = get_field(2, 17)
+        assert ff.size > TABLE_LIMIT
+        K = FieldDescriptor(p=2, a=1, m=17, kind="finite").field()
+        assert K.gen() == ff.gen
+        assert _order_is_full(ff, ff.gen.c)
+        # canonical: no smaller encoding generates
+        assert not any(_order_is_full(ff, ff._dec(enc))
+                       for enc in range(1, ff.enc(ff.gen.c)))
+        assert ff._log is None
+
+    def test_a_new_field_has_no_tables_and_the_tabled_gen(self):
+        ff = FF(3, 4)
+        assert ff._log is None
+        gen = ff.gen
+        assert _order_is_full(ff, gen.c)
+        assert dense.tabled(ff).gen is gen
+        assert ff._exp[1] == gen.c
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 6)])
+    def test_mixed_sequences_across_the_fill(self, p, n):
+        # the same seeded sequence of products, inverses, powers,
+        # Frobenius maps and sums of products on three copies of F_{p^n}:
+        # one tabled first, one that never fills, and one that fills
+        # part way through
+        always, never, lazy = dense.tabled(FF(p, n)), FF(p, n), FF(p, n)
+        never._due = math.inf
+        rng = random.Random(f"tables-on-demand:{p}:{n}")
+        pool = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(6)]
+        filled_at = None
+        for step in range(80):
+            # cheap steps first: one inverse of F_64 pays for its fill
+            op = rng.choice(("mul", "frob") if step < 4
+                            else ("mul", "inv", "pow", "frob", "sum"))
+            x, y = rng.choice(pool), rng.choice(pool)
+            if op == "inv" and not any(x):
+                op = "mul"
+            e = rng.randrange(-2 * lazy.size, 2 * lazy.size)
+            k = rng.randrange(-n, 2 * n)
+            terms = [({i: rng.choice(pool) for i in range(rng.randrange(1, 6))},
+                      {i: rng.choice(pool) for i in range(rng.randrange(1, 6))},
+                      rng.random() < 0.5) for _ in range(rng.randrange(1, 4))]
+            twist = rng.randrange(n)
+            got = [_run_op(ff, op, x, y, e, k, terms, twist)
+                   for ff in (always, never, lazy)]
+            assert got[0] == got[1] == got[2], (op, step)
+            if op != "sum":
+                pool.append(got[0])
+            if filled_at is None and lazy._log is not None:
+                filled_at = step
+        assert never._log is None and always._log is not None
+        # the fill came part way through the sequence
+        assert 0 < filled_at < 79
+        assert lazy._exp == always._exp and lazy.gen.c == always.gen.c
+
+
+def _run_op(ff, op, x, y, e, k, terms, twist):
+    """One step of `test_mixed_sequences_across_the_fill` on ff; a sum of
+    products takes the log loop when every operand has logs, and else a
+    loop of table-less products, as `series.sum_of_products` does."""
+    if op == "mul":
+        return ff.mul_raw(x, y)
+    if op == "inv":
+        return ff.inv_raw(x)
+    if op == "pow":
+        return ff.pow_raw(x, e) if any(x) else ff.pow_raw(x, abs(e))
+    if op == "frob":
+        return ff.frob_raw(x, k)
+    felts = [({i: Felt(ff, c) for i, c in a.items() if any(c)},
+              {i: Felt(ff, c) for i, c in b.items() if any(c)}, neg)
+             for a, b, neg in terms]
+    logs = [(ff.logs(a), ff.logs(b), neg) for a, b, neg in felts]
+    if all(la is not None and lb is not None for la, lb, _ in logs):
+        out = ff.sum_of_products(logs, INF, twist)
+        return {i: c.c for i, c in out.items()}
+    acc = {}
+    for a, b, neg in felts:
+        for i, c in a.items():
+            for j, d in b.items():
+                pr = ff.mul_raw(c.c, ff.frob_raw(d.c, twist * i))
+                if neg:
+                    pr = ff.neg_raw(pr)
+                acc[i + j] = ff.add_raw(acc.get(i + j, ff.zero.c), pr)
+    return {i: c for i, c in acc.items() if any(c)}
 
 
 def _brute_force_root(p, ns, nb):

@@ -16,12 +16,14 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from taumod import corpusgen, jsonio, zmatrix
-from taumod.basefield import FieldDescriptor
+from taumod.basefield import FieldDescriptor, get_field
 from taumod.cli import PrecisionPolicy, main
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import NotInvertible, PrecisionLoss
 from taumod.isocrystal import Isocrystal, simple_pure, unit
 from taumod.zseries import ZSeries
+
+from dense_oracle import tabled
 
 INF = math.inf
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "v1"
@@ -618,7 +620,7 @@ sys.stderr.write(json.dumps({"ran": ran, "dataclasses": "dataclasses" in sys.mod
 sys.exit(code)
 """
 # the modules that a request runs only if its command uses them
-ON_USE = {"drinfeld", "semilinear", "skew", "tateweil", "corpusgen"}
+ON_USE = {"drinfeld", "semilinear", "skew", "tateweil", "verify", "corpusgen"}
 
 
 def probe_modules(argv):
@@ -645,7 +647,10 @@ class TestModulesRun:
                       "--input", str(twist)],
                      ["verify", "--input", str(report)]):
             code, out, ran, dataclasses = probe_modules(argv)
-            assert code == 0 and not ran & ON_USE and not dataclasses
+            # a request takes its verdict from `verdicts`; only `verify`
+            # runs the replays
+            assert code == 0 and not dataclasses
+            assert ran & ON_USE == ({"verify"} if argv[0] == "verify" else set())
             if argv[1] == "purity":
                 assert json.loads(out)["verdict"] == "pure"
                 report.write_text(out)
@@ -656,7 +661,7 @@ class TestModulesRun:
         code, out, ran, _ = probe_modules(argv)
         assert code == 0 and json.loads(out)["verdict"] == "ok"
         assert {"tateweil", "semilinear", "skew"} <= ran
-        assert not ran & {"drinfeld", "corpusgen"}
+        assert not ran & {"drinfeld", "verify", "corpusgen"}
 
     def test_corpus_runs_no_generator_and_no_tateweil(self, tmp_path):
         # the first two items of each kind of the seed-0 corpus
@@ -669,7 +674,7 @@ class TestModulesRun:
                                            "--jobs", "1"])
         assert code == 0 and len(json.loads(out)["result"]["items"]) == 6
         assert {"drinfeld", "semilinear"} <= ran
-        assert not ran & {"corpusgen", "tateweil"}
+        assert not ran & {"corpusgen", "tateweil", "verify"}
 
     def test_fresh_jobs_equal_bytes(self, tmp_path):
         # in a fresh process the lazily loaded modules have not run yet:
@@ -683,6 +688,34 @@ class TestModulesRun:
         assert three == one
         if (os.cpu_count() or 1) > 1:
             assert {"drinfeld", "semilinear"} <= ran
+
+
+# runs the CLI on its arguments, then writes on stderr whether F_{2^16}
+# filled its log tables
+TABLE_PROBE = """
+import sys
+from taumod.basefield import get_field
+from taumod.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("tabled" if get_field(2, 16)._log is not None else "untabled")
+sys.exit(code)
+"""
+
+
+def test_weil_leaves_f_2_16_untabled():
+    # F_4 as q = 2, m = 2: the conjugator lives in F_{2^16}, where the
+    # request runs far fewer operations than a fill has entries
+    K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
+    E = DrinfeldModule(K, [K.one(), K.zero(), K.one()])
+    argv = ["weil", "--input", jsonio.dump_canonical(E)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", TABLE_PROBE] + argv, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stderr == "untabled"
+    assert json.loads(out.stdout)["result"]["weil"]["extension"] == 8
+    # the same bytes with the tables filled first
+    tabled(get_field(2, 16))
+    assert run(argv) == (0, out.stdout)
 
 
 # the modules that own a span of the benchmark's layer tracer (`SPANS` in

@@ -21,6 +21,8 @@ from taumod.series import PACK_DEGREE, PACK_PAIRS, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
+from dense_oracle import tabled
+
 INF = math.inf
 
 # finite bases by label; the p-power Frobenius twists by a steps per exponent
@@ -81,7 +83,7 @@ def _ids(kinds):
 @pytest.mark.parametrize("label", sorted(FIELDS))
 @pytest.mark.parametrize("cls, windowed", KINDS, ids=_ids(KINDS))
 def test_random_products_match_felt_loop(label, cls, windowed):
-    K = FIELDS[label].field()
+    K = tabled(FIELDS[label].field())
     assert K.ff.size <= TABLE_LIMIT
     rng = random.Random(f"series-kernel:{label}:{cls.__name__}:{windowed}")
     # one-term factors too, where each exponent's sum has one term
@@ -99,7 +101,7 @@ def test_random_products_match_felt_loop(label, cls, windowed):
 
 def test_one_slot_table_per_field_widened_on_demand():
     # a field of its own, so its table starts empty
-    ff = FF(3, 2)
+    ff = tabled(FF(3, 2))
     rng = random.Random("series-kernel-widen")
 
     def rand(m):
@@ -142,7 +144,7 @@ def test_slot_sums_up_to_the_bound(label):
     # a = sum top x^i and b = sum x^j over m terms each, top the element
     # with every coordinate p - 1: the slots of exponent e < m sum to
     # (e + 1)(p - 1), up to the bound m (p - 1) the slot width is sized for
-    K = FIELDS[label].field()
+    K = tabled(FIELDS[label].field())
     top = K.el([K.ff.p - 1] * K.ff.n)
     for m in range(2, 41):
         a = ZSeries(K, {e: top for e in range(m)})
@@ -288,7 +290,7 @@ SUM_FIELDS = ["F4", "F2^16", "F9", "F65521"]
 @pytest.mark.parametrize("label", SUM_FIELDS)
 @pytest.mark.parametrize("cls, windowed", KINDS, ids=_ids(KINDS))
 def test_random_sums_match_felt_loop(label, cls, windowed):
-    K = FIELDS[label].field()
+    K = tabled(FIELDS[label].field())
     rng = random.Random(f"series-kernel-sum:{label}:{cls.__name__}:{windowed}")
     for count in range(1, 8):
         for _ in range(2):
@@ -301,7 +303,7 @@ def test_random_sums_match_felt_loop(label, cls, windowed):
 @pytest.mark.parametrize("label", SUM_FIELDS)
 def test_sign_is_a_log_offset(label):
     # -1 = gen^((size - 1) / 2) for odd p, and -1 = 1 for p = 2
-    K = FIELDS[label].field()
+    K = tabled(FIELDS[label].field())
     ff = K.ff
     rng = random.Random(f"series-kernel-sign:{label}")
     a = random_series(ZSeries, K, rng, 9, True)
@@ -338,7 +340,7 @@ def test_sum_slots_up_to_the_bound(label):
     # p - 1: at exponent 39 each slot sums to 7 * 40 * (p - 1), the bound
     # the slot width is sized for. Half the products reach it through a
     # minus sign on -top.
-    K = FIELDS[label].field()
+    K = tabled(FIELDS[label].field())
     ff = K.ff
     top = K.el([ff.p - 1] * ff.n)
     terms = []
@@ -358,7 +360,7 @@ def test_sum_slots_up_to_the_bound(label):
 
 def test_sum_slots_are_sized_by_every_product():
     # a field of its own, so its table starts empty
-    ff = FF(3, 2)
+    ff = tabled(FF(3, 2))
     rng = random.Random("series-kernel-sum-widen")
 
     def rand(m):
@@ -440,7 +442,7 @@ def packed(terms):
 def test_packed_sums_match_felt_loop(label, windowed):
     # mixed signs, exponents from -4 up, windows that cut the operands,
     # zero-to-window and exact-zero operands, b None
-    K = PACKED_FIELDS[label].field()
+    K = tabled(PACKED_FIELDS[label].field())
     rng = random.Random(f"series-kernel-packed:{label}:{windowed}")
     for count in range(1, 8):
         for _ in range(3):
@@ -450,7 +452,7 @@ def test_packed_sums_match_felt_loop(label, windowed):
 
 @pytest.mark.parametrize("label", sorted(PACKED_FIELDS))
 def test_packed_sums_of_zeros(label):
-    K = PACKED_FIELDS[label].field()
+    K = tabled(PACKED_FIELDS[label].field())
     rng = random.Random(f"series-kernel-packed-zero:{label}")
     a = random_series(ZSeries, K, rng, 9, True)
     b = random_series(ZSeries, K, rng, 7, True)
