@@ -3,12 +3,14 @@ sums of products over tabled fields, the matrix product and determinant
 of `zmatrix`, on seeded workloads, and the field construction of
 `basefield`: the modulus search, the fills of the log tables, and the
 `L1` rows, which weigh a whole fill against the operations a field
-runs without tables until its work pays for one (`FF._rent`).
+runs without tables until its work pays for one (`FF._rent`); then a
+product over F_3((zeta)), `zmatrix.inv` over F_9, and the JSON writer
+of the reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
 fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
-the same input, as `old`.
+the same input, as `old`; the writer row times `json.dumps` as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials; the table prints the median and the minimum
@@ -29,6 +31,7 @@ import pathlib
 import random
 import statistics
 import sys
+import tempfile
 import time
 from math import inf as INF
 
@@ -85,7 +88,8 @@ def _workloads(seed):
         ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
-         + _field_workloads() + _untabled_workloads(rng))
+         + _field_workloads() + _untabled_workloads(rng) + _local_workloads(rng)
+         + [_writer_workload()])
     olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
             "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
             "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
@@ -199,6 +203,50 @@ def _untabled_workloads(rng):
                 (f"L1 pow {name}", ff.pow_raw, (x, e)),
                 (f"L1 inv {name}", ff.inv_raw, (x,))]
     return out
+
+
+def _local_workloads(rng):
+    """A product of two 8-term ZSeries over F_3((zeta)) whose coefficients
+    are 4-term LocalElems known below a zeta-power, the shape the grouped
+    sums of `series._felt_sum` take; and `zmatrix.inv` at precision 12 on
+    a 7 x 7 matrix over F_9 of dense windowed entries, 13 terms known
+    below z^12, the shape of the rank-7 twist of the `rank` workload. Each
+    call gets fresh operands, local coefficients included."""
+    L = FieldDescriptor(p=3, a=1, m=1, kind="local").field()
+
+    def local(lo):
+        co = {e: L.cf.el([rng.randrange(1, 3)]) for e in range(lo, lo + 4)}
+        return basefield.LocalElem(L, co, lo + 5)
+
+    def zs():
+        return ZSeries(L, {e: local(rng.randrange(-2, 2)) for e in range(-1, 7)}, 7)
+
+    f9 = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
+    A = [[_rand_series(ZSeries, f9, rng, range(-1, 12), 12) for _ in range(7)]
+         for _ in range(7)]
+
+    def fresh(s):
+        return ZSeries(L, {e: _fresh(c) for e, c in s.co.items()}, s.hi)
+
+    return [("series 8x8/F3((zeta))", lambda x, y: fresh(x) * fresh(y), (zs(), zs())),
+            ("inv 7x7/F9", lambda A: zmatrix.inv([[_fresh(s) for s in row] for row in A],
+                                                 12), (A,))]
+
+
+def _writer_workload():
+    """`jsonio.dump_tree` on the report of `corpus --jobs 1` over the
+    seed-0 corpus, against `json.dumps` with sorted keys and indent 2 as
+    `old`."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        taumod_main(["corpus", "--generate", "--seed", "0", "--dir", tmp])
+        out.seek(0)
+        out.truncate()
+        taumod_main(["corpus", "--dir", tmp, "--jobs", "1"])
+    tree = json.loads(out.getvalue())
+    label = f"write corpus-0 {len(out.getvalue()) // 1000}kB"
+    return (label, jsonio.dump_tree, (tree,),
+            lambda t: json.dumps(t, sort_keys=True, indent=2) + "\n", (tree,))
 
 
 def _captured(name, argv, want):

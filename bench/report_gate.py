@@ -13,7 +13,8 @@ Runs in one process through `taumod.cli.main` and prints one
   * `isocrystal slopes`, `isocrystal purity` (and its `verify`),
     `isocrystal dual` and `isocrystal tensor` with the simple pure twist
     of slope 1/2 on the dense twists of `TWISTS`, built as the `rank`
-    plan builds its twists over F_9.
+    plan builds its twists over F_9;
+  * `analyze` and its `verify` on the Drinfeld modules of `LOCAL`.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -33,6 +34,7 @@ import tempfile
 from taumod import jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main
+from taumod.drinfeld import DrinfeldModule
 from taumod.isocrystal import Isocrystal, simple_pure
 from taumod.zseries import ZSeries
 
@@ -58,6 +60,12 @@ TWISTS = (("f4-twist", FieldDescriptor(p=2, a=1, m=2, kind="finite"), 4, 1),
           ("f32-twist", FieldDescriptor(p=2, a=1, m=5, kind="finite"), 4, 1),
           ("f81-twist", FieldDescriptor(p=3, a=2, m=2, kind="finite"), 4, 1),
           ("f27-dense", FieldDescriptor(p=3, a=3, m=1, kind="finite"), 3, 8))
+# Drinfeld modules over F_2((zeta)) and F_3((zeta)) of rank 2 and 3 whose
+# coefficients have at least two zeta-terms each, so that the inverses
+# and products of their analyses carry local coefficients with finite
+# windows (the corpus's local coefficients are monomials). Each is
+# (index, p, rank).
+LOCAL = tuple((i, (2, 3)[i % 2], 2 + (i // 2) % 2) for i in range(6))
 
 
 def _sha(data):
@@ -148,6 +156,24 @@ def _twist_lines(work, label, desc, r, deg):
                                          "--other", str(other)], False))
 
 
+def _local_lines(i, p, r):
+    """`analyze` and `verify` on a seeded module of rank r over
+    F_p((zeta)): g_0 integral, every coefficient a sum of two or more
+    zeta-terms."""
+    K = FieldDescriptor(p=p, a=1, m=1, kind="local").field()
+    rng = random.Random(f"report-gate:local:{i}")
+
+    def terms(lo):
+        while True:
+            x = K.random(rng, lo, 3)
+            if len(x.co) >= 2:
+                return x
+
+    E = DrinfeldModule(K, [terms(0)] + [terms(-2) for _ in range(r)])
+    return _lines(f"local-f{p}-r{r}-{i}/analyze",
+                  ["analyze", "--input", jsonio.dump_canonical(E)], True)
+
+
 def _plan_lines(work, workload, seed):
     inputs = _inputs()
     d = work / f"{workload}{seed}"
@@ -176,6 +202,8 @@ def main_gate():
         lines = _corpus_lines(work)
         for label, desc, r, deg in TWISTS:
             lines += _twist_lines(work, label, desc, r, deg)
+        for i, p, r in LOCAL:
+            lines += _local_lines(i, p, r)
         for workload, seed in PLANS:
             lines += _plan_lines(work, workload, seed)
     for digest, label in sorted(lines, key=lambda t: t[1]):

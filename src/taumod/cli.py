@@ -294,8 +294,7 @@ def cmd_corpus(args):
         root.mkdir(parents=True, exist_ok=True)
         files = corpusgen.corpus_files(policy.seed or 0)
         for fname, payload in files:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-            (root / fname).write_text(text)
+            (root / fname).write_text(jsonio.dump_tree(payload))
         return _report("corpus generate", policy, {"seed": policy.seed or 0},
                        {"count": len(files)})
     if not root.is_dir():
@@ -395,7 +394,7 @@ def _emit(doc, fmt, stream):
     if fmt == "md":
         stream.write(to_markdown(doc))
     else:
-        stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        stream.write(jsonio.dump_tree(doc))
 
 
 # -- argument parsing -------------------------------------------------------

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from . import zmatrix
 from .errors import InputError, InvariantError, PrecisionLoss
+from .series import sum_of_products
 from .zseries import DEFAULT_Z_PREC, ZSeries
 
 INF = math.inf
@@ -203,12 +204,12 @@ def hnf_reduce(K, cols, r, prec=None):
                 continue
             q = col[i].shift(-v_i)
             for t in range(r):
-                col[t] = col[t] - q * piv[t]
+                col[t] = sum_of_products([(col[t], None, False), (q, piv[t], True)])
         for b in basis_cols:
             if any(n >= v_i for n in b[i].co):
                 q = _slice_above(K, b[i], v_i)
                 for t in range(r):
-                    b[t] = b[t] - q * piv[t]
+                    b[t] = sum_of_products([(b[t], None, False), (q, piv[t], True)])
         basis_cols.append(piv)
         pivots.append(v_i)
     basis = [[basis_cols[j][i] for j in range(r)] for i in range(r)]

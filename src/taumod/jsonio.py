@@ -16,6 +16,7 @@ keyed by the tau^{-1}-exponent.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from taumod import drinfeld, skew
 from taumod.basefield import Felt, FieldDescriptor, FiniteK, LocalElem, LocalK
@@ -128,7 +129,60 @@ def render(obj):
 
 def dump_canonical(obj):
     """Serialize with sorted keys and a trailing newline; byte-stable."""
-    return json.dumps(render(obj), sort_keys=True, indent=2) + "\n"
+    return dump_tree(render(obj))
+
+
+def dump_tree(tree):
+    """`json.dumps(tree, sort_keys=True, indent=2) + "\\n"`, byte for byte,
+    for a tree of dicts with str keys, lists, tuples, strs, ints, bools
+    and None; TypeError on any other type, float included. With indent
+    set, json.dumps runs its pure-Python encoder, a chain of generators;
+    this walk appends to one list."""
+    out = []
+    _put(tree, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _put(x, nl, out):
+    """Append the text of x to out; nl starts each line inside x."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _put(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            if type(k) is not str:
+                raise TypeError(f"JSON keys here are strs, not {type(k).__name__}")
+            out.append(sep + _quote(k) + ": ")
+            _put(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    else:
+        raise TypeError(f"no JSON text for {t.__name__}")
 
 
 def loads(text):

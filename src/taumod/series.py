@@ -42,7 +42,10 @@ and it picks one of three loops, all giving the same coefficients:
     minus sign adds log(-1);
   * the Felt loop `_felt_sum` multiplies coefficient by coefficient, for
     rings without log tables (`LocalK`, untabled fields) and for
-    coefficients from another field.
+    coefficients from another field. Over `LocalK`, whose coefficients
+    are themselves series, it groups the coefficient products by output
+    exponent and sums each group through `sum_of_products`, so they
+    reach the loops above over the residue field.
 
 Over a tabled field, the packed path takes untwisted sums (or twists
 that sigma fixes) over fields of degree n <= PACK_DEGREE with at least
@@ -404,11 +407,22 @@ def _window(terms):
 
 
 def _felt_sum(terms, hi):
-    """`sum_of_products` of terms with window hi, one coefficient product
-    at a time into one map. Operands over different fields are paired by
-    `_pair`: each product's, then the sum so far with the next product."""
+    """`sum_of_products` of terms with window hi, coefficient by
+    coefficient.
+
+    Over a local K (coefficients `LocalElem`, themselves series), when
+    every operand is over K, the coefficient products are grouped by
+    output exponent and each group is summed by one `sum_of_products`,
+    a sum of products of zeta-series; its window `_window` is the least
+    of its products' windows, as a chain of additions would give.
+    Otherwise, one coefficient product at a time into one map. Operands
+    over different fields are paired by `_pair`: each product's, then
+    the sum so far with the next product."""
     cls, K = type(terms[0][0]), terms[0][0].K
     twist = cls._TWIST
+    if cls._ring(K).kind == "local" and all(
+            a.K is K and (b is None or b.K is K) for a, b, _ in terms):
+        return cls(K, _grouped_sums(terms, hi, twist, K.sigma), hi)
     co = {}
     for a, b, neg in terms:
         if b is not None and a.K is not b.K:
@@ -434,6 +448,26 @@ def _felt_sum(terms, hi):
                 s = co.get(e)
                 co[e] = pr if s is None else s + pr
     return cls(K, co, hi)
+
+
+def _grouped_sums(terms, hi, twist, sigma):
+    """{exponent below hi: the sum of its coefficient products}, each
+    group one `sum_of_products`; a coefficient that a b-None term
+    contributes alone to its exponent is kept as it is."""
+    groups = {}
+    for a, b, neg in terms:
+        for e1, c1 in a.co.items():
+            if b is None:
+                if e1 < hi:
+                    groups.setdefault(e1, []).append((c1, None, neg))
+                continue
+            k = twist * e1
+            for e2, c2 in b.co.items():
+                if e1 + e2 < hi:
+                    groups.setdefault(e1 + e2, []).append(
+                        (c1, sigma(c2, k) if twist else c2, neg))
+    return {e: g[0][0] if len(g) == 1 and g[0][1] is None and not g[0][2]
+            else sum_of_products(g) for e, g in groups.items()}
 
 
 def _pair(a, b):

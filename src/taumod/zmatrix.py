@@ -6,7 +6,11 @@ is exact-arithmetic; windows propagate through the entry operations.
 Entries multiply through `series.sum_of_products`, the one product entry
 of windowed series, one call per sum: each entry of `mul`, each minor of
 `laplace_minors` (odd positions negated) and each entry of the row
-updates x - f*y of `inv`.
+updates x - f*y of `inv`, as `isocrystal.hnf_reduce` updates its
+columns. Over a local K, each sum in turn sums its coefficients by
+output exponent through `sum_of_products`. `inv` updates only the
+columns right of the pivot, and leaves x as it is where y is the exact
+zero.
 """
 
 import math
@@ -158,18 +162,24 @@ def inv(A, prec=None):
         work[col], work[piv] = work[piv], work[col]
         out[col], out[piv] = out[piv], out[col]
         pinv = work[col][col].inv(prec)
-        work[col] = [x * pinv for x in work[col]]
+        # the columns of work at or left of col are never read again
+        right = work[col][col + 1:] = [x * pinv for x in work[col][col + 1:]]
         out[col] = [x * pinv for x in out[col]]
         for r in range(n):
             if r != col:
                 f = work[r][col]
                 if f.known_nonzero() or f.co:
-                    # x - f*y, entry by entry
-                    work[r] = [sum_of_products([(x, None, False), (f, y, True)])
-                               for x, y in zip(work[r], work[col])]
-                    out[r] = [sum_of_products([(x, None, False), (f, y, True)])
-                              for x, y in zip(out[r], out[col])]
+                    work[r][col + 1:] = _minus_product(work[r][col + 1:], f, right)
+                    out[r] = _minus_product(out[r], f, out[col])
     return out
+
+
+def _minus_product(xs, f, ys):
+    """x - f*y entry by entry, one sum each; x itself where y is the
+    exact zero."""
+    return [x if not y.co and y.hi is INF
+            else sum_of_products([(x, None, False), (f, y, True)])
+            for x, y in zip(xs, ys)]
 
 
 def tau_power_matrix(A, k):

@@ -1,4 +1,5 @@
-"""Dense numpy references for the F_p kernels and the level solvers.
+"""Dense numpy references for the F_p kernels and the level solvers, and
+the series sums and row updates that one sum of products replaced.
 
 `taumod` runs on plain lists of ints. This module keeps the numpy
 versions of its F_p kernels (elimination, the level step, the canonical
@@ -13,13 +14,17 @@ read them or the products that run on them.
 
 import numpy as np
 
-from taumod import kernels
+from taumod import kernels, zmatrix
 from taumod.basefield import _find_modulus, frobenius_power, mult_matrix
+from taumod.errors import InputError, NotInvertible, PrecisionLoss
+from taumod.isocrystal import Lattice, _exact_zero, _slice_above
 from taumod.semilinear import (
     _fixed_space_terms,
     _fq_basis_from_fp_kernel,
     _mult_mat,
 )
+from taumod.series import INF, _pair, _window
+from taumod.zseries import DEFAULT_Z_PREC, ZSeries
 
 
 def tabled(field):
@@ -183,3 +188,154 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
     r = len(A)
     ker = fixed_space_kernel(A, N, e, require_unit)
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, L.ff.n)
+
+
+def chained_sum(terms):
+    """`series.sum_of_products(terms)` by the Felt loop, one coefficient
+    product at a time into one map, over local bases too. Operands over
+    different fields are paired by `_pair`: each product's, then the sum
+    so far with the next product."""
+    hi = _window(terms)
+    cls, K = type(terms[0][0]), terms[0][0].K
+    twist = cls._TWIST
+    co = {}
+    for a, b, neg in terms:
+        if b is not None and a.K is not b.K:
+            a, b = _pair(a, b)
+        if a.K is not K:
+            acc, a = _pair(cls(K, co), a)
+            K, co = acc.K, acc.co
+            if b is not None and b.K is not K:
+                b = b._lift(K)
+        sigma = cls._ring(K).sigma
+        for e1, c1 in a.co.items():
+            if neg:
+                c1 = -c1
+            if b is None:
+                row = ((e1, c1),)
+            elif twist:
+                k = twist * e1
+                row = [(e1 + e2, c1 * sigma(c2, k)) for e2, c2 in b.co.items()
+                       if e1 + e2 < hi]
+            else:
+                row = [(e1 + e2, c1 * c2) for e2, c2 in b.co.items() if e1 + e2 < hi]
+            for e, pr in row:
+                s = co.get(e)
+                co[e] = pr if s is None else s + pr
+    return cls(K, co, hi)
+
+
+def chained_hnf_reduce(K, cols, r, prec=None):
+    """`isocrystal.hnf_reduce`, each entry updated as x - q * y."""
+    W = DEFAULT_Z_PREC if prec is None else prec
+    work = [list(c) for c in cols if not all(_exact_zero(x) for x in c)]
+    basis_cols = []
+    pivots = []
+    for i in range(r):
+        best = None
+        unknown_bound = INF
+        for idx, col in enumerate(work):
+            e = col[i]
+            if _exact_zero(e):
+                continue
+            try:
+                v = e.valuation()
+            except PrecisionLoss:
+                unknown_bound = min(unknown_bound, e.val_lower_bound())
+                continue
+            if best is None or v < best[0]:
+                best = (v, idx)
+        if best is None and unknown_bound == INF:
+            raise InputError(f"generators are not full rank at row {i}")
+        if best is None or best[0] > unknown_bound:
+            raise PrecisionLoss(
+                f"pivot for row {i} is not settled within the window",
+                window=unknown_bound,
+            )
+        v_i, idx = best
+        piv = work.pop(idx)
+        u = piv[i].shift(-v_i)
+        u_inv = u.inv(prec=W)
+        piv = [x * u_inv for x in piv]
+        piv[i] = ZSeries(K, {v_i: K.one()}, piv[i].hi)
+        for col in work:
+            if not col[i].co:
+                continue
+            q = col[i].shift(-v_i)
+            for t in range(r):
+                col[t] = col[t] - q * piv[t]
+        for b in basis_cols:
+            if any(n >= v_i for n in b[i].co):
+                q = _slice_above(K, b[i], v_i)
+                for t in range(r):
+                    b[t] = b[t] - q * piv[t]
+        basis_cols.append(piv)
+        pivots.append(v_i)
+    basis = [[basis_cols[j][i] for j in range(r)] for i in range(r)]
+    return Lattice(K, basis, pivots)
+
+
+def chained_inv(A, prec=None):
+    """`zmatrix.inv`, every column of every row updated at each pivot by
+    `chained_sum`."""
+    n = len(A)
+    work = [list(row) for row in A]
+    out = zmatrix.identity(A[0][0].K, n) if n else []
+    for col in range(n):
+        piv, piv_val = None, None
+        for r in range(col, n):
+            entry = work[r][col]
+            if entry.known_nonzero():
+                v = entry.valuation()
+                if piv_val is None or v < piv_val:
+                    piv, piv_val = r, v
+        if piv is None:
+            windows = [work[r][col].hi for r in range(col, n)
+                       if work[r][col].co or work[r][col].hi is not INF]
+            if windows:
+                raise PrecisionLoss(f"pivot column {col} is zero only to its windows",
+                                    window=min(windows))
+            raise NotInvertible(f"no usable pivot in column {col}")
+        work[col], work[piv] = work[piv], work[col]
+        out[col], out[piv] = out[piv], out[col]
+        pinv = work[col][col].inv(prec)
+        work[col] = [x * pinv for x in work[col]]
+        out[col] = [x * pinv for x in out[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                if f.known_nonzero() or f.co:
+                    work[r] = [chained_sum([(x, None, False), (f, y, True)])
+                               for x, y in zip(work[r], work[col])]
+                    out[r] = [chained_sum([(x, None, False), (f, y, True)])
+                              for x, y in zip(out[r], out[col])]
+    return out
+
+
+def random_coeff(K, rng):
+    """A seeded element of K; over a local K, one in three is known only
+    below a zeta-power, and some of those are zero to their window."""
+    c = K.random(rng)
+    if K.kind == "local" and rng.random() < 0.3:
+        c = c.truncate(rng.randrange(-1, 4))
+    return c
+
+
+def random_entry(K, rng, windowed=True):
+    """A seeded z-series over K: the exact zero, zero to its window, or up
+    to 8 terms (5 over a local K), most of them windowed if windowed."""
+    roll = rng.random()
+    if roll < 0.08:
+        return ZSeries.zero(K)
+    if roll < 0.12 and windowed:
+        return ZSeries(K, {}, rng.randrange(0, 5))
+    lo = rng.randrange(-1, 2)
+    terms = rng.randrange(1, 6 if K.kind == "local" else 9)
+    co = {e: random_coeff(K, rng) for e in rng.sample(range(lo, lo + terms + 3), terms)}
+    hi = lo + terms + rng.randrange(1, 6) if windowed and rng.random() < 0.7 else INF
+    return ZSeries(K, co, hi)
+
+
+def random_matrix(K, rng, n, m=None, windowed=True):
+    return [[random_entry(K, rng, windowed) for _ in range(n if m is None else m)]
+            for _ in range(n)]

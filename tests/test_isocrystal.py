@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taumod import zmatrix
 from taumod.basefield import FieldDescriptor
-from taumod.errors import InputError
+from taumod.errors import InputError, PrecisionLoss
 from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
@@ -36,6 +36,8 @@ from taumod.isocrystal import (
 )
 from taumod.semilinear import free_module_check, tau_fixed_space
 from taumod.zseries import ZSeries
+
+from dense_oracle import chained_hnf_reduce, random_entry
 
 INF = math.inf
 
@@ -167,6 +169,39 @@ class TestHnf:
         c = [ZSeries.one(K), ZSeries.one(K)]
         with pytest.raises(InputError):
             hnf_reduce(K, [c, c], 2)
+
+    @staticmethod
+    def exact(fn, K, cols, r, prec):
+        """The pivots and basis entries (field, window, coefficient map) of
+        fn's lattice, or the class, window and message of its error."""
+        try:
+            T = fn(K, [list(c) for c in cols], r, prec)
+        except (InputError, PrecisionLoss) as exc:
+            return type(exc).__name__, getattr(exc, "window", None), str(exc)
+        return "ok", T.pivots, [[(x.K, x.hi, x.co) for x in row] for row in T.basis]
+
+    @pytest.mark.parametrize("desc", [FieldDescriptor(p=3, a=2, m=1, kind="finite"),
+                                      FieldDescriptor(p=2, a=1, m=1, kind="local")],
+                             ids=["F9", "F2((zeta))"])
+    def test_row_updates_match_the_chain(self, desc):
+        # each update x - q*y is one sum of products; the oracle subtracts
+        # the product from x
+        K = desc.field()
+        rng = random.Random(f"test-hnf-rows:{desc.kind}")
+        seen = set()
+        for i in range(40):
+            r = rng.randrange(1, 5)
+            cols = [[random_entry(K, rng, windowed=i % 4 != 0) for _ in range(r)]
+                    for _ in range(r + rng.randrange(0, 3))]
+            if i % 5 == 0:
+                # a row of exact zeros: not full rank
+                for c in cols:
+                    c[-1] = ZSeries.zero(K)
+            prec = rng.choice((None, 4, 12))
+            got = self.exact(hnf_reduce, K, cols, r, prec)
+            assert got == self.exact(chained_hnf_reduce, K, cols, r, prec)
+            seen.add(got[0])
+        assert seen == {"ok", "InputError", "PrecisionLoss"}
 
 
 class TestPurity:

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,8 +179,6 @@ class TestCanonicalBytes:
         assert a == b
 
     def test_fraction_and_inf_forms(self):
-        from fractions import Fraction
-
         assert json.loads(jsonio.dump_canonical(Fraction(-3, 6))) == [-1, 2]
         assert json.loads(jsonio.dump_canonical(INF)) is None
 
@@ -188,6 +187,44 @@ class TestCanonicalBytes:
 
     def test_trailing_newline(self):
         assert jsonio.dump_canonical(0).endswith("\n")
+
+
+# keys with non-ASCII, quote, backslash, control and lone-surrogate
+# characters; leaves of every type `jsonio.dump_tree` writes
+_KEYS = st.text(max_size=5) | st.sampled_from(
+    ["", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+     "\U0001f600"])
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(-(2**200), 2**200) | st.text(max_size=8) | _KEYS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=40)
+
+
+class TestTreeWriter:
+    @given(_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, tree):
+        want = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        assert jsonio.dump_tree(tree) == want
+
+    def test_empty_containers_and_scalars(self):
+        for tree in ({}, [], (), {"a": {}, "b": [[], {}, ()]}, None, True, -0, ""):
+            assert jsonio.dump_tree(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("leaf", [0.5, INF, Fraction(1, 2), {1, 2}, frozenset()],
+                             ids=["float", "inf", "Fraction", "set", "frozenset"])
+    def test_other_types_raise(self, leaf):
+        for tree in (leaf, [1, leaf], {"k": [leaf]}):
+            with pytest.raises(TypeError):
+                jsonio.dump_tree(tree)
+
+    def test_int_key_raises(self):
+        for tree in ({1: "x"}, {"a": {2: None}}, [{True: 1}]):
+            with pytest.raises(TypeError):
+                jsonio.dump_tree(tree)
 
 
 # the keys, in order, of each kind-tagged record's rendering: those of the

@@ -9,6 +9,11 @@ that rings without log tables take; `felt_sum` is the reference for a
 signed sum of products, one Felt product and one Felt sum or difference
 at a time. Every product and every sum must give the same coefficients
 and the same window.
+
+Over a local K the coefficients are themselves series, and a sum groups
+its coefficient products by output exponent, one `sum_of_products` per
+group; `dense_oracle.chained_sum`, which adds one product at a time, is
+the reference there, local coefficients' windows included.
 """
 
 import math
@@ -21,7 +26,7 @@ from taumod.series import PACK_DEGREE, PACK_PAIRS, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
-from dense_oracle import tabled
+from dense_oracle import chained_sum, random_coeff, tabled
 
 INF = math.inf
 
@@ -565,3 +570,74 @@ def test_large_sums_with_foreign_coefficients_take_the_chain():
     got, want = sum_of_products(terms), felt_sum(terms)
     assert got.hi == want.hi and got.co.keys() == want.co.keys()
     assert all(got.co[e] == c for e, c in want.co.items())
+
+
+# ---------------------------------------------------------------------------
+# sums over a local K, grouped by output exponent
+
+LOCAL_FIELDS = {
+    "F2((zeta))": FieldDescriptor(p=2, a=1, m=1, kind="local"),
+    "F3((zeta))": FieldDescriptor(p=3, a=1, m=1, kind="local"),
+    "F9((zeta))": FieldDescriptor(p=3, a=2, m=1, kind="local"),
+}
+
+
+def random_local_series(cls, K, rng):
+    """A seeded series over the local K whose coefficients may be inexact
+    or zero to their window (`random_coeff`): ZSeries windowed or exact,
+    SkewPoly exact of degree below 5."""
+    if cls is SkewPoly:
+        exps, hi = rng.sample(range(5), rng.randrange(1, 5)), INF
+    else:
+        lo = rng.randrange(-3, 2)
+        exps = rng.sample(range(lo, lo + 8), rng.randrange(1, 7))
+        hi = lo + rng.randrange(3, 10) if rng.random() < 0.6 else INF
+    co = {}
+    for e in exps:
+        c = random_coeff(K, rng)
+        co[e] = LocalElem(K, {}, rng.randrange(-2, 4)) if rng.random() < 0.1 else c
+    return cls(K, co, hi)
+
+
+def assert_same_local(got, want):
+    assert type(got) is type(want) and got.K is want.K
+    assert got.hi == want.hi
+    assert got.co.keys() == want.co.keys()
+    for e, c in want.co.items():
+        assert (got.co[e].K, got.co[e].hi, got.co[e].co) == (c.K, c.hi, c.co)
+
+
+@pytest.mark.parametrize("label", sorted(LOCAL_FIELDS))
+@pytest.mark.parametrize("cls", [ZSeries, SkewPoly])
+def test_local_sums_match_the_chain(label, cls):
+    K = LOCAL_FIELDS[label].field()
+    rng = random.Random(f"series-kernel-local-sum:{label}:{cls.__name__}")
+    for count in range(1, 7):
+        for _ in range(4):
+            terms = []
+            for _ in range(count):
+                a = random_local_series(cls, K, rng)
+                roll = rng.random()
+                if roll < 0.25:
+                    b = None
+                elif roll < 0.3:
+                    b = cls.zero(K)
+                else:
+                    b = random_local_series(cls, K, rng)
+                terms.append((a, b, rng.random() < 0.5))
+            assert_same_local(sum_of_products(terms), chained_sum(terms))
+            a, b = terms[0][0], random_local_series(cls, K, rng)
+            assert_same_local(a * b, chained_sum([(a, b, False)]))
+
+
+def test_local_sums_over_two_fields_keep_the_chain():
+    # an operand over the quadratic extension: the sum so far is lifted
+    K = LOCAL_FIELDS["F3((zeta))"].field()
+    L = K.extend(2)
+    rng = random.Random("series-kernel-local-two-fields")
+    for at in range(3):
+        terms = [(random_local_series(ZSeries, K, rng), random_local_series(ZSeries, K, rng),
+                  i % 2 == 1) for i in range(3)]
+        big = random_local_series(ZSeries, L, rng)
+        terms.insert(at, (big, terms[0][0], True))
+        assert_same_local(sum_of_products(terms), chained_sum(terms))

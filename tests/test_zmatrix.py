@@ -6,6 +6,10 @@ Each sum of products now goes through `series.sum_of_products`: in the
 log domain over F_9 and F_4, through the same chain over F_2((zeta)).
 Every rendered result must be equal, windows included, and so must the
 error a loop raises (its class, window and message).
+
+`inv` updates only the columns right of the pivot and skips the exact
+zeros of the pivot row; `dense_oracle.chained_inv` updates every column,
+and the two must give the same entries, coefficients and windows alike.
 """
 
 import math
@@ -17,6 +21,8 @@ from taumod import jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.errors import InputError, NotInvertible, PrecisionLoss
 from taumod.zseries import ZSeries
+
+from dense_oracle import chained_inv, random_matrix
 
 INF = math.inf
 
@@ -109,39 +115,21 @@ def chain_inv(A, prec=None):
     return out
 
 
-# -- seeded matrices ---------------------------------------------------------
-
-def _coeff(K, rng):
-    c = K.random(rng)
-    if K.kind == "local" and rng.random() < 0.3:
-        # a coefficient known only below zeta^h
-        c = c.truncate(rng.randrange(-1, 4))
-    return c
-
-
-def random_entry(K, rng, windowed=True):
-    roll = rng.random()
-    if roll < 0.08:
-        return ZSeries.zero(K)
-    if roll < 0.12 and windowed:
-        # zero to its window
-        return ZSeries(K, {}, rng.randrange(0, 5))
-    lo = rng.randrange(-1, 2)
-    terms = rng.randrange(1, 6 if K.kind == "local" else 9)
-    co = {e: _coeff(K, rng) for e in rng.sample(range(lo, lo + terms + 3), terms)}
-    hi = lo + terms + rng.randrange(1, 6) if windowed and rng.random() < 0.7 else INF
-    return ZSeries(K, co, hi)
-
-
-def random_matrix(K, rng, n, m=None, windowed=True):
-    return [[random_entry(K, rng, windowed) for _ in range(n if m is None else m)]
-            for _ in range(n)]
-
+# -- outcomes and seeded cases (matrices from `dense_oracle.random_matrix`) --
 
 def outcome(fn, *args):
     """The rendered result, or the class, window and message of the error."""
     try:
         return "ok", jsonio.render(fn(*args))
+    except (PrecisionLoss, NotInvertible) as exc:
+        return type(exc).__name__, getattr(exc, "window", None), str(exc)
+
+
+def exact(fn, *args):
+    """`outcome`, with each entry as its field, window and coefficient map;
+    local coefficients compare by their windows and maps too."""
+    try:
+        return "ok", [[(x.K, x.hi, x.co) for x in row] for row in fn(*args)]
     except (PrecisionLoss, NotInvertible) as exc:
         return type(exc).__name__, getattr(exc, "window", None), str(exc)
 
@@ -191,6 +179,7 @@ def test_inv_matches_the_chain(label, n):
         prec = rng.choice((None, 4, 12))
         got = outcome(zmatrix.inv, A, prec)
         assert got == outcome(chain_inv, A, prec)
+        assert exact(zmatrix.inv, A, prec) == exact(chained_inv, A, prec)
         seen.add(got[0])
     assert "ok" in seen
 
@@ -211,6 +200,8 @@ def test_inv_errors_match_the_chain(label):
         got = outcome(zmatrix.inv, A)
         assert got[0] == want
         assert got == outcome(chain_inv, A)
+        assert exact(zmatrix.inv, A) == exact(chained_inv, A)
+
 
 
 def test_mul_of_shapes_that_do_not_compose():
