@@ -44,7 +44,10 @@ PLANS = (("rank", 1), ("tower", 1))
 # request name -> extra flags. `weil-f9-g01` runs out of degrees at the
 # default `--ext-max 8`; at 9 it succeeds, the first success path whose
 # conjugator lives in a field above `basefield.TABLE_LIMIT`.
-RERUNS = {"weil-f9-g01": ["--ext-max", "9"]}
+# `tate-f4-const` splits at degree 3, so at `--ext-max 2` its report is
+# the exhaustion that `tateweil.split_degree` decides.
+RERUNS = {"weil-f9-g01": ["--ext-max", "9"],
+          "tate-f4-const": ["--ext-max", "2"]}
 # dense rank-4 twists: over F_4 (q = 2, m = 2), where sums of products take
 # the packed path of `series.sum_of_products` and the sign of a sum over
 # p = 2 is covered, over F_32 (q = 2, m = 5), whose degree 5 is above

@@ -2,8 +2,8 @@
 
 For each request of the seed-0 `rank` and `tower` plans of
 perfbench/inputs.py, the `verify` of each report those plans verify,
-and `corpus --jobs 1` on the corpus of `corpus --generate --seed 0`,
-prints
+`corpus --generate --seed 0`, and `corpus --jobs 1` on the corpus it
+writes, prints
 
   * the median CPU time (user + system) of N fresh
     `python3 -m taumod` processes running it, and
@@ -100,8 +100,10 @@ def _requests(work):
                 reqs.append((f"{label}.verify", ["verify", "--input", report], d,
                              None))
     corpus = work / "corpus0"
+    generate = ["corpus", "--generate", "--seed", "0", "--dir", str(corpus)]
     with contextlib.redirect_stdout(io.StringIO()):
-        main(["corpus", "--generate", "--seed", "0", "--dir", str(corpus)])
+        main(generate)
+    reqs.append(("corpus --generate --seed 0", generate, work, None))
     reqs.append(("corpus0 --jobs 1", ["corpus", "--dir", str(corpus), "--jobs", "1"],
                  work, None))
     return reqs

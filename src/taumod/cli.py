@@ -60,7 +60,8 @@ class PrecisionPolicy:
     """Knobs echoed verbatim into every report.
 
     ext_max bounds the degree [L : K] of the coefficient extension that
-    the tate and weil sweeps try, degree by degree from 1.  A tower that
+    tate and weil may use: weil sweeps the degrees from 1, and tate reads
+    its degree off the twist (`tateweil.split_degree`).  A tower that
     needs a larger degree ends budget_exhausted (exit 3).
     """
 

@@ -3,8 +3,9 @@
 Every generator is a pure function of its seed: the same seed yields
 the same objects in the same order, so corpus files regenerate
 byte-identically.  Families are chosen to terminate inside the default
-budgets; in particular the slope-zero twists are filtered through the
-fixed-point certifier before they are emitted.
+budgets; in particular a slope-zero twist is emitted only when its
+fixed points split within the extension budget, which the degree rule
+of `tateweil.split_degree` decides without solving for them.
 """
 
 import random
@@ -13,8 +14,8 @@ from taumod import jsonio
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import DrinfeldModule, reduction_type
 from taumod.errors import BudgetExceeded
-from taumod.isocrystal import Isocrystal
-from taumod.tateweil import tate_slope0
+from taumod.isocrystal import Inconclusive, Isocrystal
+from taumod.tateweil import split_degree, unit_twist
 from taumod.zseries import INF, ZSeries
 
 # (p, a) with q = p^a covering q in {2, 3, 4}
@@ -109,11 +110,13 @@ def _slope0_candidates(K, rng):
 
 
 def slope0_corpus(seed=0, prec=4, ext_max=8):
-    """Pure slope-zero twists whose fixed points certify as free.
+    """Pure slope-zero twists whose fixed points split within ext_max.
 
     Candidates that exhaust the extension budget (constant twists with
     a deep coefficient tower, shears with a trace obstruction) are
-    dropped; only instances the certifier accepts are emitted.
+    dropped; one whose purity or lattice search is inconclusive is
+    kept. Only the degree is decided (`split_degree`): no extension
+    field is built and no fixed point is solved for.
     """
     rng = random.Random(("slope0", seed).__repr__())
     out = []
@@ -123,7 +126,9 @@ def slope0_corpus(seed=0, prec=4, ext_max=8):
             for tag, A in _slope0_candidates(K, rng):
                 M = Isocrystal(K, A)
                 try:
-                    tate_slope0(M, N=prec, e_max=ext_max)
+                    got = unit_twist(M, N=prec)
+                    if not isinstance(got, Inconclusive):
+                        split_degree(got[1], prec, ext_max)
                 except BudgetExceeded:
                     continue
                 q = p**a

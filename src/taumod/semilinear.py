@@ -488,13 +488,14 @@ def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
     F_q, found inside the exact F_p-kernel that `fixed_space_levels`
     reaches at its last level.
 
-    With `full` (one degree of the tate sweep) the answer is None at the
-    first level n whose fixed space has F_q-dimension below r*(n+1), and
-    no field is built for such a degree. By Lang's theorem the fixed
-    space at z-precision n has F_q-dimension at most r*n, and r*N at
-    precision N forces r*n at every n <= N (the fixed points over the
-    algebraic closure then are all rational, and they surject onto each
-    lower precision), so a short level rules the degree out.
+    With `full` the answer is None at the first level n whose fixed space
+    has F_q-dimension below r*(n+1), and no field is built then. By
+    Lang's theorem the fixed space at z-precision n has F_q-dimension at
+    most r*n, with equality at every n <= N exactly when the fixed points
+    over the algebraic closure are all rational mod z^N, which
+    `tateweil.split_degree` decides from the powers of the twist's norm.
+    `tate_slope0` asks for `full` at the degree it finds, where a short
+    level is a fault.
     """
     K, r = A[0][0].K, len(A)
     need = K.desc.a * r if full else 0  # F_p-dimension of F_q^r
@@ -512,32 +513,13 @@ def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
 
 
 def _fixed_space_terms(A, N, require_unit=True):
-    """Check A for the fixed-point system at z-precision N; return
-    (K, r, terms) with one term (i, j, k, c) per coefficient c of z^k,
-    k < N, in A[i][j]."""
-    K = A[0][0].K
-    if K.kind != "finite":
-        raise InputError("tau-fixed points are computed over finite bases")
-    r, r2 = zmatrix.dims(A)
-    if r != r2:
-        raise InputError("square tau matrix required")
-    if require_unit:
-        _require_invertible_mod_z(A)
-    terms = []
-    for i in range(r):
-        for j in range(r):
-            entry = A[i][j]
-            if entry.hi < N:
-                raise PrecisionLoss(
-                    "tau matrix entry known below the requested z-precision",
-                    need=N,
-                    window=entry.hi,
-                )
-            for k in entry.support():
-                if k < 0:
-                    raise InputError("tau matrix must be over K[[z]] here")
-                if k < N:
-                    terms.append((i, j, k, entry.co[k]))
+    """Check A for the fixed-point system at z-precision N
+    (`zmatrix.check_tau_matrix`); return (K, r, terms) with one term
+    (i, j, k, c) per coefficient c of z^k, k < N, in A[i][j]."""
+    K, r = zmatrix.check_tau_matrix(A, N, require_unit)
+    terms = [(i, j, k, entry.co[k])
+             for i, row in enumerate(A) for j, entry in enumerate(row)
+             for k in entry.support() if k < N]
     return K, r, terms
 
 
@@ -567,13 +549,6 @@ def fixed_space_levels(A, N, e, require_unit=True):
         coupling = [[x for blk in blocks for x in blk[t]] for t in range(w)]
         rows = kernels.extend_kernel(rows, coupling, diag, p)
         yield rows
-
-
-def _require_invertible_mod_z(A):
-    d = zmatrix.det(A)
-    v = d.valuation()
-    if v is INF or v != 0:
-        raise InputError("tau matrix not invertible mod z")
 
 
 def _fq_basis_from_fp_kernel(K, L, ker, r, N, nL):

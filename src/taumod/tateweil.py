@@ -2,25 +2,31 @@
 
 Three layers. The slope-zero layer turns a pure twist into linear
 algebra: an invariant lattice makes the matrix integral with unit
-determinant, and fixed points over a swept coefficient extension
-assemble into a free F_q[[z]]/z^N-module carrying the coefficient
-Frobenius. The formal layer expands the inverse of phi_t in the skew
-Laurent field K((tau^{-1})) and reads a companion module back off the
-expansion. The Weil layer conjugates the expansion onto the normal
-form iota(z) = tau^{-r} and measures tau^{-1}-valuations of the
+determinant, and its fixed points over the coefficient extension that
+splits it assemble into a free F_q[[z]]/z^N-module carrying the
+coefficient Frobenius. The formal layer expands the inverse of phi_t in
+the skew Laurent field K((tau^{-1})) and reads a companion module back
+off the expansion. The Weil layer conjugates the expansion onto the
+normal form iota(z) = tau^{-r} and measures tau^{-1}-valuations of the
 resulting Frobenius cocycle.
 
-Both coefficient-extension sweeps solve their F_p-linear system once
-per degree, level by level on `basefield.FpExtension` data
-(`semilinear.tau_fixed_space` in z, `_conjugator_levels` in
-tau^{-1}): a degree is dropped at the first level that rules it out,
-and the degree that passes builds its field and reads its answer off
-the last level.
+The slope-zero layer needs no sweep. By Lang's theorem the fixed
+points of v = B*sigma(v) span over the algebraic closure, and over
+K = F_{q^m} they are all rational over the degree-e extension exactly
+when N(B)^e = 1 mod z^N, with N(B) = B*sigma(B)*...*sigma^{m-1}(B)
+(Dieudonne-Manin; Katz 1979). `split_degree` reads the degree off the
+powers of N(B), and `tate_slope0` solves the F_p-linear system once, at
+that degree (`semilinear.tau_fixed_space`). The Weil layer still sweeps
+its degrees: it needs one solution of `_conjugator_levels` with a
+nonzero leading term, not the whole rational solution space, so it
+solves each degree level by level in tau^{-1}, drops it at the first
+level that rules it out, and builds only the field of the degree that
+passes.
 """
 
 from fractions import Fraction
 
-from taumod import kernels, zmatrix
+from taumod import kernels, semilinear, zmatrix
 from taumod.basefield import fp_extension
 from taumod.errors import ExtensionExhausted, InputError, InvariantError
 from taumod.isocrystal import (
@@ -31,11 +37,6 @@ from taumod.isocrystal import (
     conjugated_matrix,
     pure0_lattice,
     purity_check,
-)
-from taumod.semilinear import (
-    frobenius_action,
-    free_module_check,
-    tau_fixed_space,
 )
 from taumod.skew import DEFAULT_TAUINV_PREC, SkewLaurent, skew_inverse
 from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
@@ -53,20 +54,13 @@ class TateData(Record):
                            "twist", "fq_dimension", "module_basis", "frobenius")
 
 
-def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
-    """Tate space of a pure slope-zero twist at z-precision N.
+def unit_twist(M, N=4, max_iters=32, prec=None):
+    """(lattice, B) for a pure slope-zero twist M over a finite base, or
+    the Inconclusive of a purity or lattice search that ran out.
 
-    Finds an invariant lattice, conjugates the twist onto it, then
-    sweeps coefficient extensions until the fixed points form a free
-    F_q[[z]]/z^N-module of rank equal to the rank of M. The sweep is
-    necessary: the integral form only trivializes after a finite
-    coefficient extension. Each degree is one call of
-    `tau_fixed_space(..., full=True)`, solved level by level in z on
-    F_p-linear data, and only a degree whose fixed space is full builds
-    its field, reads its F_q-basis off the last level and runs
-    `free_module_check` there. Raises ExtensionExhausted when e_max
-    does not suffice; purity budget failures surface as Inconclusive.
-    """
+    B is M's matrix in the basis of an invariant lattice, found at the
+    working z-precision `prec` (by default max(N + 4, DEFAULT_Z_PREC)):
+    a matrix over K[[z]] that is a unit mod z."""
     K = M.K
     if K.kind != "finite":
         raise InputError("the slope-zero Tate space needs a finite base")
@@ -79,33 +73,89 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     lat = pure0_lattice(M, cert, prec=work)
     if isinstance(lat, Inconclusive):
         return lat
-    B = conjugated_matrix(M, lat, prec=work)
-    r = M.rank
-    for e in range(1, e_max + 1):
-        basis = tau_fixed_space(B, N, e=e, full=True)
-        if basis is None:
-            continue
-        ok, mb = free_module_check(K, basis, r, N)
-        if not ok:
-            continue
-        C = frobenius_action(K, mb, N)
-        v = zmatrix.det(C).valuation()
-        if v != 0:
-            raise InvariantError(
-                f"coefficient Frobenius not invertible, det valuation {v}"
-            )
-        return TateData(
-            rank=r,
-            z_precision=N,
-            extension=e,
-            lattice=lat,
-            twist=B,
-            fq_dimension=len(basis),
-            module_basis=mb,
-            frobenius=C,
-        )
+    return lat, conjugated_matrix(M, lat, prec=work)
+
+
+def _norm_powers(B, N):
+    """N(B), N(B)^2, ... mod z^N, where N(B) = B*sigma(B)*...*sigma^{d-1}(B)
+    and d = [K : F_q]; B is checked (`zmatrix.check_tau_matrix`) when
+    the first power is asked for."""
+    K, _ = zmatrix.check_tau_matrix(B, N)
+    P = _truncate(zmatrix.tau_power_matrix(_truncate(B, N), K.desc.m * K.ext), N)
+    acc = P
+    while True:
+        yield acc
+        acc = _truncate(zmatrix.mul(acc, P), N)
+
+
+def _truncate(A, N):
+    return [[x.truncate(N) for x in row] for row in A]
+
+
+def split_degree(B, N, e_max):
+    """The least degree e <= e_max of the coefficient extension over which
+    every fixed point of v = B*sigma(v) mod z^N is rational.
+
+    The fixed points over the algebraic closure are U*F_q[[z]]^r for a
+    solution U of U = B*sigma(U) that is invertible (Lang's theorem,
+    for B a unit mod z), and sigma^{me}(U) = N(B)^{-e}*U over
+    K = F_{q^m}. So they are all rational over the degree-e extension,
+    and then free of rank r over F_q[[z]]/z^N, exactly when
+    N(B)^e = 1 mod z^N. Raises ExtensionExhausted when no e <= e_max
+    has it. B is checked as `semilinear.tau_fixed_space` checks it,
+    before the first degree is decided; with e_max < 1 none is, and B
+    is not checked.
+    """
+    identity = zmatrix.identity(B[0][0].K, len(B))
+    for e, P in zip(range(1, e_max + 1), _norm_powers(B, N)):
+        if zmatrix.agrees(P, identity):
+            return e
     raise ExtensionExhausted(
-        f"fixed points not free of rank {r} within {e_max} coefficient extensions"
+        f"fixed points not free of rank {len(B)} within {e_max} coefficient extensions"
+    )
+
+
+def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
+    """Tate space of a pure slope-zero twist at z-precision N.
+
+    Finds an invariant lattice and conjugates the twist onto it
+    (`unit_twist`); the integral form trivializes only after a finite
+    coefficient extension, whose degree `split_degree` reads off the
+    twist's norm. The fixed points are solved there once, level by
+    level in z on F_p-linear data (`tau_fixed_space(..., full=True)`),
+    and form a free F_q[[z]]/z^N-module of rank equal to the rank of M
+    (`free_module_check`); the theorem behind the degree rules out any
+    other outcome, which is an InvariantError. Raises
+    ExtensionExhausted when e_max does not suffice; purity budget
+    failures surface as Inconclusive.
+    """
+    got = unit_twist(M, N, max_iters, prec)
+    if isinstance(got, Inconclusive):
+        return got
+    lat, B = got
+    r = M.rank
+    e = split_degree(B, N, e_max)
+    basis = semilinear.tau_fixed_space(B, N, e=e, full=True)
+    if basis is None:
+        raise InvariantError(f"fixed points short of rank {r} at the split degree {e}")
+    ok, mb = semilinear.free_module_check(M.K, basis, r, N)
+    if not ok:
+        raise InvariantError(f"fixed points not free of rank {r} at the split degree {e}")
+    C = semilinear.frobenius_action(M.K, mb, N)
+    v = zmatrix.det(C).valuation()
+    if v != 0:
+        raise InvariantError(
+            f"coefficient Frobenius not invertible, det valuation {v}"
+        )
+    return TateData(
+        rank=r,
+        z_precision=N,
+        extension=e,
+        lattice=lat,
+        twist=B,
+        fq_dimension=len(basis),
+        module_basis=mb,
+        frobenius=C,
     )
 
 

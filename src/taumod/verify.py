@@ -10,7 +10,7 @@ module.
 """
 
 from taumod import drinfeld, jsonio, kernels, semilinear, tateweil, zmatrix
-from taumod.errors import NoRoot, PrecisionLoss
+from taumod.errors import ExtensionExhausted, InputError, NoRoot, PrecisionLoss
 from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
 from taumod.verdicts import verdict_of
 from taumod.zseries import DEFAULT_Z_PREC, INF
@@ -197,6 +197,14 @@ def _replay_tate(inp, result, checks, policy):
         twist_ok = all(b.agrees_with(c) and min(b.hi, c.hi) >= N
                        for rb, rc in zip(B, got) for b, c in zip(rb, rc))
     _check(checks, "tate: twist is the input in the lattice basis", twist_ok)
+    # the theorem behind `split_degree`: N(B)^e = 1 mod z^N, and no
+    # smaller power of N(B) is
+    try:
+        least = tateweil.split_degree(B, N, e)
+    except (ExtensionExhausted, InputError):
+        least = None
+    _check(checks, "tate: extension is the least degree that splits the twist",
+           least == e)
     L = K.extend(e)
     BL = zmatrix.lift(B, L)
     mb = _parse_matrix(L, tate_doc["module_basis"])

@@ -8,22 +8,45 @@ on the same inputs, and dense solvers for the conjugator and
 fixed-point systems: these build the whole N*[L:F_p]-column matrix over
 a built field L, with its coefficients coerced along the canonical
 embedding, and take one nullspace of it. Tests compare the level solver
-against them. `tabled` fills a field's log tables for the tests that
-read them or the products that run on them.
+against them. `sweep_tate_slope0` finds the Tate space's degree by
+sweeping e = 1, 2, ... and solving the fixed points at each, and
+`sweep_slope0_corpus` filters the corpus's slope-zero candidates
+through it; tests compare the degree rule of `tateweil.split_degree`
+and the corpus generator against them. `tabled` fills a field's log
+tables for the tests that read them or the products that run on them.
 """
+
+import random
 
 import numpy as np
 
-from taumod import kernels, zmatrix
+from taumod import corpusgen, kernels, semilinear, zmatrix
 from taumod.basefield import _find_modulus, frobenius_power, mult_matrix
-from taumod.errors import InputError, NotInvertible, PrecisionLoss
-from taumod.isocrystal import Lattice, _exact_zero, _slice_above
+from taumod.errors import (
+    BudgetExceeded,
+    ExtensionExhausted,
+    InputError,
+    NotInvertible,
+    PrecisionLoss,
+)
+from taumod.isocrystal import (
+    Inconclusive,
+    Isocrystal,
+    Lattice,
+    PurityCertificate,
+    _exact_zero,
+    _slice_above,
+    conjugated_matrix,
+    pure0_lattice,
+    purity_check,
+)
 from taumod.semilinear import (
     _fixed_space_terms,
     _fq_basis_from_fp_kernel,
     _mult_mat,
 )
 from taumod.series import INF, _pair, _window
+from taumod.tateweil import TateData
 from taumod.zseries import DEFAULT_Z_PREC, ZSeries
 
 
@@ -188,6 +211,58 @@ def tau_fixed_space(A, N, e=1, require_unit=True):
     r = len(A)
     ker = fixed_space_kernel(A, N, e, require_unit)
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, L.ff.n)
+
+
+def sweep_tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
+    """`tateweil.tate_slope0` as a sweep over the degrees e = 1, 2, ...:
+    each degree solves the fixed points level by level, and the first
+    whose fixed space is full and free is the answer. The degree and the
+    errors `split_degree` gives must be this sweep's."""
+    K = M.K
+    if K.kind != "finite":
+        raise InputError("the slope-zero Tate space needs a finite base")
+    work = max(N + 4, DEFAULT_Z_PREC) if prec is None else prec
+    cert = purity_check(M, 0, 1, max_iters=max_iters, prec=work)
+    if isinstance(cert, Inconclusive):
+        return cert
+    if not isinstance(cert, PurityCertificate):
+        raise InputError("input is not pure of slope zero")
+    lat = pure0_lattice(M, cert, prec=work)
+    if isinstance(lat, Inconclusive):
+        return lat
+    B = conjugated_matrix(M, lat, prec=work)
+    r = M.rank
+    for e in range(1, e_max + 1):
+        basis = semilinear.tau_fixed_space(B, N, e=e, full=True)
+        if basis is None:
+            continue
+        ok, mb = semilinear.free_module_check(K, basis, r, N)
+        if not ok:
+            continue
+        return TateData(rank=r, z_precision=N, extension=e, lattice=lat, twist=B,
+                        fq_dimension=len(basis), module_basis=mb,
+                        frobenius=semilinear.frobenius_action(K, mb, N))
+    raise ExtensionExhausted(
+        f"fixed points not free of rank {r} within {e_max} coefficient extensions"
+    )
+
+
+def sweep_slope0_corpus(seed=0, prec=4, ext_max=8):
+    """`corpusgen.slope0_corpus` with each candidate filtered through
+    `sweep_tate_slope0`."""
+    rng = random.Random(("slope0", seed).__repr__())
+    out = []
+    for p, a in corpusgen.QS:
+        for m in (1, 2, 3):
+            K = corpusgen.finite_base(p, a, m)
+            for tag, A in corpusgen._slope0_candidates(K, rng):
+                M = Isocrystal(K, A)
+                try:
+                    sweep_tate_slope0(M, N=prec, e_max=ext_max)
+                except BudgetExceeded:
+                    continue
+                out.append((f"iso-s0-q{p**a}-m{m}-{tag}", M))
+    return out
 
 
 def chained_sum(terms):

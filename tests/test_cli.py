@@ -619,6 +619,24 @@ ran = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
 sys.stderr.write(json.dumps({"ran": ran, "dataclasses": "dataclasses" in sys.modules}))
 sys.exit(code)
 """
+# runs the CLI on its arguments, then writes on stderr the taumod modules
+# it ran and the (p, n) of every field F_{p^n} it built
+GENERATE_PROBE = """
+import json, sys, types
+from taumod import basefield
+from taumod.cli import main
+built = []
+init = basefield.FF.__init__
+def recorded(ff, p, n):
+    built.append((p, n))
+    init(ff, p, n)
+basefield.FF.__init__ = recorded
+code = main(sys.argv[1:])
+ran = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
+             if n.startswith("taumod.") and type(m) is types.ModuleType)
+sys.stderr.write(json.dumps({"ran": ran, "built": built}))
+sys.exit(code)
+"""
 # the modules that a request runs only if its command uses them
 ON_USE = {"drinfeld", "semilinear", "skew", "tateweil", "verify", "corpusgen"}
 
@@ -662,6 +680,37 @@ class TestModulesRun:
         assert code == 0 and json.loads(out)["verdict"] == "ok"
         assert {"tateweil", "semilinear", "skew"} <= ran
         assert not ran & {"drinfeld", "verify", "corpusgen"}
+
+    def test_weil_and_its_verify_run_no_semilinear(self, tmp_path):
+        K = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
+        E = DrinfeldModule(K, [K.zero(), K.zero(), K.one()])
+        report = tmp_path / "weil.json"
+        for argv in (["weil", "--input", jsonio.dump_canonical(E)],
+                     ["verify", "--input", str(report)]):
+            code, out, ran, _ = probe_modules(argv)
+            assert code == 0
+            assert {"tateweil", "drinfeld", "skew"} <= ran
+            assert not ran & {"semilinear", "corpusgen"}
+            report.write_text(out)
+        assert json.loads(out)["verdict"] == "ok"
+
+    def test_generate_builds_only_base_fields_and_runs_no_semilinear(self, tmp_path):
+        # the slope-zero filter decides the degree alone: it builds no
+        # extension field and solves no fixed-point system
+        out = subprocess.run(
+            [sys.executable, "-c", GENERATE_PROBE, "corpus", "--generate", "--seed",
+             "0", "--dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == 0
+        seen = json.loads(out.stderr)
+        bases = set()
+        for path in tmp_path.glob("*.json"):
+            base = json.loads(path.read_text())["base"]
+            bases.add((base["p"], base["a"] * base["m"]))
+        assert len(bases) == 8
+        assert {tuple(f) for f in seen["built"]} == bases
+        assert "tateweil" in seen["ran"] and "semilinear" not in seen["ran"]
 
     def test_corpus_runs_no_generator_and_no_tateweil(self, tmp_path):
         # the first two items of each kind of the seed-0 corpus

@@ -1,13 +1,16 @@
-"""The level-by-level degree search against the exhaustive sweep.
+"""The degree searches against the exhaustive sweep.
 
-`iota_conjugator` and `tate_slope0` solve each extension degree level by
-level on F_p-linear data and build only the field of the degree that
-passes. The oracle here is the exhaustive dense sweep of `dense_oracle`:
-every degree builds its field and takes one nullspace of the whole
-system there. On seeded random inputs both must give the same extension
-and the same rendered conjugator or TateData, or the same
-ExtensionExhausted message, and the last level's canonical basis must be
-the dense nullspace basis at every degree.
+`iota_conjugator` solves each extension degree level by level on
+F_p-linear data and builds only the field of the degree that passes;
+`tate_slope0` reads its degree off the twist's norm (`split_degree`) and
+solves the fixed points at that degree alone. The oracle here is the
+exhaustive dense sweep of `dense_oracle`: every degree builds its field
+and takes one nullspace of the whole system there. On seeded random
+inputs both must give the same extension and the same rendered
+conjugator or TateData, or the same ExtensionExhausted message, and the
+last level's canonical basis must be the dense nullspace basis at every
+degree. The corpus generator, which decides only the degree, must emit
+what a filter through the sweep emits.
 """
 
 import os
@@ -18,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from taumod import basefield, jsonio, kernels, zmatrix
+from taumod import basefield, corpusgen, jsonio, kernels, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import DrinfeldModule
-from taumod.errors import ExtensionExhausted
+from taumod.errors import ExtensionExhausted, PrecisionLoss
 from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
@@ -36,6 +39,7 @@ from taumod.tateweil import (
     _conjugator_rows,
     _vector_to_unit,
     iota_conjugator,
+    split_degree,
     tate_slope0,
 )
 from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
@@ -184,6 +188,50 @@ def test_tate_matches_the_exhaustive_sweep(seed, monkeypatch):
     monkeypatch.undo()
     assert (_outcome(lambda: tate_slope0(M, N=N, e_max=e_max))
             == _outcome(lambda: exhaustive_tate(M, N, e_max)))
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_split_degree_is_the_first_degree_of_the_sweep(seed):
+    rng, K, N, e_max = _case(seed)
+    M = _slope0(rng, K)
+    _, B = twist(M, N)
+    assert (_outcome(lambda: split_degree(B, N, e_max))
+            == _outcome(lambda: exhaustive_tate(M, N, e_max).extension))
+
+
+def _failure(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "need", None),
+                getattr(exc, "window", None))
+    raise AssertionError("no error raised")
+
+
+def test_tate_errors_are_those_of_the_sweep():
+    K = FieldDescriptor(p=2, a=2, m=1, kind="finite").field()
+    z = ZSeries.z(K)
+    # a constant unit known below z^3, and the same twist in a basis
+    # skewed by z^-2: the twist B is checked before any degree is decided
+    c = ZSeries(K, {0: K.gen()}, 3)
+    P = [[ZSeries.one(K), ZSeries.z(K, -2)], [ZSeries.zero(K), ZSeries.one(K)]]
+    D = [[c, ZSeries.zero(K)], [ZSeries.zero(K), c + z]]
+    skewed = zmatrix.mul(zmatrix.mul(P, D), zmatrix.sigma(zmatrix.inv(P)))
+    for M, prec in ((Isocrystal(K, [[c]]), 3), (Isocrystal(K, skewed), None),
+                    (Isocrystal(K, []), None)):
+        for e_max in (0, 8):
+            got = _failure(lambda: tate_slope0(M, N=4, e_max=e_max, prec=prec))
+            assert got == _failure(
+                lambda: dense.sweep_tate_slope0(M, N=4, e_max=e_max, prec=prec))
+    assert _failure(lambda: tate_slope0(Isocrystal(K, [[c]]), N=4, prec=3))[:2] == (
+        PrecisionLoss.__name__, "tau matrix entry known below the requested z-precision")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slope0_corpus_is_the_sweep_filter(seed):
+    assert ([(name, jsonio.render(M)) for name, M in corpusgen.slope0_corpus(seed)]
+            == [(name, jsonio.render(M))
+                for name, M in dense.sweep_slope0_corpus(seed)])
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumod import corpusgen, jsonio, zmatrix
-from taumod.basefield import FieldDescriptor
+from taumod.basefield import FieldDescriptor, coerce_into
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
 from taumod.isocrystal import Isocrystal, simple_pure, unit
@@ -85,12 +85,12 @@ def honest(command):
 
 _PURITY = [("s",), ("r",), ("lattice", "basis"), ("lattice", "pivots")]
 _TATE = [("result", "tate", key)
-         for key in ("lattice", "twist", "module_basis", "frobenius")]
+         for key in ("extension", "lattice", "twist", "module_basis", "frobenius")]
 
 # Paths whose every leaf the replay re-derives. Left out: descriptive
 # strings, search trivia (iteration counts, residue pivots), echoes of
 # the input, and claims that only get weaker when changed (a smaller
-# precision, a larger extension).
+# precision).
 CERTIFIED = {
     "analyze": [("verdict",), ("result", "reduction"),
                 ("result", "crosscheck", "verdict"),
@@ -359,6 +359,32 @@ def test_tate_result_of_another_module_is_refused():
     assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
         "tate: twist is the input in the lattice basis"]
 
+
+
+def test_tate_forged_larger_extension_is_refused():
+    # the honest report on a constant F_4-twist splits at extension 3;
+    # restated at 6, with its module basis moved into F_{4^6}, every
+    # other claim still holds there
+    K = F4F.field()
+    M = Isocrystal(K, [[ZSeries(K, {0: K.gen()}, INF)]])
+    code, doc = run_json(["tate", "--prec-z", "16",
+                          "--input", jsonio.dump_canonical(M)])
+    tate = doc["result"]["tate"]
+    assert code == 0 and tate["extension"] == 3
+    L3, L6 = K.extend(3), K.extend(6)
+
+    def moved(cell):
+        s = jsonio.parse_zseries(L3, cell)
+        return jsonio.render(ZSeries(L6, {e: coerce_into(c, L6.ff)
+                                          for e, c in s.co.items()}, s.hi))
+
+    tate["extension"] = 6
+    tate["module_basis"] = [[moved(cell) for cell in vec]
+                            for vec in tate["module_basis"]]
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "tate: extension is the least degree that splits the twist"]
 
 
 def test_tate_report_with_a_shifted_lattice_verifies():
