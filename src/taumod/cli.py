@@ -62,25 +62,26 @@ class PrecisionPolicy:
     ext_max bounds the degree [L : K] of the coefficient extension that
     tate and weil may use: weil sweeps the degrees from 1, and tate reads
     its degree off the twist (`tateweil.split_degree`).  A tower that
-    needs a larger degree ends budget_exhausted (exit 3).
+    needs a larger degree ends budget_exhausted (exit 3). zeta_window
+    echoes the default window of `FieldDescriptor`; no flag sets it, and
+    a base read from the input may carry its own.
     """
 
-    __slots__ = ("z_prec", "zeta_window", "tauinv_prec", "ext_max",
-                 "purity_max_iters", "seed")
+    __slots__ = ("z_prec", "tauinv_prec", "ext_max", "purity_max_iters", "seed")
+    zeta_window = (-8, 8)
 
-    def __init__(self, z_prec=8, zeta_window=(-8, 8), tauinv_prec=16,
-                 ext_max=8, purity_max_iters=32, seed=None):
+    def __init__(self, z_prec=8, tauinv_prec=16, ext_max=8, purity_max_iters=32,
+                 seed=None):
         self.z_prec = z_prec
-        self.zeta_window = zeta_window
         self.tauinv_prec = tauinv_prec
         self.ext_max = ext_max
         self.purity_max_iters = purity_max_iters
         self.seed = seed
 
     def as_dict(self):
-        d = {name: getattr(self, name) for name in self.__slots__}
-        d["zeta_window"] = list(self.zeta_window)
-        return d
+        return {"z_prec": self.z_prec, "zeta_window": list(self.zeta_window),
+                "tauinv_prec": self.tauinv_prec, "ext_max": self.ext_max,
+                "purity_max_iters": self.purity_max_iters, "seed": self.seed}
 
 
 def _policy(args):

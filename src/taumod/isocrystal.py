@@ -3,8 +3,8 @@
 tau acts on column vectors by v -> A*sigma(v).  The module provides the
 tensor calculus (tensor, dual, internal hom), purity certification by a
 lattice fixed-point iteration, a Newton-polygon slope oracle over finite
-bases, lattice chains for slope 1/r, slope-0 lattice descent, and model
-verification over the integral coefficient ring.
+bases, slope-0 lattice descent, and model verification over the
+integral coefficient ring.
 """
 
 import math
@@ -37,6 +37,8 @@ class Isocrystal:
 
     def __init__(self, K, A):
         r = len(A)
+        if not r:
+            raise InputError("twist matrix must have positive rank")
         for row in A:
             if len(row) != r:
                 raise InputError("twist matrix must be square")
@@ -51,8 +53,6 @@ class Isocrystal:
 def twist_inverse(M, prec=None):
     """A^-1 at z-precision prec, checked by A*A^-1 = I: NotInvertible if
     A is singular, PrecisionLoss if the windows settle no pivot."""
-    if not M.rank:
-        return []
     A_inv = zmatrix.inv(M.A, prec=prec)
     if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
         raise InvariantError("invertibility witness fails A*A_inv = I")
@@ -285,9 +285,6 @@ def purity_check(M, s, r, max_iters=32, prec=None):
     """
     if r <= 0:
         raise InputError("denominator must be positive")
-    if M.rank == 0:
-        return PurityCertificate(s, r, standard_lattice(M.K, 0), 0,
-                                 {"identity": "vacuous"})
     rd = r  # d = 1 throughout
     A_rd = M.tau_power(rd)
     T = standard_lattice(M.K, M.rank)
@@ -361,8 +358,6 @@ def slopes_finiteK(M):
     """
     if M.K.kind != "finite":
         raise InputError("slope oracle needs a finite base")
-    if M.rank == 0:
-        return []
     m_tot = M.K.desc.m * M.K.ext
     A_m = M.tau_power(m_tot)
     coeffs = _char_poly(M.K, A_m)
@@ -390,24 +385,7 @@ def slopes_finiteK(M):
     return sorted(out)
 
 
-# ------------------------------------------------------------ lattice chains
-
-class LatticeChain(Record):
-    __slots__ = _fields = ("lattices", "verification")
-
-
-def _containment_index(T_big, T_small, prec=None):
-    """v_z(det) of the change of basis, requiring integral entries."""
-    Binv = zmatrix.inv(T_big.basis, prec=prec)
-    Mchg = zmatrix.mul(Binv, T_small.basis)
-    for i in range(len(Mchg)):
-        for j in range(len(Mchg)):
-            x = Mchg[i][j]
-            if x.known_nonzero() and x.valuation() < 0:
-                return None
-    d = zmatrix.det(Mchg)
-    return d.valuation()
-
+# ------------------------------------------------------- slope-0 lattices
 
 def _orbit_span(M, T, n, prec):
     """The lattice spanned by tau^i T for 0 <= i < n."""
@@ -417,38 +395,6 @@ def _orbit_span(M, T, n, prec):
         G = zmatrix.mul(M.tau_power(i), zmatrix.sigma(T.basis, i))
         cols.extend([[G[t][j] for t in range(r)] for j in range(r)])
     return hnf_reduce(M.K, cols, r, prec)
-
-
-def lattice_chain(M, cert, prec=None):
-    """Chain T_0 ⊇ T_1 ⊇ ... with T_{n+1} = ⟨tau T_n⟩ and T_r = z T_0."""
-    if not isinstance(cert, PurityCertificate):
-        raise InputError("a purity certificate at (1, r) is required")
-    if cert.s != 1 or cert.r != M.rank:
-        raise InputError("chain construction needs slope 1/rank")
-    r = M.rank
-    # saturate under tau powers so the chain becomes nested
-    chain = [_orbit_span(M, cert.lattice, r, prec)]
-    for _ in range(r):
-        chain.append(_tau_image(M, 1, chain[-1], prec))
-    steps = []
-    for n in range(r):
-        idx = _containment_index(chain[n], chain[n + 1], prec=prec)
-        if idx is None:
-            return Inconclusive(f"step {n} is not a sublattice to precision")
-        steps.append(idx)
-    periodic = lattice_eq(chain[r], chain[0].scale_z(1))
-    if not periodic:
-        return Inconclusive("chain does not return to z T_0 to precision")
-    if any(s != 1 for s in steps):
-        return Inconclusive(f"quotient dimensions {steps} are not all 1")
-    return LatticeChain(
-        chain,
-        {
-            "quotient_dims": steps,
-            "periodicity": "T_r == z T_0",
-            "length": r,
-        },
-    )
 
 
 def pure0_lattice(M, cert, prec=None):

@@ -1,6 +1,6 @@
 """Semilinear solvers.
 
-Three solvers around the q-power twist:
+Two solvers around the q-power twist:
 
   * solve_scalar: sigma(x) = a*x + b over a tagged subring of K((z)),
     resolved coefficientwise. The z-order of `a` picks the regime:
@@ -11,9 +11,6 @@ Three solvers around the q-power twist:
     v -> A*sigma(v) on (F_{q^{m e}}[[z]]/z^N)^r as exact F_p-linear
     algebra solved one z-level at a time (`fixed_space_levels`), plus
     the coefficient-Galois action on the fixed space.
-  * m_lambda_tau_dim: invariant dimension of the slope-lambda twist
-    over a discretely valued base, decided by the structure of the
-    coefficient orbit recursion rather than open-ended search.
 
 No-backtracking note: x -> x^q is injective in characteristic p, so
 whenever the recursion forces a coefficient there is exactly one
@@ -35,7 +32,6 @@ from taumod.basefield import (
     mult_matrix,
 )
 from taumod.errors import (
-    InputError,
     InvariantError,
     NoRoot,
     NotStable,
@@ -477,32 +473,25 @@ def _coords_vec(K, coords, r, N, nL):
 # tau-fixed points
 
 
-def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
+def tau_fixed_space(A, N, e):
     """F_q-basis of {v over F_{q^{m ext e}}[[z]]/z^N : A*sigma(v) = v}.
 
     A is an r x r matrix of ZSeries over a finite base with entries in
-    K[[z]]. With require_unit the matrix must also be invertible mod z,
-    which makes the fixed points a module over F_q[[z]]/z^N; without it
-    the kernel is still well defined (used for vanishing checks). The
-    defect map is F_q-linear (not L-linear); the returned basis is over
-    F_q, found inside the exact F_p-kernel that `fixed_space_levels`
-    reaches at its last level.
+    K[[z]], invertible mod z, which makes the fixed points a module over
+    F_q[[z]]/z^N. The defect map is F_q-linear (not L-linear); the
+    returned basis is over F_q, found inside the exact F_p-kernel that
+    `fixed_space_levels` reaches at its last level, and the field L of
+    degree e is built for it.
 
-    With `full` the answer is None at the first level n whose fixed space
-    has F_q-dimension below r*(n+1), and no field is built then. By
-    Lang's theorem the fixed space at z-precision n has F_q-dimension at
-    most r*n, with equality at every n <= N exactly when the fixed points
-    over the algebraic closure are all rational mod z^N, which
-    `tateweil.split_degree` decides from the powers of the twist's norm.
-    `tate_slope0` asks for `full` at the degree it finds, where a short
-    level is a fault.
+    By Lang's theorem the basis has at most r*N vectors, and exactly
+    r*N when the fixed points over the algebraic closure are all
+    rational mod z^N, which `tateweil.split_degree` decides from the
+    powers of the twist's norm.
     """
     K, r = A[0][0].K, len(A)
-    need = K.desc.a * r if full else 0  # F_p-dimension of F_q^r
     rows = []
-    for n, rows in enumerate(fixed_space_levels(A, N, e, require_unit)):
-        if len(rows) < need * (n + 1):
-            return None
+    for rows in fixed_space_levels(A, N, e):
+        pass
     # the rows, permuted to the coordinates (component, z-degree, field),
     # brought to the basis a nullspace of the whole system gives
     L = K.extend(e)
@@ -512,18 +501,18 @@ def tau_fixed_space(A, N, e=1, require_unit=True, full=False):
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
 
 
-def _fixed_space_terms(A, N, require_unit=True):
+def _fixed_space_terms(A, N):
     """Check A for the fixed-point system at z-precision N
     (`zmatrix.check_tau_matrix`); return (K, r, terms) with one term
     (i, j, k, c) per coefficient c of z^k, k < N, in A[i][j]."""
-    K, r = zmatrix.check_tau_matrix(A, N, require_unit)
+    K, r = zmatrix.check_tau_matrix(A, N)
     terms = [(i, j, k, entry.co[k])
              for i, row in enumerate(A) for j, entry in enumerate(row)
              for k in entry.support() if k < N]
     return K, r, terms
 
 
-def fixed_space_levels(A, N, e, require_unit=True):
+def fixed_space_levels(A, N, e):
     """Solve v = A*sigma(v) over the degree-e extension one z-level at a
     time, on F_p-linear data alone (`basefield.FpExtension`), with no
     field built.
@@ -533,7 +522,7 @@ def fixed_space_levels(A, N, e, require_unit=True):
     `kernels.extend_kernel`, an F_p-basis of the fixed points mod
     z^(n+1), with coordinates level-major: (z-degree, component, field).
     """
-    K, r, terms = _fixed_space_terms(A, N, require_unit)
+    K, r, terms = _fixed_space_terms(A, N)
     ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, nL, w = ext.p, ext.n, r * ext.n
     Q = ext.frob(K.desc.a)
@@ -650,73 +639,3 @@ def frobenius_action(K, module_basis, N):
 
 def _series_frob(s, kpow):
     return ZSeries(s.K, {e: c.frob(kpow) for e, c in s.co.items()}, s.hi)
-
-
-# ---------------------------------------------------------------------------
-# invariant dimension of the slope twist
-
-
-def m_lambda_tau_dim(lam, desc):
-    """dim of the tau-invariants of the rank-r slope-s/r twist over a
-    discretely valued base: 1 for lambda = 0, else 0.
-
-    The twist reduces to the single equation f = z^s sigma^r(f), whose
-    coefficient orbits obey alpha_n = alpha_{n-s}^{q^r}. For s != 0 the
-    verdict is that recursion's closed form: a coefficient of valuation
-    v != 0 forces valuation v / q^{rk} k steps back, impossible in a
-    discrete valuation once q^{rk} does not divide v, and a unit orbit
-    is bi-infinite with all valuations 0, which violates coefficient
-    decay toward the boundary. The certificate carries the backward
-    breakpoint of each seed valuation +-1, +-2, +-3 and the unit-orbit
-    argument.
-    """
-    lam = Fraction(lam)
-    if desc.kind != "local":
-        raise InputError("invariant dimension needs a discretely valued base")
-    s, r = lam.numerator, lam.denominator
-    q = desc.q
-    cert = {
-        "kind": "m_lambda_tau_dim",
-        "lambda": [s, r],
-        "q": q,
-        "equation": "f = z^s * sigma^r(f)",
-        "orbit_recursion": "alpha_n = alpha_{n-s}^{q^r}",
-    }
-    if s == 0:
-        K = desc.field()
-        f = ZSeries.one(K)
-        ok = f.sigma(r) == f
-        if not ok:
-            raise InvariantError("constant family fails the fixed-point equation")
-        cert["dim"] = 1
-        cert["witness"] = {
-            "kind": "constant_family",
-            "basis": "1",
-            "check": "sigma^r(1) = 1",
-        }
-        return 1, cert
-    qr = q**r
-    seeds = []
-    for v0 in (-3, -2, -1, 1, 2, 3):
-        # backward orbit alpha_{n-ks} has valuation v0 / q^{rk}
-        k, v = 0, abs(v0)
-        while v % qr == 0:
-            v //= qr
-            k += 1
-        seeds.append(
-            {
-                "seed_valuation": v0,
-                "breakpoint_steps_back": k + 1,
-                "residual_valuation": v if v0 > 0 else -v,
-                "reason": "not divisible by q^r, impossible in a discrete valuation",
-            }
-        )
-    cert["dim"] = 0
-    cert["obstructions"] = {
-        "nonzero_valuation_seeds": seeds,
-        "unit_seeds": {
-            "orbit": "bi-infinite in n with all valuations 0",
-            "violates": "coefficient decay toward the boundary",
-        },
-    }
-    return 0, cert

@@ -151,8 +151,3 @@ def skew_inverse(f, prec=DEFAULT_TAUINV_PREC):
             acc = acc - K.el(fk) * K.sigma(u[n - k], -k)
         u[j] = K.sigma(fv_inv * acc, v)
     return SkewLaurent(K, u, out_hi)
-
-
-def conjugate(u, f, prec=DEFAULT_TAUINV_PREC):
-    """u * f * u^{-1} within the common window."""
-    return (u * f) * skew_inverse(u, prec)

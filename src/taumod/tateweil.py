@@ -16,12 +16,13 @@ K = F_{q^m} they are all rational over the degree-e extension exactly
 when N(B)^e = 1 mod z^N, with N(B) = B*sigma(B)*...*sigma^{m-1}(B)
 (Dieudonne-Manin; Katz 1979). `split_degree` reads the degree off the
 powers of N(B), and `tate_slope0` solves the F_p-linear system once, at
-that degree (`semilinear.tau_fixed_space`). The Weil layer still sweeps
-its degrees: it needs one solution of `_conjugator_levels` with a
-nonzero leading term, not the whole rational solution space, so it
-solves each degree level by level in tau^{-1}, drops it at the first
-level that rules it out, and builds only the field of the degree that
-passes.
+that degree (`semilinear.tau_fixed_space`), with no test of its levels
+on the way: the count of the last level's basis decides them all. The
+Weil layer still sweeps its degrees: it needs one solution of
+`_conjugator_levels` with a nonzero leading term, not the whole rational
+solution space, so it solves each degree level by level in tau^{-1},
+drops it at the first level that rules it out, and builds only the
+field of the degree that passes.
 """
 
 from fractions import Fraction
@@ -102,9 +103,9 @@ def split_degree(B, N, e_max):
     K = F_{q^m}. So they are all rational over the degree-e extension,
     and then free of rank r over F_q[[z]]/z^N, exactly when
     N(B)^e = 1 mod z^N. Raises ExtensionExhausted when no e <= e_max
-    has it. B is checked as `semilinear.tau_fixed_space` checks it,
-    before the first degree is decided; with e_max < 1 none is, and B
-    is not checked.
+    has it. B is checked (`zmatrix.check_tau_matrix`) as
+    `semilinear.tau_fixed_space` checks it, before the first degree is
+    decided; with e_max < 1 none is, and B is not checked.
     """
     identity = zmatrix.identity(B[0][0].K, len(B))
     for e, P in zip(range(1, e_max + 1), _norm_powers(B, N)):
@@ -122,12 +123,16 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     (`unit_twist`); the integral form trivializes only after a finite
     coefficient extension, whose degree `split_degree` reads off the
     twist's norm. The fixed points are solved there once, level by
-    level in z on F_p-linear data (`tau_fixed_space(..., full=True)`),
-    and form a free F_q[[z]]/z^N-module of rank equal to the rank of M
-    (`free_module_check`); the theorem behind the degree rules out any
-    other outcome, which is an InvariantError. Raises
-    ExtensionExhausted when e_max does not suffice; purity budget
-    failures surface as Inconclusive.
+    level in z on F_p-linear data (`semilinear.tau_fixed_space`), and
+    form a free F_q[[z]]/z^N-module of rank equal to the rank of M
+    (`free_module_check`). Its count r*N also shows every level full:
+    by Lang's theorem level n has F_q-dimension at most r*(n+1), and
+    the fixed points mod z^N that vanish mod z^(n+1) are z^(n+1)*w for
+    fixed points w mod z^(N-n-1), of dimension at most r*(N-n-1); so a
+    count of r*N leaves each level n exactly r*(n+1). The theorem
+    behind the degree rules out any other outcome, which is an
+    InvariantError. Raises ExtensionExhausted when e_max does not
+    suffice; purity budget failures surface as Inconclusive.
     """
     got = unit_twist(M, N, max_iters, prec)
     if isinstance(got, Inconclusive):
@@ -135,9 +140,7 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     lat, B = got
     r = M.rank
     e = split_degree(B, N, e_max)
-    basis = semilinear.tau_fixed_space(B, N, e=e, full=True)
-    if basis is None:
-        raise InvariantError(f"fixed points short of rank {r} at the split degree {e}")
+    basis = semilinear.tau_fixed_space(B, N, e)
     ok, mb = semilinear.free_module_check(M.K, basis, r, N)
     if not ok:
         raise InvariantError(f"fixed points not free of rank {r} at the split degree {e}")

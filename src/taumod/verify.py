@@ -205,6 +205,10 @@ def _replay_tate(inp, result, checks, policy):
         least = None
     _check(checks, "tate: extension is the least degree that splits the twist",
            least == e)
+    if least != e:
+        # the rest is replayed over the claimed degree's field, whose
+        # size the report would set
+        return
     L = K.extend(e)
     BL = zmatrix.lift(B, L)
     mb = _parse_matrix(L, tate_doc["module_basis"])

@@ -182,18 +182,18 @@ def _minus_product(xs, f, ys):
             for x, y in zip(xs, ys)]
 
 
-def check_tau_matrix(A, N, require_unit=True):
+def check_tau_matrix(A, N):
     """Check that A can carry the tau-fixed-point system v = A*sigma(v)
-    at z-precision N: square over a finite base, invertible mod z when
-    `require_unit`, and every entry in K[[z]] and known below z^N, in
-    that order. Returns (K, r)."""
+    at z-precision N: square over a finite base, invertible mod z, and
+    every entry in K[[z]] and known below z^N, in that order. Returns
+    (K, r)."""
     K = A[0][0].K
     if K.kind != "finite":
         raise InputError("tau-fixed points are computed over finite bases")
     r, r2 = dims(A)
     if r != r2:
         raise InputError("square tau matrix required")
-    if require_unit and det(A).valuation() != 0:
+    if det(A).valuation() != 0:
         raise InputError("tau matrix not invertible mod z")
     for row in A:
         for entry in row:

@@ -105,40 +105,6 @@ class ZSeries(Series):
         co = {e: self.K.sigma(c, k) for e, c in self.co.items()}
         return self._with(co, self.hi)
 
-    # -- valuation data over local K --------------------------------------
-
-    def content_profile(self, lo=None, hi=None):
-        """{z-exponent: exact zeta-valuation of coefficient} over
-        [lo, hi). Defaults to the stored support; exact zeros are left
-        out. PrecisionLoss if the requested window exceeds knowledge or
-        a coefficient is zero only to its zeta-precision."""
-        if not self.co and lo is None:
-            return {}
-        exps = self.support()
-        if lo is None:
-            lo = exps[0]
-        if hi is None:
-            hi = exps[-1] + 1 if exps else lo
-        if hi > self.hi:
-            raise PrecisionLoss(
-                f"profile window [{lo},{hi}) exceeds known z-window",
-                need=hi,
-                window=self.hi,
-            )
-        out = {}
-        for n in range(lo, hi):
-            c = self.co.get(n)
-            if c is None:
-                continue
-            if self.K.kind == "finite":
-                out[n] = 0
-                continue
-            v = c.valuation()  # PrecisionLoss for zero-to-precision
-            out[n] = v if v is not INF else None
-            if out[n] is None:
-                del out[n]
-        return out
-
     # -- ring-tower membership --------------------------------------------
 
     def membership(self, tag):

@@ -182,10 +182,10 @@ def conjugator_kernel(E, L, N):
     return nullspace_mod_p(big.tolist(), dim, p)
 
 
-def fixed_space_kernel(A, N, e=1, require_unit=True):
+def fixed_space_kernel(A, N, e):
     """F_p-kernel basis of v -> A*sigma(v) - v on (L[[z]]/z^N)^r, L the
     degree-e extension, coordinates (component, z-degree, field)."""
-    K, r, terms = _fixed_space_terms(A, N, require_unit)
+    K, r, terms = _fixed_space_terms(A, N)
     L = K.extend(e)
     ff = L.ff
     p, nL = ff.p, ff.n
@@ -204,20 +204,33 @@ def fixed_space_kernel(A, N, e=1, require_unit=True):
     return nullspace_mod_p(big.tolist(), dim, p)
 
 
-def tau_fixed_space(A, N, e=1, require_unit=True):
+def tau_fixed_space(A, N, e):
     """The F_q-basis of the fixed space from the dense kernel."""
     K = A[0][0].K
     L = K.extend(e)
     r = len(A)
-    ker = fixed_space_kernel(A, N, e, require_unit)
+    ker = fixed_space_kernel(A, N, e)
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, L.ff.n)
+
+
+def levels_full(A, N, e):
+    """Whether every level n < N of `semilinear.fixed_space_levels` has
+    F_q-dimension r*(n+1), read level by level: False at the first short
+    level, before the later ones are solved, and with no field built."""
+    K, r = A[0][0].K, len(A)
+    need = K.desc.a * r  # F_p-dimension of F_q^r
+    for n, rows in enumerate(semilinear.fixed_space_levels(A, N, e)):
+        if len(rows) < need * (n + 1):
+            return False
+    return True
 
 
 def sweep_tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     """`tateweil.tate_slope0` as a sweep over the degrees e = 1, 2, ...:
-    each degree solves the fixed points level by level, and the first
-    whose fixed space is full and free is the answer. The degree and the
-    errors `split_degree` gives must be this sweep's."""
+    each degree solves the fixed points level by level up to the first
+    short level (`levels_full`), and the first degree whose fixed space
+    is full and free is the answer. The degree and the errors
+    `split_degree` gives must be this sweep's."""
     K = M.K
     if K.kind != "finite":
         raise InputError("the slope-zero Tate space needs a finite base")
@@ -233,9 +246,9 @@ def sweep_tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     B = conjugated_matrix(M, lat, prec=work)
     r = M.rank
     for e in range(1, e_max + 1):
-        basis = semilinear.tau_fixed_space(B, N, e=e, full=True)
-        if basis is None:
+        if not levels_full(B, N, e):
             continue
+        basis = semilinear.tau_fixed_space(B, N, e)
         ok, mb = semilinear.free_module_check(K, basis, r, N)
         if not ok:
             continue

@@ -15,7 +15,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from taumod import corpusgen, jsonio, zmatrix
+from taumod import corpusgen, jsonio, semilinear, zmatrix
 from taumod.basefield import FieldDescriptor, get_field
 from taumod.cli import PrecisionPolicy, main
 from taumod.drinfeld import DrinfeldModule
@@ -282,6 +282,17 @@ class TestErrors:
         [got] = doc["result"]["items"]
         assert got["verdict"] == "pure"
 
+    def test_empty_twist_is_refused_where_it_is_read(self):
+        # the parser refuses an empty tau_matrix before any isocrystal is
+        # built, with the same bytes for every command that reads one
+        inp = json.dumps({"base": jsonio.render_field(F9F.field()), "tau_matrix": []})
+        for argv in (["isocrystal", "slopes"], ["isocrystal", "dual"], ["tate"]):
+            code, out = run(argv + ["--input", inp])
+            assert code == 2 and json.loads(out) == {
+                "kind": "error_report", "tool": {"name": "taumod", "version": "0.1.0"},
+                "error": "InputError",
+                "detail": "tau_matrix must be a nonempty square array", "exit": 2}
+
     def test_singular_twist_exits_2(self):
         # an exactly singular twist is not an isocrystal: bad input
         K = F9F.field()
@@ -368,6 +379,68 @@ class TestSolve:
                             "--a", solve_side(K, ZSeries.one(K)),
                             "--b", solve_side(K2, ZSeries.one(K2))])
         assert code == 2
+
+
+class TestSolvePathsReplay:
+    """The solver paths that only a `solve` request reaches: each runs
+    through `main`, is seen to reach its path, and replays through
+    `verify`."""
+
+    F9M2 = FieldDescriptor(p=3, a=1, m=2, kind="finite")
+
+    def _replays(self, K, a, b, ring="BK"):
+        code, out = run(["solve", "--ring", ring, "--prec-z", "6",
+                         "--a", solve_side(K, a), "--b", solve_side(K, b)])
+        assert code == 0
+        vcode, vr = run_json(["verify", "--input", out])
+        assert vcode == 0 and vr["verdict"] == "ok"
+        assert vr["checks"] and all(c["ok"] for c in vr["checks"])
+        return json.loads(out)
+
+    @staticmethod
+    def _spy(monkeypatch, owner, name):
+        calls = []
+        fn = getattr(owner, name)
+
+        def spy(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_ring_ak(self, monkeypatch):
+        calls = self._spy(monkeypatch, ZSeries, "_member_ak")
+        K = self.F9M2.field()
+        # root regime: x has no z^-n terms; contraction from b = z^-2: x
+        # has a z^-1 term, a principal part
+        doc = self._replays(K, ZSeries.z(K, 1), ZSeries.one(K), "AK")
+        assert doc["verdict"] == "solution"
+        assert doc["result"]["membership"]["verdict"] == "yes"
+        doc = self._replays(K, ZSeries.z(K, -1), ZSeries(K, {-2: K.one()}), "AK")
+        assert doc["verdict"] == "no_solution"
+        assert doc["result"]["reason"] == "PrincipalPartViolation"
+        assert calls
+
+    def test_a_zero(self, monkeypatch):
+        calls = self._spy(monkeypatch, semilinear, "_solve_sigma_only")
+        K = self.F9M2.field()
+        b = ZSeries(K, {0: K.el([0, 1]), 2: K.one()})
+        doc = self._replays(K, ZSeries.zero(K), b)
+        assert doc["verdict"] == "solution"
+        # zeta has no cube root in F_3((zeta))
+        KL = F3L.field()
+        doc = self._replays(KL, ZSeries.zero(KL), ZSeries(KL, {0: KL.zeta(1)}))
+        assert doc["result"]["reason"] == "QthRootMissing"
+        assert calls == ["_solve_sigma_only"] * 2
+
+    def test_nonconstant_order_zero_a_over_a_finite_base(self, monkeypatch):
+        calls = self._spy(monkeypatch, semilinear, "_solve_additive_window")
+        K = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
+        a = ZSeries(K, {0: K.el(2), 1: K.one()})
+        doc = self._replays(K, a, ZSeries.z(K, 1))
+        assert doc["verdict"] == "solution"
+        assert calls == ["_solve_additive_window"]
 
 
 class TestVerify:

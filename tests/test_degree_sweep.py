@@ -24,7 +24,7 @@ import pytest
 from taumod import basefield, corpusgen, jsonio, kernels, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import DrinfeldModule
-from taumod.errors import ExtensionExhausted, PrecisionLoss
+from taumod.errors import ExtensionExhausted, InputError, PrecisionLoss
 from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
@@ -107,7 +107,7 @@ def exhaustive_tate(M, N, e_max):
     K, r = M.K, M.rank
     lat, B = twist(M, N)
     for e in range(1, e_max + 1):
-        basis = dense.tau_fixed_space(B, N, e=e)
+        basis = dense.tau_fixed_space(B, N, e)
         if len(basis) != r * N:
             continue
         ok, mb = free_module_check(K, basis, r, N)
@@ -176,15 +176,13 @@ def test_tate_matches_the_exhaustive_sweep(seed, monkeypatch):
     monkeypatch.setattr(basefield.FiniteK, "extend",
                         lambda self, e: built.append(e) or extend(self, e))
     for e in range(1, e_max + 1):
+        # the sweep's level test decides a degree on F_p-linear data,
+        # before any field is built, and passes it exactly when the
+        # dense fixed space is full
         built.clear()
-        basis = tau_fixed_space(B, N, e=e, full=True)
-        fields = list(built)
-        want = dense.tau_fixed_space(B, N, e=e)
-        if len(want) == r * N:
-            assert jsonio.render(basis) == jsonio.render(want)
-        else:
-            # ruled out on F_p-linear data, before any field is built
-            assert basis is None and fields == []
+        full = dense.levels_full(B, N, e)
+        assert built == []
+        assert full == (len(dense.tau_fixed_space(B, N, e)) == r * N)
     monkeypatch.undo()
     assert (_outcome(lambda: tate_slope0(M, N=N, e_max=e_max))
             == _outcome(lambda: exhaustive_tate(M, N, e_max)))
@@ -217,14 +215,16 @@ def test_tate_errors_are_those_of_the_sweep():
     P = [[ZSeries.one(K), ZSeries.z(K, -2)], [ZSeries.zero(K), ZSeries.one(K)]]
     D = [[c, ZSeries.zero(K)], [ZSeries.zero(K), c + z]]
     skewed = zmatrix.mul(zmatrix.mul(P, D), zmatrix.sigma(zmatrix.inv(P)))
-    for M, prec in ((Isocrystal(K, [[c]]), 3), (Isocrystal(K, skewed), None),
-                    (Isocrystal(K, []), None)):
+    for M, prec in ((Isocrystal(K, [[c]]), 3), (Isocrystal(K, skewed), None)):
         for e_max in (0, 8):
             got = _failure(lambda: tate_slope0(M, N=4, e_max=e_max, prec=prec))
             assert got == _failure(
                 lambda: dense.sweep_tate_slope0(M, N=4, e_max=e_max, prec=prec))
     assert _failure(lambda: tate_slope0(Isocrystal(K, [[c]]), N=4, prec=3))[:2] == (
         PrecisionLoss.__name__, "tau matrix entry known below the requested z-precision")
+    # there is no isocrystal of rank 0 to ask
+    assert _failure(lambda: Isocrystal(K, [])) == (
+        InputError.__name__, "twist matrix must have positive rank", None, None)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -252,8 +252,8 @@ def test_fixed_space_levels_end_in_the_dense_basis(seed):
     rng, K, N, e_max = _case(seed)
     _, B = twist(_slope0(rng, K), N)
     for e in range(1, e_max + 1):
-        assert (jsonio.render(tau_fixed_space(B, N, e=e))
-                == jsonio.render(dense.tau_fixed_space(B, N, e=e)))
+        assert (jsonio.render(tau_fixed_space(B, N, e))
+                == jsonio.render(dense.tau_fixed_space(B, N, e)))
 
 
 # -- no field for a rejected degree --------------------------------------------

@@ -1,5 +1,5 @@
 """Isocrystal layer: tensor calculus identities, purity verdicts against
-hand-checked lattices, Newton-polygon slopes, chains, and integral models."""
+hand-checked lattices, Newton-polygon slopes, and integral models."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from taumod.errors import InputError, PrecisionLoss
 from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
-    LatticeChain,
     NotPureAt,
     PurityCertificate,
     conjugated_matrix,
@@ -23,7 +22,6 @@ from taumod.isocrystal import (
     dual,
     hnf_reduce,
     ihom,
-    lattice_chain,
     model_verify,
     pure0_lattice,
     purity_check,
@@ -38,8 +36,6 @@ from taumod.semilinear import free_module_check, tau_fixed_space
 from taumod.zseries import ZSeries
 
 from dense_oracle import chained_hnf_reduce, random_entry
-
-INF = math.inf
 
 F2 = FieldDescriptor(p=2, a=1, m=1, kind="finite")
 F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite")
@@ -339,30 +335,6 @@ class TestSlopes:
 
 
 class TestHomVanishing:
-    def test_distinct_slopes_no_homs(self):
-        K = K3()
-        M = unit(K)
-        N = simple_pure(K, 1, 2)
-        H = ihom(M, N)
-        for e in (1, 2, 3):
-            for N_prec in (1, 2, 3):
-                assert tau_fixed_space(H.A, N_prec, e=e,
-                                       require_unit=False) == []
-
-    def test_twisted_pair_no_homs(self):
-        # slopes -1/2 vs 1: the source's dual has integral matrix, so
-        # the internal hom stays over K[[z]]
-        K = K3()
-        M = simple_pure(K, -1, 2)
-        N = simple_pure(K, 1, 1)
-        H = ihom(M, N)
-        lo = min(
-            x.val_lower_bound() for row in H.A for x in row
-            if not (not x.co and x.hi == INF)
-        )
-        assert lo >= 0
-        assert tau_fixed_space(H.A, 2, e=2, require_unit=False) == []
-
     def test_equal_slope_full_end_ring(self):
         # End of a simple pure object: the fixed space fills up to rank
         # rM*rN once the scalars are extended far enough (the End ring
@@ -395,33 +367,6 @@ class TestSubquotients:
         sub = [[T.A[i][j] for j in (0, 2)] for i in (0, 2)]
         out = purity_check(Isocrystal(K, sub), 1, 2)
         assert isinstance(out, PurityCertificate)
-
-
-class TestLatticeChain:
-    def test_simple_rank_two(self):
-        K = K3()
-        M = simple_pure(K, 1, 2)
-        cert = purity_check(M, 1, 2)
-        chain = lattice_chain(M, cert)
-        assert isinstance(chain, LatticeChain)
-        assert len(chain.lattices) == 3
-        assert chain.verification["quotient_dims"] == [1, 1]
-
-    def test_rank_one(self):
-        K = K3()
-        M = simple_pure(K, 1, 1)
-        cert = purity_check(M, 1, 1)
-        chain = lattice_chain(M, cert)
-        assert isinstance(chain, LatticeChain)
-        assert chain.verification["quotient_dims"] == [1]
-
-    def test_rank_three(self):
-        K = F4.field()
-        M = simple_pure(K, 1, 3)
-        cert = purity_check(M, 1, 3)
-        chain = lattice_chain(M, cert)
-        assert isinstance(chain, LatticeChain)
-        assert chain.verification["quotient_dims"] == [1, 1, 1]
 
 
 class TestPureZero:

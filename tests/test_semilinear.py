@@ -1,10 +1,9 @@
-"""Solver tests: the scalar equation regimes, fixed spaces, Galois
-action on them, and the slope-twist invariant dimension."""
+"""Solver tests: the scalar equation regimes, fixed spaces, and the
+Galois action on them."""
 
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from taumod.semilinear import (
     fq_generator,
     free_module_check,
     frobenius_action,
-    m_lambda_tau_dim,
     solve_scalar,
     tau_fixed_space,
 )
@@ -485,41 +483,3 @@ class TestFrobeniusAction:
         with pytest.raises(NotStable):
             frobenius_action(K, bogus, N=1)
 
-
-class TestMLambda:
-    def test_slope_zero(self):
-        dim, cert = m_lambda_tau_dim(Fraction(0), F3L)
-        assert dim == 1
-        assert cert["witness"]["kind"] == "constant_family"
-
-    @pytest.mark.parametrize(
-        "lam",
-        [
-            Fraction(1),
-            Fraction(-1),
-            Fraction(1, 2),
-            Fraction(-1, 2),
-            Fraction(2, 3),
-            Fraction(-2, 3),
-            Fraction(3, 2),
-        ],
-    )
-    def test_nonzero_slopes(self, lam):
-        dim, cert = m_lambda_tau_dim(lam, F3L)
-        assert dim == 0
-        seeds = cert["obstructions"]["nonzero_valuation_seeds"]
-        assert seeds
-        for s in seeds:
-            assert s["breakpoint_steps_back"] >= 1
-            # re-check the breakpoint: residual valuation is not divisible
-            qr = 3 ** lam.denominator
-            assert abs(s["residual_valuation"]) % qr != 0
-
-    def test_finite_base_rejected(self):
-        with pytest.raises(InputError):
-            m_lambda_tau_dim(Fraction(1, 2), F3)
-
-    def test_deterministic(self):
-        d1, c1 = m_lambda_tau_dim(Fraction(1, 2), F3L)
-        d2, c2 = m_lambda_tau_dim(Fraction(1, 2), F3L)
-        assert (d1, c1) == (d2, c2)

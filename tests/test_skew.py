@@ -14,7 +14,6 @@ from taumod.errors import InputError, NotInvertible, PrecisionLoss
 from taumod.skew import (
     SkewLaurent,
     SkewPoly,
-    conjugate,
     skew_inverse,
 )
 
@@ -32,6 +31,11 @@ def rand_poly(K, rng, maxdeg=3):
 def rand_laurent(K, rng, lo=-2, n=4):
     co = {k: K.random(rng) for k in range(lo, lo + n)}
     return SkewLaurent(K, co, INF)
+
+
+def conjugate(u, f, prec):
+    """u * f * u^-1 within the common window."""
+    return (u * f) * skew_inverse(u, prec)
 
 
 class TestSkewPoly:

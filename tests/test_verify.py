@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumod import corpusgen, jsonio, zmatrix
+from taumod import basefield, corpusgen, jsonio, zmatrix
 from taumod.basefield import FieldDescriptor, coerce_into
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
@@ -385,6 +385,31 @@ def test_tate_forged_larger_extension_is_refused():
     assert code == 4
     assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
         "tate: extension is the least degree that splits the twist"]
+
+
+def test_tate_forged_extension_builds_no_field_of_its_degree(monkeypatch):
+    # restated at extension 200, the report is refused at the degree
+    # check, before the module basis is read over F_{4^200}
+    K = F4F.field()
+    M = Isocrystal(K, [[ZSeries(K, {0: K.gen()}, INF)]])
+    code, doc = run_json(["tate", "--prec-z", "16",
+                          "--input", jsonio.dump_canonical(M)])
+    assert code == 0 and doc["result"]["tate"]["extension"] == 3
+    doc["result"]["tate"]["extension"] = 200
+    built = []
+    init = basefield.FF.__init__
+
+    def recorded(ff, p, n):
+        built.append(n)
+        init(ff, p, n)
+
+    monkeypatch.setattr(basefield.FF, "__init__", recorded)
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "tate: extension is the least degree that splits the twist"]
+    # F_{4^3} = F_{2^6} is the largest field of degree at most 3
+    assert all(n <= 6 for n in built)
 
 
 def test_tate_report_with_a_shifted_lattice_verifies():
