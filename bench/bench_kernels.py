@@ -4,13 +4,14 @@ of `zmatrix`, on seeded workloads, and the field construction of
 `basefield`: the modulus search, the fills of the log tables, and the
 `L1` rows, which weigh a whole fill against the operations a field
 runs without tables until its work pays for one (`FF._rent`); then a
-product over F_3((zeta)), `zmatrix.inv` over F_9, and the JSON writer
-of the reports.
+product over F_3((zeta)), `zmatrix.inv` over F_9, series inverses over
+F_9, F_3((zeta)) and F_{2^16}, and the JSON writer of the reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
 fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
-the same input, as `old`; the writer row times `json.dumps` as `old`.
+the same input, as `old`; the inverse rows time the inverses that
+`Series.inv` replaced, and the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials; the table prints the median and the minimum
@@ -42,8 +43,8 @@ from taumod.basefield import FieldDescriptor
 from taumod.cli import main as taumod_main
 from taumod.drinfeld import DrinfeldModule
 from taumod.isocrystal import Isocrystal
-from taumod.series import sum_of_products
-from taumod.skew import SkewPoly
+from taumod.series import Series, sum_of_products
+from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
@@ -89,7 +90,7 @@ def _workloads(seed):
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
          + _field_workloads() + _untabled_workloads(rng) + _local_workloads(rng)
-         + [_writer_workload()])
+         + _inverse_workloads(rng) + [_writer_workload()])
     olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
             "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
             "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
@@ -231,6 +232,42 @@ def _local_workloads(rng):
     return [("series 8x8/F3((zeta))", lambda x, y: fresh(x) * fresh(y), (zs(), zs())),
             ("inv 7x7/F9", lambda A: zmatrix.inv([[_fresh(s) for s in row] for row in A],
                                                  12), (A,))]
+
+
+def _inverse_workloads(rng):
+    """`Series.inv`, the one recurrence, against the inverse it replaced
+    as `old` (tests/dense_oracle.py): at precision 12 on a ZSeries over
+    F_9 of 13 terms known below z^12, the shape of the `rank` workload's
+    entries; at the default precision on an 8-term ZSeries over
+    F_3((zeta)) whose coefficients are 4-term LocalElems known below a
+    zeta-power, against the geometric series of both; and at precision
+    16 on a 16-term SkewLaurent over F_{2^16} kept untabled, against the
+    old coefficient loop of `skew_inverse`. Each call gets fresh
+    operands, local coefficients included."""
+    f9 = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
+    L = FieldDescriptor(p=3, a=1, m=1, kind="local").field()
+    K = basefield.FiniteK(FieldDescriptor(p=2, a=1, m=16, kind="finite"))
+    K.ff = basefield.FF(2, 16)
+    K.ff._due = INF
+
+    def local(lo):
+        co = {e: L.cf.el([rng.randrange(1, 3)]) for e in range(lo, lo + 4)}
+        return basefield.LocalElem(L, co, lo + 5)
+
+    def fresh(s):
+        return type(s)(s.K, {e: _fresh(c) if isinstance(c, Series) else c
+                             for e, c in s.co.items()}, s.hi)
+
+    rows = [("inv 13/F9", _rand_series(ZSeries, f9, rng, range(-1, 12), 12), 12,
+             dense.geometric_inv),
+            ("inv 8/F3((zeta))",
+             ZSeries(L, {e: local(rng.randrange(-2, 2)) for e in range(-1, 7)}, 7),
+             None, dense.geometric_inv),
+            ("inv skew 16/F_{2^16}", _rand_series(SkewLaurent, K, rng, range(16), 16),
+             16, dense.skew_inverse)]
+    return [(label, lambda f, prec: fresh(f).inv(prec), (f, prec),
+             lambda f, prec, old=old: old(fresh(f), prec), (f, prec))
+            for label, f, prec, old in rows]
 
 
 def _writer_workload():

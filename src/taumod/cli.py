@@ -85,6 +85,8 @@ class PrecisionPolicy:
 
 
 def _policy(args):
+    if args.prec_z < 1:
+        raise InputError(f"--prec-z must be at least 1, got {args.prec_z}")
     return PrecisionPolicy(
         z_prec=args.prec_z,
         tauinv_prec=args.prec_tau,
@@ -189,23 +191,18 @@ def cmd_isocrystal(args):
                             max_iters=policy.purity_max_iters,
                             prec=policy.z_prec)
         result = {"certificate": jsonio.render(cert)}
-    elif args.op == "slopes":
-        result = {"slopes": jsonio.render(slopes_finiteK(M))}
     else:
-        return _tate_doc(M, policy, "isocrystal tate")
+        result = {"slopes": jsonio.render(slopes_finiteK(M))}
     return _report(f"isocrystal {args.op}", policy, jsonio.render(M), result)
-
-
-def _tate_doc(M, policy, command):
-    result = _budgeted("tate", lambda: tateweil.tate_slope0(
-        M, N=policy.z_prec, e_max=policy.ext_max, prec=policy.z_prec + 4))
-    return _report(command, policy, jsonio.render(M), result)
 
 
 def cmd_tate(args):
     policy = _policy(args)
     M = jsonio.parse_isocrystal(_load_json_arg(args.input), policy.z_prec)
-    return _tate_doc(M, policy, "tate")
+    result = _budgeted("tate", lambda: tateweil.tate_slope0(
+        M, N=policy.z_prec, e_max=policy.ext_max,
+        max_iters=policy.purity_max_iters, prec=policy.z_prec + 4))
+    return _report("tate", policy, jsonio.render(M), result)
 
 
 # -- solve ------------------------------------------------------------------
@@ -432,7 +429,7 @@ def _build_parser():
 
     p = sub.add_parser("isocrystal", parents=[common],
                        help="operations on twist matrices")
-    p.add_argument("op", choices=("tensor", "dual", "purity", "slopes", "tate"))
+    p.add_argument("op", choices=("tensor", "dual", "purity", "slopes"))
     p.add_argument("--input", required=True)
     p.add_argument("--other", default=None)
     p.add_argument("--s", type=int, default=None)

@@ -114,9 +114,9 @@ def slope0_corpus(seed=0, prec=4, ext_max=8):
 
     Candidates that exhaust the extension budget (constant twists with
     a deep coefficient tower, shears with a trace obstruction) are
-    dropped; one whose purity or lattice search is inconclusive is
-    kept. Only the degree is decided (`split_degree`): no extension
-    field is built and no fixed point is solved for.
+    dropped; one whose purity search is inconclusive is kept. Only the
+    degree is decided (`split_degree`): no extension field is built and
+    no fixed point is solved for.
     """
     rng = random.Random(("slope0", seed).__repr__())
     out = []

@@ -387,29 +387,6 @@ def slopes_finiteK(M):
 
 # ------------------------------------------------------- slope-0 lattices
 
-def _orbit_span(M, T, n, prec):
-    """The lattice spanned by tau^i T for 0 <= i < n."""
-    r = M.rank
-    cols = []
-    for i in range(n):
-        G = zmatrix.mul(M.tau_power(i), zmatrix.sigma(T.basis, i))
-        cols.extend([[G[t][j] for t in range(r)] for j in range(r)])
-    return hnf_reduce(M.K, cols, r, prec)
-
-
-def pure0_lattice(M, cert, prec=None):
-    """An invariant lattice ⟨tau T⟩ = T from a slope-0 certificate."""
-    if not isinstance(cert, PurityCertificate):
-        raise InputError("a purity certificate at (0, r) is required")
-    if cert.s != 0:
-        raise InputError("slope must be 0")
-    T = _orbit_span(M, cert.lattice, cert.r, prec)
-    img = _tau_image(M, 1, T, prec)
-    if not lattice_eq(img, T):
-        return Inconclusive("tau orbit span is not invariant to precision")
-    return T
-
-
 def conjugated_matrix(M, lattice, prec=None):
     """The twist matrix in the basis of the given invariant lattice."""
     Linv = zmatrix.inv(lattice.basis, prec=prec)

@@ -52,6 +52,18 @@ that sigma fixes) over fields of degree n <= PACK_DEGREE with at least
 PACK_PAIRS pairs of terms in all; the log loop takes the rest, where the
 per-term and per-slot costs of packing outweigh the pairs they save
 (bench/bench_kernels.py).
+
+Every kind inverts by one recurrence, `Series.inv`: for f of order v
+and leading coefficient c, the x^n coefficient of f * u = 1 gives, at
+twist t,
+
+    u_{n-v} = sigma^{-t*v}(c^-1 (delta_{n,0} - sum_{k>v} f_k sigma^{t*k}(u_{n-k}))),
+
+one sum per coefficient (`sum_of_products` over a local K). There the
+zeta-window of each u_j is the least over its monomials of one factor's
+window plus the other factors' orders: the window that the geometric
+series c^-1 x^-v sum_k (-w)^k, f = c x^v (1 + w), summed product by
+product, gets too (tests/dense_oracle.py).
 """
 
 import math
@@ -308,44 +320,41 @@ class Series:
         return acc
 
     def inv(self, prec=None):
-        """Inverse of an untwisted series. Exact for monomials with an
-        invertible coefficient; otherwise the geometric series truncated
-        to `prec` exponents past -valuation (default per kind), and never
-        past what the input's own window supports."""
+        """Two-sided inverse, by the recurrence above. Exact for monomials
+        with an invertible coefficient; otherwise known to `prec`
+        exponents past -valuation (default per kind), and never past
+        what the input's own window supports, x^(hi - 2v)."""
         if not self.co:
             if self.hi is INF:
                 raise NotInvertible(self._INV_ZERO)
             raise PrecisionLoss(self._INV_WINDOW, window=self.hi)
         v = self.valuation()
         R = self._ring(self.K)
+        t = self._TWIST
         c = self.co[v]
         cinv = c.inv() if hasattr(c, "inv") else R.el(c).inv()
+        u = {-v: R.sigma(cinv, -t * v) if t else cinv}
         if len(self.co) == 1 and self.hi is INF:
-            return self._with({-v: cinv}, INF)
+            return self._with(u, INF)
         width = prec if prec is not None else self._default_inv_prec()
-        # self = c x^v (1 + w) with v(w) >= 1
-        w_co = {e - v: ce * cinv for e, ce in self.co.items() if e != v}
-        w = self._with(w_co, self.hi - v if self.hi is not INF else INF)
         out_hi = -v + width
         if self.hi is not INF:
             out_hi = min(out_hi, self.hi - 2 * v)
-        acc = self.one(self.K)
-        term = acc
-        wv = w.val_lower_bound()
-        if wv is INF:
-            # tail exactly zero: a monomial after all
-            return self._with({-v: cinv}, INF)
-        assert wv >= 1
-        neg_w = -w
-        k = 1
-        while k * wv < out_hi + v:
-            term = term * neg_w
-            acc = acc + term
-            k += 1
-        if acc.hi is not INF:
-            out_hi = min(out_hi, acc.hi - v)
-        co = {e - v: cc * cinv for e, cc in acc.co.items() if e - v < out_hi}
-        return self._with(co, out_hi)
+        for n in range(1, out_hi + v):
+            # u holds no exact zero, and no exponent from n - v on
+            terms = [(fk, R.sigma(u[n - k], t * k) if t else u[n - k], True)
+                     for k, fk in self.co.items() if n - k in u]
+            if not terms:
+                continue
+            if R.kind == "local":
+                x = cinv * sum_of_products(terms)
+            else:
+                x = cinv * -sum((fk * y for fk, y, _ in terms), R.zero())
+            if t:
+                x = R.sigma(x, -t * v)
+            if not R.exact_zero_p(x):
+                u[n - v] = x
+        return self._with(u, out_hi)
 
 
 def sum_of_products(terms):

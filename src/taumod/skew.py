@@ -13,10 +13,13 @@ elements. SkewLaurent, the skew field of Laurent series in tau^{-1},
 needs tau^{-1} * x = x^{1/q} * tau^{-1} and therefore a perfect base:
 construction over a local base is rejected. Laurent elements carry a
 knowledge window in tau^{-1}-exponents, truthful under products and
-inversion (`skew_inverse`).
+inversion: `SkewLaurent.inv` (also bound as `skew_inverse`) is the
+recurrence `Series.inv` of every windowed series at twist -1, which
+solves f * u = 1 one coefficient at a time. In a skew field the right
+inverse it finds is the two-sided inverse.
 """
 
-from taumod.errors import InputError, NotInvertible, PrecisionLoss
+from taumod.errors import InputError
 from taumod.series import INF, Series
 
 DEFAULT_TAUINV_PREC = 16
@@ -89,6 +92,7 @@ class SkewLaurent(Series):
     _check_embeds = _check_extension
     _mono = staticmethod(lambda k: f"tau^{-k}")
     _ZERO_ORDER = "valuation of a zero-to-window element"
+    _INV_ZERO = "inverse of zero"
 
     def __init__(self, K, co, hi=INF):
         if K.kind != "finite":
@@ -115,39 +119,10 @@ class SkewLaurent(Series):
         """Normalized tau^{-1}-adic valuation. INF for exact zero."""
         return self.valuation()
 
-    def inv(self, prec=DEFAULT_TAUINV_PREC):
-        return skew_inverse(self, prec)
+    def _default_inv_prec(self):
+        return DEFAULT_TAUINV_PREC
 
 
-def skew_inverse(f, prec=DEFAULT_TAUINV_PREC):
-    """Two-sided inverse of a unit in K((tau^{-1})) to prec terms.
-
-    Peel-off recursion on the right inverse u: writing v = v_tauinv(f),
-    the degree-n coefficient equation of f*u = 1 gives
-
-        u_{n-v} = sigma^v( f_v^{-1} * (delta_{n,0} - sum_{k>v} f_k sigma^{-k}(u_{n-k})) ).
-
-    In a skew field the right inverse is the inverse.
-    """
-    if not f.co:
-        if f.hi is INF:
-            raise NotInvertible("inverse of zero")
-        raise PrecisionLoss("inverse of a zero-to-window element", window=f.hi)
-    K = f.K
-    v = min(f.co)
-    fv_inv = K.el(f.co[v]).inv()
-    if len(f.co) == 1 and f.hi is INF:
-        return SkewLaurent(K, {-v: K.sigma(fv_inv, v)}, INF)
-    out_hi = -v + prec
-    if f.hi is not INF:
-        out_hi = min(out_hi, f.hi - 2 * v)
-    u = {}
-    for j in range(-v, out_hi):
-        n = j + v
-        acc = K.one() if n == 0 else K.zero()
-        for k, fk in f.co.items():
-            if k == v or n - k not in u:
-                continue
-            acc = acc - K.el(fk) * K.sigma(u[n - k], -k)
-        u[j] = K.sigma(fv_inv * acc, v)
-    return SkewLaurent(K, u, out_hi)
+# the inverse in K((tau^{-1})) by name: `tateweil` calls it, and
+# perfbench/layertrace.py times it
+skew_inverse = Series.inv

@@ -36,7 +36,6 @@ from taumod.isocrystal import (
     PurityCertificate,
     Record,
     conjugated_matrix,
-    pure0_lattice,
     purity_check,
 )
 from taumod.skew import DEFAULT_TAUINV_PREC, SkewLaurent, skew_inverse
@@ -57,11 +56,12 @@ class TateData(Record):
 
 def unit_twist(M, N=4, max_iters=32, prec=None):
     """(lattice, B) for a pure slope-zero twist M over a finite base, or
-    the Inconclusive of a purity or lattice search that ran out.
+    the Inconclusive of a purity search that ran out.
 
-    B is M's matrix in the basis of an invariant lattice, found at the
-    working z-precision `prec` (by default max(N + 4, DEFAULT_Z_PREC)):
-    a matrix over K[[z]] that is a unit mod z."""
+    The lattice is that of the (0, 1) purity certificate, tau T == T, at
+    the working z-precision `prec` (by default max(N + 4,
+    DEFAULT_Z_PREC)), and B is M's matrix in its basis: a matrix over
+    K[[z]] that is a unit mod z."""
     K = M.K
     if K.kind != "finite":
         raise InputError("the slope-zero Tate space needs a finite base")
@@ -71,10 +71,7 @@ def unit_twist(M, N=4, max_iters=32, prec=None):
         return cert
     if not isinstance(cert, PurityCertificate):
         raise InputError("input is not pure of slope zero")
-    lat = pure0_lattice(M, cert, prec=work)
-    if isinstance(lat, Inconclusive):
-        return lat
-    return lat, conjugated_matrix(M, lat, prec=work)
+    return cert.lattice, conjugated_matrix(M, cert.lattice, prec=work)
 
 
 def _norm_powers(B, N):

@@ -35,7 +35,6 @@ VERDICTS = {
     "analyze": _analyze_verdict,
     "isocrystal purity": _purity_verdict,
     "tate": _tate_verdict,
-    "isocrystal tate": _tate_verdict,
     "weil": _weil_verdict,
     "solve": itemgetter("verdict"),
 }

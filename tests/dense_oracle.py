@@ -1,5 +1,6 @@
 """Dense numpy references for the F_p kernels and the level solvers, and
-the series sums and row updates that one sum of products replaced.
+the series sums, row updates and inverses that one sum of products and
+one recurrence replaced.
 
 `taumod` runs on plain lists of ints. This module keeps the numpy
 versions of its F_p kernels (elimination, the level step, the canonical
@@ -12,8 +13,10 @@ against them. `sweep_tate_slope0` finds the Tate space's degree by
 sweeping e = 1, 2, ... and solving the fixed points at each, and
 `sweep_slope0_corpus` filters the corpus's slope-zero candidates
 through it; tests compare the degree rule of `tateweil.split_degree`
-and the corpus generator against them. `tabled` fills a field's log
-tables for the tests that read them or the products that run on them.
+and the corpus generator against them. `geometric_inv` and
+`skew_inverse` are the two inverses that the one recurrence of
+`Series.inv` replaced. `tabled` fills a field's log tables for the
+tests that read them or the products that run on them.
 """
 
 import random
@@ -37,7 +40,6 @@ from taumod.isocrystal import (
     _exact_zero,
     _slice_above,
     conjugated_matrix,
-    pure0_lattice,
     purity_check,
 )
 from taumod.semilinear import (
@@ -46,6 +48,7 @@ from taumod.semilinear import (
     _mult_mat,
 )
 from taumod.series import INF, _pair, _window
+from taumod.skew import DEFAULT_TAUINV_PREC
 from taumod.tateweil import TateData
 from taumod.zseries import DEFAULT_Z_PREC, ZSeries
 
@@ -240,9 +243,7 @@ def sweep_tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
         return cert
     if not isinstance(cert, PurityCertificate):
         raise InputError("input is not pure of slope zero")
-    lat = pure0_lattice(M, cert, prec=work)
-    if isinstance(lat, Inconclusive):
-        return lat
+    lat = cert.lattice
     B = conjugated_matrix(M, lat, prec=work)
     r = M.rank
     for e in range(1, e_max + 1):
@@ -398,6 +399,67 @@ def chained_inv(A, prec=None):
                     out[r] = [chained_sum([(x, None, False), (f, y, True)])
                               for x, y in zip(out[r], out[col])]
     return out
+
+
+def geometric_inv(f, prec=None):
+    """`Series.inv` of an untwisted series (`ZSeries`, `LocalElem`) as the
+    geometric series: f = c x^v (1 + w), and u = c^-1 x^-v sum_k (-w)^k,
+    summed by full products and sums of series."""
+    if not f.co:
+        if f.hi is INF:
+            raise NotInvertible(f._INV_ZERO)
+        raise PrecisionLoss(f._INV_WINDOW, window=f.hi)
+    v = f.valuation()
+    c = f.co[v]
+    cinv = c.inv()
+    if len(f.co) == 1 and f.hi is INF:
+        return f._with({-v: cinv}, INF)
+    width = prec if prec is not None else f._default_inv_prec()
+    w = f._with({e - v: ce * cinv for e, ce in f.co.items() if e != v},
+                f.hi - v if f.hi is not INF else INF)
+    out_hi = -v + width
+    if f.hi is not INF:
+        out_hi = min(out_hi, f.hi - 2 * v)
+    acc = term = f.one(f.K)
+    wv = w.val_lower_bound()
+    neg_w = -w
+    k = 1
+    while k * wv < out_hi + v:
+        term = term * neg_w
+        acc = acc + term
+        k += 1
+    if acc.hi is not INF:
+        out_hi = min(out_hi, acc.hi - v)
+    return f._with({e - v: cc * cinv for e, cc in acc.co.items() if e - v < out_hi},
+                   out_hi)
+
+
+def skew_inverse(f, prec=DEFAULT_TAUINV_PREC):
+    """`SkewLaurent.inv` by its own loop: u_{n-v} = sigma^v(f_v^-1 *
+    (delta_{n,0} - sum_{k>v} f_k sigma^{-k}(u_{n-k}))), every coefficient
+    of the window kept, zeros included, until the end."""
+    if not f.co:
+        if f.hi is INF:
+            raise NotInvertible("inverse of zero")
+        raise PrecisionLoss("inverse of a zero-to-window element", window=f.hi)
+    K = f.K
+    v = min(f.co)
+    fv_inv = K.el(f.co[v]).inv()
+    if len(f.co) == 1 and f.hi is INF:
+        return type(f)(K, {-v: K.sigma(fv_inv, v)}, INF)
+    out_hi = -v + prec
+    if f.hi is not INF:
+        out_hi = min(out_hi, f.hi - 2 * v)
+    u = {}
+    for j in range(-v, out_hi):
+        n = j + v
+        acc = K.one() if n == 0 else K.zero()
+        for k, fk in f.co.items():
+            if k == v or n - k not in u:
+                continue
+            acc = acc - K.el(fk) * K.sigma(u[n - k], -k)
+        u[j] = K.sigma(fv_inv * acc, v)
+    return type(f)(K, u, out_hi)
 
 
 def random_coeff(K, rng):

@@ -32,6 +32,7 @@ SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "v1"
 SEED0_CORPUS_SHA256 = "9213789ffe1791f7da5c17d001a672f1032d59c708eab707b8424159f08ce9f7"
 
 F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
+F3F = FieldDescriptor(p=3, a=1, m=1, kind="finite")
 F9F = FieldDescriptor(p=3, a=2, m=1, kind="finite")
 
 
@@ -307,6 +308,18 @@ class TestErrors:
                      ["tate"]):
             code, doc = run_json(argv + ["--input", inp])
             assert code == 2 and doc["error"] == "NotInvertible", argv
+
+
+    @pytest.mark.parametrize("prec", ["0", "-1"])
+    def test_nonpositive_prec_z_exits_2(self, prec):
+        # a z-precision below 1 is bad input, refused before the twist is
+        # read, whatever the command would have answered
+        inp = jsonio.dump_canonical(unit(F3F.field(), 1))
+        for argv in (["tate"], ["isocrystal", "purity", "--s", "0", "--r", "1"],
+                     ["isocrystal", "dual"]):
+            code, doc = run_json(argv + ["--prec-z", prec, "--input", inp])
+            assert code == 2 and doc["error"] == "InputError", argv
+            assert doc["detail"] == f"--prec-z must be at least 1, got {prec}"
 
 
 class TestIsocrystal:
@@ -1010,3 +1023,14 @@ class TestTate:
             tate["frobenius"][0][0]["z_coeffs"][0][1] = [2, 0]
         code, vr = run_json(["verify", "--input", json.dumps(doc)])
         assert code == 4 and vr["verdict"] == "failed"
+
+    def test_max_iters_bounds_the_purity_search(self):
+        # --max-iters is the budget of tate's purity search: with none,
+        # the search stops before its first step, inconclusive
+        argv = ["tate", "--input", jsonio.dump_canonical(unit(F3F.field(), 1))]
+        code, doc = run_json(argv)
+        assert code == 0 and doc["result"]["tate"]["rank"] == 1
+        code, doc = run_json(argv + ["--max-iters", "0"])
+        assert code == 3 and doc["verdict"] == "inconclusive"
+        assert doc["policy"]["purity_max_iters"] == 0
+        assert doc["result"]["certificate"]["kind"] == "inconclusive"

@@ -29,7 +29,6 @@ from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
     conjugated_matrix,
-    pure0_lattice,
     purity_check,
 )
 from taumod.semilinear import free_module_check, frobenius_action, tau_fixed_space
@@ -97,10 +96,7 @@ def twist(M, N):
     cert = purity_check(M, 0, 1, max_iters=32, prec=work)
     if isinstance(cert, Inconclusive):
         return None
-    lat = pure0_lattice(M, cert, prec=work)
-    if isinstance(lat, Inconclusive):
-        return None
-    return lat, conjugated_matrix(M, lat, prec=work)
+    return cert.lattice, conjugated_matrix(M, cert.lattice, prec=work)
 
 
 def exhaustive_tate(M, N, e_max):

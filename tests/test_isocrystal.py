@@ -17,13 +17,14 @@ from taumod.isocrystal import (
     Isocrystal,
     NotPureAt,
     PurityCertificate,
+    _tau_image,
     conjugated_matrix,
     direct_sum,
     dual,
     hnf_reduce,
     ihom,
+    lattice_eq,
     model_verify,
-    pure0_lattice,
     purity_check,
     reduce_matrix,
     simple_pure,
@@ -344,7 +345,7 @@ class TestHomVanishing:
         H = ihom(N, N)
         cert = purity_check(H, 0, 1)
         assert isinstance(cert, PurityCertificate)
-        lat = pure0_lattice(H, cert)
+        lat = cert.lattice
         B = conjugated_matrix(H, lat)
         for N_prec in (1, 2):
             dims = [len(tau_fixed_space(B, N_prec, e=e)) for e in (1, 2, 4)]
@@ -370,25 +371,30 @@ class TestSubquotients:
 
 
 class TestPureZero:
-    def test_unit_standard(self):
-        K = K3()
-        M = unit(K)
+    """The lattice of a (0, 1) certificate is the invariant lattice that
+    the slope-zero Tate space is solved on."""
+
+    @staticmethod
+    def invariant_lattice(M):
         cert = purity_check(M, 0, 1)
-        lat = pure0_lattice(M, cert)
+        assert isinstance(cert, PurityCertificate)
+        lat = cert.lattice
+        assert lattice_eq(_tau_image(M, 1, lat, None), lat)
+        return lat
+
+    def test_unit_standard(self):
+        lat = self.invariant_lattice(unit(K3()))
         assert lat.pivots == [0]
 
     def test_constant_twist(self):
         K = F4.field()
-        M = Isocrystal(K, [[ZSeries.const(K, K.gen())]])
-        cert = purity_check(M, 0, 1)
-        lat = pure0_lattice(M, cert)
+        lat = self.invariant_lattice(Isocrystal(K, [[ZSeries.const(K, K.gen())]]))
         assert lat.pivots == [0]
 
     def test_end_lattice_feeds_fixed_points(self):
         K = K3()
         H = ihom(simple_pure(K, 1, 2), simple_pure(K, 1, 2))
-        cert = purity_check(H, 0, 1)
-        lat = pure0_lattice(H, cert)
+        lat = self.invariant_lattice(H)
         B = conjugated_matrix(H, lat)
         d = zmatrix.det(B)
         assert d.valuation() == 0

@@ -6,13 +6,17 @@ exactness.
 """
 
 import math
+import random
 
 import pytest
 
 from taumod.basefield import FieldDescriptor, LocalElem
-from taumod.errors import CoercionError, InputError
+from taumod.errors import CoercionError, InputError, NotInvertible, PrecisionLoss
+from taumod.series import Series
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
+
+from dense_oracle import geometric_inv, random_coeff, skew_inverse
 
 INF = math.inf
 
@@ -104,3 +108,89 @@ class TestSharedRules:
                 x + y
             with pytest.raises(unpaired):
                 x * y
+
+
+# -- one inverse ---------------------------------------------------------------
+#
+# `Series.inv` is one recurrence at every twist. It must give what the two
+# inverses it replaced gave (dense_oracle): the geometric series summed by
+# full products for the untwisted kinds, and the coefficient loop of the
+# old `skew_inverse` for SkewLaurent. `==` compares the windows, and over a
+# local K the zeta-windows of the coefficients too.
+
+F2 = FieldDescriptor(p=2, a=1, m=1, kind="finite")
+F9 = FieldDescriptor(p=3, a=2, m=1, kind="finite")
+F2_16 = FieldDescriptor(p=2, a=1, m=16, kind="finite")
+F2L = FieldDescriptor(p=2, a=1, m=1, kind="local")
+F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
+
+# (kind, base, reference inverse, coefficient maker)
+INVERSES = [
+    pytest.param(ZSeries, desc, geometric_inv, lambda K, rng: K.random(rng),
+                 id=f"ZSeries-{label}")
+    for label, desc in (("F2", F2), ("F4", F4), ("F9", F9), ("F2^16", F2_16))
+] + [
+    pytest.param(ZSeries, desc, geometric_inv, random_coeff, id=f"ZSeries-{label}")
+    for label, desc in (("F2((zeta))", F2L), ("F3((zeta))", F3L), ("F4((zeta))", F4L))
+] + [
+    pytest.param(LocalElem, desc, geometric_inv,
+                 lambda K, rng: K.residue_K().random(rng), id=f"LocalElem-{label}")
+    for label, desc in (("F2((zeta))", F2L), ("F4((zeta))", F4L))
+] + [
+    pytest.param(SkewLaurent, desc, skew_inverse, lambda K, rng: K.random(rng),
+                 id=f"SkewLaurent-{label}")
+    for label, desc in (("F2", F2), ("F4", F4), ("F9", F9), ("F2^16", F2_16))
+]
+
+
+def random_invertible(cls, K, rng, coeff):
+    """A seeded series: an exact monomial one time in eight, otherwise up
+    to 7 terms, windowed two times in three (sometimes below its own
+    support); over a local K one coefficient in eight is zero to its
+    window."""
+    lo = rng.randrange(-3, 3)
+    if rng.random() < 0.125:
+        exps, hi = [lo], INF
+    else:
+        exps = rng.sample(range(lo, lo + 9), rng.randrange(1, 8))
+        hi = max(exps) + rng.randrange(-2, 5) if rng.random() < 0.67 else INF
+    co = {}
+    for e in exps:
+        if K.kind == "local" and cls is ZSeries and rng.random() < 0.125:
+            co[e] = LocalElem(K, {}, rng.randrange(-2, 4))
+        else:
+            co[e] = coeff(K, rng)
+    return cls(K, co, hi)
+
+
+def inverse_or_error(inv, f, prec):
+    try:
+        return inv(f) if prec is None else inv(f, prec)
+    except (NotInvertible, PrecisionLoss) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls, desc, reference, coeff", INVERSES)
+def test_inverse_is_that_of_the_replaced_algorithm(cls, desc, reference, coeff):
+    K = desc.field()
+    rng = random.Random(f"one-inverse:{cls.__name__}:{desc}")
+    inverted = windowed = 0
+    for _ in range(60):
+        f = random_invertible(cls, K, rng, coeff)
+        v = min(f.co) if f.co else 0
+        precs = [None, 0, 1, rng.randrange(2, 12)]
+        if f.hi is not INF:
+            # below and above the last exponent the window determines
+            precs += [f.hi - v - 1, f.hi - v + 3]
+        for prec in precs:
+            got = inverse_or_error(type(f).inv, f, prec)
+            want = inverse_or_error(reference, f, prec)
+            assert type(got) is type(want)
+            assert got == want, (f, prec)
+            if isinstance(got, Series):
+                inverted += 1
+                windowed += any(getattr(c, "hi", INF) is not INF
+                                for c in got.co.values())
+    assert inverted >= 150
+    if cls is ZSeries and K.kind == "local":
+        assert windowed >= 50

@@ -320,7 +320,7 @@ class TestFormalRoundTrip:
         H = ic.ihom(Minf, MV)
         cert = ic.purity_check(H, 0, 1, prec=8)
         assert isinstance(cert, ic.PurityCertificate)
-        lat = ic.pure0_lattice(H, cert, prec=8)
+        lat = cert.lattice
         B = ic.conjugated_matrix(H, lat, prec=8)
         basis = tau_fixed_space(B, 1, e=1)
         assert len(basis) >= 1
@@ -333,7 +333,7 @@ class TestFormalRoundTrip:
         Minf = m_infinity(E)
         H = ic.ihom(Minf, MV)
         cert = ic.purity_check(H, 0, 1, prec=8)
-        lat = ic.pure0_lattice(H, cert, prec=8)
+        lat = cert.lattice
         B = ic.conjugated_matrix(H, lat, prec=8)
         basis = tau_fixed_space(B, 2, e=1)
         assert basis

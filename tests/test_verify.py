@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumod import basefield, corpusgen, jsonio, zmatrix
+from taumod import basefield, corpusgen, jsonio, tateweil, zmatrix
 from taumod.basefield import FieldDescriptor, coerce_into
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
@@ -52,7 +52,7 @@ def local_module():
 
 
 def _honest_argv(command):
-    K3, K4, K9, K9m2 = F3L.field(), F4F.field(), F9F.field(), F9M2.field()
+    K3, K9, K9m2 = F3L.field(), F9F.field(), F9M2.field()
     if command == "analyze":
         return ["analyze", "--input", jsonio.dump_canonical(local_module())]
     if command == "isocrystal purity":
@@ -63,9 +63,6 @@ def _honest_argv(command):
         g = ZSeries(K, {0: K.gen()}, INF)
         M = Isocrystal(K, [[ZSeries.zero(K), ZSeries.one(K)], [g, ZSeries.zero(K)]])
         return ["tate", "--input", jsonio.dump_canonical(M)]
-    if command == "isocrystal tate":
-        M = Isocrystal(K4, [[ZSeries(K4, {0: K4.gen()}, INF)]])
-        return ["isocrystal", "tate", "--input", jsonio.dump_canonical(M)]
     if command == "weil":
         E = DrinfeldModule(K9m2, [K9m2.zero(), K9m2.gen()])
         return ["weil", "--prec-tau", "12", "--input", jsonio.dump_canonical(E)]
@@ -100,7 +97,6 @@ CERTIFIED = {
     "isocrystal purity": [("verdict",)]
     + [("result", "certificate") + p for p in _PURITY],
     "tate": [("verdict",)] + _TATE,
-    "isocrystal tate": [("verdict",)] + _TATE,
     "weil": [("verdict",), ("result", "weil")],
     "solve": [("verdict",), ("result", "verdict"), ("result", "x", "z_coeffs"),
               ("result", "x", "growth"), ("result", "growth"),
@@ -359,6 +355,27 @@ def test_tate_result_of_another_module_is_refused():
     assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
         "tate: twist is the input in the lattice basis"]
 
+
+def test_tate_forged_twist_decides_no_degree(monkeypatch):
+    # a twist that is not the input's ends the replay: the least degree
+    # would be read off the forged twist, up to the report's extension
+    K = F3F.field()
+    code, doc = run_json(["tate", "--input", jsonio.dump_canonical(unit(K, 2))])
+    assert code == 0
+    swap = [[ZSeries.zero(K), ZSeries.one(K)], [ZSeries.one(K), ZSeries.zero(K)]]
+    doc["result"]["tate"]["twist"] = [[jsonio.render(x) for x in row] for row in swap]
+    doc["result"]["tate"]["extension"] = 7000
+    calls, split = [], tateweil.split_degree
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(tateweil, "split_degree", counted)
+    code, vr = verify(doc)
+    assert code == 4 and calls == []
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "tate: twist is the input in the lattice basis"]
 
 
 def test_tate_forged_larger_extension_is_refused():
