@@ -5,13 +5,15 @@ of `zmatrix`, on seeded workloads, and the field construction of
 `L1` rows, which weigh a whole fill against the operations a field
 runs without tables until its work pays for one (`FF._rent`); then a
 product over F_3((zeta)), `zmatrix.inv` over F_9, series inverses over
-F_9, F_3((zeta)) and F_{2^16}, and the JSON writer of the reports.
+F_9, F_3((zeta)) and F_{2^16}, the purity search, and the JSON writer
+of the reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
 fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
 the same input, as `old`; the inverse rows time the inverses that
-`Series.inv` replaced, and the writer row `json.dumps`, as `old`.
+`Series.inv` replaced, the purity rows the search with two Hermite
+reductions per step, and the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials; the table prints the median and the minimum
@@ -41,8 +43,8 @@ import numpy as np
 from taumod import basefield, jsonio, kernels, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main as taumod_main
-from taumod.drinfeld import DrinfeldModule
-from taumod.isocrystal import Isocrystal
+from taumod.drinfeld import DrinfeldModule, m_infinity
+from taumod.isocrystal import Isocrystal, purity_check
 from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
@@ -90,7 +92,7 @@ def _workloads(seed):
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
          + _field_workloads() + _untabled_workloads(rng) + _local_workloads(rng)
-         + _inverse_workloads(rng) + [_writer_workload()])
+         + _inverse_workloads(rng) + _purity_workloads(rng) + [_writer_workload()])
     olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
             "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
             "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
@@ -268,6 +270,46 @@ def _inverse_workloads(rng):
     return [(label, lambda f, prec: fresh(f).inv(prec), (f, prec),
              lambda f, prec, old=old: old(fresh(f), prec), (f, prec))
             for label, f, prec, old in rows]
+
+
+def _purity_workloads(rng):
+    """`isocrystal.purity_check` at z-precision 8, which certifies a step
+    by its unimodularity test, against `purity_check_two_hnf`, the two
+    Hermite reductions per step it replaced, as `old`
+    (tests/dense_oracle.py): at (-1, 3) on m_infinity of a rank-3
+    Drinfeld module over F_4((zeta)) whose coefficients have three
+    zeta-terms or more, and at (1, 7) on the dense rank-7 twist of the
+    `rank` workload at seed 0 (perfbench/inputs.py), over F_9. Each call
+    gets fresh entries, local coefficients included."""
+    L = FieldDescriptor(p=2, a=2, m=1, kind="local").field()
+
+    def terms(lo):
+        while True:
+            x = L.random(rng, lo, 3)
+            if len(x.co) >= 3:
+                return x
+
+    local = m_infinity(DrinfeldModule(L, [terms(0)] + [terms(-2) for _ in range(3)]))
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    payload = next(req["payload"] for req in inputs.rank_requests(0)
+                   if req["name"] == "purity-r7")
+    twist = jsonio.parse_isocrystal(payload, 8)
+
+    def fresh(M):
+        return Isocrystal(M.K, [[ZSeries(M.K, {e: _fresh(c) if isinstance(c, Series) else c
+                                               for e, c in s.co.items()}, s.hi)
+                                 for s in row] for row in M.A])
+
+    rows = [("purity m_inf r3/F4((zeta))", local, -1, 3),
+            ("purity twist r7/F9", twist, 1, 7)]
+    return [(label, lambda M, s, r: purity_check(fresh(M), s, r, prec=8), (M, s, r),
+             lambda M, s, r: dense.purity_check_two_hnf(fresh(M), s, r, prec=8),
+             (M, s, r))
+            for label, M, s, r in rows]
 
 
 def _writer_workload():

@@ -14,7 +14,10 @@ Runs in one process through `taumod.cli.main` and prints one
     `isocrystal dual` and `isocrystal tensor` with the simple pure twist
     of slope 1/2 on the dense twists of `TWISTS`, built as the `rank`
     plan builds its twists over F_9;
-  * `analyze` and its `verify` on the Drinfeld modules of `LOCAL`.
+  * `analyze` and its `verify` on the Drinfeld modules of `LOCAL`;
+  * `isocrystal purity --s 0 --r 1` on `skewed_unit`, a crystal pure of
+    slope 0 in a skewed basis, whose search never certifies a step by
+    the unimodularity test and ends on the drift rule.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -159,10 +162,9 @@ def _twist_lines(work, label, desc, r, deg):
                                          "--other", str(other)], False))
 
 
-def _local_lines(i, p, r):
-    """`analyze` and `verify` on a seeded module of rank r over
-    F_p((zeta)): g_0 integral, every coefficient a sum of two or more
-    zeta-terms."""
+def local_module(i, p, r):
+    """A seeded Drinfeld module of rank r over F_p((zeta)): g_0
+    integral, every coefficient a sum of two or more zeta-terms."""
     K = FieldDescriptor(p=p, a=1, m=1, kind="local").field()
     rng = random.Random(f"report-gate:local:{i}")
 
@@ -172,9 +174,31 @@ def _local_lines(i, p, r):
             if len(x.co) >= 2:
                 return x
 
-    E = DrinfeldModule(K, [terms(0)] + [terms(-2) for _ in range(r)])
+    return DrinfeldModule(K, [terms(0)] + [terms(-2) for _ in range(r)])
+
+
+def _local_lines(i, p, r):
+    """`analyze` and `verify` on `local_module(i, p, r)`."""
     return _lines(f"local-f{p}-r{r}-{i}/analyze",
-                  ["analyze", "--input", jsonio.dump_canonical(E)], True)
+                  ["analyze", "--input", jsonio.dump_canonical(local_module(i, p, r))],
+                  True)
+
+
+def skewed_unit():
+    """P A sigma(P)^-1 over F_4 (q = 2, m = 2) for the constant
+    A = [[1, 0, w], [1+w, w, w], [1+w, 1+w, w]], w the generator, and
+    P = [[1, z^-2, z^-2], [0, 1, z], [0, 0, 1]]: isomorphic to A, so
+    pure of slope 0, yet the minimal pivot of the purity search falls
+    for as many steps as the skew."""
+    K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
+    w, one = K.gen(), K.one()
+    c = [[ZSeries.const(K, x) for x in row]
+         for row in [[one, K.zero(), w], [one + w, w, w], [one + w, one + w, w]]]
+    P = [[ZSeries.one(K), ZSeries.z(K, -2), ZSeries.z(K, -2)],
+         [ZSeries.zero(K), ZSeries.one(K), ZSeries.z(K)],
+         [ZSeries.zero(K), ZSeries.zero(K), ZSeries.one(K)]]
+    P_inv = zmatrix.inv(zmatrix.sigma(P))
+    return Isocrystal(K, zmatrix.mul(zmatrix.mul(P, c), P_inv))
 
 
 def _plan_lines(work, workload, seed):
@@ -207,6 +231,9 @@ def main_gate():
             lines += _twist_lines(work, label, desc, r, deg)
         for i, p, r in LOCAL:
             lines += _local_lines(i, p, r)
+        lines += _lines("skewed-unit-f4/purity",
+                        ["isocrystal", "purity", "--s", "0", "--r", "1",
+                         "--input", jsonio.dump_canonical(skewed_unit())], False)
         for workload, seed in PLANS:
             lines += _plan_lines(work, workload, seed)
     for digest, label in sorted(lines, key=lambda t: t[1]):

@@ -87,6 +87,8 @@ class PrecisionPolicy:
 def _policy(args):
     if args.prec_z < 1:
         raise InputError(f"--prec-z must be at least 1, got {args.prec_z}")
+    if args.prec_tau < 1:
+        raise InputError(f"--prec-tau must be at least 1, got {args.prec_tau}")
     return PrecisionPolicy(
         z_prec=args.prec_z,
         tauinv_prec=args.prec_tau,

@@ -1,10 +1,18 @@
 """Isocrystals over K((z)) as invertible twist matrices.
 
-tau acts on column vectors by v -> A*sigma(v).  The module provides the
-tensor calculus (tensor, dual, internal hom), purity certification by a
-lattice fixed-point iteration, a Newton-polygon slope oracle over finite
-bases, slope-0 lattice descent, and model verification over the
-integral coefficient ring.
+tau acts on column vectors by v -> A*sigma(v). The module provides the
+tensor calculus (tensor, dual, internal hom), purity certification, a
+Newton-polygon slope oracle over finite bases, the twist in the basis
+of an invariant lattice, and model verification over the integral
+coefficient ring.
+
+M is pure of slope s/r when some lattice T has tau^r T = z^s T, which
+holds exactly when U = z^-s T^-1 A_r sigma^r(T) lies in GL_r(K[[z]]),
+A_r the matrix of tau^r (Katz, "Slope filtration of F-crystals").
+`purity_check` searches for T from the standard lattice: each step tests
+U with no series inverse and certifies T when U is provably unimodular;
+only a step the test cannot settle reduces the image of T to its
+canonical basis (`hnf_reduce`) to move T or refute.
 """
 
 import math
@@ -221,13 +229,39 @@ def standard_lattice(K, r):
     return Lattice(K, I, [0] * r)
 
 
-def _tau_image(M, rd, T, prec, A_rd=None):
-    if A_rd is None:
-        A_rd = M.tau_power(rd)
-    G = zmatrix.mul(A_rd, zmatrix.sigma(T.basis, rd))
-    r = M.rank
-    cols = [[G[i][j] for i in range(r)] for j in range(r)]
-    return hnf_reduce(M.K, cols, r, prec)
+def _unimodular(G, T, s):
+    """Whether U = z^-s T^-1 G is provably in GL_r(K[[z]]).
+
+    T is a canonical basis (`hnf_reduce`): triangular, with monomial
+    pivots z^e_i, each known to its window, and zeros above them. So
+    T^-1 G is a forward substitution by shifts, with no series inverse:
+    row i of U is z^(-s-e_i) (G_i - z^s sum_{k<i} T_ik U_k). U is in
+    GL_r(K[[z]]) when every entry is integral with its constant term
+    known and the constant terms have a determinant known nonzero in K
+    (`zmatrix.det` is division free, so zeta-windows stay truthful over
+    a local K). False whenever that is not proven, on the first entry
+    that is not."""
+    r = T.rank
+    U = []
+    for i in range(r):
+        e = T.pivots[i]
+        d = T.basis[i][i]
+        lower = [(t, U[k]) for k, t in enumerate(T.basis[i][:i]) if not _exact_zero(t)]
+        row = []
+        for j in range(r):
+            y = G[i][j]
+            if lower:
+                y = sum_of_products([(y, None, False)]
+                                    + [(t.shift(s), Uk[j], True) for t, Uk in lower])
+            # y / z^(e+s), known to the window y / (z^e + O(z^hi)) z^s has
+            u = y.shift(-e - s)
+            if d.hi != INF:
+                u = u.truncate(d.hi - 2 * e + y.val_lower_bound() - s)
+            if u.hi < 1 or (u.co and min(u.co) < 0):
+                return False
+            row.append(u)
+        U.append(row)
+    return zmatrix.det([[u.truncate(1) for u in row] for row in U]).known_nonzero()
 
 
 # ---------------------------------------------------------- purity verdicts
@@ -276,34 +310,35 @@ class Inconclusive(Record):
 def purity_check(M, s, r, max_iters=32, prec=None):
     """Certify ⟨tau^r T⟩ = z^s T for some lattice T, or refute it.
 
-    Iterates T <- saturate(T + z^{-s} ⟨tau^r T⟩) from the standard
-    lattice.  Stabilization with exact span equality yields a
-    certificate.  A stabilized lattice with strict inclusion refutes.
-    Divergence is declared when the minimal pivot drops strictly on
-    r*d + 1 consecutive steps; that cutoff is a design choice and is
-    recorded in the witness.
+    Iterates from the standard lattice. Each step computes
+    G = A_r sigma^r(T) once and certifies T if z^-s T^-1 G is provably
+    in GL_r(K[[z]]) (`_unimodular`). That test only certifies or falls
+    through; it never refutes. A step it does not settle reduces G to
+    the canonical basis of the image and joins z^-s times it to T. A
+    join equal to T certifies when the image is z^s T and refutes with
+    a strict inclusion; otherwise the join is the next T. Divergence is
+    declared when the minimal pivot drops strictly on r*d + 1
+    consecutive steps; that cutoff is a design choice and is recorded
+    in the witness. No step runs at max_iters = 0: inconclusive.
     """
     if r <= 0:
         raise InputError("denominator must be positive")
     rd = r  # d = 1 throughout
+    K, n = M.K, M.rank
     A_rd = M.tau_power(rd)
-    T = standard_lattice(M.K, M.rank)
+    T = standard_lattice(K, n)
     mins = []
     for it in range(max_iters):
-        img = _tau_image(M, rd, T, prec, A_rd=A_rd)
-        shifted = img.scale_z(-s)
-        joined = hnf_reduce(M.K, T.columns() + shifted.columns(),
-                            M.rank, prec)
+        # sigma^rd fixes the standard lattice's basis
+        G = A_rd if it == 0 else zmatrix.mul(A_rd, zmatrix.sigma(T.basis, rd))
+        if _unimodular(G, T, s):
+            return _certificate(s, r, T, it)
+        img = hnf_reduce(K, [[G[i][j] for i in range(n)] for j in range(n)], n, prec)
+        joined = hnf_reduce(K, T.columns() + img.scale_z(-s).columns(), n, prec)
         if lattice_eq(joined, T):
             target = T.scale_z(s)
             if lattice_eq(img, target):
-                return PurityCertificate(
-                    s, r, T, it,
-                    {
-                        "identity": f"tau^{rd} T == z^{s} T",
-                        "pivots": list(T.pivots),
-                    },
-                )
+                return _certificate(s, r, T, it)
             return NotPureAt(
                 s, r,
                 {
@@ -330,6 +365,16 @@ def purity_check(M, s, r, max_iters=32, prec=None):
     return Inconclusive(
         f"no stabilization within {max_iters} iterations; "
         f"pivot trail {mins[-3:]}"
+    )
+
+
+def _certificate(s, r, T, it):
+    return PurityCertificate(
+        s, r, T, it,
+        {
+            "identity": f"tau^{r} T == z^{s} T",
+            "pivots": list(T.pivots),
+        },
     )
 
 

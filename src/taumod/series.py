@@ -308,6 +308,10 @@ class Series:
         return self._with({e: c * x for e, x in self.co.items()}, self.hi)
 
     def __pow__(self, e):
+        if len(self.co) == 1 and self.hi is INF and not self._TWIST:
+            # an exact monomial of an untwisted kind: (c x^v)^e = c^e x^(v e)
+            [(v, c)] = self.co.items()
+            return self._with({v * e: c**e}, INF)
         if e < 0:
             return self.inv() ** (-e)
         acc = self.one(self.K)

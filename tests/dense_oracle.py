@@ -15,7 +15,9 @@ sweeping e = 1, 2, ... and solving the fixed points at each, and
 through it; tests compare the degree rule of `tateweil.split_degree`
 and the corpus generator against them. `geometric_inv` and
 `skew_inverse` are the two inverses that the one recurrence of
-`Series.inv` replaced. `tabled` fills a field's log tables for the
+`Series.inv` replaced, and `purity_check_two_hnf` is the purity search
+whose every step ran two Hermite reductions, before a unimodularity test
+certified a step without them. `tabled` fills a field's log tables for the
 tests that read them or the products that run on them.
 """
 
@@ -36,11 +38,15 @@ from taumod.isocrystal import (
     Inconclusive,
     Isocrystal,
     Lattice,
+    NotPureAt,
     PurityCertificate,
     _exact_zero,
     _slice_above,
     conjugated_matrix,
+    hnf_reduce,
+    lattice_eq,
     purity_check,
+    standard_lattice,
 )
 from taumod.semilinear import (
     _fixed_space_terms,
@@ -399,6 +405,49 @@ def chained_inv(A, prec=None):
                     out[r] = [chained_sum([(x, None, False), (f, y, True)])
                               for x, y in zip(out[r], out[col])]
     return out
+
+
+def purity_check_two_hnf(M, s, r, max_iters=32, prec=None):
+    """`isocrystal.purity_check` with no unimodularity test: every step
+    reduces the image of T to its canonical basis and joins it to T, and
+    only a join equal to T certifies or refutes."""
+    if r <= 0:
+        raise InputError("denominator must be positive")
+    n = M.rank
+    A_r = M.tau_power(r)
+    T = standard_lattice(M.K, n)
+    mins = []
+    for it in range(max_iters):
+        G = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
+        img = hnf_reduce(M.K, [[G[i][j] for i in range(n)] for j in range(n)], n, prec)
+        joined = hnf_reduce(M.K, T.columns() + img.scale_z(-s).columns(), n, prec)
+        if lattice_eq(joined, T):
+            target = T.scale_z(s)
+            if lattice_eq(img, target):
+                return PurityCertificate(
+                    s, r, T, it,
+                    {"identity": f"tau^{r} T == z^{s} T", "pivots": list(T.pivots)})
+            return NotPureAt(
+                s, r,
+                {"kind": "stable_lattice_strict_inclusion",
+                 "pivots_image": list(img.pivots),
+                 "pivots_scaled": list(target.pivots),
+                 "iterations": it})
+        T = joined
+        mins.append(T.min_pivot())
+        run = r + 1
+        if len(mins) >= run:
+            tail = mins[-run:]
+            if all(tail[k + 1] < tail[k] for k in range(run - 1)):
+                return NotPureAt(
+                    s, r,
+                    {"kind": "elementary_divisor_drift",
+                     "drift": tail,
+                     "rule": f"strictly decreasing over {run} steps"})
+    return Inconclusive(
+        f"no stabilization within {max_iters} iterations; "
+        f"pivot trail {mins[-3:]}"
+    )
 
 
 def geometric_inv(f, prec=None):

@@ -321,6 +321,17 @@ class TestErrors:
             assert code == 2 and doc["error"] == "InputError", argv
             assert doc["detail"] == f"--prec-z must be at least 1, got {prec}"
 
+    @pytest.mark.parametrize("prec", ["0", "-1"])
+    def test_nonpositive_prec_tau_exits_2(self, prec):
+        # a tau^-1-precision below 1 is bad input: weil would otherwise
+        # sweep every degree up to --ext-max and answer budget_exhausted
+        K = FieldDescriptor(p=3, a=1, m=2, kind="finite").field()
+        inp = jsonio.dump_canonical(DrinfeldModule(K, [K.zero(), K.gen()]))
+        for argv in (["weil"], ["analyze"]):
+            code, doc = run_json(argv + ["--prec-tau", prec, "--input", inp])
+            assert code == 2 and doc["error"] == "InputError", argv
+            assert doc["detail"] == f"--prec-tau must be at least 1, got {prec}"
+
 
 class TestIsocrystal:
     def test_purity_certifies(self):

@@ -17,7 +17,6 @@ from taumod.isocrystal import (
     Isocrystal,
     NotPureAt,
     PurityCertificate,
-    _tau_image,
     conjugated_matrix,
     direct_sum,
     dual,
@@ -379,7 +378,9 @@ class TestPureZero:
         cert = purity_check(M, 0, 1)
         assert isinstance(cert, PurityCertificate)
         lat = cert.lattice
-        assert lattice_eq(_tau_image(M, 1, lat, None), lat)
+        # the image tau(T), reduced to its canonical basis, is T itself
+        G = zmatrix.mul(M.A, zmatrix.sigma(lat.basis, 1))
+        assert lattice_eq(hnf_reduce(M.K, zmatrix.transpose(G), M.rank), lat)
         return lat
 
     def test_unit_standard(self):

@@ -194,3 +194,43 @@ def test_inverse_is_that_of_the_replaced_algorithm(cls, desc, reference, coeff):
     assert inverted >= 150
     if cls is ZSeries and K.kind == "local":
         assert windowed >= 50
+
+
+def repeated_squaring(x, e):
+    """x^e by square-and-multiply, through the inverse for e < 0: the
+    power every series took before exact monomials took one step."""
+    if e < 0:
+        return repeated_squaring(x.inv(), -e)
+    acc, base = x.one(x.K), x
+    while e > 0:
+        if e & 1:
+            acc = acc * base
+        base = base * base
+        e >>= 1
+    return acc
+
+
+F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
+
+
+def _monomials():
+    """Exact monomials over F_4, F_3((zeta)) and F_4((zeta)), the last
+    two both as LocalElem and as ZSeries whose coefficient is local
+    (one of them an exact binomial, one known only below zeta^2)."""
+    K4, K3L, K4L = F4.field(), F3L.field(), F4L.field()
+    w = K4.gen()
+    yield ZSeries(K4, {3: w})
+    yield ZSeries(K4, {-2: w * w})
+    yield LocalElem(K3L, {-1: K3L.cf.el(2)})
+    yield LocalElem(K4L, {2: K4L.cf.gen})
+    yield ZSeries(K3L, {1: K3L.zeta(-2)})
+    yield ZSeries(K3L, {-1: K3L.one() + K3L.zeta(1)})
+    yield ZSeries(K4L, {2: LocalElem(K4L, {0: K4L.cf.gen, 1: K4L.cf.one}, 2)})
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 5, 9, 27, -1, -3, -9])
+def test_exact_monomial_power_is_repeated_squaring(e):
+    for x in _monomials():
+        got = x**e
+        assert got == repeated_squaring(x, e), (x, e)
+        assert got.hi is INF and len(got.co) == 1
