@@ -11,13 +11,16 @@ Two kinds of base field K appear throughout:
     field, so their precision windows stay truthful under every operation;
     this module adds the zeta-Frobenius, q-th roots and the residue map.
 
-Extension sweeps replace F_{q^m} by F_{q^{m*e}}; all cross-field
-arithmetic coerces along the canonical embeddings, which are computed
-deterministically (canonical modulus, canonical root choice) so results
-never depend on iteration order or interpreter hash state. `FpExtension`
-is the one construction of a canonical embedding: the F_p-linear data of
-an extension, which a sweep solves a candidate degree on before it
-builds the field itself, and whose rows `coerce_into` reads.
+Arithmetic never changes field: operands over two fields are a program
+fault (`InvariantError`). Extension sweeps replace F_{q^m} by
+F_{q^{m*e}}, and an element moves there only by an explicit lift
+(`coerce_into`, `FF.el`, `K.el`) along the canonical embeddings, which
+are computed deterministically (canonical modulus, canonical root
+choice) so results never depend on iteration order or interpreter hash
+state. `FpExtension` is the one construction of a canonical embedding:
+the F_p-linear data of an extension, which a sweep solves a candidate
+degree on before it builds the field itself, and whose rows
+`coerce_into` reads.
 
 sigma always means the q-power Frobenius, acting coefficientwise on
 Laurent series and scaling zeta-exponents by q.
@@ -32,6 +35,7 @@ from taumod import kernels
 from taumod.errors import (
     CoercionError,
     InputError,
+    InvariantError,
     NoRoot,
     NotInvertible,
     PrecisionLoss,
@@ -663,8 +667,8 @@ def get_field(p, n):
 
 
 class Felt:
-    """Element of an FF. Immutable; cross-field ops coerce along the
-    canonical embedding when one degree divides the other."""
+    """Element of an FF. Immutable; the operands of an operation are
+    elements of one FF, or ints, which are promoted."""
 
     __slots__ = ("ff", "c")
 
@@ -748,17 +752,11 @@ class Felt:
 
 
 def _pair(a, b):
-    if a.ff is b.ff:
-        return a, b
-    if a.ff.p != b.ff.p:
-        raise CoercionError("different characteristics")
-    if a.ff.n == b.ff.n:
-        return a, b  # get_field caches, so equal degree means equal field
-    if b.ff.n % a.ff.n == 0:
-        return coerce_into(a, b.ff), b
-    if a.ff.n % b.ff.n == 0:
-        return a, coerce_into(b, a.ff)
-    raise CoercionError(f"no inclusion between GF(p^{a.ff.n}) and GF(p^{b.ff.n})")
+    """(a, b), which must be elements of one field."""
+    if a.ff is not b.ff:
+        raise InvariantError(f"operands over GF({a.ff.p}^{a.ff.n}) and "
+                             f"GF({b.ff.p}^{b.ff.n})")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1032,7 @@ class FiniteK:
     """K = F_{q^{m*ext}} with sigma = q-power Frobenius."""
 
     kind = "finite"
+    ram = 1
 
     def __init__(self, desc, ext=1):
         self.desc = desc
@@ -1056,30 +1055,27 @@ class FiniteK:
     def el(self, v):
         return self.ff.el(v)
 
+    coerce = el
+
     def gen(self):
         """Canonical multiplicative generator."""
         return self.ff.gen
-
-    def coerce(self, x):
-        if isinstance(x, LocalElem):
-            raise CoercionError("local element into finite base")
-        return self.ff.el(x)
 
     def extend(self, e):
         return get_finiteK(self.desc, self.ext * e)
 
     def sigma(self, x, k=1):
-        x = self.coerce(x)
         return x.frob(self.desc.a * k)
 
     def qth_root(self, x):
-        x = self.coerce(x)
         return x.frob(-self.desc.a)
 
     def exact_zero_p(self, x):
-        if type(x) is Felt and x.ff is self.ff:
-            return x.c == self.ff.zero.c
-        return self.coerce(x).is_zero()
+        if type(x) is not Felt:
+            x = self.coerce(x)
+        elif x.ff is not self.ff:
+            _pair(x, self.ff.zero)
+        return x.c == self.ff.zero.c
 
     # a finite-field element is zero or not; there is no precision
     is_zero = exact_zero_p
@@ -1128,19 +1124,16 @@ class LocalK:
         return LocalElem(self, {k: self.cf.one}, INF)
 
     def el(self, v):
-        """ints / Felt become constants; LocalElem is coerced."""
+        """ints / Felt become constants; a LocalElem is lifted to K."""
         if isinstance(v, LocalElem):
-            return self.coerce(v)
+            return v if v.K is self else v._lift(self)
         c = self.cf.el(v)
         return LocalElem(self, {0: c} if not c.is_zero() else {}, INF)
 
     def from_pairs(self, pairs, hi=INF):
         return LocalElem.from_pairs(self, pairs, hi)
 
-    def coerce(self, x):
-        if isinstance(x, LocalElem):
-            return x if x.K is self else x._lift(self)
-        return self.el(x)
+    coerce = el
 
     def extend(self, e):
         return get_localK(self.desc, self.ext * e, self.ram)
@@ -1158,13 +1151,12 @@ class LocalK:
         return self.residue
 
     def sigma(self, x, k=1):
-        return self.coerce(x).sigma(k)
+        return x.sigma(k)
 
     def qth_root(self, x):
-        return self.coerce(x).qth_root()
+        return x.qth_root()
 
     def is_zero(self, x):
-        x = self.coerce(x)
         if x.co:
             return False
         if x.hi is INF:
@@ -1175,10 +1167,9 @@ class LocalK:
         )
 
     def known_nonzero(self, x):
-        return bool(self.coerce(x).co)
+        return bool(x.co)
 
     def exact_zero_p(self, x):
-        x = self.coerce(x)
         return not x.co and x.hi is INF
 
     def random(self, rng, lo=-2, hi=3, density=0.7):
@@ -1198,7 +1189,7 @@ class LocalElem(Series):
     field: co maps zeta-exponent -> nonzero Felt coefficient, all
     exponents < hi; hi = inf marks an exact element. Empty co with finite
     hi is zero-to-precision, with hi = inf the exact zero. Ints and Felts
-    are promoted to constants in arithmetic and comparisons.
+    of the residue field act as constants in arithmetic and comparisons.
     """
 
     __slots__ = ()
@@ -1223,17 +1214,12 @@ class LocalElem(Series):
         return K.residue
 
     def _operand(self, other):
-        if isinstance(other, LocalElem):
-            return other
-        if isinstance(other, (int, Felt)):
-            return self.K.el(other)
-        return None
-
-    def _check_embeds(self, K):
-        if K.desc != self.K.desc or K.ram != self.K.ram:
-            raise CoercionError("local elements over incompatible bases")
-        if K.ext % self.K.ext != 0:
-            raise CoercionError("no inclusion between coefficient extensions")
+        if isinstance(other, int):
+            other = self.K.cf.el(other)
+        if isinstance(other, Felt):
+            # a Felt of another field fails the residue field's zero test
+            return LocalElem(self.K, {0: other}, INF)
+        return other if isinstance(other, LocalElem) else None
 
     def _default_inv_prec(self):
         return self.K.default_width

@@ -213,7 +213,7 @@ def cmd_tate(args):
 def _parse_solve_sides(a_doc, b_doc):
     Ka = jsonio.parse_field(jsonio._need(a_doc, "base", "solve input a"))
     Kb = jsonio.parse_field(jsonio._need(b_doc, "base", "solve input b"))
-    if jsonio.render_field(Ka) != jsonio.render_field(Kb):
+    if Ka is not Kb:
         raise InputError("a and b must live over the same base")
     a = jsonio.parse_scalar(Ka, jsonio._need(a_doc, "value", "solve input a"))
     b = jsonio.parse_scalar(Ka, jsonio._need(b_doc, "value", "solve input b"))

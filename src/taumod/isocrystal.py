@@ -27,12 +27,6 @@ from .zseries import DEFAULT_Z_PREC, ZSeries
 INF = math.inf
 
 
-def same_base(Ka, Kb):
-    if Ka.kind != Kb.kind or Ka.desc != Kb.desc or Ka.ext != Kb.ext:
-        return False
-    return getattr(Ka, "ram", 1) == getattr(Kb, "ram", 1)
-
-
 class Isocrystal:
     """Free module over K((z)) with an invertible semilinear operator.
 
@@ -88,7 +82,7 @@ def simple_pure(K, s, r):
 
 
 def tensor(M, N):
-    if not same_base(M.K, N.K):
+    if M.K is not N.K:
         raise InputError("tensor requires a common base")
     return Isocrystal(M.K, zmatrix.kron(M.A, N.A))
 
@@ -107,7 +101,7 @@ def ihom(M, N):
 
 
 def direct_sum(M, N):
-    if not same_base(M.K, N.K):
+    if M.K is not N.K:
         raise InputError("direct sum requires a common base")
     K = M.K
     r, s = M.rank, N.rank

@@ -32,6 +32,7 @@ from taumod.basefield import (
     mult_matrix,
 )
 from taumod.errors import (
+    InputError,
     InvariantError,
     NoRoot,
     NotStable,
@@ -59,7 +60,8 @@ def solve_scalar(a, b, tag="BK", prec=None):
     settle.
     """
     N = prec if prec is not None else DEFAULT_Z_PREC
-    a, b = _common(a, b)
+    if a.K is not b.K:
+        raise InputError("a and b must live over the same base")
     K = a.K
     try:
         va = a.valuation()
@@ -72,14 +74,6 @@ def solve_scalar(a, b, tag="BK", prec=None):
     if va < 0:
         return _solve_contraction(a, b, va, tag, N)
     return _solve_additive(a, b, tag, N)
-
-
-def _common(a, b):
-    if a.K is b.K:
-        return a, b
-    s = a + ZSeries.zero(b.K)
-    t = b + ZSeries.zero(s.K)
-    return s, t
 
 
 def _inconclusive(tag, N, note, partial=None):
@@ -605,9 +599,9 @@ def frobenius_action(K, module_basis, N):
     r = len(module_basis)
     aq = K.desc.a
     kpow = aq * K.desc.m * K.ext  # log_p of |K|
-    small = get_field(p, aq)
-    small_pows = [small.el([0, 1] if aq > 1 else [1]) ** t for t in range(aq)]
-    big_pows = [coerce_into(x, ff) for x in small_pows]
+    # an F_p-basis of F_q, the powers of its generator, in L and in K
+    gL, gK = fq_generator(L, aq), fq_generator(K, aq)
+    big_pows = [gL**t for t in range(aq)]
     cols = []
     meta = []
     for i in range(r):
@@ -631,7 +625,7 @@ def frobenius_action(K, module_basis, N):
     for j, sol in enumerate(out_rows):
         for idx, (i, n, t) in enumerate(meta):
             if sol[idx] % p:
-                term = ZSeries(K, {n: K.el(small_pows[t]) * sol[idx]}, INF)
+                term = ZSeries(K, {n: gK**t * sol[idx]}, INF)
                 C[i][j] = C[i][j] + term
     C = [[entry.truncate(N) for entry in row] for row in C]
     return C

@@ -7,8 +7,8 @@ knowledge window hi: every exponent below hi is known, and hi = inf marks
 an exact element. Exactly-zero coefficients are dropped on construction;
 exponents are taken as given (`from_pairs` and the JSON parsers convert
 them to int). The arithmetic depends on a subclass only through two
-parameters (the hooks below add its error messages, operand promotion
-and field-nesting rule):
+parameters (the hooks below add its error messages and operand
+promotion):
 
   * the coefficient ring `_ring(K)`: K itself, or for `LocalElem` the
     residue field of the local K. It supplies zero/one, the exact-zero
@@ -19,6 +19,9 @@ and field-nesting rule):
 
     t = 0 for the commutative series, 1 for x = tau (tau c = sigma(c) tau)
     and -1 for x = tau^{-1}.
+
+Both operands of an operation are over one K (`_pair`), or it is a
+program fault; a series changes field only by `_lift`, to an extension.
 
 Windows stay truthful: a sum is known below the smaller window; a product
 of a (order >= v_a) and b (order >= v_b) is known below
@@ -41,11 +44,11 @@ and it picks one of three loops, all giving the same coefficients:
     terms, cached on the series, into one accumulator, reduced once; a
     minus sign adds log(-1);
   * the Felt loop `_felt_sum` multiplies coefficient by coefficient, for
-    rings without log tables (`LocalK`, untabled fields) and for
-    coefficients from another field. Over `LocalK`, whose coefficients
-    are themselves series, it groups the coefficient products by output
-    exponent and sums each group through `sum_of_products`, so they
-    reach the loops above over the residue field.
+    rings without log tables (`LocalK`, untabled fields). Over `LocalK`,
+    whose coefficients are themselves series, it groups the coefficient
+    products by output exponent and sums each group through
+    `sum_of_products`, so they reach the loops above over the residue
+    field.
 
 Over a tabled field, the packed path takes untwisted sums (or twists
 that sigma fixes) over fields of degree n <= PACK_DEGREE with at least
@@ -68,7 +71,8 @@ product, gets too (tests/dense_oracle.py).
 
 import math
 
-from taumod.errors import CoercionError, InputError, NotInvertible, PrecisionLoss
+from taumod.errors import (CoercionError, InputError, InvariantError, NotInvertible,
+                           PrecisionLoss)
 
 INF = math.inf
 # the crossovers of the packed path (see above)
@@ -85,9 +89,6 @@ class Series:
 
     # power of sigma applied per exponent of the left factor in a product
     _TWIST = 0
-    # what `_lift` raises when one operand's field does not embed in the
-    # other's; `_pair` then lifts the other way round
-    _UNPAIRED = CoercionError
     # error messages: monomial names, the order of a zero-to-window
     # element, and the inverse of an exact / a zero-to-window element
     _mono = staticmethod("x^{}".format)
@@ -126,10 +127,6 @@ class Series:
         """other as a series of this kind, or None."""
         return other if isinstance(other, type(self)) else None
 
-    def _check_embeds(self, K):
-        """Raise `_UNPAIRED` unless self's field embeds in K. By default
-        the coefficient coercion decides alone."""
-
     def _default_inv_prec(self):
         """Terms `inv` keeps when no precision is asked for."""
         raise NotImplementedError
@@ -150,8 +147,12 @@ class Series:
         return pk[1]
 
     def _lift(self, K):
-        """self over K, coefficients coerced along the field inclusion."""
-        self._check_embeds(K)
+        """self over K, coefficients coerced along the field inclusion. K
+        must extend self's field: the same descriptor and ramification,
+        and an extension degree that self's divides."""
+        S = self.K
+        if K.desc != S.desc or K.ram != S.ram or K.ext % S.ext:
+            raise CoercionError(f"{S!r} does not embed in {K!r}")
         R = self._ring(K)
         return self._carry(K, {e: R.coerce(c) for e, c in self.co.items()}, self.hi)
 
@@ -258,9 +259,7 @@ class Series:
         b = other if type(other) is type(self) else self._operand(other)
         if b is None:
             return NotImplemented
-        a = self
-        if a.K is not b.K:
-            a, b = _pair(a, b)
+        a, b = _pair(self, b)
         co = dict(a.co)
         for e, c in b.co.items():
             s = co.get(e)
@@ -274,9 +273,7 @@ class Series:
         b = other if type(other) is type(self) else self._operand(other)
         if b is None:
             return NotImplemented
-        a = self
-        if a.K is not b.K:
-            a, b = _pair(a, b)
+        a, b = _pair(self, b)
         co = dict(a.co)
         for e, c in b.co.items():
             s = co.get(e)
@@ -287,10 +284,7 @@ class Series:
         b = other if type(other) is type(self) else self._operand(other)
         if b is None:
             return NotImplemented
-        a = self
-        if a.K is not b.K:
-            a, b = _pair(a, b)
-        return sum_of_products(((a, b, False),))
+        return sum_of_products((_pair(self, b) + (False,),))
 
     def __truediv__(self, other):
         b = self._operand(other)
@@ -299,10 +293,10 @@ class Series:
         return self * b.inv()
 
     def scale(self, c):
-        """Multiply every coefficient by the ring scalar c, on the left.
-        An exact-zero scalar gives the exact zero."""
+        """Multiply every coefficient by c, an int or an element of the
+        ring, on the left. An exact-zero scalar gives the exact zero."""
         R = self._ring(self.K)
-        c = R.el(c)
+        c = R.el(c) if isinstance(c, int) else c
         if R.exact_zero_p(c):
             return self._with({}, INF)
         return self._with({e: c * x for e, x in self.co.items()}, self.hi)
@@ -368,8 +362,8 @@ def sum_of_products(terms):
 
     When every operand is a series of one kind over one finite field with
     log tables, the coefficients come from one call of `FF.packed_sum` or
-    `FF.sum_of_products`, chosen by the crossovers above; otherwise, or
-    when a coefficient lies in another field, from the Felt loop.
+    `FF.sum_of_products`, chosen by the crossovers above; otherwise from
+    the Felt loop.
     """
     a0 = terms[0][0]
     cls, K = type(a0), a0.K
@@ -421,31 +415,24 @@ def _window(terms):
 
 def _felt_sum(terms, hi):
     """`sum_of_products` of terms with window hi, coefficient by
-    coefficient.
+    coefficient, every operand over one K.
 
-    Over a local K (coefficients `LocalElem`, themselves series), when
-    every operand is over K, the coefficient products are grouped by
-    output exponent and each group is summed by one `sum_of_products`,
-    a sum of products of zeta-series; its window `_window` is the least
-    of its products' windows, as a chain of additions would give.
-    Otherwise, one coefficient product at a time into one map. Operands
-    over different fields are paired by `_pair`: each product's, then
-    the sum so far with the next product."""
+    Over a local K (coefficients `LocalElem`, themselves series), the
+    coefficient products are grouped by output exponent and each group
+    is summed by one `sum_of_products`, a sum of products of
+    zeta-series; its window `_window` is the least of its products'
+    windows, as a chain of additions would give. Otherwise, one
+    coefficient product at a time into one map."""
     cls, K = type(terms[0][0]), terms[0][0].K
+    if any(a.K is not K or b is not None and b.K is not K for a, b, _ in terms):
+        raise InvariantError(f"a sum of products over {K!r} and another field")
     twist = cls._TWIST
-    if cls._ring(K).kind == "local" and all(
-            a.K is K and (b is None or b.K is K) for a, b, _ in terms):
+    R = cls._ring(K)
+    if R.kind == "local":
         return cls(K, _grouped_sums(terms, hi, twist, K.sigma), hi)
+    sigma = R.sigma
     co = {}
     for a, b, neg in terms:
-        if b is not None and a.K is not b.K:
-            a, b = _pair(a, b)
-        if a.K is not K:
-            acc, a = _pair(cls(K, co), a)
-            K, co = acc.K, acc.co
-            if b is not None and b.K is not K:
-                b = b._lift(K)
-        sigma = cls._ring(K).sigma
         for e1, c1 in a.co.items():
             if neg:
                 c1 = -c1
@@ -484,11 +471,7 @@ def _grouped_sums(terms, hi, twist, sigma):
 
 
 def _pair(a, b):
-    """(a, b) over one coefficient field: a lifted into b's field, or when
-    that raises `_UNPAIRED`, b lifted into a's."""
-    if a.K is b.K:
-        return a, b
-    try:
-        return a._lift(b.K), b
-    except a._UNPAIRED:
-        return a, b._lift(a.K)
+    """(a, b), which must be series over one field."""
+    if a.K is not b.K:
+        raise InvariantError(f"operands over {a.K!r} and {b.K!r}")
+    return a, b

@@ -9,14 +9,15 @@ Both are the windowed series of `taumod.series` over K with a twisted
 product: sigma^i for `SkewPoly` (exponent i of tau) and sigma^{-k} for
 `SkewLaurent` (exponent k of tau^{-1}). SkewPoly works over finite and
 local bases alike, and its constructors and arithmetic give exact
-elements. SkewLaurent, the skew field of Laurent series in tau^{-1},
-needs tau^{-1} * x = x^{1/q} * tau^{-1} and therefore a perfect base:
-construction over a local base is rejected. Laurent elements carry a
-knowledge window in tau^{-1}-exponents, truthful under products and
-inversion: `SkewLaurent.inv` (also bound as `skew_inverse`) is the
-recurrence `Series.inv` of every windowed series at twist -1, which
-solves f * u = 1 one coefficient at a time. In a skew field the right
-inverse it finds is the two-sided inverse.
+elements. Operands share one K; `SkewPoly.evaluate` at a point of an
+extension lifts each coefficient there. SkewLaurent, the skew field of
+Laurent series in tau^{-1}, needs tau^{-1} * x = x^{1/q} * tau^{-1} and
+therefore a perfect base: construction over a local base is rejected.
+Laurent elements carry a knowledge window in tau^{-1}-exponents,
+truthful under products and inversion: `SkewLaurent.inv` (also bound as
+`skew_inverse`) is the recurrence `Series.inv` of every windowed series
+at twist -1, which solves f * u = 1 one coefficient at a time. In a skew
+field the right inverse it finds is the two-sided inverse.
 """
 
 from taumod.errors import InputError
@@ -25,19 +26,12 @@ from taumod.series import INF, Series
 DEFAULT_TAUINV_PREC = 16
 
 
-def _check_extension(self, K):
-    if K.ext % self.K.ext != 0:
-        raise InputError("no common extension between operand bases")
-
-
 class SkewPoly(Series):
     """Finite twisted polynomial sum f_i tau^i, coefficients in K."""
 
     __slots__ = ()
 
     _TWIST = 1
-    _UNPAIRED = InputError
-    _check_embeds = _check_extension
     _mono = staticmethod("tau^{}".format)
 
     def __repr__(self):
@@ -63,14 +57,14 @@ class SkewPoly(Series):
     def evaluate(self, x, field=None):
         """Value of the additive polynomial sum f_i x^{q^i}.
 
-        `field` may be an extension of the coefficient base; defaults to
-        the base itself.
+        `field` may be an extension of the coefficient base, into which
+        each coefficient is lifted; defaults to the base itself.
         """
         F = field if field is not None else self.K
         x = F.el(x)
         acc = F.zero()
         for d, c in self.co.items():
-            acc = acc + c * F.sigma(x, d)
+            acc = acc + F.el(c) * F.sigma(x, d)
         return acc
 
     def to_laurent(self, hi=INF):
@@ -88,8 +82,6 @@ class SkewLaurent(Series):
     __slots__ = ()
 
     _TWIST = -1
-    _UNPAIRED = InputError
-    _check_embeds = _check_extension
     _mono = staticmethod(lambda k: f"tau^{-k}")
     _ZERO_ORDER = "valuation of a zero-to-window element"
     _INV_ZERO = "inverse of zero"

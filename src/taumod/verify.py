@@ -31,9 +31,13 @@ def _parse_matrix(K, rows):
     return [[jsonio.parse_zseries(K, cell) for cell in row] for row in rows]
 
 
-def _replay_purity(M, cert_doc, checks, label):
-    """Re-check stability of the certified lattice, not the search."""
+def _replay_purity(M, cert_doc, checks, label, slope=None):
+    """Re-check stability of the certified lattice, not the search; a
+    certificate off `slope`, the one (s, r) a command certifies, fails."""
     s, r = int(cert_doc["s"]), int(cert_doc["r"])
+    if slope is not None and (s, r) != slope:
+        _check(checks, f"{label}: tau^r T == z^s T", False, s=s, r=r)
+        return
     lat = cert_doc["lattice"]
     T = Lattice(M.K, _parse_matrix(M.K, lat["basis"]),
                 [int(e) for e in lat["pivots"]])
@@ -80,7 +84,8 @@ def _replay_analyze(inp, result, checks, policy):
     M = drinfeld.m_infinity(E)
     cert = result.get("infinity_purity", {})
     if cert.get("kind") == "purity_certificate":
-        _replay_purity(M, cert, checks, "infinity purity")
+        # analyze certifies slope -1/rank only
+        _replay_purity(M, cert, checks, "infinity purity", (-1, E.rank))
     if "reduction" in result:
         _check(checks, "reduction: valuation table re-evaluates",
                jsonio.render(drinfeld.reduction_type(E)) == result["reduction"])
@@ -261,7 +266,13 @@ def _replay_weil(inp, result, checks, policy):
         return
     E = jsonio.parse_drinfeld(inp)
     claimed = dict(result["weil"])
-    L = E.K.extend(int(claimed["extension"]))
+    e = int(claimed["extension"])
+    # L, of the report's degree, is built for coefficient arrays of it only
+    n = E.K.desc.a * E.K.desc.m * E.K.ext * e
+    if e < 1 or any(len(c) != n for _, c in claimed["conjugator"]["tauinv_coeffs"]):
+        _check(checks, "weil: conjugator re-substitutes", False, extension=e)
+        return
+    L = E.K.extend(e)
     u = jsonio.parse_skewlaurent(L, claimed["conjugator"])
     _check(checks, "weil: conjugator re-substitutes",
            tateweil.conjugator_resubstitutes(E, u))

@@ -53,7 +53,7 @@ from taumod.semilinear import (
     _fq_basis_from_fp_kernel,
     _mult_mat,
 )
-from taumod.series import INF, _pair, _window
+from taumod.series import INF, _window
 from taumod.skew import DEFAULT_TAUINV_PREC
 from taumod.tateweil import TateData
 from taumod.zseries import DEFAULT_Z_PREC, ZSeries
@@ -287,22 +287,15 @@ def sweep_slope0_corpus(seed=0, prec=4, ext_max=8):
 
 def chained_sum(terms):
     """`series.sum_of_products(terms)` by the Felt loop, one coefficient
-    product at a time into one map, over local bases too. Operands over
-    different fields are paired by `_pair`: each product's, then the sum
-    so far with the next product."""
+    product at a time into one map, over local bases too; every operand
+    is over one K."""
     hi = _window(terms)
     cls, K = type(terms[0][0]), terms[0][0].K
     twist = cls._TWIST
+    sigma = cls._ring(K).sigma
     co = {}
     for a, b, neg in terms:
-        if b is not None and a.K is not b.K:
-            a, b = _pair(a, b)
-        if a.K is not K:
-            acc, a = _pair(cls(K, co), a)
-            K, co = acc.K, acc.co
-            if b is not None and b.K is not K:
-                b = b._lift(K)
-        sigma = cls._ring(K).sigma
+        assert a.K is K and (b is None or b.K is K)
         for e1, c1 in a.co.items():
             if neg:
                 c1 = -c1

@@ -9,6 +9,7 @@ paths on the same inputs.
 import copy
 import itertools
 import math
+import operator
 import pickle
 import random
 
@@ -37,6 +38,7 @@ from taumod.basefield import (
 from taumod.errors import (
     CoercionError,
     InputError,
+    InvariantError,
     NoRoot,
     NotInvertible,
     PrecisionLoss,
@@ -543,11 +545,18 @@ class TestEmbeddings:
             coerce_into(get_field(2, 2).gen, get_field(2, 3))
 
     def test_mixed_operand_arithmetic(self):
+        # operands over two fields are a program fault, even when one
+        # field embeds in the other; the lift is explicit
         a = get_field(2, 2).gen
         big = get_field(2, 4)
         ia = coerce_into(a, big)
-        assert a + ia == big.zero  # char 2: x + x = 0
-        assert a * ia == ia * ia
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.eq):
+            for x, y in ((a, ia), (ia, a)):
+                with pytest.raises(InvariantError):
+                    op(x, y)
+        assert coerce_into(a, big) + ia == big.zero  # char 2: x + x = 0
+        assert big.el(a) * ia == ia * ia
 
 
 class TestFieldDescriptor:

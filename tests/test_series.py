@@ -11,8 +11,8 @@ import random
 import pytest
 
 from taumod.basefield import FieldDescriptor, LocalElem
-from taumod.errors import CoercionError, InputError, NotInvertible, PrecisionLoss
-from taumod.series import Series
+from taumod.errors import CoercionError, InvariantError, NotInvertible, PrecisionLoss
+from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
 
@@ -23,14 +23,12 @@ INF = math.inf
 F4 = FieldDescriptor(p=2, a=2, m=1, kind="finite")
 F4L = FieldDescriptor(p=2, a=2, m=1, kind="local")
 
-# (kind, base descriptor, coefficient ring of a base, windowed?, error
-# for operands over fields that do not nest)
+# (kind, base descriptor, coefficient ring of a base, windowed?)
 KINDS = [
-    pytest.param(ZSeries, F4, lambda K: K, True, CoercionError, id="ZSeries"),
-    pytest.param(LocalElem, F4L, lambda K: K.residue_K(), True, CoercionError,
-                 id="LocalElem"),
-    pytest.param(SkewPoly, F4, lambda K: K, False, InputError, id="SkewPoly"),
-    pytest.param(SkewLaurent, F4, lambda K: K, True, InputError, id="SkewLaurent"),
+    pytest.param(ZSeries, F4, lambda K: K, True, id="ZSeries"),
+    pytest.param(LocalElem, F4L, lambda K: K.residue_K(), True, id="LocalElem"),
+    pytest.param(SkewPoly, F4, lambda K: K, False, id="SkewPoly"),
+    pytest.param(SkewLaurent, F4, lambda K: K, True, id="SkewLaurent"),
 ]
 
 
@@ -39,9 +37,9 @@ def make(cls, ring, K, co, hi, windowed):
     return cls(K, {e: R.el(c) for e, c in co.items()}, hi if windowed else INF)
 
 
-@pytest.mark.parametrize("cls, desc, ring, windowed, unpaired", KINDS)
+@pytest.mark.parametrize("cls, desc, ring, windowed", KINDS)
 class TestSharedRules:
-    def test_exact_zero_absorbs(self, cls, desc, ring, windowed, unpaired):
+    def test_exact_zero_absorbs(self, cls, desc, ring, windowed):
         K = desc.field()
         a = make(cls, ring, K, {-1: 1, 2: [0, 1]}, 5, windowed)
         zero = cls.zero(K)
@@ -53,7 +51,7 @@ class TestSharedRules:
             prod = a * w
             assert prod.co == {} and prod.hi == min(5 + 4, 4 + (-1))
 
-    def test_product_window(self, cls, desc, ring, windowed, unpaired):
+    def test_product_window(self, cls, desc, ring, windowed):
         K = desc.field()
         a = make(cls, ring, K, {1: 1, 3: [0, 1]}, 6, windowed)
         b = make(cls, ring, K, {-2: [1, 1], 0: 1}, 2, windowed)
@@ -64,7 +62,7 @@ class TestSharedRules:
             assert all(e < prod.hi for e in prod.co)
             assert min(prod.co) == -1  # v(a) + v(b), nonzero leading product
 
-    def test_truncate(self, cls, desc, ring, windowed, unpaired):
+    def test_truncate(self, cls, desc, ring, windowed):
         K = desc.field()
         a = make(cls, ring, K, {-1: 1, 0: [1, 1], 2: [0, 1]}, 5, windowed)
         t = a.truncate(1)
@@ -72,7 +70,7 @@ class TestSharedRules:
         assert a.truncate(9).hi == min(a.hi, 9)
         assert a.truncate(9).co == a.co
 
-    def test_agrees_on_common_window(self, cls, desc, ring, windowed, unpaired):
+    def test_agrees_on_common_window(self, cls, desc, ring, windowed):
         K = desc.field()
         a = make(cls, ring, K, {0: 1, 2: [0, 1]}, 3, windowed)
         if windowed:
@@ -83,31 +81,84 @@ class TestSharedRules:
         assert not a.agrees_with(c) and not c.agrees_with(a)
         assert a.agrees_with(a.truncate(1))
 
-    def test_pairs_nested_fields(self, cls, desc, ring, windowed, unpaired):
+    def test_pairs_nested_fields(self, cls, desc, ring, windowed):
         K4 = desc.field()
         K16 = K4.extend(2)
         a = make(cls, ring, K4, {0: [0, 1], 1: 1}, 4, windowed)
         b = make(cls, ring, K16, {0: [1, 0, 1, 1]}, 3, windowed)
         lifted = ring(K16).coerce(ring(K4).el([0, 1]))
-        for s in (a + b, b + a):
+        a16 = a._lift(K16)
+        for s in (a16 + b, b + a16):
             assert s.K is K16
             assert s.coeff(0) == lifted + ring(K16).el([1, 0, 1, 1])
             assert s.coeff(1) == ring(K16).one()
             assert s.hi == (3 if windowed else INF)
-        assert (a * b).K is K16 and (b * a).K is K16
-        assert a.agrees_with(a * cls.one(K16))
+        assert (a16 * b).K is K16 and (b * a16).K is K16
+        assert a16.agrees_with(a16 * cls.one(K16))
 
-    def test_rejects_fields_that_do_not_nest(self, cls, desc, ring, windowed,
-                                             unpaired):
+    def test_rejects_fields_that_do_not_nest(self, cls, desc, ring, windowed):
         K4 = desc.field()
         K16, K64 = K4.extend(2), K4.extend(3)
         a = make(cls, ring, K16, {0: 1, 1: 1}, 4, windowed)
         b = make(cls, ring, K64, {0: 1}, 4, windowed)
+        assert_mixed_fields_refused(a, b)
         for x, y in ((a, b), (b, a)):
-            with pytest.raises(unpaired):
-                x + y
-            with pytest.raises(unpaired):
-                x * y
+            with pytest.raises(CoercionError):
+                x._lift(y.K)
+
+    def test_rejects_fields_that_nest(self, cls, desc, ring, windowed):
+        # one field embeds in the other, and still only an explicit lift
+        # moves an operand there
+        K4 = desc.field()
+        a = make(cls, ring, K4, {0: [0, 1], 1: 1}, 4, windowed)
+        b = make(cls, ring, K4.extend(2), {0: [1, 0, 1, 1]}, 3, windowed)
+        assert_mixed_fields_refused(a, b)
+        with pytest.raises(CoercionError):
+            b._lift(K4)
+
+
+def assert_mixed_fields_refused(a, b):
+    """Every operation on a and b, series over two fields, is a fault."""
+    for x, y in ((a, b), (b, a)):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                   lambda: x == y, lambda: x.agrees_with(y),
+                   lambda: sum_of_products([(x, x, False), (y, None, True)])):
+            with pytest.raises(InvariantError):
+                op()
+
+
+def test_lift_keeps_the_base():
+    # F_4 as (p, a, m) = (2, 1, 2) and as (2, 2, 1): one coefficient field,
+    # but sigma is the 2-power map on one and the identity on the other
+    K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
+    x = ZSeries(K, {0: K.gen(), 1: K.one()}, 5)
+    for L in (F4.field(), F4.field().extend(2), F2.field().extend(2),
+              FieldDescriptor(p=2, a=1, m=2, kind="finite", window=(-4, 8)).field(),
+              FieldDescriptor(p=2, a=1, m=2, kind="local").field()):
+        with pytest.raises(CoercionError):
+            x._lift(L)
+    L = K.extend(3)
+    assert x._lift(L).co == {0: L.el(K.gen()), 1: L.one()} and x._lift(L).hi == 5
+    # over a local base the ramification must match too
+    KL = F4L.field()
+    y = LocalElem(KL, {1: KL.residue_K().one()}, INF)
+    with pytest.raises(CoercionError):
+        y._lift(KL.ramify(2))
+    assert y._lift(KL.extend(2)).K is KL.extend(2)
+
+
+def test_coefficient_of_another_field_is_refused():
+    # a Felt of F_16 is no coefficient over F_4, nor a constant of F_4((zeta))
+    K, KL = F4.field(), F4L.field()
+    foreign = K.extend(2).gen()
+    with pytest.raises(InvariantError):
+        ZSeries(K, {0: foreign})
+    with pytest.raises(InvariantError):
+        KL.one() + foreign
+    # nor is an F_4 scalar one of F_16
+    with pytest.raises(InvariantError):
+        ZSeries.one(K.extend(2)).scale(K.gen())
+    assert KL.one() + K.gen() == KL.el(K.gen()) + 1
 
 
 # -- one inverse ---------------------------------------------------------------

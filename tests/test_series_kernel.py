@@ -22,6 +22,7 @@ import random
 import pytest
 
 from taumod.basefield import FF, TABLE_LIMIT, Felt, FieldDescriptor, LocalElem
+from taumod.errors import InvariantError
 from taumod.series import PACK_DEGREE, PACK_PAIRS, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
@@ -200,27 +201,19 @@ def test_local_elem_products():
 
 
 def test_operand_from_a_subfield_is_lifted_first():
+    # only an explicit lift moves an operand into the larger field
     small = FIELDS["F4"].field()
     big = small.extend(2)
     rng = random.Random("series-kernel-subfield")
     for cls, windowed in KINDS:
         a = random_series(cls, small, rng, 6, windowed)
         b = random_series(cls, big, rng, 7, windowed)
-        want = felt_product(a._lift(big), b)
-        assert_same(a * b, want)
-        assert_same(b * a, felt_product(b, a._lift(big)))
-
-
-def test_coefficients_from_another_field_take_the_felt_loop(monkeypatch):
-    # a series over F_16 holding an F_4 coefficient, as a caller may build
-    small = FIELDS["F4"].field()
-    K = small.extend(2)
-    a = ZSeries(K, {0: small.el([0, 1]), 2: K.el([1, 0, 1, 1])}, 9)
-    b = ZSeries(K, {1: K.el([0, 1, 1, 0]), 3: K.one()}, 7)
-    assert K.ff.logs(a.co) is None
-    no_kernels(monkeypatch)
-    prod = a * b
-    assert_same(prod, felt_product(a._lift(K), b))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(InvariantError):
+                x * y
+        a = a._lift(big)
+        assert_same(a * b, felt_product(a, b))
+        assert_same(b * a, felt_product(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +395,8 @@ def test_sum_of_local_elements_takes_the_chain():
 
 
 def test_operand_from_a_subfield_sums_through_the_chain():
+    # a sum with an operand over a subfield is a fault, wherever the
+    # operand stands; lifted first, it is an ordinary sum
     small = FIELDS["F4"].field()
     big = small.extend(2)
     rng = random.Random("series-kernel-sum-subfield")
@@ -409,16 +404,13 @@ def test_operand_from_a_subfield_sums_through_the_chain():
         terms = random_terms(cls, big, rng, 4, windowed)
         a = random_series(cls, small, rng, 6, windowed)
         b = random_series(cls, big, rng, 5, windowed)
-        mixed = terms[:2] + [(a, b, True)] + terms[2:]
-        lifted = terms[:2] + [(a._lift(big), b, True)] + terms[2:]
-        assert_same(sum_of_products(mixed), felt_sum(lifted))
-        # a term wholly over the subfield, first or among the others: the
-        # sum so far is lifted, or the term is
         for at in (0, 2):
-            mixed = terms[:at] + [(a, None, True), (a, a, False)] + terms[at:]
-            small_terms = [(a._lift(big), None, True), (a._lift(big), a._lift(big), False)]
-            lifted = terms[:at] + small_terms + terms[at:]
-            assert_same(sum_of_products(mixed), felt_sum(lifted))
+            for small_terms in ([(a, b, True)], [(a, None, True), (a, a, False)]):
+                with pytest.raises(InvariantError):
+                    sum_of_products(terms[:at] + small_terms + terms[at:])
+        a = a._lift(big)
+        lifted = terms[:2] + [(a, b, True), (a, None, True), (a, a, False)] + terms[2:]
+        assert_same(sum_of_products(lifted), felt_sum(lifted))
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +544,20 @@ def test_twisted_sums_take_the_log_loop(monkeypatch):
 
 
 def test_large_sums_with_foreign_coefficients_take_the_chain():
-    # above the size crossover: an F_4 coefficient among F_16 ones, and
-    # LocalK series, whose coefficients have no logs
+    # above the size crossover: an F_4 coefficient is refused among F_16
+    # ones, and lifted it is one of them; LocalK series, whose
+    # coefficients have no logs, take the chain
     small = FIELDS["F4"].field()
     K = small.extend(2)
     rng = random.Random("series-kernel-packed-chain")
     a = random_series(ZSeries, K, rng, 20, True)
     b = random_series(ZSeries, K, rng, 20, True)
     w = small.el([0, 1])
-    mixed = ZSeries(K, {**b.co, 3: w}, b.hi)
+    with pytest.raises(InvariantError):
+        ZSeries(K, {**b.co, 3: w}, b.hi)
     lifted = ZSeries(K, {**b.co, 3: K.coerce(w)}, b.hi)
-    terms = [(a, b, False), (a, mixed, True)]
-    assert_same(sum_of_products(terms), felt_sum([(a, b, False), (a, lifted, True)]))
+    terms = [(a, b, False), (a, lifted, True)]
+    assert_same(sum_of_products(terms), felt_sum(terms))
     L = FieldDescriptor(p=3, a=1, m=2, kind="local").field()
     terms = [(random_series(ZSeries, L, rng, 12, True), random_series(ZSeries, L, rng, 12, True),
               i % 2 == 0) for i in range(3)]
@@ -631,7 +625,8 @@ def test_local_sums_match_the_chain(label, cls):
 
 
 def test_local_sums_over_two_fields_keep_the_chain():
-    # an operand over the quadratic extension: the sum so far is lifted
+    # an operand over the quadratic extension is a fault wherever it
+    # stands; with the others lifted, the sum is the chain's
     K = LOCAL_FIELDS["F3((zeta))"].field()
     L = K.extend(2)
     rng = random.Random("series-kernel-local-two-fields")
@@ -639,5 +634,8 @@ def test_local_sums_over_two_fields_keep_the_chain():
         terms = [(random_local_series(ZSeries, K, rng), random_local_series(ZSeries, K, rng),
                   i % 2 == 1) for i in range(3)]
         big = random_local_series(ZSeries, L, rng)
+        with pytest.raises(InvariantError):
+            sum_of_products(terms[:at] + [(big, terms[0][0], True)] + terms[at:])
+        terms = [(a._lift(L), b._lift(L), neg) for a, b, neg in terms]
         terms.insert(at, (big, terms[0][0], True))
         assert_same_local(sum_of_products(terms), chained_sum(terms))

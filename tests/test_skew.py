@@ -205,12 +205,3 @@ class TestSkewLaurent:
             uinv = skew_inverse(u, prec=10)
             back = conjugate(u, conjugate(uinv, f, prec=10), prec=10)
             assert back.agrees_with(f)
-
-    def test_extension_auto_embed(self):
-        K = F4.field()
-        K2 = K.extend(2)
-        f = SkewLaurent(K, {0: K.gen()})
-        g = SkewLaurent(K2, {1: K2.gen()})
-        h = f * g
-        assert h.K is K2
-        assert h.coeff(1) == K.gen() * K2.gen()

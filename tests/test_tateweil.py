@@ -100,7 +100,7 @@ class TestTateSlope0:
             L = vec[0].K
             img = [
                 sum(
-                    (B[i][j].truncate(3) * vec[j].sigma(1) for j in range(1)),
+                    (B[i][j].truncate(3)._lift(L) * vec[j].sigma(1) for j in range(1)),
                     ZSeries(L, {}, INF),
                 )
                 for i in range(1)
@@ -211,7 +211,7 @@ class TestIotaConjugator:
         E = carlitz()
         cd = iota_conjugator(E, N=8, e_max=9)
         V = formal_motive(E, N=10)
-        cj = (cd.u * V.phi_z) * skew_inverse(cd.u, 8)
+        cj = (cd.u * V.phi_z._lift(cd.u.K)) * skew_inverse(cd.u, 8)
         target = SkewLaurent.tau_inv(cd.u.K, 1)
         assert cj.agrees_with(target)
         assert cj.hi >= 8
@@ -239,7 +239,7 @@ class TestIotaConjugator:
         cd = iota_conjugator(E, N=16, e_max=8)
         assert cd.extension == 8
         V = formal_motive(E, N=20)
-        cj = (cd.u * V.phi_z) * skew_inverse(cd.u, 12)
+        cj = (cd.u * V.phi_z._lift(cd.u.K)) * skew_inverse(cd.u, 12)
         assert cj.agrees_with(SkewLaurent.tau_inv(cd.u.K, 2))
 
     def test_rejects_local_base(self):

@@ -166,6 +166,88 @@ def test_tampered_certified_leaf_is_refused(command, data):
     assert code in (2, 4), (path, value, forged, vr)
 
 
+# -- the report sets no work --------------------------------------------------
+#
+# A replay does the work that its input asks for, whatever numbers a
+# report claims. Each int leaf of an honest result, scaled by 10 and by
+# 1000, must keep the replay within the honest reports' reach: no field
+# larger than one they live in, no power of a twist above their purity
+# certificates' r. The r of `isocrystal purity` is the `--r` the command
+# was asked at, which its report keeps only in the certificate, so there
+# the replay's tau^r follows the leaf, as the command's own does. A
+# scaled leaf under `CERTIFIED` that changes the claim must be refused.
+
+ASKED = {"isocrystal purity": ("result", "certificate", "r")}
+
+
+def _int_leaves(node, path):
+    """(path, value) of every int leaf under node, windows included."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _int_leaves(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _int_leaves(val, path + (i,))
+    elif type(node) is int:
+        yield path, node
+
+
+def _same_claim(path, old, new, p):
+    """Whether new says at path what old said: the same number, a window
+    (left out as in the tamper test above), or a coordinate of a field
+    element that is the same mod p."""
+    if new == old or "window" in path:
+        return True
+    coordinate = (len(path) >= 4 and path[-2] == 1
+                  and path[-4] in ("z_coeffs", "tauinv_coeffs", "coeffs"))
+    return coordinate and (new - old) % p == 0
+
+
+def _honest_reach():
+    """The largest field degree over F_p and the largest purity
+    denominator r of the honest reports."""
+    degree = power = 1
+    for command in REGISTRY:
+        doc = json.loads(honest(command))
+        base = doc["input"]["base"]
+        leaves = list(_int_leaves(doc["result"], ()))
+        ext = max([v for path, v in leaves if path[-1] == "extension"], default=1)
+        degree = max(degree, base["a"] * base["m"] * base["ext"] * ext)
+        power = max([power] + [v for path, v in leaves if path[-1] == "r"])
+    return degree, power
+
+
+@pytest.mark.parametrize("command", sorted(REGISTRY))
+def test_scaled_leaf_sets_no_work(command, monkeypatch):
+    degree, power = _honest_reach()
+    limit = {}
+    init, tau_power = basefield.FF.__init__, Isocrystal.tau_power
+
+    def bounded_field(ff, p, n):
+        if n > degree:
+            pytest.fail(f"{limit['leaf']}: the replay builds F_{p}^{n}")
+        init(ff, p, n)
+
+    def bounded_power(M, k):
+        if k > limit["power"]:
+            pytest.fail(f"{limit['leaf']}: the replay raises the twist to tau^{k}")
+        return tau_power(M, k)
+
+    monkeypatch.setattr(basefield.FF, "__init__", bounded_field)
+    monkeypatch.setattr(Isocrystal, "tau_power", bounded_power)
+    p = json.loads(honest(command))["input"]["base"]["p"]
+    for path, value in _int_leaves(json.loads(honest(command))["result"], ("result",)):
+        for factor in (10, 1000):
+            doc = json.loads(honest(command))
+            forged = _at(doc, path[:-1])[path[-1]] = value * factor
+            limit["leaf"] = (path, forged)
+            limit["power"] = forged if path == ASKED.get(command) else power
+            code, vr = verify(doc)
+            if (any(path[:len(c)] == c for c in CERTIFIED[command])
+                    and not _same_claim(path, value, forged, p)):
+                assert code in (2, 4), (path, forged, vr)
+
+
 # -- weil ---------------------------------------------------------------------
 
 
@@ -208,6 +290,27 @@ def test_weil_forged_lambda_with_rescaled_valuations_is_refused():
     assert code == 4
 
 
+def test_weil_forged_extension_builds_no_field_of_its_degree(monkeypatch):
+    # restated at extension 2000, the conjugator's coefficients are still
+    # arrays of F_{9^2} = F_{3^4}: the report is refused before it is read
+    # over F_{9^2000}
+    doc = json.loads(honest("weil"))
+    assert doc["result"]["weil"]["extension"] == 2
+    doc["result"]["weil"]["extension"] = 2000
+    init = basefield.FF.__init__
+
+    def bounded(ff, p, n):
+        if n > 4:
+            pytest.fail(f"the replay builds F_{p}^{n}")
+        init(ff, p, n)
+
+    monkeypatch.setattr(basefield.FF, "__init__", bounded)
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "weil: conjugator re-substitutes"]
+
+
 def test_weil_empty_table_is_refused():
     doc = _weil_rank2()
     doc["result"]["weil"]["table"] = []
@@ -245,6 +348,24 @@ def test_crosscheck_verdict_tamper_is_refused(name):
             assert code == 4
             assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
                 "crosscheck: verdict and data follow from the reduction"]
+
+
+def test_analyze_forged_denominator_raises_no_power(monkeypatch):
+    # analyze certifies slope -1/rank only: a certificate at r = 20 is
+    # refused without tau^20 over F_3((zeta))
+    doc = json.loads(honest("analyze"))
+    cert = doc["result"]["infinity_purity"]
+    assert (cert["s"], cert["r"]) == (-1, 2)
+    cert["r"] = 20
+
+    def refused(M, k):
+        pytest.fail(f"the replay raises the twist to tau^{k}")
+
+    monkeypatch.setattr(Isocrystal, "tau_power", refused)
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "infinity purity: tau^r T == z^s T"]
 
 
 def test_reduction_verdict_tamper_is_refused():
