@@ -2,16 +2,21 @@
 
 A profile hook records every function entered while `taumod.cli.main`
 handles a request, and only then. The requests are three samples, all
-run in this one process:
+run in this one process, in this order:
 
-  * every in-process CLI call of tier-1 (the test suite under
-    `tests/`, run through `pytest.main`; calls in subprocesses are not
-    seen);
-  * all of `bench/report_gate.py`;
   * the seed-0 `rank` and `tower` plans of perfbench/inputs.py with the
     `verify` of each report they verify, `corpus --generate --seed 0`,
     and `corpus --jobs 1` on the corpus it writes (the requests of
-    `bench/startup.py`).
+    `bench/startup.py`);
+  * all of `bench/report_gate.py`;
+  * every in-process CLI call of tier-1 (the test suite under
+    `tests/`, run through `pytest.main`; calls in subprocesses are not
+    seen).
+
+Fields and their tables are cached (`basefield.get_field`, cached
+properties), so a test that builds a field outside any request would
+hide the functions that a later request runs to build it; the commands
+therefore run before the tests.
 
 Then it prints on stdout every function and method of `src/taumod`
 that none of them entered, with its line count (decorators included),
@@ -130,9 +135,9 @@ def main_reach():
     # has replaced it, so they run the traced one
     taumod.cli.main = reach.main
     try:
-        run_tier1()
-        run_report_gate()
         run_plans(reach.main)
+        run_report_gate()
+        run_tier1()
     finally:
         taumod.cli.main = reach.cli_main
     reached = {(pathlib.Path(c.co_filename).resolve(), c.co_firstlineno)

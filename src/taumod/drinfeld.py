@@ -15,7 +15,6 @@ from .isocrystal import (
     Record,
     model_verify,
 )
-from .skew import SkewPoly
 from .zseries import ZSeries
 
 INF = math.inf
@@ -49,13 +48,6 @@ class DrinfeldModule:
         self.K = K
         self.coeffs = coeffs
         self.rank = r
-
-    def phi_t(self):
-        co = {
-            i: g for i, g in enumerate(self.coeffs)
-            if self.K.known_nonzero(g)
-        }
-        return SkewPoly(self.K, co)
 
 
 class MotiveData(Record):

@@ -1,7 +1,7 @@
 """Isocrystals over K((z)) as invertible twist matrices.
 
 tau acts on column vectors by v -> A*sigma(v). The module provides the
-tensor calculus (tensor, dual, internal hom), purity certification, a
+tensor calculus (tensor, dual, direct sum), purity certification, a
 Newton-polygon slope oracle over finite bases, the twist in the basis
 of an invariant lattice, and model verification over the integral
 coefficient ring.
@@ -94,10 +94,6 @@ def dual(M, prec=None, A_inv=None):
     if A_inv is None:
         A_inv = twist_inverse(M, prec)
     return Isocrystal(M.K, zmatrix.transpose(A_inv))
-
-
-def ihom(M, N):
-    return tensor(dual(M), N)
 
 
 def direct_sum(M, N):

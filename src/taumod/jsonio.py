@@ -35,7 +35,6 @@ _KIND_TAGS = {
     "TateData": "tate_data",
     "WeilData": "weil_data",
     "ConjugatorData": "conjugator",
-    "FormalMotive": "formal_motive",
 }
 
 

@@ -9,8 +9,7 @@ Both are the windowed series of `taumod.series` over K with a twisted
 product: sigma^i for `SkewPoly` (exponent i of tau) and sigma^{-k} for
 `SkewLaurent` (exponent k of tau^{-1}). SkewPoly works over finite and
 local bases alike, and its constructors and arithmetic give exact
-elements. Operands share one K; `SkewPoly.evaluate` at a point of an
-extension lifts each coefficient there. SkewLaurent, the skew field of
+elements. Operands share one K. SkewLaurent, the skew field of
 Laurent series in tau^{-1}, needs tau^{-1} * x = x^{1/q} * tau^{-1} and
 therefore a perfect base: construction over a local base is rejected.
 Laurent elements carry a knowledge window in tau^{-1}-exponents,
@@ -44,32 +43,11 @@ class SkewPoly(Series):
     def tau(K, d=1):
         return SkewPoly(K, {d: K.one()})
 
-    def degree(self):
-        """Max tau-degree; -inf for 0."""
-        return max(self.co) if self.co else -INF
-
     def is_zero(self):
         return not self.co
 
     def inv(self, prec=None):
         raise InputError("negative powers need SkewLaurent")
-
-    def evaluate(self, x, field=None):
-        """Value of the additive polynomial sum f_i x^{q^i}.
-
-        `field` may be an extension of the coefficient base, into which
-        each coefficient is lifted; defaults to the base itself.
-        """
-        F = field if field is not None else self.K
-        x = F.el(x)
-        acc = F.zero()
-        for d, c in self.co.items():
-            acc = acc + F.el(c) * F.sigma(x, d)
-        return acc
-
-    def to_laurent(self, hi=INF):
-        """Reinterpret in K((tau^{-1})): tau^d becomes tau^{-(-d)}."""
-        return SkewLaurent(self.K, {-d: c for d, c in self.co.items()}, hi)
 
 
 class SkewLaurent(Series):

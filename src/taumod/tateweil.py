@@ -1,12 +1,11 @@
 """Tate spaces of slope-zero twists and Weil-action valuations.
 
-Three layers. The slope-zero layer turns a pure twist into linear
+Two layers. The slope-zero layer turns a pure twist into linear
 algebra: an invariant lattice makes the matrix integral with unit
 determinant, and its fixed points over the coefficient extension that
 splits it assemble into a free F_q[[z]]/z^N-module carrying the
-coefficient Frobenius. The formal layer expands the inverse of phi_t in
-the skew Laurent field K((tau^{-1})) and reads a companion module back
-off the expansion. The Weil layer conjugates the expansion onto the
+coefficient Frobenius. The Weil layer conjugates the image of z = 1/t,
+the inverse of phi_t in the skew Laurent field K((tau^{-1})), onto the
 normal form iota(z) = tau^{-r} and measures tau^{-1}-valuations of the
 resulting Frobenius cocycle.
 
@@ -32,14 +31,13 @@ from taumod.basefield import fp_extension
 from taumod.errors import ExtensionExhausted, InputError, InvariantError
 from taumod.isocrystal import (
     Inconclusive,
-    Isocrystal,
     PurityCertificate,
     Record,
     conjugated_matrix,
     purity_check,
 )
 from taumod.skew import DEFAULT_TAUINV_PREC, SkewLaurent, skew_inverse
-from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
+from taumod.zseries import DEFAULT_Z_PREC, INF
 
 
 # ---------------------------------------------------------------- slope zero
@@ -159,91 +157,11 @@ def tate_slope0(M, N=4, e_max=8, max_iters=32, prec=None):
     )
 
 
-# ------------------------------------------------------------- formal layer
-
-
-class FormalMotive(Record):
-    """Expansion of the module structure at infinity: z = 1/t maps to
-    the inverse of phi_t inside K((tau^{-1}))."""
-
-    __slots__ = _fields = ("K", "rank", "phi_t", "phi_z", "precision")
-
-    def t_image(self, n):
-        """Image of t^n, any integer n."""
-        if n >= 0:
-            return (self.phi_t**n).to_laurent()
-        return self.phi_z ** (-n)
-
-    def z_image(self, n):
-        return self.t_image(-n)
-
-    def evaluate(self, co):
-        """Image of the Laurent polynomial sum_n c_n t^n, co = {n: c_n}."""
-        acc = SkewLaurent.zero(self.K)
-        for n, c in co.items():
-            acc = acc + self.t_image(n).scale(self.K.el(c))
-        return acc
-
-
-def formal_motive(E, N=DEFAULT_TAUINV_PREC):
-    """Expand z to N tau^{-1}-terms; valuation must equal the rank."""
-    if E.K.kind != "finite":
-        raise InputError("the formal expansion needs a finite base")
-    phi_t = E.phi_t()
-    phi_z = skew_inverse(phi_t.to_laurent(), prec=N)
-    v = phi_z.v_tau_inv()
-    if v != E.rank:
-        raise InvariantError(
-            f"inverse of phi_t has valuation {v}, expected the rank {E.rank}"
-        )
-    return FormalMotive(K=E.K, rank=E.rank, phi_t=phi_t, phi_z=phi_z, precision=N)
-
-
-def isocrystal_of_formal(V):
-    """Companion module of a formal expansion.
-
-    K((tau^{-1})) is free over the z-line through phi_z with basis
-    tau^0, ..., tau^{-(r-1)}; left multiplication by tau is semilinear
-    for that structure. Its matrix is recovered by greedy peeling of
-    leading tau^{-1}-terms: the exponent v = j + r*k of a leading term
-    selects the unique basis monomial tau^{-j} phi_z^k carrying it.
-    The result is pure of slope -1/r.
-    """
-    K = V.K
-    r = V.rank
-    g = SkewLaurent(K, {-1: K.one()}, INF)
-    pows = {}
-
-    def zpow(k):
-        if k not in pows:
-            pows[k] = V.z_image(k)
-        return pows[k]
-
-    coeffs = [{} for _ in range(r)]
-    window = INF
-    while g.co:
-        v = min(g.co)
-        j = v % r
-        k = (v - j) // r
-        mono = zpow(k) if j == 0 else SkewLaurent.tau_inv(K, j) * zpow(k)
-        a = g.co[v] * mono.coeff(v).inv()
-        coeffs[j][k] = a
-        g = g - mono.scale(a)
-        window = g.hi
-    A = [[ZSeries(K, {}, INF) for _ in range(r)] for _ in range(r)]
-    for j in range(1, r):
-        A[j - 1][j] = ZSeries(K, {0: K.one()}, INF)
-    for j in range(r):
-        hi = INF if window is INF else -((window - j) // -r)
-        A[j][0] = ZSeries(K, coeffs[j], hi)
-    return Isocrystal(K, A)
-
-
 # ---------------------------------------------------- normal-form conjugation
 
 
 class ConjugatorData(Record):
-    """A unit conjugating the formal expansion onto tau^{-r}."""
+    """A unit conjugating the image of z in K((tau^{-1})) onto tau^{-r}."""
 
     __slots__ = _fields = ("u", "u0", "extension", "precision")
 

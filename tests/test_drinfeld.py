@@ -1,12 +1,15 @@
 """Drinfeld layer: motive shape and cokernel checks, the t = 1/z
-isocrystal, reduction classification, good models, and the cross-check."""
+isocrystal and its defining relation in K((tau^{-1})), reduction
+classification, good models, and the cross-check."""
 
 import math
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 
-from taumod import zmatrix
+from taumod import jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import (
     DrinfeldModule,
@@ -23,11 +26,23 @@ from taumod.isocrystal import (
     purity_check,
     slopes_finiteK,
 )
-from taumod.zseries import ZSeries
+from taumod.skew import DEFAULT_TAUINV_PREC, SkewLaurent, skew_inverse
+from taumod.zseries import INF, ZSeries
+
+from test_degree_sweep import _case, _module
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402
+
+del sys.path[0]
 
 F9 = FieldDescriptor(p=3, a=2, m=1, kind="finite")
 F4 = FieldDescriptor(p=2, a=2, m=1, kind="finite")
 F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
+F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite")
+F9M2 = FieldDescriptor(p=3, a=1, m=2, kind="finite")
+F4M2 = FieldDescriptor(p=2, a=1, m=2, kind="finite")
 
 
 class TestConstruction:
@@ -45,13 +60,6 @@ class TestConstruction:
         K = F3L.field()
         with pytest.raises(InputError):
             DrinfeldModule(K, [K.zeta(-1), K.one()])
-
-    def test_phi_t_shape(self):
-        K = F9.field()
-        E = DrinfeldModule(K, [K.gen(), K.el(1), K.el(1)])
-        f = E.phi_t()
-        assert f.degree() == 2
-        assert f.coeff(0) == K.gen()
 
 
 class TestMotive:
@@ -112,6 +120,112 @@ class TestInfinityIsocrystal:
         E = DrinfeldModule(K, [K.zeta(), K.one(), K.one()])
         M = m_infinity(E)
         assert isinstance(purity_check(M, -1, 2), PurityCertificate)
+
+
+# -- the defining relation of M_infinity in K((tau^{-1})) ----------------------
+
+
+def _by_coeffs(D, coeffs):
+    def build():
+        K = D.field()
+        return DrinfeldModule(K, [c(K) if callable(c) else c for c in coeffs])
+    return build
+
+
+def _tower(seed, name):
+    def build():
+        [req] = [r for r in inputs.tower_requests(seed) if r["name"] == name]
+        return jsonio.parse_drinfeld(req["payload"])
+    return build
+
+
+def _sweep(seed):
+    def build():
+        rng, K, _, _ = _case(seed)
+        return _module(rng, K)
+    return build
+
+
+# the finite-base modules whose Weil action the tests compute, and three
+# more of rank 2 and 3; a coefficient is an int or a function of the base
+FIXED_MODULES = [pytest.param(_by_coeffs(D, co), id=name) for name, D, co in [
+    ("carlitz-f3", F3, [1, 1]),
+    ("tau2-f3", F3, [0, 0, 1]),
+    ("121-f3", F3, [1, 2, 1]),
+    ("011-f3", F3, [0, 1, 1]),
+    ("g-tau-f9m2", F9M2, [0, lambda K: K.gen()]),
+    ("tau-f9m2", F9M2, [0, 1]),
+    ("g2-tau-f9m2", F9M2, [0, lambda K: K.gen() ** 2]),
+    ("101-f4m2", F4M2, [1, 0, 1]),
+    ("g0-tau2-f9", F9, [lambda K: K.gen(), 0, 1]),
+    ("1w01-f4", F4, [1, lambda K: K.gen(), 0, 1]),
+]]
+# with the `weil` inputs of the `tower` workload at two seeds, and the
+# seeded modules whose conjugator `test_degree_sweep.py` sweeps
+FINITE_MODULES = (
+    FIXED_MODULES
+    + [pytest.param(_tower(seed, name), id=f"{name}-seed{seed}")
+       for seed in (0, 1)
+       for name in ("weil-f4mix-101", "weil-carlitz-f3", "weil-f9m2-0g",
+                    "weil-f9-g01")]
+    + [pytest.param(_sweep(seed), id=f"sweep{seed}") for seed in range(80)]
+)
+
+
+def phi_t(E):
+    """phi_t read as the Laurent polynomial sum g_i tau^i in K((tau^{-1}))."""
+    return SkewLaurent(E.K, {-i: g for i, g in enumerate(E.coeffs) if not g.is_zero()},
+                       INF)
+
+
+def phi_z(E, N=None):
+    """The image of z = 1/t in K((tau^{-1})): phi_t inverted to N
+    tau^{-1}-terms (by default `DEFAULT_TAUINV_PREC`)."""
+    return skew_inverse(phi_t(E), prec=N)
+
+
+def column_images(E, A):
+    """Column j of A as an element of K((tau^{-1})), where z^n e_i with
+    coefficient c stands for c tau^i phi_z^n."""
+    K = E.K
+    pz = phi_z(E)
+    out = []
+    for j in range(E.rank):
+        acc = SkewLaurent.zero(K)
+        for i in range(E.rank):
+            for n, c in A[i][j].co.items():
+                acc = acc + (SkewLaurent.tau_inv(K, -i) * pz ** n).scale(c)
+        out.append(acc)
+    return out
+
+
+def defining_relation_holds(E, A):
+    """tau e_j = tau^{j+1}: column j of A maps to tau^{j+1} at every
+    tau^{-1}-exponent below DEFAULT_TAUINV_PREC - r, so that the agreement
+    is not vacuous."""
+    K = E.K
+    return all(img.agrees_with(SkewLaurent.tau_inv(K, -(j + 1)))
+               and img.hi >= DEFAULT_TAUINV_PREC - E.rank
+               for j, img in enumerate(column_images(E, A)))
+
+
+@pytest.mark.parametrize("build", FINITE_MODULES)
+def test_m_infinity_defining_relation(build):
+    # M_infinity is K((tau^{-1})) over K((z)) through z -> phi_z with basis
+    # e_i = tau^i, i < r, and tau acting by left multiplication
+    E = build()
+    assert phi_z(E).v_tau_inv() == E.rank
+    assert defining_relation_holds(E, m_infinity(E).A)
+
+
+@pytest.mark.parametrize("build", FIXED_MODULES)
+def test_perturbed_m_infinity_fails_the_relation(build):
+    E = build()
+    K, r = E.K, E.rank
+    for extra in (ZSeries.z(K, -2), ZSeries.one(K)):
+        A = [list(row) for row in m_infinity(E).A]
+        A[0][r - 1] = A[0][r - 1] + extra
+        assert not defining_relation_holds(E, A)
 
 
 class TestReductionType:

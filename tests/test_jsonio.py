@@ -242,7 +242,6 @@ RECORD_KEYS = {
                  "extension", "precision", "conjugator", "table",
                  "commutes_with_iota"),
     "ConjugatorData": ("u", "u0", "extension", "precision"),
-    "FormalMotive": ("K", "rank", "phi_t", "phi_z", "precision"),
 }
 
 

@@ -1,4 +1,5 @@
-"""Tate spaces, formal expansions at infinity, and Weil valuations.
+"""Tate spaces, M_infinity against its expansion at infinity, and Weil
+valuations.
 
 Oracle values are frozen from independent computations: companion
 matrices recomputed by hand from the defining relations, fixed-space
@@ -23,9 +24,7 @@ from taumod.tateweil import (
     TateData,
     WeilData,
     _vector_to_unit,
-    formal_motive,
     iota_conjugator,
-    isocrystal_of_formal,
     tate_slope0,
     weil_table,
     weil_valuation,
@@ -33,6 +32,7 @@ from taumod.tateweil import (
 from taumod.zseries import INF, ZSeries
 
 from dense_oracle import conjugator_kernel
+from test_drinfeld import defining_relation_holds, phi_t, phi_z
 
 D3 = FieldDescriptor(p=3, a=1, m=1, kind="finite")
 D4 = FieldDescriptor(p=2, a=2, m=1, kind="finite")
@@ -117,74 +117,66 @@ class TestTateSlope0:
             tate_slope0(ic.unit(KL), N=2)
 
     def test_budget_exhaustion_reported(self):
-        # torsion in the hom lattice keeps the fixed module non-free at
-        # every extension, which the sweep reports as exhaustion
+        # the fixed points of End(M_infinity) mod z^2 are first free over
+        # the degree-18 extension, so a budget of 3 is exhausted
         E = DrinfeldModule(F3, [F3.el(1), F3.el(2), F3.el(1)])
-        MV = isocrystal_of_formal(formal_motive(E, N=24))
-        H = ic.ihom(m_infinity(E), MV)
+        M = m_infinity(E)
+        H = ic.tensor(ic.dual(M), M)
         with pytest.raises(ExtensionExhausted):
             tate_slope0(H, N=2, e_max=3)
 
 
 class TestFormalMotive:
     def test_carlitz_expansion_inverts(self):
-        V = formal_motive(carlitz(), N=12)
-        assert V.rank == 1
-        assert V.phi_z.v_tau_inv() == 1
-        prod = V.phi_t.to_laurent() * V.phi_z
-        assert prod.agrees_with(SkewLaurent.one(F3))
+        E = carlitz()
+        pz = phi_z(E, 12)
+        assert pz.v_tau_inv() == 1
+        assert (phi_t(E) * pz).agrees_with(SkewLaurent.one(F3))
 
     def test_rank2_valuation_is_rank(self):
         E = DrinfeldModule(F3, [F3.el(1), F3.el(2), F3.el(1)])
-        V = formal_motive(E, N=12)
-        assert V.phi_z.v_tau_inv() == 2
-        prod = V.phi_z * V.phi_t.to_laurent()
-        assert prod.agrees_with(SkewLaurent.one(F3))
-
-    def test_monomial_images_multiply(self):
-        V = formal_motive(carlitz(), N=12)
-        assert V.t_image(1).agrees_with(V.phi_t.to_laurent())
-        assert (V.t_image(-1) * V.t_image(2)).agrees_with(V.t_image(1))
-        two = V.evaluate({1: 2})
-        assert two.agrees_with(V.t_image(1).scale(F3.el(2)))
-
-    def test_rejects_local_base(self):
-        KL = FieldDescriptor(p=3, a=1, m=1, kind="local").field()
-        E = DrinfeldModule(KL, [KL.zeta(1), KL.el(1)])
-        with pytest.raises(InputError):
-            formal_motive(E)
+        pz = phi_z(E, 12)
+        assert pz.v_tau_inv() == 2
+        assert (pz * phi_t(E)).agrees_with(SkewLaurent.one(F3))
 
 
 class TestCompanionReadback:
+    """m_infinity against the tau^{-1} side: e_i = tau^i, z = phi_z."""
+
     def test_carlitz_exact_match(self):
-        # hand oracle: tau = phi_t - theta, so the companion entry is
-        # z^{-1} - theta, which is also the infinity matrix
+        # hand oracle: tau = phi_t - theta, so the entry is z^{-1} - theta
         E = carlitz()
-        MV = isocrystal_of_formal(formal_motive(E, N=12))
         Minf = m_infinity(E)
-        assert MV.rank == 1
-        assert MV.A[0][0].hi is INF
-        assert MV.A[0][0].co == Minf.A[0][0].co
+        assert Minf.rank == 1
+        assert Minf.A[0][0].hi is INF
+        assert Minf.A[0][0].co == {-1: F3.one(), 0: -F3.one()}
+        assert defining_relation_holds(E, Minf.A)
 
     def test_rank2_purity_and_slopes(self):
         E = DrinfeldModule(F3, [F3.el(1), F3.el(2), F3.el(1)])
-        MV = isocrystal_of_formal(formal_motive(E, N=24))
-        cert = ic.purity_check(MV, -1, 2)
+        Minf = m_infinity(E)
+        assert defining_relation_holds(E, Minf.A)
+        cert = ic.purity_check(Minf, -1, 2)
         assert isinstance(cert, ic.PurityCertificate)
-        assert ic.slopes_finiteK(MV) == [Fraction(-1, 2), Fraction(-1, 2)]
+        assert ic.slopes_finiteK(Minf) == [Fraction(-1, 2), Fraction(-1, 2)]
 
     def test_rank3_over_f4(self):
         al = F4.gen()
         E = DrinfeldModule(F4, [F4.el(1), al, F4.el(0), F4.el(1)])
-        MV = isocrystal_of_formal(formal_motive(E, N=30))
-        cert = ic.purity_check(MV, -1, 3)
+        Minf = m_infinity(E)
+        assert defining_relation_holds(E, Minf.A)
+        cert = ic.purity_check(Minf, -1, 3)
         assert isinstance(cert, ic.PurityCertificate)
 
     def test_companion_shape(self):
+        # tau e_0 = e_1 exactly; tau e_1 = tau^2 = z^{-1} - theta - g_1 tau
         E = DrinfeldModule(F3, [F3.el(1), F3.el(2), F3.el(1)])
-        MV = isocrystal_of_formal(formal_motive(E, N=24))
-        assert MV.A[0][1].co == {0: F3.one()}
-        assert not MV.A[1][1].co
+        A = m_infinity(E).A
+        assert not A[0][0].co and A[0][0].hi is INF
+        assert A[1][0].co == {0: F3.one()} and A[1][0].hi is INF
+        assert A[0][1].co == {-1: F3.one(), 0: -F3.one()}
+        assert A[1][1].co == {0: -F3.el(2)}
+        assert defining_relation_holds(E, A)
 
 
 class TestIotaConjugator:
@@ -210,8 +202,7 @@ class TestIotaConjugator:
     def test_carlitz_conjugation_identity(self):
         E = carlitz()
         cd = iota_conjugator(E, N=8, e_max=9)
-        V = formal_motive(E, N=10)
-        cj = (cd.u * V.phi_z._lift(cd.u.K)) * skew_inverse(cd.u, 8)
+        cj = (cd.u * phi_z(E, 10)._lift(cd.u.K)) * skew_inverse(cd.u, 8)
         target = SkewLaurent.tau_inv(cd.u.K, 1)
         assert cj.agrees_with(target)
         assert cj.hi >= 8
@@ -238,8 +229,7 @@ class TestIotaConjugator:
         E = DrinfeldModule(F4m, [F4m.el(1), F4m.el(0), F4m.el(1)])
         cd = iota_conjugator(E, N=16, e_max=8)
         assert cd.extension == 8
-        V = formal_motive(E, N=20)
-        cj = (cd.u * V.phi_z._lift(cd.u.K)) * skew_inverse(cd.u, 12)
+        cj = (cd.u * phi_z(E, 20)._lift(cd.u.K)) * skew_inverse(cd.u, 12)
         assert cj.agrees_with(SkewLaurent.tau_inv(cd.u.K, 2))
 
     def test_rejects_local_base(self):
@@ -312,12 +302,12 @@ class TestWeilValuation:
 class TestFormalRoundTrip:
     @pytest.mark.parametrize("coeffs", [[1, 1], [1, 2, 1], [0, 1, 1]])
     def test_nonzero_hom_detected(self, coeffs):
-        # both modules are pure of slope -1/r with gcd(1, r) = 1, hence
-        # simple, so one nonzero hom already certifies isomorphism
+        # m_infinity satisfies the defining relation, and End(M_infinity),
+        # pure of slope 0, has a nonzero fixed vector mod z
         E = DrinfeldModule(F3, [F3.el(c) for c in coeffs])
-        MV = isocrystal_of_formal(formal_motive(E, N=24))
         Minf = m_infinity(E)
-        H = ic.ihom(Minf, MV)
+        assert defining_relation_holds(E, Minf.A)
+        H = ic.tensor(ic.dual(Minf), Minf)
         cert = ic.purity_check(H, 0, 1, prec=8)
         assert isinstance(cert, ic.PurityCertificate)
         lat = cert.lattice
@@ -326,12 +316,11 @@ class TestFormalRoundTrip:
         assert len(basis) >= 1
 
     def test_hom_element_is_morphism(self):
-        # unpack a fixed vector of ihom into a matrix X and replay the
-        # morphism identity A_target sigma(X) = X A_source mod z
+        # unpack a fixed vector of End(M_infinity) into a matrix X and
+        # replay the morphism identity A sigma(X) = X A mod z
         E = DrinfeldModule(F3, [F3.el(1), F3.el(2), F3.el(1)])
-        MV = isocrystal_of_formal(formal_motive(E, N=24))
         Minf = m_infinity(E)
-        H = ic.ihom(Minf, MV)
+        H = ic.tensor(ic.dual(Minf), Minf)
         cert = ic.purity_check(H, 0, 1, prec=8)
         lat = cert.lattice
         B = ic.conjugated_matrix(H, lat, prec=8)
@@ -339,11 +328,10 @@ class TestFormalRoundTrip:
         assert basis
         r = 2
         vec = basis[0]
-        L = vec[0].K
         coords = zmatrix.matvec(
             [[c.truncate(2) for c in row] for row in lat.basis], vec
         )
         X = [[coords[i * r + j] for i in range(r)] for j in range(r)]
-        lhs = zmatrix.mul(MV.A, zmatrix.sigma(X, 1))
+        lhs = zmatrix.mul(Minf.A, zmatrix.sigma(X, 1))
         rhs = zmatrix.mul(X, Minf.A)
         assert zmatrix.agrees(lhs, rhs)

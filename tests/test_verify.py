@@ -311,6 +311,22 @@ def test_weil_forged_extension_builds_no_field_of_its_degree(monkeypatch):
         "weil: conjugator re-substitutes"]
 
 
+def test_weil_forged_conjugator_recomputes_no_table(monkeypatch):
+    # the Weil table is read off the conjugator, so once the conjugator
+    # fails its identity there is nothing left to recompute
+    doc = json.loads(honest("weil"))
+    coeffs = doc["result"]["weil"]["conjugator"]["tauinv_coeffs"]
+    coeffs[-1][1][0] = (coeffs[-1][1][0] + 1) % 3
+    calls, table = [], tateweil.weil_table
+    monkeypatch.setattr(tateweil, "weil_table",
+                        lambda *args: calls.append(args) or table(*args))
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "weil: conjugator re-substitutes"]
+    assert not calls
+
+
 def test_weil_empty_table_is_refused():
     doc = _weil_rank2()
     doc["result"]["weil"]["table"] = []
