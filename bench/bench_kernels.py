@@ -1,12 +1,12 @@
-"""Time the F_p kernels of taumod.kernels, windowed series products and
-sums of products over tabled fields, the matrix product and determinant
-of `zmatrix`, on seeded workloads, and the field construction of
-`basefield`: the modulus search, the fills of the log tables, and the
-`L1` rows, which weigh a whole fill against the operations a field
-runs without tables until its work pays for one (`FF._rent`); then a
-product over F_3((zeta)), `zmatrix.inv` over F_9, series inverses over
-F_9, F_3((zeta)) and F_{2^16}, the purity search, and the JSON writer
-of the reports.
+"""Time the F_p kernels of taumod.kernels and taumod.elimination,
+windowed series products and sums of products over tabled fields, the
+matrix product and determinant of `zmatrix`, on seeded workloads, and
+the field construction of `basefield`: the modulus search, the fills of
+the log tables, and the `L1` rows, which weigh a whole fill against the
+operations a field runs without tables until its work pays for one
+(`FF._rent`); then a product over F_3((zeta)), `zmatrix.inv` over F_9,
+series inverses over F_9, F_3((zeta)) and F_{2^16}, the purity search,
+and the JSON writer of the reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
@@ -40,7 +40,7 @@ from math import inf as INF
 
 import numpy as np
 
-from taumod import basefield, jsonio, kernels, zmatrix
+from taumod import basefield, elimination, jsonio, kernels, localfield, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main as taumod_main
 from taumod.drinfeld import DrinfeldModule, m_infinity
@@ -86,9 +86,9 @@ def _workloads(seed):
     rows = [
         ("polymulmod deg24/F3", kernels.polymulmod, (a, b, mod, p)),
         ("polypowmod ^3^12", kernels.polypowmod, (a, 3**12, mod, p)),
-        ("rref 60x60/F3", kernels.rref_mod_p, ([r[:] for r in sq], p)),
-        ("nullspace 80x120/F3", kernels.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
-        ("solve 60x60/F3", kernels.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
+        ("rref 60x60/F3", elimination.rref_mod_p, ([r[:] for r in sq], p)),
+        ("nullspace 80x120/F3", elimination.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
+        ("solve 60x60/F3", elimination.solve_mod_p, ([r[:] for r in sq], rhs[:], p)),
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
          + _field_workloads() + _untabled_workloads(rng) + _local_workloads(rng)
@@ -219,7 +219,7 @@ def _local_workloads(rng):
 
     def local(lo):
         co = {e: L.cf.el([rng.randrange(1, 3)]) for e in range(lo, lo + 4)}
-        return basefield.LocalElem(L, co, lo + 5)
+        return localfield.LocalElem(L, co, lo + 5)
 
     def zs():
         return ZSeries(L, {e: local(rng.randrange(-2, 2)) for e in range(-1, 7)}, 7)
@@ -254,7 +254,7 @@ def _inverse_workloads(rng):
 
     def local(lo):
         co = {e: L.cf.el([rng.randrange(1, 3)]) for e in range(lo, lo + 4)}
-        return basefield.LocalElem(L, co, lo + 5)
+        return localfield.LocalElem(L, co, lo + 5)
 
     def fresh(s):
         return type(s)(s.K, {e: _fresh(c) if isinstance(c, Series) else c
@@ -329,21 +329,21 @@ def _writer_workload():
 
 
 def _captured(name, argv, want):
-    """A copy of the arguments of the first call of `kernels.<name>` for
-    which want(*args) holds, while taumod runs argv."""
-    real, got = getattr(kernels, name), []
+    """A copy of the arguments of the first call of `elimination.<name>`
+    for which want(*args) holds, while taumod runs argv."""
+    real, got = getattr(elimination, name), []
 
     def spy(*args):
         if not got and want(*args):
             got.append(copy.deepcopy(args))
         return real(*args)
 
-    setattr(kernels, name, spy)
+    setattr(elimination, name, spy)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             taumod_main(argv)
     finally:
-        setattr(kernels, name, real)
+        setattr(elimination, name, real)
     return got[0]
 
 
@@ -370,9 +370,9 @@ def _tower_workloads():
     rows, coupling, diag, p = level
     [(coupling, diag)] = _arrays([(coupling, diag)])
     old_level = (np.array(rows, dtype=np.int64).reshape(len(rows), -1), coupling, diag, p)
-    return [("rref 288x97/F2", kernels.rref_mod_p, tall, dense.rref_mod_p, tall),
-            ("rref 16x16/F3", kernels.rref_mod_p, square, dense.rref_mod_p, square),
-            ("level 16 of cyc3/F2", kernels.extend_kernel, level, dense.extend_kernel,
+    return [("rref 288x97/F2", elimination.rref_mod_p, tall, dense.rref_mod_p, tall),
+            ("rref 16x16/F3", elimination.rref_mod_p, square, dense.rref_mod_p, square),
+            ("level 16 of cyc3/F2", elimination.extend_kernel, level, dense.extend_kernel,
              old_level)]
 
 
@@ -385,8 +385,8 @@ def _level_solve(levels, p):
     """extend_kernel over the levels, then the canonical basis."""
     rows = []
     for coupling, diag in levels:
-        rows = kernels.extend_kernel(rows, coupling, diag, p)
-    return kernels.canonical_basis(rows, p)
+        rows = elimination.extend_kernel(rows, coupling, diag, p)
+    return elimination.canonical_basis(rows, p)
 
 
 def _dense_level_solve(levels, p):

@@ -10,7 +10,11 @@ writes, prints
   * the taumod modules whose bodies it runs, each with its median self
     time over N more fresh processes: reading and compiling the source
     and running the body, with the modules it imports on the way left
-    out.
+    out, and
+  * the source lines of those modules, which the request compiles when
+    no bytecode is cached (the benchmark sets PYTHONDONTWRITEBYTECODE
+    and runs in a fresh checkout). Unlike the times, this count repeats
+    exactly.
 
 `-X importtime` prints no line for a module whose body runs on first
 attribute access (see taumod/__init__.py), so the module times come
@@ -80,6 +84,12 @@ def _modules(argv, cwd):
     return json.loads(out.stderr.splitlines()[-1])
 
 
+def _lines(module):
+    """Source lines of the taumod module of that name."""
+    rel = module.replace(".", "/") if "." in module else module + "/__init__"
+    return len((ROOT / "src" / f"{rel}.py").read_text().splitlines())
+
+
 def _requests(work):
     """(label, argv, cwd, file to keep the report in or None) of every
     request, each verify after the request whose report it reads."""
@@ -112,7 +122,7 @@ def _requests(work):
 def main_startup(n):
     print(f"median CPU of {n} fresh processes; taumod module self times in ms")
     with tempfile.TemporaryDirectory() as tmp:
-        total = 0.0
+        total, total_lines = 0.0, 0
         for label, argv, cwd, report in _requests(pathlib.Path(tmp)):
             cpus = []
             for _ in range(n):
@@ -123,13 +133,17 @@ def main_startup(n):
             runs = [_modules(argv, cwd) for _ in range(n)]
             own = {m: statistics.median(run[m] for run in runs) for m in runs[0]}
             median = statistics.median(cpus)
+            lines = sum(map(_lines, own))
             total += median
+            total_lines += lines
             mods = sorted(own.items(), key=lambda kv: -kv[1])
             print(f"{label:32} cpu {median * 1e3:7.1f} ms  "
-                  f"{len(own):2} modules {sum(own.values()) * 1e3:6.1f} ms")
+                  f"{len(own):2} modules {sum(own.values()) * 1e3:6.1f} ms "
+                  f"{lines:6,} lines")
             print("    " + ", ".join(f"{m.split('.', 1)[-1]} {s * 1e3:.1f}"
                                      for m, s in mods))
-        print(f"{'total':32} cpu {total * 1e3:7.1f} ms")
+        print(f"{'total':32} cpu {total * 1e3:7.1f} ms  "
+              f"{'':20} {total_lines:6,} lines")
 
 
 if __name__ == "__main__":

@@ -6,25 +6,48 @@ certificates, Drinfeld-module reduction criteria, slope-0 Tate functors,
 and Weil-action valuations. Run `python -m taumod --help` for the CLI.
 
 Every CLI request is a fresh process, so start-up is a large share of
-its cost. `drinfeld`, `semilinear`, `skew`, `tateweil` and `verify`
-therefore load on first use: importing the package puts each of them
-into `sys.modules` and onto the package through
-`importlib.util.LazyLoader`, and a module's body runs on the first
-access to one of its attributes. An `isocrystal slopes` or `purity`
-request runs none of them, and the `verify` of a purity report runs
-`verify` alone. They are registered rather than imported inside the
-functions that use them because tools that wrap the library, such as
-the layer tracer of the benchmark, find each module in `sys.modules`
-right after `import taumod.cli`. `cli`, `verify` and `jsonio` hold these
-modules as modules (`drinfeld.m_infinity(...)`) rather than importing
-names from them, which would run them."""
+its cost, and with no bytecode cached most of start-up is compiling
+source. Each module that some requests never run therefore loads on
+first use: importing the package puts it into `sys.modules` and onto
+the package through `importlib.util.LazyLoader`, and its body runs on
+the first access to one of its attributes. These modules, and the
+requests that run them:
+
+  * `commands`: the handlers of `analyze`, `solve` and `corpus`;
+  * `drinfeld`: Drinfeld modules, for `analyze`, `weil` and their
+    replays;
+  * `elimination`: F_p row reduction, for the extension sweeps of
+    `tate` and `weil`, for `solve` and for their replays;
+  * `embedding`: the canonical embeddings between finite fields, for
+    the requests that change field (`tate` and `weil`);
+  * `localfield`: the local fields F_{q^m}((zeta)), for a request over
+    a local base;
+  * `rings`: ring-tower membership, for `solve` and the good models of
+    `analyze`;
+  * `semilinear`: the scalar and fixed-point solvers, for `solve` and
+    `tate`;
+  * `skew`: twisted polynomials and Laurent series in tau^-1, for
+    `weil` and `tate`;
+  * `tateweil`: slope-zero Tate spaces and Weil valuations;
+  * `verify`: the certificate replays.
+
+`corpusgen`, which only `corpus --generate` runs, is imported there.
+
+So an `isocrystal slopes` or `purity` request over a finite base runs
+none of them, and the `verify` of a purity report runs `verify` alone.
+They are registered rather than imported inside the functions that use
+them because tools that wrap the library, such as the layer tracer of
+the benchmark, find each module in `sys.modules` right after
+`import taumod.cli`. The modules hold these modules as modules
+(`drinfeld.m_infinity(...)`) rather than importing names from them,
+which would run them, and they are registered before `basefield` is
+imported, which holds two of them.
+"""
 
 import importlib.util
 import sys
 
 __version__ = "0.1.0"
-
-from taumod.basefield import FieldDescriptor
 
 
 def _register_lazy(*names):
@@ -41,6 +64,9 @@ def _register_lazy(*names):
         globals()[name] = module
 
 
-_register_lazy("drinfeld", "semilinear", "skew", "tateweil", "verify")
+_register_lazy("commands", "drinfeld", "elimination", "embedding", "localfield", "rings",
+               "semilinear", "skew", "tateweil", "verify")
+
+from taumod.basefield import FieldDescriptor  # noqa: E402
 
 __all__ = ["FieldDescriptor", "__version__"]

@@ -1,4 +1,4 @@
-"""Coefficient fields: finite towers and local function fields.
+"""Coefficient fields: finite towers, and the descriptors of both kinds.
 
 Two kinds of base field K appear throughout:
 
@@ -6,41 +6,24 @@ Two kinds of base field K appear throughout:
     with n = a*m and f the canonical irreducible of degree n (smallest
     integer encoding, see `_find_modulus`);
   * local:   K = F_{q^m}((zeta)), a Laurent-series field over the finite
-    case, not perfect (zeta has no q-th root). Its elements, `LocalElem`,
-    are the untwisted windowed series of `taumod.series` over the residue
-    field, so their precision windows stay truthful under every operation;
-    this module adds the zeta-Frobenius, q-th roots and the residue map.
+    case (`taumod.localfield`).
 
 Arithmetic never changes field: operands over two fields are a program
 fault (`InvariantError`). Extension sweeps replace F_{q^m} by
 F_{q^{m*e}}, and an element moves there only by an explicit lift
-(`coerce_into`, `FF.el`, `K.el`) along the canonical embeddings, which
-are computed deterministically (canonical modulus, canonical root
-choice) so results never depend on iteration order or interpreter hash
-state. `FpExtension` is the one construction of a canonical embedding:
-the F_p-linear data of an extension, which a sweep solves a candidate
-degree on before it builds the field itself, and whose rows
-`coerce_into` reads.
+(`FF.el`, `K.el`) along the canonical embeddings of `taumod.embedding`.
+A request over a finite base that changes no field runs neither module
+(see taumod/__init__.py).
 
-sigma always means the q-power Frobenius, acting coefficientwise on
-Laurent series and scaling zeta-exponents by q.
+sigma always means the q-power Frobenius.
 """
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
-import random
 
-from taumod import kernels
-from taumod.errors import (
-    CoercionError,
-    InputError,
-    InvariantError,
-    NoRoot,
-    NotInvertible,
-    PrecisionLoss,
-)
-from taumod.series import INF, Series
+from taumod import embedding, kernels, localfield
+from taumod.errors import InputError, InvariantError, NotInvertible
+from taumod.series import INF
 
 # the most elements a field fills log tables for; smaller fields fill them
 # once their work without tables pays for the fill (`FF._rent`)
@@ -302,7 +285,8 @@ class FF:
     def el(self, v):
         """Coerce v (int, coeff sequence, or Felt) into this field."""
         if isinstance(v, Felt):
-            return coerce_into(v, self)
+            # an element of this field needs no embedding (nor its module)
+            return v if v.ff is self else embedding.coerce_into(v, self)
         if isinstance(v, int):
             c = [v % self.p] + [0] * (self.n - 1)
             return Felt(self, tuple(c))
@@ -760,202 +744,7 @@ def _pair(a, b):
 
 
 # ---------------------------------------------------------------------------
-# embeddings: the image of the small field's generator is a root of its
-# modulus in the big field; Cantor-Zassenhaus over polynomials with Felt
-# coefficients (lists, low-to-high, all in one field `big`) finds the
-# root of a minimal polynomial that leads to it
-
-
-def _ptrim(c):
-    """c without its trailing zero coefficients."""
-    c = list(c)
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _pdivmod(a, b, big):
-    """Quotient and remainder of a by b (b nonzero, leading term nonzero)."""
-    r = list(a)
-    db = len(b) - 1
-    # a monic b (every Cantor-Zassenhaus modulus) needs no inverse
-    inv = None if b[-1].c == big.one.c else b[-1].inv()
-    q = [big.zero] * max(len(r) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if not c.is_zero():
-            f = c if inv is None else c * inv
-            q[i - db] = f
-            # r[i] itself is cancelled and never read again
-            for j in range(db):
-                r[i - db + j] = r[i - db + j] - f * b[j]
-    return _ptrim(q), _ptrim(r[:db])
-
-
-def _padd(a, b, big):
-    out = [big.zero] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _pmulmod(a, b, mod, big):
-    """a*b modulo `mod`."""
-    if not a or not b:
-        return []
-    out = [big.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _pdivmod(out, mod, big)[1]
-
-
-def _ppowmod(x, e, mod, big):
-    result = [big.one]
-    base = list(x)
-    while e > 0:
-        if e & 1:
-            result = _pmulmod(result, base, mod, big)
-        base = _pmulmod(base, base, mod, big)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, big):
-    """Monic gcd of a and b ([] when both are zero)."""
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b, big)[1]
-    if a:
-        inv = a[-1].inv()
-        a = [x * inv for x in a]
-    return a
-
-
-def _one_root(fcoeffs, big, rng):
-    """One root in `big` of a monic squarefree Felt-poly that splits into
-    linears over big. Cantor-Zassenhaus with the rng's choices."""
-    f = list(fcoeffs)
-    while len(f) - 1 > 1:
-        shift = big.el([rng.randrange(big.p) for _ in range(big.n)])
-        if big.p == 2:
-            # char 2: additive trace splitting, Tr(shift*X) mod f
-            acc = tr = [big.zero, shift]
-            for _ in range(big.n - 1):
-                acc = _pmulmod(acc, acc, f, big)
-                tr = _padd(tr, acc, big)
-        else:
-            # (X + shift)^((size-1)/2) - 1 mod f
-            tr = _ppowmod([shift, big.one], (big.size - 1) // 2, f, big)
-            tr = _padd(tr, [-big.one], big)
-        g = _pgcd(f, tr, big)
-        if 0 < len(g) - 1 < len(f) - 1:
-            h = _pdivmod(f, g, big)[0]
-            f = g if len(g) <= len(h) else h
-    return -f[0] / f[1]
-
-
-@lru_cache(maxsize=None)
-def _embedding_powers(p, n_small, n_big):
-    """Powers (r^0, ..., r^{n_small-1}) of the canonical image r in
-    F_{p^n_big} of the residue generator of F_{p^n_small}: the rows of
-    `FpExtension`, read as elements of the big field."""
-    big = get_field(p, n_big)
-    return tuple(big.el(row) for row in fp_extension(p, n_small, n_big).rows)
-
-
-class FpExtension:
-    """F_{p^n} over a built field `small` = F_{p^k} (k | n) as F_p-linear
-    data only, in the power basis of the canonical modulus: the matrices
-    of the Frobenius powers (`frobenius_power`) and of multiplication by
-    the image of an element of `small` under the canonical embedding. It
-    builds no FF, no log table and no element of the big field.
-
-    The canonical embedding sends X to r, the encoding-least root of the
-    small canonical modulus. One root is found first: a generator v of
-    the subfield ker(y^(p^k) - y) has a minimal polynomial mu of degree k
-    over F_p, a root rho of mu in `small` comes from Cantor-Zassenhaus
-    there, and h(v) is a root for the h with h(rho) = X. The roots of an
-    irreducible modulus form one Frobenius orbit, so r is the
-    encoding-least element of that root's orbit. `rows` holds r^0, ...,
-    r^(k-1), one row each.
-    """
-
-    def __init__(self, small, n):
-        p, k = small.p, small.n
-        self.p, self.n = p, n
-        root = _canonical_root(small, n) if k > 1 else None
-        self.rows = [list(r) for r in _powers(root, p, n, k)]
-        self._base = [mult_matrix(p, n, w) for w in self.rows]
-
-    def frob(self, k):
-        """Matrix of y -> y^(p^k)."""
-        return frobenius_power(self.p, self.n, k)
-
-    def base_mult(self, x):
-        """Matrix of multiplication by the image of x, a Felt of `small`:
-        the images of the powers of X, multiplied out once, combined."""
-        p = self.p
-        out = [[0] * self.n for _ in range(self.n)]
-        for c, M in zip(x.c, self._base):
-            if c:
-                out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, M)]
-        return [[a % p for a in row] for row in out]
-
-
-def _canonical_root(small, n):
-    """Coordinates in F_{p^n} of the encoding-least root of the canonical
-    modulus of `small` = F_{p^k}, k > 1 (see `FpExtension`)."""
-    p, k = small.p, small.n
-    mod = _find_modulus(p, n)
-    F = frobenius_power(p, n, k)
-    sub = kernels.nullspace_mod_p(
-        [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(F)],
-        n, p)
-    rng = random.Random(f"fpext:{p}:{k}:{n}")
-    while True:
-        v = kernels.matvec(_columns(sub), [rng.randrange(p) for _ in sub], p)
-        pw = _powers(v, p, n, k)  # v^0, ..., v^(k-1)
-        if len(kernels.rref_mod_p(pw, p)[1]) == k:
-            break
-    V = _columns(pw)
-    low = kernels.solve_mod_p(V, kernels.polymulmod(pw[-1], v, mod, p), p)
-    rho = _one_root([small.el(-c) for c in low] + [small.one], small, rng)
-    # h(v) is a root for the h with h(rho) = X; the least of its orbit wins
-    h = kernels.solve_mod_p(_columns([(rho**t).c for t in range(k)]),
-                            [int(t == 1) for t in range(k)], p)
-    root = x = tuple(kernels.matvec(V, h, p))
-    for _ in range(k - 1):
-        x = kernels.polypowmod(x, p, mod, p)
-        root = min(root, x, key=lambda v: v[::-1])
-    return root
-
-
-@lru_cache(maxsize=None)
-def fp_extension(p, k, n):
-    """The FpExtension F_{p^n} over F_{p^k}."""
-    return FpExtension(get_field(p, k), n)
-
-
-def coerce_into(x, big):
-    """Image of Felt x under the canonical embedding into `big`."""
-    if x.ff is big:
-        return x
-    if x.ff.p != big.p or big.n % x.ff.n != 0:
-        raise CoercionError(f"cannot embed GF(p^{x.ff.n}) into GF(p^{big.n})")
-    powers = _embedding_powers(x.ff.p, x.ff.n, big.n)
-    acc = big.zero
-    for ci, pw in zip(x.c, powers):
-        if ci:
-            acc = acc + pw * big.el(ci)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# base-field descriptors and the two K kinds
+# base-field descriptors and the finite K kind
 
 
 class FieldDescriptor:
@@ -966,8 +755,8 @@ class FieldDescriptor:
     [lo, hi) for zeta-exponents of parsed local elements (ignored for
     finite K).
 
-    Immutable and compared by value: `get_finiteK` and `get_localK`
-    cache one field per descriptor.
+    Immutable and compared by value: `get_finiteK` and
+    `localfield.get_localK` cache one field per descriptor.
     """
 
     __slots__ = ("p", "a", "m", "kind", "window")
@@ -1015,17 +804,12 @@ class FieldDescriptor:
             if ram != 1:
                 raise InputError("finite base has no ramification")
             return get_finiteK(self, ext)
-        return get_localK(self, ext, ram)
+        return localfield.get_localK(self, ext, ram)
 
 
 @lru_cache(maxsize=None)
 def get_finiteK(desc, ext):
     return FiniteK(desc, ext)
-
-
-@lru_cache(maxsize=None)
-def get_localK(desc, ext, ram):
-    return LocalK(desc, ext, ram)
 
 
 class FiniteK:
@@ -1087,184 +871,11 @@ class FiniteK:
         return self.ff.el([rng.randrange(self.desc.p) for _ in range(self.ff.n)])
 
 
-class LocalK:
-    """K = F_{q^{m*ext}}((zeta)), with optional ramification marker.
-
-    `ram` > 1 means the uniformizer is a ram-th root of the original
-    zeta; stored exponents are integers in the refined normalization and
-    `unscale` converts valuations back to the original one.
-    """
-
-    kind = "local"
-
-    def __init__(self, desc, ext=1, ram=1):
-        self.desc = desc
-        self.ext = ext
-        self.ram = ram
-        self.cf = get_field(desc.p, desc.a * desc.m * ext)
-        # coefficient ring of the zeta-series
-        self.residue = get_finiteK(desc, ext)
-        self.default_width = desc.window[1] - desc.window[0]
-
-    def __repr__(self):
-        r = f", ram={self.ram}" if self.ram != 1 else ""
-        return f"LocalK(q={self.desc.q}, m={self.desc.m}, ext={self.ext}{r})"
-
-    @property
-    def q(self):
-        return self.desc.q
-
-    def zero(self):
-        return LocalElem(self, {}, INF)
-
-    def one(self):
-        return LocalElem(self, {0: self.cf.one}, INF)
-
-    def zeta(self, k=1):
-        return LocalElem(self, {k: self.cf.one}, INF)
-
-    def el(self, v):
-        """ints / Felt become constants; a LocalElem is lifted to K."""
-        if isinstance(v, LocalElem):
-            return v if v.K is self else v._lift(self)
-        c = self.cf.el(v)
-        return LocalElem(self, {0: c} if not c.is_zero() else {}, INF)
-
-    def from_pairs(self, pairs, hi=INF):
-        return LocalElem.from_pairs(self, pairs, hi)
-
-    coerce = el
-
-    def extend(self, e):
-        return get_localK(self.desc, self.ext * e, self.ram)
-
-    def ramify(self, e):
-        return get_localK(self.desc, self.ext, self.ram * e)
-
-    def unscale(self, v):
-        """Stored valuation -> valuation in the unramified normalization."""
-        if v is INF or v is -INF:
-            return v
-        return Fraction(v, self.ram)
-
-    def residue_K(self):
-        return self.residue
-
-    def sigma(self, x, k=1):
-        return x.sigma(k)
-
-    def qth_root(self, x):
-        return x.qth_root()
-
-    def is_zero(self, x):
-        if x.co:
-            return False
-        if x.hi is INF:
-            return True
-        raise PrecisionLoss(
-            "zero to stored precision; cannot certify exact zero",
-            window=x.hi,
-        )
-
-    def known_nonzero(self, x):
-        return bool(x.co)
-
-    def exact_zero_p(self, x):
-        return not x.co and x.hi is INF
-
-    def random(self, rng, lo=-2, hi=3, density=0.7):
-        co = {}
-        for e in range(lo, hi):
-            if rng.random() < density:
-                c = self.cf.el([rng.randrange(self.desc.p) for _ in range(self.cf.n)])
-                if not c.is_zero():
-                    co[e] = c
-        return LocalElem(self, co, INF)
-
-
-class LocalElem(Series):
-    """Element of F_{q^{m*ext}}((zeta)) with a truthful knowledge window.
-
-    The untwisted windowed series of `taumod.series` over the residue
-    field: co maps zeta-exponent -> nonzero Felt coefficient, all
-    exponents < hi; hi = inf marks an exact element. Empty co with finite
-    hi is zero-to-precision, with hi = inf the exact zero. Ints and Felts
-    of the residue field act as constants in arithmetic and comparisons.
-    """
-
-    __slots__ = ()
-
-    _mono = staticmethod("zeta^{}".format)
-    _ZERO_ORDER = "valuation of a zero-to-precision element"
-    _INV_ZERO = "inverse of exact zero"
-    _INV_WINDOW = "inverse of zero-to-precision element"
-
-    def __repr__(self):
-        if not self.co:
-            body = "0"
-        else:
-            body = " + ".join(
-                f"{list(c.c)}*zeta^{e}" for e, c in sorted(self.co.items())
-            )
-        tail = "" if self.hi is INF else f" + O(zeta^{self.hi})"
-        return f"<{body}{tail}>"
-
-    @staticmethod
-    def _ring(K):
-        return K.residue
-
-    def _operand(self, other):
-        if isinstance(other, int):
-            other = self.K.cf.el(other)
-        if isinstance(other, Felt):
-            # a Felt of another field fails the residue field's zero test
-            return LocalElem(self.K, {0: other}, INF)
-        return other if isinstance(other, LocalElem) else None
-
-    def _default_inv_prec(self):
-        return self.K.default_width
-
-    __radd__ = Series.__add__
-    __rmul__ = Series.__mul__
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __rtruediv__(self, other):
-        return self.K.el(other) / self
-
-    def sigma(self, k=1):
-        """q^k-power Frobenius: coefficientwise frob, exponents * q^k."""
-        if k < 0:
-            out = self
-            for _ in range(-k):
-                out = out.qth_root()
-            return out
-        qk = self.K.q**k
-        ak = self.K.desc.a * k
-        co = {e * qk: c.frob(ak) for e, c in self.co.items()}
-        hi = self.hi if self.hi is INF else self.hi * qk
-        return self._with(co, hi)
-
-    def qth_root(self):
-        """sigma^{-1}. Fails with the offending exponent when some known
-        nonzero coefficient sits at an exponent not divisible by q."""
-        q = self.K.q
-        for e in self.co:
-            if e % q != 0:
-                raise NoRoot(
-                    f"zeta-exponent {e} not divisible by q={q}",
-                    witness={"kind": "exponent_not_divisible", "exponent": e, "q": q},
-                )
-        co = {e // q: c.frob(-self.K.desc.a) for e, c in self.co.items()}
-        hi = self.hi if self.hi is INF else math.ceil(self.hi / q)
-        return self._with(co, hi)
-
-    def residue(self):
-        """Image in the residue field (valuation must be >= 0 certifiably)."""
-        if any(e < 0 for e in self.co):
-            raise InputError("residue of a non-integral element")
-        if self.hi <= 0:
-            raise PrecisionLoss("residue needs the window to cover exponent 0", window=self.hi)
-        c = self.co.get(0, self.K.cf.zero)
-        return c
+def __getattr__(name):
+    # the benchmark's layer tracer (perfbench/layertrace.py) finds these
+    # names here
+    if name == "LocalElem":
+        return localfield.LocalElem
+    if name in ("coerce_into", "_embedding_powers"):
+        return getattr(embedding, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

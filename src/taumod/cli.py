@@ -16,31 +16,21 @@ an exhausted window or budget, 4 for a failed internal invariant;
 """
 
 import argparse
-import functools
 import json
-import os
 import pathlib
 import sys
 
-from taumod import __version__, drinfeld, jsonio, semilinear, tateweil, verify
+from taumod import __version__, commands, jsonio, tateweil, verify
 from taumod.errors import (
     BudgetExceeded,
     CoercionError,
     InputError,
-    InvariantError,
     NoRoot,
     NotInvertible,
     PrecisionLoss,
     TaumodError,
 )
-from taumod.isocrystal import (
-    Inconclusive,
-    NotPureAt,
-    dual,
-    purity_check,
-    slopes_finiteK,
-    tensor,
-)
+from taumod.isocrystal import Inconclusive, dual, purity_check, slopes_finiteK, tensor
 from taumod.verdicts import verdict_of
 
 _SCHEMA_ERRORS = (InputError, CoercionError, NotInvertible)
@@ -136,41 +126,6 @@ def _load_json_arg(val):
     return jsonio.loads(text)
 
 
-# -- analyze ----------------------------------------------------------------
-
-
-def run_analyze(E, policy):
-    """Rank, t-image, motive checks, infinity purity; reduction if valued."""
-    r = E.rank
-    M = drinfeld.m_infinity(E)
-    cert = purity_check(M, -1, r, max_iters=policy.purity_max_iters,
-                        prec=policy.z_prec)
-    if isinstance(cert, NotPureAt):
-        raise InvariantError(
-            "the infinity twist of a module input must be pure of slope -1/r"
-        )
-    result = {
-        "rank": r,
-        "q": E.K.q,
-        "iota": {"t_image": jsonio.render(E.coeffs[0])},
-        "motive_checks": jsonio.render(drinfeld.MOTIVE_COKER),  # run by m_infinity
-        "infinity_purity": jsonio.render(cert),
-    }
-    if E.K.kind == "finite":
-        result["slopes"] = jsonio.render(slopes_finiteK(M))
-    else:
-        rep = drinfeld.reduction_type(E)
-        result["reduction"] = jsonio.render(rep)
-        result["crosscheck"] = jsonio.render(drinfeld.crit_crosscheck(E, M, cert))
-    return result
-
-
-def cmd_analyze(args):
-    policy = _policy(args)
-    E = jsonio.parse_drinfeld(_load_json_arg(args.input))
-    return _report("analyze", policy, jsonio.render(E), run_analyze(E, policy))
-
-
 # -- isocrystal -------------------------------------------------------------
 
 
@@ -207,32 +162,6 @@ def cmd_tate(args):
     return _report("tate", policy, jsonio.render(M), result)
 
 
-# -- solve ------------------------------------------------------------------
-
-
-def _parse_solve_sides(a_doc, b_doc):
-    Ka = jsonio.parse_field(jsonio._need(a_doc, "base", "solve input a"))
-    Kb = jsonio.parse_field(jsonio._need(b_doc, "base", "solve input b"))
-    if Ka is not Kb:
-        raise InputError("a and b must live over the same base")
-    a = jsonio.parse_scalar(Ka, jsonio._need(a_doc, "value", "solve input a"))
-    b = jsonio.parse_scalar(Ka, jsonio._need(b_doc, "value", "solve input b"))
-    return Ka, a, b
-
-
-def cmd_solve(args):
-    policy = _policy(args)
-    K, a, b = _parse_solve_sides(_load_json_arg(args.a), _load_json_arg(args.b))
-    out = semilinear.solve_scalar(a, b, args.ring, prec=policy.z_prec)
-    input_echo = {
-        "base": jsonio.render_field(K),
-        "a": jsonio.render(a),
-        "b": jsonio.render(b),
-        "ring": args.ring,
-    }
-    return _report("solve", policy, input_echo, jsonio.render(out))
-
-
 # -- weil -------------------------------------------------------------------
 
 
@@ -244,118 +173,11 @@ def cmd_weil(args):
     return _report("weil", policy, jsonio.render(E), result)
 
 
-# -- corpus -----------------------------------------------------------------
-
-
-def _corpus_item(name, payload, policy):
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    try:
-        if kind == "drinfeld":
-            E = jsonio.parse_drinfeld(payload)
-            command, result = "analyze", run_analyze(E, policy)
-            verdict = verdict_of(command, result)
-        elif kind == "isocrystal":
-            M = jsonio.parse_isocrystal(payload, policy.z_prec)
-            command, result, verdict = "isocrystal", {"rank": M.rank}, "ok"
-            sr = payload.get("purity")
-            if sr is not None:
-                cert = purity_check(M, int(sr[0]), int(sr[1]),
-                                    max_iters=policy.purity_max_iters,
-                                    prec=policy.z_prec)
-                result["certificate"] = jsonio.render(cert)
-                verdict = verdict_of("isocrystal purity", result)
-            if M.K.kind == "finite":
-                result["slopes"] = jsonio.render(slopes_finiteK(M))
-        elif kind == "solve_problem":
-            K = jsonio.parse_field(jsonio._need(payload, "base", name))
-            a = jsonio.parse_scalar(K, jsonio._need(payload, "a", name))
-            b = jsonio.parse_scalar(K, jsonio._need(payload, "b", name))
-            ring = payload.get("ring", "BK")
-            prec = int(payload.get("prec", policy.z_prec))
-            out = jsonio.render(semilinear.solve_scalar(a, b, ring, prec=prec))
-            command, result = "solve", {"outcome": out}
-            verdict = verdict_of(command, out)
-        else:
-            raise InputError(f"unknown payload kind {kind!r}")
-        return {"name": name, "command": command, "result": result,
-                "verdict": verdict}
-    except TaumodError as exc:
-        return {"name": name, "command": "error", "verdict": _error_class(exc)[0],
-                "error": {"type": type(exc).__name__, "detail": str(exc)}}
-
-
-def cmd_corpus(args):
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    policy = _policy(args)
-    root = pathlib.Path(args.dir)
-    if args.generate:
-        from taumod import corpusgen
-
-        root.mkdir(parents=True, exist_ok=True)
-        files = corpusgen.corpus_files(policy.seed or 0)
-        for fname, payload in files:
-            (root / fname).write_text(jsonio.dump_tree(payload))
-        return _report("corpus generate", policy, {"seed": policy.seed or 0},
-                       {"count": len(files)})
-    if not root.is_dir():
-        raise InputError(f"corpus directory {root} does not exist")
-    paths = sorted(root.rglob("*.json"), key=lambda p: p.name)
-    names = [p.name for p in paths]
-    for i in range(1, len(names)):
-        if names[i] == names[i - 1]:
-            raise InputError(f"duplicate corpus filename {names[i]!r}")
-    payloads = [jsonio.loads(p.read_text()) for p in paths]
-    work = functools.partial(_corpus_item, policy=policy)
-    # worker processes, since threads share one interpreter lock
-    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
-    if workers > 1:
-        # imported here: `-X importtime` puts the two at about 10 ms,
-        # which every request that runs no pool would pay
-        import concurrent.futures
-        import multiprocessing
-
-        # forked, so a worker starts with the package imported and the
-        # fields built; a fresh interpreter per worker costs more than
-        # a corpus of small items takes. The modules the items run load
-        # on first use (see taumod/__init__.py): run them once, here,
-        # rather than once in every worker.
-        _ = drinfeld.m_infinity, semilinear.solve_scalar
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork")) as ex:
-            items = list(ex.map(work, names, payloads))
-    else:
-        items = list(map(work, names, payloads))
-    counts = {}
-    for item in items:
-        counts[item["verdict"]] = counts.get(item["verdict"], 0) + 1
-    return _report("corpus", policy, {"count": len(items)},
-                   {"verdict_counts": counts, "items": items})
-
-
 # -- verify -----------------------------------------------------------------
 
 
 def cmd_verify(args):
-    doc = _load_json_arg(args.input)
-    if doc.get("kind") != "report":
-        raise InputError("verify expects a report produced by this tool")
-    try:
-        checks = verify.verify_report(doc)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputError(
-            f"report is missing fields the replay needs: {exc!r}"
-        ) from None
-    ok = all(c["ok"] for c in checks)
-    out = {
-        "kind": "verify_report",
-        "tool": {"name": "taumod", "version": __version__},
-        "command": doc.get("command"),
-        "checks": checks,
-        "verdict": "ok" if ok else "failed",
-    }
-    return out, (0 if ok else 4)
+    return verify.run_verify(_load_json_arg(args.input))
 
 
 # -- rendering --------------------------------------------------------------
@@ -380,8 +202,11 @@ def _md_walk(obj, depth, lines):
             lines.append(f"{ind}- {_md_scalar(obj)}")
         else:
             for i, v in enumerate(obj):
-                lines.append(f"{ind}- [{i}]:")
-                _md_walk(v, depth + 1, lines)
+                if isinstance(v, (dict, list)) and v:
+                    lines.append(f"{ind}- [{i}]:")
+                    _md_walk(v, depth + 1, lines)
+                else:
+                    lines.append(f"{ind}- [{i}]: {_md_scalar(v)}")
 
 
 def to_markdown(doc):
@@ -467,21 +292,20 @@ def _build_parser():
     return ap
 
 
+# the handlers of analyze, solve and corpus are `taumod.commands.cmd_<name>`
 _HANDLERS = {
-    "analyze": cmd_analyze,
     "isocrystal": cmd_isocrystal,
-    "solve": cmd_solve,
     "tate": cmd_tate,
     "weil": cmd_weil,
-    "corpus": cmd_corpus,
     "verify": cmd_verify,
 }
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    handler = _HANDLERS.get(args.cmd) or getattr(commands, f"cmd_{args.cmd}")
     try:
-        doc, code = _HANDLERS[args.cmd](args)
+        doc, code = handler(args)
     except TaumodError as exc:
         code = _error_class(exc)[1]
         doc = _error_doc(exc, code)

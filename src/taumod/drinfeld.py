@@ -1,20 +1,15 @@
 """Drinfeld F_q[t]-modules of rank r: the motive as a companion-shaped
 t-structure, its Laurent isocrystal at t = 1/z, coordinate-scaling
-reduction analysis over a local base, good models, and the cross-check
-between the two sides of the reduction criterion."""
+reduction analysis over a local base, good models and their integral
+verification, and the cross-check between the two sides of the
+reduction criterion."""
 
 import math
 from fractions import Fraction
 
-from . import zmatrix
+from . import localfield, rings, zmatrix
 from .errors import InputError, InvariantError
-from .isocrystal import (
-    Inconclusive,
-    Isocrystal,
-    PurityCertificate,
-    Record,
-    model_verify,
-)
+from .isocrystal import Inconclusive, Isocrystal, PurityCertificate, Record
 from .zseries import ZSeries
 
 INF = math.inf
@@ -183,6 +178,84 @@ def reduction_type(E):
     )
 
 
+# ------------------------------------------------------------ integral models
+
+def model_verify(K, A):
+    """Check that A defines an isocrystal already over the valuation ring.
+
+    yes iff every entry is integral, det(A) = z^k * u with u a unit of
+    the coefficient ring, and the residue matrix is invertible over the
+    residue field's Laurent series.
+    """
+    if K.kind != "local":
+        raise InputError("model verification needs a local base")
+    r = len(A)
+    for i in range(r):
+        for j in range(r):
+            cert = rings.membership(A[i][j], "BOK")
+            if cert["verdict"] == "no":
+                return {
+                    "kind": "model_verify",
+                    "verdict": "no",
+                    "witness": {
+                        "condition": "entry_not_integral",
+                        "entry": [i, j],
+                        "membership": cert,
+                    },
+                }
+            if cert["verdict"] == "inconclusive":
+                return {
+                    "kind": "model_verify",
+                    "verdict": "inconclusive",
+                    "witness": {"condition": "entry_window", "entry": [i, j]},
+                }
+    d = zmatrix.det(A)
+    v = d.valuation()
+    lead = d.coeff(v)
+    if lead.valuation() != 0:
+        return {
+            "kind": "model_verify",
+            "verdict": "no",
+            "witness": {
+                "condition": "determinant_leading_coefficient_not_unit",
+                "z_order": v,
+                "coefficient_valuation": str(lead.valuation()),
+            },
+        }
+    Abar = reduce_matrix(K, A)
+    dbar = zmatrix.det(Abar)
+    if not dbar.known_nonzero():
+        return {
+            "kind": "model_verify",
+            "verdict": "no",
+            "witness": {"condition": "residue_matrix_singular"},
+        }
+    return {
+        "kind": "model_verify",
+        "verdict": "yes",
+        "witness": {
+            "det_z_order": v,
+            "residue_det_z_order": dbar.valuation(),
+        },
+    }
+
+
+def reduce_matrix(K, A):
+    """Entrywise residue of an integral matrix, over the residue field."""
+    k = K.residue_K()
+    return [
+        [
+            ZSeries(
+                k,
+                {n: c.residue() for n, c in s.co.items()},
+                s.hi,
+            )
+            for s in row
+        ]
+        for row in A
+    ]
+
+
 class GoodModel(Record):
     """module: the scaled DrinfeldModule, with integral coefficients;
     m: the realized scaling exponent, in stored units; u: the scaling
@@ -222,9 +295,7 @@ def _reramify(K2, x):
     e = K2.ram // x.K.ram
     co = {exp * e: K2.cf.el(c) for exp, c in x.co.items()}
     hi = INF if x.hi == INF else x.hi * e
-    from .basefield import LocalElem
-
-    return LocalElem(K2, co, hi)
+    return localfield.LocalElem(K2, co, hi)
 
 
 def base_change_agrees(E, M, gm):

@@ -2,9 +2,8 @@
 
 tau acts on column vectors by v -> A*sigma(v). The module provides the
 tensor calculus (tensor, dual, direct sum), purity certification, a
-Newton-polygon slope oracle over finite bases, the twist in the basis
-of an invariant lattice, and model verification over the integral
-coefficient ring.
+Newton-polygon slope oracle over finite bases, and the twist in the
+basis of an invariant lattice.
 
 M is pure of slope s/r when some lattice T has tau^r T = z^s T, which
 holds exactly when U = z^-s T^-1 A_r sigma^r(T) lies in GL_r(K[[z]]),
@@ -426,81 +425,3 @@ def conjugated_matrix(M, lattice, prec=None):
     """The twist matrix in the basis of the given invariant lattice."""
     Linv = zmatrix.inv(lattice.basis, prec=prec)
     return zmatrix.mul(zmatrix.mul(Linv, M.A), zmatrix.sigma(lattice.basis, 1))
-
-
-# ------------------------------------------------------------ integral models
-
-def model_verify(K, A):
-    """Check that A defines an isocrystal already over the valuation ring.
-
-    yes iff every entry is integral, det(A) = z^k * u with u a unit of
-    the coefficient ring, and the residue matrix is invertible over the
-    residue field's Laurent series.
-    """
-    if K.kind != "local":
-        raise InputError("model verification needs a local base")
-    r = len(A)
-    for i in range(r):
-        for j in range(r):
-            cert = A[i][j].membership("BOK")
-            if cert["verdict"] == "no":
-                return {
-                    "kind": "model_verify",
-                    "verdict": "no",
-                    "witness": {
-                        "condition": "entry_not_integral",
-                        "entry": [i, j],
-                        "membership": cert,
-                    },
-                }
-            if cert["verdict"] == "inconclusive":
-                return {
-                    "kind": "model_verify",
-                    "verdict": "inconclusive",
-                    "witness": {"condition": "entry_window", "entry": [i, j]},
-                }
-    d = zmatrix.det(A)
-    v = d.valuation()
-    lead = d.coeff(v)
-    if lead.valuation() != 0:
-        return {
-            "kind": "model_verify",
-            "verdict": "no",
-            "witness": {
-                "condition": "determinant_leading_coefficient_not_unit",
-                "z_order": v,
-                "coefficient_valuation": str(lead.valuation()),
-            },
-        }
-    Abar = reduce_matrix(K, A)
-    dbar = zmatrix.det(Abar)
-    if not dbar.known_nonzero():
-        return {
-            "kind": "model_verify",
-            "verdict": "no",
-            "witness": {"condition": "residue_matrix_singular"},
-        }
-    return {
-        "kind": "model_verify",
-        "verdict": "yes",
-        "witness": {
-            "det_z_order": v,
-            "residue_det_z_order": dbar.valuation(),
-        },
-    }
-
-
-def reduce_matrix(K, A):
-    """Entrywise residue of an integral matrix, over the residue field."""
-    k = K.residue_K()
-    return [
-        [
-            ZSeries(
-                k,
-                {n: c.residue() for n, c in s.co.items()},
-                s.hi,
-            )
-            for s in row
-        ]
-        for row in A
-    ]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from taumod import drinfeld, skew
-from taumod.basefield import Felt, FieldDescriptor, FiniteK, LocalElem, LocalK
+from taumod.basefield import Felt, FieldDescriptor, FiniteK
 from taumod.errors import InputError
 from taumod.isocrystal import Isocrystal, Lattice, twist_inverse
 from taumod.zseries import INF, ZSeries
@@ -67,11 +67,6 @@ def render(obj):
         return [obj.numerator, obj.denominator]
     if isinstance(obj, Felt):
         return list(obj.c)
-    if isinstance(obj, LocalElem):
-        return {
-            "coeffs": [[e, list(c.c)] for e, c in sorted(obj.co.items())],
-            "window": _window(obj.co, obj.hi),
-        }
     if isinstance(obj, ZSeries):
         out = {
             "z_coeffs": [[e, render(c)] for e, c in sorted(obj.co.items())],
@@ -80,7 +75,7 @@ def render(obj):
         if obj.growth is not None:
             out["growth"] = render(obj.growth)
         return out
-    if isinstance(obj, (FiniteK, LocalK)):
+    if isinstance(obj, FiniteK):
         return render_field(obj)
     if isinstance(obj, Isocrystal):
         return {
@@ -103,6 +98,15 @@ def render(obj):
         for f in obj._fields:
             out[f] = render(getattr(obj, f))
         return out
+    # the local types by name too: `localfield` loads on first use, and a
+    # report over a finite base must not load it
+    if name == "LocalElem":
+        return {
+            "coeffs": [[e, list(c.c)] for e, c in sorted(obj.co.items())],
+            "window": _window(obj.co, obj.hi),
+        }
+    if name == "LocalK":
+        return render_field(obj)
     if isinstance(obj, dict):
         return {str(k): render(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

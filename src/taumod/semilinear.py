@@ -16,21 +16,14 @@ No-backtracking note: x -> x^q is injective in characteristic p, so
 whenever the recursion forces a coefficient there is exactly one
 candidate; the solvers never branch.
 
-F_p matrices are lists of int rows, solved by `kernels`.
+F_p matrices are lists of int rows, solved by `elimination`.
 """
 
 import math
 from fractions import Fraction
 
-from taumod import kernels
-from taumod.basefield import (
-    Felt,
-    coerce_into,
-    fp_extension,
-    frobenius_power,
-    get_field,
-    mult_matrix,
-)
+from taumod import elimination, embedding, kernels, rings
+from taumod.basefield import Felt, frobenius_power, get_field, mult_matrix
 from taumod.errors import (
     InputError,
     InvariantError,
@@ -114,7 +107,7 @@ def _finish(a, b, x, tag, N, dim=None, extra_note=None):
     """Re-substitute, then certify tag membership of a computed x."""
     if not _residual_ok(a, b, x, min(N, x.hi)):
         raise InvariantError("solver output fails re-substitution")
-    cert = x.membership(tag)
+    cert = rings.membership(x, tag)
     out = {
         "kind": "solve_outcome",
         "ring": tag,
@@ -339,7 +332,7 @@ def _solve_additive(a, b, tag, N):
     ff = K.ff
     p = ff.p
     Lmat = _additive_map(K, a0)
-    ker = kernels.nullspace_mod_p(Lmat, ff.n, p)
+    ker = elimination.nullspace_mod_p(Lmat, ff.n, p)
     dim_fq = len(ker) // K.desc.a if ker else 0
     try:
         hom = b.is_zero()
@@ -354,7 +347,7 @@ def _solve_additive(a, b, tag, N):
         if n >= n_hi:
             continue
         rhs = list(b.co[n].c)
-        sol = kernels.solve_mod_p(Lmat, rhs, p)
+        sol = elimination.solve_mod_p(Lmat, rhs, p)
         if sol is None:
             return _no_solution(
                 tag,
@@ -401,14 +394,14 @@ def _solve_additive_window(a, b, tag, N):
     big = [[0] * (nn * nL) for _ in range(nn * nL)]
     rhs = [0] * (nn * nL)
     for n, i in idx.items():
-        kernels.add_block(big, i * nL, i * nL, Q)
+        elimination.add_block(big, i * nL, i * nL, Q)
         for k in a.support():
             j = idx.get(n - k)
             if j is not None:
-                kernels.add_block(big, i * nL, j * nL, _mult_mat(ff, a.co[k]), -1)
+                elimination.add_block(big, i * nL, j * nL, _mult_mat(ff, a.co[k]), -1)
         if n < b.hi:
             rhs[i * nL : (i + 1) * nL] = b.coeff(n).c
-    sol = kernels.solve_mod_p(big, rhs, p)
+    sol = elimination.solve_mod_p(big, rhs, p)
     if sol is None:
         return _inconclusive(
             tag,
@@ -436,7 +429,7 @@ def _mult_mat(ff, alpha):
 def _additive_map(K, a0):
     """F_p matrix of x -> x^q - a0*x on the field of a finite base K."""
     lin = [list(row) for row in frobenius_power(K.ff.p, K.ff.n, K.desc.a)]
-    kernels.add_block(lin, 0, 0, _mult_mat(K.ff, a0), -1)
+    elimination.add_block(lin, 0, 0, _mult_mat(K.ff, a0), -1)
     return lin
 
 
@@ -491,7 +484,7 @@ def tau_fixed_space(A, N, e):
     L = K.extend(e)
     nL = L.ff.n
     perm = [(n * r + i) * nL + t for i in range(r) for n in range(N) for t in range(nL)]
-    ker = kernels.canonical_basis([[row[j] for j in perm] for row in rows], L.ff.p)
+    ker = elimination.canonical_basis([[row[j] for j in perm] for row in rows], L.ff.p)
     return _fq_basis_from_fp_kernel(K, L, ker, r, N, nL)
 
 
@@ -508,29 +501,29 @@ def _fixed_space_terms(A, N):
 
 def fixed_space_levels(A, N, e):
     """Solve v = A*sigma(v) over the degree-e extension one z-level at a
-    time, on F_p-linear data alone (`basefield.FpExtension`), with no
+    time, on F_p-linear data alone (`embedding.FpExtension`), with no
     field built.
 
     The system is block lower-triangular in the z-degree: level n reads
     v_0 .. v_n. After each level n < N this yields the rows of
-    `kernels.extend_kernel`, an F_p-basis of the fixed points mod
+    `elimination.extend_kernel`, an F_p-basis of the fixed points mod
     z^(n+1), with coordinates level-major: (z-degree, component, field).
     """
     K, r, terms = _fixed_space_terms(A, N)
-    ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
+    ext = embedding.fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, nL, w = ext.p, ext.n, r * ext.n
     Q = ext.frob(K.desc.a)
     T = {}  # k -> matrix of the z^k terms of v -> A sigma(v) on one level
     for i, j, k, c in terms:
         blk = T.setdefault(k, [[0] * w for _ in range(w)])
-        kernels.add_block(blk, i * nL, j * nL, kernels.matmul(ext.base_mult(c), Q, p))
+        elimination.add_block(blk, i * nL, j * nL, kernels.matmul(ext.base_mult(c), Q, p))
     zero = [[0] * w for _ in range(w)]
     diag = [[x - (t == u) for u, x in enumerate(row)] for t, row in enumerate(T.get(0, zero))]
     rows = []
     for n in range(N):
         blocks = [T.get(n - l, zero) for l in range(n)]
         coupling = [[x for blk in blocks for x in blk[t]] for t in range(w)]
-        rows = kernels.extend_kernel(rows, coupling, diag, p)
+        rows = elimination.extend_kernel(rows, coupling, diag, p)
         yield rows
 
 
@@ -547,7 +540,7 @@ def _fq_greedy(L, a, coords):
     F_q = F_{p^a} acting on each block of L-coordinates."""
     p, nL = L.ff.p, L.ff.n
     gq = _mult_mat(L.ff, fq_generator(L, a))
-    span = kernels.FpSpan(p)
+    span = elimination.FpSpan(p)
     picked = []
     for i, w in enumerate(coords):
         if span.add(w):
@@ -566,7 +559,7 @@ def fq_generator(L, a):
     a = 1. Its powers 1, g, ..., g^(a-1) are an F_p-basis of F_q."""
     if a == 1:
         return L.ff.one
-    return coerce_into(get_field(L.ff.p, a).el([0, 1]), L.ff)
+    return embedding.coerce_into(get_field(L.ff.p, a).el([0, 1]), L.ff)
 
 
 def free_module_check(K, basis, r, N):
@@ -617,7 +610,7 @@ def frobenius_action(K, module_basis, N):
     out_rows = []
     for j in range(r):
         img = [_series_frob(s, kpow) for s in module_basis[j]]
-        sol = kernels.solve_mod_p(mat, _vec_coords(img, N, nL), p)
+        sol = elimination.solve_mod_p(mat, _vec_coords(img, N, nL), p)
         if sol is None:
             raise NotStable(f"Frobenius image of basis vector {j} leaves the span")
         out_rows.append(sol)

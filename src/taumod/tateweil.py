@@ -26,8 +26,7 @@ field of the degree that passes.
 
 from fractions import Fraction
 
-from taumod import kernels, semilinear, zmatrix
-from taumod.basefield import fp_extension
+from taumod import elimination, embedding, semilinear, zmatrix
 from taumod.errors import ExtensionExhausted, InputError, InvariantError
 from taumod.isocrystal import (
     Inconclusive,
@@ -169,18 +168,18 @@ class ConjugatorData(Record):
 def _conjugator_levels(E, e, N):
     """Solve u = tau^{-r} u phi_t mod tau^{-N} over the degree-e extension
     of E's base one tau^{-1}-level at a time, on F_p-linear data alone
-    (`basefield.FpExtension`), with no field built.
+    (`embedding.FpExtension`), with no field built.
 
     Level n states sigma^r(u_n) = sum_i sigma^{-jp}(g_i) u_jp with
     jp = i + n - r, so it reads u_0 .. u_n only. After each level n < N
-    this yields the rows of `kernels.extend_kernel`: an F_p-basis of the
+    this yields the rows of `elimination.extend_kernel`: an F_p-basis of the
     solutions of levels 0..n, with the coordinates of u_0 .. u_n in turn.
     Every admissible truncated conjugator, for every choice of leading
     root and of the per-level additive freedom, is an F_p-combination of
     the last level's rows, so solvability is decided exactly.
     """
     K = E.K
-    ext = fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
+    ext = embedding.fp_extension(K.ff.p, K.ff.n, K.ff.n * e)
     p, nL = ext.p, ext.n
     r = E.rank
     g = [K.el(c) for c in E.coeffs]
@@ -190,10 +189,10 @@ def _conjugator_levels(E, e, N):
         coupling = [[0] * (n * nL) for _ in range(nL)]
         for i in range(max(0, r - n), r):
             jp = i + n - r
-            kernels.add_block(coupling, 0, jp * nL, ext.base_mult(K.sigma(g[i], -jp)), -1)
+            elimination.add_block(coupling, 0, jp * nL, ext.base_mult(K.sigma(g[i], -jp)), -1)
         diag = [list(row) for row in Q]
-        kernels.add_block(diag, 0, 0, ext.base_mult(K.sigma(g[r], -n)), -1)
-        rows = kernels.extend_kernel(rows, coupling, diag, p)
+        elimination.add_block(diag, 0, 0, ext.base_mult(K.sigma(g[r], -n)), -1)
+        rows = elimination.extend_kernel(rows, coupling, diag, p)
         yield rows
 
 
@@ -239,7 +238,7 @@ def iota_conjugator(E, N=DEFAULT_TAUINV_PREC, e_max=8):
     first level with no unit left, and only a degree that passes builds
     its field. The returned unit is the first vector with invertible
     leading coefficient of the canonical basis of the last level
-    (`kernels.canonical_basis`); any other conjugator differs from it by
+    (`elimination.canonical_basis`); any other conjugator differs from it by
     a left unit commuting with tau^{-r}.
     """
     K = E.K
@@ -250,7 +249,7 @@ def iota_conjugator(E, N=DEFAULT_TAUINV_PREC, e_max=8):
         if rows is None:
             continue
         L = K.extend(e)
-        for w in kernels.canonical_basis(rows, L.ff.p):
+        for w in elimination.canonical_basis(rows, L.ff.p):
             u = _vector_to_unit(L, w, N)
             if u is None:
                 continue

@@ -9,7 +9,16 @@ to `checks` per claim. The verdict a result implies comes from
 module.
 """
 
-from taumod import drinfeld, jsonio, kernels, semilinear, tateweil, zmatrix
+from taumod import (
+    __version__,
+    drinfeld,
+    elimination,
+    jsonio,
+    rings,
+    semilinear,
+    tateweil,
+    zmatrix,
+)
 from taumod.errors import ExtensionExhausted, InputError, NoRoot, PrecisionLoss
 from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
 from taumod.verdicts import verdict_of
@@ -122,7 +131,7 @@ def _replay_solve(inp, outcome, checks, policy):
         x, growth_ok = _regrown(a, b, outcome["x"], outcome.get("growth"))
         _check(checks, "solve: re-substitution",
                semilinear._residual_ok(a, b, x, x.hi))
-        cert = x.membership(ring)
+        cert = rings.membership(x, ring)
         _check(checks, "solve: membership re-check",
                growth_ok and cert["verdict"] == "yes"
                and jsonio.render(cert) == outcome.get("membership"), ring=ring)
@@ -151,7 +160,7 @@ def _replay_solve(inp, outcome, checks, policy):
             x, growth_ok = _regrown(a, b, outcome["x_bk"])
             _check(checks, "solve: big-field solution re-substitutes",
                    semilinear._residual_ok(a, b, x, x.hi))
-            cert = x.membership(ring)
+            cert = rings.membership(x, ring)
             _check(checks, f"solve: {reason} re-check",
                    growth_ok and cert["verdict"] == "no"
                    and jsonio.render(cert.get("witness")) == outcome.get("witness"),
@@ -167,7 +176,7 @@ def _replay_solve(inp, outcome, checks, policy):
             ok = (K.kind == "finite" and a.support() == [0] and a.is_exact()
                   and a.coeff(0) == a0 and n < b.hi and b.coeff(n) == rhs)
             if ok:
-                ok = kernels.solve_mod_p(semilinear._additive_map(K, a0),
+                ok = elimination.solve_mod_p(semilinear._additive_map(K, a0),
                                          list(rhs.c), K.ff.p) is None
             _check(checks, "solve: unsolvable coefficient equation", ok)
         else:
@@ -243,7 +252,7 @@ def _replay_tate(inp, result, checks, policy):
                 probe = [s.shift(n).truncate(N) for s in scaled]
                 rows.append(semilinear._vec_coords(probe, N, nL))
             scaled = [s.scale(gen) for s in scaled]
-    full = len(kernels.rref_mod_p(rows, p)[1]) == r * N * aq
+    full = len(elimination.rref_mod_p(rows, p)[1]) == r * N * aq
     _check(checks, "tate: span has full free-module dimension", full,
            dimension=r * N * aq)
     F = _parse_matrix(K, tate_doc["frobenius"])
@@ -317,3 +326,25 @@ def verify_report(doc):
         _check(checks, "verdict: the report's verdict matches its result", False,
                claimed=doc.get("verdict"), expected=expected)
     return checks
+
+
+def run_verify(doc):
+    """The verify report of the report doc, and its exit code: 0 when
+    every check replays, else 4."""
+    if doc.get("kind") != "report":
+        raise InputError("verify expects a report produced by this tool")
+    try:
+        checks = verify_report(doc)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InputError(
+            f"report is missing fields the replay needs: {exc!r}"
+        ) from None
+    ok = all(c["ok"] for c in checks)
+    out = {
+        "kind": "verify_report",
+        "tool": {"name": "taumod", "version": __version__},
+        "command": doc.get("command"),
+        "checks": checks,
+        "verdict": "ok" if ok else "failed",
+    }
+    return out, (0 if ok else 4)

@@ -22,19 +22,15 @@ from taumod.basefield import (
     FieldDescriptor,
     Felt,
     INF,
-    LocalElem,
-    coerce_into,
-    fp_extension,
     frobenius_power,
     get_field,
     mult_matrix,
-    _embedding_powers,
     _find_modulus,
     _is_irreducible,
-    _pdivmod,
-    _pgcd,
     _power_table,
 )
+from taumod.embedding import _embedding_powers, _pdivmod, _pgcd, coerce_into, fp_extension
+from taumod.localfield import LocalElem
 from taumod.errors import (
     CoercionError,
     InputError,

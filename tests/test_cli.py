@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -15,9 +16,9 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from taumod import corpusgen, jsonio, semilinear, zmatrix
+from taumod import corpusgen, jsonio, rings, semilinear, zmatrix
 from taumod.basefield import FieldDescriptor, get_field
-from taumod.cli import PrecisionPolicy, main
+from taumod.cli import PrecisionPolicy, main, to_markdown
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import NotInvertible, PrecisionLoss
 from taumod.isocrystal import Isocrystal, simple_pure, unit
@@ -160,7 +161,7 @@ class TestAnalyze:
     def test_stable_analyze_builds_each_object_once(self, monkeypatch):
         # the Stable module of the crosscheck tests: one motive, one purity
         # search, and the obstruction copies that search's outcome
-        import taumod.cli
+        import taumod.commands
         import taumod.drinfeld
 
         calls = {"motive": 0, "purity_check": 0}
@@ -172,8 +173,8 @@ class TestAnalyze:
             return wrapped
 
         motive = counted("motive", taumod.drinfeld.motive)
-        purity = counted("purity_check", taumod.cli.purity_check)
-        for mod in (taumod.cli, taumod.drinfeld):
+        purity = counted("purity_check", taumod.commands.purity_check)
+        for mod in (taumod.commands, taumod.drinfeld):
             monkeypatch.setattr(mod, "motive", motive, raising=False)
             monkeypatch.setattr(mod, "purity_check", purity, raising=False)
         K = F3L.field()
@@ -434,7 +435,7 @@ class TestSolvePathsReplay:
         return calls
 
     def test_ring_ak(self, monkeypatch):
-        calls = self._spy(monkeypatch, ZSeries, "_member_ak")
+        calls = self._spy(monkeypatch, rings, "_member_ak")
         K = self.F9M2.field()
         # root regime: x has no z^-n terms; contraction from b = z^-2: x
         # has a z^-1 term, a principal part
@@ -735,7 +736,8 @@ sys.stderr.write(json.dumps({"ran": ran, "built": built}))
 sys.exit(code)
 """
 # the modules that a request runs only if its command uses them
-ON_USE = {"drinfeld", "semilinear", "skew", "tateweil", "verify", "corpusgen"}
+ON_USE = {"commands", "drinfeld", "elimination", "embedding", "localfield", "rings",
+          "semilinear", "skew", "tateweil", "verify", "corpusgen"}
 
 
 def probe_modules(argv):
@@ -775,8 +777,8 @@ class TestModulesRun:
         argv = ["tate", "--input", jsonio.dump_canonical(unit(F9F.field(), 2))]
         code, out, ran, _ = probe_modules(argv)
         assert code == 0 and json.loads(out)["verdict"] == "ok"
-        assert {"tateweil", "semilinear", "skew"} <= ran
-        assert not ran & {"drinfeld", "verify", "corpusgen"}
+        assert {"tateweil", "semilinear", "skew", "elimination", "embedding"} <= ran
+        assert not ran & {"drinfeld", "verify", "corpusgen", "commands", "localfield", "rings"}
 
     def test_weil_and_its_verify_run_no_semilinear(self, tmp_path):
         K = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
@@ -787,7 +789,7 @@ class TestModulesRun:
             code, out, ran, _ = probe_modules(argv)
             assert code == 0
             assert {"tateweil", "drinfeld", "skew"} <= ran
-            assert not ran & {"semilinear", "corpusgen"}
+            assert not ran & {"semilinear", "corpusgen", "commands", "localfield", "rings"}
             report.write_text(out)
         assert json.loads(out)["verdict"] == "ok"
 
@@ -819,7 +821,7 @@ class TestModulesRun:
         code, out, ran, _ = probe_modules(["corpus", "--dir", str(tmp_path),
                                            "--jobs", "1"])
         assert code == 0 and len(json.loads(out)["result"]["items"]) == 6
-        assert {"drinfeld", "semilinear"} <= ran
+        assert {"commands", "drinfeld", "semilinear"} <= ran
         assert not ran & {"corpusgen", "tateweil", "verify"}
 
     def test_fresh_jobs_equal_bytes(self, tmp_path):
@@ -833,7 +835,7 @@ class TestModulesRun:
                                           "--jobs", "3"])
         assert three == one
         if (os.cpu_count() or 1) > 1:
-            assert {"drinfeld", "semilinear"} <= ran
+            assert {"drinfeld", "semilinear", "localfield", "rings"} <= ran
 
 
 # runs the CLI on its arguments, then writes on stderr whether F_{2^16}
@@ -864,20 +866,45 @@ def test_weil_leaves_f_2_16_untabled():
     assert run(argv) == (0, out.stdout)
 
 
-# the modules that own a span of the benchmark's layer tracer (`SPANS` in
-# perfbench/layertrace.py), which looks each one up in sys.modules right
-# after `import taumod.cli`
-TRACED_MODULES = ("kernels", "basefield", "zseries", "skew", "zmatrix", "isocrystal",
-                  "semilinear", "tateweil", "drinfeld", "jsonio", "cli")
+# the "module:attribute" targets of the benchmark's layer tracer (`SPANS`
+# in perfbench/layertrace.py), which looks each module up in sys.modules
+# right after `import taumod.cli` and each attribute on it
+TRACED_TARGETS = (
+    "kernels:polymulmod", "kernels:polypowmod", "kernels:rref_mod_p", "kernels:solve_mod_p",
+    "kernels:nullspace_mod_p", "basefield:FF.__init__", "basefield:_embedding_powers",
+    "basefield:coerce_into", "basefield:FiniteK.extend", "zseries:ZSeries.__mul__",
+    "zseries:ZSeries.__add__", "zseries:ZSeries.inv", "basefield:LocalElem.__mul__",
+    "basefield:LocalElem.inv", "skew:SkewLaurent.__mul__", "skew:SkewPoly.__mul__",
+    "skew:skew_inverse", "zmatrix:mul", "zmatrix:inv", "zmatrix:det",
+    "zmatrix:tau_power_matrix", "isocrystal:hnf_reduce", "isocrystal:purity_check",
+    "isocrystal:slopes_finiteK", "semilinear:solve_scalar", "semilinear:tau_fixed_space",
+    "tateweil:tate_slope0", "tateweil:iota_conjugator", "tateweil:weil_valuation",
+    "drinfeld:m_infinity", "drinfeld:motive", "drinfeld:reduction_type",
+    "drinfeld:crit_crosscheck", "jsonio:loads", "jsonio:parse_field", "jsonio:parse_elem",
+    "jsonio:parse_zseries", "jsonio:parse_scalar", "jsonio:parse_skewpoly",
+    "jsonio:parse_skewlaurent", "jsonio:parse_isocrystal", "jsonio:parse_drinfeld",
+    "jsonio:render", "jsonio:render_field", "jsonio:dump_canonical", "cli:_emit")
+# the names perfbench/inputs.py imports from taumod
+BENCH_IMPORTS = ("taumod:jsonio", "taumod:zmatrix", "basefield:FieldDescriptor",
+                 "drinfeld:DrinfeldModule", "isocrystal:Isocrystal",
+                 "isocrystal:simple_pure", "zseries:INF", "zseries:ZSeries")
+# resolves each "module:attribute" of its arguments as the tracer does,
+# right after `import taumod.cli`
+RESOLVE_PROBE = """
+import functools, sys, taumod.cli
+for target in sys.argv[1:]:
+    mod, attr = target.split(":")
+    owner = sys.modules["taumod" if mod == "taumod" else f"taumod.{mod}"]
+    functools.reduce(getattr, attr.split("."), owner)
+"""
 
 
 def test_traced_modules_are_in_sys_modules_after_import():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, taumod.cli; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    loaded = set(out.stdout.split())
-    assert {f"taumod.{m}" for m in TRACED_MODULES} <= loaded
+        [sys.executable, "-c", RESOLVE_PROBE, *TRACED_TARGETS, *BENCH_IMPORTS],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_policy_as_dict_keys():
@@ -961,6 +988,31 @@ class TestMarkdown:
         _, out2 = run(["isocrystal", "slopes", "--format", "md",
                        "--input", jsonio.dump_canonical(M)])
         assert out == out2
+
+    def test_scalar_beside_containers_keeps_its_value(self):
+        assert to_markdown({"a": [0, [0, 1]]}).splitlines()[2:] == [
+            "- **a**:", "  - [0]: 0", "  - [1]:", "    - [0, 1]"]
+        assert "- [1]: []" in to_markdown({"a": [{"b": 1}, []]})
+
+    def test_every_int_of_a_report_is_in_its_markdown(self):
+        # each z_coeffs pair [e, [c...]] puts its exponent e beside a list
+        argv = ["isocrystal", "dual", "--input", jsonio.dump_canonical(dense_twist())]
+        code, out = run(argv)
+        _, md = run(argv + ["--format", "md"])
+        assert code == 0 and md == to_markdown(json.loads(out))
+        # the ints of the markdown, with strings and list positions left out
+        text = re.sub(r"\[\d+\]:", "", re.sub(r'"(?:[^"\\]|\\.)*"', "", md))
+        found = sorted(int(x) for x in re.findall(r"-?\d+", text))
+        assert found == sorted(_ints(json.loads(out)))
+
+
+def _ints(tree):
+    """The int leaves of a JSON tree, bools left out."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [x for v in tree for x in _ints(v)]
+    return [tree] if type(tree) is int else []
 
 
 class TestWeil:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from taumod import basefield, corpusgen, jsonio, kernels, zmatrix
+from taumod import basefield, corpusgen, elimination, jsonio, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.drinfeld import DrinfeldModule
 from taumod.errors import ExtensionExhausted, InputError, PrecisionLoss
@@ -239,7 +239,7 @@ def test_conjugator_levels_end_in_the_dense_basis(seed):
     for e in range(1, e_max + 1):
         for rows in _conjugator_levels(E, e, N):
             pass
-        assert (kernels.canonical_basis(rows, K.ff.p)
+        assert (elimination.canonical_basis(rows, K.ff.p)
                 == dense.conjugator_kernel(E, K.extend(e), N))
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumod import zmatrix
+from taumod.drinfeld import model_verify, reduce_matrix
 from taumod.basefield import FieldDescriptor
 from taumod.errors import InputError, PrecisionLoss
 from taumod.isocrystal import (
@@ -22,9 +23,7 @@ from taumod.isocrystal import (
     dual,
     hnf_reduce,
     lattice_eq,
-    model_verify,
     purity_check,
-    reduce_matrix,
     simple_pure,
     slopes_finiteK,
     standard_lattice,

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from taumod import kernels
+from taumod import elimination, kernels
 
 import dense_oracle as dense
 
@@ -68,11 +68,11 @@ class TestLinear:
                 rows = rng.randrange(1, 8)
                 cols = rng.randrange(1, 8)
                 mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-                basis = lane.nullspace_mod_p(mat, cols, p)
+                basis = elimination.nullspace_mod_p(mat, cols, p)
                 for v in basis:
                     for row in mat:
                         assert sum(r * x for r, x in zip(row, v)) % p == 0
-                _, pivots = lane.rref_mod_p(mat, p)
+                _, pivots = elimination.rref_mod_p(mat, p)
                 assert len(basis) == cols - len(pivots)
 
     def test_solve_verifies_or_detects(self, lane):
@@ -87,7 +87,7 @@ class TestLinear:
                     rhs = [sum(r * xi for r, xi in zip(row, x)) % p for row in mat]
                 else:
                     rhs = [rng.randrange(p) for _ in range(rows)]
-                sol = lane.solve_mod_p(mat, rhs, p)
+                sol = elimination.solve_mod_p(mat, rhs, p)
                 if sol is not None:
                     for row, b in zip(mat, rhs):
                         assert sum(r * x for r, x in zip(row, sol)) % p == b % p
@@ -143,9 +143,9 @@ def test_rref_wide_and_tall(lane, shape):
         right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
         mat = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
                for row in left]
-        R, pivots = lane.rref_mod_p(mat, p)
+        R, pivots = elimination.rref_mod_p(mat, p)
         assert ([list(map(int, r)) for r in R], list(pivots)) == reference_rref(mat, p)
-        basis = lane.nullspace_mod_p(mat, cols, p)
+        basis = elimination.nullspace_mod_p(mat, cols, p)
         assert basis == reference_nullspace(R, pivots, cols, p)
         for v in basis:
             for row in mat:
@@ -169,7 +169,7 @@ def _levels(rng, p, widths, heights):
 def _solve_levels(levels, p):
     rows, left = [], 0
     for level in levels:
-        rows = kernels.extend_kernel(rows, [row[:left] for row in level],
+        rows = elimination.extend_kernel(rows, [row[:left] for row in level],
                                      [row[left:] for row in level], p)
         left = len(level[0])
     return rows
@@ -186,11 +186,11 @@ def test_extend_kernel_level_by_level(p):
         levels, full = _levels(rng, p, widths, heights)
         rows = _solve_levels(levels, p)
         left = sum(widths)
-        want = kernels.nullspace_mod_p(full, left, p)
+        want = elimination.nullspace_mod_p(full, left, p)
         assert len(rows) == len(want)
         assert all(len(row) == left for row in rows)
         assert not any(any(kernels.matvec(full, row, p)) for row in rows)
-        rank = len(kernels.rref_mod_p(rows, p)[1]) if len(rows) else 0
+        rank = len(elimination.rref_mod_p(rows, p)[1]) if len(rows) else 0
         assert rank == len(want)
 
 
@@ -203,16 +203,16 @@ def test_canonical_basis_of_the_levels_is_the_nullspace_basis(p):
         widths = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 6))]
         levels, full = _levels(rng, p, widths, widths)
         rows = _solve_levels(levels, p)
-        want = kernels.nullspace_mod_p(full, sum(widths), p)
-        assert kernels.canonical_basis(rows, p) == want
+        want = elimination.nullspace_mod_p(full, sum(widths), p)
+        assert elimination.canonical_basis(rows, p) == want
         # redundant, reordered rows of the same space give the same basis
         mix = [[rng.randrange(p) for _ in rows] for _ in range(2)]
         mixed = kernels.matmul(mix, rows, p) if rows else []
-        assert kernels.canonical_basis(mixed + rows[::-1], p) == want
-    assert kernels.canonical_basis([], p) == []
+        assert elimination.canonical_basis(mixed + rows[::-1], p) == want
+    assert elimination.canonical_basis([], p) == []
 
 
-# primes on both sides of the one-byte slots of `kernels.Packing`
+# primes on both sides of the one-byte slots of `elimination.Packing`
 PRIMES = [2, 3, 5, 7, 131, 251, 65521]
 
 
@@ -223,7 +223,7 @@ class TestPacking:
     def test_row_arithmetic(self, p):
         rng = random.Random(f"packing:{p}")
         for n in (0, 1, 7, 40):
-            P = kernels.Packing(p, n)
+            P = elimination.Packing(p, n)
             for _ in range(10):
                 # unreduced and negative entries are reduced when packed
                 a = [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
@@ -271,13 +271,13 @@ class TestAgainstNumpy:
         for rows, cols in self.SHAPES:
             for _ in range(3):
                 mat = self._mat(rng, p, rows, cols, kind)
-                R, pivots = kernels.rref_mod_p(mat, p)
+                R, pivots = elimination.rref_mod_p(mat, p)
                 assert (R, pivots) == dense.rref_mod_p(mat, p)
                 if kind == "full":
                     assert len(pivots) == min(rows, cols)
-                assert (kernels.nullspace_mod_p(mat, cols, p)
+                assert (elimination.nullspace_mod_p(mat, cols, p)
                         == dense.nullspace_mod_p(mat, cols, p))
-                assert kernels.canonical_basis(mat, p) == dense.canonical_basis(mat, p)
+                assert elimination.canonical_basis(mat, p) == dense.canonical_basis(mat, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_levels(self, p):
@@ -292,11 +292,11 @@ class TestAgainstNumpy:
                 # entries off by multiples of p, negative ones too, solve the same
                 shifted = [[[x + p * rng.randrange(-2, 3) for x in row] for row in m]
                            for m in split]
-                assert (kernels.extend_kernel(rows, *shifted, p)
-                        == kernels.extend_kernel(rows, *split, p))
-                rows = kernels.extend_kernel(rows, *split, p)
+                assert (elimination.extend_kernel(rows, *shifted, p)
+                        == elimination.extend_kernel(rows, *split, p))
+                rows = elimination.extend_kernel(rows, *split, p)
                 ref = dense.extend_kernel(ref, *(np.array(m, dtype=np.int64).reshape(
                     len(level), -1) for m in split), p)
                 assert rows == ref.tolist()
                 left = len(level[0])
-            assert kernels.canonical_basis(rows, p) == dense.canonical_basis(ref, p)
+            assert elimination.canonical_basis(rows, p) == dense.canonical_basis(ref, p)

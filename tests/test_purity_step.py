@@ -16,7 +16,8 @@ import sys
 import pytest
 
 from taumod import isocrystal, jsonio, zmatrix
-from taumod.basefield import FieldDescriptor, LocalElem
+from taumod.basefield import FieldDescriptor
+from taumod.localfield import LocalElem
 from taumod.drinfeld import m_infinity
 from taumod.errors import NotInvertible, PrecisionLoss, TaumodError
 from taumod.isocrystal import Isocrystal, Lattice, purity_check

@@ -9,8 +9,8 @@ import pytest
 
 from taumod.basefield import FieldDescriptor
 from taumod.errors import InputError, NotStable, PrecisionLoss
-from taumod import kernels
-from taumod.kernels import FpSpan
+from taumod import elimination
+from taumod.elimination import FpSpan
 from taumod.semilinear import (
     fq_generator,
     free_module_check,
@@ -392,7 +392,7 @@ class TestTauFixedSpace:
 
 
 def _rank(rows, p):
-    return len(kernels.rref_mod_p(rows, p)[1]) if rows else 0
+    return len(elimination.rref_mod_p(rows, p)[1]) if rows else 0
 
 
 class TestFpSpan:

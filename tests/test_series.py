@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from taumod.basefield import FieldDescriptor, LocalElem
+from taumod.basefield import FieldDescriptor
+from taumod.localfield import LocalElem
 from taumod.errors import CoercionError, InvariantError, NotInvertible, PrecisionLoss
 from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly

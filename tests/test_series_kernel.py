@@ -21,7 +21,8 @@ import random
 
 import pytest
 
-from taumod.basefield import FF, TABLE_LIMIT, Felt, FieldDescriptor, LocalElem
+from taumod.basefield import FF, TABLE_LIMIT, Felt, FieldDescriptor
+from taumod.localfield import LocalElem
 from taumod.errors import InvariantError
 from taumod.series import PACK_DEGREE, PACK_PAIRS, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly

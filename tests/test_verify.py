@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taumod import basefield, corpusgen, jsonio, tateweil, zmatrix
-from taumod.basefield import FieldDescriptor, coerce_into
+from taumod.basefield import FieldDescriptor
+from taumod.embedding import coerce_into
 from taumod.cli import main
 from taumod.drinfeld import DrinfeldModule
 from taumod.isocrystal import Isocrystal, simple_pure, unit
