@@ -15,9 +15,12 @@ Runs in one process through `taumod.cli.main` and prints one
     of slope 1/2 on the dense twists of `TWISTS`, built as the `rank`
     plan builds its twists over F_9;
   * `analyze` and its `verify` on the Drinfeld modules of `LOCAL`;
-  * `isocrystal purity --s 0 --r 1` on `skewed_unit`, a crystal pure of
-    slope 0 in a skewed basis, whose search never certifies a step by
-    the unimodularity test and ends on the drift rule.
+  * `isocrystal purity --s 0 --r 1` and its `verify` on `skewed_unit`, a
+    crystal pure of slope 0 in a skewed basis, whose search moves the
+    lattice twice before the unimodularity test certifies a step;
+  * `isocrystal purity --s 0 --r 1` and its `verify` on the simple pure
+    twist of slope -1/2 over F_9, which the determinant invariant
+    refutes before any step.
 
 Each label carries the exit code. Run it on two checkouts and diff:
 
@@ -188,8 +191,8 @@ def skewed_unit():
     """P A sigma(P)^-1 over F_4 (q = 2, m = 2) for the constant
     A = [[1, 0, w], [1+w, w, w], [1+w, 1+w, w]], w the generator, and
     P = [[1, z^-2, z^-2], [0, 1, z], [0, 0, 1]]: isomorphic to A, so
-    pure of slope 0, yet the minimal pivot of the purity search falls
-    for as many steps as the skew."""
+    pure of slope 0, and the minimal pivot of the purity search falls
+    for as many steps as the skew before a step certifies."""
     K = FieldDescriptor(p=2, a=1, m=2, kind="finite").field()
     w, one = K.gen(), K.one()
     c = [[ZSeries.const(K, x) for x in row]
@@ -233,7 +236,11 @@ def main_gate():
             lines += _local_lines(i, p, r)
         lines += _lines("skewed-unit-f4/purity",
                         ["isocrystal", "purity", "--s", "0", "--r", "1",
-                         "--input", jsonio.dump_canonical(skewed_unit())], False)
+                         "--input", jsonio.dump_canonical(skewed_unit())], True)
+        F9 = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
+        lines += _lines("simple-f9-s-1-r2/purity-s0-r1",
+                        ["isocrystal", "purity", "--s", "0", "--r", "1",
+                         "--input", jsonio.dump_canonical(simple_pure(F9, -1, 2))], True)
         for workload, seed in PLANS:
             lines += _plan_lines(work, workload, seed)
     for digest, label in sorted(lines, key=lambda t: t[1]):

@@ -8,10 +8,12 @@ basis of an invariant lattice.
 M is pure of slope s/r when some lattice T has tau^r T = z^s T, which
 holds exactly when U = z^-s T^-1 A_r sigma^r(T) lies in GL_r(K[[z]]),
 A_r the matrix of tau^r (Katz, "Slope filtration of F-crystals").
-`purity_check` searches for T from the standard lattice: each step tests
-U with no series inverse and certifies T when U is provably unimodular;
-only a step the test cannot settle reduces the image of T to its
-canonical basis (`hnf_reduce`) to move T or refute.
+`purity_check` refutes only by an invariant: v_z(det A) is unchanged by
+sigma-conjugation, and purity forces r*v_z(det A) = rank*s. It searches
+for T from the standard lattice: each step tests U with no series
+inverse and certifies T when U is provably unimodular; only a step the
+test cannot settle joins z^-s A_r sigma^r(T) to T by one canonical
+reduction (`hnf_reduce`), and a join equal to T certifies T.
 """
 
 import math
@@ -138,15 +140,6 @@ class Lattice:
     def columns(self):
         r = self.rank
         return [[self.basis[i][j] for i in range(r)] for j in range(r)]
-
-    def scale_z(self, s):
-        if s == 0:
-            return self
-        B = [[x.shift(s) for x in row] for row in self.basis]
-        return Lattice(self.K, B, [e + s for e in self.pivots])
-
-    def min_pivot(self):
-        return min(self.pivots)
 
 
 def lattice_eq(T1, T2):
@@ -299,58 +292,47 @@ class Inconclusive(Record):
 def purity_check(M, s, r, max_iters=32, prec=None):
     """Certify ⟨tau^r T⟩ = z^s T for some lattice T, or refute it.
 
-    Iterates from the standard lattice. Each step computes
-    G = A_r sigma^r(T) once and certifies T if z^-s T^-1 G is provably
-    in GL_r(K[[z]]) (`_unimodular`). That test only certifies or falls
-    through; it never refutes. A step it does not settle reduces G to
-    the canonical basis of the image and joins z^-s times it to T. A
-    join equal to T certifies when the image is z^s T and refutes with
-    a strict inclusion; otherwise the join is the next T. Divergence is
-    declared when the minimal pivot drops strictly on r*d + 1
-    consecutive steps; that cutoff is a design choice and is recorded
-    in the witness. No step runs at max_iters = 0: inconclusive.
+    Refutes only before any step: v = v_z(det A) is a sigma-conjugation
+    invariant, and purity forces r*v = rank*s, as det A_r = det(A)
+    sigma(det A) ... sigma^(r-1)(det A). Then it iterates from the
+    standard lattice. Each step computes G = A_r sigma^r(T) once and
+    certifies T if z^-s T^-1 G is provably in GL_r(K[[z]])
+    (`_unimodular`); otherwise it joins z^-s G to T by one reduction. A
+    join equal to T certifies, since z^-s G ⊆ T has T's volume by the
+    invariant (inconclusive if the windows leave v unsettled); otherwise
+    it is the next T. At max_iters = 0 no step runs: the answer is the
+    refutation, which `verify` replays so, or inconclusive.
     """
     if r <= 0:
         raise InputError("denominator must be positive")
-    rd = r  # d = 1 throughout
     K, n = M.K, M.rank
-    A_rd = M.tau_power(rd)
+    try:
+        v = zmatrix.det(M.A).valuation()  # INF when A is singular
+    except PrecisionLoss:
+        v = None
+    if v not in (None, INF) and r * v != n * s:
+        return NotPureAt(s, r, {"kind": "determinant_valuation", "v_z_det": v, "rank": n})
     T = standard_lattice(K, n)
     mins = []
     for it in range(max_iters):
-        # sigma^rd fixes the standard lattice's basis
-        G = A_rd if it == 0 else zmatrix.mul(A_rd, zmatrix.sigma(T.basis, rd))
+        if not it:
+            # sigma^r fixes the standard lattice's basis
+            G = A_r = M.tau_power(r)
+        else:
+            G = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
         if _unimodular(G, T, s):
             return _certificate(s, r, T, it)
-        img = hnf_reduce(K, [[G[i][j] for i in range(n)] for j in range(n)], n, prec)
-        joined = hnf_reduce(K, T.columns() + img.scale_z(-s).columns(), n, prec)
+        cols = [[G[i][j].shift(-s) for i in range(n)] for j in range(n)]
+        if v == INF:
+            hnf_reduce(K, cols, n, prec)  # z^-s G is singular: raises
+        joined = hnf_reduce(K, T.columns() + cols, n, prec)
         if lattice_eq(joined, T):
-            target = T.scale_z(s)
-            if lattice_eq(img, target):
-                return _certificate(s, r, T, it)
-            return NotPureAt(
-                s, r,
-                {
-                    "kind": "stable_lattice_strict_inclusion",
-                    "pivots_image": list(img.pivots),
-                    "pivots_scaled": list(target.pivots),
-                    "iterations": it,
-                },
-            )
+            if v is None:
+                return Inconclusive(f"stable lattice with pivots {T.pivots}; v_z(det A) "
+                                    "is not settled within the window")
+            return _certificate(s, r, T, it)
         T = joined
-        mins.append(T.min_pivot())
-        run = rd + 1
-        if len(mins) >= run:
-            tail = mins[-run:]
-            if all(tail[k + 1] < tail[k] for k in range(run - 1)):
-                return NotPureAt(
-                    s, r,
-                    {
-                        "kind": "elementary_divisor_drift",
-                        "drift": tail,
-                        "rule": f"strictly decreasing over {run} steps",
-                    },
-                )
+        mins.append(min(T.pivots))
     return Inconclusive(
         f"no stabilization within {max_iters} iterations; "
         f"pivot trail {mins[-3:]}"

@@ -20,7 +20,7 @@ from taumod import (
     zmatrix,
 )
 from taumod.errors import ExtensionExhausted, InputError, NoRoot, PrecisionLoss
-from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq
+from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq, purity_check
 from taumod.verdicts import verdict_of
 from taumod.zseries import DEFAULT_Z_PREC, INF
 
@@ -105,8 +105,14 @@ def _replay_analyze(inp, result, checks, policy):
 def _replay_isocrystal_purity(inp, result, checks, policy):
     M = jsonio.parse_isocrystal(inp, _z_prec(policy))
     cert = result.get("certificate", {})
-    if cert.get("kind") == "purity_certificate":
+    kind = cert.get("kind")
+    if kind == "purity_certificate":
         _replay_purity(M, cert, checks, "purity")
+    elif kind == "not_pure_at":
+        # the search refutes only before its first step
+        s, r = int(cert["s"]), int(cert["r"])
+        _check(checks, "purity: r v_z(det A) != rank s",
+               jsonio.render(purity_check(M, s, r, max_iters=0)) == cert, s=s, r=r)
     else:
         _check(checks, "purity: no lattice claimed", True)
 

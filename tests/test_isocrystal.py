@@ -2,7 +2,9 @@
 hand-checked lattices, Newton-polygon slopes, and integral models."""
 
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,15 +37,40 @@ from taumod.zseries import ZSeries
 
 from dense_oracle import chained_hnf_reduce, random_entry
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import report_gate  # noqa: E402
+
+del sys.path[0]
+
 F2 = FieldDescriptor(p=2, a=1, m=1, kind="finite")
 F3 = FieldDescriptor(p=3, a=1, m=1, kind="finite")
 F4 = FieldDescriptor(p=2, a=2, m=1, kind="finite")
 F9m = FieldDescriptor(p=3, a=1, m=2, kind="finite")
+F4M2 = FieldDescriptor(p=2, a=1, m=2, kind="finite")
 F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
 
 
 def K3():
     return F3.field()
+
+
+def skewed_constant(seed):
+    """P C sigma(P)^-1 over F_4 (q = 2, m = 2) for a seeded invertible
+    constant C of rank 3 and an upper unipotent P whose entries are
+    c z^k, c != 0, k in [-2, 1]: isomorphic to C, so pure of slope 0."""
+    rng = random.Random(f"skewed-constant:{seed}")
+    K = F4M2.field()
+    while True:
+        C = [[ZSeries.const(K, K.random(rng)) for _ in range(3)] for _ in range(3)]
+        if zmatrix.det(C).valuation() == 0:
+            break
+    P = zmatrix.identity(K, 3)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        c = K.zero()
+        while K.is_zero(c):
+            c = K.random(rng)
+        P[i][j] = ZSeries(K, {rng.randint(-2, 1): c})
+    return Isocrystal(K, zmatrix.mul(zmatrix.mul(P, C), zmatrix.inv(zmatrix.sigma(P))))
 
 
 class TestConstructors:
@@ -206,7 +233,8 @@ class TestPurity:
     def test_unit_wrong_slope_diverges(self):
         out = purity_check(unit(K3()), 1, 1)
         assert isinstance(out, NotPureAt)
-        assert out.witness["kind"] == "elementary_divisor_drift"
+        assert out.witness == {"kind": "determinant_valuation", "v_z_det": 0,
+                               "rank": 1}
 
     def test_unit_correct_slope(self):
         out = purity_check(unit(K3()), 0, 1)
@@ -226,9 +254,12 @@ class TestPurity:
     def test_mixed_sum_never_pure(self):
         K = K3()
         M = direct_sum(unit(K), simple_pure(K, 1, 1))
-        for s, r in [(0, 1), (1, 1), (1, 2)]:
+        for s, r in [(0, 1), (1, 1)]:
             out = purity_check(M, s, r)
             assert isinstance(out, NotPureAt)
+        # 2 v_z(det A) = rank * 1: no refutation is proven, and no
+        # lattice is certified
+        assert not isinstance(purity_check(M, 1, 2), PurityCertificate)
 
     def test_rank_below_denominator_refused(self):
         K = K3()
@@ -238,8 +269,24 @@ class TestPurity:
             assert isinstance(out, NotPureAt)
 
     def test_budget_exhaustion_inconclusive(self):
+        # the invariant refutes before any step, whatever the budget
         out = purity_check(unit(K3()), 1, 3, max_iters=2)
+        assert isinstance(out, NotPureAt)
+        assert out.witness["kind"] == "determinant_valuation"
+        # skewed_unit certifies at its third step
+        out = purity_check(report_gate.skewed_unit(), 0, 1, max_iters=2)
         assert isinstance(out, Inconclusive)
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_skewed_constant_is_never_refuted(self, seed):
+        M = skewed_constant(seed)
+        try:
+            out = purity_check(M, 0, 1)
+        except PrecisionLoss:
+            return
+        assert not isinstance(out, NotPureAt)
+        if isinstance(out, PurityCertificate):
+            assert slopes_finiteK(M) == [Fraction(out.s, out.r)] * 3
 
     def test_slope_well_defined(self):
         # a certificate at (1,2) excludes one at (0,1) and at (1,1)

@@ -249,6 +249,39 @@ def test_scaled_leaf_sets_no_work(command, monkeypatch):
                 assert code in (2, 4), (path, forged, vr)
 
 
+# -- isocrystal purity -------------------------------------------------------
+
+REFUTATION = "purity: r v_z(det A) != rank s"
+
+
+@pytest.mark.parametrize("witness", [
+    {"kind": "determinant_valuation", "v_z_det": -1, "rank": 2},
+    {"kind": "elementary_divisor_drift", "drift": [-2, -4]}])
+def test_forged_refutation_of_a_pure_report_is_refused(witness):
+    # simple_pure(F_9, -1, 2) has v_z(det A) = -1, and 2 * -1 = 2 * -1
+    doc = json.loads(honest("isocrystal purity"))
+    doc["verdict"] = "not_pure"
+    doc["result"]["certificate"] = {"kind": "not_pure_at", "s": -1, "r": 2,
+                                    "witness": witness}
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [REFUTATION]
+
+
+@pytest.mark.parametrize("key, forged", [("v_z_det", 0), ("rank", 3),
+                                         ("kind", "elementary_divisor_drift")])
+def test_refutation_replays_its_witness(key, forged):
+    code, doc = run_json(["isocrystal", "purity", "--s", "0", "--r", "1", "--input",
+                          jsonio.dump_canonical(simple_pure(F9F.field(), -1, 2))])
+    assert code == 0 and doc["verdict"] == "not_pure"
+    code, vr = verify(doc)
+    assert code == 0 and [c["name"] for c in vr["checks"]] == [REFUTATION]
+    doc["result"]["certificate"]["witness"][key] = forged
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [REFUTATION]
+
+
 # -- weil ---------------------------------------------------------------------
 
 
