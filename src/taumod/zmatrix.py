@@ -168,7 +168,7 @@ def inv(A, prec=None):
         for r in range(n):
             if r != col:
                 f = work[r][col]
-                if f.known_nonzero() or f.co:
+                if f.co or f.hi is not INF:
                     work[r][col + 1:] = _minus_product(work[r][col + 1:], f, right)
                     out[r] = _minus_product(out[r], f, out[col])
     return out

@@ -394,7 +394,7 @@ def chained_inv(A, prec=None):
         for r in range(n):
             if r != col:
                 f = work[r][col]
-                if f.known_nonzero() or f.co:
+                if f.co or f.hi is not INF:
                     work[r] = [chained_sum([(x, None, False), (f, y, True)])
                                for x, y in zip(work[r], work[col])]
                     out[r] = [chained_sum([(x, None, False), (f, y, True)])

@@ -33,6 +33,11 @@ FIELDS = {
     "F2((zeta))": FieldDescriptor(p=2, a=1, m=1, kind="local"),
 }
 RANKS = range(1, 6)
+COMPLETION_FIELDS = {
+    "F3": FieldDescriptor(p=3, a=1, m=1, kind="finite"),
+    "F4": FieldDescriptor(p=2, a=1, m=2, kind="finite"),
+    "F9": FieldDescriptor(p=3, a=2, m=1, kind="finite"),
+}
 
 
 # -- the loops the fused sums replaced -------------------------------------
@@ -108,7 +113,7 @@ def chain_inv(A, prec=None):
         for r in range(n):
             if r != col:
                 f = work[r][col]
-                if f.known_nonzero() or f.co:
+                if f.co or f.hi is not INF:
                     # x - f*y, written as the sum with the negated product
                     work[r] = [x + -(f * y) for x, y in zip(work[r], work[col])]
                     out[r] = [x + -(f * y) for x, y in zip(out[r], out[col])]
@@ -202,6 +207,50 @@ def test_inv_errors_match_the_chain(label):
         assert got == outcome(chain_inv, A)
         assert exact(zmatrix.inv, A) == exact(chained_inv, A)
 
+
+def complete(A, rng):
+    """A with every window filled by a random exact tail of 4 terms: one
+    of the exact matrices the windowed A stands for."""
+    def fill(x):
+        if x.hi is INF:
+            return x
+        co = dict(x.co)
+        co.update({x.hi + i: x.K.random(rng) for i in range(4)})
+        return ZSeries(x.K, co)
+    return [[fill(x) for x in row] for row in A]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("label", ["F3", "F4", "F9"])
+def test_inv_windows_hold_for_every_completion(label, n):
+    """Whatever the windows of A hide, the inverse of each completion
+    agrees with the windowed inverse below its windows."""
+    K = COMPLETION_FIELDS[label].field()
+    rng = random.Random(f"test-zmatrix-completions:{label}:{n}")
+    checks = 0
+    for _ in range(30):
+        A = random_matrix(K, rng, n)
+        try:
+            B = zmatrix.inv(A, 12)
+        except (PrecisionLoss, NotInvertible):
+            continue
+        for _ in range(3):
+            try:
+                C = zmatrix.inv(complete(A, rng), 24)
+            except (PrecisionLoss, NotInvertible):
+                continue
+            assert zmatrix.agrees(B, C)
+            checks += 1
+    assert checks >= 30
+
+
+def test_inv_of_a_multiplier_zero_to_its_window():
+    """[[1, 1], [O(z^2), 1]]: the multiplier of the second row is zero only
+    to its window, so every entry of the inverse is known below z^2 only."""
+    K = COMPLETION_FIELDS["F3"].field()
+    one = ZSeries.one(K)
+    B = zmatrix.inv([[one, one], [ZSeries(K, {}, 2), one]])
+    assert [[x.hi for x in row] for row in B] == [[2, 2], [2, 2]]
 
 
 def test_mul_of_shapes_that_do_not_compose():
