@@ -6,18 +6,22 @@ the log tables, and the `L1` rows, which weigh a whole fill against the
 operations a field runs without tables until its work pays for one
 (`FF._rent`); then a product over F_3((zeta)), `zmatrix.inv` over F_9,
 series inverses over F_9, F_3((zeta)) and F_{2^16}, the purity search,
-and the JSON writer of the reports.
+the characteristic polynomial behind `isocrystal slopes`, and the JSON
+writer of the reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
 fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
 the same input, as `old`; the inverse rows time the inverses that
-`Series.inv` replaced, the purity rows the search with two Hermite
-reductions per step, and the writer row `json.dumps`, as `old`.
+`Series.inv` and the one sum per entry of `zmatrix.inv` replaced, the
+purity rows the search with two Hermite reductions per step, the
+characteristic polynomial rows the sums of all principal minors, and
+the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
-every row over the trials; the table prints the median and the minimum
-of those bests over the processes, labelled with the kernel lane
+every row over the trials, or over as many calls as fit in `BUDGET_S`
+seconds, one at least; the table prints the median and the minimum of
+those bests over the processes, labelled with the kernel lane
 (`kernels.BACKEND`). One process can run a row about 20% slower than
 the next, for the same code, so the minimum is the steadier figure.
 
@@ -44,7 +48,7 @@ from taumod import basefield, elimination, jsonio, kernels, localfield, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main as taumod_main
 from taumod.drinfeld import DrinfeldModule, m_infinity
-from taumod.isocrystal import Isocrystal, purity_check
+from taumod.isocrystal import Isocrystal, _char_poly, purity_check, simple_pure
 from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
@@ -53,6 +57,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 import dense_oracle as dense  # noqa: E402
 
 PROCESSES = 5
+# the calls of one side of a row stop once they have taken this long
+BUDGET_S = 2.0
 
 
 def _rand_poly(rng, n, p):
@@ -92,7 +98,8 @@ def _workloads(seed):
         ("levels 32x16/F2", _level_solve, (levels, 2)),
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
          + _field_workloads() + _untabled_workloads(rng) + _local_workloads(rng)
-         + _inverse_workloads(rng) + _purity_workloads(rng) + [_writer_workload()])
+         + _inverse_workloads(rng) + _purity_workloads(rng) + _charpoly_workloads()
+         + [_writer_workload()])
     olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
             "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
             "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
@@ -162,12 +169,10 @@ def _matrix_workloads(rng):
         return [[_rand_series(ZSeries, f9, rng, range(-1, 12), 12) for _ in range(7)]
                 for _ in range(7)]
 
-    def fresh(A):
-        return [[_fresh(s) for s in row] for row in A]
-
     A, B = rand_matrix(), rand_matrix()
-    return [("matmul 7x7/F9", lambda A, B: zmatrix.mul(fresh(A), fresh(B)), (A, B)),
-            ("det 7x7/F9", lambda A: zmatrix.det(fresh(A)), (A,))]
+    return [("matmul 7x7/F9",
+             lambda A, B: zmatrix.mul(_fresh_matrix(A), _fresh_matrix(B)), (A, B)),
+            ("det 7x7/F9", lambda A: zmatrix.det(_fresh_matrix(A)), (A,))]
 
 
 def _field_workloads():
@@ -213,8 +218,10 @@ def _local_workloads(rng):
     are 4-term LocalElems known below a zeta-power, the shape the grouped
     sums of `series._felt_sum` take; and `zmatrix.inv` at precision 12 on
     a 7 x 7 matrix over F_9 of dense windowed entries, 13 terms known
-    below z^12, the shape of the rank-7 twist of the `rank` workload. Each
-    call gets fresh operands, local coefficients included."""
+    below z^12, the shape of the rank-7 twist of the `rank` workload,
+    against the elimination that took one two-term sum per entry and
+    pivot as `old`. Each call gets fresh operands, local coefficients
+    included."""
     L = FieldDescriptor(p=3, a=1, m=1, kind="local").field()
 
     def local(lo):
@@ -232,8 +239,12 @@ def _local_workloads(rng):
         return ZSeries(L, {e: _fresh(c) for e, c in s.co.items()}, s.hi)
 
     return [("series 8x8/F3((zeta))", lambda x, y: fresh(x) * fresh(y), (zs(), zs())),
-            ("inv 7x7/F9", lambda A: zmatrix.inv([[_fresh(s) for s in row] for row in A],
-                                                 12), (A,))]
+            ("inv 7x7/F9", lambda A: zmatrix.inv(_fresh_matrix(A), 12), (A,),
+             lambda A: dense.incremental_inv(_fresh_matrix(A), 12), (A,))]
+
+
+def _fresh_matrix(A):
+    return [[_fresh(s) for s in row] for row in A]
 
 
 def _inverse_workloads(rng):
@@ -290,14 +301,7 @@ def _purity_workloads(rng):
                 return x
 
     local = m_infinity(DrinfeldModule(L, [terms(0)] + [terms(-2) for _ in range(3)]))
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import inputs
-    finally:
-        sys.path.pop(0)
-    payload = next(req["payload"] for req in inputs.rank_requests(0)
-                   if req["name"] == "purity-r7")
-    twist = jsonio.parse_isocrystal(payload, 8)
+    twist = jsonio.parse_isocrystal(_rank_payload("purity-r7"), 8)
 
     def fresh(M):
         return Isocrystal(M.K, [[ZSeries(M.K, {e: _fresh(c) if isinstance(c, Series) else c
@@ -310,6 +314,44 @@ def _purity_workloads(rng):
              lambda M, s, r: dense.purity_check_two_hnf(fresh(M), s, r, prec=8),
              (M, s, r))
             for label, M, s, r in rows]
+
+
+def _inputs():
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return inputs
+
+
+def _rank_payload(name):
+    """The input of the request name of the seed-0 `rank` plan."""
+    return next(req["payload"] for req in _inputs().rank_requests(0)
+                if req["name"] == name)
+
+
+def _charpoly_workloads():
+    """`isocrystal._char_poly`, Berkowitz's recursion, against the sums of
+    all principal minors (`dense_oracle.laplace_char_poly`) as `old`: on
+    the rank-7 twist of the `rank` workload at seed 0, and on a rank-12
+    twist built the same way, P A sigma(P)^-1 for the simple pure A of
+    slope 1/12 and a seeded unipotent P = L U, both over F_9 (q = 9, so
+    tau is linear and the slopes are read off A itself). Each call gets
+    fresh entries."""
+    inputs = _inputs()
+    K = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
+    rng = random.Random("bench-kernels:charpoly:12")
+    L, U = inputs._unipotent(K, rng, 12, True), inputs._unipotent(K, rng, 12, False)
+    P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
+                        inputs._unipotent_inverse(L, True))
+    rows = [("charpoly 7/F9", jsonio.parse_isocrystal(_rank_payload("slopes-r7"), 8).A),
+            ("charpoly 12/F9", zmatrix.mul(zmatrix.mul(zmatrix.mul(L, U),
+                                                      simple_pure(K, 1, 12).A),
+                                          zmatrix.sigma(P_inv)))]
+    return [(label, lambda A: _char_poly(K, _fresh_matrix(A)), (A,),
+             lambda A: dense.laplace_char_poly(K, _fresh_matrix(A)), (A,))
+            for label, A in rows]
 
 
 def _writer_workload():
@@ -399,7 +441,7 @@ def _dense_level_solve(levels, p):
 
 def _time(fn, args, trials):
     # fresh copies per call: rref-style kernels may mutate row lists
-    best = float("inf")
+    best, spent = float("inf"), 0.0
     for _ in range(trials):
         cargs = tuple(
             [r[:] for r in A] if isinstance(A, list) and A and isinstance(A[0], list) else A
@@ -407,7 +449,10 @@ def _time(fn, args, trials):
         )
         t0 = time.perf_counter()
         fn(*cargs)
-        best = min(best, time.perf_counter() - t0)
+        took = time.perf_counter() - t0
+        best, spent = min(best, took), spent + took
+        if spent >= BUDGET_S:
+            break
     return best
 
 

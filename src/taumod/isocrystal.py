@@ -17,7 +17,6 @@ reduction (`hnf_reduce`), and a join equal to T certifies T.
 """
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from . import zmatrix
@@ -352,33 +351,73 @@ def _certificate(s, r, T, it):
 # ------------------------------------------------------- finite-base slopes
 
 def _char_poly(K, A):
-    """Coefficients [c_0..c_r] of det(X*I - A), division-free: c_{r-k} is
-    (-1)^k times the sum of the k x k principal minors."""
+    """Coefficients [c_0..c_r] of det(X*I - A) by Berkowitz's recursion,
+    division-free, with O(r^4) products (Berkowitz 1984).
+
+    The polynomial is built up from the trailing blocks
+    B = [[a, R], [C, B1]] of A: read leading coefficient first, chi_B is
+    the lower triangular Toeplitz matrix with first column
+    (1, -a, -R*C, -R*B1*C, ..., -R*B1^(n-2)*C), n the size of B, times
+    chi_B1. Each entry of B1*w, each R*w and each coefficient of the
+    Toeplitz product is one sum of products, the signs as its negation
+    flags. Over windowed entries a coefficient's window can come out
+    narrower than that of the Laplace sum of its principal minors, or
+    wider.
+    """
     r = len(A)
-    minor = zmatrix.laplace_minors(A, K)
-    coeffs = [ZSeries.zero(K)] * (r + 1)
-    coeffs[r] = ZSeries.one(K)
-    for k in range(1, r + 1):
-        tot = ZSeries.zero(K)
-        for S in combinations(range(r), k):
-            tot = tot + minor(S, S)
-        coeffs[r - k] = -tot if k % 2 == 1 else tot
-    return coeffs
+    chi = [ZSeries.one(K)]
+    for k in range(r - 1, -1, -1):
+        R = A[k][k + 1:]
+        B1 = [row[k + 1:] for row in A[k + 1:]]
+        s = [A[k][k]]
+        w = [row[k] for row in A[k + 1:]]
+        for j in range(r - k - 1):
+            if j:
+                w = [_dot([(x, y, False) for x, y in zip(row, w)], K) for row in B1]
+            s.append(_dot([(x, y, False) for x, y in zip(R, w)], K))
+        # chi_B[i] = chi_B1[i] - sum over l < i of s[i - l - 1] chi_B1[l]
+        n = len(chi)
+        chi = [_dot(([(chi[i], None, False)] if i < n else [])
+                    + [(s[i - l - 1], chi[l], True) for l in range(min(i, n))], K)
+               for i in range(n + 1)]
+    return chi[::-1]
+
+
+def _dot(terms, K):
+    """`sum_of_products` of the terms with no exact-zero factor; the exact
+    zero over K when none is left."""
+    terms = [t for t in terms if not _exact_zero(t[0])
+             and (t[1] is None or not _exact_zero(t[1]))]
+    return sum_of_products(terms) if terms else ZSeries.zero(K)
 
 
 def slopes_finiteK(M):
     """Multiset of slopes via the Newton polygon of the linearized power.
 
     Over K = F_{q^m}, sigma^m is the identity, so tau^m is K((z))-linear
-    and its eigenvalue valuations divided by m are the slopes.
+    and its eigenvalue valuations divided by m are the slopes. The
+    coefficients of its characteristic polynomial come from `_char_poly`;
+    a coefficient whose valuation its window leaves unsettled is taken
+    again as the Laplace sum of its principal minors, so the slopes are
+    those of the sums of minors wherever those settle every valuation.
     """
+    from fractions import Fraction
+
     if M.K.kind != "finite":
         raise InputError("slope oracle needs a finite base")
     m_tot = M.K.desc.m * M.K.ext
     A_m = M.tau_power(m_tot)
     coeffs = _char_poly(M.K, A_m)
+    minor = None
     pts = []
     for k, c in enumerate(coeffs):
+        if not c.co and c.hi is not INF:
+            # c_k is (-1)^size times the sum of the principal minors of
+            # this size
+            minor = minor or zmatrix.laplace_minors(A_m, M.K)
+            size = M.rank - k
+            c = _dot([(minor(S, S), None, size % 2 == 1)
+                      for S in combinations(range(M.rank), size)], M.K)
         if _exact_zero(c):
             continue
         pts.append((k, c.valuation()))

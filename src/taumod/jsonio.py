@@ -15,7 +15,6 @@ keyed by the tau^{-1}-exponent.
 """
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from taumod import drinfeld, skew
@@ -63,8 +62,6 @@ def render(obj):
         return obj
     if isinstance(obj, float):
         return None if obj == INF else obj
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
     if isinstance(obj, Felt):
         return list(obj.c)
     if isinstance(obj, ZSeries):
@@ -98,8 +95,11 @@ def render(obj):
         for f in obj._fields:
             out[f] = render(getattr(obj, f))
         return out
-    # the local types by name too: `localfield` loads on first use, and a
-    # report over a finite base must not load it
+    # Fraction and the local types by name too: `fractions` and
+    # `localfield` load on first use, and a report with no slope or no
+    # local series must not load them
+    if name == "Fraction":
+        return [obj.numerator, obj.denominator]
     if name == "LocalElem":
         return {
             "coeffs": [[e, list(c.c)] for e, c in sorted(obj.co.items())],

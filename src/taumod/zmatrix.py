@@ -5,13 +5,12 @@ Matrices are lists of rows of ZSeries over a shared base K. Everything
 is exact-arithmetic; windows propagate through the entry operations.
 Entries multiply through `series.sum_of_products`, the one product entry
 of windowed series, one call per sum: each entry of `mul`, each minor of
-`laplace_minors` (odd positions negated) and each entry of the row
-updates x - f*y of `inv`, as `isocrystal.hnf_reduce` updates its
-columns. Over a local K, each sum in turn sums its coefficients by
-output exponent through `sum_of_products`. `inv` updates only the
-columns right of the pivot, and leaves x as it is where y is the exact
-zero.
-"""
+`laplace_minors` (odd positions negated), and each entry of `inv`, which
+takes all the row updates x - f*y it owes in one sum when it is first
+read. Over a local K, each sum in turn sums its coefficients by output
+exponent through `sum_of_products`. A sum's window is the least of its
+products' windows however they are grouped, so taking an entry's
+updates in one sum changes no series."""
 
 import math
 
@@ -132,19 +131,35 @@ def agrees(A, B):
 
 
 def inv(A, prec=None):
-    """Inverse over K((z)) by Gauss-Jordan elimination.
+    """Inverse over K((z)) by left-looking Gauss-Jordan elimination.
 
     Pivots are chosen by least z-order among known-nonzero candidates,
     which keeps windows as wide as the input allows. When a column has
     none: NotInvertible if every candidate is an exact zero, else
     PrecisionLoss with the narrowest window among them.
+
+    Step k of the elimination subtracts f*y from each entry x right of
+    the pivot in every other row, f the row's entry in the pivot column
+    and y the normalized pivot row's entry. Each row keeps the updates
+    it owes as (f, k) pairs, and an entry takes all of them by one sum
+    of products when it is first read: its column as the pivot column,
+    its row as the pivot row, and each entry of the inverse at the end.
+    A multiplier f that is the exact zero owes nothing, and neither does
+    a pair whose y is the exact zero.
     """
     n, m = dims(A)
     if n != m:
         raise InputError("inverse of a non-square matrix")
     work = [list(row) for row in A]
     out = identity(A[0][0].K, n) if n else []
+    owed = [[] for _ in range(n)]
+    # the normalized pivot row of each step, in work (whose entries right
+    # of the pivot are read) and in out
+    rights, outs = [], []
     for col in range(n):
+        for r in range(n):
+            if owed[r]:
+                work[r][col] = _settle(work[r][col], owed[r], rights, col)
         piv, piv_val = None, None
         for r in range(col, n):
             entry = work[r][col]
@@ -161,25 +176,36 @@ def inv(A, prec=None):
             raise NotInvertible(f"no usable pivot in column {col}")
         work[col], work[piv] = work[piv], work[col]
         out[col], out[piv] = out[piv], out[col]
+        owed[col], owed[piv] = owed[piv], owed[col]
         pinv = work[col][col].inv(prec)
+        row, orow, pending = work[col], out[col], owed[col]
         # the columns of work at or left of col are never read again
-        right = work[col][col + 1:] = [x * pinv for x in work[col][col + 1:]]
-        out[col] = [x * pinv for x in out[col]]
+        row[col + 1:] = [_settle(row[j], pending, rights, j) * pinv
+                         for j in range(col + 1, n)]
+        out[col] = [_settle(orow[j], pending, outs, j) * pinv for j in range(n)]
+        owed[col] = []
+        # a copy: later steps settle the entries of work in place
+        rights.append(row[:])
+        outs.append(out[col])
         for r in range(n):
-            if r != col:
-                f = work[r][col]
-                if f.co or f.hi is not INF:
-                    work[r][col + 1:] = _minus_product(work[r][col + 1:], f, right)
-                    out[r] = _minus_product(out[r], f, out[col])
+            f = work[r][col]
+            if r != col and (f.co or f.hi is not INF):
+                owed[r].append((f, col))
+    for r in range(n):
+        if owed[r]:
+            out[r] = [_settle(x, owed[r], outs, j) for j, x in enumerate(out[r])]
     return out
 
 
-def _minus_product(xs, f, ys):
-    """x - f*y entry by entry, one sum each; x itself where y is the
-    exact zero."""
-    return [x if not y.co and y.hi is INF
-            else sum_of_products([(x, None, False), (f, y, True)])
-            for x, y in zip(xs, ys)]
+def _settle(x, pending, pivots, j):
+    """x - sum of f*y over the (f, k) of pending, y = pivots[k][j]: one
+    sum of products, or x itself when every y is the exact zero."""
+    terms = [(x, None, False)]
+    for f, k in pending:
+        y = pivots[k][j]
+        if y.co or y.hi is not INF:
+            terms.append((f, y, True))
+    return x if len(terms) == 1 else sum_of_products(terms)
 
 
 def check_tau_matrix(A, N):

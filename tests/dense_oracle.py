@@ -15,15 +15,19 @@ sweeping e = 1, 2, ... and solving the fixed points at each, and
 through it; tests compare the degree rule of `tateweil.split_degree`
 and the corpus generator against them. `geometric_inv` and
 `skew_inverse` are the two inverses that the one recurrence of
-`Series.inv` replaced, and `purity_check_two_hnf` is the purity search
-whose every step reduced the image and then the join, before a
-unimodularity test certified a step without them and the join was
-taken straight from the image's generators. `tabled` fills a field's
-log tables for the tests that read them or the products that run on
-them.
+`Series.inv` replaced. `incremental_inv` is the `zmatrix.inv` that took
+one two-term sum x - f*y per entry at every pivot, and
+`laplace_char_poly` the characteristic polynomial as the sums of the
+principal minors, before Berkowitz's recursion. `purity_check_two_hnf`
+is the purity search whose every step reduced the image and then the
+join, before a unimodularity test certified a step without them and
+the join was taken straight from the image's generators. `tabled`
+fills a field's log tables for the tests that read them or the
+products that run on them.
 """
 
 import random
+from itertools import combinations
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from taumod.semilinear import (
     _fq_basis_from_fp_kernel,
     _mult_mat,
 )
-from taumod.series import INF, _window
+from taumod.series import INF, _window, sum_of_products
 from taumod.skew import DEFAULT_TAUINV_PREC
 from taumod.tateweil import TateData
 from taumod.zseries import DEFAULT_Z_PREC, ZSeries
@@ -401,6 +405,66 @@ def chained_inv(A, prec=None):
                               for x, y in zip(out[r], out[col])]
     return out
 
+
+def incremental_inv(A, prec=None):
+    """`zmatrix.inv` as it was before it settled each entry by one sum:
+    at each pivot, every other row updates its entries right of the
+    pivot, and its inverse row, by one two-term sum x - f*y each; x
+    itself where y is the exact zero."""
+    n, m = zmatrix.dims(A)
+    if n != m:
+        raise InputError("inverse of a non-square matrix")
+    work = [list(row) for row in A]
+    out = zmatrix.identity(A[0][0].K, n) if n else []
+    for col in range(n):
+        piv, piv_val = None, None
+        for r in range(col, n):
+            entry = work[r][col]
+            if entry.known_nonzero():
+                v = entry.valuation()
+                if piv_val is None or v < piv_val:
+                    piv, piv_val = r, v
+        if piv is None:
+            windows = [work[r][col].hi for r in range(col, n)
+                       if work[r][col].co or work[r][col].hi is not INF]
+            if windows:
+                raise PrecisionLoss(f"pivot column {col} is zero only to its windows",
+                                    window=min(windows))
+            raise NotInvertible(f"no usable pivot in column {col}")
+        work[col], work[piv] = work[piv], work[col]
+        out[col], out[piv] = out[piv], out[col]
+        pinv = work[col][col].inv(prec)
+        right = work[col][col + 1:] = [x * pinv for x in work[col][col + 1:]]
+        out[col] = [x * pinv for x in out[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                if f.co or f.hi is not INF:
+                    work[r][col + 1:] = _minus_product(work[r][col + 1:], f, right)
+                    out[r] = _minus_product(out[r], f, out[col])
+    return out
+
+
+def _minus_product(xs, f, ys):
+    return [x if not y.co and y.hi is INF
+            else sum_of_products([(x, None, False), (f, y, True)])
+            for x, y in zip(xs, ys)]
+
+
+def laplace_char_poly(K, A):
+    """Coefficients [c_0..c_r] of det(X*I - A), division-free: c_{r-k} is
+    (-1)^k times the sum of the k x k principal minors (`laplace_minors`),
+    added one minor at a time."""
+    r = len(A)
+    minor = zmatrix.laplace_minors(A, K)
+    coeffs = [ZSeries.zero(K)] * (r + 1)
+    coeffs[r] = ZSeries.one(K)
+    for k in range(1, r + 1):
+        tot = ZSeries.zero(K)
+        for S in combinations(range(r), k):
+            tot = tot + minor(S, S)
+        coeffs[r - k] = -tot if k % 2 == 1 else tot
+    return coeffs
 
 def purity_check_two_hnf(M, s, r, max_iters=32, prec=None):
     """`isocrystal.purity_check` with no unimodularity test: it refutes

@@ -7,9 +7,13 @@ log domain over F_9 and F_4, through the same chain over F_2((zeta)).
 Every rendered result must be equal, windows included, and so must the
 error a loop raises (its class, window and message).
 
-`inv` updates only the columns right of the pivot and skips the exact
-zeros of the pivot row; `dense_oracle.chained_inv` updates every column,
-and the two must give the same entries, coefficients and windows alike.
+`inv` settles each entry by one sum over the updates it owes, updates
+only the columns right of the pivot and skips the exact zeros of the
+pivot row; `dense_oracle.chained_inv` updates every column at every
+pivot, and `dense_oracle.incremental_inv` the columns right of it, and
+each must give the same entries, coefficients and windows alike. Every
+window of a windowed inverse must hold for each exact completion of the
+input's windows.
 """
 
 import math
@@ -22,7 +26,7 @@ from taumod.basefield import FieldDescriptor
 from taumod.errors import InputError, NotInvertible, PrecisionLoss
 from taumod.zseries import ZSeries
 
-from dense_oracle import chained_inv, random_matrix
+from dense_oracle import chained_inv, incremental_inv, random_matrix
 
 INF = math.inf
 
@@ -33,11 +37,8 @@ FIELDS = {
     "F2((zeta))": FieldDescriptor(p=2, a=1, m=1, kind="local"),
 }
 RANKS = range(1, 6)
-COMPLETION_FIELDS = {
-    "F3": FieldDescriptor(p=3, a=1, m=1, kind="finite"),
-    "F4": FieldDescriptor(p=2, a=1, m=2, kind="finite"),
-    "F9": FieldDescriptor(p=3, a=2, m=1, kind="finite"),
-}
+FINITE_FIELDS = {"F3": FieldDescriptor(p=3, a=1, m=1, kind="finite"),
+                 "F4": FIELDS["F4"], "F9": FIELDS["F9"]}
 
 
 # -- the loops the fused sums replaced -------------------------------------
@@ -165,7 +166,8 @@ def test_det_matches_the_chain(label, n):
     for _ in cases:
         A = random_matrix(K, rng, n)
         assert outcome(zmatrix.det, A) == outcome(chain_det, A)
-    # the principal minors `_char_poly` sums
+    # the principal minors that `slopes_finiteK` sums where a window
+    # leaves a coefficient unsettled
     minor = zmatrix.laplace_minors(A, K)
     rows = tuple(range(0, n, 2))
     assert jsonio.render(minor(rows, rows)) == jsonio.render(
@@ -208,6 +210,24 @@ def test_inv_errors_match_the_chain(label):
         assert exact(zmatrix.inv, A) == exact(chained_inv, A)
 
 
+@pytest.mark.parametrize("n", RANKS)
+@pytest.mark.parametrize("label", sorted(FINITE_FIELDS))
+def test_inv_matches_the_incremental_elimination(label, n):
+    """One sum per entry gives the series that one two-term sum per entry
+    and pivot gave, windows included, or the same error: a sum's window
+    is the least of its products' windows however they are grouped."""
+    K = FINITE_FIELDS[label].field()
+    rng = random.Random(f"test-zmatrix-incremental:{label}:{n}")
+    seen = set()
+    for i in range(60 if n < 5 else 25):
+        A = random_matrix(K, rng, n, windowed=i % 5 != 0)
+        prec = rng.choice((None, 4, 12))
+        got = exact(zmatrix.inv, A, prec)
+        assert got == exact(incremental_inv, A, prec)
+        seen.add(got[0])
+    assert "ok" in seen
+
+
 def complete(A, rng):
     """A with every window filled by a random exact tail of 4 terms: one
     of the exact matrices the windowed A stands for."""
@@ -221,11 +241,11 @@ def complete(A, rng):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-@pytest.mark.parametrize("label", ["F3", "F4", "F9"])
+@pytest.mark.parametrize("label", sorted(FINITE_FIELDS))
 def test_inv_windows_hold_for_every_completion(label, n):
     """Whatever the windows of A hide, the inverse of each completion
     agrees with the windowed inverse below its windows."""
-    K = COMPLETION_FIELDS[label].field()
+    K = FINITE_FIELDS[label].field()
     rng = random.Random(f"test-zmatrix-completions:{label}:{n}")
     checks = 0
     for _ in range(30):
@@ -247,7 +267,7 @@ def test_inv_windows_hold_for_every_completion(label, n):
 def test_inv_of_a_multiplier_zero_to_its_window():
     """[[1, 1], [O(z^2), 1]]: the multiplier of the second row is zero only
     to its window, so every entry of the inverse is known below z^2 only."""
-    K = COMPLETION_FIELDS["F3"].field()
+    K = FINITE_FIELDS["F3"].field()
     one = ZSeries.one(K)
     B = zmatrix.inv([[one, one], [ZSeries(K, {}, 2), one]])
     assert [[x.hi for x in row] for row in B] == [[2, 2], [2, 2]]
