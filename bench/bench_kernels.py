@@ -14,9 +14,9 @@ shapes the `tower` requests of perfbench solve, a level of the
 fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
 the same input, as `old`; the inverse rows time the inverses that
 `Series.inv` and the one sum per entry of `zmatrix.inv` replaced, the
-purity rows the search with two Hermite reductions per step, the
-characteristic polynomial rows the sums of all principal minors, and
-the writer row `json.dumps`, as `old`.
+purity rows the search with two Hermite reductions per step or with
+step 0 on the full A_r, the characteristic polynomial rows the sums of
+all principal minors, and the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials, or over as many calls as fit in `BUDGET_S`
@@ -290,8 +290,11 @@ def _purity_workloads(rng):
     (tests/dense_oracle.py): at (-1, 3) on m_infinity of a rank-3
     Drinfeld module over F_4((zeta)) whose coefficients have three
     zeta-terms or more, and at (1, 7) on the dense rank-7 twist of the
-    `rank` workload at seed 0 (perfbench/inputs.py), over F_9. Each call
-    gets fresh entries, local coefficients included."""
+    `rank` workload at seed 0 (perfbench/inputs.py), over F_9. The rows
+    `purity 7/F9` and `purity 12/F9` time the search at (1, r) on that
+    twist and on the rank-12 twist of `_twist12` against
+    `purity_check_full_step0`, whose step 0 tests the full A_r, as
+    `old`. Each call gets fresh entries, local coefficients included."""
     L = FieldDescriptor(p=2, a=2, m=1, kind="local").field()
 
     def terms(lo):
@@ -308,12 +311,13 @@ def _purity_workloads(rng):
                                                for e, c in s.co.items()}, s.hi)
                                  for s in row] for row in M.A])
 
-    rows = [("purity m_inf r3/F4((zeta))", local, -1, 3),
-            ("purity twist r7/F9", twist, 1, 7)]
+    rows = [("purity m_inf r3/F4((zeta))", local, -1, 3, dense.purity_check_two_hnf),
+            ("purity twist r7/F9", twist, 1, 7, dense.purity_check_two_hnf),
+            ("purity 7/F9", twist, 1, 7, dense.purity_check_full_step0),
+            ("purity 12/F9", _twist12(), 1, 12, dense.purity_check_full_step0)]
     return [(label, lambda M, s, r: purity_check(fresh(M), s, r, prec=8), (M, s, r),
-             lambda M, s, r: dense.purity_check_two_hnf(fresh(M), s, r, prec=8),
-             (M, s, r))
-            for label, M, s, r in rows]
+             lambda M, s, r, old=old: old(fresh(M), s, r, prec=8), (M, s, r))
+            for label, M, s, r, old in rows]
 
 
 def _inputs():
@@ -331,24 +335,30 @@ def _rank_payload(name):
                 if req["name"] == name)
 
 
-def _charpoly_workloads():
-    """`isocrystal._char_poly`, Berkowitz's recursion, against the sums of
-    all principal minors (`dense_oracle.laplace_char_poly`) as `old`: on
-    the rank-7 twist of the `rank` workload at seed 0, and on a rank-12
-    twist built the same way, P A sigma(P)^-1 for the simple pure A of
-    slope 1/12 and a seeded unipotent P = L U, both over F_9 (q = 9, so
-    tau is linear and the slopes are read off A itself). Each call gets
-    fresh entries."""
+def _twist12():
+    """P A sigma(P)^-1 for the simple pure A of slope 1/12 over F_9 and a
+    seeded unipotent P = L U, built as the `rank` workload builds its
+    twists (perfbench/inputs.py)."""
     inputs = _inputs()
     K = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
     rng = random.Random("bench-kernels:charpoly:12")
     L, U = inputs._unipotent(K, rng, 12, True), inputs._unipotent(K, rng, 12, False)
     P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
                         inputs._unipotent_inverse(L, True))
+    return Isocrystal(K, zmatrix.mul(zmatrix.mul(zmatrix.mul(L, U), simple_pure(K, 1, 12).A),
+                                     zmatrix.sigma(P_inv)))
+
+
+def _charpoly_workloads():
+    """`isocrystal._char_poly`, Berkowitz's recursion, against the sums of
+    all principal minors (`dense_oracle.laplace_char_poly`) as `old`: on
+    the rank-7 twist of the `rank` workload at seed 0, and on the rank-12
+    twist of `_twist12`, both over F_9 (q = 9, so tau is linear and the
+    slopes are read off A itself). Each call gets fresh entries."""
+    twist12 = _twist12()
+    K = twist12.K
     rows = [("charpoly 7/F9", jsonio.parse_isocrystal(_rank_payload("slopes-r7"), 8).A),
-            ("charpoly 12/F9", zmatrix.mul(zmatrix.mul(zmatrix.mul(L, U),
-                                                      simple_pure(K, 1, 12).A),
-                                          zmatrix.sigma(P_inv)))]
+            ("charpoly 12/F9", twist12.A)]
     return [(label, lambda A: _char_poly(K, _fresh_matrix(A)), (A,),
              lambda A: dense.laplace_char_poly(K, _fresh_matrix(A)), (A,))
             for label, A in rows]

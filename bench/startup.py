@@ -14,7 +14,11 @@ writes, prints
   * the source lines of those modules, which the request compiles when
     no bytecode is cached (the benchmark sets PYTHONDONTWRITEBYTECODE
     and runs in a fresh checkout). Unlike the times, this count repeats
-    exactly.
+    exactly, and
+  * the modules outside taumod that it loads beyond those of
+    `python3 -c pass`, from one more fresh process: a submodule is
+    named alone only when its package is loaded by `pass` too
+    (`importlib.util`), else only the package is (`json`).
 
 `-X importtime` prints no line for a module whose body runs on first
 attribute access (see taumod/__init__.py), so the module times come
@@ -65,6 +69,31 @@ code = main(sys.argv[1:])
 sys.stderr.write(json.dumps({n: s for n, s in own.items() if n.startswith("taumod")}))
 sys.exit(code)
 """
+
+
+# runs the CLI on its arguments, then writes the names of the loaded
+# modules on stderr
+LOADED = r"""
+import sys
+from taumod.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("\n" + " ".join(sys.modules))
+sys.exit(code)
+"""
+
+
+def _loaded(code, argv, cwd):
+    """The names in sys.modules at the end of `python3 -c code argv`."""
+    out = subprocess.run([sys.executable, "-c", code] + argv, cwd=cwd, env=ENV,
+                         capture_output=True, text=True, check=False)
+    return set(out.stderr.splitlines()[-1].split())
+
+
+def _outside(argv, cwd, bare):
+    """The modules outside taumod that a request loads beyond `bare`,
+    the modules of `python3 -c pass`, each package named once."""
+    new = {n for n in _loaded(LOADED, argv, cwd) - bare if n.split(".")[0] != "taumod"}
+    return sorted({n if n.split(".")[0] in bare else n.split(".")[0] for n in new})
 
 
 def _cpu(argv, cwd):
@@ -120,7 +149,10 @@ def _requests(work):
 
 
 def main_startup(n):
-    print(f"median CPU of {n} fresh processes; taumod module self times in ms")
+    print(f"median CPU of {n} fresh processes; taumod module self times in ms; "
+          "the modules outside taumod loaded beyond `python3 -c pass`")
+    bare = _loaded('import sys; sys.stderr.write("\\n" + " ".join(sys.modules))', [],
+                   ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         total, total_lines = 0.0, 0
         for label, argv, cwd, report in _requests(pathlib.Path(tmp)):
@@ -142,6 +174,7 @@ def main_startup(n):
                   f"{lines:6,} lines")
             print("    " + ", ".join(f"{m.split('.', 1)[-1]} {s * 1e3:.1f}"
                                      for m, s in mods))
+            print("    outside: " + ", ".join(_outside(argv, cwd, bare)))
         print(f"{'total':32} cpu {total * 1e3:7.1f} ms  "
               f"{'':20} {total_lines:6,} lines")
 

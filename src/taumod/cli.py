@@ -6,6 +6,18 @@ sorted, timings are never recorded, and parallel corpus runs aggregate
 in a fixed order.  JSON is the source of truth; --format md renders
 the same tree for reading.
 
+The command line is `taumod [-h | --version] COMMAND [OP] [FLAGS]`, read
+by `parse_args` from one table (`COMMANDS`, plus `_COMMON`, the flags of
+every command). Flags and the isocrystal operation OP come in any order
+after COMMAND; a flag takes its value as the next word or inline
+(`--prec-z=12`), a value may be a negative number (`--s -1`), a long
+flag may be shortened to any prefix that names it alone (`--prec-t 8`),
+and when a flag repeats its last value counts. `-h`/`--help` prints the
+usage of every command, or of one after its name, and exits 0. A
+malformed command line writes its usage and `taumod: error: ...` on
+stderr, nothing on stdout, and exits 2, as `argparse` did; the table
+parser spares each request the import of argparse, gettext and locale.
+
 Exit codes: a report's exit code is a function of its verdict, which
 the report kind's entry in `taumod.verdicts.VERDICTS` derives from the
 result: 3 for inconclusive or budget_exhausted (the partial report is
@@ -15,10 +27,11 @@ an exhausted window or budget, 4 for a failed internal invariant;
 `verify` exits 4 when a certificate does not replay.
 """
 
-import argparse
 import json
 import pathlib
+import re
 import sys
+from types import SimpleNamespace
 
 from taumod import __version__, commands, jsonio, tateweil, verify
 from taumod.errors import (
@@ -223,73 +236,180 @@ def _emit(doc, fmt, stream):
         stream.write(jsonio.dump_tree(doc))
 
 
-# -- argument parsing -------------------------------------------------------
+# -- command line -----------------------------------------------------------
+
+# A flag: (name, kind, default, required, help), kind int, str, bool (a
+# switch, set by its name alone) or the tuple of its choices. The parsed
+# value goes to the attribute named as the flag without its leading
+# dashes, each "-" an "_" (`--prec-z` -> `prec_z`).
+_COMMON = (
+    ("--prec-z", int, 8, False, "z-adic working precision"),
+    ("--prec-tau", int, 16, False, "inverse-twist expansion precision"),
+    ("--ext-max", int, 8, False,
+     "largest degree of coefficient field extension to sweep; a tower "
+     "needing more ends budget_exhausted (exit 3)"),
+    ("--max-iters", int, 32, False, "iteration budget for lattice searches"),
+    ("--seed", int, None, False, "seed echoed in reports and used by --generate"),
+    ("--format", ("json", "md"), "json", False, "report format"),
+)
+_INPUT = ("--input", str, None, True, "input: inline JSON object or a file")
+# command -> (help, (positional name, choices) or None, its own flags)
+COMMANDS = {
+    "analyze": ("full report for one module input", None, (_INPUT,)),
+    "isocrystal": ("operations on twist matrices",
+                   ("op", ("tensor", "dual", "purity", "slopes")), (
+        _INPUT,
+        ("--other", str, None, False, "second twist, for tensor"),
+        ("--s", int, None, False, "slope numerator, for purity"),
+        ("--r", int, None, False, "slope denominator, for purity"))),
+    "solve": ("sigma(x) = a x + b in a named ring", None, (
+        ("--a", str, None, True, "coefficient a: inline JSON object or a file"),
+        ("--b", str, None, True, "coefficient b: inline JSON object or a file"),
+        ("--ring", ("AK", "BOK", "Bbar", "BK"), "BK", False, "ring of the solution"))),
+    "tate": ("fixed points of a slope-zero twist", None, (_INPUT,)),
+    "weil": ("Frobenius valuation of the induced action", None, (
+        _INPUT, ("--k-max", int, 4, False, "largest power of Frobenius in the Weil table"))),
+    "corpus": ("run every instance file in a directory", None, (
+        ("--dir", str, None, True, "directory of instance files"),
+        ("--jobs", int, 1, False, "worker processes, at most one per core and item"),
+        ("--generate", bool, False, False,
+         "write the seeded instance families instead"))),
+    "verify": ("replay the certificates inside a report", None, (
+        ("--input", str, None, True, "report: inline JSON object or a file"),)),
+}
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prec-z", type=int, default=8,
-                        help="z-adic working precision")
-    common.add_argument("--prec-tau", type=int, default=16,
-                        help="inverse-twist expansion precision")
-    common.add_argument("--ext-max", type=int, default=8,
-                        help="largest degree of coefficient field extension "
-                             "to sweep; a tower needing more ends "
-                             "budget_exhausted (exit 3)")
-    common.add_argument("--max-iters", type=int, default=32,
-                        help="iteration budget for lattice searches")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed echoed in reports and used by --generate")
-    common.add_argument("--format", choices=("json", "md"), default="json")
+def _dest(name):
+    return name[2:].replace("-", "_")
 
-    ap = argparse.ArgumentParser(
-        prog="taumod",
-        description="semilinear algebra over function fields: "
-                    "certificates, slopes, and reduction reports",
-    )
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full report for one module input")
-    p.add_argument("--input", required=True)
+def _flag_line(flag):
+    name, kind, default, required, text = flag
+    if kind is not bool:
+        name += " " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                       else _dest(name).upper())
+    note = " (required)" if required else "" if default in (None, False) else (
+        f" (default {default})")
+    return f"  {name:28} {text}{note}"
 
-    p = sub.add_parser("isocrystal", parents=[common],
-                       help="operations on twist matrices")
-    p.add_argument("op", choices=("tensor", "dual", "purity", "slopes"))
-    p.add_argument("--input", required=True)
-    p.add_argument("--other", default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="sigma(x) = a x + b in a named ring")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--ring", choices=("AK", "BOK", "Bbar", "BK"),
-                   default="BK")
+def _usage(cmd):
+    if cmd is None:
+        return f"usage: taumod [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    pos = COMMANDS[cmd][1]
+    return f"usage: taumod {cmd} [-h]{' {' + ','.join(pos[1]) + '}' if pos else ''} [options]"
 
-    p = sub.add_parser("tate", parents=[common],
-                       help="fixed points of a slope-zero twist")
-    p.add_argument("--input", required=True)
 
-    p = sub.add_parser("weil", parents=[common],
-                       help="Frobenius valuation of the induced action")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k-max", type=int, default=4)
+def _help(cmd):
+    """The usage, then every command (or the one named) with its help
+    and flags, then the flags of every command."""
+    lines = [_usage(cmd), ""]
+    if cmd is None:
+        lines += ["semilinear algebra over function fields: certificates, slopes, "
+                  "and reduction reports", ""]
+    for name in COMMANDS if cmd is None else (cmd,):
+        text, pos, flags = COMMANDS[name]
+        lines.append(f"{name}: {text}")
+        if pos:
+            lines.append(f"  {pos[0]:28} one of {', '.join(pos[1])}")
+        lines += map(_flag_line, flags)
+    lines += ["options of every command:", *map(_flag_line, _COMMON)]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("corpus", parents=[common],
-                       help="run every instance file in a directory")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per core and item")
-    p.add_argument("--generate", action="store_true",
-                   help="write the seeded instance families instead")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="replay the certificates inside a report")
-    p.add_argument("--input", required=True)
-    return ap
+def _fail(cmd, message):
+    """Refuse a malformed command line as argparse does: usage and error
+    on stderr, nothing on stdout, exit 2."""
+    sys.stderr.write(f"{_usage(cmd)}\ntaumod: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _choice(cmd, name, value, choices):
+    if value not in choices:
+        listed = ", ".join(f"'{c}'" for c in choices)
+        _fail(cmd, f"argument {name}: invalid choice: '{value}' (choose from {listed})")
+
+
+def _option(tok, names, cmd):
+    """(flag name or "" if unknown, explicit value or None) of an
+    option-like token, or None for a value: a token not starting with "-",
+    "-" or "--" itself, a negative number, or a token with a space. A
+    "--" name may be shortened to a unique prefix, and "--name=value"
+    gives its value inline."""
+    if tok[:1] != "-" or tok in ("-", "--"):
+        return None
+    if tok in names:
+        return tok, None
+    head, eq, value = tok.partition("=")
+    if eq and head in names:
+        return head, value
+    hits = [n for n in names if n.startswith(head)] if tok[:2] == "--" else ()
+    if len(hits) > 1:
+        _fail(cmd, f"ambiguous option: {head} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    return None if _NEGATIVE.match(tok) or " " in tok else ("", None)
+
+
+def parse_args(argv=None):
+    """The command line as an object with one attribute per flag (see
+    `_COMMON`), plus `cmd` and, for isocrystal, `op`; the accepted
+    grammar is in the module docstring. Before the command only -h,
+    --help and --version are flags."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    cmd, names, flags, pos = None, ("-h", "--help", "--version"), {}, None
+    if argv and _option(argv[0], names, None) is None:
+        cmd = argv.pop(0)
+        _choice(None, "cmd", cmd, COMMANDS)
+        _, pos, own = COMMANDS[cmd]
+        flags = {flag[0]: flag for flag in own + _COMMON}
+        names = ("-h", "--help", *flags)
+    args = SimpleNamespace(cmd=cmd, **{_dest(n): flag[2] for n, flag in flags.items()})
+    words, given, rest = [], set(), iter(argv)
+    for tok in rest:
+        if tok == "--":
+            words += rest  # every word after "--" is a value
+            break
+        got = _option(tok, names, cmd)
+        if got is None:
+            words.append(tok)
+            continue
+        name, value = got
+        kind = flags[name][1] if name in flags else None
+        if not name:
+            _fail(cmd, f"unrecognized arguments: {tok}")
+        if kind in (None, bool) and value is not None:
+            _fail(cmd, f"argument {name}: ignored explicit argument '{value}'")
+        if kind is None:
+            sys.stdout.write(f"{__version__}\n" if name == "--version" else _help(cmd))
+            raise SystemExit(0)
+        if kind is bool:
+            value = True
+        elif value is None:
+            value = next(rest, "--")
+            if value == "--" or _option(value, names, cmd):
+                _fail(cmd, f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(cmd, f"argument {name}: invalid int value: '{value}'")
+        elif isinstance(kind, tuple):
+            _choice(cmd, name, value, kind)
+        setattr(args, _dest(name), value)
+        given.add(name)
+    if pos and words:
+        _choice(cmd, pos[0], words[0], pos[1])
+        setattr(args, pos[0], words.pop(0))
+        pos = None
+    missing = ["cmd"] if cmd is None else [pos[0]] if pos else []
+    missing += [name for name, flag in flags.items() if flag[3] and name not in given]
+    if missing:
+        _fail(cmd, f"the following arguments are required: {', '.join(missing)}")
+    if words:
+        _fail(cmd, f"unrecognized arguments: {' '.join(words)}")
+    return args
 
 
 # the handlers of analyze, solve and corpus are `taumod.commands.cmd_<name>`
@@ -302,7 +422,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = parse_args(argv)
     handler = _HANDLERS.get(args.cmd) or getattr(commands, f"cmd_{args.cmd}")
     try:
         doc, code = handler(args)

@@ -181,16 +181,35 @@ def solve_mod_p(mat, rhs, p):
 
     mat: list of rows, rhs: list of ints of the same length.
     """
+    return solve_columns_mod_p(mat, [rhs], p)[0]
+
+
+def solve_columns_mod_p(mat, rhss, p):
+    """For each rhs of rhss, one solution of mat @ v = rhs (mod p), or
+    None, by one elimination of [mat | every rhs].
+
+    A rhs is inconsistent exactly when some row of the echelon form that
+    is zero on mat is not zero in its column. For a consistent rhs, the
+    echelon form less the other rhs columns is that of [mat | rhs] alone
+    (the echelon form is unique), so each solution is the one that
+    eliminating its rhs alone gives: the rhs column at the pivots.
+    """
     if not mat:
-        return None
+        return [None] * len(rhss)
     n = len(mat[0])
-    R, pivots = rref_mod_p([list(row) + [b] for row, b in zip(mat, rhs)], p)
-    if n in pivots:
-        return None
-    v = [0] * n
-    for row, c in zip(R, pivots):
-        v[c] = row[n]
-    return v
+    R, pivots = rref_mod_p([list(row) + list(bs) for row, bs in zip(mat, zip(*rhss))], p)
+    rows = list(zip(R, pivots))
+    out = []
+    for j in range(n, n + len(rhss)):
+        if any(row[j] for row, c in rows if c >= n):
+            out.append(None)
+            continue
+        v = [0] * n
+        for row, c in rows:
+            if c < n:
+                v[c] = row[j]
+        out.append(v)
+    return out
 
 
 def extend_kernel(rows, coupling, diag, p):

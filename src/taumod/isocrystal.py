@@ -296,7 +296,9 @@ def purity_check(M, s, r, max_iters=32, prec=None):
     sigma(det A) ... sigma^(r-1)(det A). Then it iterates from the
     standard lattice. Each step computes G = A_r sigma^r(T) once and
     certifies T if z^-s T^-1 G is provably in GL_r(K[[z]])
-    (`_unimodular`); otherwise it joins z^-s G to T by one reduction. A
+    (`_unimodular`); otherwise it joins z^-s G to T by one reduction.
+    Step 0 tests A_r built from A cut below the window the test reads
+    (`_cut_tau_power`), and builds the full A_r only for its join. A
     join equal to T certifies, since z^-s G ⊆ T has T's volume by the
     invariant (inconclusive if the windows leave v unsettled); otherwise
     it is the next T. At max_iters = 0 no step runs: the answer is the
@@ -314,12 +316,22 @@ def purity_check(M, s, r, max_iters=32, prec=None):
     T = standard_lattice(K, n)
     mins = []
     for it in range(max_iters):
-        if not it:
-            # sigma^r fixes the standard lattice's basis
-            G = A_r = M.tau_power(r)
-        else:
+        if it:
             G = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
-        if _unimodular(G, T, s):
+            certified = _unimodular(G, T, s)
+        else:
+            cut = _cut_tau_power(M.A, s, r)
+            certified = _unimodular(cut, T, s)
+            if not certified:
+                # sigma^r fixes the standard lattice's basis
+                G = A_r = M.tau_power(r)
+                # the windows that `_cut_tau_power` proves
+                for row, full_row in zip(cut, A_r):
+                    for x, y in zip(row, full_row):
+                        if not min(s + 1, y.hi) <= x.hi <= y.hi:
+                            raise InvariantError(
+                                f"cut tau^{r} has window {x.hi}, the full one {y.hi}")
+        if certified:
             return _certificate(s, r, T, it)
         cols = [[G[i][j].shift(-s) for i in range(n)] for j in range(n)]
         if v == INF:
@@ -336,6 +348,31 @@ def purity_check(M, s, r, max_iters=32, prec=None):
         f"no stabilization within {max_iters} iterations; "
         f"pivot trail {mins[-3:]}"
     )
+
+
+def _cut_tau_power(A, s, r):
+    """A_r = A sigma(A) ... sigma^(r-1)(A) from A cut below z^h, for step
+    0 of `purity_check`: h = max(s + 1, r m) - (r - 1) m, m = min(0, the
+    least exponent of A's entries); exact zeros stay exact.
+
+    At the standard lattice `_unimodular` reads only the coefficients of
+    A_r below z^(s+1) and whether its windows reach s + 1, and the cut
+    A_r settles both as the full one does. A product's window is
+    min(a.hi + v_b, b.hi + v_a), v the order (`series._window`). Every
+    entry of A, cut or not, has order at least m, and a cut entry has
+    window min(hi, h) and order min(v, h). By induction on k, using
+    h >= m, each entry of the cut A_k has a window at least
+    min(h + (k - 1) m, the full entry's window) and at most that full
+    window, and agrees with the full entry below its own window. At
+    k = r the cut window is at least min(s + 1, the full window), so the
+    test certifies on the cut A_r exactly when it does on the full one.
+    (When s + 1 < r m, every entry of A_r has order above s, and neither
+    certifies.)"""
+    m = min(0, min(x.val_lower_bound() for row in A for x in row))
+    h = max(s + 1, r * m) - (r - 1) * m
+    cut = [[x if x.hi <= h or _exact_zero(x) else x.truncate(h) for x in row]
+           for row in A]
+    return zmatrix.tau_power_matrix(cut, r)
 
 
 def _certificate(s, r, T, it):

@@ -606,14 +606,14 @@ def frobenius_action(K, module_basis, N):
                 ]
                 cols.append(_vec_coords(probe, N, nL))
                 meta.append((i, n, t))
-    mat = [list(row) for row in zip(*cols)]
-    out_rows = []
-    for j in range(r):
-        img = [_series_frob(s, kpow) for s in module_basis[j]]
-        sol = elimination.solve_mod_p(mat, _vec_coords(img, N, nL), p)
+    mat = list(zip(*cols))
+    # the images of all basis vectors, solved by one elimination
+    imgs = [_vec_coords([_series_frob(s, kpow) for s in module_basis[j]], N, nL)
+            for j in range(r)]
+    out_rows = elimination.solve_columns_mod_p(mat, imgs, p)
+    for j, sol in enumerate(out_rows):
         if sol is None:
             raise NotStable(f"Frobenius image of basis vector {j} leaves the span")
-        out_rows.append(sol)
     C = zmatrix.zeros(K, r, r)
     for j, sol in enumerate(out_rows):
         for idx, (i, n, t) in enumerate(meta):

@@ -21,7 +21,9 @@ one two-term sum x - f*y per entry at every pivot, and
 principal minors, before Berkowitz's recursion. `purity_check_two_hnf`
 is the purity search whose every step reduced the image and then the
 join, before a unimodularity test certified a step without them and
-the join was taken straight from the image's generators. `tabled`
+the join was taken straight from the image's generators, and
+`purity_check_full_step0` the search whose step 0 tested the full A_r
+rather than A_r from A cut below the window the test reads. `tabled`
 fills a field's log tables for the tests that read them or the
 products that run on them.
 """
@@ -46,8 +48,10 @@ from taumod.isocrystal import (
     Lattice,
     NotPureAt,
     PurityCertificate,
+    _certificate,
     _exact_zero,
     _slice_above,
+    _unimodular,
     conjugated_matrix,
     hnf_reduce,
     lattice_eq,
@@ -495,6 +499,45 @@ def purity_check_two_hnf(M, s, r, max_iters=32, prec=None):
                     {"identity": f"tau^{r} T == z^{s} T", "pivots": list(T.pivots)})
             return Inconclusive(f"stable lattice with pivots {T.pivots} strictly "
                                 f"contains z^-s tau^r T at iteration {it}")
+        T = joined
+        mins.append(min(T.pivots))
+    return Inconclusive(
+        f"no stabilization within {max_iters} iterations; "
+        f"pivot trail {mins[-3:]}"
+    )
+
+
+def purity_check_full_step0(M, s, r, max_iters=32, prec=None):
+    """`isocrystal.purity_check` with step 0 on the full A_r, before it
+    took A_r from A cut below the window its test reads (see
+    `isocrystal._cut_tau_power`)."""
+    if r <= 0:
+        raise InputError("denominator must be positive")
+    K, n = M.K, M.rank
+    try:
+        v = zmatrix.det(M.A).valuation()
+    except PrecisionLoss:
+        v = None
+    if v not in (None, INF) and r * v != n * s:
+        return NotPureAt(s, r, {"kind": "determinant_valuation", "v_z_det": v, "rank": n})
+    T = standard_lattice(K, n)
+    mins = []
+    for it in range(max_iters):
+        if not it:
+            G = A_r = M.tau_power(r)
+        else:
+            G = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
+        if _unimodular(G, T, s):
+            return _certificate(s, r, T, it)
+        cols = [[G[i][j].shift(-s) for i in range(n)] for j in range(n)]
+        if v == INF:
+            hnf_reduce(K, cols, n, prec)
+        joined = hnf_reduce(K, T.columns() + cols, n, prec)
+        if lattice_eq(joined, T):
+            if v is None:
+                return Inconclusive(f"stable lattice with pivots {T.pivots}; v_z(det A) "
+                                    "is not settled within the window")
+            return _certificate(s, r, T, it)
         T = joined
         mins.append(min(T.pivots))
     return Inconclusive(

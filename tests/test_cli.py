@@ -714,7 +714,9 @@ from taumod.cli import main
 code = main(sys.argv[1:])
 ran = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
              if n.startswith("taumod.") and type(m) is types.ModuleType)
-sys.stderr.write(json.dumps({"ran": ran, "dataclasses": "dataclasses" in sys.modules}))
+sys.stderr.write(json.dumps({"ran": ran, "dataclasses": "dataclasses" in sys.modules,
+                             "parsing": [n for n in ("argparse", "gettext", "locale")
+                                         if n in sys.modules]}))
 sys.exit(code)
 """
 # runs the CLI on its arguments, then writes on stderr the taumod modules
@@ -740,15 +742,20 @@ ON_USE = {"commands", "drinfeld", "elimination", "embedding", "localfield", "rin
           "semilinear", "skew", "tateweil", "verify", "corpusgen"}
 
 
-def probe_modules(argv):
+def probe_modules(argv, loads=()):
     """(exit code, stdout, set of taumod modules run, whether dataclasses
     was loaded) of one CLI request in a fresh interpreter, whose report
-    is checked to be the bytes of the same request run in-process."""
+    is checked to be the bytes of the same request run in-process. The
+    request loads none of argparse, gettext and locale but those in
+    `loads`: the command line is read from a table
+    (`taumod.cli.parse_args`), not by argparse, which imports the other
+    two."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", MODULE_PROBE] + argv, env=env,
                          capture_output=True, text=True, timeout=120)
     seen = json.loads(out.stderr)
     assert (out.returncode, out.stdout) == run(argv)
+    assert set(seen["parsing"]) <= set(loads), argv
     return out.returncode, out.stdout, set(seen["ran"]), seen["dataclasses"]
 
 
@@ -772,6 +779,13 @@ class TestModulesRun:
                 assert json.loads(out)["verdict"] == "pure"
                 report.write_text(out)
         assert json.loads(out)["verdict"] == "ok"
+
+    def test_analyze_runs_no_tateweil(self):
+        argv = ["analyze", "--input", jsonio.dump_canonical(finite_module())]
+        code, out, ran, _ = probe_modules(argv)
+        assert code == 0 and json.loads(out)["command"] == "analyze"
+        assert {"commands", "drinfeld"} <= ran
+        assert not ran & {"tateweil", "verify", "corpusgen"}
 
     def test_tate_runs_no_drinfeld(self):
         argv = ["tate", "--input", jsonio.dump_canonical(unit(F9F.field(), 2))]
@@ -831,8 +845,9 @@ class TestModulesRun:
         for name, payload in corpusgen.corpus_files(seed=3)[:6]:
             (tmp_path / name).write_text(jsonio.dump_canonical(payload))
         _, one, _, _ = probe_modules(["corpus", "--dir", str(tmp_path), "--jobs", "1"])
+        # multiprocessing, which the workers need, imports locale
         _, three, ran, _ = probe_modules(["corpus", "--dir", str(tmp_path),
-                                          "--jobs", "3"])
+                                          "--jobs", "3"], loads={"locale"})
         assert three == one
         if (os.cpu_count() or 1) > 1:
             assert {"drinfeld", "semilinear", "localfield", "rings"} <= ran

@@ -93,6 +93,47 @@ class TestLinear:
                         assert sum(r * x for r, x in zip(row, sol)) % p == b % p
 
 
+    def test_solve_columns_equals_one_elimination_per_column(self, lane):
+        # `frobenius_action` solves all its right-hand sides by one
+        # elimination; each solution, and each inconsistent column, is
+        # the one that eliminating [mat | rhs] alone gives
+        rng = random.Random(29)
+        seen = set()
+        for p in (2, 3, 5):
+            for _ in range(40):
+                rows, cols, k = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 5)
+                # a rank-deficient mat, so random columns are often inconsistent
+                low = [[rng.randrange(p) for _ in range(cols)]
+                       for _ in range(rng.randrange(1, rows + 1))]
+                mat = [[sum(rng.randrange(p) * x for x in col) % p for col in zip(*low)]
+                       for _ in range(rows)]
+                rhss = []
+                for _ in range(k):
+                    if rng.random() < 0.5:
+                        x = [rng.randrange(p) for _ in range(cols)]
+                        rhss.append([sum(a * b for a, b in zip(row, x)) % p for row in mat])
+                    else:
+                        rhss.append([rng.randrange(p) for _ in range(rows)])
+                got = elimination.solve_columns_mod_p(mat, rhss, p)
+                assert got == [elimination.solve_mod_p(mat, b, p) for b in rhss]
+                assert got == [one_column_solve(mat, b, p) for b in rhss]
+                seen.update(sol is None for sol in got)
+        assert seen == {True, False}
+
+
+def one_column_solve(mat, rhs, p):
+    """One solution of mat @ v = rhs by the numpy elimination of
+    [mat | rhs], or None: the rhs column at the pivots."""
+    n = len(mat[0])
+    R, pivots = dense.rref_mod_p([row + [b] for row, b in zip(mat, rhs)], p)
+    if n in pivots:
+        return None
+    v = [0] * n
+    for row, c in zip(R, pivots):
+        v[c] = row[n]
+    return v
+
+
 def reference_rref(mat, p):
     """Plain Gauss-Jordan over F_p that clears every other row in every
     column: the full-width elimination the kernels must reproduce."""

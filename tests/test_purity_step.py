@@ -28,6 +28,7 @@ from taumod.zseries import DEFAULT_Z_PREC, ZSeries
 
 import dense_oracle as dense
 from test_degree_sweep import _case, _slope0
+from test_isocrystal import skewed_constant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "perfbench")]
@@ -223,3 +224,123 @@ def test_seeded_windowed_crystals(unimodular):
     # the reductions still certify where it cannot
     assert max(iterations) > 0
     assert 0 < unimodular.count(True) < len(iterations)
+
+
+# -- step 0 on A cut below the window its test reads ------------------------
+
+LOCAL_BASES = (FieldDescriptor(p=3, a=1, m=1, kind="local"),
+               FieldDescriptor(p=2, a=2, m=1, kind="local"))
+WINDOWED_BASES = (FieldDescriptor(p=3, a=1, m=1, kind="finite"),
+                  FieldDescriptor(p=2, a=2, m=1, kind="finite"),
+                  FieldDescriptor(p=3, a=2, m=1, kind="finite")) + LOCAL_BASES
+
+
+def shifted_crystal(seed):
+    """A seeded windowed twist of rank 1-3 over F_3, F_4, F_9 or a local
+    base, each entry shifted by z^k, k in [-3, 0], so that entries have
+    negative valuation."""
+    rng = random.Random(f"purity-step0:{seed}")
+    K = WINDOWED_BASES[seed % len(WINDOWED_BASES)].field()
+    n = rng.randint(1, 3)
+    A = [[x.shift(rng.randint(-3, 0)) for x in row]
+         for row in dense.random_matrix(K, rng, n, windowed=True)]
+    return Isocrystal(K, A)
+
+
+def step0_verdicts(M, s, r):
+    """The verdicts of the unimodularity test at the standard lattice on
+    A_r from the cut A and on the full A_r, checking the window rule of
+    `isocrystal._cut_tau_power` on the way."""
+    T = isocrystal.standard_lattice(M.K, M.rank)
+    cut, full = isocrystal._cut_tau_power(M.A, s, r), M.tau_power(r)
+    for row, full_row in zip(cut, full):
+        for x, y in zip(row, full_row):
+            assert min(s + 1, y.hi) <= x.hi <= y.hi and x.agrees_with(y)
+    return isocrystal._unimodular(cut, T, s), isocrystal._unimodular(full, T, s)
+
+
+def same_as_full_step0(M, s, r, **kw):
+    got = _outcome(lambda: purity_check(M, s, r, **kw))
+    want = _outcome(lambda: dense.purity_check_full_step0(M, s, r, **kw))
+    assert (got if isinstance(got, tuple) else jsonio.render(got)) == (
+        want if isinstance(want, tuple) else jsonio.render(want))
+    cut, full = step0_verdicts(M, s, r)
+    assert cut is full
+    return got, cut
+
+
+@pytest.fixture
+def full_tau_powers(monkeypatch):
+    """The matrices A whose tau^r a purity search builds as A itself,
+    not cut (`zmatrix.tau_power_matrix`)."""
+    seen = []
+    power = zmatrix.tau_power_matrix
+    monkeypatch.setattr(zmatrix, "tau_power_matrix",
+                        lambda A, k: seen.append(A) or power(A, k))
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cut_step0_on_rank_twists(seed, full_tau_powers):
+    for req in inputs.rank_requests(seed):
+        if req["kind"] != "purity":
+            continue
+        M = jsonio.parse_isocrystal(req["payload"], DEFAULT_Z_PREC)
+        n = M.rank
+        for s, r in ((1, n), (0, 1), (2, 2 * n), (-1, 2)):
+            step0_verdicts(M, s, r)
+        del full_tau_powers[:]
+        assert purity_check(M, 1, n, prec=DEFAULT_Z_PREC).iterations == 0
+        # the certificate took tau^r of the cut A alone
+        assert len(full_tau_powers) == 1 and full_tau_powers[0] is not M.A
+        assert same_as_full_step0(M, 1, n, prec=DEFAULT_Z_PREC)[1]
+
+
+def test_cut_step0_on_skewed_constant_twists():
+    verdicts = []
+    for seed in range(80):
+        got, certified = same_as_full_step0(skewed_constant(seed), 0, 1)
+        verdicts.append(certified)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("i, p, r", report_gate.LOCAL)
+def test_cut_step0_on_local_m_infinity(i, p, r):
+    M = m_infinity(report_gate.local_module(i, p, r))
+    same_as_full_step0(M, -1, r, prec=DEFAULT_Z_PREC)
+
+
+def test_cut_step0_on_shifted_windowed_twists():
+    verdicts = set()
+    for seed in range(60):
+        M = shifted_crystal(seed)
+        n = M.rank
+        # (-14, 3) and (-9, 2) lie below r times the least exponent of
+        # some of these twists
+        for s, r in ((0, 1), (1, n), (-1, 1), (-2, n), (1, 2), (-9, 2), (-14, 3)):
+            _, certified = same_as_full_step0(M, s, r, max_iters=4, prec=8)
+            verdicts.add(certified)
+    assert verdicts == {True, False}
+
+
+def test_step0_certificate_builds_no_full_tau_power(full_tau_powers):
+    # a certificate at step 0 takes tau^r of the cut A alone; a step-0
+    # test that fails builds the full A_r once, for the join, and does
+    # not test it again
+    M = jsonio.parse_isocrystal(inputs.rank_requests(0)[-1]["payload"], DEFAULT_Z_PREC)
+    assert purity_check(M, 1, M.rank).iterations == 0
+    assert len(full_tau_powers) == 1 and full_tau_powers[0] is not M.A
+    del full_tau_powers[:]
+    M = report_gate.skewed_unit()
+    assert purity_check(M, 0, 1).iterations == 2
+    assert [A is M.A for A in full_tau_powers] == [False, True]
+
+
+def test_cut_counts_an_entry_known_only_below_a_negative_power():
+    # O(z^-1) has no exponent, but its order is its window: m = -1, so A
+    # is cut below z^2. Cut below z^1, the z^2 entry would be O(z^1),
+    # and the (0, 0) entry of A_2 would be known only below z^0
+    K = FieldDescriptor(p=3, a=1, m=1, kind="finite").field()
+    one, z = ZSeries.one(K), ZSeries.z(K)
+    M = Isocrystal(K, [[one, ZSeries(K, {}, -1)], [z * z, one]])
+    assert step0_verdicts(M, 0, 2) == (False, False)
