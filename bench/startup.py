@@ -7,6 +7,12 @@ writes, prints
 
   * the median CPU time (user + system) of N fresh
     `python3 -m taumod` processes running it, and
+  * its teardown: the median CPU of N fresh processes that run it
+    through `cli.main` and end by `sys.exit`, as `python3 -m taumod`
+    did before `cli.run`, minus that of N that run it through
+    `cli.run`, which ends by `os._exit`. The two differ only in their
+    exit: the interpreter's finalization, which clears every module and
+    frees every object the request left alive, and
   * the taumod modules whose bodies it runs, each with its median self
     time over N more fresh processes: reading and compiling the source
     and running the body, with the modules it imports on the way left
@@ -71,6 +77,12 @@ sys.exit(code)
 """
 
 
+# a request run through `cli.main` and the interpreter's exit, and the
+# same request through `cli.run`
+MAIN_EXIT = "import sys\nfrom taumod.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+RUN_EXIT = "import sys\nfrom taumod.cli import run\nrun(sys.argv[1:])\n"
+
+
 # runs the CLI on its arguments, then writes the names of the loaded
 # modules on stderr
 LOADED = r"""
@@ -96,10 +108,10 @@ def _outside(argv, cwd, bare):
     return sorted({n if n.split(".")[0] in bare else n.split(".")[0] for n in new})
 
 
-def _cpu(argv, cwd):
-    """CPU seconds of one fresh `python3 -m taumod argv`, and its stdout."""
+def _cpu(argv, cwd, head=("-m", "taumod")):
+    """CPU seconds of one fresh `python3 *head argv`, and its stdout."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    out = subprocess.run([sys.executable, "-m", "taumod"] + argv, cwd=cwd,
+    out = subprocess.run([sys.executable, *head] + argv, cwd=cwd,
                          env=ENV, capture_output=True, check=False).stdout
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return (after.ru_utime - before.ru_utime
@@ -149,33 +161,40 @@ def _requests(work):
 
 
 def main_startup(n):
-    print(f"median CPU of {n} fresh processes; taumod module self times in ms; "
-          "the modules outside taumod loaded beyond `python3 -c pass`")
+    print(f"median CPU of {n} fresh processes; its teardown (cli.main and sys.exit "
+          "minus cli.run); taumod module self times in ms; the modules outside "
+          "taumod loaded beyond `python3 -c pass`")
     bare = _loaded('import sys; sys.stderr.write("\\n" + " ".join(sys.modules))', [],
                    ROOT)
     with tempfile.TemporaryDirectory() as tmp:
-        total, total_lines = 0.0, 0
+        total, total_teardown, total_lines = 0.0, 0.0, 0
         for label, argv, cwd, report in _requests(pathlib.Path(tmp)):
-            cpus = []
-            for _ in range(n):
+            cpus, via_main, via_run = [], [], []
+            for _ in range(n):  # interleaved, so that drift moves all three
                 cpu, out = _cpu(argv, cwd)
                 cpus.append(cpu)
+                via_main.append(_cpu(argv, cwd, ("-c", MAIN_EXIT))[0])
+                via_run.append(_cpu(argv, cwd, ("-c", RUN_EXIT))[0])
             if report:
                 (cwd / report).write_bytes(out)
             runs = [_modules(argv, cwd) for _ in range(n)]
             own = {m: statistics.median(run[m] for run in runs) for m in runs[0]}
             median = statistics.median(cpus)
+            teardown = statistics.median(via_main) - statistics.median(via_run)
             lines = sum(map(_lines, own))
             total += median
+            total_teardown += teardown
             total_lines += lines
             mods = sorted(own.items(), key=lambda kv: -kv[1])
             print(f"{label:32} cpu {median * 1e3:7.1f} ms  "
+                  f"teardown {teardown * 1e3:5.1f} ms  "
                   f"{len(own):2} modules {sum(own.values()) * 1e3:6.1f} ms "
                   f"{lines:6,} lines")
             print("    " + ", ".join(f"{m.split('.', 1)[-1]} {s * 1e3:.1f}"
                                      for m, s in mods))
             print("    outside: " + ", ".join(_outside(argv, cwd, bare)))
         print(f"{'total':32} cpu {total * 1e3:7.1f} ms  "
+              f"teardown {total_teardown * 1e3:5.1f} ms  "
               f"{'':20} {total_lines:6,} lines")
 
 

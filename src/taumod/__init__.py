@@ -5,13 +5,18 @@ Laurent series rings, scalar semilinear solvers with replayable
 certificates, Drinfeld-module reduction criteria, slope-0 Tate functors,
 and Weil-action valuations. Run `python -m taumod --help` for the CLI.
 
-Every CLI request is a fresh process, so start-up is a large share of
-its cost, and with no bytecode cached most of start-up is compiling
-source. Each module that some requests never run therefore loads on
-first use: importing the package puts it into `sys.modules` and onto
-the package through `importlib.util.LazyLoader`, and its body runs on
-the first access to one of its attributes. These modules, and the
-requests that run them:
+Every CLI request is a fresh process, so start-up and exit are a large
+share of its cost. At exit the interpreter's finalization clears every
+module and frees every object the request left alive, a median 7.4 ms
+of CPU per request, much of it for the modules the interpreter loads
+before any of taumod's; `taumod.cli.run` skips it by ending the process
+with `os._exit` (its docstring has the measurements and the cases that
+keep the interpreter's exit). With no bytecode cached most of start-up
+is compiling source. Each module that some requests never run
+therefore loads on first use: importing the package puts it into
+`sys.modules` and onto the package through `importlib.util.LazyLoader`,
+and its body runs on the first access to one of its attributes. These
+modules, and the requests that run them:
 
   * `commands`: the handlers of `analyze`, `solve` and `corpus`;
   * `drinfeld`: Drinfeld modules, for `analyze`, `weil` and their

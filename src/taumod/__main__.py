@@ -1,5 +1,3 @@
-import sys
+from taumod.cli import run
 
-from taumod.cli import main
-
-sys.exit(main())
+run()

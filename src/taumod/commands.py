@@ -94,7 +94,10 @@ def _corpus_item(name, payload, policy):
             command, result, verdict = "isocrystal", {"rank": M.rank}, "ok"
             sr = payload.get("purity")
             if sr is not None:
-                cert = purity_check(M, int(sr[0]), int(sr[1]),
+                if not (isinstance(sr, list) and len(sr) == 2
+                        and all(type(v) is int for v in sr)):
+                    raise InputError(f"'purity' must be [s, r], two integers, got {sr!r}")
+                cert = purity_check(M, sr[0], sr[1],
                                     max_iters=policy.purity_max_iters,
                                     prec=policy.z_prec)
                 result["certificate"] = jsonio.render(cert)
@@ -106,7 +109,9 @@ def _corpus_item(name, payload, policy):
             a = jsonio.parse_scalar(K, jsonio._need(payload, "a", name))
             b = jsonio.parse_scalar(K, jsonio._need(payload, "b", name))
             ring = payload.get("ring", "BK")
-            prec = int(payload.get("prec", policy.z_prec))
+            prec = payload.get("prec", policy.z_prec)
+            if type(prec) is not int or prec < 1:
+                raise InputError(f"'prec' must be an integer of at least 1, got {prec!r}")
             out = jsonio.render(semilinear.solve_scalar(a, b, ring, prec=prec))
             command, result = "solve", {"outcome": out}
             verdict = verdict_of(command, out)

@@ -984,6 +984,34 @@ class TestCorpus:
         assert code == 0
         assert doc["result"]["verdict_counts"].get("input_error") == 1
 
+    def test_malformed_fields_are_their_items_input_errors(self, tmp_path):
+        # a malformed purity or solve prec is its own item's input_error,
+        # which names the field; the other items answer as they do alone
+        files = dict(corpusgen.corpus_files(seed=0))
+        iso = next(n for n, p in files.items() if p["kind"] == "isocrystal")
+        sol = next(n for n, p in files.items() if p["kind"] == "solve_problem")
+        for name in (iso, sol):
+            (tmp_path / name).write_text(jsonio.dump_canonical(files[name]))
+        _, alone = run_json(["corpus", "--dir", str(tmp_path)])
+        bad = {}
+        for field, name, values in (
+                ("purity", iso, (["x", 1], 5, [1], [0, 1, 2], [0.0, 1], "01")),
+                ("prec", sol, ("x", 1.5, [4], True, 0, None))):
+            for i, value in enumerate(values):
+                bad[f"zz-{field}-{i}.json"] = field
+                (tmp_path / f"zz-{field}-{i}.json").write_text(
+                    json.dumps(dict(files[name], **{field: value})))
+        code, doc = run_json(["corpus", "--dir", str(tmp_path)])
+        assert code == 0
+        items = {item["name"]: item for item in doc["result"]["items"]}
+        assert [items[item["name"]] for item in alone["result"]["items"]] == (
+            alone["result"]["items"])
+        assert set(items) == {iso, sol, *bad}
+        for name, field in bad.items():
+            item = items[name]
+            assert (item["verdict"], item["error"]["type"]) == ("input_error", "InputError")
+            assert item["error"]["detail"].startswith(f"'{field}' must be")
+
     def test_generate_writes_families(self, tmp_path):
         code, doc = run_json(["corpus", "--dir", str(tmp_path), "--generate",
                               "--seed", "3"])
@@ -1112,3 +1140,160 @@ class TestTate:
         assert code == 3 and doc["verdict"] == "inconclusive"
         assert doc["policy"]["purity_max_iters"] == 0
         assert doc["result"]["certificate"]["kind"] == "inconclusive"
+
+
+# the reference for `python -m taumod`: `cli.main`, then the
+# interpreter's own exit
+MAIN_PROBE = "import sys\nfrom taumod.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def fresh(args, cwd, stdout=subprocess.PIPE):
+    """`python3 args` in a fresh interpreter, stdout block-buffered as
+    when PYTHONUNBUFFERED is unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def request_dir(tmp_path_factory):
+    """A directory of request inputs: twists, modules, solve sides, a
+    small corpus, and a purity report with a forged copy."""
+    d = tmp_path_factory.mktemp("requests")
+    K3, KL = F3F.field(), F3L.field()
+    inputs = {
+        "twist.json": jsonio.dump_canonical(dense_twist()),
+        "unit.json": jsonio.dump_canonical(unit(F9F.field(), 2)),
+        "module.json": jsonio.dump_canonical(finite_module()),
+        "weil.json": jsonio.dump_canonical(
+            DrinfeldModule(K3, [K3.zero(), K3.zero(), K3.one()])),
+        "pivot.json": json.dumps(pivot_window_twist()[2]),
+        "a.json": solve_side(KL, ZSeries.z(KL, -1)),
+        "b.json": solve_side(KL, ZSeries(KL, {-1: -KL.zeta(-1)})),
+    }
+    for name, text in inputs.items():
+        (d / name).write_text(text)
+    (d / "corpus").mkdir()
+    kinds = {}
+    for name, payload in corpusgen.corpus_files(seed=0):
+        if len(kinds.setdefault(payload["kind"], [])) < 2:
+            kinds[payload["kind"]].append(name)
+            (d / "corpus" / name).write_text(jsonio.dump_canonical(payload))
+    _, out = run(["isocrystal", "purity", "--s", "1", "--r", "4",
+                  "--input", str(d / "twist.json")])
+    (d / "purity.report.json").write_text(out)
+    doc = json.loads(out)
+    doc["result"]["certificate"]["s"] = 0
+    (d / "forged.report.json").write_text(json.dumps(doc))
+    return d
+
+
+class TestProcessExit:
+    """`python -m taumod` ends through `cli.run`, without the interpreter's
+    teardown, yet writes the bytes and exits with the code of `cli.main`
+    followed by `sys.exit`, on every command and every exit path."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["analyze", "--input", "module.json"], 0),
+        (["isocrystal", "tensor", "--input", "twist.json", "--other", "unit.json"], 0),
+        (["isocrystal", "dual", "--input", "twist.json"], 0),
+        (["isocrystal", "purity", "--s", "1", "--r", "4", "--input", "twist.json"], 0),
+        (["isocrystal", "slopes", "--input", "twist.json"], 0),
+        (["tate", "--input", "unit.json"], 0),
+        (["weil", "--input", "weil.json"], 0),
+        (["solve", "--ring", "BK", "--prec-z", "6", "--a", "a.json", "--b", "b.json"], 0),
+        (["verify", "--input", "purity.report.json"], 0),
+        (["corpus", "--dir", "corpus", "--jobs", "1"], 0),
+        (["corpus", "--dir", "corpus", "--jobs", "2"], 0),
+        (["isocrystal", "slopes", "--format", "md", "--input", "twist.json"], 0),
+        (["--version"], 0),
+        (["isocrystal", "bogus", "--input", "twist.json"], 2),
+        (["analyze", "--input", "{broken"], 2),
+        (["isocrystal", "slopes", "--input", "pivot.json"], 3),
+        (["verify", "--input", "forged.report.json"], 4),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_same_bytes_and_code_as_main(self, request_dir, argv, code):
+        new = fresh(["-m", "taumod", *argv], request_dir)
+        old = fresh(["-c", MAIN_PROBE, *argv], request_dir)
+        assert (new.returncode, new.stdout, new.stderr) == (
+            old.returncode, old.stdout, old.stderr)
+        assert new.returncode == code
+
+    def test_generate_writes_complete_files(self, request_dir):
+        new = fresh(["-m", "taumod", "corpus", "--generate", "--dir", "gen-run"],
+                    request_dir)
+        old = fresh(["-c", MAIN_PROBE, "corpus", "--generate", "--dir", "gen-main"],
+                    request_dir)
+        assert (new.returncode, new.stdout, new.stderr) == (0, old.stdout, old.stderr)
+        written = {p.name: p.read_bytes() for p in (request_dir / "gen-run").iterdir()}
+        assert written == {p.name: p.read_bytes()
+                           for p in (request_dir / "gen-main").iterdir()}
+        assert len(written) == json.loads(new.stdout)["result"]["count"]
+        assert all(json.loads(text) for text in written.values())
+
+    def test_closed_stdout_is_reported_as_by_main(self, request_dir):
+        # the small error report stays buffered until the exit, whose
+        # flush fails on the closed pipe: the interpreter reports it
+        argv = ["analyze", "--input", "{broken"]
+        outs = []
+        for args in (["-m", "taumod", *argv], ["-c", MAIN_PROBE, *argv]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                outs.append(fresh(args, request_dir, stdout=w))
+            finally:
+                os.close(w)
+        new, old = outs
+        assert (new.returncode, new.stderr) == (old.returncode, old.stderr)
+        assert new.returncode == 120 and b"BrokenPipeError" in new.stderr
+
+
+# records how the process ends and registers an `atexit` callback, then
+# answers the request through `cli.run`; after "thread" a second thread
+# is alive until the process ends
+EXIT_PROBE = r"""
+import atexit, os, sys, threading
+from taumod import cli
+ended = threading.Event()
+
+def recorded(name, end):
+    def record(code):
+        sys.stderr.write(f"{name}({code})\n")
+        sys.stderr.flush()
+        ended.set()
+        end(code)
+    return record
+
+sys.exit, os._exit = recorded("sys.exit", sys.exit), recorded("os._exit", os._exit)
+atexit.register(sys.stderr.write, "atexit callback\n")
+if sys.argv[1] == "thread":
+    threading.Thread(target=ended.wait).start()
+cli.run(sys.argv[2:])
+"""
+
+
+class TestExitFallbacks:
+    """`cli.run` keeps the interpreter's exit where teardown is needed."""
+
+    @pytest.mark.parametrize("thread,argv,code,stderr", [
+        ("none", ["isocrystal", "slopes", "--input", "twist.json"], 0,
+         "atexit callback\nos._exit(0)\n"),
+        ("none", ["isocrystal", "slopes", "--input", "pivot.json"], 3,
+         "atexit callback\nos._exit(3)\n"),
+        ("thread", ["isocrystal", "slopes", "--input", "twist.json"], 0,
+         "sys.exit(0)\natexit callback\n"),
+    ])
+    def test_atexit_once_and_sys_exit_with_a_thread(self, request_dir, thread, argv,
+                                                     code, stderr):
+        out = fresh(["-c", EXIT_PROBE, thread, *argv], request_dir)
+        assert (out.returncode, out.stderr.decode()) == (code, stderr)
+        assert out.stdout == fresh(["-c", MAIN_PROBE, *argv], request_dir).stdout
+
+    def test_profiled_request_prints_its_profile(self, request_dir):
+        argv = ["isocrystal", "purity", "--s", "1", "--r", "4", "--input", "twist.json"]
+        out = fresh(["-m", "cProfile", "-m", "taumod", *argv], request_dir)
+        report = fresh(["-c", MAIN_PROBE, *argv], request_dir).stdout
+        assert out.stdout.startswith(report)
+        profile = out.stdout[len(report):].decode()
+        assert "function calls" in profile and "purity_check" in profile
