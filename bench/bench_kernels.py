@@ -14,9 +14,11 @@ shapes the `tower` requests of perfbench solve, a level of the
 fixed-point solve of `tate-f64-cyc3`, the table fills) time it too, on
 the same input, as `old`; the inverse rows time the inverses that
 `Series.inv` and the one sum per entry of `zmatrix.inv` replaced, the
-purity rows the search with two Hermite reductions per step or with
-step 0 on the full A_r, the characteristic polynomial rows the sums of
-all principal minors, and the writer row `json.dumps`, as `old`.
+purity rows the search with two Hermite reductions per step, with step
+0 on the full A_r, or with v_z(det A) and its residue test by Laplace
+expansion, the characteristic polynomial rows the sums of all principal
+minors, the slopes row the slopes from the full A, uncut at the Newton
+chord, and the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials, or over as many calls as fit in `BUDGET_S`
@@ -48,7 +50,7 @@ from taumod import basefield, elimination, jsonio, kernels, localfield, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main as taumod_main
 from taumod.drinfeld import DrinfeldModule, m_infinity
-from taumod.isocrystal import Isocrystal, _char_poly, purity_check, simple_pure
+from taumod.isocrystal import Isocrystal, _char_poly, purity_check, simple_pure, slopes_finiteK
 from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.zseries import ZSeries
@@ -292,9 +294,12 @@ def _purity_workloads(rng):
     zeta-terms or more, and at (1, 7) on the dense rank-7 twist of the
     `rank` workload at seed 0 (perfbench/inputs.py), over F_9. The rows
     `purity 7/F9` and `purity 12/F9` time the search at (1, r) on that
-    twist and on the rank-12 twist of `_twist12` against
+    twist and on the rank-12 twist of `_twist` against
     `purity_check_full_step0`, whose step 0 tests the full A_r, as
-    `old`. Each call gets fresh entries, local coefficients included."""
+    `old`, and `purity 16/F9` on the rank-16 twist against
+    `purity_check_laplace`, which takes v_z(det A) and the residue test
+    by Laplace expansion. Each call gets fresh entries, local
+    coefficients included, and the v_z(det A) of the parse."""
     L = FieldDescriptor(p=2, a=2, m=1, kind="local").field()
 
     def terms(lo):
@@ -305,19 +310,21 @@ def _purity_workloads(rng):
 
     local = m_infinity(DrinfeldModule(L, [terms(0)] + [terms(-2) for _ in range(3)]))
     twist = jsonio.parse_isocrystal(_rank_payload("purity-r7"), 8)
-
-    def fresh(M):
-        return Isocrystal(M.K, [[ZSeries(M.K, {e: _fresh(c) if isinstance(c, Series) else c
-                                               for e, c in s.co.items()}, s.hi)
-                                 for s in row] for row in M.A])
-
     rows = [("purity m_inf r3/F4((zeta))", local, -1, 3, dense.purity_check_two_hnf),
             ("purity twist r7/F9", twist, 1, 7, dense.purity_check_two_hnf),
             ("purity 7/F9", twist, 1, 7, dense.purity_check_full_step0),
-            ("purity 12/F9", _twist12(), 1, 12, dense.purity_check_full_step0)]
-    return [(label, lambda M, s, r: purity_check(fresh(M), s, r, prec=8), (M, s, r),
-             lambda M, s, r, old=old: old(fresh(M), s, r, prec=8), (M, s, r))
+            ("purity 12/F9", _twist(12), 1, 12, dense.purity_check_full_step0),
+            ("purity 16/F9", _twist(16), 1, 16, dense.purity_check_laplace)]
+    return [(label, lambda M, s, r: purity_check(_fresh_crystal(M), s, r, prec=8), (M, s, r),
+             lambda M, s, r, old=old: old(_fresh_crystal(M), s, r, prec=8), (M, s, r))
             for label, M, s, r, old in rows]
+
+
+def _fresh_crystal(M):
+    """M with fresh entries, local coefficients included, and its v_z(det A)."""
+    return Isocrystal(M.K, [[ZSeries(M.K, {e: _fresh(c) if isinstance(c, Series) else c
+                                           for e, c in s.co.items()}, s.hi)
+                             for s in row] for row in M.A], M.v_det)
 
 
 def _inputs():
@@ -335,33 +342,38 @@ def _rank_payload(name):
                 if req["name"] == name)
 
 
-def _twist12():
-    """P A sigma(P)^-1 for the simple pure A of slope 1/12 over F_9 and a
+def _twist(r):
+    """P A sigma(P)^-1 for the simple pure A of slope 1/r over F_9 and a
     seeded unipotent P = L U, built as the `rank` workload builds its
-    twists (perfbench/inputs.py)."""
+    twists (perfbench/inputs.py), and read as a request reads it."""
     inputs = _inputs()
     K = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
-    rng = random.Random("bench-kernels:charpoly:12")
-    L, U = inputs._unipotent(K, rng, 12, True), inputs._unipotent(K, rng, 12, False)
+    rng = random.Random(f"bench-kernels:charpoly:{r}")
+    L, U = inputs._unipotent(K, rng, r, True), inputs._unipotent(K, rng, r, False)
     P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
                         inputs._unipotent_inverse(L, True))
-    return Isocrystal(K, zmatrix.mul(zmatrix.mul(zmatrix.mul(L, U), simple_pure(K, 1, 12).A),
-                                     zmatrix.sigma(P_inv)))
+    M = Isocrystal(K, zmatrix.mul(zmatrix.mul(zmatrix.mul(L, U), simple_pure(K, 1, r).A),
+                                  zmatrix.sigma(P_inv)))
+    return jsonio.parse_isocrystal(jsonio.render(M), 8)
 
 
 def _charpoly_workloads():
     """`isocrystal._char_poly`, Berkowitz's recursion, against the sums of
     all principal minors (`dense_oracle.laplace_char_poly`) as `old`: on
     the rank-7 twist of the `rank` workload at seed 0, and on the rank-12
-    twist of `_twist12`, both over F_9 (q = 9, so tau is linear and the
-    slopes are read off A itself). Each call gets fresh entries."""
-    twist12 = _twist12()
+    twist of `_twist`, both over F_9 (q = 9, so tau is linear and the
+    slopes are read off A itself). Then `slopes_finiteK` on that rank-12
+    twist against `dense_oracle.slopes_full_window` as `old`. Each call
+    gets fresh entries."""
+    twist12 = _twist(12)
     K = twist12.K
     rows = [("charpoly 7/F9", jsonio.parse_isocrystal(_rank_payload("slopes-r7"), 8).A),
             ("charpoly 12/F9", twist12.A)]
     return [(label, lambda A: _char_poly(K, _fresh_matrix(A)), (A,),
              lambda A: dense.laplace_char_poly(K, _fresh_matrix(A)), (A,))
-            for label, A in rows]
+            for label, A in rows] + [
+        ("slopes 12/F9", lambda M: slopes_finiteK(_fresh_crystal(M)), (twist12,),
+         lambda M: dense.slopes_full_window(_fresh_crystal(M)), (twist12,))]
 
 
 def _writer_workload():

@@ -7,12 +7,16 @@ writes, prints
 
   * the median CPU time (user + system) of N fresh
     `python3 -m taumod` processes running it, and
-  * its teardown: the median CPU of N fresh processes that run it
-    through `cli.main` and end by `sys.exit`, as `python3 -m taumod`
-    did before `cli.run`, minus that of N that run it through
+  * its teardown: the median over N iterations of the CPU of a fresh
+    process that runs it through `cli.main` and ends by `sys.exit`, as
+    `python3 -m taumod` did before `cli.run`, minus that of a process
+    run right before or after it (the order alternates) through
     `cli.run`, which ends by `os._exit`. The two differ only in their
     exit: the interpreter's finalization, which clears every module and
-    frees every object the request left alive, and
+    frees every object the request left alive. Each difference pairs two
+    runs a moment apart, so a drift of the machine's speed between
+    iterations cancels, as it would not in a difference of two medians,
+    and
   * the taumod modules whose bodies it runs, each with its median self
     time over N more fresh processes: reading and compiling the source
     and running the body, with the modules it imports on the way left
@@ -169,18 +173,19 @@ def main_startup(n):
     with tempfile.TemporaryDirectory() as tmp:
         total, total_teardown, total_lines = 0.0, 0.0, 0
         for label, argv, cwd, report in _requests(pathlib.Path(tmp)):
-            cpus, via_main, via_run = [], [], []
-            for _ in range(n):  # interleaved, so that drift moves all three
+            cpus, teardowns = [], []
+            for i in range(n):  # interleaved, so that drift moves all three
                 cpu, out = _cpu(argv, cwd)
                 cpus.append(cpu)
-                via_main.append(_cpu(argv, cwd, ("-c", MAIN_EXIT))[0])
-                via_run.append(_cpu(argv, cwd, ("-c", RUN_EXIT))[0])
+                pair = (MAIN_EXIT, RUN_EXIT) if i % 2 else (RUN_EXIT, MAIN_EXIT)
+                cpu_of = {code: _cpu(argv, cwd, ("-c", code))[0] for code in pair}
+                teardowns.append(cpu_of[MAIN_EXIT] - cpu_of[RUN_EXIT])
             if report:
                 (cwd / report).write_bytes(out)
             runs = [_modules(argv, cwd) for _ in range(n)]
             own = {m: statistics.median(run[m] for run in runs) for m in runs[0]}
             median = statistics.median(cpus)
-            teardown = statistics.median(via_main) - statistics.median(via_run)
+            teardown = statistics.median(teardowns)
             lines = sum(map(_lines, own))
             total += median
             total_teardown += teardown

@@ -24,7 +24,11 @@ result: 3 for inconclusive or budget_exhausted (the partial report is
 still written), else 0, definite negatives such as no_solution or
 not_pure included.  An error report exits 2 for malformed input, 3 for
 an exhausted window or budget, 4 for a failed internal invariant;
-`verify` exits 4 when a certificate does not replay.
+`verify` exits 4 when a certificate does not replay. A request whose
+stdout is closed before its report is written, such as a pipe whose
+reader has gone, exits `EXIT_CLOSED_OUTPUT`, 141, and writes nothing
+more: 128 + SIGPIPE, the code a shell gives a writer that a closed pipe
+ends.
 """
 
 import atexit
@@ -48,6 +52,7 @@ from taumod.errors import (
 from taumod.isocrystal import Inconclusive, dual, purity_check, slopes_finiteK, tensor
 from taumod.verdicts import verdict_of
 
+EXIT_CLOSED_OUTPUT = 141
 _SCHEMA_ERRORS = (InputError, CoercionError, NotInvertible)
 _BUDGET_ERRORS = (PrecisionLoss, BudgetExceeded, NoRoot)
 
@@ -471,14 +476,24 @@ def run(argv=None):
       * a thread besides the main one is alive: the interpreter joins it
         before the `atexit` callbacks;
       * the interpreter goes on after the program (`python -i`);
-      * flushing stdout or stderr raises, as on a closed pipe: the
-        interpreter reports it as it does without `run`.
+      * flushing stdout or stderr raises: the interpreter reports it as
+        it does without `run`.
     An exception or `SystemExit` from `main` (a malformed command line,
     `--help`, `--version`) propagates as it does from `main`. The process
-    writes the bytes and exits with the code of `sys.exit(main(argv))`;
-    in-process callers call `main`.
+    writes the bytes and exits with the code of `sys.exit(main(argv))`,
+    except on a closed stdout: writing or flushing the report there
+    raises `BrokenPipeError`, and the request exits `EXIT_CLOSED_OUTPUT`
+    with stdout pointed at os.devnull, so that no later flush raises
+    again. In-process callers call `main`.
     """
-    code = main(argv)
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_CLOSED_OUTPUT
     threading = sys.modules.get("threading")  # threads start through it
     monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
     if (sys.gettrace() or sys.getprofile() or sys.flags.inspect

@@ -105,14 +105,16 @@ def motive(E):
 
 def m_infinity(E):
     """The isocrystal at the place t = infinity, via t = 1/z, with both
-    checks of `motive` run on its matrix."""
+    checks of `motive` run on its matrix. `motive` checks that det(A) g_r
+    is a unit times t - g_0, of degree 1 in t, so det of the matrix in
+    z = 1/t has v_z = -1."""
     mot = motive(E)
     K = E.K
     Az = [
         [ZSeries(K, {-n: c for n, c in s.co.items()}, INF) for s in row]
         for row in mot.matrix
     ]
-    return Isocrystal(K, Az)
+    return Isocrystal(K, Az, -1)
 
 
 # ------------------------------------------------------------- reduction

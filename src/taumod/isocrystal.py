@@ -9,7 +9,11 @@ M is pure of slope s/r when some lattice T has tau^r T = z^s T, which
 holds exactly when U = z^-s T^-1 A_r sigma^r(T) lies in GL_r(K[[z]]),
 A_r the matrix of tau^r (Katz, "Slope filtration of F-crystals").
 `purity_check` refutes only by an invariant: v_z(det A) is unchanged by
-sigma-conjugation, and purity forces r*v_z(det A) = rank*s. It searches
+sigma-conjugation, and purity forces r*v_z(det A) = rank*s. An
+isocrystal carries v_z(det A): a twist read from outside gets it from
+the elimination that inverts it at parse (`twist_inverse`), and the
+constructions below by a rule; otherwise `det_valuation` runs the same
+elimination without the inverse. No determinant is expanded. It searches
 for T from the standard lattice: each step tests U with no series
 inverse and certifies T when U is provably unimodular; only a step the
 test cannot settle joins z^-s A_r sigma^r(T) to T by one canonical
@@ -20,7 +24,7 @@ import math
 from itertools import combinations
 
 from . import zmatrix
-from .errors import InputError, InvariantError, PrecisionLoss
+from .errors import InputError, InvariantError, NotInvertible, PrecisionLoss
 from .series import sum_of_products
 from .zseries import DEFAULT_Z_PREC, ZSeries
 
@@ -33,11 +37,13 @@ class Isocrystal:
     The matrix A gives the action v -> A*sigma(v) on column vectors in
     the standard basis. A twist read from outside is inverted where it
     is parsed (`twist_inverse`); the constructions below keep it so.
+    v_det is v_z(det A) where the parse or the construction gives it,
+    else None (see `det_valuation`).
     """
 
-    __slots__ = ("K", "rank", "A")
+    __slots__ = ("K", "rank", "A", "v_det")
 
-    def __init__(self, K, A):
+    def __init__(self, K, A, v_det=None):
         r = len(A)
         if not r:
             raise InputError("twist matrix must have positive rank")
@@ -47,25 +53,43 @@ class Isocrystal:
         self.K = K
         self.rank = r
         self.A = A
+        self.v_det = v_det
 
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)
 
 
 def twist_inverse(M, prec=None):
-    """A^-1 at z-precision prec, checked by A*A^-1 = I: NotInvertible if
-    A is singular, PrecisionLoss if the windows settle no pivot."""
-    A_inv = zmatrix.inv(M.A, prec=prec)
+    """(A^-1 at z-precision prec, checked by A*A^-1 = I, and v_z(det A)):
+    NotInvertible if A is singular, PrecisionLoss if the windows settle
+    no pivot. v_z(det A) is the sum of the valuations of the pivots of
+    the elimination that inverts A (`zmatrix.det_valuation` has the
+    argument); it is an int, not a cached inverse."""
+    A_inv, v = zmatrix.inv(M.A, prec=prec, with_valuation=True)
     if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
         raise InvariantError("invertibility witness fails A*A_inv = I")
-    return A_inv
+    return A_inv, v
+
+
+def det_valuation(M):
+    """v_z(det A): the one M carries, or else the sum of the pivot
+    valuations of `zmatrix.det_valuation`; None when the windows leave
+    it unsettled, INF when A is singular."""
+    if M.v_det is not None:
+        return M.v_det
+    try:
+        return zmatrix.det_valuation(M.A)
+    except PrecisionLoss:
+        return None
+    except NotInvertible:
+        return INF
 
 
 def unit(K, r=1):
     """The rank-r identity twist: tau acts on K((z))^r as sigma."""
     if r <= 0:
         raise InputError("rank must be positive")
-    return Isocrystal(K, zmatrix.identity(K, r))
+    return Isocrystal(K, zmatrix.identity(K, r), 0)
 
 
 def simple_pure(K, s, r):
@@ -78,13 +102,16 @@ def simple_pure(K, s, r):
     for j in range(r - 1):
         A[j + 1][j] = ZSeries.one(K)
     A[0][r - 1] = ZSeries.z(K, s)
-    return Isocrystal(K, A)
+    return Isocrystal(K, A, s)
 
 
 def tensor(M, N):
+    """The twist A kron B, det(A kron B) = det(A)^rank_N det(B)^rank_M."""
     if M.K is not N.K:
         raise InputError("tensor requires a common base")
-    return Isocrystal(M.K, zmatrix.kron(M.A, N.A))
+    v = (None if M.v_det is None or N.v_det is None
+         else N.rank * M.v_det + M.rank * N.v_det)
+    return Isocrystal(M.K, zmatrix.kron(M.A, N.A), v)
 
 
 def dual(M, prec=None, A_inv=None):
@@ -92,8 +119,10 @@ def dual(M, prec=None, A_inv=None):
     transform by A^{-T}. A is inverted at z-precision prec unless its
     checked inverse A_inv is given."""
     if A_inv is None:
-        A_inv = twist_inverse(M, prec)
-    return Isocrystal(M.K, zmatrix.transpose(A_inv))
+        A_inv, v = twist_inverse(M, prec)
+    else:
+        v = M.v_det
+    return Isocrystal(M.K, zmatrix.transpose(A_inv), None if v is None else -v)
 
 
 def direct_sum(M, N):
@@ -218,10 +247,8 @@ def _unimodular(G, T, s):
     T^-1 G is a forward substitution by shifts, with no series inverse:
     row i of U is z^(-s-e_i) (G_i - z^s sum_{k<i} T_ik U_k). U is in
     GL_r(K[[z]]) when every entry is integral with its constant term
-    known and the constant terms have a determinant known nonzero in K
-    (`zmatrix.det` is division free, so zeta-windows stay truthful over
-    a local K). False whenever that is not proven, on the first entry
-    that is not."""
+    known and U mod z is invertible (`_invertible_mod_z`). False
+    whenever that is not proven, on the first entry that is not."""
     r = T.rank
     U = []
     for i in range(r):
@@ -242,7 +269,35 @@ def _unimodular(G, T, s):
                 return False
             row.append(u)
         U.append(row)
-    return zmatrix.det([[u.truncate(1) for u in row] for row in U]).known_nonzero()
+    return _invertible_mod_z(U)
+
+
+def _invertible_mod_z(U):
+    """Whether the constant terms of U, each known, form a matrix proven
+    invertible over K, by a pivot search: each column takes a pivot known
+    nonzero, of least zeta-order over a local K, and the rows below it
+    subtract its multiples. Over a local K the constant terms carry
+    zeta-windows, and the multipliers divide by the pivots through
+    `Series.inv`, whose windows are truthful too (see `series`); so each
+    pivot is nonzero in every completion of the windows, and so is the
+    determinant, their product up to sign. False when a column has no
+    such pivot."""
+    K = U[0][0].K
+    rows = [[u.coeff(0) for u in row] for row in U]
+    n = len(rows)
+    for col in range(n):
+        known = [i for i in range(col, n) if K.known_nonzero(rows[i][col])]
+        if not known:
+            return False
+        piv = min(known, key=lambda i: min(rows[i][col].co)) if K.kind == "local" else known[0]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        p_inv = top[col].inv()
+        for row in rows[col + 1:]:
+            if not K.exact_zero_p(row[col]):
+                f = row[col] * p_inv
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], top[col + 1:])]
+    return True
 
 
 # ---------------------------------------------------------- purity verdicts
@@ -291,12 +346,13 @@ class Inconclusive(Record):
 def purity_check(M, s, r, max_iters=32, prec=None):
     """Certify ⟨tau^r T⟩ = z^s T for some lattice T, or refute it.
 
-    Refutes only before any step: v = v_z(det A) is a sigma-conjugation
-    invariant, and purity forces r*v = rank*s, as det A_r = det(A)
-    sigma(det A) ... sigma^(r-1)(det A). Then it iterates from the
-    standard lattice. Each step computes G = A_r sigma^r(T) once and
-    certifies T if z^-s T^-1 G is provably in GL_r(K[[z]])
-    (`_unimodular`); otherwise it joins z^-s G to T by one reduction.
+    Refutes only before any step: v = v_z(det A) (`det_valuation`) is a
+    sigma-conjugation invariant, and purity forces r*v = rank*s, as
+    det A_r = det(A) sigma(det A) ... sigma^(r-1)(det A). Then it
+    iterates from the standard lattice. Each step computes
+    G = A_r sigma^r(T) once and certifies T if z^-s T^-1 G is provably
+    in GL_r(K[[z]]) (`_unimodular`); otherwise it joins z^-s G to T by
+    one reduction.
     Step 0 tests A_r built from A cut below the window the test reads
     (`_cut_tau_power`), and builds the full A_r only for its join. A
     join equal to T certifies, since z^-s G ⊆ T has T's volume by the
@@ -307,10 +363,7 @@ def purity_check(M, s, r, max_iters=32, prec=None):
     if r <= 0:
         raise InputError("denominator must be positive")
     K, n = M.K, M.rank
-    try:
-        v = zmatrix.det(M.A).valuation()  # INF when A is singular
-    except PrecisionLoss:
-        v = None
+    v = det_valuation(M)
     if v not in (None, INF) and r * v != n * s:
         return NotPureAt(s, r, {"kind": "determinant_valuation", "v_z_det": v, "rank": n})
     T = standard_lattice(K, n)
@@ -368,11 +421,21 @@ def _cut_tau_power(A, s, r):
     test certifies on the cut A_r exactly when it does on the full one.
     (When s + 1 < r m, every entry of A_r has order above s, and neither
     certifies.)"""
-    m = min(0, min(x.val_lower_bound() for row in A for x in row))
+    m = _least_order(A)
     h = max(s + 1, r * m) - (r - 1) * m
-    cut = [[x if x.hi <= h or _exact_zero(x) else x.truncate(h) for x in row]
-           for row in A]
-    return zmatrix.tau_power_matrix(cut, r)
+    return zmatrix.tau_power_matrix(_cut(A, h), r)
+
+
+def _least_order(A):
+    """min(0, the least exponent of A's entries), the window of an entry
+    known zero below it counting as its exponent."""
+    return min(0, min(x.val_lower_bound() for row in A for x in row))
+
+
+def _cut(A, h):
+    """A with every entry known only below z^h; exact zeros stay exact."""
+    return [[x if x.hi <= h or _exact_zero(x) else x.truncate(h) for x in row]
+            for row in A]
 
 
 def _certificate(s, r, T, it):
@@ -433,30 +496,62 @@ def slopes_finiteK(M):
 
     Over K = F_{q^m}, sigma^m is the identity, so tau^m is K((z))-linear
     and its eigenvalue valuations divided by m are the slopes. The
-    coefficients of its characteristic polynomial come from `_char_poly`;
-    a coefficient whose valuation its window leaves unsettled is taken
-    again as the Laplace sum of its principal minors, so the slopes are
-    those of the sums of minors wherever those settle every valuation.
+    coefficients c_0..c_n of its characteristic polynomial come from
+    `_char_poly`; a coefficient whose valuation its window leaves
+    unsettled is taken again as the Laplace sum of its principal minors,
+    so the slopes are those of the sums of minors wherever those settle
+    every valuation.
+
+    With v = v_z(det A) known (`det_valuation`), c_0 = +-det A_m has
+    valuation V = m v, and the lower hull of the points (k, v_z(c_k))
+    lies on or below the chord from (0, V) to (n, 0). So c_k is read
+    only below z^(t_k + 1), t_k = floor(V (n - k) / n); one known zero
+    there lies above the chord and is dropped before any Laplace sum.
+    A is cut below z^h first, h = max over 0 < k < n of
+    t_k + 1 - ((n - k) m - 1) u, u = min(0, the least exponent of A)
+    (`_least_order`). Every quantity formed from A is a sum of products
+    of D of its entries for one D (D = (n - k) m for c_k and its
+    minors), so of order at least D u. By the window rule of
+    `series._window` and induction on D, as for `_cut_tau_power`, each
+    one formed from the cut A agrees with the full one below both
+    windows and has a window at least min(h + (D - 1) u, the full
+    one's), as h > u (V >= n m u). For c_k that bound is at least
+    t_k + 1, so below z^(t_k + 1) the cut A settles every c_k that the
+    full A settles, to the same terms. With v unknown (None) or A
+    singular (INF), nothing is cut or dropped.
     """
     from fractions import Fraction
 
     if M.K.kind != "finite":
         raise InputError("slope oracle needs a finite base")
     m_tot = M.K.desc.m * M.K.ext
-    A_m = M.tau_power(m_tot)
+    n = M.rank
+    v = det_valuation(M)
+    A, top = M.A, None
+    if v not in (None, INF):
+        V = m_tot * v
+        top = [V * (n - k) // n for k in range(n + 1)]
+        u = _least_order(A)
+        # u < every t_k + 1 - ((n - k) m - 1) u, and the only bound at n = 1
+        A = _cut(A, max([u] + [top[k] + 1 - ((n - k) * m_tot - 1) * u
+                               for k in range(1, n)]))
+    A_m = zmatrix.tau_power_matrix(A, m_tot)
     coeffs = _char_poly(M.K, A_m)
     minor = None
     pts = []
     for k, c in enumerate(coeffs):
-        if not c.co and c.hi is not INF:
+        if top is not None and not k:
+            pts.append((0, V))
+            continue
+        if not c.co and c.hi is not INF and (top is None or c.hi <= top[k]):
             # c_k is (-1)^size times the sum of the principal minors of
             # this size
             minor = minor or zmatrix.laplace_minors(A_m, M.K)
-            size = M.rank - k
+            size = n - k
             c = _dot([(minor(S, S), None, size % 2 == 1)
-                      for S in combinations(range(M.rank), size)], M.K)
-        if _exact_zero(c):
-            continue
+                      for S in combinations(range(n), size)], M.K)
+        if _exact_zero(c) or top is not None and c.val_lower_bound() > top[k]:
+            continue  # no point, or one above the chord
         pts.append((k, c.valuation()))
     # lower convex hull, k ascending
     hull = []

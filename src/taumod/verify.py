@@ -20,7 +20,14 @@ from taumod import (
     zmatrix,
 )
 from taumod.errors import ExtensionExhausted, InputError, NoRoot, PrecisionLoss
-from taumod.isocrystal import Lattice, conjugated_matrix, hnf_reduce, lattice_eq, purity_check
+from taumod.isocrystal import (
+    Lattice,
+    conjugated_matrix,
+    det_valuation,
+    hnf_reduce,
+    lattice_eq,
+    purity_check,
+)
 from taumod.verdicts import verdict_of
 from taumod.zseries import DEFAULT_Z_PREC, INF
 
@@ -42,9 +49,13 @@ def _parse_matrix(K, rows):
 
 def _replay_purity(M, cert_doc, checks, label, slope=None):
     """Re-check stability of the certified lattice, not the search; a
-    certificate off `slope`, the one (s, r) a command certifies, fails."""
+    certificate off `slope`, the one (s, r) a command certifies, or off
+    r*v_z(det A) = rank*s, which purity forces, fails before tau^r is
+    built."""
     s, r = int(cert_doc["s"]), int(cert_doc["r"])
-    if slope is not None and (s, r) != slope:
+    v = det_valuation(M)
+    if (slope is not None and (s, r) != slope
+            or v not in (None, INF) and r * v != M.rank * s):
         _check(checks, f"{label}: tau^r T == z^s T", False, s=s, r=r)
         return
     lat = cert_doc["lattice"]

@@ -130,8 +130,10 @@ def agrees(A, B):
     return all(a.agrees_with(b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def inv(A, prec=None):
-    """Inverse over K((z)) by left-looking Gauss-Jordan elimination.
+def inv(A, prec=None, with_valuation=False):
+    """Inverse over K((z)) by left-looking Gauss-Jordan elimination; with
+    the sum of its pivots' valuations, v_z(det A), as a second value if
+    with_valuation.
 
     Pivots are chosen by least z-order among known-nonzero candidates,
     which keeps windows as wide as the input allows. When a column has
@@ -150,23 +152,53 @@ def inv(A, prec=None):
     n, m = dims(A)
     if n != m:
         raise InputError("inverse of a non-square matrix")
+    out, v = _eliminate(A, prec, True)
+    return (out, v) if with_valuation else out
+
+
+def det_valuation(A):
+    """v_z(det A) as the sum of the valuations of `inv`'s pivots, by the
+    same elimination restricted to the rows at or below each pivot, with
+    no inverse built; NotInvertible and PrecisionLoss as `inv` raises
+    them.
+
+    Swapping rows and subtracting multiples of the pivot row leave det A
+    unchanged up to sign, and scaling the pivot row by the inverse of
+    the pivot divides it by the pivot, so det A is +-1 times the product
+    of the pivots. The windows are truthful, so each pivot, chosen known
+    nonzero with its valuation settled, has that valuation in the
+    elimination of every completion of A's windows: the sum is
+    v_z(det A) for all of them."""
+    n, m = dims(A)
+    if n != m:
+        raise InputError("determinant of a non-square matrix")
+    return _eliminate(A, None, False)[1]
+
+
+def _eliminate(A, prec, inverse):
+    """(A^-1 if inverse else None, the sum of the pivots' valuations) by
+    the elimination of `inv`; without the inverse, the rows above each
+    pivot, which no later pivot search reads, are left as they are."""
+    n = len(A)
     work = [list(row) for row in A]
-    out = identity(A[0][0].K, n) if n else []
+    out = (identity(A[0][0].K, n) if n else []) if inverse else None
     owed = [[] for _ in range(n)]
     # the normalized pivot row of each step, in work (whose entries right
     # of the pivot are read) and in out
     rights, outs = [], []
+    v = 0
     for col in range(n):
-        for r in range(n):
+        rows = range(n) if inverse else range(col, n)
+        for r in rows:
             if owed[r]:
                 work[r][col] = _settle(work[r][col], owed[r], rights, col)
         piv, piv_val = None, None
         for r in range(col, n):
             entry = work[r][col]
             if entry.known_nonzero():
-                v = entry.valuation()
-                if piv_val is None or v < piv_val:
-                    piv, piv_val = r, v
+                val = entry.valuation()
+                if piv_val is None or val < piv_val:
+                    piv, piv_val = r, val
         if piv is None:
             windows = [work[r][col].hi for r in range(col, n)
                        if work[r][col].co or work[r][col].hi is not INF]
@@ -174,27 +206,30 @@ def inv(A, prec=None):
                 raise PrecisionLoss(f"pivot column {col} is zero only to its windows",
                                     window=min(windows))
             raise NotInvertible(f"no usable pivot in column {col}")
+        v += piv_val
         work[col], work[piv] = work[piv], work[col]
-        out[col], out[piv] = out[piv], out[col]
         owed[col], owed[piv] = owed[piv], owed[col]
         pinv = work[col][col].inv(prec)
-        row, orow, pending = work[col], out[col], owed[col]
+        row, pending = work[col], owed[col]
         # the columns of work at or left of col are never read again
         row[col + 1:] = [_settle(row[j], pending, rights, j) * pinv
                          for j in range(col + 1, n)]
-        out[col] = [_settle(orow[j], pending, outs, j) * pinv for j in range(n)]
+        if inverse:
+            out[col], out[piv] = out[piv], out[col]
+            out[col] = [_settle(x, pending, outs, j) * pinv for j, x in enumerate(out[col])]
+            outs.append(out[col])
         owed[col] = []
         # a copy: later steps settle the entries of work in place
         rights.append(row[:])
-        outs.append(out[col])
-        for r in range(n):
+        for r in rows:
             f = work[r][col]
             if r != col and (f.co or f.hi is not INF):
                 owed[r].append((f, col))
-    for r in range(n):
-        if owed[r]:
-            out[r] = [_settle(x, owed[r], outs, j) for j, x in enumerate(out[r])]
-    return out
+    if inverse:
+        for r in range(n):
+            if owed[r]:
+                out[r] = [_settle(x, owed[r], outs, j) for j, x in enumerate(out[r])]
+    return out, v
 
 
 def _settle(x, pending, pivots, j):

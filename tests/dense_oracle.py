@@ -23,17 +23,23 @@ is the purity search whose every step reduced the image and then the
 join, before a unimodularity test certified a step without them and
 the join was taken straight from the image's generators, and
 `purity_check_full_step0` the search whose step 0 tested the full A_r
-rather than A_r from A cut below the window the test reads. `tabled`
-fills a field's log tables for the tests that read them or the
-products that run on them.
+rather than A_r from A cut below the window the test reads.
+`laplace_det_valuation` and `invertible_mod_z_laplace` take v_z(det A)
+and the residue test of the unimodularity test by Laplace expansion, as
+before the parse's elimination gave v and a pivot search the residue
+test; `purity_check_laplace` is the search with both, and
+`slopes_full_window` the slopes from the full A, before they were cut
+at the Newton chord. `tabled` fills a field's log tables for the tests
+that read them or the products that run on them.
 """
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
-from taumod import corpusgen, kernels, semilinear, zmatrix
+from taumod import corpusgen, isocrystal, kernels, semilinear, zmatrix
 from taumod.basefield import _find_modulus, frobenius_power, mult_matrix
 from taumod.errors import (
     BudgetExceeded,
@@ -56,6 +62,7 @@ from taumod.isocrystal import (
     hnf_reduce,
     lattice_eq,
     purity_check,
+    slopes_finiteK,
     standard_lattice,
 )
 from taumod.semilinear import (
@@ -507,17 +514,45 @@ def purity_check_two_hnf(M, s, r, max_iters=32, prec=None):
     )
 
 
+def laplace_det_valuation(M):
+    """v_z(det A) by the Laplace `zmatrix.det`: None when the windows
+    leave it unsettled, INF when A is singular."""
+    try:
+        return zmatrix.det(M.A).valuation()
+    except PrecisionLoss:
+        return None
+
+
+def invertible_mod_z_laplace(U):
+    """`isocrystal._invertible_mod_z` as the Laplace determinant of the
+    constant terms, known nonzero."""
+    return zmatrix.det([[u.truncate(1) for u in row] for row in U]).known_nonzero()
+
+
+def purity_check_laplace(M, s, r, max_iters=32, prec=None):
+    """`isocrystal.purity_check` with v_z(det A) and the residue test of
+    the unimodularity test by Laplace expansion."""
+    with mock.patch.multiple(isocrystal, det_valuation=laplace_det_valuation,
+                             _invertible_mod_z=invertible_mod_z_laplace):
+        return purity_check(M, s, r, max_iters, prec)
+
+
+def slopes_full_window(M):
+    """`isocrystal.slopes_finiteK` with v_z(det A) unknown, which cuts no
+    entry of A and drops no coefficient at the chord."""
+    with mock.patch.object(isocrystal, "det_valuation", lambda M: None):
+        return slopes_finiteK(M)
+
+
 def purity_check_full_step0(M, s, r, max_iters=32, prec=None):
     """`isocrystal.purity_check` with step 0 on the full A_r, before it
     took A_r from A cut below the window its test reads (see
-    `isocrystal._cut_tau_power`)."""
+    `isocrystal._cut_tau_power`). v_z(det A) comes from
+    `isocrystal.det_valuation`, as in the search."""
     if r <= 0:
         raise InputError("denominator must be positive")
     K, n = M.K, M.rank
-    try:
-        v = zmatrix.det(M.A).valuation()
-    except PrecisionLoss:
-        v = None
+    v = isocrystal.det_valuation(M)
     if v not in (None, INF) and r * v != n * s:
         return NotPureAt(s, r, {"kind": "determinant_valuation", "v_z_det": v, "rank": n})
     T = standard_lattice(K, n)

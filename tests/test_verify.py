@@ -282,6 +282,22 @@ def test_refutation_replays_its_witness(key, forged):
     assert [c["name"] for c in vr["checks"] if not c["ok"]] == [REFUTATION]
 
 
+def test_forged_denominator_is_refused_before_tau_r(monkeypatch):
+    # restated at r = 2000, the certificate breaks r v_z(det A) = rank s
+    # (2000 * -1 != 2 * -1), with v read off the parse: no tau^2000
+    doc = json.loads(honest("isocrystal purity"))
+    doc["result"]["certificate"]["r"] = 2000
+
+    def refused(A, k):
+        pytest.fail(f"the replay builds tau^{k}")
+
+    monkeypatch.setattr(zmatrix, "tau_power_matrix", refused)
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "purity: tau^r T == z^s T"]
+
+
 # -- weil ---------------------------------------------------------------------
 
 
