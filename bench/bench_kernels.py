@@ -6,8 +6,9 @@ the log tables, and the `L1` rows, which weigh a whole fill against the
 operations a field runs without tables until its work pays for one
 (`FF._rent`); then a product over F_3((zeta)), `zmatrix.inv` over F_9,
 series inverses over F_9, F_3((zeta)) and F_{2^16}, the purity search,
-the characteristic polynomial behind `isocrystal slopes`, and the JSON
-writer of the reports.
+`verify`'s replay of a purity certificate, the characteristic
+polynomial behind `isocrystal slopes`, and the JSON writer of the
+reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
@@ -16,9 +17,10 @@ the same input, as `old`; the inverse rows time the inverses that
 `Series.inv` and the one sum per entry of `zmatrix.inv` replaced, the
 purity rows the search with two Hermite reductions per step, with step
 0 on the full A_r, or with v_z(det A) and its residue test by Laplace
-expansion, the characteristic polynomial rows the sums of all principal
-minors, the slopes row the slopes from the full A, uncut at the Newton
-chord, and the writer row `json.dumps`, as `old`.
+expansion, the replay rows the replay that reduced the image of the
+full-window A_r, the characteristic polynomial rows the sums of all
+principal minors, the slopes row the slopes from the full A, uncut at
+the Newton chord, and the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials, or over as many calls as fit in `BUDGET_S`
@@ -53,6 +55,7 @@ from taumod.drinfeld import DrinfeldModule, m_infinity
 from taumod.isocrystal import Isocrystal, _char_poly, purity_check, simple_pure, slopes_finiteK
 from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
+from taumod.verify import _replay_purity
 from taumod.zseries import ZSeries
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
@@ -317,7 +320,26 @@ def _purity_workloads(rng):
             ("purity 16/F9", _twist(16), 1, 16, dense.purity_check_laplace)]
     return [(label, lambda M, s, r: purity_check(_fresh_crystal(M), s, r, prec=8), (M, s, r),
              lambda M, s, r, old=old: old(_fresh_crystal(M), s, r, prec=8), (M, s, r))
-            for label, M, s, r, old in rows]
+            for label, M, s, r, old in rows] + _replay_workloads(twist)
+
+
+def _replay_workloads(twist7):
+    """`verify`'s replay of the purity certificate at (1, r), which runs
+    the search's step once at the certified lattice, against
+    `dense_oracle.replay_purity_hnf`, the replay that reduced the image
+    of the full-window A_r, as `old`: on the rank-7 twist of the `rank`
+    workload at seed 0 and on the rank-16 twist of `_twist`, both over
+    F_9 and read at z-precision 8. Both certificates are step 0. Each
+    call gets fresh entries and the v_z(det A) of the parse."""
+    def timed(replay):
+        return lambda M, cert: replay(_fresh_crystal(M), cert, [], "purity", {"z_prec": 8})
+
+    rows = []
+    for label, M in (("verify purity 7/F9", twist7), ("verify purity 16/F9", _twist(16))):
+        cert = jsonio.render(purity_check(M, 1, M.rank, prec=8))
+        rows.append((label, timed(_replay_purity), (M, cert),
+                     timed(dense.replay_purity_hnf), (M, cert)))
+    return rows
 
 
 def _fresh_crystal(M):

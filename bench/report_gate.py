@@ -138,7 +138,7 @@ def _unipotent(inputs, K, rng, r, lower, deg):
     return P
 
 
-def _twist_lines(work, label, desc, r, deg):
+def dense_twist(label, desc, r, deg):
     """P A sigma(P)^-1 for the simple pure A of slope 1/r over desc's field
     and P = L U, the way `inputs.rank_requests` builds its twists."""
     inputs = _inputs()
@@ -150,8 +150,16 @@ def _twist_lines(work, label, desc, r, deg):
     P_inv = zmatrix.mul(inputs._unipotent_inverse(U, False),
                         inputs._unipotent_inverse(L, True))
     A = zmatrix.mul(zmatrix.mul(P, simple_pure(K, 1, r).A), zmatrix.sigma(P_inv))
+    return Isocrystal(K, A)
+
+
+def _twist_lines(work, label, desc, r, deg):
+    """`isocrystal slopes`, `purity` (and its `verify`), `dual` and
+    `tensor` on `dense_twist(label, desc, r, deg)`."""
+    K = desc.field()
     path = work / f"{label}-r{r}.json"
-    path.write_text(json.dumps(jsonio.render(Isocrystal(K, A)), sort_keys=True))
+    path.write_text(json.dumps(jsonio.render(dense_twist(label, desc, r, deg)),
+                               sort_keys=True))
     other = work / f"{label}-other.json"
     other.write_text(jsonio.dump_canonical(simple_pure(K, 1, 2)))
     label = f"{label}-r{r}"

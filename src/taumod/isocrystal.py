@@ -14,10 +14,8 @@ isocrystal carries v_z(det A): a twist read from outside gets it from
 the elimination that inverts it at parse (`twist_inverse`), and the
 constructions below by a rule; otherwise `det_valuation` runs the same
 elimination without the inverse. No determinant is expanded. It searches
-for T from the standard lattice: each step tests U with no series
-inverse and certifies T when U is provably unimodular; only a step the
-test cannot settle joins z^-s A_r sigma^r(T) to T by one canonical
-reduction (`hnf_reduce`), and a join equal to T certifies T.
+for T from the standard lattice by `purity_step`, which `verify` runs
+once at a certified T.
 """
 
 import math
@@ -348,17 +346,10 @@ def purity_check(M, s, r, max_iters=32, prec=None):
 
     Refutes only before any step: v = v_z(det A) (`det_valuation`) is a
     sigma-conjugation invariant, and purity forces r*v = rank*s, as
-    det A_r = det(A) sigma(det A) ... sigma^(r-1)(det A). Then it
-    iterates from the standard lattice. Each step computes
-    G = A_r sigma^r(T) once and certifies T if z^-s T^-1 G is provably
-    in GL_r(K[[z]]) (`_unimodular`); otherwise it joins z^-s G to T by
-    one reduction.
-    Step 0 tests A_r built from A cut below the window the test reads
-    (`_cut_tau_power`), and builds the full A_r only for its join. A
-    join equal to T certifies, since z^-s G ⊆ T has T's volume by the
-    invariant (inconclusive if the windows leave v unsettled); otherwise
-    it is the next T. At max_iters = 0 no step runs: the answer is the
-    refutation, which `verify` replays so, or inconclusive.
+    det A_r = det(A) sigma(det A) ... sigma^(r-1)(det A). Then it runs
+    `purity_step` from the standard lattice until a step certifies. At
+    max_iters = 0 no step runs: the answer is the refutation, which
+    `verify` replays so, or inconclusive.
     """
     if r <= 0:
         raise InputError("denominator must be positive")
@@ -366,47 +357,62 @@ def purity_check(M, s, r, max_iters=32, prec=None):
     v = det_valuation(M)
     if v not in (None, INF) and r * v != n * s:
         return NotPureAt(s, r, {"kind": "determinant_valuation", "v_z_det": v, "rank": n})
-    T = standard_lattice(K, n)
+    T, A_r = standard_lattice(K, n), None
     mins = []
     for it in range(max_iters):
-        if it:
-            G = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
-            certified = _unimodular(G, T, s)
-        else:
-            cut = _cut_tau_power(M.A, s, r)
-            certified = _unimodular(cut, T, s)
-            if not certified:
-                # sigma^r fixes the standard lattice's basis
-                G = A_r = M.tau_power(r)
-                # the windows that `_cut_tau_power` proves
-                for row, full_row in zip(cut, A_r):
-                    for x, y in zip(row, full_row):
-                        if not min(s + 1, y.hi) <= x.hi <= y.hi:
-                            raise InvariantError(
-                                f"cut tau^{r} has window {x.hi}, the full one {y.hi}")
+        certified, joined, A_r = purity_step(M, s, r, T, v, A_r, prec)
         if certified:
             return _certificate(s, r, T, it)
-        cols = [[G[i][j].shift(-s) for i in range(n)] for j in range(n)]
-        if v == INF:
-            hnf_reduce(K, cols, n, prec)  # z^-s G is singular: raises
-        joined = hnf_reduce(K, T.columns() + cols, n, prec)
-        if lattice_eq(joined, T):
-            if v is None:
-                return Inconclusive(f"stable lattice with pivots {T.pivots}; v_z(det A) "
-                                    "is not settled within the window")
-            return _certificate(s, r, T, it)
+        if joined is T:
+            return Inconclusive(f"stable lattice with pivots {T.pivots}; v_z(det A) "
+                                "is not settled within the window")
         T = joined
         mins.append(min(T.pivots))
-    return Inconclusive(
-        f"no stabilization within {max_iters} iterations; "
-        f"pivot trail {mins[-3:]}"
-    )
+    return Inconclusive(f"no stabilization within {max_iters} iterations; "
+                        f"pivot trail {mins[-3:]}")
+
+
+def purity_step(M, s, r, T, v, A_r=None, prec=None):
+    """One step of the purity search at the canonical lattice T, with
+    r*v = rank*s checked for v = v_z(det A) (None if unsettled): (whether
+    tau^r T = z^s T is proven, the next lattice, A_r once built).
+
+    With G = A_r sigma^r(T), T is certified when z^-s T^-1 G is provably
+    in GL_r(K[[z]]) (`_unimodular`). At the standard lattice G = A_r,
+    tested as built from A cut below the window the test reads
+    (`_cut_tau_power`); the full A_r, built only if that fails, bounds
+    the cut's windows. Where the test fails, z^-s G is joined to T by one
+    reduction at precision prec. A join equal to T gives z^-s G ⊆ T, of
+    T's volume by the invariant, so z^-s G = T: the step certifies when
+    v is settled, and else returns T as the next lattice. A singular A
+    (v = INF) makes the reduction raise."""
+    K, n = M.K, M.rank
+    if T.pivots == [0] * n and T.basis == zmatrix.identity(K, n):
+        cut = _cut_tau_power(M.A, s, r)
+        if _unimodular(cut, T, s):
+            return True, T, A_r
+        G = A_r = M.tau_power(r)
+        for x, y in zip(sum(cut, []), sum(A_r, [])):
+            if not min(s + 1, y.hi) <= x.hi <= y.hi:
+                raise InvariantError(f"cut tau^{r} has window {x.hi}, the full one {y.hi}")
+    else:
+        A_r = M.tau_power(r) if A_r is None else A_r
+        G = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
+        if _unimodular(G, T, s):
+            return True, T, A_r
+    cols = [[G[i][j].shift(-s) for i in range(n)] for j in range(n)]
+    if v == INF:
+        hnf_reduce(K, cols, n, prec)  # z^-s G is singular: raises
+    joined = hnf_reduce(K, T.columns() + cols, n, prec)
+    if lattice_eq(joined, T):
+        return v is not None, T, A_r
+    return False, joined, A_r
 
 
 def _cut_tau_power(A, s, r):
-    """A_r = A sigma(A) ... sigma^(r-1)(A) from A cut below z^h, for step
-    0 of `purity_check`: h = max(s + 1, r m) - (r - 1) m, m = min(0, the
-    least exponent of A's entries); exact zeros stay exact.
+    """A_r = A sigma(A) ... sigma^(r-1)(A) from A cut below z^h, for
+    `purity_step` at the standard lattice: h = max(s + 1, r m) - (r - 1) m,
+    m = min(0, the least exponent of A's entries); exact zeros stay exact.
 
     At the standard lattice `_unimodular` reads only the coefficients of
     A_r below z^(s+1) and whether its windows reach s + 1, and the cut

@@ -2,11 +2,11 @@
 
 `REGISTRY[command]` is the replay of that kind of report: `replay(input,
 result, checks, policy)` re-derives the result's claims from the
-report's input, read under the report's `policy`, without re-running
-the search that produced them, appending one {"name", "ok", ...} entry
-to `checks` per claim. The verdict a result implies comes from
-`taumod.verdicts`, which every command reads without running this
-module.
+report's input, read under the report's `policy`, appending one
+{"name", "ok", ...} entry to `checks` per claim; a purity certificate by
+the search's one step at its lattice. The verdict a result implies
+comes from `taumod.verdicts`, which every command reads without running
+this module.
 """
 
 from taumod import (
@@ -27,6 +27,7 @@ from taumod.isocrystal import (
     hnf_reduce,
     lattice_eq,
     purity_check,
+    purity_step,
 )
 from taumod.verdicts import verdict_of
 from taumod.zseries import DEFAULT_Z_PREC, INF
@@ -47,27 +48,29 @@ def _parse_matrix(K, rows):
     return [[jsonio.parse_zseries(K, cell) for cell in row] for row in rows]
 
 
-def _replay_purity(M, cert_doc, checks, label, slope=None):
-    """Re-check stability of the certified lattice, not the search; a
-    certificate off `slope`, the one (s, r) a command certifies, or off
-    r*v_z(det A) = rank*s, which purity forces, fails before tau^r is
-    built."""
+def _lattice(K, r, lat):
+    """The lattice a certificate names, and whether it is a canonical full
+    lattice of rank r over K: its basis is the one `hnf_reduce` gives,
+    with monomial pivots z^e_i, so T is invertible over K((z))."""
+    T = Lattice(K, _parse_matrix(K, lat["basis"]), [int(e) for e in lat["pivots"]])
+    return T, (lat["kind"] == "lattice" and lat["base"] == jsonio.render_field(K)
+               and lat["rank"] == r == T.rank
+               and lattice_eq(hnf_reduce(K, T.columns(), r), T))
+
+
+def _replay_purity(M, cert_doc, checks, label, policy, slope=None):
+    """Run the search's step (`purity_step`) once, at the certified
+    lattice; a certificate off `slope`, the one (s, r) a command
+    certifies, with r < 1, or off r*v_z(det A) = rank*s, which purity
+    forces, fails before tau^r is built."""
     s, r = int(cert_doc["s"]), int(cert_doc["r"])
     v = det_valuation(M)
-    if (slope is not None and (s, r) != slope
-            or v not in (None, INF) and r * v != M.rank * s):
-        _check(checks, f"{label}: tau^r T == z^s T", False, s=s, r=r)
-        return
-    lat = cert_doc["lattice"]
-    T = Lattice(M.K, _parse_matrix(M.K, lat["basis"]),
-                [int(e) for e in lat["pivots"]])
-    A_r = M.tau_power(r)
-    img = zmatrix.mul(A_r, zmatrix.sigma(T.basis, r))
-    cols = [[img[i][j].shift(-s) for i in range(M.rank)]
-            for j in range(M.rank)]
-    T_img = hnf_reduce(M.K, cols, M.rank)
-    _check(checks, f"{label}: tau^r T == z^s T", lattice_eq(T, T_img),
-           s=s, r=r)
+    ok = (r >= 1 and slope in (None, (s, r))
+          and (v in (None, INF) or r * v == M.rank * s))
+    if ok:
+        T, ok = _lattice(M.K, M.rank, cert_doc["lattice"])
+        ok = ok and purity_step(M, s, r, T, v, None, _z_prec(policy))[0]
+    _check(checks, f"{label}: tau^r T == z^s T", ok, s=s, r=r)
 
 
 def _crosscheck_ok(E, M, doc):
@@ -105,7 +108,7 @@ def _replay_analyze(inp, result, checks, policy):
     cert = result.get("infinity_purity", {})
     if cert.get("kind") == "purity_certificate":
         # analyze certifies slope -1/rank only
-        _replay_purity(M, cert, checks, "infinity purity", (-1, E.rank))
+        _replay_purity(M, cert, checks, "infinity purity", policy, (-1, E.rank))
     if "reduction" in result:
         _check(checks, "reduction: valuation table re-evaluates",
                jsonio.render(drinfeld.reduction_type(E)) == result["reduction"])
@@ -118,12 +121,12 @@ def _replay_isocrystal_purity(inp, result, checks, policy):
     cert = result.get("certificate", {})
     kind = cert.get("kind")
     if kind == "purity_certificate":
-        _replay_purity(M, cert, checks, "purity")
+        _replay_purity(M, cert, checks, "purity", policy)
     elif kind == "not_pure_at":
         # the search refutes only before its first step
         s, r = int(cert["s"]), int(cert["r"])
-        _check(checks, "purity: r v_z(det A) != rank s",
-               jsonio.render(purity_check(M, s, r, max_iters=0)) == cert, s=s, r=r)
+        _check(checks, "purity: r v_z(det A) != rank s", r >= 1 and jsonio.render(
+            purity_check(M, s, r, max_iters=0)) == cert, s=s, r=r)
     else:
         _check(checks, "purity: no lattice claimed", True)
 
@@ -213,14 +216,9 @@ def _replay_tate(inp, result, checks, policy):
     r = M.rank
     K = M.K
     B = _parse_matrix(K, tate_doc["twist"])
-    lat = tate_doc["lattice"]
-    T = Lattice(K, _parse_matrix(K, lat["basis"]), [int(v) for v in lat["pivots"]])
-    # a canonical basis has monomial pivots z^e_i, so T is invertible
-    # over K((z)); the twist must be T^-1 A sigma(T), i.e. T B = A sigma(T),
-    # known on a common window that reaches the z-precision
-    lattice_ok = (lat["kind"] == "lattice" and lat["base"] == jsonio.render_field(K)
-                  and lat["rank"] == r == T.rank
-                  and lattice_eq(hnf_reduce(K, T.columns(), r), T))
+    # the twist must be T^-1 A sigma(T), i.e. T B = A sigma(T), known on
+    # a common window that reaches the z-precision
+    T, lattice_ok = _lattice(K, r, tate_doc["lattice"])
     _check(checks, "tate: lattice is a canonical full lattice", lattice_ok)
     twist_ok = False
     if lattice_ok:

@@ -29,8 +29,10 @@ and the residue test of the unimodularity test by Laplace expansion, as
 before the parse's elimination gave v and a pivot search the residue
 test; `purity_check_laplace` is the search with both, and
 `slopes_full_window` the slopes from the full A, before they were cut
-at the Newton chord. `tabled` fills a field's log tables for the tests
-that read them or the products that run on them.
+at the Newton chord. `replay_purity_hnf` is `verify`'s replay of a
+purity certificate by a Hermite reduction of the image of T, before it
+ran the search's step at T. `tabled` fills a field's log tables for the
+tests that read them or the products that run on them.
 """
 
 import random
@@ -39,7 +41,7 @@ from unittest import mock
 
 import numpy as np
 
-from taumod import corpusgen, isocrystal, kernels, semilinear, zmatrix
+from taumod import corpusgen, isocrystal, jsonio, kernels, semilinear, zmatrix
 from taumod.basefield import _find_modulus, frobenius_power, mult_matrix
 from taumod.errors import (
     BudgetExceeded,
@@ -579,6 +581,27 @@ def purity_check_full_step0(M, s, r, max_iters=32, prec=None):
         f"no stabilization within {max_iters} iterations; "
         f"pivot trail {mins[-3:]}"
     )
+
+
+def replay_purity_hnf(M, cert_doc, checks, label, policy, slope=None):
+    """`verify._replay_purity` before it ran the search's step: it builds
+    the full-window A_r, reduces z^-s A_r sigma^r(T) to its canonical
+    basis and compares that with the certified T. Like the replay, it
+    refuses a certificate off `slope` or off r*v_z(det A) = rank*s before
+    tau^r is built, and reads r < 1 as the replay did then."""
+    s, r = int(cert_doc["s"]), int(cert_doc["r"])
+    v = isocrystal.det_valuation(M)
+    if (slope is not None and (s, r) != slope
+            or v not in (None, INF) and r * v != M.rank * s):
+        checks.append({"name": f"{label}: tau^r T == z^s T", "ok": False, "s": s, "r": r})
+        return
+    lat = cert_doc["lattice"]
+    T = Lattice(M.K, [[jsonio.parse_zseries(M.K, cell) for cell in row]
+                      for row in lat["basis"]], [int(e) for e in lat["pivots"]])
+    img = zmatrix.mul(M.tau_power(r), zmatrix.sigma(T.basis, r))
+    cols = [[img[i][j].shift(-s) for i in range(M.rank)] for j in range(M.rank)]
+    ok = lattice_eq(T, hnf_reduce(M.K, cols, M.rank))
+    checks.append({"name": f"{label}: tau^r T == z^s T", "ok": ok, "s": s, "r": r})
 
 
 def geometric_inv(f, prec=None):

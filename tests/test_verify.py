@@ -11,19 +11,31 @@ import contextlib
 import functools
 import io
 import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taumod import basefield, corpusgen, jsonio, tateweil, zmatrix
+from taumod import basefield, corpusgen, isocrystal, jsonio, tateweil, verify as replays, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.embedding import coerce_into
 from taumod.cli import main
-from taumod.drinfeld import DrinfeldModule
-from taumod.isocrystal import Isocrystal, simple_pure, unit
+from taumod.drinfeld import DrinfeldModule, m_infinity
+from taumod.errors import TaumodError
+from taumod.isocrystal import Isocrystal, PurityCertificate, purity_check, simple_pure, unit
 from taumod.verify import REGISTRY
 from taumod.zseries import INF, ZSeries
+
+import dense_oracle as dense
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "perfbench")]
+import inputs  # noqa: E402
+import report_gate  # noqa: E402
+
+del sys.path[:2]
 
 F3L = FieldDescriptor(p=3, a=1, m=1, kind="local")
 F3F = FieldDescriptor(p=3, a=1, m=1, kind="finite")
@@ -173,10 +185,13 @@ def test_tampered_certified_leaf_is_refused(command, data):
 # report claims. Each int leaf of an honest result, scaled by 10 and by
 # 1000, must keep the replay within the honest reports' reach: no field
 # larger than one they live in, no power of a twist above their purity
-# certificates' r. The r of `isocrystal purity` is the `--r` the command
-# was asked at, which its report keeps only in the certificate, so there
-# the replay's tau^r follows the leaf, as the command's own does. A
-# scaled leaf under `CERTIFIED` that changes the claim must be refused.
+# certificates' r, whether of the full A (`Isocrystal.tau_power`) or of
+# A cut below the window a test reads (`zmatrix.tau_power_matrix`, which
+# both build through). The r of `isocrystal purity` is the `--r` the
+# command was asked at, which its report keeps only in the certificate,
+# so there the replay's tau^r follows the leaf, as the command's own
+# does. A scaled leaf under `CERTIFIED` that changes the claim must be
+# refused.
 
 ASKED = {"isocrystal purity": ("result", "certificate", "r")}
 
@@ -223,6 +238,7 @@ def test_scaled_leaf_sets_no_work(command, monkeypatch):
     degree, power = _honest_reach()
     limit = {}
     init, tau_power = basefield.FF.__init__, Isocrystal.tau_power
+    power_matrix = zmatrix.tau_power_matrix
 
     def bounded_field(ff, p, n):
         if n > degree:
@@ -234,8 +250,14 @@ def test_scaled_leaf_sets_no_work(command, monkeypatch):
             pytest.fail(f"{limit['leaf']}: the replay raises the twist to tau^{k}")
         return tau_power(M, k)
 
+    def bounded_matrix_power(A, k):
+        if k > limit["power"]:
+            pytest.fail(f"{limit['leaf']}: the replay builds tau^{k} of a matrix")
+        return power_matrix(A, k)
+
     monkeypatch.setattr(basefield.FF, "__init__", bounded_field)
     monkeypatch.setattr(Isocrystal, "tau_power", bounded_power)
+    monkeypatch.setattr(zmatrix, "tau_power_matrix", bounded_matrix_power)
     p = json.loads(honest(command))["input"]["base"]["p"]
     for path, value in _int_leaves(json.loads(honest(command))["result"], ("result",)):
         for factor in (10, 1000):
@@ -296,6 +318,181 @@ def test_forged_denominator_is_refused_before_tau_r(monkeypatch):
     assert code == 4
     assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
         "purity: tau^r T == z^s T"]
+
+
+def _slope0_report():
+    # [[0, 1], [g, 0]] over F_3 has v_z(det A) = 0: pure of slope 0,
+    # certified at the standard lattice
+    K = F3F.field()
+    g = ZSeries(K, {0: K.gen()}, INF)
+    M = Isocrystal(K, [[ZSeries.zero(K), ZSeries.one(K)], [g, ZSeries.zero(K)]])
+    code, doc = run_json(["isocrystal", "purity", "--s", "0", "--r", "1",
+                          "--input", jsonio.dump_canonical(M)])
+    assert code == 0 and doc["result"]["certificate"]["iterations"] == 0
+    return doc
+
+
+@pytest.mark.parametrize("r", [0, -4])
+def test_certificate_at_r_below_1_is_refused(r):
+    # r v_z(det A) = rank s holds at s = 0 for every r; at r = 0 the
+    # claim tau^0 T = T holds for every lattice, and says nothing
+    doc = _slope0_report()
+    assert verify(doc)[0] == 0
+    doc["result"]["certificate"]["r"] = r
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [
+        "purity: tau^r T == z^s T"]
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_refutation_at_r_below_1_is_refused(r):
+    code, doc = run_json(["isocrystal", "purity", "--s", "0", "--r", "1", "--input",
+                          jsonio.dump_canonical(simple_pure(F9F.field(), -1, 2))])
+    assert code == 0 and doc["result"]["certificate"]["kind"] == "not_pure_at"
+    doc["result"]["certificate"]["r"] = r
+    code, vr = verify(doc)
+    assert code == 4
+    assert [c["name"] for c in vr["checks"] if not c["ok"]] == [REFUTATION]
+
+
+def test_step0_certificate_replays_without_full_tau_power(monkeypatch):
+    # the replay runs the search's step at the certified lattice: at the
+    # standard lattice it tests tau^r of A cut below the window the test
+    # reads, and reduces no image
+    doc = json.loads(honest("isocrystal purity"))
+    assert doc["result"]["certificate"]["iterations"] == 0
+
+    def refused(*args):
+        pytest.fail("the replay builds the full tau^r or reduces the image")
+
+    monkeypatch.setattr(Isocrystal, "tau_power", refused)
+    monkeypatch.setattr(isocrystal, "hnf_reduce", refused)
+    code, vr = verify(doc)
+    assert code == 0 and vr["verdict"] == "ok"
+
+
+# -- purity replays against the reference ---------------------------------------
+#
+# `dense_oracle.replay_purity_hnf` is the replay that reduced the image of
+# the certified lattice and compared it with the lattice. Both replays run
+# on the purity certificates of the `rank` plans at seeds 0 and 7, of the
+# twists, Drinfeld modules and skewed unit of `bench/report_gate.py`, and
+# of the seed-0 corpus, read at z-precision 8 as the commands read them.
+
+POLICY = {"z_prec": 8}
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_certificates():
+    """(name, M, rendered certificate, the slope a command certifies)."""
+    cases = []
+    for seed in (0, 7):
+        for req in inputs.rank_requests(seed):
+            if req["kind"] == "purity":
+                M = jsonio.parse_isocrystal(req["payload"], 8)
+                cases.append((f"rank{seed}/{req['name']}", M, 1, M.rank, None))
+    for label, desc, r, deg in report_gate.TWISTS:
+        twist = jsonio.render(report_gate.dense_twist(label, desc, r, deg))
+        cases.append((label, jsonio.parse_isocrystal(twist, 8), 1, r, None))
+    for i, p, r in report_gate.LOCAL:
+        cases.append((f"local-{i}", m_infinity(report_gate.local_module(i, p, r)),
+                      -1, r, (-1, r)))
+    skewed = jsonio.parse_isocrystal(jsonio.render(report_gate.skewed_unit()), 8)
+    cases.append(("skewed-unit", skewed, 0, 1, None))
+    for name, payload in corpusgen.corpus_files(0):
+        if payload.get("kind") == "drinfeld":
+            E = jsonio.parse_drinfeld(payload)
+            cases.append((name, m_infinity(E), -1, E.rank, (-1, E.rank)))
+        elif payload.get("kind") == "isocrystal" and "purity" in payload:
+            s, r = payload["purity"]
+            cases.append((name, jsonio.parse_isocrystal(payload, 8), s, r, None))
+    out = []
+    for name, M, s, r, slope in cases:
+        cert = purity_check(M, s, r, prec=8)
+        assert isinstance(cert, PurityCertificate), name
+        out.append((name, M, jsonio.render(cert), slope))
+    return tuple(out)
+
+
+def replayed(replay, M, cert, slope):
+    """The replay's check on cert, or the error that a `verify` request
+    reports (exit 2, or a failed check for a window)."""
+    checks = []
+    try:
+        replay(M, cert, checks, "purity", POLICY, slope)
+    except (TaumodError, KeyError, TypeError, ValueError, IndexError) as exc:
+        return type(exc).__name__
+    [check] = checks
+    return check
+
+
+def test_seeded_certificates_replay_ok_under_both_replays():
+    certs = seeded_certificates()
+    corpus = [c for c in certs if c[0].endswith(".json")]
+    assert (len(certs), len(corpus)) == (121, 102)
+    moved = 0
+    for name, M, cert, slope in certs:
+        got = replayed(replays._replay_purity, M, cert, slope)
+        assert got == replayed(dense.replay_purity_hnf, M, cert, slope), name
+        assert got["ok"], name
+        moved += cert["iterations"] > 0
+    # the lattice moved for the skewed unit and 18 corpus twists
+    assert moved == 19
+
+
+def _tampered(M, cert, how):
+    """cert with its lattice changed: "coefficient" adds z^(e-1) left of
+    the last pivot z^e, which keeps the basis canonical; "pivot" moves
+    the first pivot's exponent; "above" puts a 1 above the diagonal of
+    the standard lattice. None where it does not apply."""
+    K, n, lat = M.K, M.rank, cert["lattice"]
+    basis = [[jsonio.parse_zseries(K, cell) for cell in row] for row in lat["basis"]]
+    pivots = list(lat["pivots"])
+    if how == "coefficient" and n > 1:
+        basis[-1][0] = basis[-1][0] + ZSeries(K, {pivots[-1] - 1: K.one()}, INF)
+    elif how == "pivot":
+        pivots[0] += 1
+    elif how == "above" and n > 1 and not cert["iterations"]:
+        basis[0][-1] = ZSeries.one(K)
+    else:
+        return None
+    return dict(cert, lattice=dict(lat, basis=jsonio.render(basis), pivots=pivots))
+
+
+# The coefficient tamper leaves a lattice that is stable too for these
+# (the dense twists of slope 1/r, and m_infinity of the Drinfeld modules
+# with unit coefficients): there both replays accept a true claim.
+STABLE_AFTER_COEFFICIENT = {
+    "rank0/purity-r4", "rank0/purity-r5", "rank0/purity-r6", "rank0/purity-r7",
+    "rank7/purity-r4", "rank7/purity-r5", "rank7/purity-r6", "rank7/purity-r7",
+    "f4-twist", "f81-twist", "f27-dense",
+    "dm-q2-r2-unit.json", "dm-q2-r3-unit.json", "dm-q3-r2-unit.json",
+    "dm-q3-r3-unit.json", "dm-q4-r2-unit.json", "dm-q4-r3-unit.json"}
+# A 1 above the diagonal of the standard lattice spans the same lattice
+# in a basis that is not canonical. The reference refuses it only where
+# the canonical basis of the image knows that entry: on local-3 its
+# constant term is known only below zeta^0, and agrees with the 1.
+REFERENCE_ACCEPTS_ABOVE = {"local-3"}
+
+
+@pytest.mark.parametrize("how", ["coefficient", "pivot", "above"])
+def test_tampered_lattices_are_refused_by_both_replays(how):
+    accepted, reference_accepted, tried = set(), set(), 0
+    for name, M, cert, slope in seeded_certificates():
+        forged = _tampered(M, cert, how)
+        if forged is None:
+            continue
+        tried += 1
+        for replay, seen in ((replays._replay_purity, accepted),
+                             (dense.replay_purity_hnf, reference_accepted)):
+            got = replayed(replay, M, forged, slope)
+            if isinstance(got, dict) and got["ok"]:
+                seen.add(name)
+    assert accepted == (STABLE_AFTER_COEFFICIENT if how == "coefficient" else set())
+    assert reference_accepted == accepted | (
+        REFERENCE_ACCEPTS_ABOVE if how == "above" else set())
+    assert tried == {"coefficient": 86, "pivot": 121, "above": 67}[how]
 
 
 # -- weil ---------------------------------------------------------------------
