@@ -7,8 +7,8 @@ operations a field runs without tables until its work pays for one
 (`FF._rent`); then a product over F_3((zeta)), `zmatrix.inv` over F_9,
 series inverses over F_9, F_3((zeta)) and F_{2^16}, the purity search,
 `verify`'s replay of a purity certificate, the characteristic
-polynomial behind `isocrystal slopes`, and the JSON writer of the
-reports.
+polynomial behind `isocrystal slopes`, the parse of a twist and its
+dual, and the JSON writer of the reports.
 
 Rows with a numpy reference in tests/dense_oracle.py (elimination on
 shapes the `tower` requests of perfbench solve, a level of the
@@ -20,7 +20,8 @@ purity rows the search with two Hermite reductions per step, with step
 expansion, the replay rows the replay that reduced the image of the
 full-window A_r, the characteristic polynomial rows the sums of all
 principal minors, the slopes row the slopes from the full A, uncut at
-the Newton chord, and the writer row `json.dumps`, as `old`.
+the Newton chord, the parse and dual rows the parse that inverted the
+twist, and the writer row `json.dumps`, as `old`.
 
 Each of `PROCESSES` fresh interpreters takes the best per-call time of
 every row over the trials, or over as many calls as fit in `BUDGET_S`
@@ -52,7 +53,8 @@ from taumod import basefield, elimination, jsonio, kernels, localfield, zmatrix
 from taumod.basefield import FieldDescriptor
 from taumod.cli import main as taumod_main
 from taumod.drinfeld import DrinfeldModule, m_infinity
-from taumod.isocrystal import Isocrystal, _char_poly, purity_check, simple_pure, slopes_finiteK
+from taumod.isocrystal import (Isocrystal, _char_poly, dual, purity_check, simple_pure,
+                               slopes_finiteK)
 from taumod.series import Series, sum_of_products
 from taumod.skew import SkewLaurent, SkewPoly
 from taumod.verify import _replay_purity
@@ -104,7 +106,7 @@ def _workloads(seed):
     ] + (_series_workloads(rng) + _matrix_workloads(rng) + _sum_workloads(rng)
          + _field_workloads() + _untabled_workloads(rng) + _local_workloads(rng)
          + _inverse_workloads(rng) + _purity_workloads(rng) + _charpoly_workloads()
-         + [_writer_workload()])
+         + _parse_workloads() + [_writer_workload()])
     olds = {"rref 60x60/F3": (dense.rref_mod_p, ([r[:] for r in sq], p)),
             "nullspace 80x120/F3": (dense.nullspace_mod_p, ([r[:] for r in rect], 120, p)),
             "levels 32x16/F2": (_dense_level_solve, (_arrays(levels), 2))}
@@ -398,6 +400,26 @@ def _charpoly_workloads():
          lambda M: dense.slopes_full_window(_fresh_crystal(M)), (twist12,))]
 
 
+def _parse_workloads():
+    """`jsonio.parse_isocrystal`, which shows a twist invertible by the
+    pivots of one elimination and builds no inverse, against
+    `dense_oracle.parse_isocrystal_by_inverse`, which inverted it and
+    checked A*A^-1 = I, as `old`: on the rank-7 twist of the `rank`
+    workload at seed 0 over F_9, read at z-precision 8. Then the work of
+    `isocrystal dual` on it, the parse and `dual`, which inverts, against
+    that old parse and the transpose of its inverse."""
+    d = _rank_payload("slopes-r7")
+
+    def old_dual(d):
+        M, A_inv = dense.parse_isocrystal_by_inverse(d, 8)
+        return Isocrystal(M.K, zmatrix.transpose(A_inv), -M.v_det)
+
+    return [("parse 7/F9", lambda d: jsonio.parse_isocrystal(d, 8), (d,),
+             lambda d: dense.parse_isocrystal_by_inverse(d, 8), (d,)),
+            ("dual 7/F9", lambda d: dual(jsonio.parse_isocrystal(d, 8), 8), (d,),
+             old_dual, (d,))]
+
+
 def _writer_workload():
     """`jsonio.dump_tree` on the report of `corpus --jobs 1` over the
     seed-0 corpus, against `json.dumps` with sorted keys and indent 2 as
@@ -435,11 +457,10 @@ def _captured(name, argv, want):
 
 def _tower_workloads():
     """Elimination and a level step on inputs taken from the requests of
-    the perfbench `tower` plan: the 288 x 97 system over F_2 of the
-    Frobenius action of `tate-f64-cyc3` (`tate --prec-z 16` on cyc3 over
-    F_64), the first 16 x 16 system over F_3 of `weil-f9-g01` (F_9, phi_t
-    = g + tau^2), and the last of the 16 fixed-point levels of
-    `tate-f64-cyc3`."""
+    the perfbench `tower` plan: the first 16 x 16 system over F_3 of
+    `weil-f9-g01` (F_9, phi_t = g + tau^2), and the last of the 16
+    fixed-point levels of `tate-f64-cyc3` (`tate --prec-z 16` on cyc3
+    over F_64)."""
     f64 = FieldDescriptor(p=2, a=2, m=3, kind="finite").field()
     z, zinv, one, zero = (ZSeries.z(f64), ZSeries.z(f64, -1), ZSeries.one(f64),
                           ZSeries.zero(f64))
@@ -449,15 +470,13 @@ def _tower_workloads():
     f9 = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
     weil = ["weil", "--input", jsonio.dump_canonical(
         DrinfeldModule(f9, [f9.gen(), f9.zero(), f9.one()]))]
-    tall = _captured("rref_mod_p", tate, lambda m, p: (len(m), len(m[0])) == (288, 97))
     square = _captured("rref_mod_p", weil,
                        lambda m, p: p == 3 and (len(m), len(m[0])) == (16, 16))
     level = _captured("extend_kernel", tate, lambda rows, c, d, p: len(c[0]) == 15 * 18)
     rows, coupling, diag, p = level
     [(coupling, diag)] = _arrays([(coupling, diag)])
     old_level = (np.array(rows, dtype=np.int64).reshape(len(rows), -1), coupling, diag, p)
-    return [("rref 288x97/F2", elimination.rref_mod_p, tall, dense.rref_mod_p, tall),
-            ("rref 16x16/F3", elimination.rref_mod_p, square, dense.rref_mod_p, square),
+    return [("rref 16x16/F3", elimination.rref_mod_p, square, dense.rref_mod_p, square),
             ("level 16 of cyc3/F2", elimination.extend_kernel, level, dense.extend_kernel,
              old_level)]
 

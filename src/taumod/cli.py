@@ -151,7 +151,7 @@ def _load_json_arg(val):
 
 def cmd_isocrystal(args):
     policy = _policy(args)
-    M, A_inv = jsonio.parse_isocrystal(_load_json_arg(args.input), policy.z_prec, True)
+    M = jsonio.parse_isocrystal(_load_json_arg(args.input), policy.z_prec)
     if args.op == "tensor":
         if args.other is None:
             raise InputError("tensor needs --other")
@@ -159,7 +159,7 @@ def cmd_isocrystal(args):
         T = tensor(M, N2)
         result = {"rank": T.rank, "product": jsonio.render(T)}
     elif args.op == "dual":
-        D = dual(M, A_inv=A_inv)
+        D = dual(M, policy.z_prec)
         result = {"rank": D.rank, "dual": jsonio.render(D)}
     elif args.op == "purity":
         if args.s is None or args.r is None:

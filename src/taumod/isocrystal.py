@@ -11,9 +11,10 @@ A_r the matrix of tau^r (Katz, "Slope filtration of F-crystals").
 `purity_check` refutes only by an invariant: v_z(det A) is unchanged by
 sigma-conjugation, and purity forces r*v_z(det A) = rank*s. An
 isocrystal carries v_z(det A): a twist read from outside gets it from
-the elimination that inverts it at parse (`twist_inverse`), and the
-constructions below by a rule; otherwise `det_valuation` runs the same
-elimination without the inverse. No determinant is expanded. It searches
+the pivots of the one elimination that shows it invertible at parse
+(`zmatrix.det_valuation`), and the constructions below by a rule;
+otherwise `det_valuation` runs that elimination. No determinant is
+expanded, and only `dual` builds A^-1. It searches
 for T from the standard lattice by `purity_step`, which `verify` runs
 once at a certified T.
 """
@@ -33,8 +34,9 @@ class Isocrystal:
     """Free module over K((z)) with an invertible semilinear operator.
 
     The matrix A gives the action v -> A*sigma(v) on column vectors in
-    the standard basis. A twist read from outside is inverted where it
-    is parsed (`twist_inverse`); the constructions below keep it so.
+    the standard basis. A twist read from outside is shown invertible
+    where it is parsed, by the settled pivots of one elimination
+    (`zmatrix.det_valuation`); the constructions below keep it so.
     v_det is v_z(det A) where the parse or the construction gives it,
     else None (see `det_valuation`).
     """
@@ -55,18 +57,6 @@ class Isocrystal:
 
     def tau_power(self, k):
         return zmatrix.tau_power_matrix(self.A, k)
-
-
-def twist_inverse(M, prec=None):
-    """(A^-1 at z-precision prec, checked by A*A^-1 = I, and v_z(det A)):
-    NotInvertible if A is singular, PrecisionLoss if the windows settle
-    no pivot. v_z(det A) is the sum of the valuations of the pivots of
-    the elimination that inverts A (`zmatrix.det_valuation` has the
-    argument); it is an int, not a cached inverse."""
-    A_inv, v = zmatrix.inv(M.A, prec=prec, with_valuation=True)
-    if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
-        raise InvariantError("invertibility witness fails A*A_inv = I")
-    return A_inv, v
 
 
 def det_valuation(M):
@@ -112,18 +102,19 @@ def tensor(M, N):
     return Isocrystal(M.K, zmatrix.kron(M.A, N.A), v)
 
 
-def dual(M, prec=None, A_inv=None):
+def dual(M, prec=None):
     """The dual twist A^{-T}: with tau(v) = A*sigma(v), functionals
-    transform by A^{-T}. A is inverted at z-precision prec unless its
-    checked inverse A_inv is given."""
-    if A_inv is None:
-        A_inv, v = twist_inverse(M, prec)
-    else:
-        v = M.v_det
-    return Isocrystal(M.K, zmatrix.transpose(A_inv), None if v is None else -v)
+    transform by A^{-T}. A is inverted at z-precision prec and the
+    inverse checked by A*A^-1 = I; det A^{-T} = 1/det A."""
+    A_inv = zmatrix.inv(M.A, prec)
+    if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(M.K, M.rank)):
+        raise InvariantError("invertibility witness fails A*A_inv = I")
+    v = None if M.v_det is None else -M.v_det
+    return Isocrystal(M.K, zmatrix.transpose(A_inv), v)
 
 
 def direct_sum(M, N):
+    """The block twist diag(A, B), det diag(A, B) = det(A) det(B)."""
     if M.K is not N.K:
         raise InputError("direct sum requires a common base")
     K = M.K
@@ -135,7 +126,8 @@ def direct_sum(M, N):
     for i in range(s):
         for j in range(s):
             A[r + i][r + j] = N.A[i][j]
-    return Isocrystal(K, A)
+    v = None if M.v_det is None or N.v_det is None else M.v_det + N.v_det
+    return Isocrystal(K, A, v)
 
 
 # ---------------------------------------------------------------- lattices

@@ -17,10 +17,10 @@ keyed by the tau^{-1}-exponent.
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from taumod import drinfeld, skew
+from taumod import drinfeld, skew, zmatrix
 from taumod.basefield import Felt, FieldDescriptor, FiniteK
 from taumod.errors import InputError
-from taumod.isocrystal import Isocrystal, Lattice, twist_inverse
+from taumod.isocrystal import Isocrystal, Lattice
 from taumod.zseries import INF, ZSeries
 
 # Records (`isocrystal.Record`) render their `_fields` under their own
@@ -293,28 +293,33 @@ def parse_skewlaurent(K, d):
     return skew.SkewLaurent(K, co, INF if hi is None else int(hi))
 
 
-def parse_isocrystal(d, prec=None, with_inverse=False):
-    """The isocrystal of d, its twist matrix shown invertible by
-    `twist_inverse` at z-precision prec (default `DEFAULT_Z_PREC`), which
-    also gives it v_z(det A); with that inverse as a second value if
-    with_inverse."""
+def parse_isocrystal(d, prec=None):
+    """The isocrystal of d, its twist matrix A shown invertible by the
+    settled pivots of one elimination at z-precision prec (default
+    `DEFAULT_Z_PREC`), `zmatrix.det_valuation`, whose sum is the
+    v_z(det A) it carries. A declared rank is checked first."""
     K = parse_field(_need(d, "base", "isocrystal"))
     rows = _need(d, "tau_matrix", "isocrystal")
-    if not isinstance(rows, list) or not rows:
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
         raise InputError("tau_matrix must be a nonempty square array")
-    A = [[parse_zseries(K, cell) for cell in row] for row in rows]
-    M = Isocrystal(K, A)
-    A_inv, M.v_det = twist_inverse(M, prec)
+    M = Isocrystal(K, [[parse_zseries(K, cell) for cell in row] for row in rows])
     want = d.get("rank")
-    if want is not None and int(want) != M.rank:
+    if want is not None and _declared_int(want, "rank") != M.rank:
         raise InputError(f"declared rank {want} but tau_matrix is {M.rank} x {M.rank}")
-    return (M, A_inv) if with_inverse else M
+    M.v_det = zmatrix.det_valuation(M.A, prec)
+    return M
+
+
+def _declared_int(value, key):
+    if type(value) is not int:
+        raise InputError(f"'{key}' must be an integer, got {value!r}")
+    return value
 
 
 def parse_drinfeld(d):
     K = parse_field(_need(d, "base", "module input"))
     q = d.get("q")
-    if q is not None and int(q) != K.q:
+    if q is not None and _declared_int(q, "q") != K.q:
         raise InputError(f"declared q={q} but the base descriptor gives q={K.q}")
     coeffs_raw = _need(d, "coeffs", "module input")
     if not isinstance(coeffs_raw, list):

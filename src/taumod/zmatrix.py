@@ -130,10 +130,9 @@ def agrees(A, B):
     return all(a.agrees_with(b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def inv(A, prec=None, with_valuation=False):
-    """Inverse over K((z)) by left-looking Gauss-Jordan elimination; with
-    the sum of its pivots' valuations, v_z(det A), as a second value if
-    with_valuation.
+def inv(A, prec=None):
+    """Inverse over K((z)) by left-looking Gauss-Jordan elimination, each
+    pivot inverted at z-precision prec.
 
     Pivots are chosen by least z-order among known-nonzero candidates,
     which keeps windows as wide as the input allows. When a column has
@@ -152,15 +151,15 @@ def inv(A, prec=None, with_valuation=False):
     n, m = dims(A)
     if n != m:
         raise InputError("inverse of a non-square matrix")
-    out, v = _eliminate(A, prec, True)
-    return (out, v) if with_valuation else out
+    return _eliminate(A, prec, True)[0]
 
 
-def det_valuation(A):
-    """v_z(det A) as the sum of the valuations of `inv`'s pivots, by the
-    same elimination restricted to the rows at or below each pivot, with
-    no inverse built; NotInvertible and PrecisionLoss as `inv` raises
-    them.
+def det_valuation(A, prec=None):
+    """v_z(det A) as the sum of the valuations of `inv(A, prec)`'s pivots,
+    by the same elimination restricted to the rows at or below each
+    pivot, with no inverse built: the same pivots at the same windows,
+    and NotInvertible and PrecisionLoss as `inv` raises them, so a twist
+    whose pivots all settle is invertible.
 
     Swapping rows and subtracting multiples of the pivot row leave det A
     unchanged up to sign, and scaling the pivot row by the inverse of
@@ -172,7 +171,7 @@ def det_valuation(A):
     n, m = dims(A)
     if n != m:
         raise InputError("determinant of a non-square matrix")
-    return _eliminate(A, None, False)[1]
+    return _eliminate(A, prec, False)[1]
 
 
 def _eliminate(A, prec, inverse):

@@ -31,7 +31,10 @@ test; `purity_check_laplace` is the search with both, and
 `slopes_full_window` the slopes from the full A, before they were cut
 at the Newton chord. `replay_purity_hnf` is `verify`'s replay of a
 purity certificate by a Hermite reduction of the image of T, before it
-ran the search's step at T. `tabled` fills a field's log tables for the
+ran the search's step at T. `parse_isocrystal_by_inverse` is the parse
+that inverted a twist, checked A*A^-1 = I and read v_z(det A) off that
+inversion's pivots, before the pivots of an elimination with no inverse
+showed the twist invertible. `tabled` fills a field's log tables for the
 tests that read them or the products that run on them.
 """
 
@@ -47,6 +50,7 @@ from taumod.errors import (
     BudgetExceeded,
     ExtensionExhausted,
     InputError,
+    InvariantError,
     NotInvertible,
     PrecisionLoss,
 )
@@ -602,6 +606,25 @@ def replay_purity_hnf(M, cert_doc, checks, label, policy, slope=None):
     cols = [[img[i][j].shift(-s) for i in range(M.rank)] for j in range(M.rank)]
     ok = lattice_eq(T, hnf_reduce(M.K, cols, M.rank))
     checks.append({"name": f"{label}: tau^r T == z^s T", "ok": ok, "s": s, "r": r})
+
+
+def parse_isocrystal_by_inverse(d, prec=None):
+    """`jsonio.parse_isocrystal` before it built no inverse: (the
+    isocrystal of d, A^-1), A inverted at z-precision prec and checked
+    by A*A^-1 = I, its v_z(det A) the sum of the valuations of that
+    inversion's pivots, and a declared rank checked after."""
+    K = jsonio.parse_field(jsonio._need(d, "base", "isocrystal"))
+    rows = jsonio._need(d, "tau_matrix", "isocrystal")
+    if not isinstance(rows, list) or not rows:
+        raise InputError("tau_matrix must be a nonempty square array")
+    M = Isocrystal(K, [[jsonio.parse_zseries(K, cell) for cell in row] for row in rows])
+    A_inv, M.v_det = zmatrix._eliminate(M.A, prec, True)
+    if not zmatrix.agrees(zmatrix.mul(M.A, A_inv), zmatrix.identity(K, M.rank)):
+        raise InvariantError("invertibility witness fails A*A_inv = I")
+    want = d.get("rank")
+    if want is not None and int(want) != M.rank:
+        raise InputError(f"declared rank {want} but tau_matrix is {M.rank} x {M.rank}")
+    return M, A_inv
 
 
 def geometric_inv(f, prec=None):

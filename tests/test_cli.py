@@ -26,6 +26,11 @@ from taumod.zseries import ZSeries
 
 from dense_oracle import tabled
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
+
+del sys.path[0]
+
 INF = math.inf
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "v1"
 
@@ -242,8 +247,8 @@ class TestErrors:
         assert code == 0 and ver["verdict"] == "ok"
 
     def test_prec_z_reaches_tensor_and_dual(self):
-        # the input is inverted once, at --prec-z, where it is read; the
-        # product is not inverted again, and the dual inverts at --prec-z
+        # the input's pivots settle at --prec-z, where it is read; the
+        # product is not inverted, and the dual inverts at --prec-z
         K, B, inp = pivot_window_twist()
         code, doc = run_json(["isocrystal", "tensor", "--prec-z", "30",
                               "--input", json.dumps(inp),
@@ -257,24 +262,55 @@ class TestErrors:
                               zmatrix.identity(K, 3))
 
     def test_dual_inverts_once(self, monkeypatch):
-        # the inverse that checks the input where it is read is the one
-        # the dual transposes
+        # the parse shows the input invertible by its pivots and builds no
+        # inverse; the dual's inverse, at --prec-z, is the one inversion
         _, _, inp = pivot_window_twist()
         calls, inv = [], zmatrix.inv
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inv(*args, **kwargs)
+        def counted(A, prec=None, **kwargs):
+            calls.append(prec)
+            return inv(A, prec, **kwargs)
 
         monkeypatch.setattr(zmatrix, "inv", counted)
         code, doc = run_json(["isocrystal", "dual", "--prec-z", "30",
                               "--input", json.dumps(inp)])
         assert code == 0 and doc["result"]["dual"]["rank"] == 3
-        assert len(calls) == 1
+        assert calls == [30]
+
+    def test_dual_refuses_a_forged_inverse(self, monkeypatch):
+        # the dual checks A*A^-1 = I: an inverse off in one entry is an
+        # internal fault, exit 4
+        inv = zmatrix.inv
+
+        def forged(*args, **kwargs):
+            out = inv(*args, **kwargs)
+            out[0][0] = out[0][0] + ZSeries.one(out[0][0].K)
+            return out
+
+        monkeypatch.setattr(zmatrix, "inv", forged)
+        code, doc = run_json(["isocrystal", "dual", "--input",
+                              jsonio.dump_canonical(simple_pure(F9F.field(), 1, 3))])
+        assert (code, doc["error"]) == (4, "InvariantError")
+        assert doc["detail"] == "invertibility witness fails A*A_inv = I"
+
+    def test_slopes_purity_and_verify_build_no_inverse(self, monkeypatch):
+        # only `dual` inverts a twist: the `rank` requests and the verify
+        # of their certificates answer with `zmatrix.inv` failing
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("zmatrix.inv called")
+
+        monkeypatch.setattr(zmatrix, "inv", no_inverse)
+        for req in inputs.rank_requests(0):
+            code, doc = run_json(["isocrystal", req["kind"], *req["flags"],
+                                  "--input", json.dumps(req["payload"])])
+            assert code == 0 and doc["verdict"] == req["verdict"], req["name"]
+            if req["kind"] == "purity":
+                code, ver = run_json(["verify", "--input", json.dumps(doc)])
+                assert code == 0 and ver["verdict"] == "ok", req["name"]
 
     def test_corpus_prec_z_reaches_the_parse(self, tmp_path):
         # the corpus reads an isocrystal item at --prec-z, so the twist
-        # whose inverse needs it answers
+        # whose pivots need it answers
         _, _, inp = pivot_window_twist()
         item = dict(inp, kind="isocrystal", purity=[0, 1])
         (tmp_path / "pivot.json").write_text(json.dumps(item))
@@ -310,6 +346,26 @@ class TestErrors:
             code, doc = run_json(argv + ["--input", inp])
             assert code == 2 and doc["error"] == "NotInvertible", argv
 
+
+    def test_malformed_input_exits_2(self):
+        # a tau_matrix row that is not an array, or a declared rank or q
+        # that is not an integer, is bad input, named in the detail, for
+        # every command that reads it
+        twist = jsonio.render(unit(F3F.field(), 2))
+        module = jsonio.render(finite_module())
+        reads_twist = (["isocrystal", "slopes"], ["isocrystal", "dual"], ["tate"])
+        for inp, commands, detail in (
+                (dict(twist, tau_matrix=[3]), reads_twist,
+                 "tau_matrix must be a nonempty square array"),
+                (dict(twist, tau_matrix=[twist["tau_matrix"][0], 5]), reads_twist,
+                 "tau_matrix must be a nonempty square array"),
+                (dict(twist, rank="x"), reads_twist, "'rank' must be an integer, got 'x'"),
+                (dict(twist, rank=[1]), reads_twist, "'rank' must be an integer, got [1]"),
+                (dict(module, q="x"), (["analyze"], ["weil"]),
+                 "'q' must be an integer, got 'x'")):
+            for argv in commands:
+                code, doc = run_json(argv + ["--input", json.dumps(inp)])
+                assert (code, doc["error"], doc["detail"]) == (2, "InputError", detail), argv
 
     @pytest.mark.parametrize("prec", ["0", "-1"])
     def test_nonpositive_prec_z_exits_2(self, prec):
@@ -985,18 +1041,22 @@ class TestCorpus:
         assert doc["result"]["verdict_counts"].get("input_error") == 1
 
     def test_malformed_fields_are_their_items_input_errors(self, tmp_path):
-        # a malformed purity or solve prec is its own item's input_error,
-        # which names the field; the other items answer as they do alone
+        # a malformed purity, solve prec, declared rank or declared q is its
+        # own item's input_error, which names the field; the other items
+        # answer as they do alone
         files = dict(corpusgen.corpus_files(seed=0))
         iso = next(n for n, p in files.items() if p["kind"] == "isocrystal")
         sol = next(n for n, p in files.items() if p["kind"] == "solve_problem")
-        for name in (iso, sol):
+        dm = next(n for n, p in files.items() if p["kind"] == "drinfeld")
+        for name in (iso, sol, dm):
             (tmp_path / name).write_text(jsonio.dump_canonical(files[name]))
         _, alone = run_json(["corpus", "--dir", str(tmp_path)])
         bad = {}
         for field, name, values in (
                 ("purity", iso, (["x", 1], 5, [1], [0, 1, 2], [0.0, 1], "01")),
-                ("prec", sol, ("x", 1.5, [4], True, 0, None))):
+                ("prec", sol, ("x", 1.5, [4], True, 0, None)),
+                ("rank", iso, ("x", [1], 2.5, True)),
+                ("q", dm, ("x", {}, 9.0))):
             for i, value in enumerate(values):
                 bad[f"zz-{field}-{i}.json"] = field
                 (tmp_path / f"zz-{field}-{i}.json").write_text(
@@ -1006,7 +1066,7 @@ class TestCorpus:
         items = {item["name"]: item for item in doc["result"]["items"]}
         assert [items[item["name"]] for item in alone["result"]["items"]] == (
             alone["result"]["items"])
-        assert set(items) == {iso, sol, *bad}
+        assert set(items) == {iso, sol, dm, *bad}
         for name, field in bad.items():
             item = items[name]
             assert (item["verdict"], item["error"]["type"]) == ("input_error", "InputError")

@@ -103,8 +103,9 @@ class TestConstructors:
         assert D.A[0][0].is_zero() and D.A[1][1].is_zero()
 
     def test_constructions_do_not_invert(self, monkeypatch):
-        # only a twist read from outside, or a dual, is inverted; every
-        # construction of an invertible twist from invertible ones is not
+        # only a dual is inverted; a twist read from outside is shown
+        # invertible by its pivots, and every construction of an
+        # invertible twist from invertible ones is not inverted
         from taumod.drinfeld import DrinfeldModule, m_infinity
 
         K = FieldDescriptor(p=3, a=2, m=1, kind="finite").field()
@@ -119,6 +120,17 @@ class TestConstructors:
         assert tensor(M, simple_pure(K, -1, 3)).rank == 6
         assert direct_sum(M, unit(K)).rank == 3
         assert m_infinity(E).rank == 2
+
+    def test_constructions_carry_v_det_by_rule(self):
+        # det diag(A, B) = det A det B, det(A kron B) = det(A)^rank_N
+        # det(B)^rank_M and det A^-T = 1/det A: each construction carries
+        # the v_z(det A) of its own twist's elimination
+        K = K3()
+        M, N = simple_pure(K, 1, 2), simple_pure(K, -1, 3)
+        for X in (unit(K, 2), M, N, direct_sum(M, N), tensor(M, N), dual(M),
+                  direct_sum(dual(N), tensor(M, unit(K)))):
+            assert X.v_det == zmatrix.det_valuation(X.A)
+        assert direct_sum(M, Isocrystal(K, N.A)).v_det is None
 
     def test_double_dual_identity(self):
         K = K3()

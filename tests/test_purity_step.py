@@ -27,8 +27,10 @@ from taumod.isocrystal import Isocrystal, Lattice, NotPureAt, PurityCertificate,
 from taumod.zseries import DEFAULT_Z_PREC, INF, ZSeries
 
 import dense_oracle as dense
+from test_cli import pivot_window_twist
 from test_degree_sweep import _case, _slope0
 from test_isocrystal import skewed_constant
+from test_slopes import FIELDS as SLOPES_FIELDS, _cases as slopes_cases
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "perfbench")]
@@ -418,7 +420,30 @@ def test_pivot_search_valuation_is_the_laplace_one():
         if got is None and want is not None:
             only_laplace.add((family, seed))
             with pytest.raises(PrecisionLoss):
-                isocrystal.twist_inverse(M, DEFAULT_Z_PREC)
+                jsonio.parse_isocrystal(jsonio.render(M), DEFAULT_Z_PREC)
         elif want is not None:
             assert got == want, (family, seed)
     assert only_laplace == ONLY_LAPLACE_V
+
+
+# the parse against the one it replaced, which inverted the twist and
+# read v_z(det A) off that inversion (`dense_oracle`): at each of these
+# z-precisions both give the same v, or the same error
+PARSE_PRECS = (1, 2, 8, 30)
+
+
+def test_parse_by_pivots_is_the_parse_by_inverse():
+    crystals = ([M for label in sorted(SLOPES_FIELDS) for _, M in slopes_cases(label)]
+                + [seeded_crystal(seed)[0] for seed in SEEDS]
+                + [shifted_crystal(seed) for seed in range(60)]
+                + [skewed_constant(seed) for seed in range(80)])
+    docs = [jsonio.render(M) for M in crystals] + [pivot_window_twist()[2]]
+    kinds = set()
+    for d in docs:
+        for prec in PARSE_PRECS:
+            got = _outcome(lambda: jsonio.parse_isocrystal(d, prec).v_det)
+            want = _outcome(lambda: dense.parse_isocrystal_by_inverse(d, prec)[0].v_det)
+            assert got == want, (d, prec)
+            kinds.add(got[0] if isinstance(got, tuple) else "v")
+    # settled pivots, pivots zero only to their windows, singular twists
+    assert kinds == {"v", "PrecisionLoss", "NotInvertible"}
